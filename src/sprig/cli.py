@@ -37,7 +37,7 @@ from .equilibrium import (
     solve_pbe,
     sweep,
 )
-from .formulas import ParseError, canonical_json
+from .formulas import ParseError, canonical_json, parse_json
 from .proofs import MachineProof, ProofChain, parse_proof_document, validate_chain
 from .protocol import (
     EARLY_STOP,
@@ -154,7 +154,7 @@ def _generous_funding(lines: Iterable[str], cascade: ParameterCascade) -> dict[s
         raw = raw.strip()
         if not raw:
             continue
-        record = json.loads(raw)
+        record = parse_json(raw)
         actor = record["actor"]
         funding[actor] = funding.get(actor, 0) + per_move
     return funding
@@ -199,7 +199,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     mode = EARLY_STOP if args.mode == "early-stop" else QUIESCENCE
     try:
         balances = _generous_funding(lines, cascade)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ParseError) as exc:
         return _fail(f"bad move log: {exc}", DOMAIN_ERROR)
     cursor = _LineCursor(lines)
     try:

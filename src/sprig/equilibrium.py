@@ -33,8 +33,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import numpy as np
-
 __all__ = [
     "DegenerateParametersError",
     "GameParameters",
@@ -279,6 +277,10 @@ def monte_carlo_estimate(
     challenge: one uniform array each), so results are reproducible for a
     given seed regardless of the solution values.
     """
+    # Imported here, not at module level: no other command needs numpy, and
+    # importing it is a large share of the CLI's start-up time.
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     signal = rng.random(n)
     u_valid = rng.random(n)

@@ -35,6 +35,7 @@ __all__ = [
     "DefinitionSet",
     "canonical_json",
     "content_hash",
+    "parse_json",
 ]
 
 _BINARY = ("and", "or", "imp")
@@ -48,6 +49,14 @@ class ParseError(ValueError):
 
 def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def parse_json(text: str | bytes) -> Any:
+    """`json.loads`, reporting nesting too deep to decode as a ParseError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
 
 
 def content_hash(value: Any) -> str:

@@ -29,6 +29,7 @@ from .formulas import (
     ParseError,
     Statement,
     canonical_json,
+    parse_json,
 )
 
 __all__ = [
@@ -434,7 +435,7 @@ def parse_proof_document(data: bytes | str) -> Statement | ProofChain | MachineP
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from None
     try:
-        doc = json.loads(data)
+        doc = parse_json(data)
     except json.JSONDecodeError as exc:
         raise ParseError(f"document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -445,7 +446,10 @@ def parse_proof_document(data: bytes | str) -> Statement | ProofChain | MachineP
         raise ParseError(f"unknown document kind {kind!r}")
     if kind == "statement":
         doc = {k: v for k, v in doc.items() if k != "kind"}
-    return parser(doc)
+    try:
+        return parser(doc)
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
 
 
 def serialize_proof_document(obj: Statement | ProofChain | MachineProof) -> bytes:

@@ -7,10 +7,14 @@ machine level). Machine claims burn a fixed execution cost and are judged
 instantly by the verifier backend. Statuses propagate: a question is answered
 as soon as one of its claims validates, a claim dies as soon as one of its
 questions times out unanswered, and surviving nodes are confirmed when their
-windows close. Settlement then routes every escrowed token: stakes of dead
-claims pay the defeating side, bounties of answered questions pay the earliest
-validated answer, and anything still held by pending nodes (possible only when
-the game stops early at the root's determination) is refunded.
+windows close. Resolution is incremental: a pending node can change only
+when it is posted, when its own window closes, or when one of its children
+determines, so each move re-evaluates just those nodes and their ancestors
+(children first) instead of the whole tree. Settlement then routes every
+escrowed token: stakes of dead claims pay the defeating side, bounties of
+answered questions pay the earliest validated answer, and anything still held
+by pending nodes (possible only when the game stops early at the root's
+determination) is refunded.
 
 Time is integer ticks; within a tick, moves are ordered by a per-instance
 sequence number, so the full order of play is the pair (time, seq). Windows
@@ -24,12 +28,12 @@ after every operation.
 
 from __future__ import annotations
 
-import json
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Union
 
-from .formulas import Statement, canonical_json, content_hash
+from .formulas import Statement, canonical_json, content_hash, parse_json
 from .proofs import (
     UNIT_MEASURE,
     LengthMeasure,
@@ -393,6 +397,14 @@ class ProtocolInstance:
         self._questions_on: dict[str, list[str]] = {}
         self._answers_to: dict[str, list[str]] = {}
         self._next_seq = 1
+        # Ids of determined nodes, in commit order; append-only.
+        self.determined: list[str] = []
+        # Resolution work queues: nodes to evaluate on the next resolve, and
+        # (deadline, seq, id) for every node whose window may still close.
+        # Entries up to `_resolved_to`, the latest time resolved, are consumed.
+        self._dirty: set[str] = set()
+        self._deadlines: list[tuple[int, int, str]] = []
+        self._resolved_to = 0
 
     # -- reading ----------------------------------------------------------
 
@@ -415,6 +427,7 @@ class ProtocolInstance:
         return [self.claim(c) for c in self._answers_to.get(question_id, [])]
 
     def claims(self) -> list[ClaimNode]:
+        """Every claim, in posting order (as are `questions` and `nodes`)."""
         return [n for n in self.nodes.values() if isinstance(n, ClaimNode)]
 
     def questions(self) -> list[QuestionNode]:
@@ -428,14 +441,13 @@ class ProtocolInstance:
             return c.posted_at.time
         return c.posted_at.time + self.cascade.verification_time(c.level)
 
+    def _deadline(self, node: Node) -> int:
+        if isinstance(node, ClaimNode):
+            return self.claim_deadline(node)
+        return self.question_deadline(node)
+
     def max_deadline(self) -> int:
-        horizon = self.clock
-        for node in self.nodes.values():
-            if isinstance(node, ClaimNode):
-                horizon = max(horizon, self.claim_deadline(node))
-            else:
-                horizon = max(horizon, self.question_deadline(node))
-        return horizon
+        return max([self.clock] + [self._deadline(n) for n in self.nodes.values()])
 
     # -- move plumbing ----------------------------------------------------
 
@@ -466,6 +478,23 @@ class ProtocolInstance:
         )
         return stamp
 
+    def _add_node(self, node: Node) -> None:
+        """Link a freshly posted node into the tree and queue it for the next
+        resolve. Its origin needs no visit: a pending child cannot decide it,
+        and a child that determines queues its origin itself."""
+        self.nodes[node.id] = node
+        if isinstance(node, QuestionNode):
+            self._answers_to[node.id] = []
+            if node.origin is not None:
+                self._questions_on[node.origin].append(node.id)
+        else:
+            if node.level >= 1:
+                self._questions_on[node.id] = []
+            if node.origin is not None:
+                self._answers_to[node.origin].append(node.id)
+        self._dirty.add(node.id)
+        heapq.heappush(self._deadlines, (self._deadline(node), node.posted_at.seq, node.id))
+
     # -- posting ----------------------------------------------------------
 
     def _post_root_claim(self, owner: str, statement: Statement, chain: ProofChain, t) -> str:
@@ -488,9 +517,8 @@ class ProtocolInstance:
             posted_at=stamp,
             escrow=params.stake_down,
         )
-        self.nodes[node_id] = node
+        self._add_node(node)
         self.root_id = node_id
-        self._questions_on[node_id] = []
         self.resolve()
         return node_id
 
@@ -509,9 +537,8 @@ class ProtocolInstance:
             posted_at=stamp,
             escrow=bounty,
         )
-        self.nodes[node_id] = node
+        self._add_node(node)
         self.root_id = node_id
-        self._answers_to[node_id] = []
         self.resolve()
         return node_id
 
@@ -545,9 +572,7 @@ class ProtocolInstance:
             origin=origin,
             step_index=step_index,
         )
-        self.nodes[node_id] = node
-        self._questions_on[origin].append(node_id)
-        self._answers_to[node_id] = []
+        self._add_node(node)
         self.resolve()
         return node_id
 
@@ -601,10 +626,7 @@ class ProtocolInstance:
         )
         if level == 0:
             self.ledger.burn_from_escrow(node_id, self.cascade.machine.burn_cost)
-        self.nodes[node_id] = node
-        self._answers_to[origin].append(node_id)
-        if level >= 1:
-            self._questions_on[node_id] = []
+        self._add_node(node)
         self.resolve()
         return node_id
 
@@ -643,63 +665,82 @@ class ProtocolInstance:
         return self.resolve()
 
     def resolve(self, now: Union[int, Timestamp, None] = None) -> list[tuple[str, str, Timestamp]]:
-        """Propagate statuses as of `now` (defaults to the clock). Idempotent:
-        a node determined once never changes, later calls only add."""
+        """Commit the statuses visible at `now` (defaults to the clock) and
+        return the new determinations in (determination, posted_at) order.
+        Idempotent: a node determined once never changes, later calls only add.
+
+        A pending node can change only when it is posted, when its window
+        closes, or when a child determines, so the only candidates are the
+        nodes posted since the last call and the nodes whose deadline has
+        passed; `_fixpoint` walks up from them. In early-stop mode a root
+        determined before `now` ends the game there: the same candidates are
+        evaluated again as of that time (`_decide` checks every window itself,
+        so extra candidates are harmless) and nothing later is committed.
+        """
         now_time = self.clock if now is None else _as_time(now)
         if self.stopped_at is not None:
             now_time = min(now_time, self.stopped_at.time)
-        assignments = self._fixpoint(now_time)
-        if self.mode == EARLY_STOP and self.stopped_at is None and self.root_id is not None:
-            root_det = next((det for nid, _, det in assignments if nid == self.root_id), None)
-            if root_det is not None:
-                if root_det.time < now_time:
-                    assignments = self._fixpoint(root_det.time)
-                self.stopped_at = root_det
-        changed = []
-        for node_id, status, det in assignments:
+        self._resolved_to = max(self._resolved_to, now_time)
+        while self._deadlines and self._deadlines[0][0] <= now_time:
+            self._dirty.add(heapq.heappop(self._deadlines)[2])
+        candidates, self._dirty = self._dirty, set()
+        fresh = self._fixpoint(candidates, now_time)
+        if self.mode == EARLY_STOP and self.stopped_at is None and self.root_id in fresh:
+            root_det = fresh[self.root_id][1]
+            if root_det.time < now_time:
+                fresh = self._fixpoint(candidates, root_det.time)
+            self.stopped_at = root_det
+        changed = sorted(
+            ((node_id, st, det) for node_id, (st, det) in fresh.items()),
+            key=lambda change: (change[2], self.nodes[change[0]].posted_at),
+        )
+        for node_id, status, det in changed:
             node = self.nodes[node_id]
             node.status = status
             node.determination = det
-            changed.append((node_id, status, det))
+            self.determined.append(node_id)
         return changed
 
-    def _fixpoint(self, now_time: int) -> list[tuple[str, str, Timestamp]]:
-        """New determinations visible at `now_time`, without committing them.
+    def _fixpoint(self, candidates: set[str], now_time: int) -> dict[str, tuple[str, Timestamp]]:
+        """New determinations at `now_time` among `candidates` and their
+        ancestors, without committing them.
 
-        Candidates are locked in by determination order, earliest batch
-        first, so the "first" in "first unanswered question defeats the
-        claim" and "first validated answer wins" means first in debate time.
-        A plain scan can get this wrong: it may see a sibling's later
-        determination before a chain of pending nodes collapses to an
-        earlier one, and statuses never change once set.
+        Nodes are evaluated in descending posting order. A child is always
+        posted after its parent, so every child is final before its parent
+        reads it, and determination times come out exact: the "first" in
+        "first unanswered question defeats the claim" and "first validated
+        answer wins" means first in debate time. A node that determines
+        queues its origin.
         """
-        status: dict[str, tuple[str, Timestamp | None]] = {
-            n.id: (n.status, n.determination) for n in self.nodes.values() if n.status != PENDING
-        }
         fresh: dict[str, tuple[str, Timestamp]] = {}
 
         def current(node_id: str) -> tuple[str, Timestamp | None]:
-            return status.get(node_id, (PENDING, None))
+            if node_id in fresh:
+                return fresh[node_id]
+            node = self.nodes[node_id]
+            return node.status, node.determination
 
-        nodes = sorted(self.nodes.values(), key=lambda n: n.posted_at)
-        while True:
-            candidates: list[tuple[Timestamp, Timestamp, str, str]] = []
-            for node in nodes:
-                if current(node.id)[0] != PENDING:
-                    continue
-                decided = self._decide(node, now_time, current)
-                if decided is not None:
-                    candidates.append((decided[1], node.posted_at, node.id, decided[0]))
-            if not candidates:
-                break
-            earliest = min(det for det, _, _, _ in candidates)
-            for det, _, node_id, st in candidates:
-                if det == earliest:
-                    status[node_id] = (st, det)
-                    fresh[node_id] = (st, det)
-
-        ordered = sorted(fresh.items(), key=lambda kv: (kv[1][1], self.nodes[kv[0]].posted_at))
-        return [(nid, st, det) for nid, (st, det) in ordered]
+        queued = set(candidates)
+        queue = [(-self.nodes[node_id].posted_at.seq, node_id) for node_id in queued]
+        heapq.heapify(queue)
+        while queue:
+            node = self.nodes[heapq.heappop(queue)[1]]
+            if node.status != PENDING:
+                continue
+            decided = self._decide(node, now_time, current)
+            if decided is None:
+                # Undecided before its window closes, though a call with a
+                # later `now` consumed its deadline entry: queue it again.
+                deadline = self._deadline(node)
+                if now_time < deadline <= self._resolved_to:
+                    heapq.heappush(self._deadlines, (deadline, node.posted_at.seq, node.id))
+                continue
+            fresh[node.id] = decided
+            origin = node.origin
+            if origin is not None and origin not in queued:
+                queued.add(origin)
+                heapq.heappush(queue, (-self.nodes[origin].posted_at.seq, origin))
+        return fresh
 
     def _decide(self, node: Node, now_time: int, current) -> tuple[str, Timestamp] | None:
         if isinstance(node, ClaimNode):
@@ -746,16 +787,7 @@ class ProtocolInstance:
             if self.stopped_at is None:
                 raise ProtocolError("unresolved nodes: root not yet determined")
         else:
-            still_open = [
-                n.id
-                for n in self.nodes.values()
-                if (
-                    self.claim_deadline(n)
-                    if isinstance(n, ClaimNode)
-                    else self.question_deadline(n)
-                )
-                > self.clock
-            ]
+            still_open = [n.id for n in self.nodes.values() if self._deadline(n) > self.clock]
             if still_open:
                 raise ProtocolError(f"windows still open for {sorted(still_open)}")
             unresolved = [n.id for n in self.nodes.values() if n.status == PENDING]
@@ -769,7 +801,7 @@ class ProtocolInstance:
                 self.ledger.pay_from_escrow(node_id, account, amount)
                 transfers.append(SettlementTransfer(node_id, account, amount, reason))
 
-        for node in sorted(self.nodes.values(), key=lambda n: n.posted_at):
+        for node in self.nodes.values():
             held = self.ledger.escrowed.get(node.id, 0)
             if node.status == PENDING:
                 pay(node.id, node.owner, held, "escrow refunded")
@@ -925,6 +957,13 @@ def settle(instance: ProtocolInstance) -> list[SettlementTransfer]:
     return instance.settle()
 
 
+def _int_field(doc: Mapping[str, Any], name: str) -> int:
+    value = doc[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def replay(
     lines: Iterable[str],
     cascade: ParameterCascade,
@@ -934,17 +973,25 @@ def replay(
     verifier: VerifierBackend | None = None,
     measure: LengthMeasure = UNIT_MEASURE,
 ) -> ProtocolInstance:
-    """Rebuild an instance from its move log. Verifies payload hashes."""
+    """Rebuild an instance from its move log. Verifies payload hashes and
+    decodes strictly: `seq` must be the next sequence number, and `seq`,
+    `time` and a question's `step` must be integers (booleans are not)."""
     instance: ProtocolInstance | None = None
     for raw in lines:
         raw = raw.strip()
         if not raw:
             continue
-        record = json.loads(raw)
+        record = parse_json(raw)
         payload = record["payload"]
         if content_hash(payload) != record["payload_hash"]:
             raise ProtocolError(f"payload hash mismatch at seq {record.get('seq')}")
-        kind, actor, time = record["kind"], record["actor"], record["time"]
+        kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
+        if instance is None and kind not in ("root_claim", "root_question"):
+            raise ProtocolError(f"log must start with a root move, got {kind!r}")
+        seq = _int_field(record, "seq")
+        expected = 1 if instance is None else instance._next_seq
+        if seq != expected:
+            raise ProtocolError(f"seq {seq} out of order, expected {expected}")
         if instance is None:
             if kind == "root_claim":
                 chain = ProofChain.from_json(payload["chain"])
@@ -952,16 +999,14 @@ def replay(
                     actor, chain.target, chain, cascade, time,
                     balances=balances, mode=mode, verifier=verifier, measure=measure,
                 )
-            elif kind == "root_question":
+            else:
                 instance = create_root_question(
                     actor, Statement.from_json(payload["statement"]), cascade, time,
                     balances=balances, mode=mode, verifier=verifier, measure=measure,
                 )
-            else:
-                raise ProtocolError(f"log must start with a root move, got {kind!r}")
             continue
         if kind == "question":
-            instance.post_question(actor, payload["origin"], payload["step"], time)
+            instance.post_question(actor, payload["origin"], _int_field(payload, "step"), time)
         elif kind == "answer_claim":
             doc = payload["proof"]
             proof: ProofChain | MachineProof

@@ -167,14 +167,14 @@ class AgentContext:
     def open_questions(self) -> list[QuestionNode]:
         return [
             q
-            for q in sorted(self.instance.questions(), key=lambda n: n.posted_at)
+            for q in self.instance.questions()
             if q.status == PENDING and self.instance.question_deadline(q) > self.now
         ]
 
     def open_claims(self) -> list[ClaimNode]:
         return [
             c
-            for c in sorted(self.instance.claims(), key=lambda n: n.posted_at)
+            for c in self.instance.claims()
             if c.level >= 1 and self.instance.claim_deadline(c) > self.now
         ]
 
@@ -532,7 +532,7 @@ class Plagiarist(AgentStrategy):
         budget = ctx.balance()
 
         seen: dict[str, ProofChain | MachineProof] = {}
-        for c in sorted(ctx.instance.claims(), key=lambda n: n.posted_at):
+        for c in ctx.instance.claims():
             if c.owner != ctx.me:
                 seen.setdefault(c.statement.hash(), c.proof)
 
@@ -557,7 +557,7 @@ class Plagiarist(AgentStrategy):
         if self.mirror_questions:
             asked_of_me = [
                 q
-                for q in sorted(ctx.instance.questions(), key=lambda n: n.posted_at)
+                for q in ctx.instance.questions()
                 if q.origin is not None
                 and ctx.instance.claim(q.origin).owner == ctx.me
                 and q.owner != ctx.me
@@ -596,7 +596,7 @@ class CopycatDefender(HonestClaimer):
             for i in intents
             if isinstance(i, AnswerIntent)
         )
-        for q in sorted(ctx.instance.questions(), key=lambda n: n.posted_at):
+        for q in ctx.instance.questions():
             if not ctx.answered_by_me(q.id):
                 continue
             for rival in ctx.instance.answers_to(q.id):
@@ -830,16 +830,13 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     poll_rng = random.Random(f"{config.seed}/poll")
 
     events: list[tuple[str, str, Timestamp]] = []
-    seen: set[str] = set()
+    harvested = 0
 
     def harvest() -> None:
-        fresh = [
-            n
-            for n in instance.nodes.values()
-            if n.status != PENDING and n.id not in seen
-        ]
+        nonlocal harvested
+        fresh = [instance.nodes[i] for i in instance.determined[harvested:]]
+        harvested = len(instance.determined)
         for n in sorted(fresh, key=lambda n: (n.determination, n.posted_at)):
-            seen.add(n.id)
             events.append((n.id, n.status, n.determination))
 
     rejections: list[RejectedIntent] = []

@@ -138,6 +138,31 @@ def test_run_flags_unreadable_records(capsys, tmp_path):
     assert "unreadable move at line 2" in err
 
 
+def _renumber(records):
+    for record in records:
+        record["seq"] += 100
+
+
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        (lambda r: r[1].update(time=3.5), 2),
+        (lambda r: r[1].update(time="3"), 2),
+        (_renumber, 1),
+    ],
+    ids=["float-time", "string-time", "renumbered-seq"],
+)
+def test_run_rejects_coerced_times_and_foreign_seqs(capsys, tmp_path, edit, line):
+    log, cascade = fixture_args("full_run_claim_root")
+    records = [json.loads(raw) for raw in Path(log).read_text().splitlines()]
+    edit(records)
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(capsys, "run", str(tampered), cascade)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: illegal move at line {line}: ")
+
+
 def test_run_rejects_a_broken_cascade(capsys, tmp_path):
     log, _ = fixture_args("validated_root_claim")
     bad = tmp_path / "cascade.json"
@@ -301,6 +326,36 @@ def _script(*argv):
         capture_output=True,
         cwd=str(FIXTURES.parent),
     )
+
+
+def _nested_not(depth):
+    return '{"not":' * depth + '{"atom":"p"}' + "}" * depth
+
+
+def test_deeply_nested_documents_exit_1_without_a_traceback(tmp_path):
+    statement = tmp_path / "deep_statement.json"
+    statement.write_text('{"assumptions":[],"conclusion":' + _nested_not(3000) + "}")
+    log = tmp_path / "deep.jsonl"
+    log.write_text('{"actor":"ann","kind":"root_question","payload":{"statement":'
+                   '{"assumptions":[],"conclusion":' + _nested_not(3000) + '}},'
+                   '"payload_hash":"0","seq":1,"time":0}\n')
+    _, cascade = fixture_args("full_run_claim_root")
+    for argv in (["validate", str(statement)], ["run", str(log), cascade]):
+        result = _script(*argv)
+        assert result.returncode == 1
+        assert result.stdout == b""
+        assert result.stderr.startswith(b"error: ")
+        assert b"nested too deeply" in result.stderr
+        assert b"Traceback" not in result.stderr
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, sprig.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        cwd=str(FIXTURES.parent),
+    )
+    assert (result.returncode, result.stdout) == (0, b"False\n")
 
 
 def test_console_entry_point_is_byte_identical_across_runs():

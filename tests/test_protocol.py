@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprig.formulas import Statement, atom, conj
-from sprig.proofs import InferenceStep, MachineProof
+from sprig.formulas import Statement, atom, conj, content_hash
+from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import (
     EARLY_STOP,
     LevelParameters,
@@ -21,6 +21,7 @@ from sprig.protocol import (
     ParameterCascade,
     PENDING,
     ProtocolError,
+    ProtocolInstance,
     Timestamp,
     advance_clock,
     create_root_claim,
@@ -314,6 +315,20 @@ def test_resolve_is_idempotent():
     assert inst.claim(inst.root_id).status == "validated"
 
 
+def test_resolving_ahead_of_the_clock_keeps_the_skipped_windows_queued():
+    inst = fresh_claim_root()
+    q = post_question(inst, "quin", inst.root_id, 1, 1)
+    post_answer_claim(inst, "zed", q, identity_chain(IDENT), 1)
+    # At 4 the root's window has closed, but q still waits on its answer.
+    assert resolve(inst, 4) == []
+    # q is answered at 2, before the root's window closes; the root must
+    # still be confirmed once the clock passes 4.
+    post_answer_claim(inst, "zed", q, machine_answer(IDENT), 2)
+    advance_clock(inst, 10)
+    assert inst.nodes[inst.root_id].status == "validated"
+    assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, 10)
+
+
 def test_settlement_guards():
     inst = fresh_claim_root()
     with pytest.raises(ProtocolError, match="windows still open"):
@@ -344,6 +359,70 @@ def test_moves_after_the_stop_are_rejected():
         inst.post_answer_claim(
             "dee", fx.node("root"), identity_chain(inst.nodes[fx.node("root")].statement), 12
         )
+
+
+def test_early_stop_commits_nothing_after_a_root_determined_before_the_clock():
+    inst = create_root_claim(
+        "amy", IDENT, ProofChain(target=IDENT, steps=(ChainStep(IDENT),) * 2),
+        tiny_cascade(), 0, balances={"amy": 100, "quin": 100, "zed": 100}, mode=EARLY_STOP,
+    )
+    q1 = post_question(inst, "quin", inst.root_id, 1, 1)
+    q2 = post_question(inst, "quin", inst.root_id, 2, 1)
+    c = post_answer_claim(inst, "zed", q2, identity_chain(IDENT), 2)
+    # At 10, q1 has been unanswered since its deadline 4, which kills the
+    # root at (4, 0); c's window closes at 6, after the stop.
+    changed = advance_clock(inst, 10)
+    assert changed == [
+        (inst.root_id, "invalidated", Timestamp(4, 0)),
+        (q1, "unanswered", Timestamp(4, 0)),
+    ]
+    assert inst.stopped_at == Timestamp(4, 0)
+    assert inst.nodes[c].status == inst.nodes[q2].status == PENDING
+    assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, 4)
+    assert advance_clock(inst, 20) == []
+
+
+def test_a_machine_leaf_in_a_wide_tree_evaluates_only_its_ancestors(monkeypatch):
+    k = 10
+    cascade = ParameterCascade(
+        root_level=2,
+        levels={
+            2: LevelParameters(10**6, 0, 6, 100, 5, 100),
+            1: LevelParameters(10**6, 4, 6, 100, 5, 100),
+        },
+        machine=MachineParameters(10**6, 2, 1, 3, 100),
+    )
+    wide = ProofChain(target=IDENT, steps=(ChainStep(IDENT),) * k)
+    inst = create_root_claim(
+        "amy", IDENT, wide, cascade, 0, balances={"amy": 10**6, "quin": 10**6}
+    )
+    open_leaves = []
+    for j in range(1, k + 1):
+        q = post_question(inst, "quin", inst.root_id, j, 1)
+        c = post_answer_claim(inst, "amy", q, wide, 1)
+        for i in range(1, k + 1):
+            open_leaves.append(post_question(inst, "quin", c, i, 1))
+    for q in open_leaves[:-1]:
+        post_answer_claim(inst, "amy", q, machine_answer(IDENT), 1)
+    assert len(inst.nodes) == 2 * k * k + 2 * k  # all but the last leaf
+
+    calls = []
+    decide = ProtocolInstance._decide
+
+    def counted(self, node, now_time, current):
+        calls.append(node.id)
+        return decide(self, node, now_time, current)
+
+    monkeypatch.setattr(ProtocolInstance, "_decide", counted)
+    now = 2
+    expired = sum(inst.clock < inst._deadline(n) <= now for n in inst.nodes.values())
+    leaf = post_answer_claim(inst, "amy", open_leaves[-1], machine_answer(IDENT), now)
+    depth, node = 0, inst.nodes[leaf]
+    while node.origin is not None:
+        depth, node = depth + 1, inst.nodes[node.origin]
+    assert (depth, expired) == (4, 0)
+    assert len(calls) <= depth + expired
+    assert inst.nodes[open_leaves[-1]].status == "answered"
 
 
 # -- the six scripted fixtures ----------------------------------------------------
@@ -450,6 +529,44 @@ def test_replay_rejects_tampered_payloads():
         replay(lines, fx.cascade, balances=fx.balances)
 
 
+def _tampered(edit):
+    lines = (FIXTURE_DIR / "movelogs" / "full_run_claim_root.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    edit(records)
+    for record in records:
+        record["payload_hash"] = content_hash(record["payload"])
+    return [json.dumps(record) for record in records]
+
+
+def _renumber(records):
+    for record in records:
+        record["seq"] += 100
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: r[1].update(time=3.5), "time must be an integer, got 3.5"),
+        (lambda r: r[1].update(time="3"), "time must be an integer, got '3'"),
+        (lambda r: r[1].update(time=True), "time must be an integer, got True"),
+        (lambda r: r[1]["payload"].update(step=True), "step must be an integer, got True"),
+        (lambda r: r[2].update(seq=True), "seq must be an integer, got True"),
+        (_renumber, "seq 101 out of order, expected 1"),
+        (lambda r: r[3].update(seq=3), "seq 3 out of order, expected 4"),
+    ],
+    ids=["float-time", "string-time", "bool-time", "bool-step", "bool-seq",
+         "renumbered", "repeated-seq"],
+)
+def test_replay_decodes_move_records_strictly(edit, message):
+    cascade = ParameterCascade.from_json(
+        json.loads((FIXTURE_DIR / "cascades" / "full_run_claim_root.json").read_text())
+    )
+    balances = {name: 10**6 for name in ("ann", "sam", "bea", "cat", "kim")}
+    replay(_tampered(lambda r: None), cascade, balances=balances)
+    with pytest.raises(ProtocolError, match=message):
+        replay(_tampered(edit), cascade, balances=balances)
+
+
 def test_replay_rejects_empty_and_rootless_logs():
     fx = PROTOCOL_FIXTURES["validated_root_claim"]()
     with pytest.raises(ProtocolError, match="empty move log"):
@@ -474,6 +591,16 @@ def test_random_debates_match_the_declarative_oracle(seed):
     settle(inst)
     assert inst.conservation_total() == total
     assert not inst.ledger.escrowed
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_random_debates_match_the_declarative_oracle_after_every_move(seed):
+    inst, _ = oracles.random_debate(seed)
+    lines = inst.move_log_lines()
+    balances = {"ava": 150, "bo": 150, "cy": 150, "dot": 150}
+    for n in range(1, len(lines) + 1):
+        twin = replay(lines[:n], inst.cascade, balances=balances)
+        assert oracles.observed_statuses(twin) == oracles.brute_force_statuses(twin, twin.clock)
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 7))
