@@ -5,8 +5,9 @@ For each k in 8, 16, 24 and 32 this builds the benchmark's carpet-bombed wide
 debate (`wide_config` in perfbench/workloads.py: 1 + 2k + 2k^2 nodes, one
 move per node), times `run_scenario`, then times `replay` of the produced
 move log plus `advance_clock` and `settle`. Each figure is the median of
-five runs with the fixed seed 0. Every replay must land on the simulated
-snapshot.
+five runs with the fixed seed 0, each on a freshly built debate, so that no
+value memoized on its formulas and statements carries over from one run to
+the next. Every replay must land on the simulated snapshot.
 
 Results go under `--label` in the JSON file `--out` (by default
 BENCH_resolver.json at the repository root). Labels already in the file are
@@ -42,9 +43,9 @@ REPEATS = 5
 
 
 def measure(k: int) -> dict[str, float | int]:
-    config = wide_config(k, SEED)
     simulate, replay_settle = [], []
     for _ in range(REPEATS):
+        config = wide_config(k, SEED)
         gc.collect()
         t0 = time.perf_counter()
         trace = run_scenario(config)

@@ -17,10 +17,11 @@ Formula JSON shapes (single-key objects, hence injective):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 __all__ = [
     "ParseError",
@@ -36,11 +37,21 @@ __all__ = [
     "canonical_json",
     "content_hash",
     "parse_json",
+    "is_int",
+    "MAX_FORMULA_DEPTH",
 ]
 
 _BINARY = ("and", "or", "imp")
 _UNARY = ("not",)
 _LEAF = ("atom", "sym")
+
+# Deepest formula `Formula.from_json` decodes, counting the leaf as 1. The
+# recursive dataclass comparisons and hashes downstream (`validate_chain`
+# overflows the default stack at ~250 levels) stay well inside the
+# interpreter's recursion limit below this.
+MAX_FORMULA_DEPTH = 100
+
+_T = TypeVar("_T")
 
 
 class ParseError(ValueError):
@@ -62,6 +73,30 @@ def parse_json(text: str | bytes) -> Any:
 def content_hash(value: Any) -> str:
     """Hex sha256 of the canonical serialization of a JSON-ready value."""
     return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+
+
+def is_int(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer; `true`/`false` are not,
+    although Python's bool is a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
+    """Compute a zero-argument method of a frozen dataclass once per
+    instance, on the first call, and keep the result as an instance
+    attribute. The result depends only on the fields, which never change;
+    the attribute is not a field, so equality, hashing and repr ignore it."""
+    key = f"_{method.__name__}_memo"
+
+    @functools.wraps(method)
+    def memoized(self: Any) -> _T:
+        value = getattr(self, key, None)
+        if value is None:
+            value = method(self)
+            object.__setattr__(self, key, value)
+        return value
+
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -92,20 +127,8 @@ class Formula:
 
     @staticmethod
     def from_json(doc: Any) -> "Formula":
-        if not isinstance(doc, dict) or len(doc) != 1:
-            raise ParseError(f"formula must be a single-key object, got {doc!r}")
-        op, body = next(iter(doc.items()))
-        if op in _LEAF:
-            if not isinstance(body, str):
-                raise ParseError(f"{op} name must be a string")
-            return Formula(op, body)
-        if op in _UNARY:
-            return Formula(op, args=(Formula.from_json(body),))
-        if op in _BINARY:
-            if not isinstance(body, list) or len(body) != 2:
-                raise ParseError(f"{op} takes a two-element array")
-            return Formula(op, args=(Formula.from_json(body[0]), Formula.from_json(body[1])))
-        raise ParseError(f"unknown connective {op!r}")
+        """Decode a formula; nesting deeper than MAX_FORMULA_DEPTH is a ParseError."""
+        return _formula_from_json(doc, MAX_FORMULA_DEPTH)
 
     def tokens(self) -> Iterator[str]:
         """Prefix-order token stream: one token per connective or leaf name."""
@@ -128,6 +151,7 @@ class Formula:
             else:
                 stack.extend(f.args)
 
+    @_memoized
     def canonical(self) -> str:
         return canonical_json(self.to_json())
 
@@ -138,6 +162,29 @@ class Formula:
             return f"~{self.args[0]}"
         glyph = {"and": "&", "or": "|", "imp": "->"}[self.op]
         return f"({self.args[0]} {glyph} {self.args[1]})"
+
+
+def _formula_from_json(doc: Any, levels: int) -> Formula:
+    """`Formula.from_json` with `levels` the nesting depth still allowed."""
+    if levels < 1:
+        raise ParseError("document nested too deeply")
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise ParseError(f"formula must be a single-key object, got {doc!r}")
+    op, body = next(iter(doc.items()))
+    if op in _LEAF:
+        if not isinstance(body, str):
+            raise ParseError(f"{op} name must be a string")
+        return Formula(op, body)
+    if op in _UNARY:
+        return Formula(op, args=(_formula_from_json(body, levels - 1),))
+    if op in _BINARY:
+        if not isinstance(body, list) or len(body) != 2:
+            raise ParseError(f"{op} takes a two-element array")
+        return Formula(
+            op,
+            args=(_formula_from_json(body[0], levels - 1), _formula_from_json(body[1], levels - 1)),
+        )
+    raise ParseError(f"unknown connective {op!r}")
 
 
 def atom(name: str) -> Formula:
@@ -177,6 +224,7 @@ class Statement:
     assumptions: frozenset[Formula] = frozenset()
     context: str = ""
 
+    @_memoized
     def sorted_assumptions(self) -> tuple[Formula, ...]:
         return tuple(sorted(self.assumptions, key=Formula.canonical))
 
@@ -220,6 +268,7 @@ class Statement:
             context=context,
         )
 
+    @_memoized
     def hash(self) -> str:
         return content_hash(self.to_json())
 

@@ -29,6 +29,7 @@ from .formulas import (
     ParseError,
     Statement,
     canonical_json,
+    is_int,
     parse_json,
 )
 
@@ -58,7 +59,7 @@ class InferenceStep:
     def __post_init__(self) -> None:
         if not self.rule:
             raise ParseError("inference step needs a rule name")
-        if any(not isinstance(p, int) or p == 0 for p in self.premises):
+        if any(not is_int(p) or p == 0 for p in self.premises):
             raise ParseError("premise indices must be nonzero integers")
 
     def to_json(self) -> Any:
@@ -134,7 +135,7 @@ class ChainStep:
     subproof: Union["ProofChain", MachineProof, None] = None
 
     def __post_init__(self) -> None:
-        if any(not isinstance(i, int) for i in self.imports):
+        if any(not is_int(i) for i in self.imports):
             raise ParseError("import indices must be integers")
         if len(set(self.imports)) != len(self.imports):
             raise ParseError("duplicate import index")
@@ -258,10 +259,8 @@ class LengthMeasure:
         return Fraction(self.weights.get(token, self.default))
 
     def measure(self, tokens: Iterator[str]) -> Fraction:
-        total = Fraction(0)
-        for tok in tokens:
-            total += self.weight(tok)
-        return total
+        weight, default = self.weights.get, self.default
+        return Fraction(sum(weight(tok, default) for tok in tokens))
 
 
 UNIT_MEASURE = LengthMeasure()

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Union
 
-from .formulas import Statement, canonical_json, content_hash, parse_json
+from .formulas import Statement, canonical_json, content_hash, is_int, parse_json
 from .proofs import (
     UNIT_MEASURE,
     LengthMeasure,
@@ -109,10 +109,18 @@ def _length_json(v: int | Fraction) -> Any:
     return int(v)
 
 
-def _length_from_json(v: Any) -> int | Fraction:
+def _length_from_json(v: Any) -> Any:
+    """Inverse of `_length_json`; the parameter classes check what it returns."""
     if isinstance(v, list):
+        if len(v) != 2 or not all(is_int(x) for x in v) or v[1] == 0:
+            raise ValueError(f"max_length must be an integer or [numerator, denominator], got {v!r}")
         return Fraction(v[0], v[1])
-    return int(v)
+    return v
+
+
+def _check_max_length(v: Any) -> None:
+    if not (is_int(v) or isinstance(v, Fraction)) or v <= 0:
+        raise ValueError("max_length must be a positive integer or fraction")
 
 
 @dataclass(frozen=True)
@@ -127,15 +135,14 @@ class LevelParameters:
     response_time: int
 
     def __post_init__(self) -> None:
-        if self.max_length <= 0:
-            raise ValueError("max_length must be positive")
+        _check_max_length(self.max_length)
         for name in ("stake_up", "stake_down", "bounty"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not is_int(v) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         for name in ("verification_time", "response_time"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v <= 0:
+            if not is_int(v) or v <= 0:
                 raise ValueError(f"{name} must be a positive integer")
 
     def to_json(self) -> Any:
@@ -160,13 +167,12 @@ class MachineParameters:
     response_time: int
 
     def __post_init__(self) -> None:
-        if self.max_length <= 0:
-            raise ValueError("max_length must be positive")
+        _check_max_length(self.max_length)
         for name in ("stake_up", "burn_cost", "bounty"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not is_int(v) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        if not isinstance(self.response_time, int) or self.response_time <= 0:
+        if not is_int(self.response_time) or self.response_time <= 0:
             raise ValueError("response_time must be a positive integer")
 
     def to_json(self) -> Any:
@@ -188,8 +194,8 @@ class ParameterCascade:
     machine: MachineParameters
 
     def __post_init__(self) -> None:
-        if self.root_level < 1:
-            raise ValueError("root_level must be at least 1")
+        if not is_int(self.root_level) or self.root_level < 1:
+            raise ValueError("root_level must be an integer of at least 1")
         expected = set(range(1, self.root_level + 1))
         if set(self.levels) != expected:
             raise ValueError(f"levels must cover exactly {sorted(expected)}")
@@ -396,6 +402,9 @@ class ProtocolInstance:
         self.stopped_at: Timestamp | None = None
         self._questions_on: dict[str, list[str]] = {}
         self._answers_to: dict[str, list[str]] = {}
+        # Children counted per (origin, owner, None) and, for questions, per
+        # (origin, owner, step); see `posted_by`.
+        self._posted_by: dict[tuple[str, str, int | None], int] = {}
         self._next_seq = 1
         # Ids of determined nodes, in commit order; append-only.
         self.determined: list[str] = []
@@ -425,6 +434,11 @@ class ProtocolInstance:
 
     def answers_to(self, question_id: str) -> list[ClaimNode]:
         return [self.claim(c) for c in self._answers_to.get(question_id, [])]
+
+    def posted_by(self, origin: str, owner: str, step: int | None = None) -> int:
+        """How many children of `origin` `owner` has posted: answers to a
+        question, or questions on a claim (with `step`, on that step only)."""
+        return self._posted_by.get((origin, owner, step), 0)
 
     def claims(self) -> list[ClaimNode]:
         """Every claim, in posting order (as are `questions` and `nodes`)."""
@@ -492,6 +506,12 @@ class ProtocolInstance:
                 self._questions_on[node.id] = []
             if node.origin is not None:
                 self._answers_to[node.origin].append(node.id)
+        if node.origin is not None:
+            keys = [(node.origin, node.owner, None)]
+            if isinstance(node, QuestionNode):
+                keys.append((node.origin, node.owner, node.step_index))
+            for key in keys:
+                self._posted_by[key] = self._posted_by.get(key, 0) + 1
         self._dirty.add(node.id)
         heapq.heappush(self._deadlines, (self._deadline(node), node.posted_at.seq, node.id))
 
@@ -959,7 +979,7 @@ def settle(instance: ProtocolInstance) -> list[SettlementTransfer]:
 
 def _int_field(doc: Mapping[str, Any], name: str) -> int:
     value = doc[name]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise ProtocolError(f"{name} must be an integer, got {value!r}")
     return value
 

@@ -179,16 +179,13 @@ class AgentContext:
         ]
 
     def answered_by_me(self, question_id: str) -> bool:
-        return any(c.owner == self.me for c in self.instance.answers_to(question_id))
+        return self.instance.posted_by(question_id, self.me) > 0
 
     def my_answers(self, question_id: str) -> int:
-        return sum(1 for c in self.instance.answers_to(question_id) if c.owner == self.me)
+        return self.instance.posted_by(question_id, self.me)
 
     def questioned_by_me(self, claim_id: str, step: int | None = None) -> bool:
-        return any(
-            q.owner == self.me and (step is None or q.step_index == step)
-            for q in self.instance.questions_on(claim_id)
-        )
+        return self.instance.posted_by(claim_id, self.me, step) > 0
 
     def on_my_claim(self, q: QuestionNode) -> bool:
         if q.origin is None:

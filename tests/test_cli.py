@@ -1,6 +1,7 @@
 """CLI coverage, driven in-process through main(argv) plus two subprocess
 checks that the console script really is byte-stable."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sprig.cli import main
+from sprig.formulas import MAX_FORMULA_DEPTH
 from sprig.scenarios import (
     PRESET_NAMES,
     preset_scenario,
@@ -161,6 +163,56 @@ def test_run_rejects_coerced_times_and_foreign_seqs(capsys, tmp_path, edit, line
     code, out, err = run_cli(capsys, "run", str(tampered), cascade)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: illegal move at line {line}: ")
+
+
+def _first_step_importing_1(doc):
+    return next(step for step in doc["steps"] if step["imports"] == [1])
+
+
+@pytest.mark.parametrize(
+    "name, edit",
+    [
+        ("modus_ponens_proof", lambda d: d["steps"][0].update(premises=[True, -1])),
+        ("infinite_primes", lambda d: _first_step_importing_1(d).update(imports=[True])),
+    ],
+    ids=["premises", "imports"],
+)
+def test_validate_rejects_booleans_as_indices(capsys, tmp_path, name, edit):
+    doc = json.loads((PROOFS / f"{name}.json").read_text())
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unparsable document: ")
+
+
+def _single_level(doc):
+    del doc["levels"]["2"]
+    doc["root_level"] = True
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _single_level,
+        lambda d: d["levels"]["1"].update(stake_up=True),
+        lambda d: d["levels"]["2"].update(verification_time=True),
+        lambda d: d["machine"].update(burn_cost=True),
+        lambda d: d["machine"].update(max_length=True),
+        lambda d: d["machine"].update(max_length=[1, 0]),
+    ],
+    ids=["root-level", "stake-up", "verification-time", "burn-cost", "max-length", "zero-denominator"],
+)
+def test_run_rejects_booleans_in_a_cascade(capsys, tmp_path, edit):
+    log, cascade = fixture_args("validated_root_claim")
+    doc = json.loads(Path(cascade).read_text())
+    edit(doc)
+    bad = tmp_path / "cascade.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", log, str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad cascade file: ")
 
 
 def test_run_rejects_a_broken_cascade(capsys, tmp_path):
@@ -347,6 +399,29 @@ def test_deeply_nested_documents_exit_1_without_a_traceback(tmp_path):
         assert result.stderr.startswith(b"error: ")
         assert b"nested too deeply" in result.stderr
         assert b"Traceback" not in result.stderr
+
+
+def test_formulas_past_the_depth_bound_exit_1_without_a_traceback(tmp_path):
+    # 900 levels decode as JSON but overflowed the stack in validate_chain.
+    for nots, code, out in ((MAX_FORMULA_DEPTH - 1, 0, b"ok: chain has no violations\n"),
+                            (900, 1, b"")):
+        statement = ('{"assumptions":[' + _nested_not(nots) + '],"conclusion":'
+                     + _nested_not(nots) + "}")
+        chain = tmp_path / f"chain{nots}.json"
+        chain.write_text('{"kind":"chain","steps":[{"imports":[],"statement":%s}],"target":%s}'
+                         % (statement, statement))
+        payload = '{"statement":' + statement + "}"
+        log = tmp_path / f"question{nots}.jsonl"
+        log.write_text('{"actor":"ann","kind":"root_question","payload":%s,"payload_hash":"%s",'
+                       '"seq":1,"time":0}\n' % (payload, hashlib.sha256(payload.encode()).hexdigest()))
+        result = _script("validate", str(chain))
+        assert (result.returncode, result.stdout) == (code, out)
+        assert b"Traceback" not in result.stderr
+        if code:
+            assert result.stderr == b"error: unparsable document: document nested too deeply\n"
+            result = _script("run", str(log), fixture_args("full_run_claim_root")[1])
+            assert (result.returncode, result.stdout) == (1, b"")
+            assert result.stderr == b"error: illegal move at line 1: document nested too deeply\n"
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

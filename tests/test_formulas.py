@@ -1,11 +1,14 @@
 """Formula and statement layer: construction, serialization, token streams."""
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sprig.formulas import (
+    MAX_FORMULA_DEPTH,
     DefinitionSet,
     Formula,
     ParseError,
@@ -75,6 +78,22 @@ def test_from_json_rejects_junk_documents():
     ):
         with pytest.raises(ParseError):
             Formula.from_json(bad)
+
+
+def _nested_not(levels):
+    """A formula document `levels` deep, the atom included."""
+    doc = {"atom": "p"}
+    for _ in range(levels - 1):
+        doc = {"not": doc}
+    return doc
+
+
+def test_from_json_bounds_the_nesting_depth():
+    deepest = _nested_not(MAX_FORMULA_DEPTH)
+    assert Formula.from_json(deepest).to_json() == deepest
+    for doc in (_nested_not(MAX_FORMULA_DEPTH + 1), {"and": [{"atom": "q"}, deepest]}):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            Formula.from_json(doc)
 
 
 @given(formulas())
@@ -191,3 +210,58 @@ def test_hash_distinguishes_assumption_from_conclusion_role():
 def test_canonical_json_is_valid_json_with_unicode_preserved():
     doc = {"atom": "størrelse"}
     assert json.loads(canonical_json(doc)) == doc
+
+
+# -- memoized encodings --------------------------------------------------------
+
+
+@given(
+    st.sets(formulas(max_leaves=3), max_size=3),
+    formulas(max_leaves=3),
+    st.sampled_from(["", "demo"]),
+)
+def test_memoized_encodings_equal_a_fresh_computation(assumptions, conclusion, context):
+    s = Statement(conclusion=conclusion, assumptions=frozenset(assumptions), context=context)
+    memo = (s.hash(), s.sorted_assumptions(), [f.canonical() for f in s.sorted_assumptions()])
+    twin = Statement.from_json(json.loads(json.dumps(s.to_json())))
+    assert twin == s and twin is not s
+    fresh = (twin.hash(), twin.sorted_assumptions(), [f.canonical() for f in twin.sorted_assumptions()])
+    assert memo == fresh
+    # and the uncached definitions, spelled out
+    order = sorted(s.assumptions, key=lambda f: canonical_json(f.to_json()))
+    assert memo == (content_hash(s.to_json()), tuple(order), [canonical_json(f.to_json()) for f in order])
+
+
+def _sample_statement():
+    return Statement(
+        conclusion=impl(atom("p"), sym("zeta")),
+        assumptions=frozenset({atom("p"), neg(atom("q")), disj(atom("r"), atom("s"))}),
+        context="demo",
+    )
+
+
+def test_a_filled_memo_is_invisible_to_equality_hashing_repr_fields_and_pickle():
+    empty, filled = _sample_statement(), _sample_statement()
+    filled.hash()
+    for f in filled.sorted_assumptions():
+        f.canonical()
+    assert filled == empty and hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+    assert [f.name for f in dataclasses.fields(filled)] == ["conclusion", "assumptions", "context"]
+    assert dataclasses.asdict(filled) == dataclasses.asdict(empty)
+    restored = pickle.loads(pickle.dumps(filled))
+    assert restored == empty and hash(restored) == hash(empty)
+    # a rebuilt frozenset may iterate in another order, so compare like with like
+    assert repr(restored) == repr(pickle.loads(pickle.dumps(empty)))
+    assert restored.hash() == empty.hash()
+    assert restored.sorted_assumptions() == empty.sorted_assumptions()
+    # a copy with other fields is built afresh, not from the old memo
+    other = dataclasses.replace(filled, context="other")
+    assert other.hash() == content_hash(other.to_json()) != filled.hash()
+
+
+def test_memoized_methods_return_the_identical_object():
+    s = _sample_statement()
+    assert s.hash() is s.hash()
+    assert s.sorted_assumptions() is s.sorted_assumptions()
+    assert s.conclusion.canonical() is s.conclusion.canonical()

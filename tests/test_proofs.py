@@ -56,6 +56,8 @@ def test_chain_step_imports_are_deduplicated_and_sorted():
         ChainStep(statement=s, imports=(2, 2))
     with pytest.raises(ParseError):
         ChainStep(statement=s, imports=("1",))
+    with pytest.raises(ParseError):
+        ChainStep(statement=s, imports=(True,))
 
 
 def test_inference_step_validation():
@@ -63,6 +65,8 @@ def test_inference_step_validation():
         InferenceStep(atom("p"), "")
     with pytest.raises(ParseError):
         InferenceStep(atom("p"), "assumption", (0,))
+    with pytest.raises(ParseError):
+        InferenceStep(atom("p"), "assumption", (True,))
     # negative indices address the target's assumptions and are fine
     InferenceStep(atom("p"), "assumption", (-1,))
 
@@ -172,6 +176,20 @@ def test_weighted_measure_uses_exact_rationals():
     heavy = LengthMeasure(weights={"and": 10})
     assert measure_length(chain, heavy) == 12
     assert UNIT_MEASURE.weight("anything") == 1
+
+
+def test_mixed_weights_sum_to_the_per_token_fraction_sum():
+    chain = infinite_primes()
+    tokens = sorted(set(chain.tokens()))
+    weights = {tokens[0]: Fraction(1, 3), tokens[1]: 7, tokens[2]: Fraction(-5, 4)}
+    for default in (2, Fraction(3, 7)):
+        measure = LengthMeasure(weights=weights, default=default)
+        expected = Fraction(0)
+        for tok in chain.tokens():
+            expected += measure.weight(tok)
+        got = measure_length(chain, measure)
+        assert got == expected and type(got) is Fraction
+    assert type(measure_length(chain)) is Fraction
 
 
 # -- validate_chain, one violation code at a time ------------------------------

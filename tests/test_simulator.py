@@ -1,6 +1,7 @@
 """Agent simulation tests, mostly pinned against the nine shipped presets."""
 
 import json
+import random
 
 import pytest
 
@@ -21,6 +22,7 @@ from sprig.scenarios import (
     solid_tree,
 )
 from sprig.simulator import (
+    AgentContext,
     AgentSpec,
     AnswerIntent,
     CarpetBomber,
@@ -31,6 +33,7 @@ from sprig.simulator import (
     Sandbagger,
     ScenarioConfig,
     ScriptedStrategy,
+    Knowledge,
     attack_strategy,
     build_knowledge,
     pad_chain,
@@ -82,6 +85,24 @@ def test_preset_runs_replay_cleanly(name):
 @pytest.mark.parametrize("name", ["carpet_bomber", "sandbagger", "plagiarist_defense"])
 def test_preset_runs_are_deterministic(name):
     assert run_preset(name).to_json_lines() == run_preset(name).to_json_lines()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_agent_context_queries_agree_with_a_rescan_of_the_tree(name):
+    inst = run_preset(name).instance
+    owners = sorted({n.owner for n in inst.nodes.values()} | {"nobody"})
+    for me in owners:
+        ctx = AgentContext(inst, me, Knowledge(), inst.clock, random.Random(0))
+        for q in inst.questions() + [None]:
+            qid = q.id if q else "q999"
+            mine = [c for c in inst.answers_to(qid) if c.owner == me] if q else []
+            assert (ctx.answered_by_me(qid), ctx.my_answers(qid)) == (bool(mine), len(mine))
+        for c in inst.claims() + [None]:
+            cid = c.id if c else "c999"
+            mine = [q for q in inst.questions_on(cid) if q.owner == me] if c else []
+            assert ctx.questioned_by_me(cid) == bool(mine)
+            for step in range(1, (c.step_count if c else 0) + 2):
+                assert ctx.questioned_by_me(cid, step) == any(q.step_index == step for q in mine)
 
 
 def test_payoff_report_matches_trace():
