@@ -1,15 +1,23 @@
 #!/usr/bin/env python3
 """Regenerate the checked-in fixtures/ tree from the builders in
-sprig.scenarios. Output is canonical JSON, so reruns are byte-stable;
-run this after touching any builder and commit the diff it produces."""
+sprig.scenarios, which are the single source of every fixture: proof
+documents, move logs with their cascades, and the preset scenarios
+(`fixtures/scenarios/` is `preset_scenario` written out). Output is canonical
+JSON, so reruns are byte-stable; run this from a checkout after touching any
+builder and commit the diff it produces:
+
+    python3 scripts/regen_fixtures.py
+"""
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
 
-from sprig.formulas import canonical_json
-from sprig.scenarios import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from sprig.formulas import canonical_json  # noqa: E402
+from sprig.scenarios import (  # noqa: E402
     PRESET_NAMES,
     PROOF_DOCUMENTS,
     PROTOCOL_FIXTURES,

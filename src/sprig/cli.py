@@ -192,8 +192,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         return _fail(f"no such file: {exc.args[0]}", USAGE_ERROR)
     try:
-        cascade = ParameterCascade.from_json(json.loads(cascade_text))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        cascade = ParameterCascade.from_json(parse_json(cascade_text))
+    except (KeyError, TypeError, ValueError) as exc:
         return _fail(f"bad cascade file: {exc}", DOMAIN_ERROR)
     lines = log_text.splitlines()
     mode = EARLY_STOP if args.mode == "early-stop" else QUIESCENCE
@@ -228,14 +228,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{args.scenario!r} is neither a preset ({known}) nor a file", USAGE_ERROR
             )
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = parse_json(text)
+        except (json.JSONDecodeError, ParseError) as exc:
             return _fail(f"scenario is not JSON: {exc}", DOMAIN_ERROR)
     seed = args.seed if args.seed is not None else _env_seed()
-    if seed is not None:
-        doc = {**doc, "seed": seed}
     try:
-        config = scenario_from_json(doc)
+        config = scenario_from_json(doc if seed is None else {**doc, "seed": seed})
     except (ParseError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"bad scenario: {exc}", DOMAIN_ERROR)
     trace = run_scenario(config)

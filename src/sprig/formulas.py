@@ -38,6 +38,7 @@ __all__ = [
     "content_hash",
     "parse_json",
     "is_int",
+    "expect_object",
     "MAX_FORMULA_DEPTH",
 ]
 
@@ -79,6 +80,13 @@ def is_int(value: Any) -> bool:
     """Whether a decoded JSON value is an integer; `true`/`false` are not,
     although Python's bool is a subclass of int."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def expect_object(value: Any, name: str) -> dict[str, Any]:
+    """`value` if it decoded from a JSON object, else a ParseError naming it."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{name} must be an object, not {type(value).__name__}")
+    return value
 
 
 def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:

@@ -33,15 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Union
 
-from .formulas import Statement, canonical_json, content_hash, is_int, parse_json
-from .proofs import (
-    UNIT_MEASURE,
-    LengthMeasure,
-    MachineProof,
-    ProofChain,
-    measure_length,
-    validate_chain,
-)
+from .formulas import Statement, canonical_json, content_hash, expect_object, is_int, parse_json
+from .proofs import MachineProof, ProofChain, measure_length, validate_chain
 from .verifier import ToyVerifier, Verdict, VerifierBackend
 
 __all__ = [
@@ -116,6 +109,18 @@ def _length_from_json(v: Any) -> Any:
             raise ValueError(f"max_length must be an integer or [numerator, denominator], got {v!r}")
         return Fraction(v[0], v[1])
     return v
+
+
+def _parameters(cls: type, doc: Any, name: str) -> Any:
+    """`cls` built from the JSON object `doc`, which holds exactly its fields."""
+    doc = expect_object(doc, name)
+    return cls(**{**doc, "max_length": _length_from_json(doc["max_length"])})
+
+
+def _level_number(key: str) -> int:
+    if not (key.isdecimal() and key == str(int(key))):
+        raise ValueError(f"level keys must be decimal level numbers, got {key!r}")
+    return int(key)
 
 
 def _check_max_length(v: Any) -> None:
@@ -196,9 +201,9 @@ class ParameterCascade:
     def __post_init__(self) -> None:
         if not is_int(self.root_level) or self.root_level < 1:
             raise ValueError("root_level must be an integer of at least 1")
-        expected = set(range(1, self.root_level + 1))
-        if set(self.levels) != expected:
-            raise ValueError(f"levels must cover exactly {sorted(expected)}")
+        expected = range(1, self.root_level + 1)
+        if len(self.levels) != len(expected) or set(self.levels) != set(expected):
+            raise ValueError(f"levels must cover exactly 1 to {self.root_level}")
         object.__setattr__(self, "levels", dict(self.levels))
 
     def max_length(self, level: int) -> int | Fraction:
@@ -222,25 +227,16 @@ class ParameterCascade:
 
     @staticmethod
     def from_json(doc: Any) -> "ParameterCascade":
+        """Decode a cascade file strictly: the cascade, `levels`, each level
+        and `machine` must be objects, each level and `machine` with exactly
+        its parameter fields, and every parameter and `root_level` must be an
+        integer (`max_length` may also be a [numerator, denominator] pair)."""
+        doc = expect_object(doc, "cascade")
         levels = {
-            int(k): LevelParameters(
-                max_length=_length_from_json(v["max_length"]),
-                stake_up=v["stake_up"],
-                stake_down=v["stake_down"],
-                verification_time=v["verification_time"],
-                bounty=v["bounty"],
-                response_time=v["response_time"],
-            )
-            for k, v in doc["levels"].items()
+            _level_number(k): _parameters(LevelParameters, v, f"level {k}")
+            for k, v in expect_object(doc["levels"], "levels").items()
         }
-        m = doc["machine"]
-        machine = MachineParameters(
-            max_length=_length_from_json(m["max_length"]),
-            stake_up=m["stake_up"],
-            burn_cost=m["burn_cost"],
-            bounty=m["bounty"],
-            response_time=m["response_time"],
-        )
+        machine = _parameters(MachineParameters, doc["machine"], "machine")
         return ParameterCascade(root_level=doc["root_level"], levels=levels, machine=machine)
 
 
@@ -385,14 +381,12 @@ class ProtocolInstance:
         balances: Mapping[str, int] | None = None,
         mode: str = QUIESCENCE,
         verifier: VerifierBackend | None = None,
-        measure: LengthMeasure = UNIT_MEASURE,
     ) -> None:
         if mode not in (QUIESCENCE, EARLY_STOP):
             raise ValueError(f"unknown mode {mode!r}")
         self.cascade = cascade
         self.mode = mode
         self.verifier: VerifierBackend = verifier if verifier is not None else ToyVerifier()
-        self.measure = measure
         self.ledger = Ledger(balances)
         self.nodes: dict[str, Node] = {}
         self.root_id: str | None = None
@@ -406,14 +400,14 @@ class ProtocolInstance:
         # (origin, owner, step); see `posted_by`.
         self._posted_by: dict[tuple[str, str, int | None], int] = {}
         self._next_seq = 1
-        # Ids of determined nodes, in commit order; append-only.
+        # Ids of determined nodes, in commit order; append-only. Statuses are
+        # committed only at the clock, so this is (determination, posted_at)
+        # order across all resolves: the trace's event order.
         self.determined: list[str] = []
         # Resolution work queues: nodes to evaluate on the next resolve, and
-        # (deadline, seq, id) for every node whose window may still close.
-        # Entries up to `_resolved_to`, the latest time resolved, are consumed.
+        # (deadline, seq, id) for every window still open at the clock.
         self._dirty: set[str] = set()
         self._deadlines: list[tuple[int, int, str]] = []
-        self._resolved_to = 0
 
     # -- reading ----------------------------------------------------------
 
@@ -622,7 +616,7 @@ class ProtocolInstance:
             posted = proof
             if proof.target != q.statement:
                 raise ProtocolError("structural violation: proof targets a different statement")
-            used = measure_length(posted, self.measure)
+            used = measure_length(posted)
             if used > self.cascade.machine.max_length:
                 raise ProtocolError(
                     f"length over budget: {used} > {self.cascade.machine.max_length}"
@@ -669,7 +663,7 @@ class ProtocolInstance:
         report = validate_chain(statement, chain, level_limit=level, ambient=ambient)
         if not report.ok:
             raise ProtocolError(f"structural violation: {report}")
-        used = measure_length(chain, self.measure)
+        used = measure_length(chain)
         if used > self.cascade.max_length(level):
             raise ProtocolError(
                 f"length over budget: {used} > {self.cascade.max_length(level)}"
@@ -684,23 +678,26 @@ class ProtocolInstance:
         self.clock = time
         return self.resolve()
 
-    def resolve(self, now: Union[int, Timestamp, None] = None) -> list[tuple[str, str, Timestamp]]:
-        """Commit the statuses visible at `now` (defaults to the clock) and
-        return the new determinations in (determination, posted_at) order.
-        Idempotent: a node determined once never changes, later calls only add.
+    def resolve(self) -> list[tuple[str, str, Timestamp]]:
+        """Commit the statuses visible at the clock and return the new
+        determinations in (determination, posted_at) order. Statuses are
+        committed only at the clock, never ahead of it, so no later legal
+        move can contradict them; commit order across calls is therefore the
+        trace's event order, and `determined` records it. Idempotent: a node
+        determined once never changes, later calls only add.
 
         A pending node can change only when it is posted, when its window
         closes, or when a child determines, so the only candidates are the
         nodes posted since the last call and the nodes whose deadline has
         passed; `_fixpoint` walks up from them. In early-stop mode a root
-        determined before `now` ends the game there: the same candidates are
-        evaluated again as of that time (`_decide` checks every window itself,
-        so extra candidates are harmless) and nothing later is committed.
+        determined before the clock ends the game there: the same candidates
+        are evaluated again as of that time (`_decide` checks every window
+        itself, so extra candidates are harmless) and nothing later is
+        committed.
         """
-        now_time = self.clock if now is None else _as_time(now)
+        now_time = self.clock
         if self.stopped_at is not None:
             now_time = min(now_time, self.stopped_at.time)
-        self._resolved_to = max(self._resolved_to, now_time)
         while self._deadlines and self._deadlines[0][0] <= now_time:
             self._dirty.add(heapq.heappop(self._deadlines)[2])
         candidates, self._dirty = self._dirty, set()
@@ -723,7 +720,12 @@ class ProtocolInstance:
 
     def _fixpoint(self, candidates: set[str], now_time: int) -> dict[str, tuple[str, Timestamp]]:
         """New determinations at `now_time` among `candidates` and their
-        ancestors, without committing them.
+        ancestors, without committing them; `resolve` commits them in
+        (determination, posted_at) order. `now_time` is the clock, or the
+        root's determination time when an early stop cuts the game short. A
+        candidate left undecided needs no new queue entry: if its window is
+        still open, its deadline entry is still in `_deadlines`; if not, it
+        waits on a pending child, which queues it on determining.
 
         Nodes are evaluated in descending posting order. A child is always
         posted after its parent, so every child is final before its parent
@@ -749,11 +751,6 @@ class ProtocolInstance:
                 continue
             decided = self._decide(node, now_time, current)
             if decided is None:
-                # Undecided before its window closes, though a call with a
-                # later `now` consumed its deadline entry: queue it again.
-                deadline = self._deadline(node)
-                if now_time < deadline <= self._resolved_to:
-                    heapq.heappush(self._deadlines, (deadline, node.posted_at.seq, node.id))
                 continue
             fresh[node.id] = decided
             origin = node.origin
@@ -921,15 +918,12 @@ def create_root_claim(
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
     verifier: VerifierBackend | None = None,
-    measure: LengthMeasure = UNIT_MEASURE,
 ) -> ProtocolInstance:
     """New debate rooted in a staked claim. With `balances=None` the owner
     starts with exactly the required deposit."""
     if balances is None:
         balances = {owner: cascade.levels[cascade.root_level].stake_down}
-    instance = ProtocolInstance(
-        cascade, balances=balances, mode=mode, verifier=verifier, measure=measure
-    )
+    instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
     instance._post_root_claim(owner, statement, chain, t)
     return instance
 
@@ -943,14 +937,11 @@ def create_root_question(
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
     verifier: VerifierBackend | None = None,
-    measure: LengthMeasure = UNIT_MEASURE,
 ) -> ProtocolInstance:
     """New debate rooted in a bounty-carrying question."""
     if balances is None:
         balances = {owner: cascade.bounty(cascade.root_level)}
-    instance = ProtocolInstance(
-        cascade, balances=balances, mode=mode, verifier=verifier, measure=measure
-    )
+    instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
     instance._post_root_question(owner, statement, t)
     return instance
 
@@ -969,8 +960,8 @@ def advance_clock(instance: ProtocolInstance, to) -> list[tuple[str, str, Timest
     return instance.advance_clock(to)
 
 
-def resolve(instance: ProtocolInstance, now=None) -> list[tuple[str, str, Timestamp]]:
-    return instance.resolve(now)
+def resolve(instance: ProtocolInstance) -> list[tuple[str, str, Timestamp]]:
+    return instance.resolve()
 
 
 def settle(instance: ProtocolInstance) -> list[SettlementTransfer]:
@@ -991,7 +982,6 @@ def replay(
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
     verifier: VerifierBackend | None = None,
-    measure: LengthMeasure = UNIT_MEASURE,
 ) -> ProtocolInstance:
     """Rebuild an instance from its move log. Verifies payload hashes and
     decodes strictly: `seq` must be the next sequence number, and `seq`,
@@ -1017,12 +1007,12 @@ def replay(
                 chain = ProofChain.from_json(payload["chain"])
                 instance = create_root_claim(
                     actor, chain.target, chain, cascade, time,
-                    balances=balances, mode=mode, verifier=verifier, measure=measure,
+                    balances=balances, mode=mode, verifier=verifier,
                 )
             else:
                 instance = create_root_question(
                     actor, Statement.from_json(payload["statement"]), cascade, time,
-                    balances=balances, mode=mode, verifier=verifier, measure=measure,
+                    balances=balances, mode=mode, verifier=verifier,
                 )
             continue
         if kind == "question":

@@ -21,9 +21,9 @@ identical runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl
+from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, expect_object, impl, is_int
 from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from .protocol import (
     EARLY_STOP,
@@ -37,7 +37,6 @@ from .protocol import (
 )
 from .simulator import (
     AgentSpec,
-    Knowledge,
     ScenarioConfig,
     build_knowledge,
     CarpetBomber,
@@ -1004,25 +1003,35 @@ PRESET_NAMES = (
 )
 
 
-def _build_strategy(spec: Mapping[str, Any]):
+def _build_strategy(spec: Any):
+    spec = expect_object(spec, "strategy")
     kind = spec.get("kind")
     if kind not in STRATEGY_KINDS:
         raise ValueError(f"unknown strategy kind {kind!r}")
-    params = dict(spec.get("params", {}))
+    params = expect_object(spec.get("params", {}), "strategy params")
     return STRATEGY_KINDS[kind](**params)
 
 
-def scenario_from_json(doc: Mapping[str, Any]) -> ScenarioConfig:
+def _int(value: Any, name: str) -> int:
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def scenario_from_json(doc: Any) -> ScenarioConfig:
     """Build a runnable scenario from its JSON form. Trees are shared by
     name; an agent's `knows` entry grants it the full tree as knowledge.
     An optional scripted verifier derives its verdict table from a named
-    tree's ground truth, with per-path overrides."""
+    tree's ground truth, with per-path overrides. Decoding is strict: every
+    container must be an object and every count an integer (booleans are
+    not), or this raises a ValueError."""
+    doc = expect_object(doc, "scenario")
     cascade = ParameterCascade.from_json(doc["cascade"])
     trees = {
         name: ProofChain.from_json(tree_doc)
-        for name, tree_doc in doc.get("trees", {}).items()
+        for name, tree_doc in expect_object(doc.get("trees", {}), "trees").items()
     }
-    root = doc["root"]
+    root = expect_object(doc["root"], "root")
     root_tree = None
     root_statement = None
     if root["kind"] == "claim":
@@ -1038,37 +1047,38 @@ def scenario_from_json(doc: Mapping[str, Any]) -> ScenarioConfig:
 
     agents = []
     for spec in doc["agents"]:
+        spec = expect_object(spec, "agent")
         knows = spec.get("knows")
-        knowledge = build_knowledge(trees[knows]) if knows else Knowledge()
         agents.append(
             AgentSpec(
                 name=spec["name"],
-                balance=int(spec["balance"]),
+                balance=_int(spec["balance"], "balance"),
                 strategy=_build_strategy(spec["strategy"]),
-                knowledge=knowledge,
+                tree=trees[knows] if knows else None,
             )
         )
 
     verifier = None
-    vspec = doc.get("verifier")
-    if vspec and vspec.get("kind") == "scripted":
+    vspec = expect_object(doc.get("verifier", {}), "verifier")
+    if vspec.get("kind") == "scripted":
         base = trees[vspec["tree"]]
-        know = build_knowledge(base)
-        script: dict[str, bool] = dict(know.truth)
+        script: dict[str, bool] = dict(build_knowledge(base).truth)
         statements = enumerate_statements(base)
-        for path, verdict in vspec.get("overrides", {}).items():
-            script[statements[path].hash()] = bool(verdict)
+        for path, verdict in expect_object(vspec.get("overrides", {}), "overrides").items():
+            if not isinstance(verdict, bool):
+                raise ValueError(f"override verdicts must be true or false, got {verdict!r}")
+            script[statements[path].hash()] = verdict
         verifier = ScriptedVerifier(script)
 
     return ScenarioConfig(
         cascade=cascade,
         agents=agents,
         root_owner=root["owner"],
-        horizon=int(doc["horizon"]),
-        seed=int(doc.get("seed", 0)),
+        horizon=_int(doc["horizon"], "horizon"),
+        seed=_int(doc.get("seed", 0), "seed"),
         mode=doc.get("mode", QUIESCENCE),
         root_tree=root_tree,
         root_statement=root_statement,
-        root_time=int(root.get("time", 0)),
+        root_time=_int(root.get("time", 0), "root.time"),
         verifier=verifier,
     )

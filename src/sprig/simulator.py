@@ -642,10 +642,6 @@ class AgentSpec:
     balance: int
     strategy: AgentStrategy
     tree: ProofChain | None = None
-    knowledge: Knowledge | None = None
-
-    def build(self) -> Knowledge:
-        return self.knowledge if self.knowledge is not None else build_knowledge(self.tree)
 
 
 @dataclass
@@ -821,27 +817,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             verifier=verifier,
         )
 
-    knowledge = {a.name: a.build() for a in config.agents}
+    knowledge = {a.name: build_knowledge(a.tree) for a in config.agents}
     strategies = {a.name: a.strategy for a in config.agents}
     rngs = {a.name: random.Random(f"{config.seed}/{a.name}") for a in config.agents}
     poll_rng = random.Random(f"{config.seed}/poll")
 
-    events: list[tuple[str, str, Timestamp]] = []
-    harvested = 0
-
-    def harvest() -> None:
-        nonlocal harvested
-        fresh = [instance.nodes[i] for i in instance.determined[harvested:]]
-        harvested = len(instance.determined)
-        for n in sorted(fresh, key=lambda n: (n.determination, n.posted_at)):
-            events.append((n.id, n.status, n.determination))
-
     rejections: list[RejectedIntent] = []
-    harvest()
-
     for now in range(config.root_time, config.horizon + 1):
         instance.advance_clock(now)
-        harvest()
         if config.mode == EARLY_STOP and instance.stopped_at is not None:
             break
         order = sorted(strategies)
@@ -866,10 +849,8 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                     rejections.append(
                         RejectedIntent(now, name, intent.kind, _intent_detail(intent), str(exc))
                     )
-                harvest()
 
     instance.advance_clock(instance.max_deadline())
-    harvest()
     transfers = instance.settle()
     final_balances = dict(instance.ledger.balances)
     payoffs = {a.name: final_balances.get(a.name, 0) - a.balance for a in config.agents}
@@ -903,7 +884,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         moves=list(instance.moves),
         move_lines=instance.move_log_lines(),
         rejections=rejections,
-        events=events,
+        events=[
+            (n.id, n.status, n.determination)
+            for n in (instance.nodes[i] for i in instance.determined)
+        ],
         transfers=transfers,
         final_balances=final_balances,
         payoffs=payoffs,

@@ -224,6 +224,31 @@ def test_run_rejects_a_broken_cascade(capsys, tmp_path):
     assert "bad cascade file" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(levels=[]),
+        lambda d: [d],  # a replacement document
+        lambda d: d.update(machine=[d["machine"]]),
+        lambda d: d["levels"].update({"1": []}),
+        lambda d: d.update(root_level="2"),
+        lambda d: d.update(root_level=3),
+        lambda d: d["levels"].update({"01": d["levels"].pop("1")}),
+        lambda d: d["machine"].update(colour=1),
+    ],
+    ids=["levels-array", "cascade-array", "machine-array", "level-array", "root-level-string",
+         "root-level-past-levels", "level-key-padded", "unknown-field"],
+)
+def test_run_rejects_cascade_containers_of_the_wrong_type(capsys, tmp_path, edit):
+    log, cascade = fixture_args("validated_root_claim")
+    doc = json.loads(Path(cascade).read_text())
+    bad = tmp_path / "cascade.json"
+    bad.write_text(json.dumps(edit(doc) or doc))
+    code, out, err = run_cli(capsys, "run", log, str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad cascade file: ") and err.count("\n") == 1
+
+
 # -- simulate --------------------------------------------------------------------
 
 
@@ -290,6 +315,64 @@ def test_simulate_rejects_a_bad_env_seed(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "happy_path")
     assert code == 2
     assert "SPRIG_SEED" in err
+
+
+@pytest.mark.parametrize("value", ["8", True, 100.9], ids=["string", "boolean", "float"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc, v: doc["agents"][0].update(balance=v),
+        lambda doc, v: doc.update(horizon=v),
+        lambda doc, v: doc.update(seed=v),
+        lambda doc, v: doc["root"].update(time=v),
+    ],
+    ids=["balance", "horizon", "seed", "root-time"],
+)
+def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
+                                                               edit, value):
+    monkeypatch.delenv("SPRIG_SEED", raising=False)
+    doc = preset_scenario("carpet_bomber")
+    edit(doc, value)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad scenario: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(agents=[1]),
+        lambda doc: doc.update(trees=[]),
+        lambda doc: doc.update(root=[]),
+        lambda doc: doc["agents"][0].update(strategy="idle"),
+        lambda doc: doc["agents"][0].update(strategy={"kind": "idle", "params": []}),
+        lambda doc: doc.update(verifier=[1]),
+        lambda doc: doc.update(verifier={"kind": "scripted", "tree": "solid",
+                                         "overrides": {"1": 0}}),
+    ],
+    ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override"],
+)
+def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
+                                                                 edit):
+    monkeypatch.delenv("SPRIG_SEED", raising=False)
+    doc = preset_scenario("carpet_bomber")
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad scenario: ") and err.count("\n") == 1
+
+
+def test_simulate_rejects_a_scenario_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text("[1]")
+    for argv in ([], ["--seed", "3"]):
+        code, out, err = run_cli(capsys, "simulate", str(path), *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: bad scenario: ") and err.count("\n") == 1
 
 
 # -- solve / sweep / verify-mc ------------------------------------------------------
@@ -422,6 +505,21 @@ def test_formulas_past_the_depth_bound_exit_1_without_a_traceback(tmp_path):
             result = _script("run", str(log), fixture_args("full_run_claim_root")[1])
             assert (result.returncode, result.stdout) == (1, b"")
             assert result.stderr == b"error: illegal move at line 1: document nested too deeply\n"
+
+
+def test_cascades_and_scenarios_nested_5000_deep_exit_1_without_a_traceback(tmp_path):
+    deep = "[" * 5000 + "]" * 5000
+    cascade = tmp_path / "cascade.json"
+    cascade.write_text('{"levels":' + deep + "}")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"agents":' + deep + "}")
+    log, _ = fixture_args("validated_root_claim")
+    for argv, error in (
+        (["run", log, str(cascade)], b"error: bad cascade file: document nested too deeply\n"),
+        (["simulate", str(scenario)], b"error: scenario is not JSON: document nested too deeply\n"),
+    ):
+        result = _script(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == (1, b"", error)
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():

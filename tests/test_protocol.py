@@ -315,17 +315,16 @@ def test_resolve_is_idempotent():
     assert inst.claim(inst.root_id).status == "validated"
 
 
-def test_resolving_ahead_of_the_clock_keeps_the_skipped_windows_queued():
+def test_statuses_are_committed_only_at_the_clock():
     inst = fresh_claim_root()
-    q = post_question(inst, "quin", inst.root_id, 1, 1)
-    post_answer_claim(inst, "zed", q, identity_chain(IDENT), 1)
-    # At 4 the root's window has closed, but q still waits on its answer.
-    assert resolve(inst, 4) == []
-    # q is answered at 2, before the root's window closes; the root must
-    # still be confirmed once the clock passes 4.
-    post_answer_claim(inst, "zed", q, machine_answer(IDENT), 2)
+    with pytest.raises(TypeError):
+        resolve(inst, 10)  # no look-ahead: the clock is the only time
+    # Legal while the root's window is open; left unanswered when its own
+    # window closes at 4, the question defeats the root.
+    post_question(inst, "quin", inst.root_id, 1, 1)
     advance_clock(inst, 10)
-    assert inst.nodes[inst.root_id].status == "validated"
+    root = inst.claim(inst.root_id)
+    assert (root.status, str(root.determination)) == ("invalidated", "4.0")
     assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, 10)
 
 

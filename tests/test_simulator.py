@@ -1,5 +1,6 @@
 """Agent simulation tests, mostly pinned against the nine shipped presets."""
 
+import hashlib
 import json
 import random
 
@@ -328,3 +329,66 @@ def test_trace_exports():
     assert last["record"] == "summary" and last["burned"] == trace.burned
     kinds = {json.loads(l)["record"] for l in lines}
     assert {"run", "move", "event", "transfer", "summary"} <= kinds
+
+
+# sha256 of each preset's full `to_json_lines()` (newline terminated) in
+# quiescence and early-stop mode, at the preset's own seed. Any change to a
+# move, a rejection, the event order or a transfer changes them.
+PRESET_TRACE_DIGESTS = {
+    "happy_path": (
+        "ee26cb7417fca24052a13d711029b39751664613c8bdc9bef7919af479dc53a1",
+        "62a803c5236a54aa51554f7d2ce711f5e0871eaa26047ff2db0ded9f1d70cac4",
+    ),
+    "invalid_leaf": (
+        "1116d2b50bd582191a879babdf4646e8304512177eca682d32682b1b7a0e3aaf",
+        "056ed6cd918e84fcfd1bb167b0186ab578ba0f9131bd501f94d3c9ce2f68286f",
+    ),
+    "carpet_bomber": (
+        "224bffd8afc710b555d52f7d3e0d495958c11211802c3d637c3f9dec276c281a",
+        "2c84527726aaa76148f27e69e62c797c6624838151b55dc1a4a6b3418f3bfb95",
+    ),
+    "nitpicker": (
+        "e9472614fd716f320a80c5bde3b0a60a4df62dfcebb11279d6f59a511cd18cc6",
+        "1ac92bb740d88e60139a796a63043472204bb10760bcb8a8b20f325ef2707fcc",
+    ),
+    "evasive_prover": (
+        "155a172d55fc9e047e914433d6e2c909fc723ae20a61321b2228238d570a2ba9",
+        "7b18be318ad93f8d2f288c6c788e4979e1672d459298e47a2bc283667df41117",
+    ),
+    "sandbagger": (
+        "883f51a2d9bf0a3acd892dcf2d00e9db96acc8b9ff4baf3742b8ea3a3167a597",
+        "22c124baa25d9094e5b25fb3cbc322b571f27f4f2711a1b2f60751b855865fcd",
+    ),
+    "misleader_immediate": (
+        "7b2950ed5064959007d1acb00400d0700a1e6f65ceeb30f125eb0452ca18fa16",
+        "5ae1438e67eacc7eb1788dd7a8dba215124848f49d0e61680781ce365df28541",
+    ),
+    "misleader_deadline": (
+        "b67623420377838d51d91f00c6871d92cdb009f7de26566e62604b8747f1c4a9",
+        "218d5f3dbe80a03a10d74f0a565320f92a3018b6b45163e8645d36dc05c7e052",
+    ),
+    "plagiarist_defense": (
+        "d28eaffa12c984886515d38946e3faa710314a3d37b3aae5e4a18a42077538c6",
+        "9eb96526b5fd12c98dc2222bdecd724753e821b1527bcb1f625c0b41398bf9e7",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["quiescence", "early-stop"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_traces_are_pinned_and_events_come_in_determination_order(name, mode):
+    trace = run_scenario(scenario_from_json({**preset_scenario(name), "mode": mode}))
+    lines = trace.to_json_lines()
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == PRESET_TRACE_DIGESTS[name][mode == "early-stop"]
+
+    # A node's id carries the sequence number of the move that posted it.
+    records = [json.loads(line) for line in lines]
+    posted = {m["seq"]: [m["time"], m["seq"]] for m in records if m["record"] == "move"}
+    order = [
+        (e["determination"], posted[int(e["node"][1:])])
+        for e in records
+        if e["record"] == "event"
+    ]
+    assert order
+    assert order == sorted(order)
