@@ -7,13 +7,15 @@ machine level). Machine claims burn a fixed execution cost and are judged
 instantly by the verifier backend. Statuses propagate: a question is answered
 as soon as one of its claims validates, a claim dies as soon as one of its
 questions times out unanswered, and surviving nodes are confirmed when their
-windows close. Resolution is incremental: a pending node can change only
-when it is posted, when its own window closes, or when one of its children
-determines, so each move re-evaluates just those nodes and their ancestors
-(children first) instead of the whole tree. Settlement then routes every
-escrowed token: stakes of dead claims pay the defeating side, bounties of
-answered questions pay the earliest validated answer, and anything still held
-by pending nodes (possible only when the game stops early at the root's
+windows close. Resolution is incremental and goes one instant at a time: a
+pending node can change only when it is posted, when its own window closes,
+or when one of its children determines, so each instant up to the clock
+re-evaluates just those nodes and their ancestors (children first) instead of
+the whole tree, and commits each status as soon as it is decided; an early
+stop ends at the instant where the root determines. Settlement then routes
+every escrowed token: stakes of dead claims pay the defeating side, bounties
+of answered questions pay the earliest validated answer, and anything still
+held by pending nodes (possible only when the game stops early at the root's
 determination) is refunded.
 
 Time is integer ticks; within a tick, moves are ordered by a per-instance
@@ -316,12 +318,6 @@ class Ledger:
         self._draw(node_id, amount)
         self.balances[account] = self.balance(account) + amount
 
-    def release(self, node_id: str, account: str) -> int:
-        amount = self.escrowed.get(node_id, 0)
-        if amount:
-            self.pay_from_escrow(node_id, account, amount)
-        return amount
-
     def _draw(self, node_id: str, amount: int) -> None:
         held = self.escrowed.get(node_id, 0) - amount
         if held:
@@ -401,11 +397,13 @@ class ProtocolInstance:
         self._posted_by: dict[tuple[str, str, int | None], int] = {}
         self._next_seq = 1
         # Ids of determined nodes, in commit order; append-only. Statuses are
-        # committed only at the clock, so this is (determination, posted_at)
-        # order across all resolves: the trace's event order.
+        # committed one instant at a time, so this is (determination,
+        # posted_at) order across all resolves: the trace's event order.
         self.determined: list[str] = []
-        # Resolution work queues: nodes to evaluate on the next resolve, and
-        # (deadline, seq, id) for every window still open at the clock.
+        # Resolution work queues: nodes to evaluate at the next instant, and
+        # (deadline, seq, id) for every window still open at the last
+        # instant resolved (the clock, or the root's instant after an early
+        # stop).
         self._dirty: set[str] = set()
         self._deadlines: list[tuple[int, int, str]] = []
 
@@ -455,7 +453,7 @@ class ProtocolInstance:
         return self.question_deadline(node)
 
     def max_deadline(self) -> int:
-        return max([self.clock] + [self._deadline(n) for n in self.nodes.values()])
+        return max([self.clock] + [deadline for deadline, _, _ in self._deadlines])
 
     # -- move plumbing ----------------------------------------------------
 
@@ -680,115 +678,86 @@ class ProtocolInstance:
 
     def resolve(self) -> list[tuple[str, str, Timestamp]]:
         """Commit the statuses visible at the clock and return the new
-        determinations in (determination, posted_at) order. Statuses are
-        committed only at the clock, never ahead of it, so no later legal
-        move can contradict them; commit order across calls is therefore the
-        trace's event order, and `determined` records it. Idempotent: a node
-        determined once never changes, later calls only add.
-
-        A pending node can change only when it is posted, when its window
-        closes, or when a child determines, so the only candidates are the
-        nodes posted since the last call and the nodes whose deadline has
-        passed; `_fixpoint` walks up from them. In early-stop mode a root
-        determined before the clock ends the game there: the same candidates
-        are evaluated again as of that time (`_decide` checks every window
-        itself, so extra candidates are harmless) and nothing later is
-        committed.
+        determinations in (determination, posted_at) order. Expired windows
+        are taken one instant at a time, earliest first, up to the clock, so
+        no later legal move can contradict a committed status; commit order
+        across calls is therefore the trace's event order, and `determined`
+        records it. Idempotent: a node determined once never changes, later
+        calls only add. In early-stop mode the game ends at the instant where
+        the root determines, and nothing later is committed.
         """
-        now_time = self.clock
-        if self.stopped_at is not None:
-            now_time = min(now_time, self.stopped_at.time)
-        while self._deadlines and self._deadlines[0][0] <= now_time:
-            self._dirty.add(heapq.heappop(self._deadlines)[2])
-        candidates, self._dirty = self._dirty, set()
-        fresh = self._fixpoint(candidates, now_time)
-        if self.mode == EARLY_STOP and self.stopped_at is None and self.root_id in fresh:
-            root_det = fresh[self.root_id][1]
-            if root_det.time < now_time:
-                fresh = self._fixpoint(candidates, root_det.time)
-            self.stopped_at = root_det
-        changed = sorted(
-            ((node_id, st, det) for node_id, (st, det) in fresh.items()),
-            key=lambda change: (change[2], self.nodes[change[0]].posted_at),
-        )
-        for node_id, status, det in changed:
-            node = self.nodes[node_id]
-            node.status = status
-            node.determination = det
-            self.determined.append(node_id)
+        changed: list[tuple[str, str, Timestamp]] = []
+        while self.stopped_at is None:
+            instant = self.clock
+            if self._deadlines and self._deadlines[0][0] < instant:
+                instant = self._deadlines[0][0]
+            while self._deadlines and self._deadlines[0][0] == instant:
+                self._dirty.add(heapq.heappop(self._deadlines)[2])
+            changed += self._fixpoint(instant)
+            if self.mode == EARLY_STOP and self.root_id is not None:
+                self.stopped_at = self.nodes[self.root_id].determination
+            if instant == self.clock:
+                break
         return changed
 
-    def _fixpoint(self, candidates: set[str], now_time: int) -> dict[str, tuple[str, Timestamp]]:
-        """New determinations at `now_time` among `candidates` and their
-        ancestors, without committing them; `resolve` commits them in
-        (determination, posted_at) order. `now_time` is the clock, or the
-        root's determination time when an early stop cuts the game short. A
-        candidate left undecided needs no new queue entry: if its window is
+    def _fixpoint(self, instant: int) -> list[tuple[str, str, Timestamp]]:
+        """Commit the determinations at `instant` among the queued nodes and
+        their ancestors; return them in (determination, posted_at) order. A
+        pending node can change only when it is posted, when its window
+        closes, or when a child determines, so only those nodes are queued.
+        A node left undecided needs no new queue entry: if its window is
         still open, its deadline entry is still in `_deadlines`; if not, it
         waits on a pending child, which queues it on determining.
 
         Nodes are evaluated in descending posting order. A child is always
         posted after its parent, so every child is final before its parent
-        reads it, and determination times come out exact: the "first" in
-        "first unanswered question defeats the claim" and "first validated
-        answer wins" means first in debate time. A node that determines
-        queues its origin.
+        reads it. Every earlier instant is already committed, so a node
+        decided here is determined exactly at `instant`, and each status is
+        committed as soon as it is decided: the "first" in "first unanswered
+        question defeats the claim" and "first validated answer wins" means
+        first in debate time. A node that determines queues its origin.
         """
-        fresh: dict[str, tuple[str, Timestamp]] = {}
-
-        def current(node_id: str) -> tuple[str, Timestamp | None]:
-            if node_id in fresh:
-                return fresh[node_id]
-            node = self.nodes[node_id]
-            return node.status, node.determination
-
-        queued = set(candidates)
+        queued, self._dirty = self._dirty, set()
         queue = [(-self.nodes[node_id].posted_at.seq, node_id) for node_id in queued]
         heapq.heapify(queue)
+        decided: list[Node] = []
         while queue:
             node = self.nodes[heapq.heappop(queue)[1]]
             if node.status != PENDING:
                 continue
-            decided = self._decide(node, now_time, current)
-            if decided is None:
+            outcome = self._decide(node, instant)
+            if outcome is None:
                 continue
-            fresh[node.id] = decided
+            node.status, node.determination = outcome
+            decided.append(node)
             origin = node.origin
             if origin is not None and origin not in queued:
                 queued.add(origin)
                 heapq.heappush(queue, (-self.nodes[origin].posted_at.seq, origin))
-        return fresh
+        decided.sort(key=lambda n: (n.determination, n.posted_at))
+        self.determined += [n.id for n in decided]
+        return [(n.id, n.status, n.determination) for n in decided]
 
-    def _decide(self, node: Node, now_time: int, current) -> tuple[str, Timestamp] | None:
+    def _decide(self, node: Node, instant: int) -> tuple[str, Timestamp] | None:
         if isinstance(node, ClaimNode):
-            if node.level == 0:
-                if node.posted_at.time <= now_time:
-                    ok = node.verdict is not None and node.verdict.validated
-                    return (VALIDATED if ok else INVALIDATED, node.posted_at)
-                return None
-            states = [current(q) for q in self._questions_on.get(node.id, [])]
-            dead = [det for st, det in states if st == UNANSWERED]
+            if node.level == 0:  # queued only at its posting instant
+                ok = node.verdict is not None and node.verdict.validated
+                return (VALIDATED if ok else INVALIDATED, node.posted_at)
+            questions = [self.nodes[q] for q in self._questions_on[node.id]]
+            dead = [q.determination for q in questions if q.status == UNANSWERED]
             if dead:
                 return (INVALIDATED, min(dead))  # type: ignore[type-var]
             deadline = Timestamp(self.claim_deadline(node), 0)
-            if deadline.time <= now_time and all(st == ANSWERED for st, _ in states):
-                dets = [det for _, det in states if det is not None] + [deadline]
-                return (VALIDATED, max(dets))
+            if deadline.time <= instant and all(q.status == ANSWERED for q in questions):
+                return (VALIDATED, max([deadline] + [q.determination for q in questions]))
             return None
-        answers = self._answers_to.get(node.id, [])
-        winners = [
-            (det, self.nodes[c].posted_at)
-            for c in answers
-            for st, det in [current(c)]
-            if st == VALIDATED
-        ]
-        if winners:
-            return (ANSWERED, min(winners)[0])  # type: ignore[index]
+        answers = [self.nodes[c] for c in self._answers_to[node.id]]
+        won = [c.determination for c in answers if c.status == VALIDATED]
+        if won:
+            return (ANSWERED, min(won))  # type: ignore[type-var]
         deadline = Timestamp(self.question_deadline(node), 0)
-        states = [current(c) for c in answers]
-        if deadline.time <= now_time and all(st == INVALIDATED for st, _ in states):
-            dets = [det for _, det in states if det is not None] + [deadline]
-            return (UNANSWERED, max(dets))
+        if deadline.time <= instant and all(c.status == INVALIDATED for c in answers):
+            return (UNANSWERED, max([deadline] + [c.determination for c in answers]))
         return None
 
     # -- settlement ---------------------------------------------------------
@@ -804,7 +773,7 @@ class ProtocolInstance:
             if self.stopped_at is None:
                 raise ProtocolError("unresolved nodes: root not yet determined")
         else:
-            still_open = [n.id for n in self.nodes.values() if self._deadline(n) > self.clock]
+            still_open = [node_id for _, _, node_id in self._deadlines]
             if still_open:
                 raise ProtocolError(f"windows still open for {sorted(still_open)}")
             unresolved = [n.id for n in self.nodes.values() if n.status == PENDING]

@@ -68,7 +68,6 @@ __all__ = [
     "rotten_tree",
     "flat_tree",
     "enumerate_statements",
-    "resolve_path",
     "ProtocolFixture",
     "validated_root_claim",
     "invalidated_root_claim",
@@ -406,13 +405,6 @@ def enumerate_statements(tree: ProofChain) -> dict[str, Statement]:
 
     walk(tree, "")
     return out
-
-
-def resolve_path(tree: ProofChain, path: str) -> Statement:
-    try:
-        return enumerate_statements(tree)[path]
-    except KeyError:
-        raise KeyError(f"no statement at path {path!r}") from None
 
 
 # --------------------------------------------------------------------------

@@ -665,6 +665,13 @@ class ScenarioConfig:
             raise ValueError("root owner must be one of the agents")
         if (self.root_tree is None) == (self.root_statement is None):
             raise ValueError("exactly one of root_tree / root_statement must be given")
+        if self.mode not in (QUIESCENCE, EARLY_STOP):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        for a in self.agents:
+            if a.balance < 0:
+                raise ValueError(f"negative opening balance for {a.name!r}")
+        if self.root_time < 0:
+            raise ValueError(f"negative root time {self.root_time}")
 
 
 @dataclass(frozen=True)

@@ -351,8 +351,12 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc.update(verifier=[1]),
         lambda doc: doc.update(verifier={"kind": "scripted", "tree": "solid",
                                          "overrides": {"1": 0}}),
+        lambda doc: doc.update(mode="bogus"),
+        lambda doc: doc["agents"][0].update(balance=-1),
+        lambda doc: doc["root"].update(time=-1),
     ],
-    ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override"],
+    ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override",
+         "mode", "negative-balance", "negative-root-time"],
 )
 def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
                                                                  edit):

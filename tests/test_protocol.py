@@ -408,9 +408,9 @@ def test_a_machine_leaf_in_a_wide_tree_evaluates_only_its_ancestors(monkeypatch)
     calls = []
     decide = ProtocolInstance._decide
 
-    def counted(self, node, now_time, current):
+    def counted(self, node, instant):
         calls.append(node.id)
-        return decide(self, node, now_time, current)
+        return decide(self, node, instant)
 
     monkeypatch.setattr(ProtocolInstance, "_decide", counted)
     now = 2
@@ -600,6 +600,29 @@ def test_random_debates_match_the_declarative_oracle_after_every_move(seed):
     for n in range(1, len(lines) + 1):
         twin = replay(lines[:n], inst.cascade, balances=balances)
         assert oracles.observed_statuses(twin) == oracles.brute_force_statuses(twin, twin.clock)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_random_debates_match_the_declarative_oracle_in_early_stop_mode(seed):
+    inst, horizon = oracles.random_debate(seed)
+    lines = inst.move_log_lines()
+    balances = {"ava": 150, "bo": 150, "cy": 150, "dot": 150}
+
+    def matches_the_oracle(twin):
+        now = twin.stopped_at.time if twin.stopped_at else twin.clock
+        return oracles.observed_statuses(twin) == oracles.brute_force_statuses(twin, now)
+
+    for n in range(1, len(lines) + 1):
+        try:
+            twin = replay(lines[:n], inst.cascade, balances=balances, mode=EARLY_STOP)
+        except ProtocolError as exc:
+            assert "interaction ended" in str(exc)
+            break
+        assert matches_the_oracle(twin)
+    advance_clock(twin, horizon)
+    assert twin.stopped_at is not None
+    assert matches_the_oracle(twin)
+    assert advance_clock(twin, horizon + 1) == []
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 7))
