@@ -28,6 +28,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 from .equilibrium import (
+    MAX_MC_DRAWS,
     SWEEP_COLUMNS,
     DegenerateParametersError,
     GameParameters,
@@ -406,7 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-mc", help="check closed forms against simulation")
     _add_theta_flags(p)
-    p.add_argument("--n", type=int, default=1_000_000, help="number of simulated games")
+    p.add_argument(
+        "--n",
+        type=int,
+        default=1_000_000,
+        help=f"number of simulated games, 0 to {MAX_MC_DRAWS:,}",
+    )
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: SPRIG_SEED or 0)")
     p.set_defaults(func=cmd_verify_mc)
 

@@ -22,7 +22,8 @@ Equilibria come in three shapes, found in this order:
   everybody posts, nothing is challenged.
 
 All money parameters are non-negative reals. Probability identities are
-checked against a vectorized Monte Carlo of the actual game tree, and
+checked against a Monte Carlo of the actual game tree, streamed in blocks
+so that its memory does not grow with the number of draws, and
 best_response_check re-audits any solution in exact rational arithmetic.
 """
 
@@ -268,58 +269,80 @@ class McEstimate:
     draws: int
 
 
+# Draws per block of the Monte Carlo stream. Results do not depend on it.
+MC_BLOCK = 1 << 16
+# Largest draw count monte_carlo_estimate accepts. Draws are streamed, so
+# memory no longer stops a huge n; this cap keeps a mistyped one from running
+# for hours.
+MAX_MC_DRAWS = 10**9
+
+
 def monte_carlo_estimate(
     theta: GameParameters, sol: EquilibriumSolution, n: int = 10**6, seed: int = 0
 ) -> Mapping[str, McEstimate]:
     """Simulate the game tree and estimate every outcome probability.
 
-    Draw order is fixed (signal, provability, entry challenge, bluff, second
-    challenge: one uniform array each), so results are reproducible for a
-    given seed regardless of the solution values.
+    The five uniforms of game i (signal, provability, entry challenge, bluff,
+    second challenge) are outputs j*n + i of one PCG64 stream seeded with
+    `seed`, for j = 0..4: each variable reads its own copy of the stream,
+    jumped ahead with `advance(j * n)`. The draws are exactly those of five
+    consecutive `default_rng(seed).random(n)` calls, so results depend only
+    on (seed, n), not on the solution values. They are consumed in blocks of
+    MC_BLOCK and only integer counts are kept, so memory does not grow with
+    n and the block size does not change the result.
     """
+    if not 0 <= n <= MAX_MC_DRAWS:
+        raise ValueError(f"n must be between 0 and {MAX_MC_DRAWS}, got {n}")
     # Imported here, not at module level: no other command needs numpy, and
     # importing it is a large share of the CLI's start-up time.
     import numpy as np
 
-    rng = np.random.default_rng(seed)
-    signal = rng.random(n)
-    u_valid = rng.random(n)
-    u_entry = rng.random(n)
-    u_bluff = rng.random(n)
-    u_second = rng.random(n)
+    streams = []
+    for j in range(5):
+        bits = np.random.PCG64(seed)
+        bits.advance(j * n)
+        streams.append(np.random.Generator(bits))
 
-    posted = signal >= sol.pi_star
-    valid = u_valid < signal
-    challenged = u_entry < sol.q2
-    replied = valid | (u_bluff < sol.p)
-    rechallenged = u_second < sol.q1
+    valid_n = accepted_n = accepted_valid = unchallenged_valid = replied_valid = posted_valid = 0
+    for start in range(0, n, MC_BLOCK):
+        size = min(MC_BLOCK, n - start)
+        signal, u_valid, u_entry, u_bluff, u_second = (s.random(size) for s in streams)
 
-    unchallenged_accept = posted & ~challenged
-    replied_accept = posted & challenged & replied & ~rechallenged
-    machine_accept = posted & challenged & replied & rechallenged & valid
-    accepted = unchallenged_accept | replied_accept | machine_accept
+        posted = signal >= sol.pi_star
+        valid = u_valid < signal
+        challenged = u_entry < sol.q2
+        replied = valid | (u_bluff < sol.p)
+        rechallenged = u_second < sol.q1
 
-    def est(num: np.ndarray, den: np.ndarray) -> McEstimate:
-        draws = int(den.sum())
-        hits = int((num & den).sum())
+        unchallenged_accept = posted & ~challenged
+        replied_accept = posted & challenged & replied & ~rechallenged
+        machine_accept = posted & challenged & replied & rechallenged & valid
+        accepted = unchallenged_accept | replied_accept | machine_accept
+
+        valid_n += int(np.count_nonzero(valid))
+        accepted_n += int(np.count_nonzero(accepted))
+        accepted_valid += int(np.count_nonzero(accepted & valid))
+        unchallenged_valid += int(np.count_nonzero(unchallenged_accept & valid))
+        replied_valid += int(np.count_nonzero(replied_accept & valid))
+        posted_valid += int(np.count_nonzero(posted & valid))
+
+    def est(hits: int, draws: int) -> McEstimate:
         if draws == 0:
             return McEstimate(None, None, 0, 0)
         v = hits / draws
         return McEstimate(v, math.sqrt(v * (1 - v) / draws), hits, draws)
 
-    everyone = np.ones(n, dtype=bool)
-    accepted_valid = accepted & valid
     return {
-        "accept_rate": est(accepted, everyone),
-        "valid_accept_rate": est(accepted_valid, everyone),
-        "accept_given_valid": est(accepted, valid),
-        "accept_given_invalid": est(accepted, ~valid),
-        "valid_given_accept": est(valid, accepted),
-        "valid_given_reject": est(valid, ~accepted),
-        "unchallenged_share": est(unchallenged_accept, accepted_valid),
-        "replied_share": est(replied_accept, accepted_valid),
-        "reliability": est(valid, accepted),
-        "enter_given_valid": est(posted, valid),
+        "accept_rate": est(accepted_n, n),
+        "valid_accept_rate": est(accepted_valid, n),
+        "accept_given_valid": est(accepted_valid, valid_n),
+        "accept_given_invalid": est(accepted_n - accepted_valid, n - valid_n),
+        "valid_given_accept": est(accepted_valid, accepted_n),
+        "valid_given_reject": est(valid_n - accepted_valid, n - accepted_n),
+        "unchallenged_share": est(unchallenged_valid, accepted_valid),
+        "replied_share": est(replied_valid, accepted_valid),
+        "reliability": est(accepted_valid, accepted_n),
+        "enter_given_valid": est(posted_valid, valid_n),
     }
 
 

@@ -3,17 +3,20 @@
 Everything here works from raw JSON or first principles and avoids the
 library code paths under test: the tokenizer walks plain dicts, the status
 evaluator is a direct recursive reading of the resolution rules rather than
-an incremental fixpoint, and the equilibrium oracle runs on `Fraction` so
-the frozen spot values in the tests carry no float noise.
+an incremental fixpoint, the equilibrium oracle runs on `Fraction` so
+the frozen spot values in the tests carry no float noise, and the Monte Carlo
+reference draws all of its uniforms at once instead of streaming them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
+from sprig.equilibrium import EquilibriumSolution, McEstimate
 from sprig.formulas import Statement, atom, conj, disj, impl, neg
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import ProtocolError, ProtocolInstance
@@ -541,3 +544,58 @@ def indifference_residuals(
     else:
         residuals["entry"] = Fraction(0)
     return residuals
+
+
+# -- whole-array Monte Carlo reference ---------------------------------------
+
+
+def monte_carlo_reference(sol: EquilibriumSolution, n: int, seed: int) -> dict[str, McEstimate]:
+    """The game-tree Monte Carlo with every draw held in memory at once.
+
+    Five consecutive `random(n)` calls of one generator (signal,
+    provability, entry challenge, bluff, second challenge), one boolean mask
+    per event and one masked sum per row: O(n) memory, and the definition
+    that the streamed `monte_carlo_estimate` must reproduce exactly.
+    """
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    signal = rng.random(n)
+    u_valid = rng.random(n)
+    u_entry = rng.random(n)
+    u_bluff = rng.random(n)
+    u_second = rng.random(n)
+
+    posted = signal >= sol.pi_star
+    valid = u_valid < signal
+    challenged = u_entry < sol.q2
+    replied = valid | (u_bluff < sol.p)
+    rechallenged = u_second < sol.q1
+
+    unchallenged_accept = posted & ~challenged
+    replied_accept = posted & challenged & replied & ~rechallenged
+    machine_accept = posted & challenged & replied & rechallenged & valid
+    accepted = unchallenged_accept | replied_accept | machine_accept
+
+    def est(num: Any, den: Any) -> McEstimate:
+        draws = int(den.sum())
+        hits = int((num & den).sum())
+        if draws == 0:
+            return McEstimate(None, None, 0, 0)
+        v = hits / draws
+        return McEstimate(v, math.sqrt(v * (1 - v) / draws), hits, draws)
+
+    everyone = np.ones(n, dtype=bool)
+    accepted_valid = accepted & valid
+    return {
+        "accept_rate": est(accepted, everyone),
+        "valid_accept_rate": est(accepted_valid, everyone),
+        "accept_given_valid": est(accepted, valid),
+        "accept_given_invalid": est(accepted, ~valid),
+        "valid_given_accept": est(valid, accepted),
+        "valid_given_reject": est(valid, ~accepted),
+        "unchallenged_share": est(unchallenged_accept, accepted_valid),
+        "replied_share": est(replied_accept, accepted_valid),
+        "reliability": est(valid, accepted),
+        "enter_given_valid": est(posted, valid),
+    }

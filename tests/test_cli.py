@@ -456,6 +456,43 @@ def test_verify_mc_honors_the_env_seed(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 77
 
 
+# sha256 of stdout and the exit code, recorded before Monte Carlo draws were
+# streamed in blocks: the streamed draws must reproduce them byte for byte.
+VERIFY_MC_DIGESTS = [
+    (
+        ("--sigma2", "30", "--n", "1000003", "--seed", "7"),
+        0,
+        "657ac76176e1ff6a93001304971f1551f9c80767fcc4902ecba95289ae7586a2",
+    ),
+    (
+        ("--sigma2", "5", "--n", "65537", "--seed", "0"),
+        0,
+        "8009fdb0cc2ac63b7d2ebebe434e31548eba5eab635ace711900e8645a609108",
+    ),
+    (
+        ("--sigma2", "40", "--n", "0", "--seed", "1"),
+        1,
+        "49a792bbd4fc256f8a19e45c677bfd44fb3624604d18613a9da71647135b81a1",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want_code, want_digest", VERIFY_MC_DIGESTS)
+def test_verify_mc_output_is_pinned(capsys, monkeypatch, argv, want_code, want_digest):
+    monkeypatch.delenv("SPRIG_SEED", raising=False)
+    code, out, err = run_cli(capsys, "verify-mc", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want_code, want_digest)
+    assert err == ""
+
+
+@pytest.mark.parametrize("n", ["-5", "1000000001", "3000000000", "100000000000000000000"])
+def test_verify_mc_rejects_out_of_range_n(capsys, n):
+    code, out, err = run_cli(capsys, "verify-mc", "--sigma2", "30", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: n must be between 0 and 1000000000, got {n}\n"
+
+
 # -- byte stability through the real entry point -------------------------------------
 
 

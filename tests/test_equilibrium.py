@@ -8,12 +8,17 @@ fractions; everything else is cross-checked numerically on random grids.
 import dataclasses
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprig import equilibrium
 from sprig.equilibrium import (
+    MAX_MC_DRAWS,
+    MC_BLOCK,
     DegenerateParametersError,
     GameParameters,
     SWEEP_COLUMNS,
@@ -218,6 +223,72 @@ def test_monte_carlo_reports_empty_conditionals_as_none():
     vgr = mc["valid_given_reject"]
     assert vgr.estimate is None and vgr.se is None and vgr.draws == 0
     assert mc["accept_rate"].estimate == 1.0
+
+
+B = MC_BLOCK
+# One parameter point per equilibrium type: sigma2 -> eq_type.
+MC_TYPES = {5: 3, 30: 2, 40: 1}
+
+
+def _same_estimates(got, want):
+    # McEstimate equality is exact field equality, floats included.
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("sigma2", sorted(MC_TYPES))
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+def test_streamed_monte_carlo_equals_the_whole_array_reference(sigma2, seed, n):
+    theta = baseline(sigma2)
+    sol = solve_pbe(theta)
+    assert sol.eq_type == MC_TYPES[sigma2]
+    _same_estimates(
+        monte_carlo_estimate(theta, sol, n=n, seed=seed),
+        oracles.monte_carlo_reference(sol, n=n, seed=seed),
+    )
+
+
+@pytest.mark.parametrize("block", [7, 1_000])
+def test_monte_carlo_block_size_is_invisible(monkeypatch, block):
+    monkeypatch.setattr(equilibrium, "MC_BLOCK", block)
+    for sigma2 in sorted(MC_TYPES):
+        theta = baseline(sigma2)
+        sol = solve_pbe(theta)
+        for n in (0, 1, 6, 7, 8, 999, 1_000, 1_001, 3_007):
+            _same_estimates(
+                monte_carlo_estimate(theta, sol, n=n, seed=12345),
+                oracles.monte_carlo_reference(sol, n=n, seed=12345),
+            )
+
+
+def test_monte_carlo_rejects_out_of_range_n_before_importing_numpy(monkeypatch):
+    theta = baseline(30)
+    sol = solve_pbe(theta)
+    # With numpy unimportable, reaching the draws raises ImportError instead.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for n in (-1, -5, MAX_MC_DRAWS + 1, 10**20):
+        with pytest.raises(ValueError, match="n must be between 0 and 1000000000"):
+            monte_carlo_estimate(theta, sol, n=n)
+    with pytest.raises(ImportError):
+        monte_carlo_estimate(theta, sol, n=MAX_MC_DRAWS)
+
+
+def test_monte_carlo_memory_does_not_grow_with_n():
+    theta = baseline(30)
+    sol = solve_pbe(theta)
+    monte_carlo_estimate(theta, sol, n=1)  # numpy's import is not the subject
+
+    def traced_peak(n):
+        tracemalloc.start()
+        try:
+            monte_carlo_estimate(theta, sol, n=n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(200_000), traced_peak(2_000_000)
+    assert large < 16 * 2**20, large
+    assert large - small < 2 * 2**20, (small, large)
 
 
 def test_closed_form_rows_cover_every_estimator():
