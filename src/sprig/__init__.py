@@ -6,114 +6,9 @@ package bundles the proof format, a toy proof checker, the escrowed debate
 protocol with deterministic settlement, an agent simulator, and the
 closed-form equilibrium analysis of the two-level entry game, all behind the
 ``sprig`` command-line tool.
+
+The package re-exports nothing; import from its modules (``sprig.protocol``,
+``sprig.equilibrium``, ...), so that each subcommand loads only its own layer.
 """
 
-from .equilibrium import (
-    DegenerateParametersError,
-    EquilibriumSolution,
-    GameParameters,
-    OutcomeProbabilities,
-    best_response_check,
-    monte_carlo_estimate,
-    outcome_probabilities,
-    solve_pbe,
-    sweep,
-)
-from .formulas import DefinitionSet, Formula, ParseError, Statement, atom, conj, disj, impl, neg, sym
-from .proofs import (
-    ChainStep,
-    InferenceStep,
-    LengthMeasure,
-    MachineProof,
-    ProofChain,
-    ValidationReport,
-    Violation,
-    measure_length,
-    parse_proof_document,
-    serialize_proof_document,
-    validate_chain,
-)
-from .protocol import (
-    EARLY_STOP,
-    QUIESCENCE,
-    LevelParameters,
-    MachineParameters,
-    ParameterCascade,
-    ProtocolError,
-    ProtocolInstance,
-    SettlementTransfer,
-    Timestamp,
-    advance_clock,
-    create_root_claim,
-    create_root_question,
-    post_answer_claim,
-    post_question,
-    replay,
-    resolve,
-    settle,
-)
-from .simulator import ScenarioConfig, SimulationTrace, build_knowledge, payoff_report, run_scenario
-from .verifier import ScriptedVerifier, ToyVerifier, UnscriptedVerdictError, Verdict, check
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DegenerateParametersError",
-    "EquilibriumSolution",
-    "GameParameters",
-    "OutcomeProbabilities",
-    "best_response_check",
-    "monte_carlo_estimate",
-    "outcome_probabilities",
-    "solve_pbe",
-    "sweep",
-    "DefinitionSet",
-    "Formula",
-    "ParseError",
-    "Statement",
-    "atom",
-    "conj",
-    "disj",
-    "impl",
-    "neg",
-    "sym",
-    "ChainStep",
-    "InferenceStep",
-    "LengthMeasure",
-    "MachineProof",
-    "ProofChain",
-    "ValidationReport",
-    "Violation",
-    "measure_length",
-    "parse_proof_document",
-    "serialize_proof_document",
-    "validate_chain",
-    "EARLY_STOP",
-    "QUIESCENCE",
-    "LevelParameters",
-    "MachineParameters",
-    "ParameterCascade",
-    "ProtocolError",
-    "ProtocolInstance",
-    "SettlementTransfer",
-    "Timestamp",
-    "advance_clock",
-    "create_root_claim",
-    "create_root_question",
-    "post_answer_claim",
-    "post_question",
-    "replay",
-    "resolve",
-    "settle",
-    "ScenarioConfig",
-    "SimulationTrace",
-    "build_knowledge",
-    "payoff_report",
-    "run_scenario",
-    "ScriptedVerifier",
-    "ToyVerifier",
-    "UnscriptedVerdictError",
-    "Verdict",
-    "check",
-    "__version__",
-]

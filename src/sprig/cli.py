@@ -25,32 +25,17 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from .equilibrium import (
-    MAX_MC_DRAWS,
-    SWEEP_COLUMNS,
-    DegenerateParametersError,
-    GameParameters,
-    closed_form_row,
-    monte_carlo_estimate,
-    outcome_probabilities,
-    solve_pbe,
-    sweep,
-)
+# Each command imports its own layer when it runs, so `validate` never loads
+# the protocol and only `verify-mc` loads numpy. The equilibrium module
+# imports no other sprig module, so the `--n` help may read its bound here.
+from .equilibrium import MAX_MC_DRAWS
 from .formulas import ParseError, canonical_json, parse_json
-from .proofs import MachineProof, ProofChain, parse_proof_document, validate_chain
-from .protocol import (
-    EARLY_STOP,
-    QUIESCENCE,
-    ParameterCascade,
-    ProtocolError,
-    ProtocolInstance,
-    replay,
-)
-from .scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
-from .simulator import run_scenario
-from .verifier import UnscriptedVerdictError
+
+if TYPE_CHECKING:
+    from .equilibrium import GameParameters
+    from .protocol import ParameterCascade, ProtocolInstance
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -90,6 +75,8 @@ def _pick_seed(flag_value: int | None, fallback: int = 0) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .proofs import MachineProof, ProofChain, parse_proof_document, validate_chain
+
     try:
         text = _read_text(args.path)
     except FileNotFoundError:
@@ -187,6 +174,9 @@ def _run_outcome(instance: ProtocolInstance, initial: dict[str, int]) -> dict[st
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .protocol import EARLY_STOP, QUIESCENCE, ParameterCascade, ProtocolError, replay
+    from .verifier import UnscriptedVerdictError
+
     try:
         log_text = _read_text(args.movelog)
         cascade_text = _read_text(args.cascade)
@@ -218,6 +208,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
+    from .simulator import run_scenario
+
     if args.scenario in PRESET_NAMES:
         doc = preset_scenario(args.scenario)
     else:
@@ -250,6 +243,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _theta_from_flags(args: argparse.Namespace) -> GameParameters:
+    from .equilibrium import GameParameters
+
     return GameParameters(
         b0=args.b0,
         b1=args.b1,
@@ -262,6 +257,8 @@ def _theta_from_flags(args: argparse.Namespace) -> GameParameters:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .equilibrium import DegenerateParametersError, outcome_probabilities, solve_pbe
+
     theta = _theta_from_flags(args)
     try:
         sol = solve_pbe(theta)
@@ -289,6 +286,8 @@ def _grid(start: float, stop: float, steps: int) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .equilibrium import SWEEP_COLUMNS, sweep
+
     theta = _theta_from_flags(args)
     try:
         values = _grid(args.start, args.stop, args.steps)
@@ -302,6 +301,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_mc(args: argparse.Namespace) -> int:
+    from .equilibrium import (
+        DegenerateParametersError,
+        closed_form_row,
+        monte_carlo_estimate,
+        outcome_probabilities,
+        solve_pbe,
+    )
+
     theta = _theta_from_flags(args)
     try:
         sol = solve_pbe(theta)
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("simulate", help="run a preset or scenario file")
-    p.add_argument("scenario", help=f"preset name ({', '.join(PRESET_NAMES)}) or JSON file")
+    p.add_argument("scenario", help="preset name or JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--trace", default=None, metavar="PATH", help="write the JSON-lines trace here")
     p.add_argument("--csv", default=None, metavar="PATH", help="write the payoff CSV here")

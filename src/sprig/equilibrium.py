@@ -30,7 +30,7 @@ best_response_check re-audits any solution in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -293,6 +293,8 @@ def monte_carlo_estimate(
     """
     if not 0 <= n <= MAX_MC_DRAWS:
         raise ValueError(f"n must be between 0 and {MAX_MC_DRAWS}, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     # Imported here, not at module level: no other command needs numpy, and
     # importing it is a large share of the CLI's start-up time.
     import numpy as np
@@ -498,25 +500,8 @@ class SweepRow:
         if self.degenerate or self.solution is None or self.probabilities is None:
             return [self.param, fmt(self.value), "degenerate"] + [""] * (len(SWEEP_COLUMNS) - 3)
         sol, pr = self.solution, self.probabilities
-        return [
-            self.param,
-            fmt(self.value),
-            str(sol.eq_type),
-            fmt(sol.pi_star),
-            fmt(sol.pi_e),
-            fmt(sol.p),
-            fmt(sol.q1),
-            fmt(sol.q2),
-            fmt(pr.accept_rate),
-            fmt(pr.valid_accept_rate),
-            fmt(pr.accept_given_valid),
-            fmt(pr.accept_given_invalid),
-            fmt(pr.valid_given_accept),
-            fmt(pr.valid_given_reject),
-            fmt(pr.unchallenged_share),
-            fmt(pr.replied_share),
-            fmt(pr.reliability),
-        ]
+        cells = [fmt(getattr(sol if hasattr(sol, c) else pr, c)) for c in SWEEP_COLUMNS[3:]]
+        return [self.param, fmt(self.value), str(sol.eq_type)] + cells
 
 
 def sweep(theta: GameParameters, param: str, values: Iterable[float]) -> list[SweepRow]:
@@ -525,7 +510,7 @@ def sweep(theta: GameParameters, param: str, values: Iterable[float]) -> list[Sw
         raise ValueError(f"unknown parameter {param!r}")
     rows = []
     for value in values:
-        point = GameParameters(**{**_as_dict(theta), param: float(value)})
+        point = replace(theta, **{param: float(value)})
         try:
             sol = solve_pbe(point)
         except DegenerateParametersError:
@@ -533,7 +518,3 @@ def sweep(theta: GameParameters, param: str, values: Iterable[float]) -> list[Sw
             continue
         rows.append(SweepRow(param, float(value), False, sol, outcome_probabilities(sol, point)))
     return rows
-
-
-def _as_dict(theta: GameParameters) -> dict[str, float]:
-    return {f.name: getattr(theta, f.name) for f in fields(theta)}

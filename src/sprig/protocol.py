@@ -953,8 +953,9 @@ def replay(
     verifier: VerifierBackend | None = None,
 ) -> ProtocolInstance:
     """Rebuild an instance from its move log. Verifies payload hashes and
-    decodes strictly: `seq` must be the next sequence number, and `seq`,
-    `time` and a question's `step` must be integers (booleans are not)."""
+    decodes strictly: `seq` must be the next sequence number, `seq`, `time`
+    and a question's `step` must be integers (booleans are not), and `actor`
+    must be a string."""
     instance: ProtocolInstance | None = None
     for raw in lines:
         raw = raw.strip()
@@ -965,6 +966,8 @@ def replay(
         if content_hash(payload) != record["payload_hash"]:
             raise ProtocolError(f"payload hash mismatch at seq {record.get('seq')}")
         kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
+        if not isinstance(actor, str):
+            raise ProtocolError(f"actor must be a string, got {actor!r}")
         if instance is None and kind not in ("root_claim", "root_question"):
             raise ProtocolError(f"log must start with a root move, got {kind!r}")
         seq = _int_field(record, "seq")

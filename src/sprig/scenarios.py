@@ -20,6 +20,7 @@ identical runs.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -828,171 +829,155 @@ _TREES = {
 }
 
 
-def _sim_claim_cascade() -> dict[str, Any]:
-    return _claim_cascade(2).to_json()
+# Name -> scenario with its trees still to be built; the order is PRESET_NAMES.
+_PRESETS: dict[str, dict[str, Any]] = {
+    "happy_path": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 8,
+        "seed": 7,
+        "trees": {"solid": None},
+        "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
+        "agents": [
+            {"name": "alice", "balance": 100, "strategy": {"kind": "honest_claimer"}, "knows": "solid"},
+        ],
+    },
+    "invalid_leaf": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 20,
+        "seed": 7,
+        "trees": {"rotten": None},
+        "root": {"kind": "claim", "owner": "alice", "tree": "rotten"},
+        "agents": [
+            {"name": "alice", "balance": 100, "strategy": {"kind": "honest_claimer"}, "knows": "rotten"},
+            {"name": "kate", "balance": 100, "strategy": {"kind": "honest_skeptic"}, "knows": "rotten"},
+        ],
+    },
+    "carpet_bomber": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 25,
+        "seed": 11,
+        "trees": {"solid": None},
+        "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
+        "agents": [
+            {"name": "alice", "balance": 100, "strategy": {"kind": "idle"}},
+            {"name": "carol", "balance": 200, "strategy": {"kind": "honest_defender"}, "knows": "solid"},
+            {"name": "bomber", "balance": 200, "strategy": {"kind": "carpet_bomber"}},
+        ],
+    },
+    "nitpicker": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 25,
+        "seed": 5,
+        "trees": {"solid": None},
+        "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
+        "agents": [
+            {"name": "alice", "balance": 150, "strategy": {"kind": "honest_claimer"}, "knows": "solid"},
+            {"name": "nick", "balance": 100, "strategy": {"kind": "nitpicker"}},
+        ],
+    },
+    "evasive_prover": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 25,
+        "seed": 3,
+        "trees": {"solid": None},
+        "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
+        "agents": [
+            {
+                "name": "alice",
+                "balance": 200,
+                "strategy": {"kind": "evasive_prover", "params": {"pad": 2}},
+                "knows": "solid",
+            },
+            {"name": "nick", "balance": 100, "strategy": {"kind": "nitpicker"}},
+        ],
+    },
+    "sandbagger": {
+        "cascade": _question_cascade().to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 30,
+        "seed": 13,
+        "trees": {"rotten": None},
+        "root": {"kind": "question", "owner": "org", "tree_target": "rotten"},
+        "agents": [
+            {"name": "org", "balance": 100, "strategy": {"kind": "idle"}},
+            {
+                "name": "sandy",
+                "balance": 300,
+                "strategy": {"kind": "sandbagger", "params": {"copies": 2}},
+                "knows": "rotten",
+            },
+            {"name": "kate", "balance": 100, "strategy": {"kind": "honest_skeptic"}, "knows": "rotten"},
+        ],
+    },
+    "misleader_immediate": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 25,
+        "seed": 2,
+        "trees": {"rotten": None},
+        "root": {"kind": "claim", "owner": "mia", "tree": "rotten"},
+        "agents": [
+            {
+                "name": "mia",
+                "balance": 200,
+                "strategy": {"kind": "misleader", "params": {"variant": "immediate"}},
+                "knows": "rotten",
+            },
+        ],
+    },
+    "misleader_deadline": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 25,
+        "seed": 2,
+        "trees": {"rotten": None},
+        "root": {"kind": "claim", "owner": "mia", "tree": "rotten"},
+        "agents": [
+            {
+                "name": "mia",
+                "balance": 200,
+                "strategy": {"kind": "misleader", "params": {"variant": "deadline"}},
+                "knows": "rotten",
+            },
+        ],
+    },
+    "plagiarist_defense": {
+        "cascade": _claim_cascade(2).to_json(),
+        "mode": QUIESCENCE,
+        "horizon": 25,
+        "seed": 17,
+        "trees": {"flat": None},
+        "root": {"kind": "claim", "owner": "alice", "tree": "flat"},
+        "agents": [
+            {
+                "name": "alice",
+                "balance": 200,
+                "strategy": {"kind": "copycat_defender", "params": {"delay": 2}},
+                "knows": "flat",
+            },
+            {"name": "bob", "balance": 5, "strategy": {"kind": "nitpicker"}},
+            {"name": "charlie", "balance": 200, "strategy": {"kind": "plagiarist"}},
+        ],
+    },
+}
 
-
-def _sim_question_cascade() -> dict[str, Any]:
-    return _question_cascade().to_json()
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_scenario(name: str) -> dict[str, Any]:
-    """The named scenario as a JSON-able config dict."""
-    presets: dict[str, dict[str, Any]] = {
-        "happy_path": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 8,
-            "seed": 7,
-            "trees": {"solid": None},
-            "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
-            "agents": [
-                {"name": "alice", "balance": 100, "strategy": {"kind": "honest_claimer"}, "knows": "solid"},
-            ],
-        },
-        "invalid_leaf": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 20,
-            "seed": 7,
-            "trees": {"rotten": None},
-            "root": {"kind": "claim", "owner": "alice", "tree": "rotten"},
-            "agents": [
-                {"name": "alice", "balance": 100, "strategy": {"kind": "honest_claimer"}, "knows": "rotten"},
-                {"name": "kate", "balance": 100, "strategy": {"kind": "honest_skeptic"}, "knows": "rotten"},
-            ],
-        },
-        "carpet_bomber": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 25,
-            "seed": 11,
-            "trees": {"solid": None},
-            "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
-            "agents": [
-                {"name": "alice", "balance": 100, "strategy": {"kind": "idle"}},
-                {"name": "carol", "balance": 200, "strategy": {"kind": "honest_defender"}, "knows": "solid"},
-                {"name": "bomber", "balance": 200, "strategy": {"kind": "carpet_bomber"}},
-            ],
-        },
-        "nitpicker": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 25,
-            "seed": 5,
-            "trees": {"solid": None},
-            "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
-            "agents": [
-                {"name": "alice", "balance": 150, "strategy": {"kind": "honest_claimer"}, "knows": "solid"},
-                {"name": "nick", "balance": 100, "strategy": {"kind": "nitpicker"}},
-            ],
-        },
-        "evasive_prover": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 25,
-            "seed": 3,
-            "trees": {"solid": None},
-            "root": {"kind": "claim", "owner": "alice", "tree": "solid"},
-            "agents": [
-                {
-                    "name": "alice",
-                    "balance": 200,
-                    "strategy": {"kind": "evasive_prover", "params": {"pad": 2}},
-                    "knows": "solid",
-                },
-                {"name": "nick", "balance": 100, "strategy": {"kind": "nitpicker"}},
-            ],
-        },
-        "sandbagger": {
-            "cascade": _sim_question_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 30,
-            "seed": 13,
-            "trees": {"rotten": None},
-            "root": {"kind": "question", "owner": "org", "tree_target": "rotten"},
-            "agents": [
-                {"name": "org", "balance": 100, "strategy": {"kind": "idle"}},
-                {
-                    "name": "sandy",
-                    "balance": 300,
-                    "strategy": {"kind": "sandbagger", "params": {"copies": 2}},
-                    "knows": "rotten",
-                },
-                {"name": "kate", "balance": 100, "strategy": {"kind": "honest_skeptic"}, "knows": "rotten"},
-            ],
-        },
-        "misleader_immediate": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 25,
-            "seed": 2,
-            "trees": {"rotten": None},
-            "root": {"kind": "claim", "owner": "mia", "tree": "rotten"},
-            "agents": [
-                {
-                    "name": "mia",
-                    "balance": 200,
-                    "strategy": {"kind": "misleader", "params": {"variant": "immediate"}},
-                    "knows": "rotten",
-                },
-            ],
-        },
-        "misleader_deadline": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 25,
-            "seed": 2,
-            "trees": {"rotten": None},
-            "root": {"kind": "claim", "owner": "mia", "tree": "rotten"},
-            "agents": [
-                {
-                    "name": "mia",
-                    "balance": 200,
-                    "strategy": {"kind": "misleader", "params": {"variant": "deadline"}},
-                    "knows": "rotten",
-                },
-            ],
-        },
-        "plagiarist_defense": {
-            "cascade": _sim_claim_cascade(),
-            "mode": QUIESCENCE,
-            "horizon": 25,
-            "seed": 17,
-            "trees": {"flat": None},
-            "root": {"kind": "claim", "owner": "alice", "tree": "flat"},
-            "agents": [
-                {
-                    "name": "alice",
-                    "balance": 200,
-                    "strategy": {"kind": "copycat_defender", "params": {"delay": 2}},
-                    "knows": "flat",
-                },
-                {"name": "bob", "balance": 5, "strategy": {"kind": "nitpicker"}},
-                {"name": "charlie", "balance": 200, "strategy": {"kind": "plagiarist"}},
-            ],
-        },
-    }
+    """The named scenario as a JSON-able config dict, fresh on every call."""
     try:
-        doc = presets[name]
+        doc = copy.deepcopy(_PRESETS[name])
     except KeyError:
         raise KeyError(f"unknown scenario preset {name!r}") from None
     for tree_name in doc.get("trees", {}):
         doc["trees"][tree_name] = _TREES[tree_name]().to_json()
     return doc
-
-
-PRESET_NAMES = (
-    "happy_path",
-    "invalid_leaf",
-    "carpet_bomber",
-    "nitpicker",
-    "evasive_prover",
-    "sandbagger",
-    "misleader_immediate",
-    "misleader_deadline",
-    "plagiarist_defense",
-)
 
 
 def _build_strategy(spec: Any):
@@ -1015,8 +1000,8 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     name; an agent's `knows` entry grants it the full tree as knowledge.
     An optional scripted verifier derives its verdict table from a named
     tree's ground truth, with per-path overrides. Decoding is strict: every
-    container must be an object and every count an integer (booleans are
-    not), or this raises a ValueError."""
+    container must be an object, every count an integer (booleans are not)
+    and every agent name a string, or this raises a ValueError."""
     doc = expect_object(doc, "scenario")
     cascade = ParameterCascade.from_json(doc["cascade"])
     trees = {
@@ -1040,10 +1025,12 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     agents = []
     for spec in doc["agents"]:
         spec = expect_object(spec, "agent")
-        knows = spec.get("knows")
+        name, knows = spec["name"], spec.get("knows")
+        if not isinstance(name, str):
+            raise ValueError(f"agent name must be a string, got {name!r}")
         agents.append(
             AgentSpec(
-                name=spec["name"],
+                name=name,
                 balance=_int(spec["balance"], "balance"),
                 strategy=_build_strategy(spec["strategy"]),
                 tree=trees[knows] if knows else None,

@@ -151,8 +151,10 @@ def _renumber(records):
         (lambda r: r[1].update(time=3.5), 2),
         (lambda r: r[1].update(time="3"), 2),
         (_renumber, 1),
+        (lambda r: r[1].update(actor=7), 2),
+        (lambda r: r[1].update(actor=True), 2),
     ],
-    ids=["float-time", "string-time", "renumbered-seq"],
+    ids=["float-time", "string-time", "renumbered-seq", "integer-actor", "boolean-actor"],
 )
 def test_run_rejects_coerced_times_and_foreign_seqs(capsys, tmp_path, edit, line):
     log, cascade = fixture_args("full_run_claim_root")
@@ -354,9 +356,10 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc.update(mode="bogus"),
         lambda doc: doc["agents"][0].update(balance=-1),
         lambda doc: doc["root"].update(time=-1),
+        lambda doc: doc["agents"][1].update(name=5),
     ],
     ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override",
-         "mode", "negative-balance", "negative-root-time"],
+         "mode", "negative-balance", "negative-root-time", "integer-name"],
 )
 def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
                                                                  edit):
@@ -438,6 +441,19 @@ def test_sweep_rejects_unknown_parameters_and_bad_steps(capsys):
     assert code == 2 and "--steps" in err
 
 
+# sha256 of stdout recorded before the CSV cells were read off SWEEP_COLUMNS.
+def test_sweep_with_degenerate_rows_is_pinned(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--sigma2", "0", "--sigma1", "0", "--beta0", "0", "--beta1", "0",
+        "--param", "beta1", "--from", "0", "--to", "60", "--steps", "13",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "beta1,0.0,degenerate" + "," * 14
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "41a1a18ea9063350f5b878251610a89ac440cba7410b8cc9c52a154a1a68d3d3"
+    )
+
+
 def test_verify_mc_small_run_passes(capsys):
     code, out, _ = run_cli(capsys, "verify-mc", "--sigma2", "30", "--n", "20000")
     assert code == 0
@@ -491,6 +507,24 @@ def test_verify_mc_rejects_out_of_range_n(capsys, n):
     assert code == 2
     assert out == ""
     assert err == f"error: n must be between 0 and 1000000000, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed, seed",
+    [(["--seed", "-1"], None, "-1"), ([], "-3", "-3")],
+    ids=["flag", "env"],
+)
+def test_verify_mc_rejects_a_negative_seed(capsys, monkeypatch, argv, env_seed, seed):
+    if env_seed is None:
+        monkeypatch.delenv("SPRIG_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SPRIG_SEED", env_seed)
+    # With numpy unimportable, reaching the draws raises ImportError instead.
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    code, out, err = run_cli(capsys, "verify-mc", "--sigma2", "30", "--n", "10", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: seed must be a non-negative integer, got {seed}\n"
 
 
 # -- byte stability through the real entry point -------------------------------------
@@ -563,13 +597,40 @@ def test_cascades_and_scenarios_nested_5000_deep_exit_1_without_a_traceback(tmp_
         assert (result.returncode, result.stdout, result.stderr) == (1, b"", error)
 
 
-def test_importing_the_cli_leaves_numpy_unloaded():
+def _main_call(*argv):
+    return f"from sprig.cli import main; assert main({list(argv)!r}) == 0"
+
+
+_SUBMODULES = [f"sprig.{p.stem}" for p in (FIXTURES.parent / "src" / "sprig").glob("*.py")
+               if p.stem != "__init__"]
+_ENGINE = ["sprig.protocol", "sprig.simulator", "sprig.scenarios", "sprig.verifier"]
+
+
+@pytest.mark.parametrize(
+    "code, unloaded",
+    [
+        ("import sprig", _SUBMODULES),
+        (_main_call("validate", str(PROOFS / "identity_chain.json")), [*_ENGINE, "numpy"]),
+        (_main_call("solve"), ["sprig.proofs", *_ENGINE, "numpy"]),
+        (_main_call("sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "7"),
+         ["sprig.proofs", *_ENGINE, "numpy"]),
+        (_main_call("run", *fixture_args("full_run_claim_root")),
+         ["sprig.simulator", "sprig.scenarios", "numpy"]),
+        ("import sprig.cli", ["numpy"]),
+    ],
+    ids=["import-sprig", "validate", "solve", "sweep", "run", "import-cli"],
+)
+def test_each_command_loads_only_its_layer(code, unloaded):
+    # A fresh interpreter, so that nothing this test process imported counts.
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, sprig.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{code}\nimport sys; print(*sys.modules)"],
         capture_output=True,
         cwd=str(FIXTURES.parent),
+        text=True,
     )
-    assert (result.returncode, result.stdout) == (0, b"False\n")
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.splitlines()[-1].split())
+    assert loaded.isdisjoint(unloaded), sorted(loaded.intersection(unloaded))
 
 
 def test_console_entry_point_is_byte_identical_across_runs():

@@ -552,9 +552,11 @@ def _renumber(records):
         (lambda r: r[2].update(seq=True), "seq must be an integer, got True"),
         (_renumber, "seq 101 out of order, expected 1"),
         (lambda r: r[3].update(seq=3), "seq 3 out of order, expected 4"),
+        (lambda r: r[1].update(actor=7), "actor must be a string, got 7"),
+        (lambda r: r[0].update(actor=True), "actor must be a string, got True"),
     ],
     ids=["float-time", "string-time", "bool-time", "bool-step", "bool-seq",
-         "renumbered", "repeated-seq"],
+         "renumbered", "repeated-seq", "integer-actor", "boolean-root-actor"],
 )
 def test_replay_decodes_move_records_strictly(edit, message):
     cascade = ParameterCascade.from_json(
