@@ -430,7 +430,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`sprig sweep ... | head -1`). Point
+        # stdout at devnull so the interpreter's own flush at exit does not
+        # fail again, and report a domain error without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return DOMAIN_ERROR
     except ValueError as exc:
         return _fail(str(exc), USAGE_ERROR)
 

@@ -122,6 +122,16 @@ def reply_prob_p(pi_e: float, theta: GameParameters) -> float:
     return p
 
 
+def _mixing_rate(pi_e: float, theta: GameParameters) -> float:
+    """`reply_prob_p` for the branch `solve_pbe` picked. When that branch has
+    no valid mixing rate there is no equilibrium to report, so the point is
+    degenerate rather than a usage error."""
+    try:
+        return reply_prob_p(pi_e, theta)
+    except ValueError as exc:
+        raise DegenerateParametersError(f"no valid mixing rate: {exc}") from None
+
+
 def _phi_slope(theta: GameParameters) -> float:
     p1 = pi1_star(theta)
     w1 = q1(theta)
@@ -174,7 +184,7 @@ def solve_pbe(theta: GameParameters) -> EquilibriumSolution:
                 pi_star=cand,
                 pi_e=pi_e,
                 pi1_star=p1,
-                p=reply_prob_p(pi_e, theta),
+                p=_mixing_rate(pi_e, theta),
                 q1=w1,
                 q2=1.0,
             )
@@ -192,7 +202,7 @@ def solve_pbe(theta: GameParameters) -> EquilibriumSolution:
                         pi_star=star,
                         pi_e=pi_e,
                         pi1_star=p1,
-                        p=reply_prob_p(pi_e, theta),
+                        p=_mixing_rate(pi_e, theta),
                         q1=w1,
                         q2=w2,
                     )
@@ -200,7 +210,7 @@ def solve_pbe(theta: GameParameters) -> EquilibriumSolution:
     if 0.5 >= p1:
         p, w1_used = 1.0, 0.0
     else:
-        p, w1_used = reply_prob_p(0.5, theta), w1
+        p, w1_used = _mixing_rate(0.5, theta), w1
     return EquilibriumSolution(
         eq_type=3, pi_star=0.0, pi_e=0.5, pi1_star=p1, p=p, q1=w1_used, q2=0.0
     )

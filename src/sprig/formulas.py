@@ -36,6 +36,7 @@ __all__ = [
     "DefinitionSet",
     "canonical_json",
     "content_hash",
+    "text_hash",
     "parse_json",
     "is_int",
     "expect_object",
@@ -73,7 +74,13 @@ def parse_json(text: str | bytes) -> Any:
 
 def content_hash(value: Any) -> str:
     """Hex sha256 of the canonical serialization of a JSON-ready value."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+    return text_hash(canonical_json(value))
+
+
+def text_hash(text: str) -> str:
+    """Hex sha256 of a document already in canonical JSON; for text that is
+    `canonical_json(value)`, equal to `content_hash(value)`."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def is_int(value: Any) -> bool:

@@ -35,7 +35,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Union
 
-from .formulas import Statement, canonical_json, content_hash, expect_object, is_int, parse_json
+from .formulas import (
+    Statement,
+    canonical_json,
+    content_hash,
+    expect_object,
+    is_int,
+    parse_json,
+    text_hash,
+)
 from .proofs import MachineProof, ProofChain, measure_length, validate_chain
 from .verifier import ToyVerifier, Verdict, VerifierBackend
 
@@ -249,6 +257,8 @@ class ClaimNode:
     level: int
     statement: Statement
     proof: ProofChain | MachineProof
+    # Hash of the proof's canonical JSON, taken from the move's payload text.
+    proof_hash: str
     posted_at: Timestamp
     escrow: int
     origin: str | None = None
@@ -344,6 +354,8 @@ class MoveRecord:
     kind: str
     payload_hash: str
     payload: Any
+    # canonical_json(payload), encoded once when the move was committed.
+    payload_json: str
 
     def to_json(self) -> Any:
         return {
@@ -354,6 +366,17 @@ class MoveRecord:
             "seq": self.seq,
             "time": self.time,
         }
+
+    def line(self) -> str:
+        """`canonical_json(self.to_json())`, built around the stored payload
+        text instead of encoding the payload again. `kind` is one of the four
+        move kinds and `seq` and `time` are integers, so only the actor needs
+        encoding."""
+        return (
+            f'{{"actor":{canonical_json(self.actor)},"kind":"{self.kind}",'
+            f'"payload":{self.payload_json},"payload_hash":"{self.payload_hash}",'
+            f'"seq":{self.seq},"time":{self.time}}}'
+        )
 
 
 @dataclass(frozen=True)
@@ -403,9 +426,11 @@ class ProtocolInstance:
         # Resolution work queues: nodes to evaluate at the next instant, and
         # (deadline, seq, id) for every window still open at the last
         # instant resolved (the clock, or the root's instant after an early
-        # stop).
+        # stop). `_open` holds the nodes of exactly those entries, in posting
+        # order; see `open_nodes`.
         self._dirty: set[str] = set()
         self._deadlines: list[tuple[int, int, str]] = []
+        self._open: dict[str, Node] = {}
 
     # -- reading ----------------------------------------------------------
 
@@ -439,6 +464,14 @@ class ProtocolInstance:
     def questions(self) -> list[QuestionNode]:
         return [n for n in self.nodes.values() if isinstance(n, QuestionNode)]
 
+    def open_nodes(self) -> Iterable[Node]:
+        """The nodes whose window was still open at the last instant
+        resolved, in posting order. With the clock resolved, this holds every
+        node whose deadline is after the clock, so a reader filtering on
+        `deadline > now` for a `now` at or after the clock sees the same
+        nodes as a scan of the whole tree, without touching the closed ones."""
+        return self._open.values()
+
     def question_deadline(self, q: QuestionNode) -> int:
         return q.posted_at.time + self.cascade.response_time(q.level)
 
@@ -453,7 +486,7 @@ class ProtocolInstance:
         return self.question_deadline(node)
 
     def max_deadline(self) -> int:
-        return max([self.clock] + [deadline for deadline, _, _ in self._deadlines])
+        return max([self.clock] + [self._deadline(node) for node in self._open.values()])
 
     # -- move plumbing ----------------------------------------------------
 
@@ -469,7 +502,12 @@ class ProtocolInstance:
             raise ProtocolError(f"interaction ended at {self.stopped_at}")
         return time
 
-    def _commit_move(self, time: int, actor: str, kind: str, payload: Any) -> Timestamp:
+    def _commit_move(
+        self, time: int, actor: str, kind: str, payload: Any, payload_json: str
+    ) -> Timestamp:
+        """Record a move. `payload_json` is `canonical_json(payload)`: the
+        one encoding of the payload, which the payload hash and the move-log
+        line are both taken from."""
         stamp = Timestamp(time, self._next_seq)
         self._next_seq += 1
         self.moves.append(
@@ -478,8 +516,9 @@ class ProtocolInstance:
                 time=time,
                 actor=actor,
                 kind=kind,
-                payload_hash=content_hash(payload),
+                payload_hash=text_hash(payload_json),
                 payload=payload,
+                payload_json=payload_json,
             )
         )
         return stamp
@@ -506,6 +545,7 @@ class ProtocolInstance:
                 self._posted_by[key] = self._posted_by.get(key, 0) + 1
         self._dirty.add(node.id)
         heapq.heappush(self._deadlines, (self._deadline(node), node.posted_at.seq, node.id))
+        self._open[node.id] = node
 
     # -- posting ----------------------------------------------------------
 
@@ -519,13 +559,18 @@ class ProtocolInstance:
         self._check_chain_answer(statement, posted, top, ambient=frozenset())
         node_id = f"c{self._next_seq}"
         self.ledger.lock(owner, node_id, params.stake_down)
-        stamp = self._commit_move(time, owner, "root_claim", {"chain": posted.to_json()})
+        doc = posted.to_json()
+        proof_json = canonical_json(doc)
+        stamp = self._commit_move(
+            time, owner, "root_claim", {"chain": doc}, f'{{"chain":{proof_json}}}'
+        )
         node = ClaimNode(
             id=node_id,
             owner=owner,
             level=top,
             statement=statement,
             proof=posted,
+            proof_hash=text_hash(proof_json),
             posted_at=stamp,
             escrow=params.stake_down,
         )
@@ -540,7 +585,8 @@ class ProtocolInstance:
         bounty = self.cascade.bounty(top)
         node_id = f"q{self._next_seq}"
         self.ledger.lock(owner, node_id, bounty)
-        stamp = self._commit_move(time, owner, "root_question", {"statement": statement.to_json()})
+        payload = {"statement": statement.to_json()}
+        stamp = self._commit_move(time, owner, "root_question", payload, canonical_json(payload))
         node = QuestionNode(
             id=node_id,
             owner=owner,
@@ -573,7 +619,8 @@ class ProtocolInstance:
         level = claim.level - 1
         node_id = f"q{self._next_seq}"
         self.ledger.lock(owner, node_id, self.cascade.bounty(level))
-        stamp = self._commit_move(time, owner, "question", {"origin": origin, "step": step_index})
+        payload = {"origin": origin, "step": step_index}
+        stamp = self._commit_move(time, owner, "question", payload, canonical_json(payload))
         node = QuestionNode(
             id=node_id,
             owner=owner,
@@ -622,8 +669,14 @@ class ProtocolInstance:
             deposit = self.cascade.machine.stake_up + self.cascade.machine.burn_cost
             verdict = self.verifier.verdict(q.statement, posted, node_id)
         self.ledger.lock(owner, node_id, deposit)
+        doc = posted.to_json()
+        proof_json = canonical_json(doc)
         stamp = self._commit_move(
-            time, owner, "answer_claim", {"origin": origin, "proof": posted.to_json()}
+            time,
+            owner,
+            "answer_claim",
+            {"origin": q.id, "proof": doc},
+            f'{{"origin":"{q.id}","proof":{proof_json}}}',
         )
         node = ClaimNode(
             id=node_id,
@@ -631,6 +684,7 @@ class ProtocolInstance:
             level=level,
             statement=q.statement,
             proof=posted,
+            proof_hash=text_hash(proof_json),
             posted_at=stamp,
             escrow=deposit,
             origin=origin,
@@ -692,7 +746,9 @@ class ProtocolInstance:
             if self._deadlines and self._deadlines[0][0] < instant:
                 instant = self._deadlines[0][0]
             while self._deadlines and self._deadlines[0][0] == instant:
-                self._dirty.add(heapq.heappop(self._deadlines)[2])
+                node_id = heapq.heappop(self._deadlines)[2]
+                del self._open[node_id]
+                self._dirty.add(node_id)
             changed += self._fixpoint(instant)
             if self.mode == EARLY_STOP and self.root_id is not None:
                 self.stopped_at = self.nodes[self.root_id].determination
@@ -773,7 +829,7 @@ class ProtocolInstance:
             if self.stopped_at is None:
                 raise ProtocolError("unresolved nodes: root not yet determined")
         else:
-            still_open = [node_id for _, _, node_id in self._deadlines]
+            still_open = list(self._open)
             if still_open:
                 raise ProtocolError(f"windows still open for {sorted(still_open)}")
             unresolved = [n.id for n in self.nodes.values() if n.status == PENDING]
@@ -846,7 +902,7 @@ class ProtocolInstance:
                 "status": node.status,
             }
             if isinstance(node, ClaimNode):
-                doc["proof"] = content_hash(node.proof.to_json())
+                doc["proof"] = node.proof_hash
                 if node.verdict is not None:
                     doc["verdict"] = {
                         "diagnostic": node.verdict.diagnostic,
@@ -868,7 +924,7 @@ class ProtocolInstance:
         )
 
     def move_log_lines(self) -> list[str]:
-        return [canonical_json(m.to_json()) for m in self.moves]
+        return [m.line() for m in self.moves]
 
     def conservation_total(self) -> int:
         return self.ledger.total()

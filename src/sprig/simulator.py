@@ -164,18 +164,26 @@ class AgentContext:
     def balance(self) -> int:
         return self.instance.ledger.balance(self.me)
 
+    # The open views read the instance's open-window index, so a poll costs
+    # the number of open windows, not the size of the tree. `now` is the
+    # instance clock, and every node with a deadline after it is in the index.
+
     def open_questions(self) -> list[QuestionNode]:
         return [
             q
-            for q in self.instance.questions()
-            if q.status == PENDING and self.instance.question_deadline(q) > self.now
+            for q in self.instance.open_nodes()
+            if isinstance(q, QuestionNode)
+            and q.status == PENDING
+            and self.instance.question_deadline(q) > self.now
         ]
 
     def open_claims(self) -> list[ClaimNode]:
         return [
             c
-            for c in self.instance.claims()
-            if c.level >= 1 and self.instance.claim_deadline(c) > self.now
+            for c in self.instance.open_nodes()
+            if isinstance(c, ClaimNode)
+            and c.level >= 1
+            and self.instance.claim_deadline(c) > self.now
         ]
 
     def answered_by_me(self, question_id: str) -> bool:

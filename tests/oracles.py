@@ -211,6 +211,32 @@ def observed_statuses(
     return out
 
 
+# -- open windows by full-tree scan --------------------------------------------
+#
+# The simulator's open views used to be these scans; they now read the
+# instance's open-window index, and the tests compare the two.
+
+
+def scan_open_nodes(instance: ProtocolInstance) -> list:
+    """Every node whose window closes after the clock, in posting order."""
+    return [
+        n for n in instance.nodes.values()
+        if (instance.claim_deadline(n) if n.kind == "claim" else instance.question_deadline(n))
+        > instance.clock
+    ]
+
+
+def scan_open_claims(instance: ProtocolInstance, now: int) -> list:
+    return [c for c in instance.claims() if c.level >= 1 and instance.claim_deadline(c) > now]
+
+
+def scan_open_questions(instance: ProtocolInstance, now: int) -> list:
+    return [
+        q for q in instance.questions()
+        if q.status == "pending" and instance.question_deadline(q) > now
+    ]
+
+
 # -- random debate generator (fuzzing) ---------------------------------------
 
 

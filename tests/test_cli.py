@@ -454,6 +454,30 @@ def test_sweep_with_degenerate_rows_is_pinned(capsys):
     )
 
 
+NO_MIXING = ("--b0", "0", "--sigma1", "0", "--beta0", "0", "--beta1", "0")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["verify-mc", "--n", "10"]], ids=["solve", "verify-mc"])
+def test_a_point_without_a_valid_mixing_rate_is_degenerate(capsys, argv):
+    # Type 2 applies here with an entry belief of 1, where no reply rate pins
+    # the posterior; this used to escape as a usage error (exit 2).
+    code, out, err = run_cli(capsys, *argv, *NO_MIXING, "--sigma2", "5")
+    assert (code, out) == (1, "")
+    assert err == ("error: degenerate parameters: no valid mixing rate: "
+                   "pi_e must be in [0, 1), got 1.0\n")
+
+
+def test_sweep_marks_points_without_a_valid_mixing_rate(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", *NO_MIXING, "--param", "sigma2", "--from", "0", "--to", "60",
+        "--steps", "13",
+    )
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == [f"{5.0 * i}" for i in range(13)]
+    assert all(row.split(",")[2:] == ["degenerate"] + [""] * 14 for row in rows)
+
+
 def test_verify_mc_small_run_passes(capsys):
     code, out, _ = run_cli(capsys, "verify-mc", "--sigma2", "30", "--n", "20000")
     assert code == 0
@@ -631,6 +655,23 @@ def test_each_command_loads_only_its_layer(code, unloaded):
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.splitlines()[-1].split())
     assert loaded.isdisjoint(unloaded), sorted(loaded.intersection(unloaded))
+
+
+def test_console_script_exits_1_without_a_traceback_when_stdout_closes_early():
+    # What the `sprig` console script runs; the sweep writes ~140 kB, more
+    # than a pipe holds, so the writer meets the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from sprig.cli import main; sys.exit(main())",
+         "sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "601"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=str(FIXTURES.parent),
+    )
+    assert proc.stdout.readline().startswith(b"param,value,eq_type,")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 1
+    assert b"Traceback" not in stderr
 
 
 def test_console_entry_point_is_byte_identical_across_runs():

@@ -1,0 +1,153 @@
+"""Per-move work in the simulator, asserted as counts rather than timings.
+
+The wide debate is the benchmark's carpet-bombed tree (`wide_config` in
+perfbench/workloads.py): one move per node, 1 + 2k + 2k^2 nodes. Its open
+views must agree with full-tree scans at every poll, and the work per move
+(proof serializations, JSON encodes, tree scans) must not grow with k.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sprig.proofs import MachineProof, ProofChain
+from sprig.protocol import EARLY_STOP, QUIESCENCE, ProtocolInstance
+from sprig.scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
+from sprig.simulator import run_scenario
+
+import oracles
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import wide_config  # noqa: E402
+
+MODES = [QUIESCENCE, EARLY_STOP]
+
+
+def _ids(nodes):
+    return [n.id for n in nodes]
+
+
+class RescanCheck:
+    """Plays `inner`, first checking at every poll that the open views read
+    off the open-window index equal the full-tree scans in `oracles`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.polls = 0
+
+    def decide(self, ctx):
+        inst = ctx.instance
+        assert _ids(inst.open_nodes()) == _ids(oracles.scan_open_nodes(inst))
+        assert _ids(ctx.open_claims()) == _ids(oracles.scan_open_claims(inst, ctx.now))
+        assert _ids(ctx.open_questions()) == _ids(oracles.scan_open_questions(inst, ctx.now))
+        self.polls += 1
+        return self.inner.decide(ctx)
+
+
+def _run_checked(config):
+    checks = [RescanCheck(a.strategy) for a in config.agents]
+    for agent, check in zip(config.agents, checks):
+        agent.strategy = check
+    trace = run_scenario(config)
+    assert sum(c.polls for c in checks) > 0
+    if config.mode == QUIESCENCE:
+        assert list(trace.instance.open_nodes()) == []
+    return trace
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_open_views_agree_with_a_rescan_at_every_poll_of_the_presets(name, seed, mode):
+    doc = preset_scenario(name)
+    doc["seed"], doc["mode"] = seed, mode
+    _run_checked(scenario_from_json(doc))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [4, 8])
+def test_open_views_agree_with_a_rescan_at_every_poll_of_the_wide_debate(k, mode):
+    config = wide_config(k, 0)
+    config.mode = mode
+    _run_checked(config)
+
+
+def _wide_run(k, config=None):
+    """run_scenario, then the move log and the snapshot once more."""
+    trace = run_scenario(config or wide_config(k, 0))
+    assert trace.instance.move_log_lines() == trace.move_lines
+    assert trace.instance.snapshot() == trace.final_snapshot
+    return trace
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_each_posted_proof_is_serialized_exactly_once(k, monkeypatch):
+    calls = []
+    for cls in (ProofChain, MachineProof):
+        original = cls.to_json
+
+        def counted(self, original=original):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, "to_json", counted)
+    trace = _wide_run(k)
+    assert len(calls) == len(trace.instance.claims()) == k * k + k + 1
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
+    # Canonical forms and statement hashes are memoized on each formula and
+    # statement the first time anything needs them: once per object, not per
+    # move. A first run of the same config fills those memos, so the counted
+    # run sees only what each move itself encodes.
+    config = wide_config(k, 0)
+    run_scenario(config)
+    encodes = [0]
+    dumps = json.dumps
+
+    def counted_dumps(*args, **kwargs):
+        encodes[0] += 1
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    per_call: dict[str, set[int]] = {}
+    for name in ("_post_root_claim", "post_question", "post_answer_claim",
+                 "move_log_lines", "snapshot"):
+        original = getattr(ProtocolInstance, name)
+
+        def counted(self, *args, name=name, original=original):
+            before = encodes[0]
+            result = original(self, *args)
+            per_call.setdefault(name, set()).add(encodes[0] - before)
+            return result
+
+        monkeypatch.setattr(ProtocolInstance, name, counted)
+    moves = len(_wide_run(k, config).move_lines)
+    # One encode per move (its payload), one per move-log line (the actor),
+    # one per snapshot: the same at every k.
+    assert per_call == {
+        "_post_root_claim": {1},
+        "post_question": {1},
+        "post_answer_claim": {1},
+        "move_log_lines": {moves},
+        "snapshot": {1},
+    }
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_the_poll_loop_scans_no_whole_tree(k, monkeypatch):
+    settled_at_call = []
+    for name in ("claims", "questions"):
+        original = getattr(ProtocolInstance, name)
+
+        def spy(self, original=original):
+            settled_at_call.append(self.settled)
+            return original(self)
+
+        monkeypatch.setattr(ProtocolInstance, name, spy)
+    _wide_run(k)
+    # Only the run's metrics read the whole tree, once each, after settling.
+    assert settled_at_call == [True, True]

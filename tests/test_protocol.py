@@ -518,6 +518,27 @@ def test_fixture_replay_reaches_the_same_state(fx):
     assert twin.snapshot() == direct.snapshot()
 
 
+def _odd_actor_debate():
+    odd = ('é "quoted"\\ \n', "ζ")  # escapes and non-ASCII in move-log lines
+    inst = fresh_claim_root(balances={"amy": 100, odd[0]: 100, odd[1]: 100})
+    q = inst.post_question(odd[0], inst.root_id, 1, 1)
+    inst.post_answer_claim(odd[1], q, identity_chain(IDENT), 1)
+    inst.post_answer_claim(odd[1], q, machine_answer(IDENT), 2)
+    return inst
+
+
+@pytest.mark.parametrize("seed", [None, *range(0, 100, 9)])
+def test_moves_keep_the_one_encoding_of_their_payload(seed):
+    inst = _odd_actor_debate() if seed is None else oracles.random_debate(seed)[0]
+    for move in inst.moves:
+        assert move.payload_json == oracles._canon(move.payload)
+        assert move.payload_hash == content_hash(move.payload)
+    assert inst.move_log_lines() == [oracles._canon(m.to_json()) for m in inst.moves]
+    snapshot = json.loads(inst.snapshot())
+    for node in inst.claims():
+        assert snapshot["nodes"][node.id]["proof"] == content_hash(node.proof.to_json())
+
+
 def test_replay_rejects_tampered_payloads():
     fx = PROTOCOL_FIXTURES["validated_root_claim"]()
     lines = fx.instance.move_log_lines()
@@ -602,6 +623,7 @@ def test_random_debates_match_the_declarative_oracle_after_every_move(seed):
     for n in range(1, len(lines) + 1):
         twin = replay(lines[:n], inst.cascade, balances=balances)
         assert oracles.observed_statuses(twin) == oracles.brute_force_statuses(twin, twin.clock)
+        assert list(twin.open_nodes()) == oracles.scan_open_nodes(twin)
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
