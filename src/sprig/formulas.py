@@ -20,7 +20,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator, TypeVar
 
 __all__ = [
@@ -168,7 +170,14 @@ class Formula:
 
     @_memoized
     def canonical(self) -> str:
-        return canonical_json(self.to_json())
+        """`canonical_json(self.to_json())`, built from the children's
+        memoized text: a single-key object needs no key sorting, and a leaf
+        name is written as `canonical_json` writes a string."""
+        if self.op in _LEAF:
+            return f'{{"{self.op}":{encode_basestring(self.name)}}}'
+        if self.op in _UNARY:
+            return f'{{"{self.op}":{self.args[0].canonical()}}}'
+        return f'{{"{self.op}":[{self.args[0].canonical()},{self.args[1].canonical()}]}}'
 
     def __str__(self) -> str:
         if self.op in _LEAF:
@@ -179,27 +188,45 @@ class Formula:
         return f"({self.args[0]} {glyph} {self.args[1]})"
 
 
+# Decoded formulas, one shared instance per (op, name, child identities);
+# see `_formula_from_json`. Entries are weak, so the table holds exactly the
+# decoded formulas still in use somewhere: a live entry keeps its children
+# alive, hence the ids in its key stay theirs.
+_interned: weakref.WeakValueDictionary[tuple[Any, ...], Formula] = weakref.WeakValueDictionary()
+
+
 def _formula_from_json(doc: Any, levels: int) -> Formula:
-    """`Formula.from_json` with `levels` the nesting depth still allowed."""
+    """`Formula.from_json` with `levels` the nesting depth still allowed.
+
+    Children are decoded first, so equal subtrees are already one object,
+    and a formula is looked up by its connective, its name and the
+    identities of its children: an O(1) key, where hashing the formula
+    would walk the subtree. Equal formulas decoded while one of them is
+    alive are therefore one object (hash-consing), which keeps its memoized
+    canonical text and makes comparing them an identity check."""
     if levels < 1:
         raise ParseError("document nested too deeply")
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ParseError(f"formula must be a single-key object, got {doc!r}")
-    op, body = next(iter(doc.items()))
+    [(op, body)] = doc.items()
+    name = None
     if op in _LEAF:
         if not isinstance(body, str):
             raise ParseError(f"{op} name must be a string")
-        return Formula(op, body)
-    if op in _UNARY:
-        return Formula(op, args=(_formula_from_json(body, levels - 1),))
-    if op in _BINARY:
+        name, args = body, ()
+    elif op in _UNARY:
+        args = (_formula_from_json(body, levels - 1),)
+    elif op in _BINARY:
         if not isinstance(body, list) or len(body) != 2:
             raise ParseError(f"{op} takes a two-element array")
-        return Formula(
-            op,
-            args=(_formula_from_json(body[0], levels - 1), _formula_from_json(body[1], levels - 1)),
-        )
-    raise ParseError(f"unknown connective {op!r}")
+        args = (_formula_from_json(body[0], levels - 1), _formula_from_json(body[1], levels - 1))
+    else:
+        raise ParseError(f"unknown connective {op!r}")
+    key = (op, name, *map(id, args))
+    formula = _interned.get(key)
+    if formula is None:
+        formula = _interned[key] = Formula(op, name, args)
+    return formula
 
 
 def atom(name: str) -> Formula:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any, Iterable, Mapping, Union
 
 from .formulas import (
@@ -370,10 +371,11 @@ class MoveRecord:
     def line(self) -> str:
         """`canonical_json(self.to_json())`, built around the stored payload
         text instead of encoding the payload again. `kind` is one of the four
-        move kinds and `seq` and `time` are integers, so only the actor needs
-        encoding."""
+        move kinds and `seq` and `time` are integers; the actor is a string,
+        which `encode_basestring` writes as `canonical_json` does, so the
+        line costs no `json.dumps`."""
         return (
-            f'{{"actor":{canonical_json(self.actor)},"kind":"{self.kind}",'
+            f'{{"actor":{encode_basestring(self.actor)},"kind":"{self.kind}",'
             f'"payload":{self.payload_json},"payload_hash":"{self.payload_hash}",'
             f'"seq":{self.seq},"time":{self.time}}}'
         )
@@ -408,6 +410,8 @@ class ProtocolInstance:
         self.verifier: VerifierBackend = verifier if verifier is not None else ToyVerifier()
         self.ledger = Ledger(balances)
         self.nodes: dict[str, Node] = {}
+        # The nodes again, in a list for `posted_since`.
+        self._posted: list[Node] = []
         self.root_id: str | None = None
         self.clock: int = 0
         self.moves: list[MoveRecord] = []
@@ -463,6 +467,11 @@ class ProtocolInstance:
 
     def questions(self) -> list[QuestionNode]:
         return [n for n in self.nodes.values() if isinstance(n, QuestionNode)]
+
+    def posted_since(self, count: int) -> list[Node]:
+        """The nodes posted after the first `count`, in posting order: a
+        reader that keeps how many it has read gets only the new ones."""
+        return self._posted[count:]
 
     def open_nodes(self) -> Iterable[Node]:
         """The nodes whose window was still open at the last instant
@@ -528,6 +537,7 @@ class ProtocolInstance:
         resolve. Its origin needs no visit: a pending child cannot decide it,
         and a child that determines queues its origin itself."""
         self.nodes[node.id] = node
+        self._posted.append(node)
         if isinstance(node, QuestionNode):
             self._answers_to[node.id] = []
             if node.origin is not None:
@@ -1011,7 +1021,15 @@ def replay(
     """Rebuild an instance from its move log. Verifies payload hashes and
     decodes strictly: `seq` must be the next sequence number, `seq`, `time`
     and a question's `step` must be integers (booleans are not), and `actor`
-    must be a string."""
+    must be a string.
+
+    Each move's payload is encoded once, by the instance that posts it. A
+    line that is exactly the line the instance records for the move carries
+    that encoding and its hash, so its hash holds; any other line (other
+    spacing or key order, or a payload the posted move differs from, such as
+    a chain with subproofs) has its payload encoded and its hash checked as
+    read. A line whose move fails has its hash checked first, so a tampered
+    line reports the mismatch rather than what the tampering broke."""
     instance: ProtocolInstance | None = None
     for raw in lines:
         raw = raw.strip()
@@ -1019,42 +1037,63 @@ def replay(
             continue
         record = parse_json(raw)
         payload = record["payload"]
-        if content_hash(payload) != record["payload_hash"]:
-            raise ProtocolError(f"payload hash mismatch at seq {record.get('seq')}")
-        kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
-        if not isinstance(actor, str):
-            raise ProtocolError(f"actor must be a string, got {actor!r}")
-        if instance is None and kind not in ("root_claim", "root_question"):
-            raise ProtocolError(f"log must start with a root move, got {kind!r}")
-        seq = _int_field(record, "seq")
-        expected = 1 if instance is None else instance._next_seq
-        if seq != expected:
-            raise ProtocolError(f"seq {seq} out of order, expected {expected}")
-        if instance is None:
-            if kind == "root_claim":
-                chain = ProofChain.from_json(payload["chain"])
-                instance = create_root_claim(
-                    actor, chain.target, chain, cascade, time,
-                    balances=balances, mode=mode, verifier=verifier,
-                )
-            else:
-                instance = create_root_question(
-                    actor, Statement.from_json(payload["statement"]), cascade, time,
-                    balances=balances, mode=mode, verifier=verifier,
-                )
-            continue
-        if kind == "question":
-            instance.post_question(actor, payload["origin"], _int_field(payload, "step"), time)
-        elif kind == "answer_claim":
-            doc = payload["proof"]
-            proof: ProofChain | MachineProof
-            if isinstance(doc, dict) and doc.get("kind") == "machine_proof":
-                proof = MachineProof.from_json(doc)
-            else:
-                proof = ProofChain.from_json(doc)
-            instance.post_answer_claim(actor, payload["origin"], proof, time)
-        else:
-            raise ProtocolError(f"unknown move kind {kind!r}")
+        try:
+            instance = _replay_move(instance, record, payload, cascade, balances, mode, verifier)
+        except Exception:
+            _check_payload_hash(record, payload)
+            raise
+        if raw != instance.moves[-1].line():
+            _check_payload_hash(record, payload)
     if instance is None:
         raise ProtocolError("empty move log")
+    return instance
+
+
+def _check_payload_hash(record: Mapping[str, Any], payload: Any) -> None:
+    if content_hash(payload) != record["payload_hash"]:
+        raise ProtocolError(f"payload hash mismatch at seq {record.get('seq')}")
+
+
+def _replay_move(
+    instance: ProtocolInstance | None,
+    record: Mapping[str, Any],
+    payload: Any,
+    cascade: ParameterCascade,
+    balances: Mapping[str, int] | None,
+    mode: str,
+    verifier: VerifierBackend | None,
+) -> ProtocolInstance:
+    """Apply one decoded move-log record; the instance, created by a root move."""
+    kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
+    if not isinstance(actor, str):
+        raise ProtocolError(f"actor must be a string, got {actor!r}")
+    if instance is None and kind not in ("root_claim", "root_question"):
+        raise ProtocolError(f"log must start with a root move, got {kind!r}")
+    seq = _int_field(record, "seq")
+    expected = 1 if instance is None else instance._next_seq
+    if seq != expected:
+        raise ProtocolError(f"seq {seq} out of order, expected {expected}")
+    if instance is None:
+        if kind == "root_claim":
+            chain = ProofChain.from_json(payload["chain"])
+            return create_root_claim(
+                actor, chain.target, chain, cascade, time,
+                balances=balances, mode=mode, verifier=verifier,
+            )
+        return create_root_question(
+            actor, Statement.from_json(payload["statement"]), cascade, time,
+            balances=balances, mode=mode, verifier=verifier,
+        )
+    if kind == "question":
+        instance.post_question(actor, payload["origin"], _int_field(payload, "step"), time)
+    elif kind == "answer_claim":
+        doc = payload["proof"]
+        proof: ProofChain | MachineProof
+        if isinstance(doc, dict) and doc.get("kind") == "machine_proof":
+            proof = MachineProof.from_json(doc)
+        else:
+            proof = ProofChain.from_json(doc)
+        instance.post_answer_claim(actor, payload["origin"], proof, time)
+    else:
+        raise ProtocolError(f"unknown move kind {kind!r}")
     return instance

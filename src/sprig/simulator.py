@@ -531,20 +531,38 @@ class Plagiarist(AgentStrategy):
 
     def __init__(self, *, mirror_questions: bool = True):
         self.mirror_questions = mirror_questions
+        self._reading: tuple[ProtocolInstance, str] | None = None
+
+    def _catch_up(self, ctx: AgentContext) -> None:
+        """Read the nodes posted since the last poll into `_seen` (the first
+        proof of each statement claimed by others) and `_asked_of_me` (the
+        questions others posed on my claims), both in posting order, so that
+        a poll costs the new nodes rather than the tree. A poll of another
+        instance or for another agent starts over."""
+        if self._reading != (ctx.instance, ctx.me):
+            self._reading = (ctx.instance, ctx.me)
+            self._read = 0
+            self._seen: dict[str, ProofChain | MachineProof] = {}
+            self._asked_of_me: list[QuestionNode] = []
+        new = ctx.instance.posted_since(self._read)
+        self._read += len(new)
+        for node in new:
+            if node.owner == ctx.me:
+                continue
+            if isinstance(node, ClaimNode):
+                self._seen.setdefault(node.statement.hash(), node.proof)
+            elif node.origin is not None and ctx.instance.claim(node.origin).owner == ctx.me:
+                self._asked_of_me.append(node)
 
     def decide(self, ctx: AgentContext) -> list[Intent]:
         intents: list[Intent] = []
         budget = ctx.balance()
-
-        seen: dict[str, ProofChain | MachineProof] = {}
-        for c in ctx.instance.claims():
-            if c.owner != ctx.me:
-                seen.setdefault(c.statement.hash(), c.proof)
+        self._catch_up(ctx)
 
         for q in ctx.open_questions():
             if ctx.answered_by_me(q.id):
                 continue
-            proof = seen.get(q.statement.hash())
+            proof = self._seen.get(q.statement.hash())
             if proof is None and q.level >= 1:
                 proof = ProofChain(
                     target=q.statement, steps=(ChainStep(statement=q.statement),)
@@ -560,15 +578,9 @@ class Plagiarist(AgentStrategy):
                 budget -= cost
 
         if self.mirror_questions:
-            asked_of_me = [
-                q
-                for q in ctx.instance.questions()
-                if q.origin is not None
-                and ctx.instance.claim(q.origin).owner == ctx.me
-                and q.owner != ctx.me
-            ]
-            for q in asked_of_me:
-                for c in ctx.open_claims():
+            open_claims = ctx.open_claims()
+            for q in self._asked_of_me:
+                for c in open_claims:
                     if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
                         continue
                     for j, step in enumerate(c.proof.steps, start=1):
@@ -601,27 +613,32 @@ class CopycatDefender(HonestClaimer):
             for i in intents
             if isinstance(i, AnswerIntent)
         )
-        for q in ctx.instance.questions():
-            if not ctx.answered_by_me(q.id):
-                continue
-            for rival in ctx.instance.answers_to(q.id):
-                if rival.owner == ctx.me or rival.level < 1:
+        # Rival answers to the questions I answered, by question and then
+        # by answer in posting order. A rival is worth questioning only while
+        # its window is open, so the open claims hold all of them.
+        rivals = sorted(
+            (
+                c
+                for c in ctx.open_claims()
+                if c.origin is not None
+                and c.owner != ctx.me
+                and isinstance(c.proof, ProofChain)
+                and ctx.answered_by_me(c.origin)
+            ),
+            key=lambda c: (ctx.instance.question(c.origin).posted_at, c.posted_at),
+        )
+        for rival in rivals:
+            for j, step in enumerate(rival.proof.steps, start=1):
+                h = step.statement.hash()
+                if h not in ctx.knowledge.machine_proofs:
                     continue
-                if not isinstance(rival.proof, ProofChain):
+                if ctx.questioned_by_me(rival.id, j):
                     continue
-                if ctx.instance.claim_deadline(rival) <= ctx.now:
-                    continue
-                for j, step in enumerate(rival.proof.steps, start=1):
-                    h = step.statement.hash()
-                    if h not in ctx.knowledge.machine_proofs:
-                        continue
-                    if ctx.questioned_by_me(rival.id, j):
-                        continue
-                    proof = ctx.knowledge.machine_proofs[h]
-                    cost = ctx.question_cost(rival.level - 1) + ctx.answer_cost(proof, 0)
-                    if cost <= budget:
-                        intents.append(QuestionIntent(rival.id, j, then_answer=proof))
-                        budget -= cost
+                proof = ctx.knowledge.machine_proofs[h]
+                cost = ctx.question_cost(rival.level - 1) + ctx.answer_cost(proof, 0)
+                if cost <= budget:
+                    intents.append(QuestionIntent(rival.id, j, then_answer=proof))
+                    budget -= cost
         return intents
 
 

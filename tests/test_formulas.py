@@ -265,3 +265,47 @@ def test_memoized_methods_return_the_identical_object():
     assert s.hash() is s.hash()
     assert s.sorted_assumptions() is s.sorted_assumptions()
     assert s.conclusion.canonical() is s.conclusion.canonical()
+
+
+# -- hash-consed decoding --------------------------------------------------------
+
+
+def _named(name_strategy) -> st.SearchStrategy[Formula]:
+    leaves = st.one_of(name_strategy.map(atom), name_strategy.map(sym))
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            sub.map(neg), st.tuples(sub, sub).map(lambda ab: conj(*ab))
+        ),
+        max_leaves=4,
+    )
+
+
+@given(_named(st.text(min_size=1, max_size=6)))
+def test_canonical_text_is_the_canonical_json_of_any_formula(f):
+    # built from the children's text, with names that need escaping
+    assert f.canonical() == canonical_json(f.to_json())
+
+
+def test_decoding_shares_one_instance_per_formula():
+    doc = {"imp": [{"and": [{"atom": "p"}, {"sym": "zeta"}]}, {"atom": "p"}]}
+    f, g = Formula.from_json(doc), Formula.from_json(json.loads(json.dumps(doc)))
+    assert f is g
+    assert f.args[0].args[0] is f.args[1]
+    assert Formula.from_json({"atom": "p"}) is f.args[1]
+    # built, not decoded: equal but its own object
+    built = impl(conj(atom("p"), sym("zeta")), atom("p"))
+    assert built == f and built is not f
+
+
+def test_a_pickled_decoded_formula_still_equals_the_shared_one():
+    doc = {"or": [{"not": {"atom": "p"}}, {"sym": "zeta"}]}
+    shared = Formula.from_json(doc)
+    shared.canonical()
+    restored = pickle.loads(pickle.dumps(shared))
+    assert restored == shared and hash(restored) == hash(shared)
+    assert repr(restored) == repr(shared)
+    assert restored.canonical() == shared.canonical()
+    assert Formula.from_json(doc) is shared
+    statement = Statement.from_json({"assumptions": [doc], "conclusion": doc})
+    assert pickle.loads(pickle.dumps(statement)) == statement

@@ -1,19 +1,24 @@
-"""Per-move work in the simulator, asserted as counts rather than timings.
+"""Per-move work in the simulator and in replay, asserted as counts rather
+than timings.
 
 The wide debate is the benchmark's carpet-bombed tree (`wide_config` in
 perfbench/workloads.py): one move per node, 1 + 2k + 2k^2 nodes. Its open
-views must agree with full-tree scans at every poll, and the work per move
-(proof serializations, JSON encodes, tree scans) must not grow with k.
+views must agree with full-tree scans at every poll, the work per move
+(proof serializations, JSON encodes, tree scans) must not grow with k, and a
+replay of its log encodes each payload once, as playing it did.
 """
 
+import gc
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from sprig import formulas
 from sprig.proofs import MachineProof, ProofChain
-from sprig.protocol import EARLY_STOP, QUIESCENCE, ProtocolInstance
+from sprig.protocol import EARLY_STOP, QUIESCENCE, ProtocolInstance, replay
 from sprig.scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
 from sprig.simulator import run_scenario
 
@@ -125,20 +130,21 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
             return result
 
         monkeypatch.setattr(ProtocolInstance, name, counted)
-    moves = len(_wide_run(k, config).move_lines)
-    # One encode per move (its payload), one per move-log line (the actor),
-    # one per snapshot: the same at every k.
+    _wide_run(k, config)
+    # One encode per move (its payload) and one per snapshot; the move-log
+    # lines are built around the payload text: the same at every k.
     assert per_call == {
         "_post_root_claim": {1},
         "post_question": {1},
         "post_answer_claim": {1},
-        "move_log_lines": {moves},
+        "move_log_lines": {0},
         "snapshot": {1},
     }
 
 
-@pytest.mark.parametrize("k", [4, 8, 12])
-def test_the_poll_loop_scans_no_whole_tree(k, monkeypatch):
+def _spy_on_tree_scans(monkeypatch):
+    """Record, for each `claims()`/`questions()` call, whether the instance
+    was settled."""
     settled_at_call = []
     for name in ("claims", "questions"):
         original = getattr(ProtocolInstance, name)
@@ -148,6 +154,81 @@ def test_the_poll_loop_scans_no_whole_tree(k, monkeypatch):
             return original(self)
 
         monkeypatch.setattr(ProtocolInstance, name, spy)
+    return settled_at_call
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_the_poll_loop_scans_no_whole_tree(k, monkeypatch):
+    settled_at_call = _spy_on_tree_scans(monkeypatch)
     _wide_run(k)
     # Only the run's metrics read the whole tree, once each, after settling.
     assert settled_at_call == [True, True]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_no_preset_strategy_scans_the_whole_tree(name, mode, monkeypatch):
+    # The plagiarist needs history (every claim seen, every question asked
+    # of it) and keeps a cursor over posting order; the copycat defender
+    # finds its rivals among the open claims.
+    doc = preset_scenario(name)
+    doc["mode"] = mode
+    settled_at_call = _spy_on_tree_scans(monkeypatch)
+    run_scenario(scenario_from_json(doc))
+    assert settled_at_call == [True, True]
+
+
+# -- replay -------------------------------------------------------------------
+
+
+def _wide_replay(trace):
+    return replay(
+        trace.move_lines, trace.cascade, balances=trace.initial_balances, mode=trace.mode
+    )
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_replay_encodes_each_payload_exactly_once(k, monkeypatch):
+    # Counted on the replay alone, with nothing warmed: each posted move
+    # encodes its payload, the recorded line equals the log line so its hash
+    # needs no second encode, and decoded formulas are shared, so sorting
+    # fresh assumption sets re-encodes nothing.
+    trace = run_scenario(wide_config(k, 0))
+    encodes = [0]
+    dumps = json.dumps
+
+    def counted_dumps(*args, **kwargs):
+        encodes[0] += 1
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    twin = _wide_replay(trace)
+    assert encodes[0] == len(trace.move_lines)
+    assert twin.move_log_lines() == trace.move_lines
+    assert encodes[0] == len(trace.move_lines)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_replay_shares_the_formulas_of_earlier_moves(k):
+    twin = _wide_replay(run_scenario(wide_config(k, 0)))
+    answers = [c for c in twin.claims() if c.origin is not None]
+    assert answers
+    for claim in answers:
+        # The question's statement was decoded from the step of an earlier
+        # move's chain; the answer's target from this move's payload.
+        target, asked = claim.proof.target, twin.question(claim.origin).statement
+        assert target.conclusion is asked.conclusion
+        assert {id(f) for f in target.assumptions} == {id(f) for f in asked.assumptions}
+
+
+def test_replayed_formulas_leave_the_intern_table_with_their_instance():
+    trace = run_scenario(wide_config(4, 0))
+    gc.collect()
+    before = len(formulas._interned)
+    twin = _wide_replay(trace)
+    assert len(formulas._interned) > before
+    decoded = weakref.ref(twin.nodes[twin.root_id].proof.target.conclusion)
+    del twin
+    gc.collect()
+    assert decoded() is None
+    assert len(formulas._interned) <= before

@@ -598,6 +598,125 @@ def test_replay_rejects_empty_and_rootless_logs():
         replay(lines[1:], fx.cascade, balances=fx.balances)
 
 
+# -- mutated move logs ------------------------------------------------------------
+# Each case edits fixtures/movelogs/full_run_claim_root.jsonl. A line that is
+# not exactly the line the replaying instance records for its move has its
+# payload hashed as read, and a tampered line reports the hash mismatch ahead
+# of whatever else the tampering broke. The outcomes are pinned: replay
+# accepts exactly these logs and reports exactly these errors.
+
+_FULL_RUN = FIXTURE_DIR / "movelogs" / "full_run_claim_root.jsonl"
+
+
+def _canonical_lines(records):
+    return [oracles._canon(r) for r in records]
+
+
+def _stale(edit):
+    """Edit records, keeping the recorded payload hashes."""
+    def mutate(records):
+        edit(records)
+        return _canonical_lines(records)
+    return mutate
+
+
+def _respaced(records):
+    # spaces after separators and every object's keys in reverse order
+    return [json.dumps(_reversed_keys(r)) for r in records]
+
+
+def _reversed_keys(doc):
+    if isinstance(doc, dict):
+        return {k: _reversed_keys(doc[k]) for k in sorted(doc, reverse=True)}
+    if isinstance(doc, list):
+        return [_reversed_keys(v) for v in doc]
+    return doc
+
+
+def _with_subproof(rehash):
+    """Give the first step of an answer chain the machine proof another
+    answer posted for that statement. Posting strips it, so the posted
+    payload hashes differently from the payload in the log."""
+    def mutate(records):
+        answer, machine = records[4], records[14]["payload"]["proof"]
+        step = answer["payload"]["proof"]["steps"][0]
+        assert step["statement"] == machine["target"]
+        step["subproof"] = machine
+        if rehash:
+            answer["payload_hash"] = content_hash(answer["payload"])
+        return _canonical_lines(records)
+    return mutate
+
+
+def _without(field, index):
+    def mutate(records):
+        del records[index][field]
+        return _canonical_lines(records)
+    return mutate
+
+
+def _set(index, **fields):
+    def mutate(records):
+        records[index].update(fields)
+        return _canonical_lines(records)
+    return mutate
+
+
+MUTATED_LOGS = [
+    ("untouched", _canonical_lines, None),
+    ("stale-hash", _stale(lambda r: r[1]["payload"].update(step=2)),
+     (ProtocolError, "payload hash mismatch at seq 2")),
+    ("stale-hash-no-such-step", _stale(lambda r: r[1]["payload"].update(step=99)),
+     (ProtocolError, "payload hash mismatch at seq 2")),
+    ("stale-hash-unknown-origin", _stale(lambda r: r[3]["payload"].update(origin="c99")),
+     (ProtocolError, "payload hash mismatch at seq 4")),
+    ("stale-hash-undecodable-proof",
+     _stale(lambda r: r[2]["payload"]["proof"].update(junk=1)),
+     (ProtocolError, "payload hash mismatch at seq 3")),
+    ("stale-hash-integer-actor",
+     _stale(lambda r: (r[1].update(actor=7), r[1]["payload"].update(step=2))),
+     (ProtocolError, "payload hash mismatch at seq 2")),
+    ("stale-hash-out-of-order",
+     _stale(lambda r: (r[5].update(seq=9), r[5]["payload"].update(step=2))),
+     (ProtocolError, "payload hash mismatch at seq 9")),
+    ("respaced-and-shuffled", _respaced, None),
+    ("extra-record-field", _set(6, note="unhashed"), None),
+    ("subproofs-hashed-as-logged", _with_subproof(rehash=True), None),
+    ("subproofs-hashed-as-posted", _with_subproof(rehash=False),
+     (ProtocolError, "payload hash mismatch at seq 5")),
+    ("missing-payload-hash", _without("payload_hash", 1), (KeyError, "'payload_hash'")),
+    ("missing-root-payload-hash", _without("payload_hash", 0), (KeyError, "'payload_hash'")),
+    ("integer-payload-hash", _set(2, payload_hash=5),
+     (ProtocolError, "payload hash mismatch at seq 3")),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, expected", [case[1:] for case in MUTATED_LOGS], ids=[case[0] for case in MUTATED_LOGS]
+)
+def test_mutated_move_logs_are_accepted_or_rejected_as_pinned(mutate, expected):
+    cascade = ParameterCascade.from_json(
+        json.loads((FIXTURE_DIR / "cascades" / "full_run_claim_root.json").read_text())
+    )
+    balances = {name: 10**6 for name in ("ann", "sam", "bea", "cat", "kim")}
+    original = _FULL_RUN.read_text().splitlines()
+    lines = mutate([json.loads(line) for line in original])
+    if expected is None:
+        twin = replay(lines, cascade, balances=balances)
+        # the instance records each move as posted, in canonical form
+        assert twin.move_log_lines() == original
+        reference = replay(original, cascade, balances=balances)
+        for inst in (twin, reference):
+            advance_clock(inst, inst.max_deadline())
+            settle(inst)
+        assert twin.snapshot() == reference.snapshot()
+        return
+    error, message = expected
+    with pytest.raises(error) as caught:
+        replay(lines, cascade, balances=balances)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 # -- randomized cross-checks ------------------------------------------------------
 
 FUZZ_SEEDS = range(100)

@@ -7,15 +7,17 @@ import random
 import pytest
 
 from sprig.formulas import Statement, atom
-from sprig.proofs import MachineProof, ProofChain
+from sprig.proofs import InferenceStep, MachineProof, ProofChain
 from sprig.protocol import (
     LevelParameters,
     MachineParameters,
     ParameterCascade,
+    create_root_claim,
 )
 from sprig.scenarios import (
     PRESET_NAMES,
     flat_tree,
+    identity_chain,
     infinite_primes,
     preset_scenario,
     rotten_tree,
@@ -132,6 +134,38 @@ def test_plagiarist_is_beaten_to_the_bounty():
     assert original.determination < copied.determination
     bounty = [t for t in trace.transfers if t.node_id == question.id]
     assert [(t.account, t.reason) for t in bounty] == [("alice", "bounty paid to answer")]
+
+
+def test_plagiarist_copies_the_first_proof_posted_for_a_statement():
+    p = atom("p")
+    ident = Statement(conclusion=p, assumptions=frozenset({p}), context="demo")
+    levels = {
+        level: LevelParameters(max_length=120, stake_up=4 * (level == 1), stake_down=6,
+                               verification_time=4, bounty=5, response_time=3)
+        for level in (1, 2)
+    }
+    cascade = ParameterCascade(root_level=2, levels=levels, machine=MachineParameters(
+        max_length=80, stake_up=2, burn_cost=1, bounty=3, response_time=2))
+    inst = create_root_claim("amy", ident, identity_chain(ident), cascade, 0,
+                             balances={name: 100 for name in ("amy", "quin", "ann", "ben", "pla")})
+    asked = [inst.post_question("quin", inst.root_id, 1, 1) for _ in range(2)]
+    plagiarist = Plagiarist()
+
+    def copies():
+        ctx = AgentContext(inst, "pla", Knowledge(), inst.clock, random.Random(0))
+        return {i.origin: i.proof for i in plagiarist.decide(ctx)}
+
+    chain = inst.claim(inst.post_answer_claim("ann", asked[0], identity_chain(ident), 1)).proof
+    assert copies() == dict.fromkeys(asked, chain)
+    # a later proof of the same statement does not displace the first one seen
+    machine = MachineProof(target=ident, steps=(InferenceStep(p, "assumption"),))
+    inst.post_answer_claim("ben", asked[0], machine, 2)  # and answers the first question
+    assert copies() == {asked[1]: chain}
+
+
+def test_a_plagiarist_reused_for_a_second_run_starts_reading_afresh():
+    config = scenario_from_json(preset_scenario("plagiarist_defense"))
+    assert run_scenario(config).to_json_lines() == run_scenario(config).to_json_lines()
 
 
 def test_misleader_variants_differ_only_in_timing():
