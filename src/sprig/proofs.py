@@ -1,12 +1,12 @@
-"""Proof documents: step chains, machine-level proofs, length measures.
+"""Proof documents: step chains, machine-level proofs, their length.
 
 A chain proves its target statement in numbered steps. Every step is itself a
 full statement whose assumption set must equal the target's assumptions plus
 the conclusions it explicitly imports from earlier steps; the last step must
 conclude exactly what the target concludes. Steps may optionally embed a
 `subproof` (a deeper chain, or a machine proof) showing how that step would be
-defended if disputed; subproofs are advisory structure, they carry no weight
-in the length measure and the debate protocol strips them from posted claims.
+defended if disputed; subproofs are advisory structure, they do not count
+towards the length and the debate protocol strips them from posted claims.
 
 A machine proof is a flat list of inference steps for the bottom level. Its
 premise indices are positive for earlier steps (1-based) and negative for the
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Iterator, Mapping, Union
+from typing import Any, Iterator, Union
 
 from .formulas import (
     DefinitionSet,
@@ -38,7 +37,6 @@ __all__ = [
     "ProofChain",
     "InferenceStep",
     "MachineProof",
-    "LengthMeasure",
     "Violation",
     "ValidationReport",
     "validate_chain",
@@ -46,8 +44,6 @@ __all__ = [
     "parse_proof_document",
     "serialize_proof_document",
 ]
-
-Weight = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -243,38 +239,15 @@ class ProofChain:
         )
 
 
-@dataclass(frozen=True)
-class LengthMeasure:
-    """Weighted symbol count over a proof's serialized token stream.
-
-    Unit weights by default; `weights` overrides individual tokens and
-    `default` applies to everything else. Weights are exact rationals, so
-    comparisons against level budgets never suffer float noise.
-    """
-
-    weights: Mapping[str, Weight] = field(default_factory=dict)
-    default: Weight = 1
-
-    def weight(self, token: str) -> Fraction:
-        return Fraction(self.weights.get(token, self.default))
-
-    def measure(self, tokens: Iterator[str]) -> Fraction:
-        weight, default = self.weights.get, self.default
-        return Fraction(sum(weight(tok, default) for tok in tokens))
-
-
-UNIT_MEASURE = LengthMeasure()
-
-
-def measure_length(proof: ProofChain | MachineProof, measure: LengthMeasure = UNIT_MEASURE) -> Fraction:
-    """Length of a proof under a measure.
+def measure_length(proof: ProofChain | MachineProof) -> int:
+    """Length of a proof: the number of tokens it posts.
 
     Counts the posted content only: definitions, step statements and import
     indices for a chain (embedded subproofs excluded, as is the target, which
     belongs to the disputed statement rather than the proof); formulas, rule
     tags and premise indices for a machine proof.
     """
-    return measure.measure(proof.tokens())
+    return len(list(proof.tokens()))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Mapping, Union
 
@@ -103,29 +102,9 @@ class Timestamp:
         return [self.time, self.seq]
 
 
-def _as_time(t: Union[int, "Timestamp"]) -> int:
-    return t.time if isinstance(t, Timestamp) else int(t)
-
-
-def _length_json(v: int | Fraction) -> Any:
-    if isinstance(v, Fraction) and v.denominator != 1:
-        return [v.numerator, v.denominator]
-    return int(v)
-
-
-def _length_from_json(v: Any) -> Any:
-    """Inverse of `_length_json`; the parameter classes check what it returns."""
-    if isinstance(v, list):
-        if len(v) != 2 or not all(is_int(x) for x in v) or v[1] == 0:
-            raise ValueError(f"max_length must be an integer or [numerator, denominator], got {v!r}")
-        return Fraction(v[0], v[1])
-    return v
-
-
-def _parameters(cls: type, doc: Any, name: str) -> Any:
-    """`cls` built from the JSON object `doc`, which holds exactly its fields."""
-    doc = expect_object(doc, name)
-    return cls(**{**doc, "max_length": _length_from_json(doc["max_length"])})
+def _check_time(t: Any) -> None:
+    if not is_int(t):
+        raise ProtocolError(f"time must be an integer, got {t!r}")
 
 
 def _level_number(key: str) -> int:
@@ -134,16 +113,20 @@ def _level_number(key: str) -> int:
     return int(key)
 
 
-def _check_max_length(v: Any) -> None:
-    if not (is_int(v) or isinstance(v, Fraction)) or v <= 0:
-        raise ValueError("max_length must be a positive integer or fraction")
+def _check_integers(params: Any, **least: int) -> None:
+    """Each named field of `params`, in order, must be an integer of at
+    least 1 (positive) or 0 (non-negative)."""
+    for name, low in least.items():
+        v = getattr(params, name)
+        if not is_int(v) or v < low:
+            raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} integer")
 
 
 @dataclass(frozen=True)
 class LevelParameters:
     """Knobs for one debate level: proof budget, stakes, windows, bounty."""
 
-    max_length: int | Fraction
+    max_length: int
     stake_up: int
     stake_down: int
     verification_time: int
@@ -151,20 +134,15 @@ class LevelParameters:
     response_time: int
 
     def __post_init__(self) -> None:
-        _check_max_length(self.max_length)
-        for name in ("stake_up", "stake_down", "bounty"):
-            v = getattr(self, name)
-            if not is_int(v) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
-        for name in ("verification_time", "response_time"):
-            v = getattr(self, name)
-            if not is_int(v) or v <= 0:
-                raise ValueError(f"{name} must be a positive integer")
+        _check_integers(
+            self, max_length=1, stake_up=0, stake_down=0, bounty=0,
+            verification_time=1, response_time=1,
+        )
 
     def to_json(self) -> Any:
         return {
             "bounty": self.bounty,
-            "max_length": _length_json(self.max_length),
+            "max_length": self.max_length,
             "response_time": self.response_time,
             "stake_down": self.stake_down,
             "stake_up": self.stake_up,
@@ -176,26 +154,20 @@ class LevelParameters:
 class MachineParameters:
     """Bottom-level knobs: posting a machine proof burns `burn_cost`."""
 
-    max_length: int | Fraction
+    max_length: int
     stake_up: int
     burn_cost: int
     bounty: int
     response_time: int
 
     def __post_init__(self) -> None:
-        _check_max_length(self.max_length)
-        for name in ("stake_up", "burn_cost", "bounty"):
-            v = getattr(self, name)
-            if not is_int(v) or v < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
-        if not is_int(self.response_time) or self.response_time <= 0:
-            raise ValueError("response_time must be a positive integer")
+        _check_integers(self, max_length=1, stake_up=0, burn_cost=0, bounty=0, response_time=1)
 
     def to_json(self) -> Any:
         return {
             "bounty": self.bounty,
             "burn_cost": self.burn_cost,
-            "max_length": _length_json(self.max_length),
+            "max_length": self.max_length,
             "response_time": self.response_time,
             "stake_up": self.stake_up,
         }
@@ -217,7 +189,7 @@ class ParameterCascade:
             raise ValueError(f"levels must cover exactly 1 to {self.root_level}")
         object.__setattr__(self, "levels", dict(self.levels))
 
-    def max_length(self, level: int) -> int | Fraction:
+    def max_length(self, level: int) -> int:
         return self.levels[level].max_length if level >= 1 else self.machine.max_length
 
     def bounty(self, level: int) -> int:
@@ -241,13 +213,13 @@ class ParameterCascade:
         """Decode a cascade file strictly: the cascade, `levels`, each level
         and `machine` must be objects, each level and `machine` with exactly
         its parameter fields, and every parameter and `root_level` must be an
-        integer (`max_length` may also be a [numerator, denominator] pair)."""
+        integer."""
         doc = expect_object(doc, "cascade")
         levels = {
-            _level_number(k): _parameters(LevelParameters, v, f"level {k}")
+            _level_number(k): LevelParameters(**expect_object(v, f"level {k}"))
             for k, v in expect_object(doc["levels"], "levels").items()
         }
-        machine = _parameters(MachineParameters, doc["machine"], "machine")
+        machine = MachineParameters(**expect_object(doc["machine"], "machine"))
         return ParameterCascade(root_level=doc["root_level"], levels=levels, machine=machine)
 
 
@@ -268,10 +240,6 @@ class ClaimNode:
     verdict: Verdict | None = None
 
     kind = "claim"
-
-    @property
-    def step_count(self) -> int:
-        return len(self.proof.steps) if isinstance(self.proof, ProofChain) else 0
 
 
 @dataclass
@@ -499,8 +467,8 @@ class ProtocolInstance:
 
     # -- move plumbing ----------------------------------------------------
 
-    def _begin_move(self, t: Union[int, Timestamp]) -> int:
-        time = _as_time(t)
+    def _begin_move(self, time: int) -> int:
+        _check_time(time)
         if self.settled:
             raise ProtocolError("instance already settled")
         if time < self.clock:
@@ -559,7 +527,7 @@ class ProtocolInstance:
 
     # -- posting ----------------------------------------------------------
 
-    def _post_root_claim(self, owner: str, statement: Statement, chain: ProofChain, t) -> str:
+    def _post_root_claim(self, owner: str, statement: Statement, chain: ProofChain, t: int) -> str:
         time = self._begin_move(t)
         top = self.cascade.root_level
         params = self.cascade.levels[top]
@@ -589,7 +557,7 @@ class ProtocolInstance:
         self.resolve()
         return node_id
 
-    def _post_root_question(self, owner: str, statement: Statement, t) -> str:
+    def _post_root_question(self, owner: str, statement: Statement, t: int) -> str:
         time = self._begin_move(t)
         top = self.cascade.root_level
         bounty = self.cascade.bounty(top)
@@ -610,7 +578,7 @@ class ProtocolInstance:
         self.resolve()
         return node_id
 
-    def post_question(self, owner: str, origin: str, step_index: int, t) -> str:
+    def post_question(self, owner: str, origin: str, step_index: int, t: int) -> str:
         """Dispute step `step_index` (1-based) of the claim `origin`."""
         time = self._begin_move(t)
         claim = self.claim(origin)
@@ -646,7 +614,7 @@ class ProtocolInstance:
         return node_id
 
     def post_answer_claim(
-        self, owner: str, origin: str, proof: ProofChain | MachineProof, t
+        self, owner: str, origin: str, proof: ProofChain | MachineProof, t: int
     ) -> str:
         """Answer the question `origin` with a chain at its level or a machine proof."""
         time = self._begin_move(t)
@@ -733,8 +701,8 @@ class ProtocolInstance:
 
     # -- clock and resolution ---------------------------------------------
 
-    def advance_clock(self, to: Union[int, Timestamp]) -> list[tuple[str, str, Timestamp]]:
-        time = _as_time(to)
+    def advance_clock(self, time: int) -> list[tuple[str, str, Timestamp]]:
+        _check_time(time)
         if time < self.clock:
             raise ProtocolError(f"time moving backwards: clock at {self.clock}, asked for {time}")
         self.clock = time
@@ -948,7 +916,7 @@ def create_root_claim(
     statement: Statement,
     chain: ProofChain,
     cascade: ParameterCascade,
-    t: Union[int, Timestamp],
+    t: int,
     *,
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
@@ -967,7 +935,7 @@ def create_root_question(
     owner: str,
     statement: Statement,
     cascade: ParameterCascade,
-    t: Union[int, Timestamp],
+    t: int,
     *,
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
@@ -981,17 +949,19 @@ def create_root_question(
     return instance
 
 
-def post_question(instance: ProtocolInstance, owner: str, origin: str, step_index: int, t) -> str:
+def post_question(
+    instance: ProtocolInstance, owner: str, origin: str, step_index: int, t: int
+) -> str:
     return instance.post_question(owner, origin, step_index, t)
 
 
 def post_answer_claim(
-    instance: ProtocolInstance, owner: str, origin: str, proof: ProofChain | MachineProof, t
+    instance: ProtocolInstance, owner: str, origin: str, proof: ProofChain | MachineProof, t: int
 ) -> str:
     return instance.post_answer_claim(owner, origin, proof, t)
 
 
-def advance_clock(instance: ProtocolInstance, to) -> list[tuple[str, str, Timestamp]]:
+def advance_clock(instance: ProtocolInstance, to: int) -> list[tuple[str, str, Timestamp]]:
     return instance.advance_clock(to)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from .formulas import Statement, canonical_json
 from .proofs import ChainStep, MachineProof, ProofChain
@@ -64,13 +64,11 @@ __all__ = [
     "Misleader",
     "Plagiarist",
     "CopycatDefender",
-    "attack_strategy",
     "AgentSpec",
     "ScenarioConfig",
     "RejectedIntent",
     "SimulationTrace",
     "run_scenario",
-    "payoff_report",
     "pad_chain",
 ]
 
@@ -213,8 +211,6 @@ class AgentContext:
 class AgentStrategy:
     """Base strategy: do nothing. Subclasses override decide()."""
 
-    kind = "idle"
-
     def decide(self, ctx: AgentContext) -> list[Intent]:
         return []
 
@@ -225,8 +221,6 @@ class IdleStrategy(AgentStrategy):
 
 class ScriptedStrategy(AgentStrategy):
     """Plays back (time, intent) pairs; useful for fixed test traces."""
-
-    kind = "scripted"
 
     def __init__(self, plays: Iterable[tuple[int, Intent]]):
         self.plays = list(plays)
@@ -241,8 +235,6 @@ class HonestClaimer(AgentStrategy):
     machine proof when the question sits at the bottom. `delay` postpones
     each reply that many ticks past the question, leaving room for
     free-riders to show their hand first."""
-
-    kind = "honest_claimer"
 
     def __init__(
         self, *, defend_others: bool = False, machine_first: bool = False, delay: int = 0
@@ -293,8 +285,6 @@ class HonestClaimer(AgentStrategy):
 class HonestDefender(HonestClaimer):
     """Answers any question it holds material for, not just its own."""
 
-    kind = "honest_defender"
-
     def __init__(self, **kwargs: Any):
         kwargs.setdefault("defend_others", True)
         super().__init__(**kwargs)
@@ -302,8 +292,6 @@ class HonestDefender(HonestClaimer):
 
 class HonestSkeptic(AgentStrategy):
     """Questions every step it knows to be unsound, wherever it appears."""
-
-    kind = "honest_skeptic"
 
     def decide(self, ctx: AgentContext) -> list[Intent]:
         intents: list[Intent] = []
@@ -327,8 +315,6 @@ class HonestSkeptic(AgentStrategy):
 class CarpetBomber(AgentStrategy):
     """Questions every step of every claim it can afford, immediately."""
 
-    kind = "carpet_bomber"
-
     def decide(self, ctx: AgentContext) -> list[Intent]:
         intents: list[Intent] = []
         budget = ctx.balance()
@@ -347,8 +333,6 @@ class CarpetBomber(AgentStrategy):
 
 class Nitpicker(AgentStrategy):
     """One question per claim, chasing every answer down to the machine."""
-
-    kind = "nitpicker"
 
     def decide(self, ctx: AgentContext) -> list[Intent]:
         intents: list[Intent] = []
@@ -411,8 +395,6 @@ class EvasiveProver(HonestClaimer):
     """Honest about content, evasive about shape: pads every chain answer
     with decoy steps it can defend, spreading a challenger thin."""
 
-    kind = "evasive_prover"
-
     def __init__(self, pad: int = 2, **kwargs: Any):
         super().__init__(**kwargs)
         self.pad = pad
@@ -431,8 +413,6 @@ class EvasiveProver(HonestClaimer):
 class Sandbagger(HonestClaimer):
     """Stalls by answering other people's questions with several duplicate
     claims, each separately staked (and separately killable)."""
-
-    kind = "sandbagger"
 
     def __init__(self, copies: int = 2, **kwargs: Any):
         kwargs.setdefault("defend_others", True)
@@ -462,8 +442,6 @@ class Misleader(HonestClaimer):
     self-answered question passes for scrutiny. Variant "immediate" asks and
     answers in the same breath; variant "deadline" sits on the answer until
     the last legal tick."""
-
-    kind = "misleader"
 
     def __init__(self, variant: str = "immediate", **kwargs: Any):
         super().__init__(**kwargs)
@@ -527,10 +505,7 @@ class Plagiarist(AgentStrategy):
     has seen nothing), and mirrors questions asked of it onto claims by
     others that contain the same step."""
 
-    kind = "plagiarist"
-
-    def __init__(self, *, mirror_questions: bool = True):
-        self.mirror_questions = mirror_questions
+    def __init__(self) -> None:
         self._reading: tuple[ProtocolInstance, str] | None = None
 
     def _catch_up(self, ctx: AgentContext) -> None:
@@ -577,19 +552,18 @@ class Plagiarist(AgentStrategy):
                 intents.append(AnswerIntent(q.id, proof))
                 budget -= cost
 
-        if self.mirror_questions:
-            open_claims = ctx.open_claims()
-            for q in self._asked_of_me:
-                for c in open_claims:
-                    if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
+        open_claims = ctx.open_claims()
+        for q in self._asked_of_me:
+            for c in open_claims:
+                if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
+                    continue
+                for j, step in enumerate(c.proof.steps, start=1):
+                    if step.statement != q.statement or ctx.questioned_by_me(c.id, j):
                         continue
-                    for j, step in enumerate(c.proof.steps, start=1):
-                        if step.statement != q.statement or ctx.questioned_by_me(c.id, j):
-                            continue
-                        cost = ctx.question_cost(c.level - 1)
-                        if cost <= budget:
-                            intents.append(QuestionIntent(c.id, j))
-                            budget -= cost
+                    cost = ctx.question_cost(c.level - 1)
+                    if cost <= budget:
+                        intents.append(QuestionIntent(c.id, j))
+                        budget -= cost
         return intents
 
 
@@ -598,8 +572,6 @@ class CopycatDefender(HonestClaimer):
     answered a question, it poses the same question to every rival answer of
     that question and immediately answers its own copy, so the copycat's
     claim can never determine first."""
-
-    kind = "copycat_defender"
 
     def __init__(self, **kwargs: Any):
         kwargs.setdefault("machine_first", True)
@@ -640,25 +612,6 @@ class CopycatDefender(HonestClaimer):
                     intents.append(QuestionIntent(rival.id, j, then_answer=proof))
                     budget -= cost
         return intents
-
-
-_ATTACKS = {
-    "carpet_bomber": CarpetBomber,
-    "nitpicker": Nitpicker,
-    "evasive_prover": EvasiveProver,
-    "sandbagger": Sandbagger,
-    "misleader": Misleader,
-    "plagiarist": Plagiarist,
-}
-
-
-def attack_strategy(kind: str, **params: Any) -> AgentStrategy:
-    """Instantiate one of the named abuse strategies."""
-    try:
-        cls = _ATTACKS[kind]
-    except KeyError:
-        raise ValueError(f"unknown attack kind {kind!r}") from None
-    return cls(**params)
 
 
 @dataclass
@@ -930,8 +883,3 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         instance=instance,
         verifier=verifier,
     )
-
-
-def payoff_report(trace: SimulationTrace) -> Mapping[str, int]:
-    """Net token flow per agent; the values sum to minus the burn."""
-    return dict(trace.payoffs)

@@ -33,7 +33,6 @@ __all__ = [
     "ToyVerifier",
     "ScriptedVerifier",
     "TOY_RULES",
-    "check",
 ]
 
 
@@ -161,10 +160,3 @@ class ScriptedVerifier:
         raise UnscriptedVerdictError(
             f"unscripted verdict for statement {statement.hash()[:12]} (node {node_id})"
         )
-
-
-def check(
-    statement: Statement, proof: MachineProof, backend: VerifierBackend | None = None
-) -> Verdict:
-    """Check a machine proof of a statement under the given backend."""
-    return (backend or ToyVerifier()).verdict(statement, proof)

@@ -189,32 +189,69 @@ def test_validate_rejects_booleans_as_indices(capsys, tmp_path, name, edit):
     assert err.startswith("error: unparsable document: ")
 
 
+# Edits of a valid cascade file, each of which `sprig run` must reject. An
+# edit changes the document in place or returns a replacement for it.
+# tests/test_schemas.py checks schemas/cascade.json against the same edits.
+
+
 def _single_level(doc):
     del doc["levels"]["2"]
     doc["root_level"] = True
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        _single_level,
-        lambda d: d["levels"]["1"].update(stake_up=True),
-        lambda d: d["levels"]["2"].update(verification_time=True),
-        lambda d: d["machine"].update(burn_cost=True),
-        lambda d: d["machine"].update(max_length=True),
-        lambda d: d["machine"].update(max_length=[1, 0]),
-    ],
-    ids=["root-level", "stake-up", "verification-time", "burn-cost", "max-length", "zero-denominator"],
-)
-def test_run_rejects_booleans_in_a_cascade(capsys, tmp_path, edit):
+def _without_max_length(doc):
+    del doc["levels"]["1"]["max_length"]
+
+
+_POSITIVE = "max_length must be a positive integer"
+
+# (edit, the exact error it reports)
+CASCADE_NUMBER_EDITS = [
+    pytest.param(_single_level, "root_level must be an integer of at least 1", id="root-level"),
+    pytest.param(lambda d: d["levels"]["1"].update(stake_up=True),
+                 "stake_up must be a non-negative integer", id="stake-up"),
+    pytest.param(lambda d: d["levels"]["2"].update(verification_time=True),
+                 "verification_time must be a positive integer", id="verification-time"),
+    pytest.param(lambda d: d["machine"].update(burn_cost=True),
+                 "burn_cost must be a non-negative integer", id="burn-cost"),
+    pytest.param(lambda d: d["machine"].update(max_length=True), _POSITIVE, id="max-length"),
+    pytest.param(lambda d: d["machine"].update(max_length=[1, 0]), _POSITIVE,
+                 id="zero-denominator"),
+    pytest.param(lambda d: d["levels"]["1"].update(max_length=[4, 2]), _POSITIVE,
+                 id="whole-fraction"),
+    pytest.param(lambda d: d["machine"].update(max_length=[3, 2]), _POSITIVE, id="fraction"),
+    pytest.param(lambda d: d["levels"]["2"].update(max_length=1.5), _POSITIVE, id="float"),
+    pytest.param(lambda d: d["machine"].update(max_length=0), _POSITIVE, id="zero"),
+    pytest.param(_without_max_length,
+                 "LevelParameters.__init__() missing 1 required positional argument: 'max_length'",
+                 id="missing-max-length"),
+]
+
+CASCADE_CONTAINER_EDITS = [
+    pytest.param(lambda d: d.update(levels=[]), id="levels-array"),
+    pytest.param(lambda d: [d], id="cascade-array"),
+    pytest.param(lambda d: d.update(machine=[d["machine"]]), id="machine-array"),
+    pytest.param(lambda d: d["levels"].update({"1": []}), id="level-array"),
+    pytest.param(lambda d: d.update(root_level="2"), id="root-level-string"),
+    pytest.param(lambda d: d.update(root_level=3), id="root-level-past-levels"),
+    pytest.param(lambda d: d["levels"].update({"01": d["levels"].pop("1")}),
+                 id="level-key-padded"),
+    pytest.param(lambda d: d["machine"].update(colour=1), id="unknown-field"),
+]
+
+
+def _edited_cascade(tmp_path, edit):
     log, cascade = fixture_args("validated_root_claim")
     doc = json.loads(Path(cascade).read_text())
-    edit(doc)
     bad = tmp_path / "cascade.json"
-    bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "run", log, str(bad))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: bad cascade file: ")
+    bad.write_text(json.dumps(edit(doc) or doc))
+    return log, str(bad)
+
+
+@pytest.mark.parametrize("edit, message", CASCADE_NUMBER_EDITS)
+def test_run_rejects_booleans_in_a_cascade(capsys, tmp_path, edit, message):
+    code, out, err = run_cli(capsys, "run", *_edited_cascade(tmp_path, edit))
+    assert (code, out, err) == (1, "", f"error: bad cascade file: {message}\n")
 
 
 def test_run_rejects_a_broken_cascade(capsys, tmp_path):
@@ -226,27 +263,9 @@ def test_run_rejects_a_broken_cascade(capsys, tmp_path):
     assert "bad cascade file" in err
 
 
-@pytest.mark.parametrize(
-    "edit",
-    [
-        lambda d: d.update(levels=[]),
-        lambda d: [d],  # a replacement document
-        lambda d: d.update(machine=[d["machine"]]),
-        lambda d: d["levels"].update({"1": []}),
-        lambda d: d.update(root_level="2"),
-        lambda d: d.update(root_level=3),
-        lambda d: d["levels"].update({"01": d["levels"].pop("1")}),
-        lambda d: d["machine"].update(colour=1),
-    ],
-    ids=["levels-array", "cascade-array", "machine-array", "level-array", "root-level-string",
-         "root-level-past-levels", "level-key-padded", "unknown-field"],
-)
+@pytest.mark.parametrize("edit", CASCADE_CONTAINER_EDITS)
 def test_run_rejects_cascade_containers_of_the_wrong_type(capsys, tmp_path, edit):
-    log, cascade = fixture_args("validated_root_claim")
-    doc = json.loads(Path(cascade).read_text())
-    bad = tmp_path / "cascade.json"
-    bad.write_text(json.dumps(edit(doc) or doc))
-    code, out, err = run_cli(capsys, "run", log, str(bad))
+    code, out, err = run_cli(capsys, "run", *_edited_cascade(tmp_path, edit))
     assert (code, out) == (1, "")
     assert err.startswith("error: bad cascade file: ") and err.count("\n") == 1
 
@@ -357,9 +376,11 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc["agents"][0].update(balance=-1),
         lambda doc: doc["root"].update(time=-1),
         lambda doc: doc["agents"][1].update(name=5),
+        lambda doc: doc["agents"][0].update(
+            strategy={"kind": "plagiarist", "params": {"mirror_questions": True}}),
     ],
     ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override",
-         "mode", "negative-balance", "negative-root-time", "integer-name"],
+         "mode", "negative-balance", "negative-root-time", "integer-name", "unknown-param"],
 )
 def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
                                                                  edit):
@@ -641,8 +662,9 @@ _ENGINE = ["sprig.protocol", "sprig.simulator", "sprig.scenarios", "sprig.verifi
         (_main_call("run", *fixture_args("full_run_claim_root")),
          ["sprig.simulator", "sprig.scenarios", "numpy"]),
         ("import sprig.cli", ["numpy"]),
+        ("import sprig.scenarios", ["fractions"]),
     ],
-    ids=["import-sprig", "validate", "solve", "sweep", "run", "import-cli"],
+    ids=["import-sprig", "validate", "solve", "sweep", "run", "import-cli", "import-scenarios"],
 )
 def test_each_command_loads_only_its_layer(code, unloaded):
     # A fresh interpreter, so that nothing this test process imported counts.

@@ -307,6 +307,21 @@ def test_time_cannot_move_backwards():
         inst.post_question("quin", inst.root_id, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "t", [3.7, "5", True, Timestamp(3, 0)], ids=["float", "string", "boolean", "timestamp"]
+)
+@pytest.mark.parametrize(
+    "move",
+    [advance_clock, lambda inst, t: inst.post_question("quin", inst.root_id, 1, t)],
+    ids=["advance-clock", "post-question"],
+)
+def test_times_must_be_integers(move, t):
+    inst = fresh_claim_root()
+    with pytest.raises(ProtocolError, match="^time must be an integer, got "):
+        move(inst, t)
+    assert inst.clock == 0 and len(inst.moves) == 1
+
+
 def test_resolve_is_idempotent():
     inst = fresh_claim_root()
     fresh = advance_clock(inst, inst.max_deadline())

@@ -9,10 +9,13 @@ from referencing import Registry, Resource
 
 from sprig.formulas import ParseError
 from sprig.proofs import parse_proof_document
+from sprig.protocol import ParameterCascade
 from sprig.scenarios import PROOF_DOCUMENTS, flat_tree, rotten_tree, solid_tree
+from test_cli import CASCADE_CONTAINER_EDITS, CASCADE_NUMBER_EDITS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
+CASCADES = ROOT / "fixtures" / "cascades"
 
 
 def _load_registry() -> Registry:
@@ -127,3 +130,59 @@ def test_formula_shapes_are_single_key_objects():
     assert schema_errors({"kind": "statement", "assumptions": [], "conclusion": good}) == []
     two_keys = {"atom": "p", "sym": "s"}
     assert schema_errors({"kind": "statement", "assumptions": [], "conclusion": two_keys}) != []
+
+
+# -- cascades ---------------------------------------------------------------------
+
+
+def cascade_errors(doc) -> list[str]:
+    return [e.message for e in validator_for("cascade").iter_errors(doc)]
+
+
+def parser_accepts(doc) -> bool:
+    try:
+        ParameterCascade.from_json(doc)
+    except (KeyError, TypeError, ValueError):
+        return False
+    return True
+
+
+def fixture_cascade():
+    return json.loads((CASCADES / "validated_root_claim.json").read_text(encoding="utf-8"))
+
+
+def test_every_cascade_fixture_validates():
+    paths = sorted(CASCADES.glob("*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert cascade_errors(doc) == [] and parser_accepts(doc), path.name
+
+
+# Level coverage (exactly 1 to root_level) relates two fields, which the
+# schema cannot state; test_level_coverage_is_left_to_the_parser pins that.
+_COVERAGE = "root-level-past-levels"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda d: None, id="unedited"),
+        pytest.param(lambda d: {"root_level": 2}, id="root-level-only"),
+        *(
+            pytest.param(p.values[0], id=p.id)
+            for p in CASCADE_NUMBER_EDITS + CASCADE_CONTAINER_EDITS
+            if p.id != _COVERAGE
+        ),
+    ],
+)
+def test_cascade_schema_and_parser_agree(edit):
+    doc = fixture_cascade()
+    doc = edit(doc) or doc
+    assert (cascade_errors(doc) == []) == parser_accepts(doc)
+
+
+def test_level_coverage_is_left_to_the_parser():
+    doc = fixture_cascade()
+    doc["root_level"] = 3
+    assert cascade_errors(doc) == [] and not parser_accepts(doc)

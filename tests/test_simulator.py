@@ -37,13 +37,11 @@ from sprig.simulator import (
     ScenarioConfig,
     ScriptedStrategy,
     Knowledge,
-    attack_strategy,
     build_knowledge,
     pad_chain,
-    payoff_report,
     run_scenario,
 )
-from sprig.verifier import ScriptedVerifier, check
+from sprig.verifier import ScriptedVerifier, ToyVerifier
 
 
 def run_preset(name):
@@ -104,15 +102,13 @@ def test_agent_context_queries_agree_with_a_rescan_of_the_tree(name):
             cid = c.id if c else "c999"
             mine = [q for q in inst.questions_on(cid) if q.owner == me] if c else []
             assert ctx.questioned_by_me(cid) == bool(mine)
-            for step in range(1, (c.step_count if c else 0) + 2):
+            for step in range(1, (len(c.proof.steps) if c else 0) + 2):
                 assert ctx.questioned_by_me(cid, step) == any(q.step_index == step for q in mine)
 
 
-def test_payoff_report_matches_trace():
+def test_payoffs_sum_to_minus_the_burn():
     trace = run_preset("nitpicker")
-    report = payoff_report(trace)
-    assert dict(report) == trace.payoffs
-    assert sum(report.values()) == -trace.burned
+    assert sum(trace.payoffs.values()) == -trace.burned
 
 
 def test_attacks_lose_money_and_defenders_profit():
@@ -218,7 +214,7 @@ def test_pad_chain_prepends_defendable_decoys():
     assert len(padded.steps) == len(tree.steps) + 2
     for decoy in padded.steps[:2]:
         assert decoy.statement.conclusion in decoy.statement.assumptions
-        verdict = check(decoy.statement, proofs[decoy.statement.hash()])
+        verdict = ToyVerifier().verdict(decoy.statement, proofs[decoy.statement.hash()])
         assert verdict.validated
     # imports into the original steps shift past the decoys
     originals = padded.steps[2:]
@@ -236,13 +232,21 @@ def test_pad_chain_skips_assumption_free_targets():
 # -- strategy construction ---------------------------------------------------------
 
 
+def _strategy_from_json(kind, **params):
+    doc = preset_scenario("happy_path")
+    doc["agents"][0]["strategy"] = {"kind": kind, "params": params}
+    return scenario_from_json(doc).agents[0].strategy
+
+
 def test_attack_factory_builds_each_kind():
-    assert isinstance(attack_strategy("carpet_bomber"), CarpetBomber)
-    assert isinstance(attack_strategy("sandbagger", copies=3), Sandbagger)
-    assert isinstance(attack_strategy("misleader", variant="deadline"), Misleader)
-    assert isinstance(attack_strategy("plagiarist"), Plagiarist)
+    assert isinstance(_strategy_from_json("carpet_bomber"), CarpetBomber)
+    sandbagger = _strategy_from_json("sandbagger", copies=3)
+    assert isinstance(sandbagger, Sandbagger) and sandbagger.copies == 3
+    misleader = _strategy_from_json("misleader", variant="deadline")
+    assert isinstance(misleader, Misleader) and misleader.variant == "deadline"
+    assert isinstance(_strategy_from_json("plagiarist"), Plagiarist)
     with pytest.raises(ValueError, match="impatient_prover"):
-        attack_strategy("impatient_prover")
+        _strategy_from_json("impatient_prover")
 
 
 def _tiny_cascade():

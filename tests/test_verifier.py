@@ -14,7 +14,6 @@ from sprig.verifier import (
     ToyVerifier,
     UnscriptedVerdictError,
     Verdict,
-    check,
 )
 
 import oracles
@@ -27,7 +26,7 @@ def proof_of(statement, *steps):
 
 
 def validated(statement, *steps) -> Verdict:
-    return check(statement, proof_of(statement, *steps))
+    return ToyVerifier().verdict(statement, proof_of(statement, *steps))
 
 
 def test_assumption_rule():
@@ -81,11 +80,11 @@ def test_or_intros():
 
 def test_impl_elim_premise_order_is_implication_then_antecedent():
     stmt, proof = modus_ponens_example()
-    assert check(stmt, proof).validated
+    assert ToyVerifier().verdict(stmt, proof).validated
     flipped = MachineProof(
         target=stmt, steps=(InferenceStep(stmt.conclusion, "impl_elim", (-1, -2)),)
     )
-    assert check(stmt, flipped) == Verdict(False, 1)
+    assert ToyVerifier().verdict(stmt, flipped) == Verdict(False, 1)
 
 
 def test_neg_elim_derives_anything_from_contradiction():
@@ -147,7 +146,7 @@ def test_negative_indices_follow_canonical_assumption_order():
 
 def test_diagnostic_zero_means_wrong_ending():
     s = Statement(conclusion=conj(P, Q), assumptions=frozenset({P, Q}))
-    empty = check(s, MachineProof(target=s))
+    empty = ToyVerifier().verdict(s, MachineProof(target=s))
     assert empty == Verdict(False, 0)
     stops_early = validated(s, InferenceStep(P, "assumption"))
     assert stops_early == Verdict(False, 0)
@@ -181,7 +180,7 @@ def _all_single_step_verdicts(statement):
     for rule, (arity, _) in TOY_RULES.items():
         for premises in itertools.product(indices, repeat=arity):
             proof = proof_of(statement, InferenceStep(statement.conclusion, rule, premises))
-            if check(statement, proof).validated:
+            if ToyVerifier().verdict(statement, proof).validated:
                 hits.append((rule, premises))
     return sorted(hits)
 
@@ -233,7 +232,7 @@ def test_scripted_raises_on_unscripted_statements():
 
 def test_check_defaults_to_the_toy_kernel():
     s = Statement(conclusion=P, assumptions=frozenset({P}))
-    assert check(s, proof_of(s, InferenceStep(P, "assumption"))).validated
+    assert ToyVerifier().verdict(s, proof_of(s, InferenceStep(P, "assumption"))).validated
 
 
 # -- soundness property ----------------------------------------------------------
@@ -274,7 +273,7 @@ def _leaf_names(doc) -> set:
 @given(statements_with_candidate_proofs())
 def test_accepted_proofs_are_semantically_sound(case):
     statement, proof = case
-    if not check(statement, proof).validated:
+    if not ToyVerifier().verdict(statement, proof).validated:
         return
     docs = [statement.conclusion.to_json()] + [a.to_json() for a in statement.assumptions]
     names = sorted(set().union(*map(_leaf_names, docs)))
