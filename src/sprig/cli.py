@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 # the protocol and only `verify-mc` loads numpy. The equilibrium module
 # imports no other sprig module, so the `--n` help may read its bound here.
 from .equilibrium import MAX_MC_DRAWS
-from .formulas import ParseError, canonical_json, parse_json
+from .formulas import ParseError, canonical_json, parse_json, read_object
 
 if TYPE_CHECKING:
     from .equilibrium import GameParameters
@@ -87,10 +87,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         return _fail(f"unparsable document: {exc}", DOMAIN_ERROR)
     if isinstance(doc, ProofChain):
         limit = args.level_limit if args.level_limit is not None else doc.height()
-        try:
-            report = validate_chain(doc.target, doc, level_limit=limit)
-        except ValueError as exc:
-            return _fail(str(exc), USAGE_ERROR)
+        report = validate_chain(doc.target, doc, level_limit=limit)
         for violation in report.violations:
             print(violation)
         if report.ok:
@@ -184,7 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(f"no such file: {exc.args[0]}", USAGE_ERROR)
     try:
         cascade = ParameterCascade.from_json(parse_json(cascade_text))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(f"bad cascade file: {exc}", DOMAIN_ERROR)
     lines = log_text.splitlines()
     mode = EARLY_STOP if args.mode == "early-stop" else QUIESCENCE
@@ -208,6 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .protocol import ProtocolError
     from .scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
     from .simulator import run_scenario
 
@@ -227,10 +225,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             return _fail(f"scenario is not JSON: {exc}", DOMAIN_ERROR)
     seed = args.seed if args.seed is not None else _env_seed()
     try:
-        config = scenario_from_json(doc if seed is None else {**doc, "seed": seed})
-    except (ParseError, KeyError, TypeError, ValueError) as exc:
+        if seed is not None:
+            doc = {**read_object(doc, "scenario"), "seed": seed}
+        # Only the root move can fail; the simulator logs an agent's failed move.
+        trace = run_scenario(scenario_from_json(doc))
+    except (ValueError, ProtocolError) as exc:
         return _fail(f"bad scenario: {exc}", DOMAIN_ERROR)
-    trace = run_scenario(config)
     if args.trace is not None:
         Path(args.trace).write_text("\n".join(trace.to_json_lines()) + "\n", encoding="utf-8")
     if args.csv is not None:
@@ -289,11 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .equilibrium import SWEEP_COLUMNS, sweep
 
     theta = _theta_from_flags(args)
-    try:
-        values = _grid(args.start, args.stop, args.steps)
-        rows = sweep(theta, args.param, values)
-    except ValueError as exc:
-        return _fail(str(exc), USAGE_ERROR)
+    rows = sweep(theta, args.param, _grid(args.start, args.stop, args.steps))
     out = [",".join(SWEEP_COLUMNS)]
     out.extend(",".join(row.to_csv()) for row in rows)
     print("\n".join(out))

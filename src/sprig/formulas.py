@@ -41,7 +41,9 @@ __all__ = [
     "text_hash",
     "parse_json",
     "is_int",
-    "expect_object",
+    "read_int",
+    "read_object",
+    "lookup",
     "MAX_FORMULA_DEPTH",
 ]
 
@@ -91,11 +93,35 @@ def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def expect_object(value: Any, name: str) -> dict[str, Any]:
-    """`value` if it decoded from a JSON object, else a ParseError naming it."""
+def read_int(value: Any, name: str) -> int:
+    """`value` if it decoded from a JSON integer, else a ParseError naming it."""
+    if not is_int(value):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def read_object(
+    value: Any, name: str, fields: frozenset[str] | None = None, required: tuple[str, ...] = ()
+) -> dict[str, Any]:
+    """`value` if it decoded from a JSON object with no field outside
+    `fields` (any field if None) and every field of `required`, else a
+    ParseError naming `name`: `{name} must be an object, not {type}`,
+    `unknown {name} fields [...]` or `{name} needs {first missing field}`."""
     if not isinstance(value, dict):
         raise ParseError(f"{name} must be an object, not {type(value).__name__}")
+    if fields is not None and not fields.issuperset(value):
+        raise ParseError(f"unknown {name} fields {sorted(set(value) - fields)}")
+    for key in required:
+        if key not in value:
+            raise ParseError(f"{name} needs {key}")
     return value
+
+
+def lookup(table: dict[str, _T], key: Any, what: str) -> _T:
+    """`table[key]`, or a ParseError naming the unknown `what`."""
+    if not isinstance(key, str) or key not in table:
+        raise ParseError(f"unknown {what} {key!r}")
+    return table[key]
 
 
 def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
@@ -253,6 +279,10 @@ def impl(a: Formula, b: Formula) -> Formula:
     return Formula("imp", args=(a, b))
 
 
+_STATEMENT_FIELDS = frozenset({"assumptions", "conclusion", "context"})
+_DEFINITION_FIELDS = frozenset({"imports", "symbols"})
+
+
 @dataclass(frozen=True)
 class Statement:
     """What a claim asserts: under `context`, `assumptions` entail `conclusion`.
@@ -291,13 +321,7 @@ class Statement:
 
     @staticmethod
     def from_json(doc: Any) -> "Statement":
-        if not isinstance(doc, dict):
-            raise ParseError("statement must be an object")
-        unknown = set(doc) - {"assumptions", "conclusion", "context"}
-        if unknown:
-            raise ParseError(f"unknown statement fields {sorted(unknown)}")
-        if "conclusion" not in doc:
-            raise ParseError("statement needs a conclusion")
+        doc = read_object(doc, "statement", _STATEMENT_FIELDS, ("conclusion",))
         raw = doc.get("assumptions", [])
         if not isinstance(raw, list):
             raise ParseError("assumptions must be an array")
@@ -352,11 +376,7 @@ class DefinitionSet:
 
     @staticmethod
     def from_json(doc: Any) -> "DefinitionSet":
-        if not isinstance(doc, dict):
-            raise ParseError("definition set must be an object")
-        unknown = set(doc) - {"imports", "symbols"}
-        if unknown:
-            raise ParseError(f"unknown definition fields {sorted(unknown)}")
+        doc = read_object(doc, "definition set", _DEFINITION_FIELDS)
         imports = doc.get("imports", [])
         raw = doc.get("symbols", [])
         if not isinstance(imports, list) or not all(isinstance(x, str) for x in imports):

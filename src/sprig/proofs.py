@@ -29,7 +29,9 @@ from .formulas import (
     Statement,
     canonical_json,
     is_int,
+    lookup,
     parse_json,
+    read_object,
 )
 
 __all__ = [
@@ -41,9 +43,16 @@ __all__ = [
     "ValidationReport",
     "validate_chain",
     "measure_length",
+    "proof_from_json",
     "parse_proof_document",
     "serialize_proof_document",
 ]
+
+
+_INFERENCE_FIELDS = frozenset({"formula", "premises", "rule"})
+_MACHINE_FIELDS = frozenset({"kind", "steps", "target"})
+_CHAIN_STEP_FIELDS = frozenset({"imports", "statement", "subproof"})
+_CHAIN_FIELDS = frozenset({"definitions", "kind", "steps", "target"})
 
 
 @dataclass(frozen=True)
@@ -67,13 +76,7 @@ class InferenceStep:
 
     @staticmethod
     def from_json(doc: Any) -> "InferenceStep":
-        if not isinstance(doc, dict):
-            raise ParseError("inference step must be an object")
-        unknown = set(doc) - {"formula", "premises", "rule"}
-        if unknown:
-            raise ParseError(f"unknown inference step fields {sorted(unknown)}")
-        if "formula" not in doc or "rule" not in doc:
-            raise ParseError("inference step needs formula and rule")
+        doc = read_object(doc, "inference step", _INFERENCE_FIELDS, ("formula", "rule"))
         premises = doc.get("premises", [])
         if not isinstance(premises, list):
             raise ParseError("premises must be an array")
@@ -110,11 +113,7 @@ class MachineProof:
 
     @staticmethod
     def from_json(doc: Any) -> "MachineProof":
-        unknown = set(doc) - {"kind", "steps", "target"}
-        if unknown:
-            raise ParseError(f"unknown machine proof fields {sorted(unknown)}")
-        if "target" not in doc:
-            raise ParseError("machine proof needs a target statement")
+        doc = read_object(doc, "machine proof", _MACHINE_FIELDS, ("target",))
         steps = doc.get("steps", [])
         if not isinstance(steps, list):
             raise ParseError("steps must be an array")
@@ -148,29 +147,14 @@ class ChainStep:
 
     @staticmethod
     def from_json(doc: Any) -> "ChainStep":
-        if not isinstance(doc, dict):
-            raise ParseError("chain step must be an object")
-        unknown = set(doc) - {"imports", "statement", "subproof"}
-        if unknown:
-            raise ParseError(f"unknown chain step fields {sorted(unknown)}")
-        if "statement" not in doc:
-            raise ParseError("chain step needs a statement")
+        doc = read_object(doc, "chain step", _CHAIN_STEP_FIELDS, ("statement",))
         imports = doc.get("imports", [])
         if not isinstance(imports, list):
             raise ParseError("imports must be an array")
-        subproof = None
-        if "subproof" in doc:
-            sub = doc["subproof"]
-            if not isinstance(sub, dict):
-                raise ParseError("subproof must be an object")
-            if sub.get("kind") == "machine_proof":
-                subproof = MachineProof.from_json(sub)
-            else:
-                subproof = ProofChain.from_json(sub)
         return ChainStep(
             statement=Statement.from_json(doc["statement"]),
             imports=tuple(imports),
-            subproof=subproof,
+            subproof=proof_from_json(doc["subproof"]) if "subproof" in doc else None,
         )
 
 
@@ -221,11 +205,7 @@ class ProofChain:
 
     @staticmethod
     def from_json(doc: Any) -> "ProofChain":
-        unknown = set(doc) - {"definitions", "kind", "steps", "target"}
-        if unknown:
-            raise ParseError(f"unknown chain fields {sorted(unknown)}")
-        if "target" not in doc:
-            raise ParseError("chain needs a target statement")
+        doc = read_object(doc, "chain", _CHAIN_FIELDS, ("target",))
         steps = doc.get("steps", [])
         if not isinstance(steps, list):
             raise ParseError("steps must be an array")
@@ -234,9 +214,18 @@ class ProofChain:
             definitions = DefinitionSet.from_json(doc["definitions"])
         return ProofChain(
             target=Statement.from_json(doc["target"]),
-            steps=tuple(ChainStep.from_json(s) for s in steps),
+            # `map`, not a generator: decoding then recurses no deeper per
+            # subproof level than parsing the JSON did, which bounds it.
+            steps=tuple(map(ChainStep.from_json, steps)),
             definitions=definitions,
         )
+
+
+def proof_from_json(doc: Any) -> ProofChain | MachineProof:
+    """Decode a machine proof if `doc`'s kind says so, else a chain."""
+    if isinstance(doc, dict) and doc.get("kind") == "machine_proof":
+        return MachineProof.from_json(doc)
+    return ProofChain.from_json(doc)
 
 
 def measure_length(proof: ProofChain | MachineProof) -> int:
@@ -275,7 +264,7 @@ class ValidationReport:
     def __str__(self) -> str:
         if self.ok:
             return "ok"
-        return "\n".join(str(v) for v in self.violations)
+        return "; ".join(str(v) for v in self.violations)
 
 
 def _check_chain(
@@ -412,12 +401,7 @@ def parse_proof_document(data: bytes | str) -> Statement | ProofChain | MachineP
         raise ParseError(f"document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
-    kind = doc.get("kind", "statement")
-    parser = _PARSERS.get(kind)
-    if parser is None:
-        raise ParseError(f"unknown document kind {kind!r}")
-    if kind == "statement":
-        doc = {k: v for k, v in doc.items() if k != "kind"}
+    parser = lookup(_PARSERS, doc.pop("kind", "statement"), "document kind")
     try:
         return parser(doc)
     except RecursionError:

@@ -31,7 +31,7 @@ after every operation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from json.encoder import encode_basestring
 from typing import Any, Iterable, Mapping, Union
 
@@ -39,12 +39,12 @@ from .formulas import (
     Statement,
     canonical_json,
     content_hash,
-    expect_object,
     is_int,
     parse_json,
+    read_object,
     text_hash,
 )
-from .proofs import MachineProof, ProofChain, measure_length, validate_chain
+from .proofs import MachineProof, ProofChain, measure_length, proof_from_json, validate_chain
 from .verifier import ToyVerifier, Verdict, VerifierBackend
 
 __all__ = [
@@ -173,6 +173,17 @@ class MachineParameters:
         }
 
 
+def _every_field(cls: Any) -> tuple[frozenset[str], tuple[str, ...]]:
+    """`read_object`'s fields and required fields for a dataclass that needs
+    every one of its fields, a missing one reported in declaration order."""
+    names = tuple(f.name for f in fields(cls))
+    return frozenset(names), names
+
+
+_LEVEL_FIELDS = _every_field(LevelParameters)
+_MACHINE_FIELDS = _every_field(MachineParameters)
+
+
 @dataclass(frozen=True)
 class ParameterCascade:
     """Per-level parameters for levels root_level..1 plus the machine level."""
@@ -210,17 +221,19 @@ class ParameterCascade:
 
     @staticmethod
     def from_json(doc: Any) -> "ParameterCascade":
-        """Decode a cascade file strictly: the cascade, `levels`, each level
-        and `machine` must be objects, each level and `machine` with exactly
-        its parameter fields, and every parameter and `root_level` must be an
-        integer."""
-        doc = expect_object(doc, "cascade")
+        """Decode a cascade file strictly: `levels` must be an object, the
+        cascade, each level and `machine` objects with exactly their fields,
+        and every parameter and `root_level` an integer."""
+        doc = read_object(doc, "cascade", *_CASCADE_FIELDS)
         levels = {
-            _level_number(k): LevelParameters(**expect_object(v, f"level {k}"))
-            for k, v in expect_object(doc["levels"], "levels").items()
+            _level_number(k): LevelParameters(**read_object(v, f"level {k}", *_LEVEL_FIELDS))
+            for k, v in read_object(doc["levels"], "levels").items()
         }
-        machine = MachineParameters(**expect_object(doc["machine"], "machine"))
+        machine = MachineParameters(**read_object(doc["machine"], "machine", *_MACHINE_FIELDS))
         return ParameterCascade(root_level=doc["root_level"], levels=levels, machine=machine)
+
+
+_CASCADE_FIELDS = _every_field(ParameterCascade)
 
 
 @dataclass
@@ -283,7 +296,8 @@ class Ledger:
                 f"insufficient funds: {account!r} has {self.balance(account)}, needs {amount}"
             )
         self.balances[account] = self.balance(account) - amount
-        self.escrowed[node_id] = self.escrowed.get(node_id, 0) + amount
+        if amount:
+            self.escrowed[node_id] = self.escrowed.get(node_id, 0) + amount
 
     def burn_from_escrow(self, node_id: str, amount: int) -> None:
         if amount > self.escrowed.get(node_id, 0):
@@ -1057,12 +1071,7 @@ def _replay_move(
     if kind == "question":
         instance.post_question(actor, payload["origin"], _int_field(payload, "step"), time)
     elif kind == "answer_claim":
-        doc = payload["proof"]
-        proof: ProofChain | MachineProof
-        if isinstance(doc, dict) and doc.get("kind") == "machine_proof":
-            proof = MachineProof.from_json(doc)
-        else:
-            proof = ProofChain.from_json(doc)
+        proof = proof_from_json(payload["proof"])
         instance.post_answer_claim(actor, payload["origin"], proof, time)
     else:
         raise ProtocolError(f"unknown move kind {kind!r}")

@@ -24,7 +24,8 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, expect_object, impl, is_int
+from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl
+from .formulas import lookup, read_int, read_object
 from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from .protocol import (
     EARLY_STOP,
@@ -980,19 +981,23 @@ def preset_scenario(name: str) -> dict[str, Any]:
     return doc
 
 
-def _build_strategy(spec: Any):
-    spec = expect_object(spec, "strategy")
-    kind = spec.get("kind")
-    if kind not in STRATEGY_KINDS:
-        raise ValueError(f"unknown strategy kind {kind!r}")
-    params = expect_object(spec.get("params", {}), "strategy params")
-    return STRATEGY_KINDS[kind](**params)
+# Fields of the objects in a scenario file; a root's depend on its kind.
+_SCENARIO_FIELDS = frozenset({"agents", "cascade", "horizon", "mode", "root", "seed", "trees", "verifier"})
+_ROOT_FIELDS = {
+    "claim": (frozenset({"kind", "owner", "time", "tree"}), ("owner", "tree")),
+    "question": (frozenset({"kind", "owner", "statement", "time", "tree_target"}), ("owner",)),
+}
+_AGENT_FIELDS = frozenset({"balance", "knows", "name", "strategy"})
+_STRATEGY_FIELDS = frozenset({"kind", "params"})
+_VERIFIER_FIELDS = frozenset({"kind", "overrides", "tree"})
 
 
-def _int(value: Any, name: str) -> int:
-    if not is_int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+def _build_strategy(spec: Any, agent: str):
+    spec = read_object(spec, "strategy", _STRATEGY_FIELDS, ("kind",))
+    kind = spec["kind"]
+    strategy = lookup(STRATEGY_KINDS, kind, "strategy kind")
+    params = spec.get("params", {})
+    return strategy(**read_object(params, f"{kind} params of agent {agent!r}", strategy.PARAMS))
 
 
 def scenario_from_json(doc: Any) -> ScenarioConfig:
@@ -1000,64 +1005,68 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     name; an agent's `knows` entry grants it the full tree as knowledge.
     An optional scripted verifier derives its verdict table from a named
     tree's ground truth, with per-path overrides. Decoding is strict: every
-    container must be an object, every count an integer (booleans are not)
-    and every agent name a string, or this raises a ValueError."""
-    doc = expect_object(doc, "scenario")
+    object must have only its own fields and every required one, every
+    count must be an integer (booleans are not), every agent name a string
+    and every name a known one, or this raises a ValueError."""
+    doc = read_object(doc, "scenario", _SCENARIO_FIELDS, ("cascade", "root", "agents", "horizon"))
     cascade = ParameterCascade.from_json(doc["cascade"])
     trees = {
         name: ProofChain.from_json(tree_doc)
-        for name, tree_doc in expect_object(doc.get("trees", {}), "trees").items()
+        for name, tree_doc in read_object(doc.get("trees", {}), "trees").items()
     }
-    root = expect_object(doc["root"], "root")
-    root_tree = None
-    root_statement = None
+    root = read_object(doc["root"], "root")
+    root = read_object(root, "root", *lookup(_ROOT_FIELDS, root.get("kind"), "root kind"))
+    root_tree = root_statement = None
     if root["kind"] == "claim":
-        tree_ref = root["tree"]
-        root_tree = trees[tree_ref] if isinstance(tree_ref, str) else ProofChain.from_json(tree_ref)
-    elif root["kind"] == "question":
-        if "tree_target" in root:
-            root_statement = trees[root["tree_target"]].target
-        else:
-            root_statement = Statement.from_json(root["statement"])
+        tree = root["tree"]
+        root_tree = lookup(trees, tree, "tree") if isinstance(tree, str) else ProofChain.from_json(tree)
+    elif "tree_target" in root:
+        root_statement = lookup(trees, root["tree_target"], "tree").target
+    elif "statement" in root:
+        root_statement = Statement.from_json(root["statement"])
     else:
-        raise ValueError(f"unknown root kind {root['kind']!r}")
+        raise ValueError("root needs statement or tree_target")
 
+    if not isinstance(doc["agents"], list):
+        raise ValueError(f"agents must be an array, not {type(doc['agents']).__name__}")
     agents = []
     for spec in doc["agents"]:
-        spec = expect_object(spec, "agent")
+        spec = read_object(spec, "agent", _AGENT_FIELDS, ("name", "balance", "strategy"))
         name, knows = spec["name"], spec.get("knows")
         if not isinstance(name, str):
             raise ValueError(f"agent name must be a string, got {name!r}")
         agents.append(
             AgentSpec(
                 name=name,
-                balance=_int(spec["balance"], "balance"),
-                strategy=_build_strategy(spec["strategy"]),
-                tree=trees[knows] if knows else None,
+                balance=read_int(spec["balance"], "balance"),
+                strategy=_build_strategy(spec["strategy"], name),
+                tree=None if knows is None else lookup(trees, knows, "tree"),
             )
         )
 
     verifier = None
-    vspec = expect_object(doc.get("verifier", {}), "verifier")
-    if vspec.get("kind") == "scripted":
-        base = trees[vspec["tree"]]
+    if "verifier" in doc:
+        vspec = read_object(doc["verifier"], "verifier", _VERIFIER_FIELDS, ("kind", "tree"))
+        if vspec["kind"] != "scripted":
+            raise ValueError(f"unknown verifier kind {vspec['kind']!r}")
+        base = lookup(trees, vspec["tree"], "tree")
         script: dict[str, bool] = dict(build_knowledge(base).truth)
         statements = enumerate_statements(base)
-        for path, verdict in expect_object(vspec.get("overrides", {}), "overrides").items():
+        for path, verdict in read_object(vspec.get("overrides", {}), "overrides").items():
             if not isinstance(verdict, bool):
                 raise ValueError(f"override verdicts must be true or false, got {verdict!r}")
-            script[statements[path].hash()] = verdict
+            script[lookup(statements, path, "override path").hash()] = verdict
         verifier = ScriptedVerifier(script)
 
     return ScenarioConfig(
         cascade=cascade,
         agents=agents,
         root_owner=root["owner"],
-        horizon=_int(doc["horizon"], "horizon"),
-        seed=_int(doc.get("seed", 0), "seed"),
+        horizon=read_int(doc["horizon"], "horizon"),
+        seed=read_int(doc.get("seed", 0), "seed"),
         mode=doc.get("mode", QUIESCENCE),
         root_tree=root_tree,
         root_statement=root_statement,
-        root_time=_int(root.get("time", 0), "root.time"),
+        root_time=read_int(root.get("time", 0), "root.time"),
         verifier=verifier,
     )

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .formulas import Statement, canonical_json
+from .formulas import Statement, canonical_json, read_int
 from .proofs import ChainStep, MachineProof, ProofChain
 from .protocol import (
     EARLY_STOP,
@@ -209,7 +209,10 @@ class AgentContext:
 
 
 class AgentStrategy:
-    """Base strategy: do nothing. Subclasses override decide()."""
+    """Base strategy: do nothing. Subclasses override decide(). `PARAMS`
+    names the constructor's keyword parameters that a scenario may set."""
+
+    PARAMS: frozenset[str] = frozenset()
 
     def decide(self, ctx: AgentContext) -> list[Intent]:
         return []
@@ -236,12 +239,14 @@ class HonestClaimer(AgentStrategy):
     each reply that many ticks past the question, leaving room for
     free-riders to show their hand first."""
 
+    PARAMS = frozenset({"defend_others", "machine_first", "delay"})
+
     def __init__(
         self, *, defend_others: bool = False, machine_first: bool = False, delay: int = 0
     ):
         self.defend_others = defend_others
         self.machine_first = machine_first
-        self.delay = delay
+        self.delay = read_int(delay, "delay")
 
     def _mine_to_defend(self, ctx: AgentContext, q: QuestionNode) -> bool:
         if self.defend_others:
@@ -395,9 +400,11 @@ class EvasiveProver(HonestClaimer):
     """Honest about content, evasive about shape: pads every chain answer
     with decoy steps it can defend, spreading a challenger thin."""
 
+    PARAMS = HonestClaimer.PARAMS | {"pad"}
+
     def __init__(self, pad: int = 2, **kwargs: Any):
         super().__init__(**kwargs)
-        self.pad = pad
+        self.pad = read_int(pad, "pad")
 
     def pick_proof(self, ctx: AgentContext, q: QuestionNode) -> ProofChain | MachineProof | None:
         proof = super().pick_proof(ctx, q)
@@ -414,10 +421,12 @@ class Sandbagger(HonestClaimer):
     """Stalls by answering other people's questions with several duplicate
     claims, each separately staked (and separately killable)."""
 
+    PARAMS = HonestClaimer.PARAMS | {"copies"}
+
     def __init__(self, copies: int = 2, **kwargs: Any):
         kwargs.setdefault("defend_others", True)
         super().__init__(**kwargs)
-        self.copies = copies
+        self.copies = read_int(copies, "copies")
 
     def decide(self, ctx: AgentContext) -> list[Intent]:
         intents: list[Intent] = []
@@ -442,6 +451,8 @@ class Misleader(HonestClaimer):
     self-answered question passes for scrutiny. Variant "immediate" asks and
     answers in the same breath; variant "deadline" sits on the answer until
     the last legal tick."""
+
+    PARAMS = HonestClaimer.PARAMS | {"variant"}
 
     def __init__(self, variant: str = "immediate", **kwargs: Any):
         super().__init__(**kwargs)

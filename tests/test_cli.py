@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sprig.cli import main
-from sprig.formulas import MAX_FORMULA_DEPTH
+from sprig.formulas import MAX_FORMULA_DEPTH, content_hash
 from sprig.scenarios import (
     PRESET_NAMES,
     preset_scenario,
@@ -55,6 +55,8 @@ def test_validate_level_limit_flag(capsys):
     assert any("subproof too deep" in line for line in out.splitlines())
     code, out, _ = run_cli(capsys, "validate", path, "--level-limit", "3")
     assert code == 0
+    code, out, err = run_cli(capsys, "validate", path, "--level-limit", "0")
+    assert (code, out, err) == (2, "", "error: level_limit must be at least 1\n")
 
 
 def test_validate_labels_statements_and_machine_proofs(capsys):
@@ -62,6 +64,13 @@ def test_validate_labels_statements_and_machine_proofs(capsys):
     assert (code, out.strip()) == (0, "ok: well-formed statement")
     code, out, _ = run_cli(capsys, "validate", str(PROOFS / "modus_ponens_proof.json"))
     assert (code, out.strip()) == (0, "ok: well-formed machine proof")
+
+
+def test_validate_rejects_a_kind_that_is_not_a_string(capsys, tmp_path):
+    bad = tmp_path / "doc.json"
+    bad.write_text('{"kind": []}')
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert (code, out, err) == (1, "", "error: unparsable document: unknown document kind []\n")
 
 
 def test_validate_missing_file_is_a_usage_error(capsys):
@@ -145,6 +154,62 @@ def _renumber(records):
         record["seq"] += 100
 
 
+def _rehashed_log(tmp_path, name, index, edit):
+    """The fixture log with record `index`'s payload edited and rehashed."""
+    log, cascade = fixture_args(name)
+    records = [json.loads(raw) for raw in Path(log).read_text().splitlines()]
+    edit(records[index]["payload"])
+    records[index]["payload_hash"] = content_hash(records[index]["payload"])
+    edited = tmp_path / "edited.jsonl"
+    edited.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(edited), cascade
+
+
+@pytest.mark.parametrize(
+    "index, edit, message",
+    [
+        (0, lambda p: p.update(chain=["target"]), "chain must be an object, not list"),
+        (2, lambda p: p.update(proof=["target"]), "chain must be an object, not list"),
+        (2, lambda p: p.update(proof="target"), "chain must be an object, not str"),
+        (2, lambda p: p["proof"]["steps"][0].update(statement=[]),
+         "statement must be an object, not list"),
+        (2, lambda p: p["proof"].update(colour=1), "unknown chain fields ['colour']"),
+        (2, lambda p: p["proof"]["steps"][0].pop("statement"), "chain step needs statement"),
+    ],
+    ids=["root-chain-array", "answer-proof-array", "answer-proof-string", "statement-array",
+         "unknown-chain-field", "missing-statement"],
+)
+def test_run_rejects_proofs_of_the_wrong_shape(capsys, tmp_path, index, edit, message):
+    log, cascade = _rehashed_log(tmp_path, "full_run_claim_root", index, edit)
+    code, out, err = run_cli(capsys, "run", log, cascade)
+    assert (code, out, err) == (1, "", f"error: illegal move at line {index + 1}: {message}\n")
+
+
+def test_run_reports_every_structural_violation_on_one_line(capsys, tmp_path):
+    def two_violations(payload):
+        step = payload["proof"]["steps"][0]
+        step["imports"] = [99]
+        step["statement"]["context"] = "elsewhere"
+
+    code, out, err = run_cli(capsys, "run", *_rehashed_log(tmp_path, "full_run_claim_root", 2,
+                                                             two_violations))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: illegal move at line 3: structural violation: step 1: ")
+    assert "import out of range" in err and "; step 1: context mismatch" in err
+    assert err.count("\n") == 1
+
+
+def test_run_settles_free_machine_bounties(capsys, tmp_path):
+    log, cascade = fixture_args("early_stop_question_root")
+    doc = json.loads(Path(cascade).read_text())
+    doc["machine"]["bounty"] = 0
+    free = tmp_path / "cascade.json"
+    free.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "run", log, str(free))
+    assert (code, err) == (0, "")
+    assert all(t["amount"] > 0 for t in json.loads(out)["settlement"])
+
+
 @pytest.mark.parametrize(
     "edit, line",
     [
@@ -222,9 +287,7 @@ CASCADE_NUMBER_EDITS = [
     pytest.param(lambda d: d["machine"].update(max_length=[3, 2]), _POSITIVE, id="fraction"),
     pytest.param(lambda d: d["levels"]["2"].update(max_length=1.5), _POSITIVE, id="float"),
     pytest.param(lambda d: d["machine"].update(max_length=0), _POSITIVE, id="zero"),
-    pytest.param(_without_max_length,
-                 "LevelParameters.__init__() missing 1 required positional argument: 'max_length'",
-                 id="missing-max-length"),
+    pytest.param(_without_max_length, "level 1 needs max_length", id="missing-max-length"),
 ]
 
 CASCADE_CONTAINER_EDITS = [
@@ -237,6 +300,7 @@ CASCADE_CONTAINER_EDITS = [
     pytest.param(lambda d: d["levels"].update({"01": d["levels"].pop("1")}),
                  id="level-key-padded"),
     pytest.param(lambda d: d["machine"].update(colour=1), id="unknown-field"),
+    pytest.param(lambda d: d.update(colour=1), id="unknown-top-level-field"),
 ]
 
 
@@ -378,9 +442,40 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc["agents"][1].update(name=5),
         lambda doc: doc["agents"][0].update(
             strategy={"kind": "plagiarist", "params": {"mirror_questions": True}}),
+        lambda doc: doc["agents"][0].update(
+            strategy={"kind": "evasive_prover", "params": {"pad": "2"}}),
+        lambda doc: doc["agents"][0].update(
+            strategy={"kind": "sandbagger", "params": {"copies": 2.5}}),
+        lambda doc: doc["agents"][0].update(
+            strategy={"kind": "sandbagger", "params": {"copies": True}}),
+        lambda doc: doc["agents"][0].update(
+            strategy={"kind": "copycat_defender", "params": {"delay": "2"}}),
+        lambda doc: doc["agents"][0].update(strategy={"kind": ["idle"]}),
+        lambda doc: doc["trees"].update(solid=["target"]),
+        lambda doc: doc["root"].update(tree=["target"]),
+        lambda doc: doc["root"].update(tree="rotten"),
+        lambda doc: doc["root"].update(kind="question"),
+        lambda doc: doc["root"].pop("kind"),
+        lambda doc: doc["agents"][1].update(knows=["solid"]),
+        lambda doc: doc["agents"][0].update(balance=0),
+        lambda doc: doc.update(colour=1),
+        lambda doc: doc["root"].update(colour=1),
+        lambda doc: doc["agents"][0].update(colour=1),
+        lambda doc: doc["agents"][0].pop("balance"),
+        lambda doc: doc.pop("horizon"),
+        lambda doc: doc.update(agents=5),
+        lambda doc: doc.update(verifier={}),
+        lambda doc: doc.update(verifier={"kind": "scriptd", "tree": "solid"}),
+        lambda doc: doc.update(verifier={"kind": "scripted", "tree": "solid",
+                                         "overrides": {"9.9": True}}),
     ],
     ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override",
-         "mode", "negative-balance", "negative-root-time", "integer-name", "unknown-param"],
+         "mode", "negative-balance", "negative-root-time", "integer-name", "unknown-param",
+         "string-pad", "float-copies", "boolean-copies", "string-delay", "array-kind",
+         "tree-array", "root-tree-array", "unknown-tree", "question-without-statement", "missing-root-kind", "array-knows",
+         "unaffordable-root", "unknown-field", "unknown-root-field", "unknown-agent-field",
+         "missing-balance", "missing-horizon", "agents-integer", "empty-verifier",
+         "unknown-verifier-kind", "unknown-override-path"],
 )
 def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
                                                                  edit):
@@ -640,6 +735,35 @@ def test_cascades_and_scenarios_nested_5000_deep_exit_1_without_a_traceback(tmp_
     ):
         result = _script(*argv)
         assert (result.returncode, result.stdout, result.stderr) == (1, b"", error)
+
+
+def _nested_chain(depth):
+    """A one-step chain whose step's subproof is such a chain, `depth` times over."""
+    statement = '{"assumptions":[],"conclusion":{"atom":"p"}}'
+    chain = '{"kind":"chain","steps":[{"imports":[],"statement":%s%s}],"target":%s}'
+    doc = chain % (statement, "", statement)
+    for _ in range(depth):
+        doc = chain % (statement, ',"subproof":' + doc, statement)
+    return doc
+
+
+@pytest.mark.parametrize("depth", [300, 400])
+def test_chains_with_deeply_nested_subproofs_exit_without_a_traceback(tmp_path, depth):
+    # 300 decodes (nothing but the JSON parser bounds subproof nesting, so
+    # decoding must not recurse deeper than parsing); 400 is too deep to parse.
+    payload = '{"chain":' + _nested_chain(depth) + "}"
+    log = tmp_path / "deep.jsonl"
+    log.write_text('{"actor":"ann","kind":"root_claim","payload":%s,"payload_hash":"%s",'
+                   '"seq":1,"time":0}\n' % (payload, hashlib.sha256(payload.encode()).hexdigest()))
+    scenario = preset_scenario("happy_path")
+    scenario["root"]["tree"] = "TREE"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario).replace('"TREE"', _nested_chain(depth)))
+    for argv in (["run", str(log), fixture_args("validated_root_claim")[1]], ["simulate", str(path)]):
+        result = _script(*argv)
+        assert result.returncode == (0 if depth == 300 else 1)
+        assert result.stderr == b"" or (result.stderr.startswith(b"error: ")
+                                        and result.stderr.count(b"\n") == 1), result.stderr
 
 
 def _main_call(*argv):

@@ -9,13 +9,23 @@ from referencing import Registry, Resource
 
 from sprig.formulas import ParseError
 from sprig.proofs import parse_proof_document
-from sprig.protocol import ParameterCascade
-from sprig.scenarios import PROOF_DOCUMENTS, flat_tree, rotten_tree, solid_tree
+from sprig.protocol import EARLY_STOP, QUIESCENCE, ParameterCascade
+from sprig.scenarios import (
+    PRESET_NAMES,
+    PROOF_DOCUMENTS,
+    flat_tree,
+    preset_scenario,
+    rotten_tree,
+    scenario_from_json,
+    solid_tree,
+)
+from sprig.simulator import run_scenario
 from test_cli import CASCADE_CONTAINER_EDITS, CASCADE_NUMBER_EDITS
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = ROOT / "schemas"
 CASCADES = ROOT / "fixtures" / "cascades"
+MOVELOGS = ROOT / "fixtures" / "movelogs"
 
 
 def _load_registry() -> Registry:
@@ -142,7 +152,7 @@ def cascade_errors(doc) -> list[str]:
 def parser_accepts(doc) -> bool:
     try:
         ParameterCascade.from_json(doc)
-    except (KeyError, TypeError, ValueError):
+    except ValueError:
         return False
     return True
 
@@ -186,3 +196,52 @@ def test_level_coverage_is_left_to_the_parser():
     doc = fixture_cascade()
     doc["root_level"] = 3
     assert cascade_errors(doc) == [] and not parser_accepts(doc)
+
+
+# -- move logs --------------------------------------------------------------------
+
+
+def movelog_errors(line: str) -> list[str]:
+    return [e.message for e in validator_for("movelog").iter_errors(json.loads(line))]
+
+
+def test_every_fixture_move_log_line_validates():
+    paths = sorted(MOVELOGS.glob("*.jsonl"))
+    assert paths
+    for path in paths:
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            assert movelog_errors(line) == [], (path.name, number)
+
+
+@pytest.mark.parametrize("mode", [QUIESCENCE, EARLY_STOP])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_move_log_line_validates(name, mode):
+    trace = run_scenario(scenario_from_json({**preset_scenario(name), "mode": mode}))
+    lines = trace.instance.move_log_lines()
+    assert lines
+    for line in lines:
+        assert movelog_errors(line) == [], line
+
+
+def _edited_line(edit):
+    record = json.loads((MOVELOGS / "full_run_claim_root.jsonl").read_text().splitlines()[1])
+    edit(record)
+    return json.dumps(record)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda r: r.update(kind="answer_claim"), id="payload-of-another-kind"),
+        pytest.param(lambda r: r["payload"].update(step=0), id="step-zero"),
+        pytest.param(lambda r: r.update(seq=True), id="boolean-seq"),
+        pytest.param(lambda r: r.update(time=-1), id="negative-time"),
+        pytest.param(lambda r: r.update(payload_hash="0"), id="short-hash"),
+        pytest.param(lambda r: r.pop("actor"), id="missing-actor"),
+        # replay accepts an extra record field; a canonical line has none
+        pytest.param(lambda r: r.update(note="unhashed"), id="extra-field"),
+    ],
+)
+def test_movelog_schema_rejects_malformed_lines(edit):
+    assert movelog_errors(_edited_line(lambda r: None)) == []
+    assert movelog_errors(_edited_line(edit)) != []

@@ -247,6 +247,11 @@ def test_attack_factory_builds_each_kind():
     assert isinstance(_strategy_from_json("plagiarist"), Plagiarist)
     with pytest.raises(ValueError, match="impatient_prover"):
         _strategy_from_json("impatient_prover")
+    with pytest.raises(ValueError) as caught:
+        _strategy_from_json("plagiarist", mirror_questions=True)
+    assert str(caught.value) == (
+        "unknown plagiarist params of agent 'alice' fields ['mirror_questions']"
+    )
 
 
 def _tiny_cascade():
