@@ -8,7 +8,9 @@ carpet-bombed wide debate (`wide_config` in perfbench/workloads.py:
 repeat runs in a fresh interpreter with the seed 0, so that no memoized
 value, warm cache or garbage-collector state carries over from one run to
 the next. Every replay must land on the simulated snapshot. Each point keeps
-the median seconds, the median µs per move and the sha256 of the move log.
+the median seconds, the median µs per move, the `json.dumps` calls per move
+(counted in the child, for simulate and for replay + settle; the same in
+every repeat) and the sha256 of the move log.
 
     python3 scripts/scaling.py --label NAME
 
@@ -52,24 +54,35 @@ from sprig.protocol import advance_clock, replay, settle
 from sprig.simulator import run_scenario
 from workloads import wide_config
 
+dumps, calls = json.dumps, [0]
+def counted_dumps(*args, **kwargs):
+    calls[0] += 1
+    return dumps(*args, **kwargs)
+json.dumps = counted_dumps
+
 k, seed = int(sys.argv[1]), int(sys.argv[2])
 config = wide_config(k, seed)
 gc.collect()
 t0 = time.perf_counter()
 trace = run_scenario(config)
 t1 = time.perf_counter()
+simulate_dumps = calls[0]
 twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
 advance_clock(twin, trace.final_clock)
 settle(twin)
 t2 = time.perf_counter()
+replay_dumps = calls[0] - simulate_dumps
 if twin.snapshot() != trace.final_snapshot:
     raise AssertionError(f"k={k}: replayed snapshot differs from the simulated one")
+json.dumps = dumps
 print(json.dumps({
     "nodes": len(trace.instance.nodes),
     "moves": len(trace.move_lines),
     "moves_sha256": hashlib.sha256("\\n".join(trace.move_lines).encode()).hexdigest(),
     "simulate_s": t1 - t0,
     "replay_settle_s": t2 - t1,
+    "simulate_dumps": simulate_dumps,
+    "replay_settle_dumps": replay_dumps,
 }))
 """
 
@@ -85,8 +98,9 @@ def run_once(checkout: Path, k: int) -> dict[str, float | int | str]:
 
 
 def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, float | int | str]:
-    if len({(r["nodes"], r["moves"], r["moves_sha256"]) for r in runs}) != 1:
-        raise AssertionError(f"k={k}: repeats disagree on the debate")
+    if len({(r["nodes"], r["moves"], r["moves_sha256"], r["simulate_dumps"],
+             r["replay_settle_dumps"]) for r in runs}) != 1:
+        raise AssertionError(f"k={k}: repeats disagree on the debate or its encodes")
     moves = runs[0]["moves"]
     point: dict[str, float | int | str] = {
         "k": k,
@@ -98,6 +112,7 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
         median = statistics.median(r[f"{name}_s"] for r in runs)
         point[f"{name}_s"] = round(median, 4)
         point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
+        point[f"{name}_dumps_per_move"] = round(runs[0][f"{name}_dumps"] / moves, 3)
     return point
 
 

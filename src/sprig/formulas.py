@@ -5,6 +5,14 @@ protocol) works on the canonical JSON serialization defined here: objects are
 dumped with sorted keys and no whitespace, so equal values always produce
 byte-identical documents and content hashes are stable across processes.
 
+Each document class writes its own canonical text with `canonical()`, equal
+byte for byte to `canonical_json` of `x.to_json()` but composed from the
+memoized text of its parts: keys are written as literals in sorted order and
+strings through `encode_basestring`, as `canonical_json` writes them, so
+posting, hashing and logging a document call no `json.dumps`. `to_json`
+remains for the places that need the value itself (scenario documents, and
+tests, which use it as the reference encoding).
+
 Formula JSON shapes (single-key objects, hence injective):
 
     {"atom": "p"}          free propositional atom, always in scope
@@ -42,6 +50,7 @@ __all__ = [
     "parse_json",
     "is_int",
     "read_int",
+    "read_bool",
     "read_object",
     "lookup",
     "MAX_FORMULA_DEPTH",
@@ -97,6 +106,13 @@ def read_int(value: Any, name: str) -> int:
     """`value` if it decoded from a JSON integer, else a ParseError naming it."""
     if not is_int(value):
         raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def read_bool(value: Any, name: str) -> bool:
+    """`value` if it decoded from `true` or `false`, else a ParseError naming it."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{name} must be a boolean, got {value!r}")
     return value
 
 
@@ -196,7 +212,7 @@ class Formula:
 
     @_memoized
     def canonical(self) -> str:
-        """`canonical_json(self.to_json())`, built from the children's
+        """Canonical JSON of `self.to_json()`, built from the children's
         memoized text: a single-key object needs no key sorting, and a leaf
         name is written as `canonical_json` writes a string."""
         if self.op in _LEAF:
@@ -335,8 +351,19 @@ class Statement:
         )
 
     @_memoized
+    def canonical(self) -> str:
+        """Canonical JSON of `self.to_json()`, built from the formulas'
+        memoized text. A statement is shared by every move that asks about
+        it or answers it, so its text is memoized too."""
+        assumptions = ",".join(f.canonical() for f in self.sorted_assumptions())
+        text = f'{{"assumptions":[{assumptions}],"conclusion":{self.conclusion.canonical()}'
+        if self.context:
+            text += f',"context":{encode_basestring(self.context)}'
+        return text + "}"
+
+    @_memoized
     def hash(self) -> str:
-        return content_hash(self.to_json())
+        return text_hash(self.canonical())
 
 
 @dataclass(frozen=True)
@@ -373,6 +400,12 @@ class DefinitionSet:
             "imports": list(self.imports),
             "symbols": [[name, f.to_json()] for name, f in self.symbols],
         }
+
+    def canonical(self) -> str:
+        """Canonical JSON of `self.to_json()`, built from the formulas' memoized text."""
+        imports = ",".join(map(encode_basestring, self.imports))
+        symbols = ",".join(f"[{encode_basestring(name)},{f.canonical()}]" for name, f in self.symbols)
+        return f'{{"imports":[{imports}],"symbols":[{symbols}]}}'
 
     @staticmethod
     def from_json(doc: Any) -> "DefinitionSet":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import Any, Iterator, Union
 
 from .formulas import (
@@ -27,7 +28,6 @@ from .formulas import (
     Formula,
     ParseError,
     Statement,
-    canonical_json,
     is_int,
     lookup,
     parse_json,
@@ -74,6 +74,14 @@ class InferenceStep:
             "rule": self.rule,
         }
 
+    def canonical(self) -> str:
+        """Canonical JSON of `self.to_json()`; premises are integers."""
+        premises = ",".join(map(str, self.premises))
+        return (
+            f'{{"formula":{self.formula.canonical()},"premises":[{premises}],'
+            f'"rule":{encode_basestring(self.rule)}}}'
+        )
+
     @staticmethod
     def from_json(doc: Any) -> "InferenceStep":
         doc = read_object(doc, "inference step", _INFERENCE_FIELDS, ("formula", "rule"))
@@ -111,6 +119,11 @@ class MachineProof:
             "target": self.target.to_json(),
         }
 
+    def canonical(self) -> str:
+        """Canonical JSON of `self.to_json()`, built from the parts' canonical text."""
+        steps = ",".join(s.canonical() for s in self.steps)
+        return f'{{"kind":"{self.kind}","steps":[{steps}],"target":{self.target.canonical()}}}'
+
     @staticmethod
     def from_json(doc: Any) -> "MachineProof":
         doc = read_object(doc, "machine proof", _MACHINE_FIELDS, ("target",))
@@ -144,6 +157,14 @@ class ChainStep:
         if self.subproof is not None:
             doc["subproof"] = self.subproof.to_json()
         return doc
+
+    def canonical(self) -> str:
+        """Canonical JSON of `self.to_json()`; import indices are integers."""
+        imports = ",".join(map(str, self.imports))
+        text = f'{{"imports":[{imports}],"statement":{self.statement.canonical()}'
+        if self.subproof is not None:
+            text += f',"subproof":{self.subproof.canonical()}'
+        return text + "}"
 
     @staticmethod
     def from_json(doc: Any) -> "ChainStep":
@@ -202,6 +223,14 @@ class ProofChain:
             "steps": [s.to_json() for s in self.steps],
             "target": self.target.to_json(),
         }
+
+    def canonical(self) -> str:
+        """Canonical JSON of `self.to_json()`, built from the parts' canonical text."""
+        steps = ",".join(s.canonical() for s in self.steps)
+        return (
+            f'{{"definitions":{self.definitions.canonical()},"kind":"{self.kind}",'
+            f'"steps":[{steps}],"target":{self.target.canonical()}}}'
+        )
 
     @staticmethod
     def from_json(doc: Any) -> "ProofChain":
@@ -409,9 +438,9 @@ def parse_proof_document(data: bytes | str) -> Statement | ProofChain | MachineP
 
 
 def serialize_proof_document(obj: Statement | ProofChain | MachineProof) -> bytes:
-    """Canonical bytes; parse_proof_document inverts this exactly."""
-    doc = obj.to_json()
+    """Canonical bytes; parse_proof_document inverts this exactly. A
+    statement gains its "kind", which sorts after all of its own fields."""
+    text = obj.canonical()
     if isinstance(obj, Statement):
-        doc = dict(doc)
-        doc["kind"] = "statement"
-    return canonical_json(doc).encode("utf-8")
+        text = text[:-1] + ',"kind":"statement"}'
+    return text.encode("utf-8")

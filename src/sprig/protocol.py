@@ -336,30 +336,24 @@ class MoveRecord:
     actor: str
     kind: str
     payload_hash: str
-    payload: Any
-    # canonical_json(payload), encoded once when the move was committed.
+    # The payload's canonical JSON, composed once when the move was
+    # committed from the memoized text of what it posts; the payload itself
+    # is not kept as a value.
     payload_json: str
 
-    def to_json(self) -> Any:
-        return {
-            "actor": self.actor,
-            "kind": self.kind,
-            "payload": self.payload,
-            "payload_hash": self.payload_hash,
-            "seq": self.seq,
-            "time": self.time,
-        }
-
-    def line(self) -> str:
-        """`canonical_json(self.to_json())`, built around the stored payload
-        text instead of encoding the payload again. `kind` is one of the four
-        move kinds and `seq` and `time` are integers; the actor is a string,
-        which `encode_basestring` writes as `canonical_json` does, so the
-        line costs no `json.dumps`."""
+    def line(self, record: str | None = None) -> str:
+        """The move's canonical JSON line: fields `actor`, `kind`, `payload`,
+        `payload_hash`, `seq` and `time`, in that sorted order, plus a
+        `record` tag between `payload_hash` and `seq` when one is given (a
+        simulation trace tags its lines). Built around the stored payload
+        text: `kind` and `record` are plain identifiers, `seq` and `time`
+        integers, and the actor a string, which `encode_basestring` writes
+        as `canonical_json` does, so the line costs no `json.dumps`."""
+        tag = "" if record is None else f'"record":"{record}",'
         return (
             f'{{"actor":{encode_basestring(self.actor)},"kind":"{self.kind}",'
             f'"payload":{self.payload_json},"payload_hash":"{self.payload_hash}",'
-            f'"seq":{self.seq},"time":{self.time}}}'
+            f'{tag}"seq":{self.seq},"time":{self.time}}}'
         )
 
 
@@ -493,10 +487,9 @@ class ProtocolInstance:
             raise ProtocolError(f"interaction ended at {self.stopped_at}")
         return time
 
-    def _commit_move(
-        self, time: int, actor: str, kind: str, payload: Any, payload_json: str
-    ) -> Timestamp:
-        """Record a move. `payload_json` is `canonical_json(payload)`: the
+    def _commit_move(self, time: int, actor: str, kind: str, payload_json: str) -> Timestamp:
+        """Record a move. `payload_json` is the payload's canonical JSON,
+        composed by the caller from the canonical text of what it posts: the
         one encoding of the payload, which the payload hash and the move-log
         line are both taken from."""
         stamp = Timestamp(time, self._next_seq)
@@ -508,7 +501,6 @@ class ProtocolInstance:
                 actor=actor,
                 kind=kind,
                 payload_hash=text_hash(payload_json),
-                payload=payload,
                 payload_json=payload_json,
             )
         )
@@ -551,11 +543,8 @@ class ProtocolInstance:
         self._check_chain_answer(statement, posted, top, ambient=frozenset())
         node_id = f"c{self._next_seq}"
         self.ledger.lock(owner, node_id, params.stake_down)
-        doc = posted.to_json()
-        proof_json = canonical_json(doc)
-        stamp = self._commit_move(
-            time, owner, "root_claim", {"chain": doc}, f'{{"chain":{proof_json}}}'
-        )
+        proof_json = posted.canonical()
+        stamp = self._commit_move(time, owner, "root_claim", f'{{"chain":{proof_json}}}')
         node = ClaimNode(
             id=node_id,
             owner=owner,
@@ -577,8 +566,9 @@ class ProtocolInstance:
         bounty = self.cascade.bounty(top)
         node_id = f"q{self._next_seq}"
         self.ledger.lock(owner, node_id, bounty)
-        payload = {"statement": statement.to_json()}
-        stamp = self._commit_move(time, owner, "root_question", payload, canonical_json(payload))
+        stamp = self._commit_move(
+            time, owner, "root_question", f'{{"statement":{statement.canonical()}}}'
+        )
         node = QuestionNode(
             id=node_id,
             owner=owner,
@@ -594,6 +584,8 @@ class ProtocolInstance:
 
     def post_question(self, owner: str, origin: str, step_index: int, t: int) -> str:
         """Dispute step `step_index` (1-based) of the claim `origin`."""
+        if not is_int(step_index):
+            raise ProtocolError(f"step must be an integer, got {step_index!r}")
         time = self._begin_move(t)
         claim = self.claim(origin)
         if claim.level < 1 or not isinstance(claim.proof, ProofChain):
@@ -611,8 +603,9 @@ class ProtocolInstance:
         level = claim.level - 1
         node_id = f"q{self._next_seq}"
         self.ledger.lock(owner, node_id, self.cascade.bounty(level))
-        payload = {"origin": origin, "step": step_index}
-        stamp = self._commit_move(time, owner, "question", payload, canonical_json(payload))
+        stamp = self._commit_move(
+            time, owner, "question", f'{{"origin":"{claim.id}","step":{step_index}}}'
+        )
         node = QuestionNode(
             id=node_id,
             owner=owner,
@@ -661,14 +654,9 @@ class ProtocolInstance:
             deposit = self.cascade.machine.stake_up + self.cascade.machine.burn_cost
             verdict = self.verifier.verdict(q.statement, posted, node_id)
         self.ledger.lock(owner, node_id, deposit)
-        doc = posted.to_json()
-        proof_json = canonical_json(doc)
+        proof_json = posted.canonical()
         stamp = self._commit_move(
-            time,
-            owner,
-            "answer_claim",
-            {"origin": q.id, "proof": doc},
-            f'{{"origin":"{q.id}","proof":{proof_json}}}',
+            time, owner, "answer_claim", f'{{"origin":"{q.id}","proof":{proof_json}}}'
         )
         node = ClaimNode(
             id=node_id,
@@ -1007,13 +995,15 @@ def replay(
     and a question's `step` must be integers (booleans are not), and `actor`
     must be a string.
 
-    Each move's payload is encoded once, by the instance that posts it. A
-    line that is exactly the line the instance records for the move carries
-    that encoding and its hash, so its hash holds; any other line (other
-    spacing or key order, or a payload the posted move differs from, such as
-    a chain with subproofs) has its payload encoded and its hash checked as
-    read. A line whose move fails has its hash checked first, so a tampered
-    line reports the mismatch rather than what the tampering broke."""
+    Each move's payload text is composed once, by the instance that posts
+    it, from the memoized canonical text of the decoded proof or statement,
+    with no `json.dumps`. A line that is exactly the line the instance
+    records for the move carries that text and its hash, so its hash holds;
+    any other line (other spacing or key order, or a payload the posted move
+    differs from, such as a chain with subproofs) has its payload encoded
+    and its hash checked as read. A line whose move fails has its hash
+    checked first, so a tampered line reports the mismatch rather than what
+    the tampering broke."""
     instance: ProtocolInstance | None = None
     for raw in lines:
         raw = raw.strip()
@@ -1069,7 +1059,7 @@ def _replay_move(
             balances=balances, mode=mode, verifier=verifier,
         )
     if kind == "question":
-        instance.post_question(actor, payload["origin"], _int_field(payload, "step"), time)
+        instance.post_question(actor, payload["origin"], payload["step"], time)
     elif kind == "answer_claim":
         proof = proof_from_json(payload["proof"])
         instance.post_answer_claim(actor, payload["origin"], proof, time)

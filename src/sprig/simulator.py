@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .formulas import Statement, canonical_json, read_int
+from .formulas import Statement, canonical_json, read_bool, read_int
 from .proofs import ChainStep, MachineProof, ProofChain
 from .protocol import (
     EARLY_STOP,
@@ -45,7 +45,14 @@ from .protocol import (
 )
 from .verifier import ToyVerifier, UnscriptedVerdictError, VerifierBackend
 
+# Most ticks from the root move to the horizon that a scenario may span.
+# `run_scenario` polls every agent at every tick (~2 µs a tick for the
+# presets), so this keeps a run to seconds; the presets span at most 30
+# ticks and the wide benchmark debate 4k <= 256.
+MAX_RUN_TICKS = 10**6
+
 __all__ = [
+    "MAX_RUN_TICKS",
     "Knowledge",
     "build_knowledge",
     "QuestionIntent",
@@ -244,8 +251,8 @@ class HonestClaimer(AgentStrategy):
     def __init__(
         self, *, defend_others: bool = False, machine_first: bool = False, delay: int = 0
     ):
-        self.defend_others = defend_others
-        self.machine_first = machine_first
+        self.defend_others = read_bool(defend_others, "defend_others")
+        self.machine_first = read_bool(machine_first, "machine_first")
         self.delay = read_int(delay, "delay")
 
     def _mine_to_defend(self, ctx: AgentContext, q: QuestionNode) -> bool:
@@ -661,6 +668,11 @@ class ScenarioConfig:
                 raise ValueError(f"negative opening balance for {a.name!r}")
         if self.root_time < 0:
             raise ValueError(f"negative root time {self.root_time}")
+        if self.horizon - self.root_time > MAX_RUN_TICKS:
+            raise ValueError(
+                f"horizon {self.horizon} is more than {MAX_RUN_TICKS} ticks "
+                f"after root time {self.root_time}"
+            )
 
 
 @dataclass(frozen=True)
@@ -715,7 +727,7 @@ class SimulationTrace:
             )
         ]
         for m in self.moves:
-            lines.append(canonical_json({"record": "move", **m.to_json()}))
+            lines.append(m.line(record="move"))
         for r in self.rejections:
             lines.append(canonical_json({"record": "rejection", **r.to_json()}))
         for node_id, status, det in self.events:

@@ -26,8 +26,8 @@ PROOFS = sorted((FIXTURES / "proofs").glob("*.json"))
 LOGS = sorted((FIXTURES / "movelogs").glob("*.jsonl"))
 SCENARIOS = sorted((FIXTURES / "scenarios").glob("*.json"))
 
-# Small integers only: a large horizon or clock time is a long run, not a
-# malformed one.
+# Small integers only: a horizon up to MAX_RUN_TICKS past the root move is
+# a valid run of up to seconds, and each test runs over a hundred mutants.
 VALUES = st.sampled_from([[], ["target"], "target", "", -1, 0, 2, True, False, None, {}])
 FIELDS = st.sampled_from(["colour", "kind", "target", "steps", "proof", "chain", "seed", "params"])
 
@@ -65,13 +65,14 @@ def _write(directory: Path, name: str, text: str) -> str:
     return str(path)
 
 
-def _check(*argv: str) -> None:
+def _check(*argv: str) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     stderr = err.getvalue()
     assert code in (0, 1, 2)
     assert stderr == "" or (stderr.startswith("error: ") and stderr.count("\n") == 1), stderr
+    return code
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +114,21 @@ def test_run_survives_mutated_cascades(workdir, path, data):
 def test_simulate_survives_mutated_scenarios(workdir, path, data):
     scenario = _mutate(data, json.loads(path.read_text(encoding="utf-8")))
     _check("simulate", _write(workdir, "scenario.json", json.dumps(scenario)))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["agents"][0].update(
+            strategy={"kind": "honest_claimer", "params": {"defend_others": 1}}),
+        lambda doc: doc["agents"][0].update(
+            strategy={"kind": "honest_defender", "params": {"machine_first": "no"}}),
+        lambda doc: doc.update(horizon=10**12),
+    ],
+    ids=["integer-defend-others", "string-machine-first", "huge-horizon"],
+)
+def test_simulate_rejects_strategy_flags_that_are_not_booleans_and_endless_runs(workdir, edit):
+    # No preset sets these flags, so the mutations above never reach them.
+    scenario = json.loads((FIXTURES / "scenarios" / "happy_path.json").read_text(encoding="utf-8"))
+    edit(scenario)
+    assert _check("simulate", _write(workdir, "scenario.json", json.dumps(scenario))) == 1

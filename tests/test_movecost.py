@@ -5,7 +5,9 @@ The wide debate is the benchmark's carpet-bombed tree (`wide_config` in
 perfbench/workloads.py): one move per node, 1 + 2k + 2k^2 nodes. Its open
 views must agree with full-tree scans at every poll, the work per move
 (proof serializations, JSON encodes, tree scans) must not grow with k, and a
-replay of its log encodes each payload once, as playing it did.
+replay of its log encodes each payload once, as playing it did. Payloads are
+composed from the canonical text of what they post, so neither playing nor
+replaying a move calls `json.dumps`.
 """
 
 import gc
@@ -17,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from sprig import formulas
-from sprig.proofs import MachineProof, ProofChain
+from sprig.formulas import DefinitionSet, Statement
+from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import EARLY_STOP, QUIESCENCE, ProtocolInstance, replay
 from sprig.scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
 from sprig.simulator import run_scenario
@@ -87,29 +90,8 @@ def _wide_run(k, config=None):
     return trace
 
 
-@pytest.mark.parametrize("k", [4, 8, 12])
-def test_each_posted_proof_is_serialized_exactly_once(k, monkeypatch):
-    calls = []
-    for cls in (ProofChain, MachineProof):
-        original = cls.to_json
-
-        def counted(self, original=original):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(cls, "to_json", counted)
-    trace = _wide_run(k)
-    assert len(calls) == len(trace.instance.claims()) == k * k + k + 1
-
-
-@pytest.mark.parametrize("k", [4, 8, 12])
-def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
-    # Canonical forms and statement hashes are memoized on each formula and
-    # statement the first time anything needs them: once per object, not per
-    # move. A first run of the same config fills those memos, so the counted
-    # run sees only what each move itself encodes.
-    config = wide_config(k, 0)
-    run_scenario(config)
+def _count_json_dumps(monkeypatch):
+    """A one-element list that counts the `json.dumps` calls from now on."""
     encodes = [0]
     dumps = json.dumps
 
@@ -118,6 +100,43 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
         return dumps(*args, **kwargs)
 
     monkeypatch.setattr(json, "dumps", counted_dumps)
+    return encodes
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_each_posted_proof_is_serialized_exactly_once(k, monkeypatch):
+    built = []
+    for cls in (ProofChain, MachineProof):
+        original = cls.canonical
+
+        def counted(self, original=original):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, "canonical", counted)
+    to_json_calls = []
+    for cls in (Statement, DefinitionSet, InferenceStep, MachineProof, ChainStep, ProofChain):
+        original = cls.to_json
+
+        def spy(self, original=original):
+            to_json_calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(cls, "to_json", spy)
+    trace = _wide_run(k)
+    posted = [claim.proof for claim in trace.instance.claims()]
+    assert len(built) == len(posted) == k * k + k + 1
+    assert sorted(map(id, built)) == sorted(map(id, posted))
+    assert to_json_calls == []
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
+    # Counted from a fresh config, with no memo filled by an earlier run:
+    # statement hashes and payloads are composed from canonical text, so the
+    # one `json.dumps` left is the snapshot's.
+    config = wide_config(k, 0)
+    encodes = _count_json_dumps(monkeypatch)
     per_call: dict[str, set[int]] = {}
     for name in ("_post_root_claim", "post_question", "post_answer_claim",
                  "move_log_lines", "snapshot"):
@@ -131,15 +150,16 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
 
         monkeypatch.setattr(ProtocolInstance, name, counted)
     _wide_run(k, config)
-    # One encode per move (its payload) and one per snapshot; the move-log
-    # lines are built around the payload text: the same at every k.
+    # No encode per move and one per snapshot (run_scenario's and
+    # _wide_run's check): the same at every k.
     assert per_call == {
-        "_post_root_claim": {1},
-        "post_question": {1},
-        "post_answer_claim": {1},
+        "_post_root_claim": {0},
+        "post_question": {0},
+        "post_answer_claim": {0},
         "move_log_lines": {0},
         "snapshot": {1},
     }
+    assert encodes[0] == 2
 
 
 def _spy_on_tree_scans(monkeypatch):
@@ -190,22 +210,16 @@ def _wide_replay(trace):
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_replay_encodes_each_payload_exactly_once(k, monkeypatch):
     # Counted on the replay alone, with nothing warmed: each posted move
-    # encodes its payload, the recorded line equals the log line so its hash
-    # needs no second encode, and decoded formulas are shared, so sorting
-    # fresh assumption sets re-encodes nothing.
+    # composes its payload from the decoded proof's canonical text, the
+    # recorded line equals the log line so its hash needs no encode of the
+    # line's own payload, and decoded formulas are shared, so sorting fresh
+    # assumption sets re-encodes nothing.
     trace = run_scenario(wide_config(k, 0))
-    encodes = [0]
-    dumps = json.dumps
-
-    def counted_dumps(*args, **kwargs):
-        encodes[0] += 1
-        return dumps(*args, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", counted_dumps)
+    encodes = _count_json_dumps(monkeypatch)
     twin = _wide_replay(trace)
-    assert encodes[0] == len(trace.move_lines)
+    assert encodes[0] == 0
     assert twin.move_log_lines() == trace.move_lines
-    assert encodes[0] == len(trace.move_lines)
+    assert encodes[0] == 0
 
 
 @pytest.mark.parametrize("k", [4, 8])

@@ -4,9 +4,22 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sprig.formulas import DefinitionSet, Formula, ParseError, Statement, atom, sym
+from sprig.formulas import (
+    DefinitionSet,
+    Formula,
+    ParseError,
+    Statement,
+    atom,
+    canonical_json,
+    conj,
+    content_hash,
+    disj,
+    impl,
+    neg,
+    sym,
+)
 from sprig.proofs import (
     ChainStep,
     InferenceStep,
@@ -337,3 +350,81 @@ def test_random_mutations_never_validate_silently(stmt, rng):
     chain = ProofChain.from_json(mutated)
     report = validate_chain(chain.target, chain, level_limit=chain.height())
     assert not report.ok, kind
+
+
+# -- canonical text ---------------------------------------------------------------
+
+# Names, rules, contexts and imports with the characters JSON must escape,
+# control characters and non-ASCII text, next to anything else UTF-8 can
+# encode below the surrogates (a lone surrogate cannot be written to a
+# document).
+_NASTY = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ζ", "\u2028", "😀"])
+_TEXT = st.text(st.one_of(_NASTY, st.characters(max_codepoint=0xD7FF)), min_size=1, max_size=4)
+_CONTEXTS = st.one_of(st.just(""), _TEXT)
+_FORMULAS = st.recursive(
+    st.one_of(st.builds(atom, _TEXT), st.builds(sym, _TEXT)),
+    lambda sub: st.one_of(
+        st.builds(neg, sub), st.builds(conj, sub, sub), st.builds(disj, sub, sub),
+        st.builds(impl, sub, sub),
+    ),
+    max_leaves=3,
+)
+_STATEMENTS = st.builds(
+    Statement, _FORMULAS, st.frozensets(_FORMULAS, max_size=2), _CONTEXTS
+)
+_DEFINITIONS = st.builds(
+    DefinitionSet,
+    st.lists(st.tuples(_TEXT, _FORMULAS), max_size=2, unique_by=lambda pair: pair[0]).map(tuple),
+    st.lists(_CONTEXTS, max_size=2).map(tuple),
+)
+_INFERENCE_STEPS = st.builds(
+    InferenceStep, _FORMULAS, _TEXT, st.lists(st.integers().filter(bool), max_size=2).map(tuple)
+)
+_MACHINE_PROOFS = st.builds(MachineProof, _STATEMENTS, st.lists(_INFERENCE_STEPS, max_size=2).map(tuple))
+
+
+def _chain_steps(subproofs):
+    return st.builds(
+        ChainStep,
+        _STATEMENTS,
+        st.lists(st.integers(), max_size=2, unique=True).map(tuple),
+        st.one_of(st.none(), subproofs),
+    )
+
+
+# Chains whose steps carry no subproof, a machine proof or a nested chain.
+_PROOFS = st.recursive(
+    _MACHINE_PROOFS,
+    lambda sub: st.builds(
+        ProofChain, _STATEMENTS, st.lists(_chain_steps(sub), min_size=1, max_size=2).map(tuple),
+        _DEFINITIONS,
+    ),
+    max_leaves=4,
+)
+_DOCUMENTS = st.one_of(
+    _STATEMENTS, _DEFINITIONS, _INFERENCE_STEPS, _MACHINE_PROOFS, _chain_steps(_PROOFS), _PROOFS
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DOCUMENTS)
+def test_canonical_text_is_the_canonical_json_of_to_json(doc):
+    assert doc.canonical() == canonical_json(doc.to_json())
+    if isinstance(doc, (Statement, ProofChain, MachineProof)):
+        reference = doc.to_json()
+        if isinstance(doc, Statement):
+            reference = {**reference, "kind": "statement"}
+        assert serialize_proof_document(doc) == canonical_json(reference).encode("utf-8")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_STATEMENTS)
+def test_statement_hash_is_the_content_hash_of_to_json(statement):
+    assert statement.hash() == content_hash(statement.to_json())
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURE_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_serialize_inverts_parse_on_the_fixture_files(path):
+    # Each fixture file is a canonical document plus a final newline.
+    raw = path.read_bytes()
+    assert serialize_proof_document(parse_proof_document(raw)) + b"\n" == raw

@@ -161,6 +161,12 @@ def test_question_step_must_exist():
         inst.post_question("quin", inst.root_id, 4, 1)
     with pytest.raises(ProtocolError, match="no such step 0"):
         inst.post_question("quin", inst.root_id, 0, 1)
+    # A step that is not an integer would be written into the payload text
+    # as Python writes it (`True`), which is no JSON.
+    for step in (True, 1.0):
+        with pytest.raises(ProtocolError, match="^step must be an integer, got "):
+            inst.post_question("quin", inst.root_id, step, 1)
+    assert len(inst.moves) == 1
 
 
 def test_question_window_closes_at_the_deadline():
@@ -542,13 +548,35 @@ def _odd_actor_debate():
     return inst
 
 
+def _reference_payload(inst, move):
+    """The payload of `move`, rebuilt through `to_json` from the node it
+    posted: the reference the composed payload text must encode."""
+    [node] = [n for n in inst.nodes.values() if n.posted_at.seq == move.seq]
+    if move.kind == "root_claim":
+        return {"chain": node.proof.to_json()}
+    if move.kind == "root_question":
+        return {"statement": node.statement.to_json()}
+    if move.kind == "question":
+        return {"origin": node.origin, "step": node.step_index}
+    return {"origin": node.origin, "proof": node.proof.to_json()}
+
+
 @pytest.mark.parametrize("seed", [None, *range(0, 100, 9)])
 def test_moves_keep_the_one_encoding_of_their_payload(seed):
     inst = _odd_actor_debate() if seed is None else oracles.random_debate(seed)[0]
+    records = []
     for move in inst.moves:
-        assert move.payload_json == oracles._canon(move.payload)
-        assert move.payload_hash == content_hash(move.payload)
-    assert inst.move_log_lines() == [oracles._canon(m.to_json()) for m in inst.moves]
+        payload = _reference_payload(inst, move)
+        assert move.payload_json == oracles._canon(payload)
+        assert move.payload_hash == content_hash(payload)
+        records.append(
+            {"actor": move.actor, "kind": move.kind, "payload": payload,
+             "payload_hash": move.payload_hash, "seq": move.seq, "time": move.time}
+        )
+    assert inst.move_log_lines() == [oracles._canon(r) for r in records]
+    assert [m.line(record="move") for m in inst.moves] == [
+        oracles._canon({"record": "move", **r}) for r in records
+    ]
     snapshot = json.loads(inst.snapshot())
     for node in inst.claims():
         assert snapshot["nodes"][node.id]["proof"] == content_hash(node.proof.to_json())

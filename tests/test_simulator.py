@@ -25,6 +25,7 @@ from sprig.scenarios import (
     solid_tree,
 )
 from sprig.simulator import (
+    MAX_RUN_TICKS,
     AgentContext,
     AgentSpec,
     AnswerIntent,
@@ -254,6 +255,17 @@ def test_attack_factory_builds_each_kind():
     )
 
 
+def test_boolean_strategy_params_must_be_booleans():
+    for kind in ("honest_claimer", "honest_defender"):
+        for flag in ("defend_others", "machine_first"):
+            for value in (True, False):
+                assert getattr(_strategy_from_json(kind, **{flag: value}), flag) is value
+            for value, shown in ((1, "1"), ("no", "'no'"), (None, "None")):
+                with pytest.raises(ValueError) as caught:
+                    _strategy_from_json(kind, **{flag: value})
+                assert str(caught.value) == f"{flag} must be a boolean, got {shown}"
+
+
 def _tiny_cascade():
     return ParameterCascade(
         root_level=1,
@@ -328,6 +340,29 @@ def test_scenario_config_validation():
         )
     with pytest.raises(ValueError, match="exactly one"):
         ScenarioConfig(cascade=_tiny_cascade(), agents=agents, root_owner="amy", horizon=5)
+
+
+def test_a_scenario_spans_at_most_max_run_ticks():
+    def config(root_time, horizon):
+        return ScenarioConfig(
+            cascade=_tiny_cascade(), agents=[AgentSpec("amy", 100, IdleStrategy())],
+            root_owner="amy", horizon=horizon, root_tree=flat_tree(), root_time=root_time,
+        )
+
+    # Built, not run: a run of the full span polls for seconds.
+    for root_time in (0, 7):
+        config(root_time, root_time + MAX_RUN_TICKS)
+        with pytest.raises(ValueError) as caught:
+            config(root_time, root_time + MAX_RUN_TICKS + 1)
+        assert str(caught.value) == (
+            f"horizon {root_time + MAX_RUN_TICKS + 1} is more than {MAX_RUN_TICKS} "
+            f"ticks after root time {root_time}"
+        )
+    config(10**12, 5)  # a horizon before the root move: a run of no ticks
+    doc = preset_scenario("happy_path")
+    doc["horizon"] = 10**12
+    with pytest.raises(ValueError, match="is more than"):
+        scenario_from_json(doc)
 
 
 def test_scenario_json_builds_a_scripted_verifier():
