@@ -139,9 +139,9 @@ def _generous_funding(lines: Iterable[str], cascade: ParameterCascade) -> dict[s
         raw = raw.strip()
         if not raw:
             continue
-        record = parse_json(raw)
-        actor = record["actor"]
-        funding[actor] = funding.get(actor, 0) + per_move
+        actor = read_object(parse_json(raw), "move", required=("actor",))["actor"]
+        if isinstance(actor, str):  # replay rejects any other actor
+            funding[actor] = funding.get(actor, 0) + per_move
     return funding
 
 
@@ -185,11 +185,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(f"bad cascade file: {exc}", DOMAIN_ERROR)
     lines = log_text.splitlines()
     mode = EARLY_STOP if args.mode == "early-stop" else QUIESCENCE
-    try:
-        balances = _generous_funding(lines, cascade)
-    except (json.JSONDecodeError, KeyError, TypeError, ParseError) as exc:
-        return _fail(f"bad move log: {exc}", DOMAIN_ERROR)
     cursor = _LineCursor(lines)
+    try:
+        balances = _generous_funding(cursor, cascade)
+    except (json.JSONDecodeError, ParseError) as exc:
+        return _fail(f"bad move log at line {cursor.current}: {exc}", DOMAIN_ERROR)
     try:
         instance = replay(cursor, cascade, balances=balances, mode=mode)
     except (ProtocolError, ParseError, UnscriptedVerdictError) as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring
@@ -77,12 +78,39 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def parse_json(text: str | bytes) -> Any:
-    """`json.loads`, reporting nesting too deep to decode as a ParseError."""
+# A `\ud800`-`\udfff` escape, and the lone surrogate that one can decode to.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def parse_json(text: str) -> Any:
+    """`json.loads`, reporting nesting too deep to decode, and a lone
+    surrogate escape (text no UTF-8 document can hold), as a ParseError.
+    Only text with a surrogate escape is searched for a lone one, so text
+    without a `\\u` escape pays one substring search."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        if "\\u" in text and _SURROGATE_ESCAPE.search(text):
+            _reject_lone_surrogates(value, "$")
     except RecursionError:
         raise ParseError("document nested too deeply") from None
+    return value
+
+
+def _reject_lone_surrogates(value: Any, where: str) -> None:
+    """A ParseError naming the path of the first string in `value`, in
+    document order, that holds a lone surrogate."""
+    if isinstance(value, str):
+        found = _SURROGATE.search(value)
+        if found:
+            raise ParseError(f"lone surrogate {found.group()!r} in {where}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _reject_lone_surrogates(key, f"a field name of {where}")
+            _reject_lone_surrogates(item, f"{where}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_lone_surrogates(item, f"{where}[{i}]")
 
 
 def content_hash(value: Any) -> str:

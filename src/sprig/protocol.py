@@ -11,12 +11,13 @@ windows close. Resolution is incremental and goes one instant at a time: a
 pending node can change only when it is posted, when its own window closes,
 or when one of its children determines, so each instant up to the clock
 re-evaluates just those nodes and their ancestors (children first) instead of
-the whole tree, and commits each status as soon as it is decided; an early
-stop ends at the instant where the root determines. Settlement then routes
-every escrowed token: stakes of dead claims pay the defeating side, bounties
-of answered questions pay the earliest validated answer, and anything still
-held by pending nodes (possible only when the game stops early at the root's
-determination) is refunded.
+the whole tree, and commits each status as soon as it is decided, with the
+child that decided it; an early stop ends at the instant where the root
+determines. Settlement then routes every escrowed token: stakes of dead
+claims pay the defeating question, bounties of answered questions pay the
+earliest validated answer (each the node's recorded decider), and anything
+still held by pending nodes (possible only when the game stops early at the
+root's determination) is refunded.
 
 Time is integer ticks; within a tick, moves are ordered by a per-instance
 sequence number, so the full order of play is the pair (time, seq). Windows
@@ -31,8 +32,9 @@ after every operation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Any, Iterable, Mapping, Union
 
 from .formulas import (
@@ -251,6 +253,10 @@ class ClaimNode:
     status: str = PENDING
     determination: Timestamp | None = None
     verdict: Verdict | None = None
+    # The questions on this claim, in posting order.
+    children: list[QuestionNode] = field(default_factory=list, compare=False, repr=False)
+    # For an invalidated claim, the question that defeated it.
+    decider: QuestionNode | None = field(default=None, compare=False, repr=False)
 
     kind = "claim"
 
@@ -267,11 +273,17 @@ class QuestionNode:
     step_index: int | None = None
     status: str = PENDING
     determination: Timestamp | None = None
+    # The answers to this question, in posting order.
+    children: list[ClaimNode] = field(default_factory=list, compare=False, repr=False)
+    # For an answered question, the answer that won it.
+    decider: ClaimNode | None = field(default=None, compare=False, repr=False)
 
     kind = "question"
 
 
 Node = Union[ClaimNode, QuestionNode]
+
+_determination = attrgetter("determination")
 
 
 class Ledger:
@@ -393,8 +405,6 @@ class ProtocolInstance:
         self.moves: list[MoveRecord] = []
         self.settled = False
         self.stopped_at: Timestamp | None = None
-        self._questions_on: dict[str, list[str]] = {}
-        self._answers_to: dict[str, list[str]] = {}
         # Children counted per (origin, owner, None) and, for questions, per
         # (origin, owner, step); see `posted_by`.
         self._posted_by: dict[tuple[str, str, int | None], int] = {}
@@ -425,12 +435,6 @@ class ProtocolInstance:
         if not isinstance(node, QuestionNode):
             raise ProtocolError(f"no such question {node_id!r}")
         return node
-
-    def questions_on(self, claim_id: str) -> list[QuestionNode]:
-        return [self.question(q) for q in self._questions_on.get(claim_id, [])]
-
-    def answers_to(self, question_id: str) -> list[ClaimNode]:
-        return [self.claim(c) for c in self._answers_to.get(question_id, [])]
 
     def posted_by(self, origin: str, owner: str, step: int | None = None) -> int:
         """How many children of `origin` `owner` has posted: answers to a
@@ -512,16 +516,8 @@ class ProtocolInstance:
         and a child that determines queues its origin itself."""
         self.nodes[node.id] = node
         self._posted.append(node)
-        if isinstance(node, QuestionNode):
-            self._answers_to[node.id] = []
-            if node.origin is not None:
-                self._questions_on[node.origin].append(node.id)
-        else:
-            if node.level >= 1:
-                self._questions_on[node.id] = []
-            if node.origin is not None:
-                self._answers_to[node.origin].append(node.id)
         if node.origin is not None:
+            self.nodes[node.origin].children.append(node)  # type: ignore[arg-type]
             keys = [(node.origin, node.owner, None)]
             if isinstance(node, QuestionNode):
                 keys.append((node.origin, node.owner, node.step_index))
@@ -705,6 +701,8 @@ class ProtocolInstance:
 
     def advance_clock(self, time: int) -> list[tuple[str, str, Timestamp]]:
         _check_time(time)
+        if self.settled:
+            raise ProtocolError("instance already settled")
         if time < self.clock:
             raise ProtocolError(f"time moving backwards: clock at {self.clock}, asked for {time}")
         self.clock = time
@@ -764,7 +762,7 @@ class ProtocolInstance:
             outcome = self._decide(node, instant)
             if outcome is None:
                 continue
-            node.status, node.determination = outcome
+            node.status, node.determination, node.decider = outcome
             decided.append(node)
             origin = node.origin
             if origin is not None and origin not in queued:
@@ -774,26 +772,33 @@ class ProtocolInstance:
         self.determined += [n.id for n in decided]
         return [(n.id, n.status, n.determination) for n in decided]
 
-    def _decide(self, node: Node, instant: int) -> tuple[str, Timestamp] | None:
+    def _decide(self, node: Node, instant: int) -> tuple[str, Timestamp, Node | None] | None:
+        """The node's status, determination and deciding child (the first
+        unanswered question of an invalidated claim, the first validated
+        answer of an answered question, else None), or None while it is
+        undecided. First is by determination, then by posting order: `min`
+        keeps the earliest posted of equal determinations."""
         if isinstance(node, ClaimNode):
             if node.level == 0:  # queued only at its posting instant
                 ok = node.verdict is not None and node.verdict.validated
-                return (VALIDATED if ok else INVALIDATED, node.posted_at)
-            questions = [self.nodes[q] for q in self._questions_on[node.id]]
-            dead = [q.determination for q in questions if q.status == UNANSWERED]
+                return (VALIDATED if ok else INVALIDATED, node.posted_at, None)
+            questions = node.children
+            dead = [q for q in questions if q.status == UNANSWERED]
             if dead:
-                return (INVALIDATED, min(dead))  # type: ignore[type-var]
+                first = min(dead, key=_determination)
+                return (INVALIDATED, first.determination, first)
             deadline = Timestamp(self.claim_deadline(node), 0)
             if deadline.time <= instant and all(q.status == ANSWERED for q in questions):
-                return (VALIDATED, max([deadline] + [q.determination for q in questions]))
+                return (VALIDATED, max([deadline] + [q.determination for q in questions]), None)
             return None
-        answers = [self.nodes[c] for c in self._answers_to[node.id]]
-        won = [c.determination for c in answers if c.status == VALIDATED]
+        answers = node.children
+        won = [c for c in answers if c.status == VALIDATED]
         if won:
-            return (ANSWERED, min(won))  # type: ignore[type-var]
+            first = min(won, key=_determination)
+            return (ANSWERED, first.determination, first)
         deadline = Timestamp(self.question_deadline(node), 0)
         if deadline.time <= instant and all(c.status == INVALIDATED for c in answers):
-            return (UNANSWERED, max([deadline] + [c.determination for c in answers]))
+            return (UNANSWERED, max([deadline] + [c.determination for c in answers]), None)
         return None
 
     # -- settlement ---------------------------------------------------------
@@ -841,13 +846,13 @@ class ProtocolInstance:
                             "stake forfeited to questioner")
                     else:
                         pay(node.id, node.owner, stake_up, "stake returned")
-                    defeater = self._earliest_unanswered(node)
-                    pay(node.id, defeater.owner, held - stake_up,
+                    assert node.decider is not None
+                    pay(node.id, node.decider.owner, held - stake_up,
                         "stake paid to defeating question")
             else:
                 if node.status == ANSWERED:
-                    winner = self._earliest_validated(node)
-                    pay(node.id, winner.owner, held, "bounty paid to answer")
+                    assert node.decider is not None
+                    pay(node.id, node.decider.owner, held, "bounty paid to answer")
                 else:
                     pay(node.id, node.owner, held, "bounty reimbursed")
 
@@ -855,14 +860,6 @@ class ProtocolInstance:
         if self.ledger.escrowed:
             raise AssertionError(f"escrow left after settlement: {self.ledger.escrowed}")
         return transfers
-
-    def _earliest_unanswered(self, claim: ClaimNode) -> QuestionNode:
-        candidates = [q for q in self.questions_on(claim.id) if q.status == UNANSWERED]
-        return min(candidates, key=lambda q: (q.determination, q.posted_at))
-
-    def _earliest_validated(self, q: QuestionNode) -> ClaimNode:
-        candidates = [c for c in self.answers_to(q.id) if c.status == VALIDATED]
-        return min(candidates, key=lambda c: (c.determination, c.posted_at))
 
     # -- serialization ------------------------------------------------------
 

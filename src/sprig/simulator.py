@@ -5,10 +5,12 @@ they can actually defend, plus the ground-truth soundness of every statement
 in it) and act through small strategy objects polled once per tick in a
 seeded random order. Intents that break protocol rules are rejected and
 logged, never fatal. When the horizon is reached the clock jumps past every
-open window, the instance settles, and the run is packaged as a trace: every
-accepted move, every rejection, every status event, the settlement transfers
-and per-agent net payoffs. A trace can re-drive the protocol from its own
-move log and must land on a byte-identical snapshot.
+open window and the instance settles. The trace of a run is the settled
+instance plus what the instance does not hold: the seed, the horizon, the
+opening balances, the rejected intents and the settlement transfers. Every
+other reading (move log, status events, payoffs, snapshot, metrics) is taken
+from the instance when asked for. A trace can re-drive the protocol from its
+own move log and must land on a byte-identical snapshot.
 
 The bundled strategies cover honest play (claimer, third-party defender,
 ground-truth skeptic) and the classic abuse patterns: carpet bombing every
@@ -32,13 +34,11 @@ from .protocol import (
     QUIESCENCE,
     VALIDATED,
     ClaimNode,
-    MoveRecord,
     ParameterCascade,
     ProtocolError,
     ProtocolInstance,
     QuestionNode,
     SettlementTransfer,
-    Timestamp,
     create_root_claim,
     create_root_question,
     replay,
@@ -86,13 +86,12 @@ class Knowledge:
 
     `answers` maps a statement hash to the chain that proves it one level
     down; `machine_proofs` to a bottom-level proof. `truth` records which
-    statements the agent believes sound; `dubious` marks its own weak spots.
+    statements the agent believes sound.
     """
 
     answers: dict[str, ProofChain] = field(default_factory=dict)
     machine_proofs: dict[str, MachineProof] = field(default_factory=dict)
     truth: dict[str, bool] = field(default_factory=dict)
-    dubious: set[str] = field(default_factory=set)
 
     def can_answer(self, statement: Statement, level: int) -> bool:
         h = statement.hash()
@@ -123,12 +122,8 @@ def build_knowledge(tree: ProofChain | None) -> Knowledge:
             else:
                 sound = False
             know.truth[h] = sound
-            if not sound:
-                know.dubious.add(h)
             sound_all = sound_all and sound
         know.truth[target.hash()] = sound_all
-        if not sound_all:
-            know.dubious.add(target.hash())
         return sound_all
 
     know.answers[tree.target.hash()] = tree
@@ -283,8 +278,7 @@ class HonestClaimer(AgentStrategy):
             proof = self.pick_proof(ctx, q)
             if proof is None:
                 continue
-            level = 0 if isinstance(proof, MachineProof) else q.level
-            cost = ctx.answer_cost(proof, level)
+            cost = ctx.answer_cost(proof, q.level)
             if cost <= budget:
                 intents.append(AnswerIntent(q.id, proof))
                 budget -= cost
@@ -444,8 +438,7 @@ class Sandbagger(HonestClaimer):
                 continue
             want = 1 if ctx.on_my_claim(q) else self.copies
             have = ctx.my_answers(q.id)
-            level = 0 if isinstance(proof, MachineProof) else q.level
-            cost = ctx.answer_cost(proof, level)
+            cost = ctx.answer_cost(proof, q.level)
             for _ in range(max(0, want - have)):
                 if cost <= budget:
                     intents.append(AnswerIntent(q.id, proof))
@@ -476,7 +469,7 @@ class Misleader(HonestClaimer):
                 continue
             for j, step in enumerate(c.proof.steps, start=1):
                 h = step.statement.hash()
-                if h not in ctx.knowledge.dubious or ctx.questioned_by_me(c.id, j):
+                if ctx.knowledge.truth.get(h, True) or ctx.questioned_by_me(c.id, j):
                     continue
                 answer = ctx.knowledge.answers.get(h) if c.level - 1 >= 1 else None
                 cost = ctx.question_cost(c.level - 1)
@@ -498,8 +491,7 @@ class Misleader(HonestClaimer):
             proof = self.pick_proof(ctx, q)
             if proof is None:
                 continue
-            level = 0 if isinstance(proof, MachineProof) else q.level
-            cost = ctx.answer_cost(proof, level)
+            cost = ctx.answer_cost(proof, q.level)
             if cost <= budget:
                 intents.append(AnswerIntent(q.id, proof))
                 budget -= cost
@@ -564,8 +556,7 @@ class Plagiarist(AgentStrategy):
                 continue
             if isinstance(proof, ProofChain) and q.level < 1:
                 continue
-            level = 0 if isinstance(proof, MachineProof) else q.level
-            cost = ctx.answer_cost(proof, level)
+            cost = ctx.answer_cost(proof, q.level)
             if cost <= budget:
                 intents.append(AnswerIntent(q.id, proof))
                 budget -= cost
@@ -598,8 +589,7 @@ class CopycatDefender(HonestClaimer):
     def decide(self, ctx: AgentContext) -> list[Intent]:
         intents: list[Intent] = list(self.answer_intents(ctx))
         budget = ctx.balance() - sum(
-            ctx.answer_cost(i.proof, 0 if isinstance(i.proof, MachineProof) else
-                            ctx.instance.question(i.origin).level)
+            ctx.answer_cost(i.proof, ctx.instance.question(i.origin).level)
             for i in intents
             if isinstance(i, AnswerIntent)
         )
@@ -695,49 +685,54 @@ class RejectedIntent:
 
 @dataclass
 class SimulationTrace:
-    cascade: ParameterCascade
-    mode: str
+    """A settled run: what the instance does not hold, and the instance,
+    which every other reading of the run comes from."""
+
     seed: int
     horizon: int
     initial_balances: dict[str, int]
-    moves: list[MoveRecord]
-    move_lines: list[str]
     rejections: list[RejectedIntent]
-    events: list[tuple[str, str, Timestamp]]
     transfers: list[SettlementTransfer]
-    final_balances: dict[str, int]
-    payoffs: dict[str, int]
-    burned: int
-    final_clock: int
-    final_snapshot: str
-    metrics: dict[str, Any]
     instance: ProtocolInstance
-    verifier: VerifierBackend
+
+    @property
+    def move_lines(self) -> list[str]:
+        return self.instance.move_log_lines()
+
+    @property
+    def final_clock(self) -> int:
+        return self.instance.clock
+
+    @property
+    def final_snapshot(self) -> str:
+        return self.instance.snapshot()
 
     def to_json_lines(self) -> list[str]:
+        inst = self.instance
         lines = [
             canonical_json(
                 {
                     "record": "run",
                     "seed": self.seed,
-                    "mode": self.mode,
+                    "mode": inst.mode,
                     "horizon": self.horizon,
                     "balances": dict(sorted(self.initial_balances.items())),
                 }
             )
         ]
-        for m in self.moves:
+        for m in inst.moves:
             lines.append(m.line(record="move"))
         for r in self.rejections:
             lines.append(canonical_json({"record": "rejection", **r.to_json()}))
-        for node_id, status, det in self.events:
+        for node_id in inst.determined:
+            node = inst.nodes[node_id]
             lines.append(
                 canonical_json(
                     {
                         "record": "event",
-                        "determination": det.to_json(),
-                        "node": node_id,
-                        "status": status,
+                        "determination": node.determination.to_json(),  # type: ignore[union-attr]
+                        "node": node.id,
+                        "status": node.status,
                     }
                 )
             )
@@ -757,35 +752,51 @@ class SimulationTrace:
         return lines
 
     def summary(self) -> dict[str, Any]:
+        inst = self.instance
+        claims = inst.claims()
+        depth: dict[str, int] = {}
+        for node in inst.nodes.values():  # posting order: origins first
+            depth[node.id] = 0 if node.origin is None else depth[node.origin] + 1
         return {
-            "burned": self.burned,
-            "final_clock": self.final_clock,
-            "metrics": self.metrics,
-            "payoffs": dict(sorted(self.payoffs.items())),
+            "burned": inst.ledger.burned,
+            "final_clock": inst.clock,
+            "metrics": {
+                "claims": len(claims),
+                "questions": len(inst.nodes) - len(claims),
+                "machine_claims": sum(1 for c in claims if c.level == 0),
+                "max_depth": max(depth.values(), default=0),
+                "moves": len(inst.moves),
+                "rejections": len(self.rejections),
+                "validated_claims": sum(1 for c in claims if c.status == VALIDATED),
+            },
+            "payoffs": {
+                name: inst.ledger.balance(name) - start
+                for name, start in sorted(self.initial_balances.items())
+            },
         }
 
     def metrics_csv(self) -> list[str]:
+        ledger = self.instance.ledger
         lines = ["agent,initial,final,net"]
-        for name in sorted(self.initial_balances):
-            lines.append(
-                f"{name},{self.initial_balances[name]},"
-                f"{self.final_balances.get(name, 0)},{self.payoffs[name]}"
-            )
-        lines.append(f"__burned__,0,{self.burned},{-self.burned}")
+        for name, start in sorted(self.initial_balances.items()):
+            final = ledger.balance(name)
+            lines.append(f"{name},{start},{final},{final - start}")
+        lines.append(f"__burned__,0,{ledger.burned},{-ledger.burned}")
         return lines
 
     def verify_replay(self) -> None:
         """Drive a fresh instance from the move log; snapshots must match."""
+        inst = self.instance
         twin = replay(
             self.move_lines,
-            self.cascade,
+            inst.cascade,
             balances=self.initial_balances,
-            mode=self.mode,
-            verifier=self.verifier,
+            mode=inst.mode,
+            verifier=inst.verifier,
         )
-        twin.advance_clock(self.final_clock)
+        twin.advance_clock(inst.clock)
         twin.settle()
-        if twin.snapshot() != self.final_snapshot:
+        if twin.snapshot() != inst.snapshot():
             raise AssertionError("replayed snapshot differs from the recorded run")
 
 
@@ -800,7 +811,6 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     """Play a scenario to the end and settle it. Fully deterministic in the
     seed: agent polling order, every strategy's randomness and therefore the
     whole move log depend only on the configuration."""
-    verifier = config.verifier if config.verifier is not None else ToyVerifier()
     balances = {a.name: a.balance for a in config.agents}
     if config.root_tree is not None:
         instance = create_root_claim(
@@ -811,7 +821,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             config.root_time,
             balances=balances,
             mode=config.mode,
-            verifier=verifier,
+            verifier=config.verifier,
         )
     else:
         assert config.root_statement is not None
@@ -822,7 +832,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             config.root_time,
             balances=balances,
             mode=config.mode,
-            verifier=verifier,
+            verifier=config.verifier,
         )
 
     knowledge = {a.name: build_knowledge(a.tree) for a in config.agents}
@@ -859,50 +869,11 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                     )
 
     instance.advance_clock(instance.max_deadline())
-    transfers = instance.settle()
-    final_balances = dict(instance.ledger.balances)
-    payoffs = {a.name: final_balances.get(a.name, 0) - a.balance for a in config.agents}
-
-    claims = instance.claims()
-    questions = instance.questions()
-
-    def depth(node_id: str) -> int:
-        d, node = 0, instance.nodes[node_id]
-        while node.origin is not None:
-            node = instance.nodes[node.origin]
-            d += 1
-        return d
-
-    metrics = {
-        "claims": len(claims),
-        "questions": len(questions),
-        "machine_claims": sum(1 for c in claims if c.level == 0),
-        "max_depth": max((depth(n) for n in instance.nodes), default=0),
-        "moves": len(instance.moves),
-        "rejections": len(rejections),
-        "validated_claims": sum(1 for c in claims if c.status == VALIDATED),
-    }
-
     return SimulationTrace(
-        cascade=config.cascade,
-        mode=config.mode,
         seed=config.seed,
         horizon=config.horizon,
-        initial_balances={a.name: a.balance for a in config.agents},
-        moves=list(instance.moves),
-        move_lines=instance.move_log_lines(),
+        initial_balances=balances,
         rejections=rejections,
-        events=[
-            (n.id, n.status, n.determination)
-            for n in (instance.nodes[i] for i in instance.determined)
-        ],
-        transfers=transfers,
-        final_balances=final_balances,
-        payoffs=payoffs,
-        burned=instance.ledger.burned,
-        final_clock=instance.clock,
-        final_snapshot=instance.snapshot(),
-        metrics=metrics,
+        transfers=instance.settle(),
         instance=instance,
-        verifier=verifier,
     )

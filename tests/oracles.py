@@ -163,7 +163,7 @@ def brute_force_statuses(
             ok = c.verdict is not None and c.verdict.validated
             return ("validated" if ok else "invalidated", ts(c))
         deadline = c.posted_at.time + cascade.verification_time(c.level)
-        results = [eval_question(q) for q in instance.questions_on(c.id)]
+        results = [eval_question(q) for q in c.children]
         unanswered = [det for status, det in results if status == "unanswered"]
         if unanswered:
             return ("invalidated", min(unanswered))
@@ -174,7 +174,7 @@ def brute_force_statuses(
 
     def eval_question(q) -> tuple[str, tuple[int, int] | None]:
         deadline = q.posted_at.time + cascade.response_time(q.level)
-        answers = instance.answers_to(q.id)
+        answers = q.children
         results = {a.id: eval_claim(a) for a in answers}
         validated = [
             (det, ts(a))
@@ -209,6 +209,64 @@ def observed_statuses(
             det = (node.determination.time, node.determination.seq)
         out[node.id] = (node.status, det)
     return out
+
+
+# -- settlement routing (settlement oracle) -------------------------------------
+
+
+def settlement_routes(instance: ProtocolInstance) -> list[tuple[str, str, int, str]]:
+    """Every transfer `settle()` should make, as (node, account, amount,
+    reason), restated from the routing rules.
+
+    Amounts come from the cascade, not the ledger, and the deciding child of
+    a node is found by scanning every node for its children: the unanswered
+    question, or the validated answer, with the least (determination, posted
+    at). A pending node (left by an early stop) refunds its owner; a
+    validated claim returns its stake; an invalidated machine claim forfeits
+    its stake to the questioner; an invalidated chain claim forfeits its
+    upward stake to the questioner (the root has none) and its downward
+    stake to the defeating question; an answered question pays its bounty to
+    the winning answer and an unanswered one reimburses it. Nodes go in
+    posting order, and zero amounts are not paid.
+    """
+    cascade = instance.cascade
+    nodes = sorted(instance.nodes.values(), key=lambda n: n.posted_at)
+
+    def first_child(node, status):
+        children = [n for n in nodes if n.origin == node.id and n.status == status]
+        return min(children, key=lambda n: (n.determination, n.posted_at))
+
+    routes: list[tuple[str, str, int, str]] = []
+
+    def pay(node, account, amount, reason):
+        if amount > 0:
+            routes.append((node.id, account, amount, reason))
+
+    for node in nodes:
+        if node.kind == "question":
+            held = cascade.bounty(node.level)
+        elif node.level == 0:
+            held = cascade.machine.stake_up
+        else:
+            stake_up = cascade.levels[node.level].stake_up if node.origin else 0
+            held = stake_up + cascade.levels[node.level].stake_down
+        if node.status == "pending":
+            pay(node, node.owner, held, "escrow refunded")
+        elif node.status == "validated":
+            pay(node, node.owner, held, "stake returned")
+        elif node.status == "invalidated" and node.level == 0:
+            pay(node, instance.nodes[node.origin].owner, held, "stake forfeited to questioner")
+        elif node.status == "invalidated":
+            if node.origin:
+                pay(node, instance.nodes[node.origin].owner, stake_up,
+                    "stake forfeited to questioner")
+            pay(node, first_child(node, "unanswered").owner, held - stake_up,
+                "stake paid to defeating question")
+        elif node.status == "answered":
+            pay(node, first_child(node, "validated").owner, held, "bounty paid to answer")
+        else:
+            pay(node, node.owner, held, "bounty reimbursed")
+    return routes
 
 
 # -- open windows by full-tree scan --------------------------------------------

@@ -262,15 +262,17 @@ def test_criterion_7_randomized_debates_against_the_oracle():
 
 def test_criterion_8_attacks_lose_and_defense_outraces_theft():
     bomber = run_scenario(scenario_from_json(preset_scenario("carpet_bomber")))
-    assert bomber.payoffs["bomber"] < 0, bomber.payoffs
+    payoffs = bomber.summary()["payoffs"]
+    assert payoffs["bomber"] < 0, payoffs
 
     sandbag = run_scenario(scenario_from_json(preset_scenario("sandbagger")))
-    assert sandbag.payoffs["sandy"] < 0, sandbag.payoffs
+    payoffs = sandbag.summary()["payoffs"]
+    assert payoffs["sandy"] < 0, payoffs
 
     defense = run_scenario(scenario_from_json(preset_scenario("plagiarist_defense")))
     inst = defense.instance
     question = next(q for q in inst.questions() if q.owner == "bob")
-    answers = sorted(inst.answers_to(question.id), key=lambda c: c.posted_at)
+    answers = question.children
     assert len(answers) == 2, "defense scenario must produce both answers"
     stolen = next(c for c in answers if c.owner == "charlie")
     own = next(c for c in answers if c.owner == "alice")

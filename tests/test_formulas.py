@@ -20,6 +20,7 @@ from sprig.formulas import (
     disj,
     impl,
     neg,
+    parse_json,
     sym,
 )
 
@@ -309,3 +310,32 @@ def test_a_pickled_decoded_formula_still_equals_the_shared_one():
     assert Formula.from_json(doc) is shared
     statement = Statement.from_json({"assumptions": [doc], "conclusion": doc})
     assert pickle.loads(pickle.dumps(statement)) == statement
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (r'{"atom":"\ud800"}', r"'\ud800' in $.atom"),
+        (r'{"atom":"p\uDFFFq"}', r"'\udfff' in $.atom"),
+        (r'{"and":[{"atom":"p"},{"atom":"\udc00\ud800"}]}', r"'\udc00' in $.and[1].atom"),
+        (r'{"\udbff":{"atom":"\ud800"}}', r"'\udbff' in a field name of $"),
+        (r'["\ud800"]', r"'\ud800' in $[0]"),
+    ],
+)
+def test_the_reader_rejects_a_lone_surrogate_and_names_where_it_sits(text, where):
+    with pytest.raises(ParseError) as caught:
+        parse_json(text)
+    assert str(caught.value) == f"lone surrogate {where}"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (r'{"atom":"\ud83d\ude00"}', {"atom": "\U0001F600"}),
+        (r'{"atom":"\\ud800"}', {"atom": "\\ud800"}),
+        (r'{"atom":"\ud7ff"}', {"atom": "\ud7ff"}),
+    ],
+    ids=["pair", "escaped-backslash", "next-to-the-range"],
+)
+def test_the_reader_keeps_surrogate_pairs_and_text_that_only_looks_like_one(text, value):
+    assert parse_json(text) == value

@@ -65,11 +65,15 @@ def _write(directory: Path, name: str, text: str) -> str:
     return str(path)
 
 
-def _check(*argv: str) -> int:
+def _main(*argv: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    stderr = err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check(*argv: str) -> int:
+    code, _, stderr = _main(*argv)
     assert code in (0, 1, 2)
     assert stderr == "" or (stderr.startswith("error: ") and stderr.count("\n") == 1), stderr
     return code
@@ -132,3 +136,52 @@ def test_simulate_rejects_strategy_flags_that_are_not_booleans_and_endless_runs(
     scenario = json.loads((FIXTURES / "scenarios" / "happy_path.json").read_text(encoding="utf-8"))
     edit(scenario)
     assert _check("simulate", _write(workdir, "scenario.json", json.dumps(scenario))) == 1
+
+
+# A lone surrogate escape decodes to text that no UTF-8 document can hold;
+# the reader rejects it and names where it sits. A surrogate pair is one
+# character, and `json.dumps` writes both as escapes.
+LONE = "\ud800"
+
+
+def test_validate_rejects_a_lone_surrogate(workdir):
+    doc = _write(workdir, "doc.json", json.dumps({"conclusion": {"atom": LONE}}))
+    assert _main("validate", doc) == (
+        1, "", "error: unparsable document: lone surrogate '\\ud800' in $.conclusion.atom\n"
+    )
+    pair = _write(workdir, "doc.json", json.dumps({"conclusion": {"atom": "\U0001F600"}}))
+    assert _main("validate", pair) == (0, "ok: well-formed statement\n", "")
+
+
+def test_run_rejects_a_lone_surrogate_and_names_its_line(workdir):
+    path = FIXTURES / "movelogs" / "full_run_claim_root.jsonl"
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    records[2]["payload"]["proof"]["target"]["context"] = LONE
+    records[2]["payload_hash"] = "0" * 64
+    log = _write(workdir, "log.jsonl", "".join(json.dumps(r) + "\n" for r in records))
+    assert _main("run", log, str(_cascade_for(path))) == (
+        1, "",
+        "error: bad move log at line 3: lone surrogate '\\ud800' in $.payload.proof.target.context\n",
+    )
+
+
+def test_simulate_rejects_a_lone_surrogate(workdir):
+    scenario = json.loads((FIXTURES / "scenarios" / "happy_path.json").read_text(encoding="utf-8"))
+    scenario["agents"][0]["name"] = LONE
+    code, out, err = _main("simulate", _write(workdir, "scenario.json", json.dumps(scenario)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "lone surrogate '\\ud800' in $.agents[0].name" in err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[]", "move must be an object, not list"), ('{"kind":"question"}', "move needs actor")],
+    ids=["array", "no-actor"],
+)
+def test_run_names_the_line_of_a_record_it_cannot_fund(workdir, line, message):
+    path = FIXTURES / "movelogs" / "full_run_claim_root.jsonl"
+    first = path.read_text(encoding="utf-8").splitlines()[0]
+    log = _write(workdir, "log.jsonl", f"{first}\n{line}\n")
+    assert _main("run", log, str(_cascade_for(path))) == (
+        1, "", f"error: bad move log at line 2: {message}\n"
+    )

@@ -20,6 +20,7 @@ from sprig.protocol import (
     MachineParameters,
     ParameterCascade,
     PENDING,
+    QUIESCENCE,
     ProtocolError,
     ProtocolInstance,
     Timestamp,
@@ -259,7 +260,7 @@ def test_duplicate_questions_are_legal():
     a = inst.post_question("quin", inst.root_id, 1, 1)
     b = inst.post_question("quin", inst.root_id, 1, 1)
     assert a != b
-    assert [q.id for q in inst.questions_on(inst.root_id)] == [a, b]
+    assert [q.id for q in inst.nodes[inst.root_id].children] == [a, b]
 
 
 def test_machine_answers_burn_immediately_and_carry_a_verdict():
@@ -359,6 +360,17 @@ def test_settlement_guards():
         settle(inst)
     with pytest.raises(ProtocolError, match="already settled"):
         inst.post_question("quin", inst.root_id, 1, 99)
+
+
+def test_a_settled_instance_refuses_to_move_its_clock():
+    inst = fresh_claim_root()
+    advance_clock(inst, inst.max_deadline())
+    settle(inst)
+    before = (inst.clock, inst.snapshot())
+    for t in (inst.clock, inst.clock + 1):
+        with pytest.raises(ProtocolError, match="^instance already settled$"):
+            advance_clock(inst, t)
+    assert (inst.clock, inst.snapshot()) == before
 
 
 def test_early_stop_settlement_waits_for_the_root():
@@ -515,6 +527,32 @@ def test_pending_nodes_are_refunded_at_early_stop():
     assert refunds == [
         type(transfers[0])(fx.node("c4"), "dee", deposit, "escrow refunded")
     ]
+
+
+def _replayed_until_refused(lines, cascade, balances, mode):
+    """The instance replaying the longest prefix of `lines` that `mode`
+    accepts: an early stop refuses every move after the root determines."""
+    for n in range(1, len(lines) + 1):
+        try:
+            twin = replay(lines[:n], cascade, balances=balances, mode=mode)
+        except ProtocolError as exc:
+            assert mode == EARLY_STOP and "interaction ended" in str(exc)
+            break
+    return twin
+
+
+def _routes(transfers):
+    return [(t.node_id, t.account, t.amount, t.reason) for t in transfers]
+
+
+@pytest.mark.parametrize("mode", [QUIESCENCE, EARLY_STOP])
+def test_fixture_settlement_routes_every_escrow_as_the_oracle_does(fx, mode):
+    lines = fx.instance.move_log_lines()
+    twin = _replayed_until_refused(lines, fx.cascade, fx.balances, mode)
+    advance_clock(twin, max(fx.final_time, twin.max_deadline()))
+    expected = oracles.settlement_routes(twin)
+    assert expected
+    assert _routes(settle(twin)) == expected
 
 
 def test_fixture_movelogs_on_disk_match_the_builders(fx):
@@ -772,7 +810,8 @@ def test_random_debates_match_the_declarative_oracle(seed):
     advance_clock(inst, horizon)
     assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, horizon)
     assert inst.conservation_total() == total
-    settle(inst)
+    expected = oracles.settlement_routes(inst)
+    assert _routes(settle(inst)) == expected
     assert inst.conservation_total() == total
     assert not inst.ledger.escrowed
 
@@ -809,6 +848,8 @@ def test_random_debates_match_the_declarative_oracle_in_early_stop_mode(seed):
     assert twin.stopped_at is not None
     assert matches_the_oracle(twin)
     assert advance_clock(twin, horizon + 1) == []
+    expected = oracles.settlement_routes(twin)
+    assert _routes(settle(twin)) == expected
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 7))

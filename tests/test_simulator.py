@@ -73,10 +73,11 @@ def test_preset_outcomes(name):
     trace = run_preset(name)
     root = trace.instance.nodes[trace.instance.root_id]
     assert (root.status, str(root.determination)) == (status, det)
-    assert trace.burned == burned
-    assert trace.final_clock == clock
-    assert trace.payoffs == payoffs
-    assert sum(trace.payoffs.values()) == -trace.burned
+    summary = trace.summary()
+    assert summary["burned"] == trace.instance.ledger.burned == burned
+    assert summary["final_clock"] == trace.final_clock == clock
+    assert summary["payoffs"] == payoffs
+    assert sum(payoffs.values()) == -burned
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_OUTCOMES))
@@ -97,25 +98,25 @@ def test_agent_context_queries_agree_with_a_rescan_of_the_tree(name):
         ctx = AgentContext(inst, me, Knowledge(), inst.clock, random.Random(0))
         for q in inst.questions() + [None]:
             qid = q.id if q else "q999"
-            mine = [c for c in inst.answers_to(qid) if c.owner == me] if q else []
+            mine = [c for c in q.children if c.owner == me] if q else []
             assert (ctx.answered_by_me(qid), ctx.my_answers(qid)) == (bool(mine), len(mine))
         for c in inst.claims() + [None]:
             cid = c.id if c else "c999"
-            mine = [q for q in inst.questions_on(cid) if q.owner == me] if c else []
+            mine = [q for q in c.children if q.owner == me] if c else []
             assert ctx.questioned_by_me(cid) == bool(mine)
             for step in range(1, (len(c.proof.steps) if c else 0) + 2):
                 assert ctx.questioned_by_me(cid, step) == any(q.step_index == step for q in mine)
 
 
 def test_payoffs_sum_to_minus_the_burn():
-    trace = run_preset("nitpicker")
-    assert sum(trace.payoffs.values()) == -trace.burned
+    summary = run_preset("nitpicker").summary()
+    assert sum(summary["payoffs"].values()) == -summary["burned"]
 
 
 def test_attacks_lose_money_and_defenders_profit():
-    assert run_preset("carpet_bomber").payoffs["bomber"] < 0
-    assert run_preset("sandbagger").payoffs["sandy"] < 0
-    evasive = run_preset("evasive_prover").payoffs
+    assert run_preset("carpet_bomber").summary()["payoffs"]["bomber"] < 0
+    assert run_preset("sandbagger").summary()["payoffs"]["sandy"] < 0
+    evasive = run_preset("evasive_prover").summary()["payoffs"]
     assert evasive["nick"] < 0 < evasive["alice"]
 
 
@@ -123,8 +124,7 @@ def test_plagiarist_is_beaten_to_the_bounty():
     trace = run_preset("plagiarist_defense")
     inst = trace.instance
     question = next(q for q in inst.questions() if q.owner == "bob")
-    answers = sorted(inst.answers_to(question.id), key=lambda c: c.posted_at)
-    copied, original = answers[0], answers[1]
+    copied, original = question.children
     assert copied.owner == "charlie" and original.owner == "alice"
     assert copied.status == original.status == "validated"
     # the defender's answer lands first, so the stolen proof earns nothing
@@ -176,7 +176,7 @@ def test_misleader_variants_differ_only_in_timing():
     assert times(immediate) == [0, 0, 0, 1]
     # the deadline variant answers its own question one tick before it expires
     assert times(deadline) == [0, 0, 3, 4]
-    assert immediate.payoffs == deadline.payoffs == {"mia": 0}
+    assert immediate.summary()["payoffs"] == deadline.summary()["payoffs"] == {"mia": 0}
 
 
 # -- knowledge and padding -------------------------------------------------------
@@ -184,16 +184,15 @@ def test_misleader_variants_differ_only_in_timing():
 
 def test_knowledge_marks_undefendable_branches_dubious():
     solid = build_knowledge(solid_tree())
-    assert not solid.dubious
-    assert all(solid.truth.values())
+    assert solid.truth and all(solid.truth.values())
 
     tree = rotten_tree()
     rotten = build_knowledge(tree)
     weak_step = tree.steps[1].statement
     inner_gap = tree.steps[1].subproof.steps[1].statement
-    assert inner_gap.hash() in rotten.dubious
-    assert weak_step.hash() in rotten.dubious
-    assert tree.target.hash() in rotten.dubious
+    assert rotten.truth[inner_gap.hash()] is False
+    assert rotten.truth[weak_step.hash()] is False
+    assert rotten.truth[tree.target.hash()] is False
     sound_step = tree.steps[0].statement
     assert rotten.truth[sound_step.hash()]
     # the weak statement still has a chain to post (it restates itself one
@@ -310,7 +309,7 @@ def test_rejected_intents_are_logged_and_harmless():
         root_tree=tree,
     )
     trace = run_scenario(config)
-    assert trace.metrics["rejections"] == 1
+    assert trace.summary()["metrics"]["rejections"] == 1
     rejection = trace.rejections[0]
     assert rejection.actor == "quin"
     assert "no such step" in rejection.reason
@@ -399,12 +398,13 @@ def test_trace_exports():
     trace = run_preset("invalid_leaf")
     csv = trace.metrics_csv()
     assert csv[0] == "agent,initial,final,net"
-    assert csv[-1] == f"__burned__,0,{trace.burned},{-trace.burned}"
-    assert {r.split(",")[0] for r in csv[1:-1]} == set(trace.payoffs)
+    summary = trace.summary()
+    assert csv[-1] == f"__burned__,0,{summary['burned']},{-summary['burned']}"
+    assert {r.split(",")[0] for r in csv[1:-1]} == set(summary["payoffs"])
     lines = trace.to_json_lines()
     first, last = json.loads(lines[0]), json.loads(lines[-1])
     assert first["record"] == "run" and first["seed"] == trace.seed
-    assert last["record"] == "summary" and last["burned"] == trace.burned
+    assert last == {"record": "summary", **summary}
     kinds = {json.loads(l)["record"] for l in lines}
     assert {"run", "move", "event", "transfer", "summary"} <= kinds
 
