@@ -7,10 +7,14 @@ carpet-bombed wide debate (`wide_config` in perfbench/workloads.py:
 `replay` of the produced move log plus `advance_clock` and `settle`. Each
 repeat runs in a fresh interpreter with the seed 0, so that no memoized
 value, warm cache or garbage-collector state carries over from one run to
-the next. Every replay must land on the simulated snapshot. Each point keeps
-the median seconds, the median µs per move, the `json.dumps` calls per move
-(counted in the child, for simulate and for replay + settle; the same in
-every repeat) and the sha256 of the move log.
+the next. The child then drops that debate and times a second simulate and
+replay in the same interpreter: the cold numbers include first-call costs,
+the warm ones (`*_warm_*`) are what a process that replays log after log
+pays. Every replay must land on the simulated snapshot. Each point keeps
+the median seconds and the median µs per move, cold and warm, the
+`json.dumps` calls per move (counted in the child during the cold run, for
+simulate and for replay + settle; the same in every repeat) and the sha256
+of the move log.
 
     python3 scripts/scaling.py --label NAME
 
@@ -45,6 +49,10 @@ ROOT = Path(__file__).resolve().parent.parent
 KS = (8, 16, 24, 32, 48, 64)
 SEED = 0
 REPEATS = 5
+# Cold: the first simulate and replay in a fresh interpreter. Warm: a second
+# one in the same interpreter, after the first debate is dropped, as a
+# long-running verifier (and the benchmark's wide leg) replays.
+TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm")
 
 # One repeat: run in a fresh interpreter with the checkout's src/ and
 # perfbench/ on the path; prints one JSON line.
@@ -62,28 +70,34 @@ json.dumps = counted_dumps
 
 k, seed = int(sys.argv[1]), int(sys.argv[2])
 config = wide_config(k, seed)
-gc.collect()
-t0 = time.perf_counter()
-trace = run_scenario(config)
-t1 = time.perf_counter()
-simulate_dumps = calls[0]
-twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
-advance_clock(twin, trace.final_clock)
-settle(twin)
-t2 = time.perf_counter()
-replay_dumps = calls[0] - simulate_dumps
-if twin.snapshot() != trace.final_snapshot:
-    raise AssertionError(f"k={k}: replayed snapshot differs from the simulated one")
+out = {}
+for suffix in ("", "_warm"):  # the second run drops the first debate first
+    gc.collect()
+    before = calls[0]
+    t0 = time.perf_counter()
+    trace = run_scenario(config)
+    t1 = time.perf_counter()
+    simulate_dumps = calls[0] - before
+    twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
+    advance_clock(twin, trace.final_clock)
+    settle(twin)
+    t2 = time.perf_counter()
+    replay_dumps = calls[0] - before - simulate_dumps
+    if twin.snapshot() != trace.final_snapshot:
+        raise AssertionError(f"k={k}: replayed snapshot differs from the simulated one")
+    out[f"simulate{suffix}_s"] = t1 - t0
+    out[f"replay_settle{suffix}_s"] = t2 - t1
+    if not suffix:
+        out.update({
+            "nodes": len(trace.instance.nodes),
+            "moves": len(trace.move_lines),
+            "moves_sha256": hashlib.sha256("\\n".join(trace.move_lines).encode()).hexdigest(),
+            "simulate_dumps": simulate_dumps,
+            "replay_settle_dumps": replay_dumps,
+        })
+    del trace, twin
 json.dumps = dumps
-print(json.dumps({
-    "nodes": len(trace.instance.nodes),
-    "moves": len(trace.move_lines),
-    "moves_sha256": hashlib.sha256("\\n".join(trace.move_lines).encode()).hexdigest(),
-    "simulate_s": t1 - t0,
-    "replay_settle_s": t2 - t1,
-    "simulate_dumps": simulate_dumps,
-    "replay_settle_dumps": replay_dumps,
-}))
+print(json.dumps(out))
 """
 
 
@@ -108,10 +122,11 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
         "moves": moves,
         "moves_sha256": runs[0]["moves_sha256"],
     }
-    for name in ("simulate", "replay_settle"):
+    for name in TIMED:
         median = statistics.median(r[f"{name}_s"] for r in runs)
         point[f"{name}_s"] = round(median, 4)
         point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
+    for name in ("simulate", "replay_settle"):
         point[f"{name}_dumps_per_move"] = round(runs[0][f"{name}_dumps"] / moves, 3)
     return point
 
@@ -138,7 +153,7 @@ def main() -> int:
             before, after = points["before"][-1], points["after"][-1]
             if before["moves_sha256"] != after["moves_sha256"]:
                 raise AssertionError(f"k={k}: the two checkouts play different debates")
-            for name in ("simulate", "replay_settle"):
+            for name in TIMED:
                 after[f"{name}_pairs_won"] = sum(
                     a[f"{name}_s"] < b[f"{name}_s"] for a, b in zip(runs["after"], runs["before"])
                 )

@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 # Each command imports its own layer when it runs, so `validate` never loads
 # the protocol and only `verify-mc` loads numpy. The equilibrium module
@@ -107,20 +107,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -- run -----------------------------------------------------------------
 
 
-class _LineCursor:
-    """Iterator wrapper that remembers the number of the last line served."""
-
-    def __init__(self, lines: Sequence[str]) -> None:
-        self.lines = lines
-        self.current = 0
-
-    def __iter__(self) -> Iterator[str]:
-        for number, line in enumerate(self.lines, start=1):
-            self.current = number
-            yield line
-
-
-def _generous_funding(lines: Iterable[str], cascade: ParameterCascade) -> dict[str, int]:
+def _generous_funding(actors: Iterable[Any], cascade: ParameterCascade) -> dict[str, int]:
     """Opening balances that cannot run dry during replay.
 
     Move logs record actions, not accounts, so the replayer grants each actor
@@ -135,11 +122,7 @@ def _generous_funding(lines: Iterable[str], cascade: ParameterCascade) -> dict[s
         cascade.machine.stake_up + cascade.machine.burn_cost,
     )
     funding: dict[str, int] = {}
-    for raw in lines:
-        raw = raw.strip()
-        if not raw:
-            continue
-        actor = read_object(parse_json(raw), "move", required=("actor",))["actor"]
+    for actor in actors:
         if isinstance(actor, str):  # replay rejects any other actor
             funding[actor] = funding.get(actor, 0) + per_move
     return funding
@@ -171,7 +154,7 @@ def _run_outcome(instance: ProtocolInstance, initial: dict[str, int]) -> dict[st
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .protocol import EARLY_STOP, QUIESCENCE, ParameterCascade, ProtocolError, replay
+    from .protocol import EARLY_STOP, QUIESCENCE, ParameterCascade, ProtocolError, replay_line
     from .verifier import UnscriptedVerdictError
 
     try:
@@ -185,17 +168,28 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _fail(f"bad cascade file: {exc}", DOMAIN_ERROR)
     lines = log_text.splitlines()
     mode = EARLY_STOP if args.mode == "early-stop" else QUIESCENCE
-    cursor = _LineCursor(lines)
-    try:
-        balances = _generous_funding(cursor, cascade)
-    except (json.JSONDecodeError, ParseError) as exc:
-        return _fail(f"bad move log at line {cursor.current}: {exc}", DOMAIN_ERROR)
-    try:
-        instance = replay(cursor, cascade, balances=balances, mode=mode)
-    except (ProtocolError, ParseError, UnscriptedVerdictError) as exc:
-        return _fail(f"illegal move at line {cursor.current}: {exc}", DOMAIN_ERROR)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        return _fail(f"unreadable move at line {cursor.current}: {exc}", DOMAIN_ERROR)
+    # Each line is decoded once, up front: funding needs every actor first.
+    moves = []
+    for number, raw in enumerate(lines, start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            record = read_object(parse_json(raw), "move", required=("actor",))
+        except (json.JSONDecodeError, ParseError) as exc:
+            return _fail(f"bad move log at line {number}: {exc}", DOMAIN_ERROR)
+        moves.append((number, raw, record))
+    balances = _generous_funding([record["actor"] for _, _, record in moves], cascade)
+    instance: ProtocolInstance | None = None
+    for number, raw, record in moves:
+        try:
+            instance = replay_line(instance, raw, record, cascade, balances=balances, mode=mode)
+        except (ProtocolError, ParseError, UnscriptedVerdictError) as exc:
+            return _fail(f"illegal move at line {number}: {exc}", DOMAIN_ERROR)
+        except (KeyError, TypeError) as exc:
+            return _fail(f"unreadable move at line {number}: {exc}", DOMAIN_ERROR)
+    if instance is None:
+        return _fail(f"illegal move at line {len(lines)}: empty move log", DOMAIN_ERROR)
     instance.advance_clock(instance.max_deadline())
     print(canonical_json(_run_outcome(instance, balances)))
     return 0

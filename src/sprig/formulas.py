@@ -217,16 +217,10 @@ class Formula:
         """Decode a formula; nesting deeper than MAX_FORMULA_DEPTH is a ParseError."""
         return _formula_from_json(doc, MAX_FORMULA_DEPTH)
 
-    def tokens(self) -> Iterator[str]:
-        """Prefix-order token stream: one token per connective or leaf name."""
-        stack = [self]
-        while stack:
-            f = stack.pop()
-            if f.op in _LEAF:
-                yield f.name  # type: ignore[misc]
-            else:
-                yield f.op
-                stack.extend(reversed(f.args))
+    @_memoized
+    def size(self) -> int:
+        """Token count: one per connective or leaf name (see `measure_length`)."""
+        return 1 + sum([a.size() for a in self.args])
 
     def symbols(self) -> Iterator[str]:
         """Names of every `sym` leaf (declaration-requiring references)."""
@@ -258,42 +252,47 @@ class Formula:
         return f"({self.args[0]} {glyph} {self.args[1]})"
 
 
-# Decoded formulas, one shared instance per (op, name, child identities);
-# see `_formula_from_json`. Entries are weak, so the table holds exactly the
-# decoded formulas still in use somewhere: a live entry keeps its children
-# alive, hence the ids in its key stay theirs.
-_interned: weakref.WeakValueDictionary[tuple[Any, ...], Formula] = weakref.WeakValueDictionary()
+# Decoded formulas and statements, one shared instance per key; see
+# `_formula_from_json` and `Statement.from_json`. Entries are weak, so the
+# table holds exactly the decoded values still in use somewhere: a live entry
+# keeps the formulas it is made of alive, hence the ids in its key stay theirs.
+_interned: weakref.WeakValueDictionary[tuple[Any, ...], Any] = weakref.WeakValueDictionary()
+_interned_refs = _interned.data
 
 
 def _formula_from_json(doc: Any, levels: int) -> Formula:
     """`Formula.from_json` with `levels` the nesting depth still allowed.
 
     Children are decoded first, so equal subtrees are already one object,
-    and a formula is looked up by its connective, its name and the
+    and a formula is looked up by its connective and its name or the
     identities of its children: an O(1) key, where hashing the formula
     would walk the subtree. Equal formulas decoded while one of them is
     alive are therefore one object (hash-consing), which keeps its memoized
-    canonical text and makes comparing them an identity check."""
+    canonical text and size and makes comparing them an identity check. On
+    this hot path of replay the table is read through its weak-ref dict."""
     if levels < 1:
         raise ParseError("document nested too deeply")
     if not isinstance(doc, dict) or len(doc) != 1:
         raise ParseError(f"formula must be a single-key object, got {doc!r}")
     [(op, body)] = doc.items()
-    name = None
-    if op in _LEAF:
+    if op == "atom" or op == "sym":
         if not isinstance(body, str):
             raise ParseError(f"{op} name must be a string")
         name, args = body, ()
-    elif op in _UNARY:
-        args = (_formula_from_json(body, levels - 1),)
-    elif op in _BINARY:
+        key: tuple[Any, ...] = (op, body)
+    elif op == "and" or op == "or" or op == "imp":
         if not isinstance(body, list) or len(body) != 2:
             raise ParseError(f"{op} takes a two-element array")
-        args = (_formula_from_json(body[0], levels - 1), _formula_from_json(body[1], levels - 1))
+        left = _formula_from_json(body[0], levels - 1)
+        right = _formula_from_json(body[1], levels - 1)
+        name, args, key = None, (left, right), (op, id(left), id(right))
+    elif op == "not":
+        inner = _formula_from_json(body, levels - 1)
+        name, args, key = None, (inner,), (op, id(inner))
     else:
         raise ParseError(f"unknown connective {op!r}")
-    key = (op, name, *map(id, args))
-    formula = _interned.get(key)
+    ref = _interned_refs.get(key)
+    formula = ref() if ref is not None else None
     if formula is None:
         formula = _interned[key] = Formula(op, name, args)
     return formula
@@ -344,10 +343,10 @@ class Statement:
     def sorted_assumptions(self) -> tuple[Formula, ...]:
         return tuple(sorted(self.assumptions, key=Formula.canonical))
 
-    def tokens(self) -> Iterator[str]:
-        for f in self.sorted_assumptions():
-            yield from f.tokens()
-        yield from self.conclusion.tokens()
+    @_memoized
+    def size(self) -> int:
+        """Token count of the assumptions and the conclusion."""
+        return sum([f.size() for f in self.assumptions]) + self.conclusion.size()
 
     def symbols(self) -> Iterator[str]:
         for f in self.sorted_assumptions():
@@ -365,6 +364,10 @@ class Statement:
 
     @staticmethod
     def from_json(doc: Any) -> "Statement":
+        """Decode a statement, hash-consed as formulas are (see
+        `_formula_from_json`), by the identities of its shared formulas and
+        its context: a question's statement and the target of every answer
+        to it are one object, with one memoized text, hash and size."""
         doc = read_object(doc, "statement", _STATEMENT_FIELDS, ("conclusion",))
         raw = doc.get("assumptions", [])
         if not isinstance(raw, list):
@@ -372,11 +375,14 @@ class Statement:
         context = doc.get("context", "")
         if not isinstance(context, str):
             raise ParseError("context must be a string")
-        return Statement(
-            conclusion=Formula.from_json(doc["conclusion"]),
-            assumptions=frozenset(Formula.from_json(f) for f in raw),
-            context=context,
-        )
+        conclusion = _formula_from_json(doc["conclusion"], MAX_FORMULA_DEPTH)
+        assumptions = [_formula_from_json(f, MAX_FORMULA_DEPTH) for f in raw]
+        key = (id(conclusion), frozenset(map(id, assumptions)), context)
+        ref = _interned_refs.get(key)
+        statement = ref() if ref is not None else None
+        if statement is None:
+            statement = _interned[key] = Statement(conclusion, frozenset(assumptions), context)
+        return statement
 
     @_memoized
     def canonical(self) -> str:
@@ -415,13 +421,6 @@ class DefinitionSet:
 
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.symbols)
-
-    def tokens(self) -> Iterator[str]:
-        for label in self.imports:
-            yield label
-        for name, f in self.symbols:
-            yield name
-            yield from f.tokens()
 
     def to_json(self) -> Any:
         return {

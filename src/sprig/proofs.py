@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
-from typing import Any, Iterator, Union
+from typing import Any, Union
 
 from .formulas import (
     DefinitionSet,
@@ -104,13 +104,6 @@ class MachineProof:
 
     def height(self) -> int:
         return 1
-
-    def tokens(self) -> Iterator[str]:
-        for step in self.steps:
-            yield from step.formula.tokens()
-            yield step.rule
-            for p in step.premises:
-                yield str(p)
 
     def to_json(self) -> Any:
         return {
@@ -209,13 +202,6 @@ class ProofChain:
             definitions=self.definitions,
         )
 
-    def tokens(self) -> Iterator[str]:
-        yield from self.definitions.tokens()
-        for step in self.steps:
-            yield from step.statement.tokens()
-            for i in step.imports:
-                yield str(i)
-
     def to_json(self) -> Any:
         return {
             "definitions": self.definitions.to_json(),
@@ -263,9 +249,18 @@ def measure_length(proof: ProofChain | MachineProof) -> int:
     Counts the posted content only: definitions, step statements and import
     indices for a chain (embedded subproofs excluded, as is the target, which
     belongs to the disputed statement rather than the proof); formulas, rule
-    tags and premise indices for a machine proof.
+    tags and premise indices for a machine proof. Each formula and
+    statement keeps its own count (`size()`), so a statement shared by
+    several moves is counted once.
     """
-    return len(list(proof.tokens()))
+    if isinstance(proof, MachineProof):
+        return sum([s.formula.size() + 1 + len(s.premises) for s in proof.steps])
+    definitions = proof.definitions
+    return (
+        len(definitions.imports)
+        + sum([1 + f.size() for _, f in definitions.symbols])
+        + sum([s.statement.size() + len(s.imports) for s in proof.steps])
+    )
 
 
 @dataclass(frozen=True)

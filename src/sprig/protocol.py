@@ -76,6 +76,7 @@ __all__ = [
     "resolve",
     "settle",
     "replay",
+    "replay_line",
 ]
 
 PENDING = "pending"
@@ -642,11 +643,7 @@ class ProtocolInstance:
             posted = proof
             if proof.target != q.statement:
                 raise ProtocolError("structural violation: proof targets a different statement")
-            used = measure_length(posted)
-            if used > self.cascade.machine.max_length:
-                raise ProtocolError(
-                    f"length over budget: {used} > {self.cascade.machine.max_length}"
-                )
+            _check_length(posted, self.cascade.machine.max_length)
             deposit = self.cascade.machine.stake_up + self.cascade.machine.burn_cost
             verdict = self.verifier.verdict(q.statement, posted, node_id)
         self.ledger.lock(owner, node_id, deposit)
@@ -691,11 +688,7 @@ class ProtocolInstance:
         report = validate_chain(statement, chain, level_limit=level, ambient=ambient)
         if not report.ok:
             raise ProtocolError(f"structural violation: {report}")
-        used = measure_length(chain)
-        if used > self.cascade.max_length(level):
-            raise ProtocolError(
-                f"length over budget: {used} > {self.cascade.max_length(level)}"
-            )
+        _check_length(chain, self.cascade.max_length(level))
 
     # -- clock and resolution ---------------------------------------------
 
@@ -751,6 +744,8 @@ class ProtocolInstance:
         question defeats the claim" and "first validated answer wins" means
         first in debate time. A node that determines queues its origin.
         """
+        if not self._dirty:
+            return []
         queued, self._dirty = self._dirty, set()
         queue = [(-self.nodes[node_id].posted_at.seq, node_id) for node_id in queued]
         heapq.heapify(queue)
@@ -907,6 +902,12 @@ class ProtocolInstance:
         return self.ledger.total()
 
 
+def _check_length(proof: ProofChain | MachineProof, budget: int) -> None:
+    used = measure_length(proof)
+    if used > budget:
+        raise ProtocolError(f"length over budget: {used} > {budget}")
+
+
 # -- module-level operations (the documented functional API) ---------------
 
 
@@ -987,10 +988,41 @@ def replay(
     mode: str = QUIESCENCE,
     verifier: VerifierBackend | None = None,
 ) -> ProtocolInstance:
-    """Rebuild an instance from its move log. Verifies payload hashes and
-    decodes strictly: `seq` must be the next sequence number, `seq`, `time`
-    and a question's `step` must be integers (booleans are not), and `actor`
-    must be a string.
+    """Rebuild an instance from its move log, one `replay_line` per
+    non-blank line."""
+    instance: ProtocolInstance | None = None
+    for raw in lines:
+        raw = raw.strip()
+        if raw:
+            instance = replay_line(
+                instance, raw, parse_json(raw), cascade,
+                balances=balances, mode=mode, verifier=verifier,
+            )
+    if instance is None:
+        raise ProtocolError("empty move log")
+    return instance
+
+
+# The fields of a move record, in the order a missing one is reported.
+_MOVE_FIELDS = ("payload", "kind", "actor", "time", "seq", "payload_hash")
+
+
+def replay_line(
+    instance: ProtocolInstance | None,
+    raw: str,
+    record: Any,
+    cascade: ParameterCascade,
+    *,
+    balances: Mapping[str, int] | None = None,
+    mode: str = QUIESCENCE,
+    verifier: VerifierBackend | None = None,
+) -> ProtocolInstance:
+    """Apply one stripped move-log line `raw`, decoded as `record`, to
+    `instance` (None before the root move) and return the instance. Checks
+    the payload hash and decodes strictly: the record is an object with
+    every move field (else a ParseError names the first one missing), `seq`
+    is the next sequence number, `seq`, `time` and a question's `step` are
+    integers (booleans are not), and `actor` is a string.
 
     Each move's payload text is composed once, by the instance that posts
     it, from the memoized canonical text of the decoded proof or statement,
@@ -1001,65 +1033,44 @@ def replay(
     and its hash checked as read. A line whose move fails has its hash
     checked first, so a tampered line reports the mismatch rather than what
     the tampering broke."""
-    instance: ProtocolInstance | None = None
-    for raw in lines:
-        raw = raw.strip()
-        if not raw:
-            continue
-        record = parse_json(raw)
-        payload = record["payload"]
-        try:
-            instance = _replay_move(instance, record, payload, cascade, balances, mode, verifier)
-        except Exception:
-            _check_payload_hash(record, payload)
-            raise
-        if raw != instance.moves[-1].line():
-            _check_payload_hash(record, payload)
-    if instance is None:
-        raise ProtocolError("empty move log")
-    return instance
-
-
-def _check_payload_hash(record: Mapping[str, Any], payload: Any) -> None:
-    if content_hash(payload) != record["payload_hash"]:
-        raise ProtocolError(f"payload hash mismatch at seq {record.get('seq')}")
-
-
-def _replay_move(
-    instance: ProtocolInstance | None,
-    record: Mapping[str, Any],
-    payload: Any,
-    cascade: ParameterCascade,
-    balances: Mapping[str, int] | None,
-    mode: str,
-    verifier: VerifierBackend | None,
-) -> ProtocolInstance:
-    """Apply one decoded move-log record; the instance, created by a root move."""
-    kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
-    if not isinstance(actor, str):
-        raise ProtocolError(f"actor must be a string, got {actor!r}")
-    if instance is None and kind not in ("root_claim", "root_question"):
-        raise ProtocolError(f"log must start with a root move, got {kind!r}")
-    seq = _int_field(record, "seq")
-    expected = 1 if instance is None else instance._next_seq
-    if seq != expected:
-        raise ProtocolError(f"seq {seq} out of order, expected {expected}")
-    if instance is None:
-        if kind == "root_claim":
+    record = read_object(record, "move", required=_MOVE_FIELDS)
+    payload = record["payload"]
+    try:
+        kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
+        if not isinstance(actor, str):
+            raise ProtocolError(f"actor must be a string, got {actor!r}")
+        if instance is None and kind not in ("root_claim", "root_question"):
+            raise ProtocolError(f"log must start with a root move, got {kind!r}")
+        seq = _int_field(record, "seq")
+        expected = 1 if instance is None else instance._next_seq
+        if seq != expected:
+            raise ProtocolError(f"seq {seq} out of order, expected {expected}")
+        if instance is None and kind == "root_claim":
             chain = ProofChain.from_json(payload["chain"])
-            return create_root_claim(
+            instance = create_root_claim(
                 actor, chain.target, chain, cascade, time,
                 balances=balances, mode=mode, verifier=verifier,
             )
-        return create_root_question(
-            actor, Statement.from_json(payload["statement"]), cascade, time,
-            balances=balances, mode=mode, verifier=verifier,
-        )
-    if kind == "question":
-        instance.post_question(actor, payload["origin"], payload["step"], time)
-    elif kind == "answer_claim":
-        proof = proof_from_json(payload["proof"])
-        instance.post_answer_claim(actor, payload["origin"], proof, time)
-    else:
-        raise ProtocolError(f"unknown move kind {kind!r}")
+        elif instance is None:
+            instance = create_root_question(
+                actor, Statement.from_json(payload["statement"]), cascade, time,
+                balances=balances, mode=mode, verifier=verifier,
+            )
+        elif kind == "question":
+            instance.post_question(actor, payload["origin"], payload["step"], time)
+        elif kind == "answer_claim":
+            proof = proof_from_json(payload["proof"])
+            instance.post_answer_claim(actor, payload["origin"], proof, time)
+        else:
+            raise ProtocolError(f"unknown move kind {kind!r}")
+    except Exception:
+        _check_payload_hash(record)
+        raise
+    if raw != instance.moves[-1].line():
+        _check_payload_hash(record)
     return instance
+
+
+def _check_payload_hash(record: Mapping[str, Any]) -> None:
+    if content_hash(record["payload"]) != record["payload_hash"]:
+        raise ProtocolError(f"payload hash mismatch at seq {record['seq']}")

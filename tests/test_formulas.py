@@ -1,4 +1,4 @@
-"""Formula and statement layer: construction, serialization, token streams."""
+"""Formula and statement layer: construction, serialization, token counts."""
 
 import dataclasses
 import json
@@ -102,11 +102,51 @@ def test_formula_json_round_trip(f):
     assert Formula.from_json(f.to_json()) == f
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_nested_not(MAX_FORMULA_DEPTH + 1), "document nested too deeply"),
+        (
+            {"atom": "p", "sym": "q"},
+            "formula must be a single-key object, got {'atom': 'p', 'sym': 'q'}",
+        ),
+        ({"and": [{"atom": "p"}]}, "and takes a two-element array"),
+        ({"atom": 3}, "atom name must be a string"),
+        ({"xor": [{"atom": "p"}, {"atom": "q"}]}, "unknown connective 'xor'"),
+        ({"not": {"sym": []}}, "sym name must be a string"),
+        ({"or": [{"atom": "p"}, {"atom": ""}]}, "atom formula needs a name and no arguments"),
+    ],
+    ids=["too-deep", "two-keys", "one-element-and", "integer-atom", "unknown-connective",
+         "nested-list-sym", "empty-name"],
+)
+def test_decode_errors_name_what_is_wrong(doc, message):
+    with pytest.raises(ParseError) as caught:
+        Formula.from_json(doc)
+    assert str(caught.value) == message
+
+
+def _rebuilt(f):
+    """An equal formula built through the constructor, sharing no node with `f`."""
+    return Formula(f.op, f.name, tuple(_rebuilt(a) for a in f.args))
+
+
 @given(formulas())
-def test_formula_tokens_match_raw_json_walk(f):
-    """The dataclass tokenizer and the raw-dict oracle must stream the same
-    prefix order, or length charges would depend on the code path."""
-    assert list(f.tokens()) == list(oracles.formula_tokens(f.to_json()))
+def test_formula_size_is_the_length_of_the_oracle_token_stream(f):
+    """The memoized count and the raw-dict oracle must agree, for built and
+    for decoded formulas, or length charges would depend on the code path."""
+    expected = len(list(oracles.formula_tokens(f.to_json())))
+    decoded = Formula.from_json(json.loads(json.dumps(f.to_json())))
+    assert f.size() == decoded.size() == expected
+    assert f.size() is f.size() and type(f.size()) is int
+
+
+@given(formulas())
+def test_equal_formulas_hash_equal_whether_decoded_or_built(f):
+    decoded, rebuilt = Formula.from_json(f.to_json()), _rebuilt(f)
+    assert rebuilt is not f and rebuilt is not decoded
+    assert decoded == f == rebuilt
+    assert hash(decoded) == hash(f) == hash(rebuilt)
+    assert Formula.from_json(rebuilt.to_json()) is decoded
 
 
 def test_str_rendering_spot_checks():
@@ -169,9 +209,10 @@ def test_statement_rejects_unknown_fields_and_missing_conclusion():
 
 
 @given(st.sets(formulas(max_leaves=3), max_size=3), formulas(max_leaves=3))
-def test_statement_tokens_agree_with_oracle(assumptions, conclusion):
+def test_statement_size_is_the_length_of_the_oracle_token_stream(assumptions, conclusion):
     s = Statement(conclusion=conclusion, assumptions=frozenset(assumptions))
-    assert list(s.tokens()) == list(oracles.statement_tokens(s.to_json()))
+    expected = len(list(oracles.statement_tokens(s.to_json())))
+    assert s.size() == Statement.from_json(s.to_json()).size() == expected
 
 
 def test_definition_set_duplicate_symbol_rejected():
@@ -179,15 +220,13 @@ def test_definition_set_duplicate_symbol_rejected():
         DefinitionSet(symbols=(("s", atom("p")), ("s", atom("q"))))
 
 
-def test_definition_set_round_trip_and_token_order():
+def test_definition_set_round_trip():
     d = DefinitionSet(
         symbols=(("short", conj(atom("p"), atom("p"))), ("other", atom("q"))),
         imports=("arith", "sets"),
     )
     assert DefinitionSet.from_json(d.to_json()) == d
     assert d.names() == frozenset({"short", "other"})
-    # imports first, then each name followed by its defining formula
-    assert list(d.tokens()) == ["arith", "sets", "short", "and", "p", "p", "other", "q"]
 
 
 def test_definition_set_parse_errors():
@@ -297,6 +336,20 @@ def test_decoding_shares_one_instance_per_formula():
     # built, not decoded: equal but its own object
     built = impl(conj(atom("p"), sym("zeta")), atom("p"))
     assert built == f and built is not f
+
+
+def test_decoding_shares_one_instance_per_statement():
+    doc = {"assumptions": [{"atom": "q"}, {"atom": "p"}], "conclusion": {"atom": "p"}}
+    s = Statement.from_json(doc)
+    reordered = {"assumptions": [{"atom": "p"}, {"atom": "q"}, {"atom": "p"}],
+                 "conclusion": {"atom": "p"}}
+    assert Statement.from_json(reordered) is s
+    assert s.conclusion in s.assumptions and len(s.assumptions) == 2
+    assert Statement.from_json({**doc, "context": "demo"}) is not s
+    assert Statement.from_json({**doc, "conclusion": {"atom": "q"}}) is not s
+    # built, not decoded: equal, hashing equal, but its own object
+    built = Statement(conclusion=atom("p"), assumptions=frozenset({atom("p"), atom("q")}))
+    assert built == s and hash(built) == hash(s) and built is not s
 
 
 def test_a_pickled_decoded_formula_still_equals_the_shared_one():

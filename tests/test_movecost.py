@@ -7,9 +7,11 @@ views must agree with full-tree scans at every poll, the work per move
 (proof serializations, JSON encodes, tree scans) must not grow with k, and a
 replay of its log encodes each payload once, as playing it did. Payloads are
 composed from the canonical text of what they post, so neither playing nor
-replaying a move calls `json.dumps`.
+replaying a move calls `json.dumps`. Replay evaluates each node a bounded
+number of times and counts the tokens of each distinct formula once.
 """
 
+import functools
 import gc
 import json
 import sys
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from sprig import formulas
-from sprig.formulas import DefinitionSet, Statement
+from sprig.formulas import DefinitionSet, Formula, Statement
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import EARLY_STOP, QUIESCENCE, ProtocolInstance, replay
 from sprig.scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
@@ -231,9 +233,7 @@ def test_replay_shares_the_formulas_of_earlier_moves(k):
     for claim in answers:
         # The question's statement was decoded from the step of an earlier
         # move's chain; the answer's target from this move's payload.
-        target, asked = claim.proof.target, twin.question(claim.origin).statement
-        assert target.conclusion is asked.conclusion
-        assert {id(f) for f in target.assumptions} == {id(f) for f in asked.assumptions}
+        assert claim.proof.target is twin.question(claim.origin).statement
 
 
 def test_replayed_formulas_leave_the_intern_table_with_their_instance():
@@ -242,8 +242,63 @@ def test_replayed_formulas_leave_the_intern_table_with_their_instance():
     before = len(formulas._interned)
     twin = _wide_replay(trace)
     assert len(formulas._interned) > before
-    decoded = weakref.ref(twin.nodes[twin.root_id].proof.target.conclusion)
-    del twin
+    target = twin.nodes[twin.root_id].proof.target
+    decoded = [weakref.ref(target), weakref.ref(target.conclusion)]
+    del twin, target
     gc.collect()
-    assert decoded() is None
+    assert [ref() for ref in decoded] == [None, None]
     assert len(formulas._interned) <= before
+
+
+def _count_decides(monkeypatch):
+    """A one-element list that counts `_decide` evaluations from now on."""
+    calls = [0]
+    decide = ProtocolInstance._decide
+
+    def counted(self, node, instant):
+        calls[0] += 1
+        return decide(self, node, instant)
+
+    monkeypatch.setattr(ProtocolInstance, "_decide", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_a_resolve_with_nothing_to_do_evaluates_no_node(k, monkeypatch):
+    twin = _wide_replay(run_scenario(wide_config(k, 0)))
+    calls = _count_decides(monkeypatch)
+    assert twin.resolve() == []
+    # up to the instant before the next window closes: still nothing expires
+    next_deadline = min(entry[0] for entry in twin._deadlines)
+    assert next_deadline - 1 > twin.clock
+    assert twin.advance_clock(next_deadline - 1) == []
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_node_evaluations_per_replayed_move_do_not_grow_with_the_tree(k, monkeypatch):
+    # A node is evaluated when it is posted and when its window closes, and
+    # a move's own resolve with nothing queued evaluates nothing.
+    trace = run_scenario(wide_config(k, 0))
+    calls = _count_decides(monkeypatch)
+    _wide_replay(trace)
+    assert 0 < calls[0] <= 2 * len(trace.move_lines)
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_replay_counts_the_tokens_of_each_distinct_formula_once(k, monkeypatch):
+    trace = run_scenario(wide_config(k, 0))
+    computed = []  # strong references, so no id is reused
+    size = Formula.size.__wrapped__
+
+    @functools.wraps(size)
+    def counted(self):
+        computed.append(self)
+        return size(self)
+
+    monkeypatch.setattr(Formula, "size", formulas._memoized(counted))
+    twin = _wide_replay(trace)
+    assert computed
+    assert len({id(f) for f in computed}) == len(computed)
+    assert len({f.canonical() for f in computed}) == len(computed)
+    assert twin.move_log_lines() == trace.move_lines

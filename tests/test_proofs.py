@@ -27,6 +27,7 @@ from sprig.proofs import (
     ProofChain,
     measure_length,
     parse_proof_document,
+    proof_from_json,
     serialize_proof_document,
     validate_chain,
 )
@@ -177,6 +178,17 @@ def test_measure_excludes_target_and_subproofs():
     lone = identity_chain(Statement(conclusion=atom("very_long_target_name")))
     # one step restating the target: the statement is billed, the target is not
     assert measure_length(lone) == 1
+
+
+def test_definitions_are_billed_per_import_name_and_formula_token():
+    bare = identity_chain(Statement(conclusion=atom("p")))
+    definitions = DefinitionSet(
+        symbols=(("short", conj(atom("p"), atom("p"))), ("other", atom("q"))),
+        imports=("arith", "sets"),
+    )
+    defined = ProofChain(target=bare.target, steps=bare.steps, definitions=definitions)
+    # arith, sets, short, and, p, p, other, q
+    assert measure_length(defined) - measure_length(bare) == 8
 
 
 # -- validate_chain, one violation code at a time ------------------------------
@@ -415,6 +427,16 @@ def test_canonical_text_is_the_canonical_json_of_to_json(doc):
         if isinstance(doc, Statement):
             reference = {**reference, "kind": "statement"}
         assert serialize_proof_document(doc) == canonical_json(reference).encode("utf-8")
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PROOFS)
+def test_measure_length_is_the_length_of_the_oracle_token_stream(proof):
+    # built and decoded alike: each formula and statement counts its own
+    # tokens once, and neither subproofs nor the target are billed
+    doc = proof.to_json()
+    decoded = proof_from_json(json.loads(json.dumps(doc)))
+    assert measure_length(proof) == measure_length(decoded) == oracles.token_count(doc)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprig.formulas import Statement, atom, conj, content_hash
+from sprig.formulas import ParseError, Statement, atom, conj, content_hash
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import (
     EARLY_STOP,
@@ -765,8 +765,9 @@ MUTATED_LOGS = [
     ("subproofs-hashed-as-logged", _with_subproof(rehash=True), None),
     ("subproofs-hashed-as-posted", _with_subproof(rehash=False),
      (ProtocolError, "payload hash mismatch at seq 5")),
-    ("missing-payload-hash", _without("payload_hash", 1), (KeyError, "'payload_hash'")),
-    ("missing-root-payload-hash", _without("payload_hash", 0), (KeyError, "'payload_hash'")),
+    ("missing-payload-hash", _without("payload_hash", 1), (ParseError, "move needs payload_hash")),
+    ("missing-root-payload-hash", _without("payload_hash", 0),
+     (ParseError, "move needs payload_hash")),
     ("integer-payload-hash", _set(2, payload_hash=5),
      (ProtocolError, "payload hash mismatch at seq 3")),
 ]
