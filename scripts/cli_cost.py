@@ -1,0 +1,141 @@
+#!/usr/bin/env python3
+"""Wall time and peak RSS of `sprig` calls, each in a fresh interpreter.
+
+The commands are the five light subcommands of the benchmark's CLI cycle
+(on fixed arguments: one fixture proof, one fixture move log, one seeded
+`carpet_bomber` simulation, one `solve` and the 601-point sweep), then
+
+    python -m sprig.cli verify-mc --sigma2 30 --seed 0 --n N
+
+for N in 1e5, 1e6 and 1e7. Each runs REPEATS times with `src` of the
+checkout on PYTHONPATH. Each child is reaped with `os.wait4`, so its
+`ru_maxrss` is its own peak. Only the standard library is used and neither
+sprig nor numpy is imported here, so this process stays small and adds
+nothing to what its children report. Each point keeps the median and
+quartiles of wall time, the median and largest peak RSS, the exit code and
+the sha256 of stdout, so two sections also show whether the output changed.
+Each section records whether PYTHONDONTWRITEBYTECODE was set: with it set,
+every child compiles every sprig module it loads, and that is part of its
+start-up time.
+
+    python3 scripts/cli_cost.py --label NAME
+
+times this checkout and writes its points under NAME.
+
+    python3 scripts/cli_cost.py --checkout ../parent
+
+times the checkout ../parent (section `before`) and this one (`after`),
+alternating one repeat of each side, the parent first in even repeats, so
+that every before/after pair is measured back to back on the same machine
+state. Both sides must print the same bytes. Each `after` point also counts
+the pairs in which this checkout was faster.
+
+Results go into the JSON file `--out` (by default BENCH_cli.json at the root
+of this script's checkout); sections already in the file are kept.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+REPEATS = 10
+COMMANDS = {
+    "validate": ["validate", "fixtures/proofs/infinite_primes.json"],
+    "run": ["run", "fixtures/movelogs/full_run_claim_root.jsonl",
+            "fixtures/cascades/full_run_claim_root.json", "--mode", "quiescence"],
+    "simulate": ["simulate", "carpet_bomber", "--seed", "1"],
+    "solve": ["solve", "--sigma2", "30"],
+    "sweep": ["sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "601"],
+    **{f"verify-mc 1e{e}": ["verify-mc", "--sigma2", "30", "--seed", "0", "--n", str(10**e)]
+       for e in (5, 6, 7)},
+}
+
+
+def run_once(checkout: Path, argv: list[str]) -> tuple[float, float, int, str]:
+    """(wall s, peak RSS MB, exit code, stdout sha256) of one sprig child."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env.pop("SPRIG_SEED", None)
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sprig.cli", *argv],
+        cwd=checkout, env=env, stdout=subprocess.PIPE,
+    )
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    code = os.waitstatus_to_exitcode(status)
+    return wall, usage.ru_maxrss / 1024, code, hashlib.sha256(out).hexdigest()
+
+
+def summarize(label: str, argv: list[str], runs: list[tuple[float, float, int, str]]) -> dict:
+    walls, rss, codes, digests = zip(*runs)
+    if len(set(codes)) != 1 or len(set(digests)) != 1:
+        raise AssertionError(f"{label}: repeats disagree on exit code or stdout")
+    q1, median, q3 = statistics.quantiles(walls, n=4)
+    return {
+        "command": label,
+        "argv": argv,
+        "wall_s": round(median, 4),
+        "wall_q1_s": round(q1, 4),
+        "wall_q3_s": round(q3, 4),
+        "peak_rss_mb": round(statistics.median(rss), 1),
+        "max_peak_rss_mb": round(max(rss), 1),
+        "exit_code": codes[0],
+        "stdout_sha256": digests[0],
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    which = parser.add_mutually_exclusive_group(required=True)
+    which.add_argument("--label", help="time this checkout only and write its points here")
+    which.add_argument("--checkout", type=Path,
+                       help="time this checkout (section before) alternately with this one (after)")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cli.json")
+    args = parser.parse_args()
+
+    sides = {args.label: ROOT} if args.label else {"before": args.checkout.resolve(), "after": ROOT}
+    points: dict[str, list[dict]] = {label: [] for label in sides}
+    for name, argv in COMMANDS.items():
+        runs: dict[str, list[tuple[float, float, int, str]]] = {label: [] for label in sides}
+        for repeat in range(REPEATS):
+            order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
+            for label in order:
+                runs[label].append(run_once(sides[label], argv))
+        for label in sides:
+            points[label].append(summarize(name, argv, runs[label]))
+        if args.checkout:
+            before, after = points["before"][-1], points["after"][-1]
+            if any(before[key] != after[key] for key in ("exit_code", "stdout_sha256")):
+                raise AssertionError(f"{name}: the two checkouts print different output")
+            after["pairs_won"] = sum(a[0] < b[0] for a, b in zip(runs["after"], runs["before"]))
+        print(json.dumps({label: points[label][-1] for label in sides}), file=sys.stderr)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    for label in sides:
+        doc[label] = {
+            "python": platform.python_version(),
+            "cpus": os.cpu_count(),
+            "repeats": REPEATS,
+            "interleaved": len(sides) == 2,
+            "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "points": points[label],
+        }
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

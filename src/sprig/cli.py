@@ -28,10 +28,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 # Each command imports its own layer when it runs, so `validate` never loads
-# the protocol and only `verify-mc` loads numpy. The equilibrium module
-# imports no other sprig module, so the `--n` help may read its bound here.
-from .equilibrium import MAX_MC_DRAWS
-from .formulas import ParseError, canonical_json, parse_json, read_object
+# the protocol, the equilibrium commands never load `formulas`, and only
+# `verify-mc` loads numpy. `canonical_json` lives in the package itself.
+from . import canonical_json
 
 if TYPE_CHECKING:
     from .equilibrium import GameParameters
@@ -75,6 +74,7 @@ def _pick_seed(flag_value: int | None, fallback: int = 0) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .formulas import ParseError
     from .proofs import MachineProof, ProofChain, parse_proof_document, validate_chain
 
     try:
@@ -154,6 +154,7 @@ def _run_outcome(instance: ProtocolInstance, initial: dict[str, int]) -> dict[st
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .formulas import ParseError, parse_json, read_object
     from .protocol import EARLY_STOP, QUIESCENCE, ParameterCascade, ProtocolError, replay_line
     from .verifier import UnscriptedVerdictError
 
@@ -199,6 +200,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .formulas import ParseError, parse_json, read_object
     from .protocol import ProtocolError
     from .scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
     from .simulator import run_scenario
@@ -408,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--n",
         type=int,
         default=1_000_000,
-        help=f"number of simulated games, 0 to {MAX_MC_DRAWS:,}",
+        # equilibrium.MAX_MC_DRAWS, written out so that parsing the command
+        # line loads no layer; a test holds the two equal.
+        help="number of simulated games, 0 to 1,000,000,000",
     )
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: SPRIG_SEED or 0)")
     p.set_defaults(func=cmd_verify_mc)

@@ -31,8 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "DegenerateParametersError",
@@ -298,8 +300,9 @@ def monte_carlo_estimate(
     jumped ahead with `advance(j * n)`. The draws are exactly those of five
     consecutive `default_rng(seed).random(n)` calls, so results depend only
     on (seed, n), not on the solution values. They are consumed in blocks of
-    MC_BLOCK and only integer counts are kept, so memory does not grow with
-    n and the block size does not change the result.
+    MC_BLOCK, drawn into buffers allocated once per call, and only five
+    integer counts are kept, so memory does not grow with n and the block
+    size does not change the result.
     """
     if not 0 <= n <= MAX_MC_DRAWS:
         raise ValueError(f"n must be between 0 and {MAX_MC_DRAWS}, got {n}")
@@ -315,28 +318,47 @@ def monte_carlo_estimate(
         bits.advance(j * n)
         streams.append(np.random.Generator(bits))
 
-    valid_n = accepted_n = accepted_valid = unchallenged_valid = replied_valid = posted_valid = 0
+    # Every block is drawn into the same five float buffers and judged in
+    # the same six masks, so a block allocates nothing.
+    width = min(MC_BLOCK, n)
+    uniforms = np.empty((5, width))
+    masks = np.empty((6, width), dtype=bool)
+    count = np.count_nonzero
+    # A posted provable claim is accepted on every branch: unchallenged,
+    # replied to and left standing, or carried to the machine. So five
+    # counts give every row.
+    valid_n = posted_valid = unchallenged_valid = replied_valid = accepted_invalid = 0
     for start in range(0, n, MC_BLOCK):
         size = min(MC_BLOCK, n - start)
-        signal, u_valid, u_entry, u_bluff, u_second = (s.random(size) for s in streams)
+        signal, u_valid, u_entry, u_bluff, u_second = uniforms[:, :size]
+        for stream, out in zip(streams, (signal, u_valid, u_entry, u_bluff, u_second)):
+            stream.random(out=out)
+        posted, valid, challenged, bluffs, stands, hit = masks[:, :size]
+        np.greater_equal(signal, sol.pi_star, out=posted)
+        np.less(u_valid, signal, out=valid)
+        np.less(u_entry, sol.q2, out=challenged)
+        np.less(u_bluff, sol.p, out=bluffs)
+        # No second challenge: negated rather than `>=`, so that a NaN rate
+        # reads as it does in the game tree.
+        np.less(u_second, sol.q1, out=stands)
+        np.logical_not(stands, out=stands)
 
-        posted = signal >= sol.pi_star
-        valid = u_valid < signal
-        challenged = u_entry < sol.q2
-        replied = valid | (u_bluff < sol.p)
-        rechallenged = u_second < sol.q1
-
-        unchallenged_accept = posted & ~challenged
-        replied_accept = posted & challenged & replied & ~rechallenged
-        machine_accept = posted & challenged & replied & rechallenged & valid
-        accepted = unchallenged_accept | replied_accept | machine_accept
-
-        valid_n += int(np.count_nonzero(valid))
-        accepted_n += int(np.count_nonzero(accepted))
-        accepted_valid += int(np.count_nonzero(accepted & valid))
-        unchallenged_valid += int(np.count_nonzero(unchallenged_accept & valid))
-        replied_valid += int(np.count_nonzero(replied_accept & valid))
-        posted_valid += int(np.count_nonzero(posted & valid))
+        valid_n += int(count(valid))
+        np.logical_and(posted, valid, out=hit)
+        np.logical_xor(posted, hit, out=posted)  # posted and unprovable
+        block_posted_valid = int(count(hit))
+        posted_valid += block_posted_valid
+        np.logical_and(hit, challenged, out=hit)
+        unchallenged_valid += block_posted_valid - int(count(hit))
+        np.logical_and(hit, stands, out=hit)
+        replied_valid += int(count(hit))
+        # An unprovable posted claim is accepted if nobody challenges it, or
+        # if its bluffed reply stands.
+        np.logical_and(bluffs, stands, out=bluffs)
+        np.logical_not(challenged, out=challenged)
+        np.logical_or(challenged, bluffs, out=challenged)
+        np.logical_and(posted, challenged, out=posted)
+        accepted_invalid += int(count(posted))
 
     def est(hits: int, draws: int) -> McEstimate:
         if draws == 0:
@@ -344,16 +366,17 @@ def monte_carlo_estimate(
         v = hits / draws
         return McEstimate(v, math.sqrt(v * (1 - v) / draws), hits, draws)
 
+    accepted_n = posted_valid + accepted_invalid
     return {
         "accept_rate": est(accepted_n, n),
-        "valid_accept_rate": est(accepted_valid, n),
-        "accept_given_valid": est(accepted_valid, valid_n),
-        "accept_given_invalid": est(accepted_n - accepted_valid, n - valid_n),
-        "valid_given_accept": est(accepted_valid, accepted_n),
-        "valid_given_reject": est(valid_n - accepted_valid, n - accepted_n),
-        "unchallenged_share": est(unchallenged_valid, accepted_valid),
-        "replied_share": est(replied_valid, accepted_valid),
-        "reliability": est(accepted_valid, accepted_n),
+        "valid_accept_rate": est(posted_valid, n),
+        "accept_given_valid": est(posted_valid, valid_n),
+        "accept_given_invalid": est(accepted_invalid, n - valid_n),
+        "valid_given_accept": est(posted_valid, accepted_n),
+        "valid_given_reject": est(valid_n - posted_valid, n - accepted_n),
+        "unchallenged_share": est(unchallenged_valid, posted_valid),
+        "replied_share": est(replied_valid, posted_valid),
+        "reliability": est(posted_valid, accepted_n),
         "enter_given_valid": est(posted_valid, valid_n),
     }
 
@@ -381,6 +404,10 @@ def best_response_check(
     and mixes and reports any action whose payoff beats the prescribed
     behaviour by more than `eps`. An empty list certifies the equilibrium.
     """
+    # Imported here: no command audits a solution, and `fractions` loads
+    # `decimal`.
+    from fractions import Fraction
+
     b0, b1, b2 = Fraction(theta.b0), Fraction(theta.b1), Fraction(theta.b2)
     s1, s2 = Fraction(theta.sigma1), Fraction(theta.sigma2)
     a0, a1 = Fraction(theta.beta0), Fraction(theta.beta1)

@@ -1,9 +1,10 @@
 """Formulas, statements and definition sets.
 
 Everything downstream (length measures, the machine verifier, the debate
-protocol) works on the canonical JSON serialization defined here: objects are
-dumped with sorted keys and no whitespace, so equal values always produce
-byte-identical documents and content hashes are stable across processes.
+protocol) works on the canonical JSON serialization `canonical_json`, defined
+in the package's `__init__` and re-exported here: objects are dumped with
+sorted keys and no whitespace, so equal values always produce byte-identical
+documents and content hashes are stable across processes.
 
 Each document class writes its own canonical text with `canonical()`, equal
 byte for byte to `canonical_json` of `x.to_json()` but composed from the
@@ -33,6 +34,8 @@ import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator, TypeVar
+
+from . import canonical_json
 
 __all__ = [
     "ParseError",
@@ -72,10 +75,6 @@ _T = TypeVar("_T")
 
 class ParseError(ValueError):
     """A document does not decode to a well-formed object."""
-
-
-def canonical_json(value: Any) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 # A `\ud800`-`\udfff` escape, and the lone surrogate that one can decode to.

@@ -1020,8 +1020,10 @@ def replay_line(
     """Apply one stripped move-log line `raw`, decoded as `record`, to
     `instance` (None before the root move) and return the instance. Checks
     the payload hash and decodes strictly: the record is an object with
-    every move field (else a ParseError names the first one missing), `seq`
-    is the next sequence number, `seq`, `time` and a question's `step` are
+    every move field (else a ParseError names the first one missing), the
+    payload is an object with every field its kind of move reads (else a
+    ParseError such as `question payload needs origin`), `seq` is the next
+    sequence number, `seq`, `time` and a question's `step` are
     integers (booleans are not), and `actor` is a string.
 
     Each move's payload text is composed once, by the instance that posts
@@ -1034,7 +1036,6 @@ def replay_line(
     checked first, so a tampered line reports the mismatch rather than what
     the tampering broke."""
     record = read_object(record, "move", required=_MOVE_FIELDS)
-    payload = record["payload"]
     try:
         kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
         if not isinstance(actor, str):
@@ -1046,19 +1047,29 @@ def replay_line(
         if seq != expected:
             raise ProtocolError(f"seq {seq} out of order, expected {expected}")
         if instance is None and kind == "root_claim":
+            payload = read_object(record["payload"], "root claim payload", required=("chain",))
             chain = ProofChain.from_json(payload["chain"])
             instance = create_root_claim(
                 actor, chain.target, chain, cascade, time,
                 balances=balances, mode=mode, verifier=verifier,
             )
         elif instance is None:
+            payload = read_object(
+                record["payload"], "root question payload", required=("statement",)
+            )
             instance = create_root_question(
                 actor, Statement.from_json(payload["statement"]), cascade, time,
                 balances=balances, mode=mode, verifier=verifier,
             )
         elif kind == "question":
+            payload = read_object(
+                record["payload"], "question payload", required=("origin", "step")
+            )
             instance.post_question(actor, payload["origin"], payload["step"], time)
         elif kind == "answer_claim":
+            payload = read_object(
+                record["payload"], "answer claim payload", required=("origin", "proof")
+            )
             proof = proof_from_json(payload["proof"])
             instance.post_answer_claim(actor, payload["origin"], proof, time)
         else:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sprig.cli import main
+from sprig.equilibrium import MAX_MC_DRAWS
 from sprig.formulas import MAX_FORMULA_DEPTH, content_hash
 from sprig.scenarios import (
     PRESET_NAMES,
@@ -133,36 +134,42 @@ def test_run_reports_the_offending_line(capsys, tmp_path):
     assert "illegal move at line 3" in err
 
 
-def test_run_flags_unreadable_records(capsys, tmp_path):
-    log, cascade = fixture_args("validated_root_claim")
-    lines = Path(log).read_text().splitlines()
-    record = json.loads(lines[1])
-    del record["payload"]["origin"]
-    record["payload_hash"] = __import__("sprig.formulas", fromlist=["content_hash"]).content_hash(
-        record["payload"]
-    )
-    lines[1] = json.dumps(record)
-    mangled = tmp_path / "mangled.jsonl"
-    mangled.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "run", str(mangled), cascade)
-    assert code == 1
-    assert "unreadable move at line 2" in err
-
-
 def _renumber(records):
     for record in records:
         record["seq"] += 100
 
 
 def _rehashed_log(tmp_path, name, index, edit):
-    """The fixture log with record `index`'s payload edited and rehashed."""
+    """The fixture log with record `index` edited and its payload rehashed."""
     log, cascade = fixture_args(name)
     records = [json.loads(raw) for raw in Path(log).read_text().splitlines()]
-    edit(records[index]["payload"])
+    edit(records[index])
     records[index]["payload_hash"] = content_hash(records[index]["payload"])
     edited = tmp_path / "edited.jsonl"
     edited.write_text("".join(json.dumps(r) + "\n" for r in records))
     return str(edited), cascade
+
+
+@pytest.mark.parametrize(
+    "name, index, edit, message",
+    [
+        ("validated_root_claim", 1, lambda r: r["payload"].pop("origin"),
+         "question payload needs origin"),
+        ("validated_root_claim", 1, lambda r: r.update(payload=[]),
+         "question payload must be an object, not list"),
+        ("validated_root_claim", 2, lambda r: r["payload"].pop("proof"),
+         "answer claim payload needs proof"),
+        ("validated_root_claim", 0, lambda r: r["payload"].pop("chain"),
+         "root claim payload needs chain"),
+        ("answered_root_question", 0, lambda r: r.update(payload="p"),
+         "root question payload must be an object, not str"),
+    ],
+    ids=["question-origin", "question-array", "answer-proof", "root-chain", "root-statement"],
+)
+def test_run_flags_unreadable_records(capsys, tmp_path, name, index, edit, message):
+    log, cascade = _rehashed_log(tmp_path, name, index, edit)
+    code, out, err = run_cli(capsys, "run", log, cascade)
+    assert (code, out, err) == (1, "", f"error: illegal move at line {index + 1}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -180,14 +187,15 @@ def _rehashed_log(tmp_path, name, index, edit):
          "unknown-chain-field", "missing-statement"],
 )
 def test_run_rejects_proofs_of_the_wrong_shape(capsys, tmp_path, index, edit, message):
-    log, cascade = _rehashed_log(tmp_path, "full_run_claim_root", index, edit)
+    log, cascade = _rehashed_log(tmp_path, "full_run_claim_root", index,
+                                 lambda record: edit(record["payload"]))
     code, out, err = run_cli(capsys, "run", log, cascade)
     assert (code, out, err) == (1, "", f"error: illegal move at line {index + 1}: {message}\n")
 
 
 def test_run_reports_every_structural_violation_on_one_line(capsys, tmp_path):
-    def two_violations(payload):
-        step = payload["proof"]["steps"][0]
+    def two_violations(record):
+        step = record["payload"]["proof"]["steps"][0]
         step["imports"] = [99]
         step["statement"]["context"] = "elsewhere"
 
@@ -649,6 +657,15 @@ def test_verify_mc_rejects_out_of_range_n(capsys, n):
     assert err == f"error: n must be between 0 and 1000000000, got {n}\n"
 
 
+def test_verify_mc_help_states_the_draw_bound(capsys):
+    # The help writes the bound out rather than importing the equilibrium layer.
+    with pytest.raises(SystemExit):
+        main(["verify-mc", "--help"])
+    assert f"number of simulated games, 0 to {MAX_MC_DRAWS:,}" in " ".join(
+        capsys.readouterr().out.split()
+    )
+
+
 @pytest.mark.parametrize(
     "argv, env_seed, seed",
     [(["--seed", "-1"], None, "-1"), ([], "-3", "-3")],
@@ -773,22 +790,32 @@ def _main_call(*argv):
 _SUBMODULES = [f"sprig.{p.stem}" for p in (FIXTURES.parent / "src" / "sprig").glob("*.py")
                if p.stem != "__init__"]
 _ENGINE = ["sprig.protocol", "sprig.simulator", "sprig.scenarios", "sprig.verifier"]
+# The debate commands never load the equilibrium layer, nor `fractions`, which
+# only its exact audit uses; the equilibrium commands never load `formulas`,
+# nor the `hashlib` that content hashes need (numpy.random loads it for
+# verify-mc, through `secrets`).
+_NO_EQUILIBRIUM = ["sprig.equilibrium", "fractions", "numpy"]
+_NO_FORMULAS = ["sprig.formulas", "sprig.proofs", *_ENGINE]
 
 
 @pytest.mark.parametrize(
     "code, unloaded",
     [
         ("import sprig", _SUBMODULES),
-        (_main_call("validate", str(PROOFS / "identity_chain.json")), [*_ENGINE, "numpy"]),
-        (_main_call("solve"), ["sprig.proofs", *_ENGINE, "numpy"]),
-        (_main_call("sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "7"),
-         ["sprig.proofs", *_ENGINE, "numpy"]),
+        (_main_call("validate", str(PROOFS / "identity_chain.json")),
+         [*_ENGINE, *_NO_EQUILIBRIUM]),
         (_main_call("run", *fixture_args("full_run_claim_root")),
-         ["sprig.simulator", "sprig.scenarios", "numpy"]),
-        ("import sprig.cli", ["numpy"]),
+         ["sprig.simulator", "sprig.scenarios", *_NO_EQUILIBRIUM]),
+        (_main_call("simulate", "plagiarist_defense"), _NO_EQUILIBRIUM),
+        (_main_call("solve"), [*_NO_FORMULAS, "hashlib", "numpy"]),
+        (_main_call("sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "7"),
+         [*_NO_FORMULAS, "hashlib", "numpy"]),
+        (_main_call("verify-mc", "--n", "10"), _NO_FORMULAS),
+        ("import sprig.cli", [m for m in _SUBMODULES if m != "sprig.cli"] + ["numpy"]),
         ("import sprig.scenarios", ["fractions"]),
     ],
-    ids=["import-sprig", "validate", "solve", "sweep", "run", "import-cli", "import-scenarios"],
+    ids=["import-sprig", "validate", "run", "simulate", "solve", "sweep", "verify-mc",
+         "import-cli", "import-scenarios"],
 )
 def test_each_command_loads_only_its_layer(code, unloaded):
     # A fresh interpreter, so that nothing this test process imported counts.

@@ -20,6 +20,7 @@ from sprig.equilibrium import (
     MAX_MC_DRAWS,
     MC_BLOCK,
     DegenerateParametersError,
+    EquilibriumSolution,
     GameParameters,
     SWEEP_COLUMNS,
     best_response_check,
@@ -259,6 +260,27 @@ def test_monte_carlo_block_size_is_invisible(monkeypatch, block):
                 monte_carlo_estimate(theta, sol, n=n, seed=12345),
                 oracles.monte_carlo_reference(sol, n=n, seed=12345),
             )
+
+
+# Any probability, with the end points, where branches vanish, drawn often.
+_PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    pi_star=_PROBABILITY, p=_PROBABILITY, w1=_PROBABILITY, w2=_PROBABILITY,
+    n=st.integers(min_value=0, max_value=3 * B + 7), seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_monte_carlo_counts_equal_the_reference_at_any_strategy(pi_star, p, w1, w2, n, seed):
+    # Solutions no parameter point produces, so that every branch of the
+    # fused counts is reached, whatever the equilibrium type allows.
+    sol = EquilibriumSolution(
+        eq_type=2, pi_star=pi_star, pi_e=(1 + pi_star) / 2, pi1_star=0.5, p=p, q1=w1, q2=w2
+    )
+    _same_estimates(
+        monte_carlo_estimate(baseline(30), sol, n=n, seed=seed),
+        oracles.monte_carlo_reference(sol, n=n, seed=seed),
+    )
 
 
 def test_monte_carlo_rejects_out_of_range_n_before_importing_numpy(monkeypatch):

@@ -679,6 +679,41 @@ def test_replay_rejects_empty_and_rootless_logs():
         replay(lines[1:], fx.cascade, balances=fx.balances)
 
 
+# -- second names -----------------------------------------------------------------
+# Names are free, and settlement pays a dead claim's down-stake to its first
+# unanswered question. These pin what that pays today; they are measurements,
+# not the rule the stake structure should have.
+
+
+def _dead_root_claim_nets(questioners):
+    """Net payoffs when `ann` posts the validated_root_claim root chain and
+    each of `questioners`, in order, questions step 1 at t = 1, unanswered."""
+    fx = PROTOCOL_FIXTURES["validated_root_claim"]()
+    chain = fx.instance.nodes[fx.node("root")].proof
+    balances = {"ann": 200, "ann2": 200, "sam": 200}
+    inst = create_root_claim("ann", chain.target, chain, fx.cascade, 0, balances=balances)
+    for name in questioners:
+        inst.post_question(name, inst.root_id, 1, 1)
+    advance_clock(inst, inst.max_deadline())
+    settle(inst)
+    assert inst.ledger.burned == 0
+    return {name: inst.ledger.balance(name) - start for name, start in balances.items()}
+
+
+@pytest.mark.parametrize(
+    "questioners, nets",
+    [
+        (["sam"], {"ann": -10, "ann2": 0, "sam": 10}),
+        # ann's second name asks first: ann and ann2 together net 0, and sam,
+        # who was right as well, nets 0.
+        (["ann2", "sam"], {"ann": -10, "ann2": 10, "sam": 0}),
+    ],
+    ids=["honest-questioner", "second-name-first"],
+)
+def test_a_dead_root_claims_down_stake_goes_to_the_first_question(questioners, nets):
+    assert _dead_root_claim_nets(questioners) == nets
+
+
 # -- mutated move logs ------------------------------------------------------------
 # Each case edits fixtures/movelogs/full_run_claim_root.jsonl. A line that is
 # not exactly the line the replaying instance records for its move has its
