@@ -39,6 +39,10 @@ if TYPE_CHECKING:
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
+# Most grid points `sweep` solves. Every row is held until the CSV is
+# printed, at ~1.7 KB a row, so this keeps one call under ~200 MB and ~5 s.
+MAX_SWEEP_STEPS = 10**5
+
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -146,10 +150,7 @@ def _run_outcome(instance: ProtocolInstance, initial: dict[str, int]) -> dict[st
         "clock": instance.clock,
         "deltas": {a: final.get(a, 0) - initial.get(a, 0) for a in accounts},
         "nodes": nodes,
-        "settlement": [
-            {"account": t.account, "amount": t.amount, "node": t.node_id, "reason": t.reason}
-            for t in transfers
-        ],
+        "settlement": [t.to_json() for t in transfers],
     }
 
 
@@ -274,8 +275,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _grid(start: float, stop: float, steps: int) -> list[float]:
-    if steps < 1:
-        raise ValueError("--steps must be at least 1")
+    if not 1 <= steps <= MAX_SWEEP_STEPS:
+        raise ValueError(f"--steps must be between 1 and {MAX_SWEEP_STEPS}")
     if steps == 1:
         return [start]
     return [start + (stop - start) * i / (steps - 1) for i in range(steps)]
@@ -401,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, help="parameter to vary (e.g. sigma2)")
     p.add_argument("--from", dest="start", type=float, required=True, help="first value")
     p.add_argument("--to", dest="stop", type=float, required=True, help="last value")
-    p.add_argument("--steps", type=int, required=True, help="number of grid points")
+    p.add_argument(
+        "--steps", type=int, required=True, help=f"number of grid points, 1 to {MAX_SWEEP_STEPS:,}"
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify-mc", help="check closed forms against simulation")

@@ -170,7 +170,17 @@ def _challenged_value(theta: GameParameters, w1: float) -> float:
 
 def solve_pbe(theta: GameParameters) -> EquilibriumSolution:
     """Classify and solve, trying type 1, then 2, then 3; boundaries take the
-    lower-numbered type."""
+    lower-numbered type. Finite parameters can still overflow a float when
+    summed, and the ratios of two overflows are NaN: a solution with any
+    value that is not finite has nothing to report, so it is degenerate."""
+    sol = _classify(theta)
+    not_finite = [name for name, value in vars(sol).items() if not math.isfinite(value)]
+    if not_finite:
+        raise DegenerateParametersError(f"solution not finite: {', '.join(not_finite)}")
+    return sol
+
+
+def _classify(theta: GameParameters) -> EquilibriumSolution:
     p1 = pi1_star(theta)
     w1 = q1(theta)
     g = _challenged_value(theta, w1)

@@ -6,13 +6,11 @@ in the package's `__init__` and re-exported here: objects are dumped with
 sorted keys and no whitespace, so equal values always produce byte-identical
 documents and content hashes are stable across processes.
 
-Each document class writes its own canonical text with `canonical()`, equal
-byte for byte to `canonical_json` of `x.to_json()` but composed from the
-memoized text of its parts: keys are written as literals in sorted order and
-strings through `encode_basestring`, as `canonical_json` writes them, so
-posting, hashing and logging a document call no `json.dumps`. `to_json`
-remains for the places that need the value itself (scenario documents, and
-tests, which use it as the reference encoding).
+Each document class writes its own canonical text with `canonical()`, its
+only encoding, composed from the memoized text of its parts: keys are written
+as literals in sorted order and strings through `encode_basestring`, as
+`canonical_json` writes them, so posting, hashing and logging a document call
+no `json.dumps`. A caller that needs the JSON value decodes that text.
 
 Formula JSON shapes (single-key objects, hence injective):
 
@@ -204,13 +202,6 @@ class Formula:
         else:
             raise ParseError(f"unknown connective {self.op!r}")
 
-    def to_json(self) -> Any:
-        if self.op in _LEAF:
-            return {self.op: self.name}
-        if self.op in _UNARY:
-            return {self.op: self.args[0].to_json()}
-        return {self.op: [a.to_json() for a in self.args]}
-
     @staticmethod
     def from_json(doc: Any) -> "Formula":
         """Decode a formula; nesting deeper than MAX_FORMULA_DEPTH is a ParseError."""
@@ -233,9 +224,10 @@ class Formula:
 
     @_memoized
     def canonical(self) -> str:
-        """Canonical JSON of `self.to_json()`, built from the children's
-        memoized text: a single-key object needs no key sorting, and a leaf
-        name is written as `canonical_json` writes a string."""
+        """The formula's single-key object (see the module docstring) as
+        canonical JSON, built from the children's memoized text: a
+        single-key object needs no key sorting, and a leaf name is written
+        as `canonical_json` writes a string."""
         if self.op in _LEAF:
             return f'{{"{self.op}":{encode_basestring(self.name)}}}'
         if self.op in _UNARY:
@@ -352,15 +344,6 @@ class Statement:
             yield from f.symbols()
         yield from self.conclusion.symbols()
 
-    def to_json(self) -> Any:
-        doc: dict[str, Any] = {
-            "assumptions": [f.to_json() for f in self.sorted_assumptions()],
-            "conclusion": self.conclusion.to_json(),
-        }
-        if self.context:
-            doc["context"] = self.context
-        return doc
-
     @staticmethod
     def from_json(doc: Any) -> "Statement":
         """Decode a statement, hash-consed as formulas are (see
@@ -385,9 +368,11 @@ class Statement:
 
     @_memoized
     def canonical(self) -> str:
-        """Canonical JSON of `self.to_json()`, built from the formulas'
-        memoized text. A statement is shared by every move that asks about
-        it or answers it, so its text is memoized too."""
+        """Canonical JSON of `{"assumptions": [...], "conclusion": ...,
+        "context": ...}`, assumptions in canonical order and the context
+        left out when empty, built from the formulas' memoized text. A
+        statement is shared by every move that asks about it or answers it,
+        so its text is memoized too."""
         assumptions = ",".join(f.canonical() for f in self.sorted_assumptions())
         text = f'{{"assumptions":[{assumptions}],"conclusion":{self.conclusion.canonical()}'
         if self.context:
@@ -421,14 +406,10 @@ class DefinitionSet:
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.symbols)
 
-    def to_json(self) -> Any:
-        return {
-            "imports": list(self.imports),
-            "symbols": [[name, f.to_json()] for name, f in self.symbols],
-        }
-
     def canonical(self) -> str:
-        """Canonical JSON of `self.to_json()`, built from the formulas' memoized text."""
+        """Canonical JSON of `{"imports": [...], "symbols": [[name, formula],
+        ...]}`, both in declaration order, built from the formulas' memoized
+        text."""
         imports = ",".join(map(encode_basestring, self.imports))
         symbols = ",".join(f"[{encode_basestring(name)},{f.canonical()}]" for name, f in self.symbols)
         return f'{{"imports":[{imports}],"symbols":[{symbols}]}}'

@@ -67,15 +67,9 @@ class InferenceStep:
         if any(not is_int(p) or p == 0 for p in self.premises):
             raise ParseError("premise indices must be nonzero integers")
 
-    def to_json(self) -> Any:
-        return {
-            "formula": self.formula.to_json(),
-            "premises": list(self.premises),
-            "rule": self.rule,
-        }
-
     def canonical(self) -> str:
-        """Canonical JSON of `self.to_json()`; premises are integers."""
+        """Canonical JSON of `{"formula": ..., "premises": [...], "rule": ...}`;
+        premises are integers."""
         premises = ",".join(map(str, self.premises))
         return (
             f'{{"formula":{self.formula.canonical()},"premises":[{premises}],'
@@ -105,15 +99,9 @@ class MachineProof:
     def height(self) -> int:
         return 1
 
-    def to_json(self) -> Any:
-        return {
-            "kind": self.kind,
-            "steps": [s.to_json() for s in self.steps],
-            "target": self.target.to_json(),
-        }
-
     def canonical(self) -> str:
-        """Canonical JSON of `self.to_json()`, built from the parts' canonical text."""
+        """Canonical JSON of `{"kind": "machine_proof", "steps": [...],
+        "target": ...}`, built from the parts' canonical text."""
         steps = ",".join(s.canonical() for s in self.steps)
         return f'{{"kind":"{self.kind}","steps":[{steps}],"target":{self.target.canonical()}}}'
 
@@ -142,17 +130,10 @@ class ChainStep:
             raise ParseError("duplicate import index")
         object.__setattr__(self, "imports", tuple(sorted(self.imports)))
 
-    def to_json(self) -> Any:
-        doc: dict[str, Any] = {
-            "imports": list(self.imports),
-            "statement": self.statement.to_json(),
-        }
-        if self.subproof is not None:
-            doc["subproof"] = self.subproof.to_json()
-        return doc
-
     def canonical(self) -> str:
-        """Canonical JSON of `self.to_json()`; import indices are integers."""
+        """Canonical JSON of `{"imports": [...], "statement": ...,
+        "subproof": ...}`, the subproof left out when there is none; import
+        indices are integers."""
         imports = ",".join(map(str, self.imports))
         text = f'{{"imports":[{imports}],"statement":{self.statement.canonical()}'
         if self.subproof is not None:
@@ -202,16 +183,9 @@ class ProofChain:
             definitions=self.definitions,
         )
 
-    def to_json(self) -> Any:
-        return {
-            "definitions": self.definitions.to_json(),
-            "kind": self.kind,
-            "steps": [s.to_json() for s in self.steps],
-            "target": self.target.to_json(),
-        }
-
     def canonical(self) -> str:
-        """Canonical JSON of `self.to_json()`, built from the parts' canonical text."""
+        """Canonical JSON of `{"definitions": ..., "kind": "chain", "steps":
+        [...], "target": ...}`, built from the parts' canonical text."""
         steps = ",".join(s.canonical() for s in self.steps)
         return (
             f'{{"definitions":{self.definitions.canonical()},"kind":"{self.kind}",'

@@ -32,7 +32,7 @@ after every operation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Any, Iterable, Mapping, Union
@@ -142,16 +142,6 @@ class LevelParameters:
             verification_time=1, response_time=1,
         )
 
-    def to_json(self) -> Any:
-        return {
-            "bounty": self.bounty,
-            "max_length": self.max_length,
-            "response_time": self.response_time,
-            "stake_down": self.stake_down,
-            "stake_up": self.stake_up,
-            "verification_time": self.verification_time,
-        }
-
 
 @dataclass(frozen=True)
 class MachineParameters:
@@ -165,15 +155,6 @@ class MachineParameters:
 
     def __post_init__(self) -> None:
         _check_integers(self, max_length=1, stake_up=0, burn_cost=0, bounty=0, response_time=1)
-
-    def to_json(self) -> Any:
-        return {
-            "bounty": self.bounty,
-            "burn_cost": self.burn_cost,
-            "max_length": self.max_length,
-            "response_time": self.response_time,
-            "stake_up": self.stake_up,
-        }
 
 
 def _every_field(cls: Any) -> tuple[frozenset[str], tuple[str, ...]]:
@@ -216,9 +197,11 @@ class ParameterCascade:
         return self.levels[level].verification_time
 
     def to_json(self) -> Any:
+        """The cascade file's object: each level and `machine` are their
+        fields, the same field lists `from_json` requires."""
         return {
-            "levels": {str(k): v.to_json() for k, v in sorted(self.levels.items())},
-            "machine": self.machine.to_json(),
+            "levels": {str(k): asdict(v) for k, v in sorted(self.levels.items())},
+            "machine": asdict(self.machine),
             "root_level": self.root_level,
         }
 
@@ -376,6 +359,15 @@ class SettlementTransfer:
     account: str
     amount: int
     reason: str
+
+    def to_json(self) -> dict[str, Any]:
+        """The transfer as `sprig run` and a simulation trace write it."""
+        return {
+            "account": self.account,
+            "amount": self.amount,
+            "node": self.node_id,
+            "reason": self.reason,
+        }
 
 
 class ProtocolInstance:

@@ -21,12 +21,14 @@ identical runs.
 from __future__ import annotations
 
 import copy
+import functools
+import json
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl
 from .formulas import lookup, read_int, read_object
-from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain
+from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain, serialize_proof_document
 from .protocol import (
     EARLY_STOP,
     QUIESCENCE,
@@ -223,7 +225,7 @@ def polynomial_root_broken_import() -> dict[str, Any]:
     """The same document with the last step importing a future index; used
     as the canonical import-out-of-range fixture. Returned as raw JSON
     because the constructor itself has nothing against it."""
-    doc = polynomial_root().to_json()
+    doc = json.loads(polynomial_root().canonical())
     doc["steps"][2]["imports"] = [4]
     return doc
 
@@ -307,20 +309,22 @@ def defined_symbol_chain() -> ProofChain:
 def PROOF_DOCUMENTS() -> dict[str, Any]:
     """Name -> JSON document for everything shipped under fixtures/proofs."""
     mp_stmt, mp_proof = modus_ponens_example()
-    docs: dict[str, Any] = {
-        "infinite_primes": infinite_primes().to_json(),
-        "polynomial_root": polynomial_root().to_json(),
+
+    def decoded(doc: Statement | ProofChain | MachineProof) -> Any:
+        return json.loads(serialize_proof_document(doc))
+
+    return {
+        "infinite_primes": decoded(infinite_primes()),
+        "polynomial_root": decoded(polynomial_root()),
         "polynomial_root_broken_import": polynomial_root_broken_import(),
-        "inverse_function": inverse_function().to_json(),
-        "identity_chain": identity_chain(
+        "inverse_function": decoded(inverse_function()),
+        "identity_chain": decoded(identity_chain(
             Statement(conclusion=atom("goal"), assumptions=frozenset({atom("lemma")}))
-        ).to_json(),
-        "modus_ponens_statement": mp_stmt.to_json(),
-        "modus_ponens_proof": mp_proof.to_json(),
-        "defined_symbol_chain": defined_symbol_chain().to_json(),
+        )),
+        "modus_ponens_statement": decoded(mp_stmt),
+        "modus_ponens_proof": decoded(mp_proof),
+        "defined_symbol_chain": decoded(defined_symbol_chain()),
     }
-    docs["modus_ponens_statement"]["kind"] = "statement"
-    return docs
 
 
 # --------------------------------------------------------------------------
@@ -977,8 +981,14 @@ def preset_scenario(name: str) -> dict[str, Any]:
     except KeyError:
         raise KeyError(f"unknown scenario preset {name!r}") from None
     for tree_name in doc.get("trees", {}):
-        doc["trees"][tree_name] = _TREES[tree_name]().to_json()
+        doc["trees"][tree_name] = json.loads(_tree_text(tree_name))
     return doc
+
+
+@functools.cache
+def _tree_text(name: str) -> str:
+    """The named knowledge tree's canonical text, built once per process."""
+    return _TREES[name]().canonical()
 
 
 # Fields of the objects in a scenario file; a root's depend on its kind.

@@ -23,7 +23,7 @@ copy-the-question defense that beats the plagiarist.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
 from .formulas import Statement, canonical_json, read_bool, read_int
@@ -673,15 +673,6 @@ class RejectedIntent:
     detail: str
     reason: str
 
-    def to_json(self) -> Any:
-        return {
-            "actor": self.actor,
-            "detail": self.detail,
-            "kind": self.kind,
-            "reason": self.reason,
-            "time": self.time,
-        }
-
 
 @dataclass
 class SimulationTrace:
@@ -723,7 +714,7 @@ class SimulationTrace:
         for m in inst.moves:
             lines.append(m.line(record="move"))
         for r in self.rejections:
-            lines.append(canonical_json({"record": "rejection", **r.to_json()}))
+            lines.append(canonical_json({"record": "rejection", **asdict(r)}))
         for node_id in inst.determined:
             node = inst.nodes[node_id]
             lines.append(
@@ -737,17 +728,7 @@ class SimulationTrace:
                 )
             )
         for t in self.transfers:
-            lines.append(
-                canonical_json(
-                    {
-                        "record": "transfer",
-                        "account": t.account,
-                        "amount": t.amount,
-                        "node": t.node_id,
-                        "reason": t.reason,
-                    }
-                )
-            )
+            lines.append(canonical_json({"record": "transfer", **t.to_json()}))
         lines.append(canonical_json({"record": "summary", **self.summary()}))
         return lines
 

@@ -1,7 +1,9 @@
 """Independent re-derivations used to cross-check the package.
 
 Everything here works from raw JSON or first principles and avoids the
-library code paths under test: the tokenizer walks plain dicts, the status
+library code paths under test: `document_json` is the reference encoder of
+proof documents, read off the objects' fields and checked against their
+`canonical()` text, the tokenizer walks plain dicts, the status
 evaluator is a direct recursive reading of the resolution rules rather than
 an incremental fixpoint, the equilibrium oracle runs on `Fraction` so
 the frozen spot values in the tests carry no float noise, and the Monte Carlo
@@ -17,7 +19,7 @@ from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
 from sprig.equilibrium import EquilibriumSolution, McEstimate
-from sprig.formulas import Statement, atom, conj, disj, impl, neg
+from sprig.formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl, neg
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import ProtocolError, ProtocolInstance
 
@@ -28,6 +30,50 @@ _CONNECTIVES = ("not", "and", "or", "imp")
 
 def _canon(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def document_json(doc: Any) -> Any:
+    """The JSON value of a proof document or of any part of one, written
+    from its fields: a formula is a single-key object, a statement sorts its
+    assumptions by their `_canon` text and leaves out an empty context, a
+    chain step leaves out a missing subproof, and chains and machine proofs
+    carry their "kind". A statement has no "kind" here; a posted statement
+    document adds it."""
+    if isinstance(doc, Formula):
+        if doc.op in ("atom", "sym"):
+            return {doc.op: doc.name}
+        args = [document_json(a) for a in doc.args]
+        return {doc.op: args[0] if doc.op == "not" else args}
+    if isinstance(doc, Statement):
+        out = {
+            "assumptions": sorted((document_json(f) for f in doc.assumptions), key=_canon),
+            "conclusion": document_json(doc.conclusion),
+        }
+        if doc.context:
+            out["context"] = doc.context
+        return out
+    if isinstance(doc, DefinitionSet):
+        return {
+            "imports": list(doc.imports),
+            "symbols": [[name, document_json(f)] for name, f in doc.symbols],
+        }
+    if isinstance(doc, InferenceStep):
+        return {"formula": document_json(doc.formula), "premises": list(doc.premises), "rule": doc.rule}
+    if isinstance(doc, ChainStep):
+        out = {"imports": list(doc.imports), "statement": document_json(doc.statement)}
+        if doc.subproof is not None:
+            out["subproof"] = document_json(doc.subproof)
+        return out
+    steps = [document_json(s) for s in doc.steps]
+    if isinstance(doc, MachineProof):
+        return {"kind": "machine_proof", "steps": steps, "target": document_json(doc.target)}
+    assert isinstance(doc, ProofChain), type(doc)
+    return {
+        "definitions": document_json(doc.definitions),
+        "kind": "chain",
+        "steps": steps,
+        "target": document_json(doc.target),
+    }
 
 
 def formula_tokens(doc: Mapping[str, Any]) -> Iterator[str]:

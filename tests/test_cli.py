@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sprig.cli import main
+from sprig.cli import MAX_SWEEP_STEPS, main
 from sprig.equilibrium import MAX_MC_DRAWS
 from sprig.formulas import MAX_FORMULA_DEPTH, content_hash
 from sprig.scenarios import (
@@ -600,6 +600,40 @@ def test_sweep_marks_points_without_a_valid_mixing_rate(capsys):
     rows = out.splitlines()[1:]
     assert [row.split(",")[1] for row in rows] == [f"{5.0 * i}" for i in range(13)]
     assert all(row.split(",")[2:] == ["degenerate"] + [""] * 14 for row in rows)
+
+
+# Each of these is finite, but their sums overflow a float, and the solution's
+# ratios of two overflows are NaN, which JSON cannot write.
+OVERFLOW = ("--sigma1", "1e308", "--sigma2", "1e308", "--beta1", "1e308")
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["verify-mc", "--n", "10"]], ids=["solve", "verify-mc"])
+def test_a_point_whose_solution_overflows_is_degenerate(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, *OVERFLOW)
+    assert (code, out) == (1, "")
+    assert err == "error: degenerate parameters: solution not finite: pi1_star, p, q1\n"
+
+
+def test_sweep_marks_a_point_whose_solution_overflows(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", *OVERFLOW, "--param", "b0", "--from", "40", "--to", "40", "--steps", "1"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "b0,40.0,degenerate" + "," * 14
+
+
+def test_sweep_rejects_more_steps_than_the_bound(capsys):
+    steps = str(MAX_SWEEP_STEPS + 1)
+    code, out, err = run_cli(
+        capsys, "sweep", "--param", "sigma2", "--from", "0", "--to", "1", "--steps", steps
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --steps must be between 1 and {MAX_SWEEP_STEPS}\n"
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert f"number of grid points, 1 to {MAX_SWEEP_STEPS:,}" in " ".join(
+        capsys.readouterr().out.split()
+    )
 
 
 def test_verify_mc_small_run_passes(capsys):

@@ -6,6 +6,7 @@ fractions; everything else is cross-checked numerically on random grids.
 """
 
 import dataclasses
+import itertools
 import math
 import random
 import sys
@@ -380,6 +381,21 @@ def test_degenerate_points_raise_instead_of_dividing_by_zero():
     with pytest.raises(DegenerateParametersError):
         solve_pbe(flat)
     assert issubclass(DegenerateParametersError, ValueError)
+
+
+def test_only_a_solution_that_overflows_is_degenerate_for_not_being_finite():
+    huge = GameParameters(b0=40, b1=40, b2=10, sigma1=1e308, sigma2=1e308, beta0=5, beta1=1e308)
+    with pytest.raises(DegenerateParametersError, match="^solution not finite: pi1_star, p, q1$"):
+        solve_pbe(huge)
+    # Small parameters never overflow: every point of this grid that solves
+    # solves to finite values, as it did before the check.
+    for values in itertools.product([0.0, 1.0, 5.0, 40.0], repeat=7):
+        try:
+            sol = solve_pbe(GameParameters(*values))
+        except DegenerateParametersError as exc:
+            assert "not finite" not in str(exc)
+        else:
+            assert all(map(math.isfinite, vars(sol).values()))
 
 
 def test_scalar_helpers_validate_their_domains():

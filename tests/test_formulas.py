@@ -45,12 +45,12 @@ def formulas(max_leaves: int = 6) -> st.SearchStrategy[Formula]:
 
 
 def test_constructors_build_the_documented_shapes():
-    assert atom("p").to_json() == {"atom": "p"}
-    assert sym("zeta").to_json() == {"sym": "zeta"}
-    assert neg(atom("p")).to_json() == {"not": {"atom": "p"}}
-    assert conj(atom("p"), atom("q")).to_json() == {"and": [{"atom": "p"}, {"atom": "q"}]}
-    assert disj(atom("p"), atom("q")).to_json() == {"or": [{"atom": "p"}, {"atom": "q"}]}
-    assert impl(atom("p"), atom("q")).to_json() == {"imp": [{"atom": "p"}, {"atom": "q"}]}
+    assert atom("p").canonical() == '{"atom":"p"}'
+    assert sym("zeta").canonical() == '{"sym":"zeta"}'
+    assert neg(atom("p")).canonical() == '{"not":{"atom":"p"}}'
+    assert conj(atom("p"), atom("q")).canonical() == '{"and":[{"atom":"p"},{"atom":"q"}]}'
+    assert disj(atom("p"), atom("q")).canonical() == '{"or":[{"atom":"p"},{"atom":"q"}]}'
+    assert impl(atom("p"), atom("q")).canonical() == '{"imp":[{"atom":"p"},{"atom":"q"}]}'
 
 
 def test_malformed_formulas_are_rejected_at_construction():
@@ -91,7 +91,7 @@ def _nested_not(levels):
 
 def test_from_json_bounds_the_nesting_depth():
     deepest = _nested_not(MAX_FORMULA_DEPTH)
-    assert Formula.from_json(deepest).to_json() == deepest
+    assert Formula.from_json(deepest).canonical() == canonical_json(deepest)
     for doc in (_nested_not(MAX_FORMULA_DEPTH + 1), {"and": [{"atom": "q"}, deepest]}):
         with pytest.raises(ParseError, match="nested too deeply"):
             Formula.from_json(doc)
@@ -99,7 +99,7 @@ def test_from_json_bounds_the_nesting_depth():
 
 @given(formulas())
 def test_formula_json_round_trip(f):
-    assert Formula.from_json(f.to_json()) == f
+    assert Formula.from_json(oracles.document_json(f)) == f
 
 
 @pytest.mark.parametrize(
@@ -134,19 +134,19 @@ def _rebuilt(f):
 def test_formula_size_is_the_length_of_the_oracle_token_stream(f):
     """The memoized count and the raw-dict oracle must agree, for built and
     for decoded formulas, or length charges would depend on the code path."""
-    expected = len(list(oracles.formula_tokens(f.to_json())))
-    decoded = Formula.from_json(json.loads(json.dumps(f.to_json())))
+    expected = len(list(oracles.formula_tokens(oracles.document_json(f))))
+    decoded = Formula.from_json(json.loads(f.canonical()))
     assert f.size() == decoded.size() == expected
     assert f.size() is f.size() and type(f.size()) is int
 
 
 @given(formulas())
 def test_equal_formulas_hash_equal_whether_decoded_or_built(f):
-    decoded, rebuilt = Formula.from_json(f.to_json()), _rebuilt(f)
+    decoded, rebuilt = Formula.from_json(oracles.document_json(f)), _rebuilt(f)
     assert rebuilt is not f and rebuilt is not decoded
     assert decoded == f == rebuilt
     assert hash(decoded) == hash(f) == hash(rebuilt)
-    assert Formula.from_json(rebuilt.to_json()) is decoded
+    assert Formula.from_json(oracles.document_json(rebuilt)) is decoded
 
 
 def test_str_rendering_spot_checks():
@@ -179,7 +179,7 @@ def test_statement_assumption_order_is_canonical():
     s1 = Statement(conclusion=p, assumptions=frozenset({q, impl(p, q)}))
     s2 = Statement(conclusion=p, assumptions=frozenset({impl(p, q), q}))
     assert s1.sorted_assumptions() == s2.sorted_assumptions()
-    assert s1.to_json() == s2.to_json()
+    assert s1.canonical() == s2.canonical()
     assert s1.hash() == s2.hash()
 
 
@@ -189,10 +189,10 @@ def test_statement_json_round_trip_and_context_default():
         assumptions=frozenset({atom("p")}),
         context="demo",
     )
-    assert Statement.from_json(s.to_json()) == s
+    assert Statement.from_json(json.loads(s.canonical())) == s
     bare = Statement(conclusion=atom("p"))
-    assert "context" not in bare.to_json()
-    assert Statement.from_json(bare.to_json()).context == ""
+    assert "context" not in json.loads(bare.canonical())
+    assert Statement.from_json(json.loads(bare.canonical())).context == ""
 
 
 def test_statement_rejects_unknown_fields_and_missing_conclusion():
@@ -211,8 +211,9 @@ def test_statement_rejects_unknown_fields_and_missing_conclusion():
 @given(st.sets(formulas(max_leaves=3), max_size=3), formulas(max_leaves=3))
 def test_statement_size_is_the_length_of_the_oracle_token_stream(assumptions, conclusion):
     s = Statement(conclusion=conclusion, assumptions=frozenset(assumptions))
-    expected = len(list(oracles.statement_tokens(s.to_json())))
-    assert s.size() == Statement.from_json(s.to_json()).size() == expected
+    doc = oracles.document_json(s)
+    expected = len(list(oracles.statement_tokens(doc)))
+    assert s.size() == Statement.from_json(doc).size() == expected
 
 
 def test_definition_set_duplicate_symbol_rejected():
@@ -225,7 +226,7 @@ def test_definition_set_round_trip():
         symbols=(("short", conj(atom("p"), atom("p"))), ("other", atom("q"))),
         imports=("arith", "sets"),
     )
-    assert DefinitionSet.from_json(d.to_json()) == d
+    assert DefinitionSet.from_json(json.loads(d.canonical())) == d
     assert d.names() == frozenset({"short", "other"})
 
 
@@ -263,13 +264,17 @@ def test_canonical_json_is_valid_json_with_unicode_preserved():
 def test_memoized_encodings_equal_a_fresh_computation(assumptions, conclusion, context):
     s = Statement(conclusion=conclusion, assumptions=frozenset(assumptions), context=context)
     memo = (s.hash(), s.sorted_assumptions(), [f.canonical() for f in s.sorted_assumptions()])
-    twin = Statement.from_json(json.loads(json.dumps(s.to_json())))
+    twin = Statement.from_json(oracles.document_json(s))
     assert twin == s and twin is not s
     fresh = (twin.hash(), twin.sorted_assumptions(), [f.canonical() for f in twin.sorted_assumptions()])
     assert memo == fresh
     # and the uncached definitions, spelled out
-    order = sorted(s.assumptions, key=lambda f: canonical_json(f.to_json()))
-    assert memo == (content_hash(s.to_json()), tuple(order), [canonical_json(f.to_json()) for f in order])
+    order = sorted(s.assumptions, key=lambda f: canonical_json(oracles.document_json(f)))
+    assert memo == (
+        content_hash(oracles.document_json(s)),
+        tuple(order),
+        [canonical_json(oracles.document_json(f)) for f in order],
+    )
 
 
 def _sample_statement():
@@ -297,7 +302,7 @@ def test_a_filled_memo_is_invisible_to_equality_hashing_repr_fields_and_pickle()
     assert restored.sorted_assumptions() == empty.sorted_assumptions()
     # a copy with other fields is built afresh, not from the old memo
     other = dataclasses.replace(filled, context="other")
-    assert other.hash() == content_hash(other.to_json()) != filled.hash()
+    assert other.hash() == content_hash(oracles.document_json(other)) != filled.hash()
 
 
 def test_memoized_methods_return_the_identical_object():
@@ -324,7 +329,7 @@ def _named(name_strategy) -> st.SearchStrategy[Formula]:
 @given(_named(st.text(min_size=1, max_size=6)))
 def test_canonical_text_is_the_canonical_json_of_any_formula(f):
     # built from the children's text, with names that need escaping
-    assert f.canonical() == canonical_json(f.to_json())
+    assert f.canonical() == canonical_json(oracles.document_json(f))
 
 
 def test_decoding_shares_one_instance_per_formula():

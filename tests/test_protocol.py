@@ -587,16 +587,16 @@ def _odd_actor_debate():
 
 
 def _reference_payload(inst, move):
-    """The payload of `move`, rebuilt through `to_json` from the node it
-    posted: the reference the composed payload text must encode."""
+    """The payload of `move`, rebuilt through `oracles.document_json` from
+    the node it posted: the reference the composed payload text must encode."""
     [node] = [n for n in inst.nodes.values() if n.posted_at.seq == move.seq]
     if move.kind == "root_claim":
-        return {"chain": node.proof.to_json()}
+        return {"chain": oracles.document_json(node.proof)}
     if move.kind == "root_question":
-        return {"statement": node.statement.to_json()}
+        return {"statement": oracles.document_json(node.statement)}
     if move.kind == "question":
         return {"origin": node.origin, "step": node.step_index}
-    return {"origin": node.origin, "proof": node.proof.to_json()}
+    return {"origin": node.origin, "proof": oracles.document_json(node.proof)}
 
 
 @pytest.mark.parametrize("seed", [None, *range(0, 100, 9)])
@@ -617,7 +617,7 @@ def test_moves_keep_the_one_encoding_of_their_payload(seed):
     ]
     snapshot = json.loads(inst.snapshot())
     for node in inst.claims():
-        assert snapshot["nodes"][node.id]["proof"] == content_hash(node.proof.to_json())
+        assert snapshot["nodes"][node.id]["proof"] == content_hash(oracles.document_json(node.proof))
 
 
 def test_replay_rejects_tampered_payloads():
@@ -685,19 +685,42 @@ def test_replay_rejects_empty_and_rootless_logs():
 # not the rule the stake structure should have.
 
 
-def _dead_root_claim_nets(questioners):
-    """Net payoffs when `ann` posts the validated_root_claim root chain and
-    each of `questioners`, in order, questions step 1 at t = 1, unanswered."""
+def _root_claim_nets(names, play):
+    """Net payoffs of `names`, 200 each, when `ann` posts the
+    validated_root_claim root chain at t = 0 and `play(inst)` posts the rest."""
     fx = PROTOCOL_FIXTURES["validated_root_claim"]()
     chain = fx.instance.nodes[fx.node("root")].proof
-    balances = {"ann": 200, "ann2": 200, "sam": 200}
+    balances = dict.fromkeys(names, 200)
     inst = create_root_claim("ann", chain.target, chain, fx.cascade, 0, balances=balances)
-    for name in questioners:
-        inst.post_question(name, inst.root_id, 1, 1)
+    play(inst)
     advance_clock(inst, inst.max_deadline())
     settle(inst)
     assert inst.ledger.burned == 0
     return {name: inst.ledger.balance(name) - start for name, start in balances.items()}
+
+
+def _dead_root_claim_nets(questioners):
+    """Each of `questioners`, in order, questions the root's step 1 at t = 1,
+    unanswered."""
+    def play(inst):
+        for name in questioners:
+            inst.post_question(name, inst.root_id, 1, 1)
+
+    return _root_claim_nets(["ann", "ann2", "sam"], play)
+
+
+def _dead_answer_nets(questioners):
+    """`sam` questions the root's step 1 at t = 1, `bea` answers with
+    `identity_chain` at t = 2, and each of `questioners`, in order, questions
+    the answer's step 1 at t = 3, unanswered."""
+    def play(inst):
+        question = inst.post_question("sam", inst.root_id, 1, 1)
+        statement = inst.nodes[question].statement
+        answer = inst.post_answer_claim("bea", question, identity_chain(statement), 2)
+        for name in questioners:
+            inst.post_question(name, answer, 1, 3)
+
+    return _root_claim_nets(["ann", "bea", "bea2", "sam"], play)
 
 
 @pytest.mark.parametrize(
@@ -712,6 +735,20 @@ def _dead_root_claim_nets(questioners):
 )
 def test_a_dead_root_claims_down_stake_goes_to_the_first_question(questioners, nets):
     assert _dead_root_claim_nets(questioners) == nets
+
+
+@pytest.mark.parametrize(
+    "questioners, nets",
+    [
+        (["sam"], {"ann": -10, "bea": -10, "bea2": 0, "sam": 20}),
+        # bea's second name asks first and takes the answer's down-stake of 6:
+        # bea and bea2 together lose 4, the answer's up-stake, not 10.
+        (["bea2", "sam"], {"ann": -10, "bea": -10, "bea2": 6, "sam": 14}),
+    ],
+    ids=["honest-questioner", "second-name-first"],
+)
+def test_a_dead_answers_down_stake_goes_to_the_first_question(questioners, nets):
+    assert _dead_answer_nets(questioners) == nets
 
 
 # -- mutated move logs ------------------------------------------------------------

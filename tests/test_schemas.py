@@ -76,7 +76,7 @@ def test_broken_import_fixture_is_schema_valid_but_parser_rejectable():
 
 def test_simulation_trees_validate_as_chains():
     for tree in (solid_tree(), rotten_tree(), flat_tree()):
-        assert schema_errors(tree.to_json()) == []
+        assert schema_errors(json.loads(tree.canonical())) == []
 
 
 @pytest.mark.parametrize(

@@ -275,9 +275,10 @@ def test_accepted_proofs_are_semantically_sound(case):
     statement, proof = case
     if not ToyVerifier().verdict(statement, proof).validated:
         return
-    docs = [statement.conclusion.to_json()] + [a.to_json() for a in statement.assumptions]
-    names = sorted(set().union(*map(_leaf_names, docs)))
+    conclusion = oracles.document_json(statement.conclusion)
+    assumptions = [oracles.document_json(a) for a in statement.assumptions]
+    names = sorted(set().union(*map(_leaf_names, [conclusion, *assumptions])))
     for bits in itertools.product([False, True], repeat=len(names)):
         valuation = dict(zip(names, bits))
-        if all(oracles.eval_formula(a.to_json(), valuation) for a in statement.assumptions):
-            assert oracles.eval_formula(statement.conclusion.to_json(), valuation)
+        if all(oracles.eval_formula(a, valuation) for a in assumptions):
+            assert oracles.eval_formula(conclusion, valuation)
