@@ -23,8 +23,9 @@ times this checkout and writes its points under NAME.
     python3 scripts/scaling.py --checkout ../parent
 
 times the checkout ../parent (section `before`) and this one (section
-`after`), alternating one repeat of each, so that every before/after pair is
-measured back to back on the same machine state instead of minutes apart.
+`after`), alternating one repeat of each, the parent first in even repeats,
+so that every before/after pair is measured back to back on the same machine
+state instead of minutes apart, and neither side always runs first.
 Both sides must produce the same move log. Each `after` point also counts the
 pairs in which this checkout was faster.
 
@@ -144,9 +145,10 @@ def main() -> int:
     points: dict[str, list[dict[str, float | int | str]]] = {label: [] for label in sides}
     for k in KS:
         runs: dict[str, list[dict[str, float | int | str]]] = {label: [] for label in sides}
-        for _ in range(REPEATS):
-            for label, checkout in sides.items():
-                runs[label].append(run_once(checkout, k))
+        for repeat in range(REPEATS):
+            order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
+            for label in order:
+                runs[label].append(run_once(sides[label], k))
         for label in sides:
             points[label].append(summarize(k, runs[label]))
         if args.checkout:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -43,7 +43,6 @@ __all__ = [
     "OutcomeProbabilities",
     "McEstimate",
     "Deviation",
-    "SweepRow",
     "pi1_star",
     "q1",
     "reply_prob_p",
@@ -532,36 +531,26 @@ SWEEP_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    param: str
-    value: float
-    degenerate: bool
-    solution: EquilibriumSolution | None
-    probabilities: OutcomeProbabilities | None
-
-    def to_csv(self) -> list[str]:
-        def fmt(x: float | None) -> str:
-            return "" if x is None else repr(float(x))
-
-        if self.degenerate or self.solution is None or self.probabilities is None:
-            return [self.param, fmt(self.value), "degenerate"] + [""] * (len(SWEEP_COLUMNS) - 3)
-        sol, pr = self.solution, self.probabilities
-        cells = [fmt(getattr(sol if hasattr(sol, c) else pr, c)) for c in SWEEP_COLUMNS[3:]]
-        return [self.param, fmt(self.value), str(sol.eq_type)] + cells
-
-
-def sweep(theta: GameParameters, param: str, values: Iterable[float]) -> list[SweepRow]:
-    """Re-solve along one parameter axis; degenerate points are marked, not fatal."""
+def sweep(theta: GameParameters, param: str, values: Iterable[float]) -> Iterator[list[str]]:
+    """Re-solve along one parameter axis: the CSV cells of each point, in
+    `SWEEP_COLUMNS` order, yielded as `values` yields the point. Degenerate
+    points are marked, not fatal; an unknown `param` fails at once."""
     if param not in {f.name for f in fields(GameParameters)}:
         raise ValueError(f"unknown parameter {param!r}")
-    rows = []
+    return _sweep_rows(theta, param, values)
+
+
+def _sweep_rows(theta: GameParameters, param: str, values: Iterable[float]) -> Iterator[list[str]]:
+    def fmt(x: float | None) -> str:
+        return "" if x is None else repr(float(x))
+
     for value in values:
         point = replace(theta, **{param: float(value)})
         try:
             sol = solve_pbe(point)
         except DegenerateParametersError:
-            rows.append(SweepRow(param, float(value), True, None, None))
+            yield [param, fmt(value), "degenerate"] + [""] * (len(SWEEP_COLUMNS) - 3)
             continue
-        rows.append(SweepRow(param, float(value), False, sol, outcome_probabilities(sol, point)))
-    return rows
+        pr = outcome_probabilities(sol, point)
+        cells = [fmt(getattr(sol if hasattr(sol, c) else pr, c)) for c in SWEEP_COLUMNS[3:]]
+        yield [param, fmt(value), str(sol.eq_type)] + cells

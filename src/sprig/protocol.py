@@ -4,20 +4,21 @@ A claim at level ``l >= 1`` posts a proof chain and locks an upward and a
 downward stake. Anyone may dispute one of its steps with a question, locking a
 bounty; a question is met by answer claims one level down (or directly at the
 machine level). Machine claims burn a fixed execution cost and are judged
-instantly by the verifier backend. Statuses propagate: a question is answered
-as soon as one of its claims validates, a claim dies as soon as one of its
-questions times out unanswered, and surviving nodes are confirmed when their
-windows close. Resolution is incremental and goes one instant at a time: a
-pending node can change only when it is posted, when its own window closes,
-or when one of its children determines, so each instant up to the clock
-re-evaluates just those nodes and their ancestors (children first) instead of
-the whole tree, and commits each status as soon as it is decided, with the
-child that decided it; an early stop ends at the instant where the root
-determines. Settlement then routes every escrowed token: stakes of dead
-claims pay the defeating question, bounties of answered questions pay the
-earliest validated answer (each the node's recorded decider), and anything
-still held by pending nodes (possible only when the game stops early at the
-root's determination) is refunded.
+instantly by the verifier backend. Each node carries the deadline of its
+window, fixed when it is posted. Statuses propagate by one rule that claims
+and questions mirror (`_RULES`): a question is answered as soon as one of its
+claims validates, a claim dies as soon as one of its questions times out
+unanswered, and surviving nodes are confirmed when their windows close.
+Resolution is incremental and goes one instant at a time: a pending node can
+change only when it is posted, when its own window closes, or when one of its
+children determines, so each instant up to the clock re-evaluates just those
+nodes and their ancestors (children first) instead of the whole tree, and
+commits each status as soon as it is decided, with the child that decided it;
+an early stop ends at the instant where the root determines. Settlement then
+routes every escrowed token: stakes of dead claims pay the defeating question,
+bounties of answered questions pay the earliest validated answer (each the
+node's recorded decider), and anything still held by pending nodes (possible
+only when the game stops early at the root's determination) is refunded.
 
 Time is integer ticks; within a tick, moves are ordered by a per-instance
 sequence number, so the full order of play is the pair (time, seq). Windows
@@ -232,6 +233,9 @@ class ClaimNode:
     # Hash of the proof's canonical JSON, taken from the move's payload text.
     proof_hash: str
     posted_at: Timestamp
+    # The time its question window closes; a machine claim's is its posting
+    # time, since the verifier judges it at once.
+    deadline: int
     escrow: int
     origin: str | None = None
     status: str = PENDING
@@ -252,6 +256,8 @@ class QuestionNode:
     level: int
     statement: Statement
     posted_at: Timestamp
+    # The time its answer window closes.
+    deadline: int
     escrow: int
     origin: str | None = None
     step_index: int | None = None
@@ -268,6 +274,17 @@ class QuestionNode:
 Node = Union[ClaimNode, QuestionNode]
 
 _determination = attrgetter("determination")
+
+# The resolution rule of each kind of node, which the two kinds mirror:
+# (decisive child status, the node's status then, the status every child
+# needs once the window closes, the node's status then). A claim falls to
+# its first unanswered question and stands when its window closes with every
+# question answered; a question is won by its first validated answer and
+# goes unanswered when its window closes with every answer invalidated.
+_RULES = {
+    "claim": (UNANSWERED, INVALIDATED, ANSWERED, VALIDATED),
+    "question": (VALIDATED, ANSWERED, INVALIDATED, UNANSWERED),
+}
 
 
 class Ledger:
@@ -373,7 +390,8 @@ class SettlementTransfer:
 class ProtocolInstance:
     """One debate: a root node, the tree beneath it, a ledger and a clock.
 
-    Build instances through `create_root_claim` / `create_root_question`.
+    Build instances through `create_root_claim` / `create_root_question`,
+    or `replay` a move log into a fresh one.
     """
 
     def __init__(
@@ -449,26 +467,15 @@ class ProtocolInstance:
     def open_nodes(self) -> Iterable[Node]:
         """The nodes whose window was still open at the last instant
         resolved, in posting order. With the clock resolved, this holds every
-        node whose deadline is after the clock, so a reader filtering on
-        `deadline > now` for a `now` at or after the clock sees the same
-        nodes as a scan of the whole tree, without touching the closed ones."""
+        node whose `deadline` is after the clock, so a reader filtering on
+        `node.deadline > now` for a `now` at or after the clock sees the same
+        nodes as a scan of the whole tree, without touching the closed ones.
+        After an early stop the index stays as it was at the root's instant,
+        so only that filter drops the windows that closed since."""
         return self._open.values()
 
-    def question_deadline(self, q: QuestionNode) -> int:
-        return q.posted_at.time + self.cascade.response_time(q.level)
-
-    def claim_deadline(self, c: ClaimNode) -> int:
-        if c.level == 0:
-            return c.posted_at.time
-        return c.posted_at.time + self.cascade.verification_time(c.level)
-
-    def _deadline(self, node: Node) -> int:
-        if isinstance(node, ClaimNode):
-            return self.claim_deadline(node)
-        return self.question_deadline(node)
-
     def max_deadline(self) -> int:
-        return max([self.clock] + [self._deadline(node) for node in self._open.values()])
+        return max([self.clock] + [node.deadline for node in self._open.values()])
 
     # -- move plumbing ----------------------------------------------------
 
@@ -517,7 +524,7 @@ class ProtocolInstance:
             for key in keys:
                 self._posted_by[key] = self._posted_by.get(key, 0) + 1
         self._dirty.add(node.id)
-        heapq.heappush(self._deadlines, (self._deadline(node), node.posted_at.seq, node.id))
+        heapq.heappush(self._deadlines, (node.deadline, node.posted_at.seq, node.id))
         self._open[node.id] = node
 
     # -- posting ----------------------------------------------------------
@@ -542,6 +549,7 @@ class ProtocolInstance:
             proof=posted,
             proof_hash=text_hash(proof_json),
             posted_at=stamp,
+            deadline=time + params.verification_time,
             escrow=params.stake_down,
         )
         self._add_node(node)
@@ -564,6 +572,7 @@ class ProtocolInstance:
             level=top,
             statement=statement,
             posted_at=stamp,
+            deadline=time + self.cascade.response_time(top),
             escrow=bounty,
         )
         self._add_node(node)
@@ -584,10 +593,9 @@ class ProtocolInstance:
                 f"no such step {step_index} in claim {origin!r} "
                 f"(has {len(claim.proof.steps)})"
             )
-        if time >= self.claim_deadline(claim):
+        if time >= claim.deadline:
             raise ProtocolError(
-                f"window closed: claim {origin!r} accepted questions before "
-                f"{self.claim_deadline(claim)}"
+                f"window closed: claim {origin!r} accepted questions before {claim.deadline}"
             )
         level = claim.level - 1
         node_id = f"q{self._next_seq}"
@@ -601,6 +609,7 @@ class ProtocolInstance:
             level=level,
             statement=claim.proof.steps[step_index - 1].statement,
             posted_at=stamp,
+            deadline=time + self.cascade.response_time(level),
             escrow=self.cascade.bounty(level),
             origin=origin,
             step_index=step_index,
@@ -615,10 +624,9 @@ class ProtocolInstance:
         """Answer the question `origin` with a chain at its level or a machine proof."""
         time = self._begin_move(t)
         q = self.question(origin)
-        if time >= self.question_deadline(q):
+        if time >= q.deadline:
             raise ProtocolError(
-                f"window closed: question {origin!r} accepted answers before "
-                f"{self.question_deadline(q)}"
+                f"window closed: question {origin!r} accepted answers before {q.deadline}"
             )
         node_id = f"c{self._next_seq}"
         verdict: Verdict | None = None
@@ -630,8 +638,10 @@ class ProtocolInstance:
             self._check_chain_answer(q.statement, posted, level, ambient=self._ambient(q))
             params = self.cascade.levels[level]
             deposit = params.stake_up + params.stake_down
+            deadline = time + params.verification_time
         else:
             level = 0
+            deadline = time
             posted = proof
             if proof.target != q.statement:
                 raise ProtocolError("structural violation: proof targets a different statement")
@@ -651,6 +661,7 @@ class ProtocolInstance:
             proof=posted,
             proof_hash=text_hash(proof_json),
             posted_at=stamp,
+            deadline=deadline,
             escrow=deposit,
             origin=origin,
             verdict=verdict,
@@ -760,32 +771,22 @@ class ProtocolInstance:
         return [(n.id, n.status, n.determination) for n in decided]
 
     def _decide(self, node: Node, instant: int) -> tuple[str, Timestamp, Node | None] | None:
-        """The node's status, determination and deciding child (the first
-        unanswered question of an invalidated claim, the first validated
-        answer of an answered question, else None), or None while it is
+        """The node's status, determination and deciding child (its first
+        decisive child under `_RULES`, else None), or None while it is
         undecided. First is by determination, then by posting order: `min`
         keeps the earliest posted of equal determinations."""
-        if isinstance(node, ClaimNode):
-            if node.level == 0:  # queued only at its posting instant
-                ok = node.verdict is not None and node.verdict.validated
-                return (VALIDATED if ok else INVALIDATED, node.posted_at, None)
-            questions = node.children
-            dead = [q for q in questions if q.status == UNANSWERED]
-            if dead:
-                first = min(dead, key=_determination)
-                return (INVALIDATED, first.determination, first)
-            deadline = Timestamp(self.claim_deadline(node), 0)
-            if deadline.time <= instant and all(q.status == ANSWERED for q in questions):
-                return (VALIDATED, max([deadline] + [q.determination for q in questions]), None)
-            return None
-        answers = node.children
-        won = [c for c in answers if c.status == VALIDATED]
+        if isinstance(node, ClaimNode) and node.level == 0:  # queued only when posted
+            ok = node.verdict is not None and node.verdict.validated
+            return (VALIDATED if ok else INVALIDATED, node.posted_at, None)
+        decisive, decided_as, needed, closed_as = _RULES[node.kind]
+        children = node.children
+        won = [c for c in children if c.status == decisive]
         if won:
             first = min(won, key=_determination)
-            return (ANSWERED, first.determination, first)
-        deadline = Timestamp(self.question_deadline(node), 0)
-        if deadline.time <= instant and all(c.status == INVALIDATED for c in answers):
-            return (UNANSWERED, max([deadline] + [c.determination for c in answers]), None)
+            return (decided_as, first.determination, first)
+        if node.deadline <= instant and all(c.status == needed for c in children):
+            closed = [Timestamp(node.deadline, 0)] + [c.determination for c in children]
+            return (closed_as, max(closed), None)
         return None
 
     # -- settlement ---------------------------------------------------------
@@ -827,12 +828,12 @@ class ProtocolInstance:
                     pay(node.id, self.question(node.origin).owner, held,
                         "stake forfeited to questioner")
                 else:
+                    # Only the root claim has no origin, and `_post_root_claim`
+                    # holds its upward stake at zero, so it forfeits none.
                     stake_up = self.cascade.levels[node.level].stake_up
-                    if node.origin is not None:
+                    if stake_up:
                         pay(node.id, self.question(node.origin).owner, stake_up,
                             "stake forfeited to questioner")
-                    else:
-                        pay(node.id, node.owner, stake_up, "stake returned")
                     assert node.decider is not None
                     pay(node.id, node.decider.owner, held - stake_up,
                         "stake paid to defeating question")
@@ -981,16 +982,14 @@ def replay(
     verifier: VerifierBackend | None = None,
 ) -> ProtocolInstance:
     """Rebuild an instance from its move log, one `replay_line` per
-    non-blank line."""
-    instance: ProtocolInstance | None = None
+    non-blank line, into a fresh instance whose ledger opens with
+    `balances` (empty when None)."""
+    instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
     for raw in lines:
         raw = raw.strip()
         if raw:
-            instance = replay_line(
-                instance, raw, parse_json(raw), cascade,
-                balances=balances, mode=mode, verifier=verifier,
-            )
-    if instance is None:
+            replay_line(instance, raw, parse_json(raw))
+    if instance.root_id is None:
         raise ProtocolError("empty move log")
     return instance
 
@@ -999,24 +998,16 @@ def replay(
 _MOVE_FIELDS = ("payload", "kind", "actor", "time", "seq", "payload_hash")
 
 
-def replay_line(
-    instance: ProtocolInstance | None,
-    raw: str,
-    record: Any,
-    cascade: ParameterCascade,
-    *,
-    balances: Mapping[str, int] | None = None,
-    mode: str = QUIESCENCE,
-    verifier: VerifierBackend | None = None,
-) -> ProtocolInstance:
+def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     """Apply one stripped move-log line `raw`, decoded as `record`, to
-    `instance` (None before the root move) and return the instance. Checks
-    the payload hash and decodes strictly: the record is an object with
-    every move field (else a ParseError names the first one missing), the
-    payload is an object with every field its kind of move reads (else a
-    ParseError such as `question payload needs origin`), `seq` is the next
-    sequence number, `seq`, `time` and a question's `step` are
-    integers (booleans are not), and `actor` is a string.
+    `instance`: the root move while the instance has no root, a question or
+    an answer after it. Checks the payload hash and decodes strictly: the
+    record is an object with every move field (else a ParseError names the
+    first one missing), the payload is an object with every field its kind
+    of move reads (else a ParseError such as `question payload needs
+    origin`), `seq` is the next sequence number, `seq`, `time` and a
+    question's `step` are integers (booleans are not), and `actor` is a
+    string.
 
     Each move's payload text is composed once, by the instance that posts
     it, from the memoized canonical text of the decoded proof or statement,
@@ -1032,27 +1023,21 @@ def replay_line(
         kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
         if not isinstance(actor, str):
             raise ProtocolError(f"actor must be a string, got {actor!r}")
-        if instance is None and kind not in ("root_claim", "root_question"):
+        rootless = instance.root_id is None
+        if rootless and kind not in ("root_claim", "root_question"):
             raise ProtocolError(f"log must start with a root move, got {kind!r}")
         seq = _int_field(record, "seq")
-        expected = 1 if instance is None else instance._next_seq
-        if seq != expected:
-            raise ProtocolError(f"seq {seq} out of order, expected {expected}")
-        if instance is None and kind == "root_claim":
+        if seq != instance._next_seq:
+            raise ProtocolError(f"seq {seq} out of order, expected {instance._next_seq}")
+        if rootless and kind == "root_claim":
             payload = read_object(record["payload"], "root claim payload", required=("chain",))
             chain = ProofChain.from_json(payload["chain"])
-            instance = create_root_claim(
-                actor, chain.target, chain, cascade, time,
-                balances=balances, mode=mode, verifier=verifier,
-            )
-        elif instance is None:
+            instance._post_root_claim(actor, chain.target, chain, time)
+        elif rootless:
             payload = read_object(
                 record["payload"], "root question payload", required=("statement",)
             )
-            instance = create_root_question(
-                actor, Statement.from_json(payload["statement"]), cascade, time,
-                balances=balances, mode=mode, verifier=verifier,
-            )
+            instance._post_root_question(actor, Statement.from_json(payload["statement"]), time)
         elif kind == "question":
             payload = read_object(
                 record["payload"], "question payload", required=("origin", "step")
@@ -1071,7 +1056,6 @@ def replay_line(
         raise
     if raw != instance.moves[-1].line():
         _check_payload_hash(record)
-    return instance
 
 
 def _check_payload_hash(record: Mapping[str, Any]) -> None:

@@ -158,32 +158,35 @@ class AgentContext:
     instance: ProtocolInstance
     me: str
     knowledge: Knowledge
-    now: int
     rng: random.Random
+
+    @property
+    def now(self) -> int:
+        """The instance clock: the time of any move posted from this poll."""
+        return self.instance.clock
 
     def balance(self) -> int:
         return self.instance.ledger.balance(self.me)
 
     # The open views read the instance's open-window index, so a poll costs
-    # the number of open windows, not the size of the tree. `now` is the
-    # instance clock, and every node with a deadline after it is in the index.
+    # the number of open windows, not the size of the tree. Every node with a
+    # deadline after the clock is in the index; after an early stop the index
+    # also keeps windows that closed since, which the deadline test drops.
 
     def open_questions(self) -> list[QuestionNode]:
+        now = self.instance.clock
         return [
             q
             for q in self.instance.open_nodes()
-            if isinstance(q, QuestionNode)
-            and q.status == PENDING
-            and self.instance.question_deadline(q) > self.now
+            if isinstance(q, QuestionNode) and q.status == PENDING and q.deadline > now
         ]
 
     def open_claims(self) -> list[ClaimNode]:
+        now = self.instance.clock
         return [
             c
             for c in self.instance.open_nodes()
-            if isinstance(c, ClaimNode)
-            and c.level >= 1
-            and self.instance.claim_deadline(c) > self.now
+            if isinstance(c, ClaimNode) and c.level >= 1 and c.deadline > now
         ]
 
     def answered_by_me(self, question_id: str) -> bool:
@@ -486,7 +489,7 @@ class Misleader(HonestClaimer):
             if q.owner != ctx.me or not ctx.on_my_claim(q) or ctx.answered_by_me(q.id):
                 continue
             if self.variant == "deadline":
-                if ctx.now != ctx.instance.question_deadline(q) - 1:
+                if ctx.now != q.deadline - 1:
                     continue
             proof = self.pick_proof(ctx, q)
             if proof is None:
@@ -829,13 +832,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         order = sorted(strategies)
         poll_rng.shuffle(order)
         for name in order:
-            ctx = AgentContext(
-                instance=instance,
-                me=name,
-                knowledge=knowledge[name],
-                now=now,
-                rng=rngs[name],
-            )
+            ctx = AgentContext(instance, name, knowledge[name], rngs[name])
             for intent in strategies[name].decide(ctx):
                 try:
                     if isinstance(intent, QuestionIntent):

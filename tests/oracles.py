@@ -186,6 +186,26 @@ def single_step_proofs(statement: Statement) -> list[tuple[str, tuple[int, ...]]
 # -- declarative status evaluator (resolution oracle) -----------------------
 
 
+def deadline(cascade, node) -> int:
+    """When the node's window closes, worked out from the cascade rather than
+    read off the node: a question's after its response time, a chain
+    claim's after its verification time, a machine claim's at once."""
+    if node.kind == "question":
+        return node.posted_at.time + cascade.response_time(node.level)
+    if node.level == 0:
+        return node.posted_at.time
+    return node.posted_at.time + cascade.verification_time(node.level)
+
+
+def deadlines(instance: ProtocolInstance) -> dict[str, int]:
+    return {n.id: deadline(instance.cascade, n) for n in instance.nodes.values()}
+
+
+def stored_deadlines(instance: ProtocolInstance) -> dict[str, int]:
+    """The package's own view, shaped like `deadlines` output."""
+    return {n.id: n.deadline for n in instance.nodes.values()}
+
+
 def brute_force_statuses(
     instance: ProtocolInstance, now: int
 ) -> dict[str, tuple[str, tuple[int, int] | None]]:
@@ -208,18 +228,18 @@ def brute_force_statuses(
                 return ("pending", None)
             ok = c.verdict is not None and c.verdict.validated
             return ("validated" if ok else "invalidated", ts(c))
-        deadline = c.posted_at.time + cascade.verification_time(c.level)
+        closes = deadline(cascade, c)
         results = [eval_question(q) for q in c.children]
         unanswered = [det for status, det in results if status == "unanswered"]
         if unanswered:
             return ("invalidated", min(unanswered))
-        if deadline <= now and all(status == "answered" for status, _ in results):
+        if closes <= now and all(status == "answered" for status, _ in results):
             dets = [det for _, det in results if det is not None]
-            return ("validated", max(dets + [(deadline, 0)]))
+            return ("validated", max(dets + [(closes, 0)]))
         return ("pending", None)
 
     def eval_question(q) -> tuple[str, tuple[int, int] | None]:
-        deadline = q.posted_at.time + cascade.response_time(q.level)
+        closes = deadline(cascade, q)
         answers = q.children
         results = {a.id: eval_claim(a) for a in answers}
         validated = [
@@ -230,9 +250,9 @@ def brute_force_statuses(
         ]
         if validated:
             return ("answered", min(validated)[0])
-        if deadline <= now and all(status == "invalidated" for status, _ in results.values()):
+        if closes <= now and all(status == "invalidated" for status, _ in results.values()):
             dets = [det for _, det in results.values() if det is not None]
-            return ("unanswered", max(dets + [(deadline, 0)]))
+            return ("unanswered", max(dets + [(closes, 0)]))
         return ("pending", None)
 
     for node in instance.nodes.values():
@@ -318,26 +338,27 @@ def settlement_routes(instance: ProtocolInstance) -> list[tuple[str, str, int, s
 # -- open windows by full-tree scan --------------------------------------------
 #
 # The simulator's open views used to be these scans; they now read the
-# instance's open-window index, and the tests compare the two.
+# instance's open-window index, and the tests compare the two. Deadlines come
+# from `deadline`, not from the nodes.
 
 
 def scan_open_nodes(instance: ProtocolInstance) -> list:
     """Every node whose window closes after the clock, in posting order."""
     return [
-        n for n in instance.nodes.values()
-        if (instance.claim_deadline(n) if n.kind == "claim" else instance.question_deadline(n))
-        > instance.clock
+        n for n in instance.nodes.values() if deadline(instance.cascade, n) > instance.clock
     ]
 
 
 def scan_open_claims(instance: ProtocolInstance, now: int) -> list:
-    return [c for c in instance.claims() if c.level >= 1 and instance.claim_deadline(c) > now]
+    return [
+        c for c in instance.claims() if c.level >= 1 and deadline(instance.cascade, c) > now
+    ]
 
 
 def scan_open_questions(instance: ProtocolInstance, now: int) -> list:
     return [
         q for q in instance.questions()
-        if q.status == "pending" and instance.question_deadline(q) > now
+        if q.status == "pending" and deadline(instance.cascade, q) > now
     ]
 
 

@@ -134,6 +134,24 @@ def test_run_reports_the_offending_line(capsys, tmp_path):
     assert "illegal move at line 3" in err
 
 
+@pytest.mark.parametrize("text", ["", "\n\n\n"], ids=["empty", "blank-lines"])
+def test_run_reports_an_empty_move_log(capsys, tmp_path, text):
+    _, cascade = fixture_args("validated_root_claim")
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text(text)
+    code, out, err = run_cli(capsys, "run", str(empty), cascade)
+    assert (code, out, err) == (1, "", "error: empty move log\n")
+
+
+def test_run_reports_a_log_without_its_root_move(capsys, tmp_path):
+    log, cascade = fixture_args("validated_root_claim")
+    rootless = tmp_path / "rootless.jsonl"
+    rootless.write_text("".join(Path(log).read_text().splitlines(keepends=True)[1:]))
+    code, out, err = run_cli(capsys, "run", str(rootless), cascade)
+    assert (code, out) == (1, "")
+    assert err == "error: illegal move at line 1: log must start with a root move, got 'question'\n"
+
+
 def _renumber(records):
     for record in records:
         record["seq"] += 100
@@ -554,15 +572,31 @@ def test_sweep_steps_one_uses_the_start_value(capsys):
     assert lines[1].split(",")[1] == "30.0"
 
 
+def test_sweep_prints_every_row_across_its_output_blocks(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "2001"
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert out.endswith("\n") and len(lines) == 2002
+    assert [float(line.split(",")[1]) for line in lines[1:]] == [60 * i / 2000 for i in range(2001)]
+
+
 def test_sweep_rejects_unknown_parameters_and_bad_steps(capsys):
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, "sweep", "--param", "b9", "--from", "0", "--to", "1", "--steps", "2"
     )
     assert code == 2 and "b9" in err
+    assert out == ""
     code, _, err = run_cli(
         capsys, "sweep", "--param", "sigma2", "--from", "0", "--to", "1", "--steps", "0"
     )
     assert code == 2 and "--steps" in err
+    # The third point is negative.
+    code, out, err = run_cli(
+        capsys, "sweep", "--param", "sigma2", "--from", "10", "--to", "-10", "--steps", "3"
+    )
+    assert (code, out, err) == (2, "", "error: sigma2 must be a non-negative finite number\n")
 
 
 # sha256 of stdout recorded before the CSV cells were read off SWEEP_COLUMNS.

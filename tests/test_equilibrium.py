@@ -423,10 +423,9 @@ def test_reply_rate_is_monotone_in_the_belief(pi_e):
 
 def test_sweep_rows_follow_the_column_layout():
     theta = baseline(0)
-    rows = sweep(theta, "sigma2", [5.0, 30.0, 40.0])
+    rows = list(sweep(theta, "sigma2", [5.0, 30.0, 40.0]))
     assert len(rows) == 3
-    for row, sigma2 in zip(rows, (5.0, 30.0, 40.0)):
-        csv = row.to_csv()
+    for csv, sigma2 in zip(rows, (5.0, 30.0, 40.0)):
         assert len(csv) == len(SWEEP_COLUMNS)
         assert csv[0] == "sigma2" and float(csv[1]) == sigma2
         assert int(csv[2]) == SPOTS[int(sigma2)]["eq_type"]
@@ -434,13 +433,24 @@ def test_sweep_rows_follow_the_column_layout():
 
 def test_sweep_marks_degenerate_points_instead_of_failing():
     bare = GameParameters(b0=40, b1=40, b2=10, sigma1=0, sigma2=0, beta0=0, beta1=0)
-    rows = sweep(bare, "sigma2", [0.0, 10.0])
-    first = rows[0].to_csv()
+    first, second = sweep(bare, "sigma2", [0.0, 10.0])
     assert first[2] == "degenerate"
     assert first[3:] == [""] * (len(SWEEP_COLUMNS) - 3)
-    assert rows[1].to_csv()[2] == "1"
+    assert second[2] == "1"
 
 
 def test_sweep_rejects_unknown_parameters():
     with pytest.raises(ValueError, match="b3"):
         sweep(baseline(0), "b3", [1.0])
+
+
+def test_sweep_yields_each_row_before_reading_the_next_point():
+    def values():
+        yield 5.0
+        yield 30.0
+        raise RuntimeError("no third point")
+
+    rows = sweep(baseline(0), "sigma2", values())
+    assert [next(rows)[1], next(rows)[1]] == ["5.0", "30.0"]
+    with pytest.raises(RuntimeError, match="no third point"):
+        next(rows)

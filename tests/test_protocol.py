@@ -172,7 +172,7 @@ def test_question_step_must_exist():
 
 def test_question_window_closes_at_the_deadline():
     inst = fresh_claim_root()
-    deadline = inst.claim_deadline(inst.claim(inst.root_id))
+    deadline = inst.claim(inst.root_id).deadline
     late = fresh_claim_root()
     with pytest.raises(ProtocolError, match="window closed"):
         late.post_question("quin", late.root_id, 1, deadline)
@@ -183,7 +183,7 @@ def test_question_window_closes_at_the_deadline():
 def test_answer_window_closes_at_the_deadline():
     inst = fresh_claim_root()
     q = inst.post_question("quin", inst.root_id, 1, 1)
-    deadline = inst.question_deadline(inst.question(q))
+    deadline = inst.question(q).deadline
     with pytest.raises(ProtocolError, match="window closed"):
         inst.post_answer_claim("zed", q, identity_chain(IDENT), deadline)
     inst2 = fresh_claim_root()
@@ -447,7 +447,7 @@ def test_a_machine_leaf_in_a_wide_tree_evaluates_only_its_ancestors(monkeypatch)
 
     monkeypatch.setattr(ProtocolInstance, "_decide", counted)
     now = 2
-    expired = sum(inst.clock < inst._deadline(n) <= now for n in inst.nodes.values())
+    expired = sum(inst.clock < n.deadline <= now for n in inst.nodes.values())
     leaf = post_answer_claim(inst, "amy", open_leaves[-1], machine_answer(IDENT), now)
     depth, node = 0, inst.nodes[leaf]
     while node.origin is not None:
@@ -468,6 +468,7 @@ def _fx(request):
 def test_fixture_statuses_and_determinations(fx):
     inst = fx.instance
     advance_clock(inst, fx.final_time)
+    assert oracles.stored_deadlines(inst) == oracles.deadlines(inst)
     for label, (status, det_time) in fx.expected.items():
         node = inst.nodes[fx.node(label)]
         assert node.status == status, f"{fx.name}:{label}"
@@ -677,6 +678,9 @@ def test_replay_rejects_empty_and_rootless_logs():
     lines = fx.instance.move_log_lines()
     with pytest.raises(ProtocolError, match="must start with a root move"):
         replay(lines[1:], fx.cascade, balances=fx.balances)
+    second_root = {**json.loads(lines[0]), "seq": 2}
+    with pytest.raises(ProtocolError, match="^unknown move kind 'root_claim'$"):
+        replay([lines[0], json.dumps(second_root)], fx.cascade, balances=fx.balances)
 
 
 # -- second names -----------------------------------------------------------------
@@ -882,6 +886,7 @@ def test_random_debates_match_the_declarative_oracle(seed):
     total = sum({"ava": 150, "bo": 150, "cy": 150, "dot": 150}.values())
     advance_clock(inst, horizon)
     assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, horizon)
+    assert oracles.stored_deadlines(inst) == oracles.deadlines(inst)
     assert inst.conservation_total() == total
     expected = oracles.settlement_routes(inst)
     assert _routes(settle(inst)) == expected

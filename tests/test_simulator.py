@@ -95,7 +95,7 @@ def test_agent_context_queries_agree_with_a_rescan_of_the_tree(name):
     inst = run_preset(name).instance
     owners = sorted({n.owner for n in inst.nodes.values()} | {"nobody"})
     for me in owners:
-        ctx = AgentContext(inst, me, Knowledge(), inst.clock, random.Random(0))
+        ctx = AgentContext(inst, me, Knowledge(), random.Random(0))
         for q in inst.questions() + [None]:
             qid = q.id if q else "q999"
             mine = [c for c in q.children if c.owner == me] if q else []
@@ -149,7 +149,7 @@ def test_plagiarist_copies_the_first_proof_posted_for_a_statement():
     plagiarist = Plagiarist()
 
     def copies():
-        ctx = AgentContext(inst, "pla", Knowledge(), inst.clock, random.Random(0))
+        ctx = AgentContext(inst, "pla", Knowledge(), random.Random(0))
         return {i.origin: i.proof for i in plagiarist.decide(ctx)}
 
     chain = inst.claim(inst.post_answer_claim("ann", asked[0], identity_chain(ident), 1)).proof
