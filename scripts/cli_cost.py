@@ -14,6 +14,10 @@ sprig nor numpy is imported here, so this process stays small and adds
 nothing to what its children report. Each point keeps the median and
 quartiles of wall time, the median and largest peak RSS, the exit code and
 the sha256 of stdout, so two sections also show whether the output changed.
+One more child per command and checkout runs under `-X importtime`; its
+point records the summed self time of the `sprig.*` modules it imports and
+of the other modules it loads beyond `python -c pass`, which shows where
+start-up goes.
 Each section records whether PYTHONDONTWRITEBYTECODE was set: with it set,
 every child compiles every sprig module it loads, and that is part of its
 start-up time.
@@ -79,6 +83,38 @@ def run_once(checkout: Path, argv: list[str]) -> tuple[float, float, int, str]:
     return wall, usage.ru_maxrss / 1024, code, hashlib.sha256(out).hexdigest()
 
 
+def import_times(checkout: Path, argv: list[str]) -> dict[str, float]:
+    """Per imported module, its self time in ms, from the `-X importtime`
+    report of one child running `argv` (`python -m sprig.cli` then `argv`,
+    or `python` with `argv` as given when it starts with `-c`)."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    env.pop("SPRIG_SEED", None)
+    command = argv if argv[0] == "-c" else ["-m", "sprig.cli", *argv]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *command],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    times: dict[str, float] = {}
+    for line in proc.stderr.splitlines():
+        if line.startswith("import time:") and "|" in line:
+            self_us, _, name = line[len("import time:"):].split("|")
+            if self_us.strip().isdigit():
+                times[name.strip()] = int(self_us) / 1000
+    return times
+
+
+def import_summary(checkout: Path, argv: list[str], bare: set[str]) -> dict[str, float]:
+    """Summed self import time of the sprig modules and of the other modules
+    a command loads that `python -c pass` (whose modules are `bare`) does not."""
+    sprig = other = 0.0
+    for name, ms in import_times(checkout, argv).items():
+        if name.partition(".")[0] == "sprig":
+            sprig += ms
+        elif name not in bare:
+            other += ms
+    return {"import_sprig_self_ms": round(sprig, 2), "import_other_self_ms": round(other, 2)}
+
+
 def summarize(label: str, argv: list[str], runs: list[tuple[float, float, int, str]]) -> dict:
     walls, rss, codes, digests = zip(*runs)
     if len(set(codes)) != 1 or len(set(digests)) != 1:
@@ -108,6 +144,7 @@ def main() -> int:
 
     sides = {args.label: ROOT} if args.label else {"before": args.checkout.resolve(), "after": ROOT}
     points: dict[str, list[dict]] = {label: [] for label in sides}
+    bare = set(import_times(ROOT, ["-c", "pass"]))
     for name, argv in COMMANDS.items():
         runs: dict[str, list[tuple[float, float, int, str]]] = {label: [] for label in sides}
         for repeat in range(REPEATS):
@@ -115,7 +152,9 @@ def main() -> int:
             for label in order:
                 runs[label].append(run_once(sides[label], argv))
         for label in sides:
-            points[label].append(summarize(name, argv, runs[label]))
+            points[label].append(
+                {**summarize(name, argv, runs[label]), **import_summary(sides[label], argv, bare)}
+            )
         if args.checkout:
             before, after = points["before"][-1], points["after"][-1]
             if any(before[key] != after[key] for key in ("exit_code", "stdout_sha256")):

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
 from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
@@ -267,9 +267,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(
         canonical_json(
             {
-                "equilibrium": asdict(sol),
-                "outcome_probabilities": asdict(probs),
-                "parameters": asdict(theta),
+                "equilibrium": sol._asdict(),
+                "outcome_probabilities": probs._asdict(),
+                "parameters": theta._asdict(),
             }
         )
     )
@@ -282,7 +282,20 @@ def _grid(start: float, stop: float, steps: int) -> Iterator[float]:
         raise ValueError(f"--steps must be between 1 and {MAX_SWEEP_STEPS}")
     if steps == 1:
         return iter([start])
-    return (start + (stop - start) * i / (steps - 1) for i in range(steps))
+    return (_grid_point(start, stop, i, steps - 1) for i in range(steps))
+
+
+def _grid_point(start: float, stop: float, i: int, intervals: int) -> float:
+    """`start + (stop - start) * i / intervals` where that is finite. Between
+    finite ends it can still overflow, in the difference or the product, so
+    there the point is its exact value rounded once, which is finite because
+    it lies between the ends."""
+    point = start + (stop - start) * i / intervals
+    if math.isfinite(point) or not (math.isfinite(start) and math.isfinite(stop)):
+        return point
+    from fractions import Fraction
+
+    return float(Fraction(start) + (Fraction(stop) - Fraction(start)) * i / intervals)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -342,7 +355,7 @@ def cmd_verify_mc(args: argparse.Namespace) -> int:
         canonical_json(
             {
                 "n": args.n,
-                "parameters": asdict(theta),
+                "parameters": theta._asdict(),
                 "rows": rows,
                 "seed": seed,
                 "verdict": "pass" if all_ok else "fail",

@@ -30,8 +30,9 @@ best_response_check re-audits any solution in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+from . import Frozen
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,34 +61,50 @@ class DegenerateParametersError(ValueError):
     """Parameters give the game no monetary content to price."""
 
 
-@dataclass(frozen=True)
-class GameParameters:
+class GameParameters(Frozen):
     """Benefits b0/b1/b2, stakes sigma1/sigma2, bounties beta0/beta1."""
 
-    b0: float
-    b1: float
-    b2: float
-    sigma1: float
-    sigma2: float
-    beta0: float
-    beta1: float
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
+    def __init__(
+        self,
+        b0: float,
+        b1: float,
+        b2: float,
+        sigma1: float,
+        sigma2: float,
+        beta0: float,
+        beta1: float,
+    ) -> None:
+        self._set_field("b0", b0)
+        self._set_field("b1", b1)
+        self._set_field("b2", b2)
+        self._set_field("sigma1", sigma1)
+        self._set_field("sigma2", sigma2)
+        self._set_field("beta0", beta0)
+        self._set_field("beta1", beta1)
+        for name in self._fields:
+            v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{f.name} must be a non-negative finite number")
+                raise ValueError(f"{name} must be a non-negative finite number")
 
 
-@dataclass(frozen=True)
-class EquilibriumSolution:
-    eq_type: int
-    pi_star: float
-    pi_e: float
-    pi1_star: float
-    p: float
-    q1: float
-    q2: float
+class EquilibriumSolution(Frozen):
+    def __init__(
+        self,
+        eq_type: int,
+        pi_star: float,
+        pi_e: float,
+        pi1_star: float,
+        p: float,
+        q1: float,
+        q2: float,
+    ) -> None:
+        self._set_field("eq_type", eq_type)
+        self._set_field("pi_star", pi_star)
+        self._set_field("pi_e", pi_e)
+        self._set_field("pi1_star", pi1_star)
+        self._set_field("p", p)
+        self._set_field("q1", q1)
+        self._set_field("q2", q2)
 
 
 def pi1_star(theta: GameParameters) -> float:
@@ -227,8 +244,7 @@ def _classify(theta: GameParameters) -> EquilibriumSolution:
     )
 
 
-@dataclass(frozen=True)
-class OutcomeProbabilities:
+class OutcomeProbabilities(Frozen):
     """Long-run outcome rates implied by a solution.
 
     `accept_rate` is the chance a posted claim ends accepted;
@@ -240,15 +256,27 @@ class OutcomeProbabilities:
     to accepted claims.
     """
 
-    accept_rate: float
-    valid_accept_rate: float
-    accept_given_valid: float
-    accept_given_invalid: float
-    valid_given_accept: float
-    valid_given_reject: float | None
-    unchallenged_share: float
-    replied_share: float
-    reliability: float
+    def __init__(
+        self,
+        accept_rate: float,
+        valid_accept_rate: float,
+        accept_given_valid: float,
+        accept_given_invalid: float,
+        valid_given_accept: float,
+        valid_given_reject: float | None,
+        unchallenged_share: float,
+        replied_share: float,
+        reliability: float,
+    ) -> None:
+        self._set_field("accept_rate", accept_rate)
+        self._set_field("valid_accept_rate", valid_accept_rate)
+        self._set_field("accept_given_valid", accept_given_valid)
+        self._set_field("accept_given_invalid", accept_given_invalid)
+        self._set_field("valid_given_accept", valid_given_accept)
+        self._set_field("valid_given_reject", valid_given_reject)
+        self._set_field("unchallenged_share", unchallenged_share)
+        self._set_field("replied_share", replied_share)
+        self._set_field("reliability", reliability)
 
 
 def outcome_probabilities(sol: EquilibriumSolution, theta: GameParameters) -> OutcomeProbabilities:
@@ -282,12 +310,12 @@ def outcome_probabilities(sol: EquilibriumSolution, theta: GameParameters) -> Ou
     )
 
 
-@dataclass(frozen=True)
-class McEstimate:
-    estimate: float | None
-    se: float | None
-    hits: int
-    draws: int
+class McEstimate(Frozen):
+    def __init__(self, estimate: float | None, se: float | None, hits: int, draws: int) -> None:
+        self._set_field("estimate", estimate)
+        self._set_field("se", se)
+        self._set_field("hits", hits)
+        self._set_field("draws", draws)
 
 
 # Draws per block of the Monte Carlo stream. Results do not depend on it.
@@ -396,12 +424,12 @@ def closed_form_row(probs: OutcomeProbabilities, name: str, sol: EquilibriumSolu
     return getattr(probs, name)
 
 
-@dataclass(frozen=True)
-class Deviation:
-    node: str
-    action: str
-    gain: float
-    detail: str
+class Deviation(Frozen):
+    def __init__(self, node: str, action: str, gain: float, detail: str) -> None:
+        self._set_field("node", node)
+        self._set_field("action", action)
+        self._set_field("gain", gain)
+        self._set_field("detail", detail)
 
 
 def best_response_check(
@@ -535,7 +563,7 @@ def sweep(theta: GameParameters, param: str, values: Iterable[float]) -> Iterato
     """Re-solve along one parameter axis: the CSV cells of each point, in
     `SWEEP_COLUMNS` order, yielded as `values` yields the point. Degenerate
     points are marked, not fatal; an unknown `param` fails at once."""
-    if param not in {f.name for f in fields(GameParameters)}:
+    if param not in GameParameters._fields:
         raise ValueError(f"unknown parameter {param!r}")
     return _sweep_rows(theta, param, values)
 
@@ -544,13 +572,16 @@ def _sweep_rows(theta: GameParameters, param: str, values: Iterable[float]) -> I
     def fmt(x: float | None) -> str:
         return "" if x is None else repr(float(x))
 
+    point_fields = theta._asdict()
     for value in values:
-        point = replace(theta, **{param: float(value)})
+        point_fields[param] = float(value)
+        point = GameParameters(**point_fields)
         try:
             sol = solve_pbe(point)
         except DegenerateParametersError:
             yield [param, fmt(value), "degenerate"] + [""] * (len(SWEEP_COLUMNS) - 3)
             continue
         pr = outcome_probabilities(sol, point)
-        cells = [fmt(getattr(sol if hasattr(sol, c) else pr, c)) for c in SWEEP_COLUMNS[3:]]
-        yield [param, fmt(value), str(sol.eq_type)] + cells
+        cells = [getattr(sol, c) for c in SWEEP_COLUMNS[3:8]]
+        cells += [getattr(pr, c) for c in SWEEP_COLUMNS[8:]]
+        yield [param, fmt(value), str(sol.eq_type)] + [fmt(x) for x in cells]

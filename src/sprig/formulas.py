@@ -29,11 +29,10 @@ import hashlib
 import json
 import re
 import weakref
-from dataclasses import dataclass
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator, TypeVar
 
-from . import canonical_json
+from . import Frozen, canonical_json
 
 __all__ = [
     "ParseError",
@@ -63,7 +62,7 @@ _UNARY = ("not",)
 _LEAF = ("atom", "sym")
 
 # Deepest formula `Formula.from_json` decodes, counting the leaf as 1. The
-# recursive dataclass comparisons and hashes downstream (`validate_chain`
+# recursive formula comparisons and hashes downstream (`validate_chain`
 # overflows the default stack at ~250 levels) stay well inside the
 # interpreter's recursion limit below this.
 MAX_FORMULA_DEPTH = 100
@@ -166,10 +165,11 @@ def lookup(table: dict[str, _T], key: Any, what: str) -> _T:
 
 
 def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
-    """Compute a zero-argument method of a frozen dataclass once per
+    """Compute a zero-argument method of a `Frozen` record once per
     instance, on the first call, and keep the result as an instance
     attribute. The result depends only on the fields, which never change;
-    the attribute is not a field, so equality, hashing and repr ignore it."""
+    the attribute is not a field, so equality, hashing, repr and `_asdict`
+    ignore it."""
     key = f"_{method.__name__}_memo"
 
     @functools.wraps(method)
@@ -183,24 +183,22 @@ def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
     return memoized
 
 
-@dataclass(frozen=True)
-class Formula:
-    op: str
-    name: str | None = None
-    args: tuple["Formula", ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.op in _LEAF:
-            if not isinstance(self.name, str) or not self.name or self.args:
-                raise ParseError(f"{self.op} formula needs a name and no arguments")
-        elif self.op in _UNARY:
-            if self.name is not None or len(self.args) != 1:
-                raise ParseError(f"{self.op} takes exactly one argument")
-        elif self.op in _BINARY:
-            if self.name is not None or len(self.args) != 2:
-                raise ParseError(f"{self.op} takes exactly two arguments")
+class Formula(Frozen):
+    def __init__(self, op: str, name: str | None = None, args: tuple[Formula, ...] = ()) -> None:
+        if op in _LEAF:
+            if not isinstance(name, str) or not name or args:
+                raise ParseError(f"{op} formula needs a name and no arguments")
+        elif op in _UNARY:
+            if name is not None or len(args) != 1:
+                raise ParseError(f"{op} takes exactly one argument")
+        elif op in _BINARY:
+            if name is not None or len(args) != 2:
+                raise ParseError(f"{op} takes exactly two arguments")
         else:
-            raise ParseError(f"unknown connective {self.op!r}")
+            raise ParseError(f"unknown connective {op!r}")
+        self._set_field("op", op)
+        self._set_field("name", name)
+        self._set_field("args", args)
 
     @staticmethod
     def from_json(doc: Any) -> "Formula":
@@ -317,8 +315,7 @@ _STATEMENT_FIELDS = frozenset({"assumptions", "conclusion", "context"})
 _DEFINITION_FIELDS = frozenset({"imports", "symbols"})
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(Frozen):
     """What a claim asserts: under `context`, `assumptions` entail `conclusion`.
 
     The context is an opaque label (a theory or library name); it scopes which
@@ -326,9 +323,12 @@ class Statement:
     Assumptions are a set, serialized in canonical formula order.
     """
 
-    conclusion: Formula
-    assumptions: frozenset[Formula] = frozenset()
-    context: str = ""
+    def __init__(
+        self, conclusion: Formula, assumptions: frozenset[Formula] = frozenset(), context: str = ""
+    ) -> None:
+        self._set_field("conclusion", conclusion)
+        self._set_field("assumptions", assumptions)
+        self._set_field("context", context)
 
     @_memoized
     def sorted_assumptions(self) -> tuple[Formula, ...]:
@@ -384,8 +384,7 @@ class Statement:
         return text_hash(self.canonical())
 
 
-@dataclass(frozen=True)
-class DefinitionSet:
+class DefinitionSet(Frozen):
     """Named symbols introduced by a proof, plus imported context labels.
 
     `symbols` maps each introduced name to its defining formula (order
@@ -393,15 +392,16 @@ class DefinitionSet:
     context labels whose symbols are assumed in scope.
     """
 
-    symbols: tuple[tuple[str, Formula], ...] = ()
-    imports: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, symbols: tuple[tuple[str, Formula], ...] = (), imports: tuple[str, ...] = ()
+    ) -> None:
         seen: set[str] = set()
-        for name, _ in self.symbols:
+        for name, _ in symbols:
             if name in seen:
                 raise ParseError(f"duplicate symbol {name!r}")
             seen.add(name)
+        self._set_field("symbols", symbols)
+        self._set_field("imports", imports)
 
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.symbols)

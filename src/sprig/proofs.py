@@ -19,10 +19,10 @@ Documents serialize to canonical JSON with a discriminating "kind" field:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import Any, Union
 
+from . import Frozen, Record
 from .formulas import (
     DefinitionSet,
     Formula,
@@ -55,17 +55,15 @@ _CHAIN_STEP_FIELDS = frozenset({"imports", "statement", "subproof"})
 _CHAIN_FIELDS = frozenset({"definitions", "kind", "steps", "target"})
 
 
-@dataclass(frozen=True)
-class InferenceStep:
-    formula: Formula
-    rule: str
-    premises: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.rule:
+class InferenceStep(Frozen):
+    def __init__(self, formula: Formula, rule: str, premises: tuple[int, ...] = ()) -> None:
+        if not rule:
             raise ParseError("inference step needs a rule name")
-        if any(not is_int(p) or p == 0 for p in self.premises):
+        if any(not is_int(p) or p == 0 for p in premises):
             raise ParseError("premise indices must be nonzero integers")
+        self._set_field("formula", formula)
+        self._set_field("rule", rule)
+        self._set_field("premises", premises)
 
     def canonical(self) -> str:
         """Canonical JSON of `{"formula": ..., "premises": [...], "rule": ...}`;
@@ -89,10 +87,10 @@ class InferenceStep:
         )
 
 
-@dataclass(frozen=True)
-class MachineProof:
-    target: Statement
-    steps: tuple[InferenceStep, ...] = ()
+class MachineProof(Frozen):
+    def __init__(self, target: Statement, steps: tuple[InferenceStep, ...] = ()) -> None:
+        self._set_field("target", target)
+        self._set_field("steps", steps)
 
     kind = "machine_proof"
 
@@ -117,18 +115,20 @@ class MachineProof:
         )
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    statement: Statement
-    imports: tuple[int, ...] = ()
-    subproof: Union["ProofChain", MachineProof, None] = None
-
-    def __post_init__(self) -> None:
-        if any(not is_int(i) for i in self.imports):
+class ChainStep(Frozen):
+    def __init__(
+        self,
+        statement: Statement,
+        imports: tuple[int, ...] = (),
+        subproof: Union[ProofChain, MachineProof, None] = None,
+    ) -> None:
+        if any(not is_int(i) for i in imports):
             raise ParseError("import indices must be integers")
-        if len(set(self.imports)) != len(self.imports):
+        if len(set(imports)) != len(imports):
             raise ParseError("duplicate import index")
-        object.__setattr__(self, "imports", tuple(sorted(self.imports)))
+        self._set_field("statement", statement)
+        self._set_field("imports", tuple(sorted(imports)))
+        self._set_field("subproof", subproof)
 
     def canonical(self) -> str:
         """Canonical JSON of `{"imports": [...], "statement": ...,
@@ -153,17 +153,22 @@ class ChainStep:
         )
 
 
-@dataclass(frozen=True)
-class ProofChain:
-    target: Statement
-    steps: tuple[ChainStep, ...]
-    definitions: DefinitionSet = field(default_factory=DefinitionSet)
+class ProofChain(Frozen):
+    def __init__(
+        self,
+        target: Statement,
+        steps: tuple[ChainStep, ...],
+        definitions: DefinitionSet | None = None,
+    ) -> None:
+        if not steps:
+            raise ParseError("chain needs at least one step")
+        if definitions is None:
+            definitions = DefinitionSet()
+        self._set_field("target", target)
+        self._set_field("steps", steps)
+        self._set_field("definitions", definitions)
 
     kind = "chain"
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ParseError("chain needs at least one step")
 
     def height(self) -> int:
         """Nesting depth counting this chain: 1 if no subproofs."""
@@ -237,20 +242,20 @@ def measure_length(proof: ProofChain | MachineProof) -> int:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    path: str
-    detail: str
+class Violation(Frozen):
+    def __init__(self, code: str, path: str, detail: str) -> None:
+        self._set_field("code", code)
+        self._set_field("path", path)
+        self._set_field("detail", detail)
 
     def __str__(self) -> str:
         where = self.path or "chain"
         return f"{where}: {self.code}: {self.detail}"
 
 
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Record):
+    def __init__(self, violations: list[Violation] | None = None) -> None:
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

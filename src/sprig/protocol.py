@@ -33,11 +33,11 @@ after every operation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass, field, fields
 from json.encoder import encode_basestring
 from operator import attrgetter
 from typing import Any, Iterable, Mapping, Union
 
+from . import Frozen, Record
 from .formulas import (
     Statement,
     canonical_json,
@@ -94,10 +94,32 @@ class ProtocolError(Exception):
     """An operation violated the protocol rules."""
 
 
-@dataclass(frozen=True, order=True)
-class Timestamp:
-    time: int
-    seq: int = 0
+class Timestamp(Frozen):
+    """A move's place in the order of play: by time, then by seq."""
+
+    def __init__(self, time: int, seq: int = 0) -> None:
+        self._set_field("time", time)
+        self._set_field("seq", seq)
+
+    def __lt__(self, other: Timestamp) -> bool:
+        if other.__class__ is not Timestamp:
+            return NotImplemented
+        return (self.time, self.seq) < (other.time, other.seq)
+
+    def __le__(self, other: Timestamp) -> bool:
+        if other.__class__ is not Timestamp:
+            return NotImplemented
+        return (self.time, self.seq) <= (other.time, other.seq)
+
+    def __gt__(self, other: Timestamp) -> bool:
+        if other.__class__ is not Timestamp:
+            return NotImplemented
+        return (self.time, self.seq) > (other.time, other.seq)
+
+    def __ge__(self, other: Timestamp) -> bool:
+        if other.__class__ is not Timestamp:
+            return NotImplemented
+        return (self.time, self.seq) >= (other.time, other.seq)
 
     def __str__(self) -> str:
         return f"{self.time}.{self.seq}"
@@ -126,64 +148,68 @@ def _check_integers(params: Any, **least: int) -> None:
             raise ValueError(f"{name} must be a {'positive' if low else 'non-negative'} integer")
 
 
-@dataclass(frozen=True)
-class LevelParameters:
+class LevelParameters(Frozen):
     """Knobs for one debate level: proof budget, stakes, windows, bounty."""
 
-    max_length: int
-    stake_up: int
-    stake_down: int
-    verification_time: int
-    bounty: int
-    response_time: int
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        max_length: int,
+        stake_up: int,
+        stake_down: int,
+        verification_time: int,
+        bounty: int,
+        response_time: int,
+    ) -> None:
+        self._set_field("max_length", max_length)
+        self._set_field("stake_up", stake_up)
+        self._set_field("stake_down", stake_down)
+        self._set_field("verification_time", verification_time)
+        self._set_field("bounty", bounty)
+        self._set_field("response_time", response_time)
         _check_integers(
             self, max_length=1, stake_up=0, stake_down=0, bounty=0,
             verification_time=1, response_time=1,
         )
 
 
-@dataclass(frozen=True)
-class MachineParameters:
+class MachineParameters(Frozen):
     """Bottom-level knobs: posting a machine proof burns `burn_cost`."""
 
-    max_length: int
-    stake_up: int
-    burn_cost: int
-    bounty: int
-    response_time: int
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, max_length: int, stake_up: int, burn_cost: int, bounty: int, response_time: int
+    ) -> None:
+        self._set_field("max_length", max_length)
+        self._set_field("stake_up", stake_up)
+        self._set_field("burn_cost", burn_cost)
+        self._set_field("bounty", bounty)
+        self._set_field("response_time", response_time)
         _check_integers(self, max_length=1, stake_up=0, burn_cost=0, bounty=0, response_time=1)
 
 
 def _every_field(cls: Any) -> tuple[frozenset[str], tuple[str, ...]]:
-    """`read_object`'s fields and required fields for a dataclass that needs
-    every one of its fields, a missing one reported in declaration order."""
-    names = tuple(f.name for f in fields(cls))
-    return frozenset(names), names
+    """`read_object`'s fields and required fields for a record class that
+    needs every one of its fields, a missing one reported in signature order."""
+    return frozenset(cls._fields), cls._fields
 
 
 _LEVEL_FIELDS = _every_field(LevelParameters)
 _MACHINE_FIELDS = _every_field(MachineParameters)
 
 
-@dataclass(frozen=True)
-class ParameterCascade:
+class ParameterCascade(Frozen):
     """Per-level parameters for levels root_level..1 plus the machine level."""
 
-    root_level: int
-    levels: Mapping[int, LevelParameters]
-    machine: MachineParameters
-
-    def __post_init__(self) -> None:
-        if not is_int(self.root_level) or self.root_level < 1:
+    def __init__(
+        self, root_level: int, levels: Mapping[int, LevelParameters], machine: MachineParameters
+    ) -> None:
+        if not is_int(root_level) or root_level < 1:
             raise ValueError("root_level must be an integer of at least 1")
-        expected = range(1, self.root_level + 1)
-        if len(self.levels) != len(expected) or set(self.levels) != set(expected):
-            raise ValueError(f"levels must cover exactly 1 to {self.root_level}")
-        object.__setattr__(self, "levels", dict(self.levels))
+        expected = range(1, root_level + 1)
+        if len(levels) != len(expected) or set(levels) != set(expected):
+            raise ValueError(f"levels must cover exactly 1 to {root_level}")
+        self._set_field("root_level", root_level)
+        self._set_field("levels", dict(levels))
+        self._set_field("machine", machine)
 
     def max_length(self, level: int) -> int:
         return self.levels[level].max_length if level >= 1 else self.machine.max_length
@@ -201,8 +227,8 @@ class ParameterCascade:
         """The cascade file's object: each level and `machine` are their
         fields, the same field lists `from_json` requires."""
         return {
-            "levels": {str(k): asdict(v) for k, v in sorted(self.levels.items())},
-            "machine": asdict(self.machine),
+            "levels": {str(k): v._asdict() for k, v in sorted(self.levels.items())},
+            "machine": self.machine._asdict(),
             "root_level": self.root_level,
         }
 
@@ -223,52 +249,90 @@ class ParameterCascade:
 _CASCADE_FIELDS = _every_field(ParameterCascade)
 
 
-@dataclass
-class ClaimNode:
-    id: str
-    owner: str
-    level: int
-    statement: Statement
-    proof: ProofChain | MachineProof
-    # Hash of the proof's canonical JSON, taken from the move's payload text.
-    proof_hash: str
-    posted_at: Timestamp
-    # The time its question window closes; a machine claim's is its posting
-    # time, since the verifier judges it at once.
-    deadline: int
-    escrow: int
-    origin: str | None = None
-    status: str = PENDING
-    determination: Timestamp | None = None
-    verdict: Verdict | None = None
-    # The questions on this claim, in posting order.
-    children: list[QuestionNode] = field(default_factory=list, compare=False, repr=False)
-    # For an invalidated claim, the question that defeated it.
-    decider: QuestionNode | None = field(default=None, compare=False, repr=False)
+class ClaimNode(Record):
+    """A posted claim. `proof_hash` is the hash of the proof's canonical
+    JSON, taken from the move's payload text. `deadline` is the time its
+    question window closes; a machine claim's is its posting time, since the
+    verifier judges it at once. `children` are the questions on it, in
+    posting order, and the `decider` of an invalidated claim is the question
+    that defeated it; equality and repr leave both out."""
 
     kind = "claim"
+    _uncompared = ("children", "decider")
+
+    def __init__(
+        self,
+        id: str,
+        owner: str,
+        level: int,
+        statement: Statement,
+        proof: ProofChain | MachineProof,
+        proof_hash: str,
+        posted_at: Timestamp,
+        deadline: int,
+        escrow: int,
+        origin: str | None = None,
+        status: str = PENDING,
+        determination: Timestamp | None = None,
+        verdict: Verdict | None = None,
+        children: list[QuestionNode] | None = None,
+        decider: QuestionNode | None = None,
+    ) -> None:
+        self.id = id
+        self.owner = owner
+        self.level = level
+        self.statement = statement
+        self.proof = proof
+        self.proof_hash = proof_hash
+        self.posted_at = posted_at
+        self.deadline = deadline
+        self.escrow = escrow
+        self.origin = origin
+        self.status = status
+        self.determination = determination
+        self.verdict = verdict
+        self.children = [] if children is None else children
+        self.decider = decider
 
 
-@dataclass
-class QuestionNode:
-    id: str
-    owner: str
-    level: int
-    statement: Statement
-    posted_at: Timestamp
-    # The time its answer window closes.
-    deadline: int
-    escrow: int
-    origin: str | None = None
-    step_index: int | None = None
-    status: str = PENDING
-    determination: Timestamp | None = None
-    # The answers to this question, in posting order.
-    children: list[ClaimNode] = field(default_factory=list, compare=False, repr=False)
-    # For an answered question, the answer that won it.
-    decider: ClaimNode | None = field(default=None, compare=False, repr=False)
+class QuestionNode(Record):
+    """A posted question. `deadline` is the time its answer window closes.
+    `children` are the answers to it, in posting order, and the `decider` of
+    an answered question is the answer that won it; equality and repr leave
+    both out."""
 
     kind = "question"
+    _uncompared = ("children", "decider")
+
+    def __init__(
+        self,
+        id: str,
+        owner: str,
+        level: int,
+        statement: Statement,
+        posted_at: Timestamp,
+        deadline: int,
+        escrow: int,
+        origin: str | None = None,
+        step_index: int | None = None,
+        status: str = PENDING,
+        determination: Timestamp | None = None,
+        children: list[ClaimNode] | None = None,
+        decider: ClaimNode | None = None,
+    ) -> None:
+        self.id = id
+        self.owner = owner
+        self.level = level
+        self.statement = statement
+        self.posted_at = posted_at
+        self.deadline = deadline
+        self.escrow = escrow
+        self.origin = origin
+        self.step_index = step_index
+        self.status = status
+        self.determination = determination
+        self.children = [] if children is None else children
+        self.decider = decider
 
 
 Node = Union[ClaimNode, QuestionNode]
@@ -342,17 +406,20 @@ class Ledger:
         }
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    seq: int
-    time: int
-    actor: str
-    kind: str
-    payload_hash: str
-    # The payload's canonical JSON, composed once when the move was
-    # committed from the memoized text of what it posts; the payload itself
-    # is not kept as a value.
-    payload_json: str
+class MoveRecord(Frozen):
+    """One committed move. `payload_json` is the payload's canonical JSON,
+    composed once when the move was committed from the memoized text of what
+    it posts; the payload itself is not kept as a value."""
+
+    def __init__(
+        self, seq: int, time: int, actor: str, kind: str, payload_hash: str, payload_json: str
+    ) -> None:
+        self._set_field("seq", seq)
+        self._set_field("time", time)
+        self._set_field("actor", actor)
+        self._set_field("kind", kind)
+        self._set_field("payload_hash", payload_hash)
+        self._set_field("payload_json", payload_json)
 
     def line(self, record: str | None = None) -> str:
         """The move's canonical JSON line: fields `actor`, `kind`, `payload`,
@@ -370,12 +437,12 @@ class MoveRecord:
         )
 
 
-@dataclass(frozen=True)
-class SettlementTransfer:
-    node_id: str
-    account: str
-    amount: int
-    reason: str
+class SettlementTransfer(Frozen):
+    def __init__(self, node_id: str, account: str, amount: int, reason: str) -> None:
+        self._set_field("node_id", node_id)
+        self._set_field("account", account)
+        self._set_field("amount", amount)
+        self._set_field("reason", reason)
 
     def to_json(self) -> dict[str, Any]:
         """The transfer as `sprig run` and a simulation trace write it."""

@@ -23,9 +23,9 @@ from __future__ import annotations
 import copy
 import functools
 import json
-from dataclasses import dataclass
 from typing import Any, Iterable
 
+from . import Frozen, Record
 from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl
 from .formulas import lookup, read_int, read_object
 from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain, serialize_proof_document
@@ -121,14 +121,19 @@ def quick_proof(statement: Statement) -> MachineProof | None:
     return None
 
 
-@dataclass(frozen=True)
-class StepPlan:
+class StepPlan(Frozen):
     """One planned step: its conclusion, which earlier conclusions it
     imports, and what sits beneath it (nothing, "machine", or nested plans)."""
 
-    conclusion: Formula
-    imports: tuple[int, ...] = ()
-    sub: "tuple[StepPlan, ...] | str | None" = None
+    def __init__(
+        self,
+        conclusion: Formula,
+        imports: tuple[int, ...] = (),
+        sub: tuple[StepPlan, ...] | str | None = None,
+    ) -> None:
+        self._set_field("conclusion", conclusion)
+        self._set_field("imports", imports)
+        self._set_field("sub", sub)
 
 
 def plan_chain(target: Statement, plans: Iterable[StepPlan]) -> ProofChain:
@@ -461,20 +466,32 @@ def _question_cascade() -> ParameterCascade:
     )
 
 
-@dataclass
-class ProtocolFixture:
+class ProtocolFixture(Record):
     """A scripted run plus everything a test needs to judge it."""
 
-    name: str
-    instance: ProtocolInstance
-    cascade: ParameterCascade
-    balances: dict[str, int]
-    mode: str
-    final_time: int
-    labels: dict[str, str]
-    expected: dict[str, tuple[str, int]]
-    expected_payoffs: dict[str, int] | None = None
-    notes: str = ""
+    def __init__(
+        self,
+        name: str,
+        instance: ProtocolInstance,
+        cascade: ParameterCascade,
+        balances: dict[str, int],
+        mode: str,
+        final_time: int,
+        labels: dict[str, str],
+        expected: dict[str, tuple[str, int]],
+        expected_payoffs: dict[str, int] | None = None,
+        notes: str = "",
+    ) -> None:
+        self.name = name
+        self.instance = instance
+        self.cascade = cascade
+        self.balances = balances
+        self.mode = mode
+        self.final_time = final_time
+        self.labels = labels
+        self.expected = expected
+        self.expected_payoffs = expected_payoffs
+        self.notes = notes
 
     def node(self, label: str) -> str:
         return self.labels[label]

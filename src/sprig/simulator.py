@@ -23,9 +23,9 @@ copy-the-question defense that beats the plagiarist.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable
 
+from . import Frozen, Record
 from .formulas import Statement, canonical_json, read_bool, read_int
 from .proofs import ChainStep, MachineProof, ProofChain
 from .protocol import (
@@ -80,8 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Knowledge:
+class Knowledge(Record):
     """An agent's private material: defendable proofs and soundness beliefs.
 
     `answers` maps a statement hash to the chain that proves it one level
@@ -89,9 +88,15 @@ class Knowledge:
     statements the agent believes sound.
     """
 
-    answers: dict[str, ProofChain] = field(default_factory=dict)
-    machine_proofs: dict[str, MachineProof] = field(default_factory=dict)
-    truth: dict[str, bool] = field(default_factory=dict)
+    def __init__(
+        self,
+        answers: dict[str, ProofChain] | None = None,
+        machine_proofs: dict[str, MachineProof] | None = None,
+        truth: dict[str, bool] | None = None,
+    ) -> None:
+        self.answers = {} if answers is None else answers
+        self.machine_proofs = {} if machine_proofs is None else machine_proofs
+        self.truth = {} if truth is None else truth
 
     def can_answer(self, statement: Statement, level: int) -> bool:
         h = statement.hash()
@@ -131,34 +136,38 @@ def build_knowledge(tree: ProofChain | None) -> Knowledge:
     return know
 
 
-@dataclass(frozen=True)
-class QuestionIntent:
-    origin: str
-    step: int
-    then_answer: ProofChain | MachineProof | None = None
-
+class QuestionIntent(Frozen):
     kind = "question"
 
+    def __init__(
+        self, origin: str, step: int, then_answer: ProofChain | MachineProof | None = None
+    ) -> None:
+        self._set_field("origin", origin)
+        self._set_field("step", step)
+        self._set_field("then_answer", then_answer)
 
-@dataclass(frozen=True)
-class AnswerIntent:
-    origin: str
-    proof: ProofChain | MachineProof
 
+class AnswerIntent(Frozen):
     kind = "answer"
+
+    def __init__(self, origin: str, proof: ProofChain | MachineProof) -> None:
+        self._set_field("origin", origin)
+        self._set_field("proof", proof)
 
 
 Intent = QuestionIntent | AnswerIntent
 
 
-@dataclass
-class AgentContext:
+class AgentContext(Record):
     """Read-only view handed to a strategy when it is polled."""
 
-    instance: ProtocolInstance
-    me: str
-    knowledge: Knowledge
-    rng: random.Random
+    def __init__(
+        self, instance: ProtocolInstance, me: str, knowledge: Knowledge, rng: random.Random
+    ) -> None:
+        self.instance = instance
+        self.me = me
+        self.knowledge = knowledge
+        self.rng = rng
 
     @property
     def now(self) -> int:
@@ -625,69 +634,89 @@ class CopycatDefender(HonestClaimer):
         return intents
 
 
-@dataclass
-class AgentSpec:
-    name: str
-    balance: int
-    strategy: AgentStrategy
-    tree: ProofChain | None = None
+class AgentSpec(Record):
+    def __init__(
+        self, name: str, balance: int, strategy: AgentStrategy, tree: ProofChain | None = None
+    ) -> None:
+        self.name = name
+        self.balance = balance
+        self.strategy = strategy
+        self.tree = tree
 
 
-@dataclass
-class ScenarioConfig:
-    cascade: ParameterCascade
-    agents: list[AgentSpec]
-    root_owner: str
-    horizon: int
-    seed: int = 0
-    mode: str = QUIESCENCE
-    root_tree: ProofChain | None = None
-    root_statement: Statement | None = None
-    root_time: int = 0
-    verifier: VerifierBackend | None = None
-
-    def __post_init__(self) -> None:
-        names = [a.name for a in self.agents]
+class ScenarioConfig(Record):
+    def __init__(
+        self,
+        cascade: ParameterCascade,
+        agents: list[AgentSpec],
+        root_owner: str,
+        horizon: int,
+        seed: int = 0,
+        mode: str = QUIESCENCE,
+        root_tree: ProofChain | None = None,
+        root_statement: Statement | None = None,
+        root_time: int = 0,
+        verifier: VerifierBackend | None = None,
+    ) -> None:
+        names = [a.name for a in agents]
         if len(set(names)) != len(names):
             raise ValueError("duplicate agent names")
-        if self.root_owner not in names:
+        if root_owner not in names:
             raise ValueError("root owner must be one of the agents")
-        if (self.root_tree is None) == (self.root_statement is None):
+        if (root_tree is None) == (root_statement is None):
             raise ValueError("exactly one of root_tree / root_statement must be given")
-        if self.mode not in (QUIESCENCE, EARLY_STOP):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        for a in self.agents:
+        if mode not in (QUIESCENCE, EARLY_STOP):
+            raise ValueError(f"unknown mode {mode!r}")
+        for a in agents:
             if a.balance < 0:
                 raise ValueError(f"negative opening balance for {a.name!r}")
-        if self.root_time < 0:
-            raise ValueError(f"negative root time {self.root_time}")
-        if self.horizon - self.root_time > MAX_RUN_TICKS:
+        if root_time < 0:
+            raise ValueError(f"negative root time {root_time}")
+        if horizon - root_time > MAX_RUN_TICKS:
             raise ValueError(
-                f"horizon {self.horizon} is more than {MAX_RUN_TICKS} ticks "
-                f"after root time {self.root_time}"
+                f"horizon {horizon} is more than {MAX_RUN_TICKS} ticks "
+                f"after root time {root_time}"
             )
+        self.cascade = cascade
+        self.agents = agents
+        self.root_owner = root_owner
+        self.horizon = horizon
+        self.seed = seed
+        self.mode = mode
+        self.root_tree = root_tree
+        self.root_statement = root_statement
+        self.root_time = root_time
+        self.verifier = verifier
 
 
-@dataclass(frozen=True)
-class RejectedIntent:
-    time: int
-    actor: str
-    kind: str
-    detail: str
-    reason: str
+class RejectedIntent(Frozen):
+    def __init__(self, time: int, actor: str, kind: str, detail: str, reason: str) -> None:
+        self._set_field("time", time)
+        self._set_field("actor", actor)
+        self._set_field("kind", kind)
+        self._set_field("detail", detail)
+        self._set_field("reason", reason)
 
 
-@dataclass
-class SimulationTrace:
+class SimulationTrace(Record):
     """A settled run: what the instance does not hold, and the instance,
     which every other reading of the run comes from."""
 
-    seed: int
-    horizon: int
-    initial_balances: dict[str, int]
-    rejections: list[RejectedIntent]
-    transfers: list[SettlementTransfer]
-    instance: ProtocolInstance
+    def __init__(
+        self,
+        seed: int,
+        horizon: int,
+        initial_balances: dict[str, int],
+        rejections: list[RejectedIntent],
+        transfers: list[SettlementTransfer],
+        instance: ProtocolInstance,
+    ) -> None:
+        self.seed = seed
+        self.horizon = horizon
+        self.initial_balances = initial_balances
+        self.rejections = rejections
+        self.transfers = transfers
+        self.instance = instance
 
     @property
     def move_lines(self) -> list[str]:
@@ -717,7 +746,7 @@ class SimulationTrace:
         for m in inst.moves:
             lines.append(m.line(record="move"))
         for r in self.rejections:
-            lines.append(canonical_json({"record": "rejection", **asdict(r)}))
+            lines.append(canonical_json({"record": "rejection", **r._asdict()}))
         for node_id in inst.determined:
             node = inst.nodes[node_id]
             lines.append(

@@ -20,9 +20,9 @@ order. Out-of-range or forward references make the step illegal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Union
 
+from . import Frozen, Record
 from .formulas import Formula, Statement
 from .proofs import MachineProof
 
@@ -36,10 +36,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
-    validated: bool
-    diagnostic: int | None = None
+class Verdict(Frozen):
+    def __init__(self, validated: bool, diagnostic: int | None = None) -> None:
+        self._set_field("validated", validated)
+        self._set_field("diagnostic", diagnostic)
 
 
 class UnscriptedVerdictError(KeyError):
@@ -142,11 +142,11 @@ class ToyVerifier:
         return Verdict(True, None)
 
 
-@dataclass
-class ScriptedVerifier:
+class ScriptedVerifier(Record):
     """Verdicts looked up by node id first, then by statement hash."""
 
-    script: Mapping[str, Union[bool, Verdict]] = field(default_factory=dict)
+    def __init__(self, script: Mapping[str, Union[bool, Verdict]] | None = None) -> None:
+        self.script = {} if script is None else script
 
     def verdict(
         self, statement: Statement, proof: MachineProof, node_id: str | None = None

@@ -3,13 +3,16 @@ checks that the console script really is byte-stable."""
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from sprig.cli import MAX_SWEEP_STEPS, main
+from sprig.cli import MAX_SWEEP_STEPS, _grid, main
 from sprig.equilibrium import MAX_MC_DRAWS
 from sprig.formulas import MAX_FORMULA_DEPTH, content_hash
 from sprig.scenarios import (
@@ -582,6 +585,36 @@ def test_sweep_prints_every_row_across_its_output_blocks(capsys):
     assert [float(line.split(",")[1]) for line in lines[1:]] == [60 * i / 2000 for i in range(2001)]
 
 
+def test_sweep_produces_every_finite_point_of_a_grid_near_the_float_limit(capsys):
+    # 1.7e308 * 2 overflows before the division by 2 would bring it back.
+    code, out, err = run_cli(
+        capsys, "sweep", "--param", "b0", "--from", "0", "--to", "1.7e308", "--steps", "3"
+    )
+    assert (code, err) == (0, "")
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["0.0", "8.5e+307", "1.7e+308"]
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_FINITE, _FINITE, st.integers(2, 40))
+@example(0.0, 1.7e308, 3)
+@example(-1.7e308, 1.7e308, 5)
+@example(5e-324, 1.7976931348623157e308, 7)
+@example(-2.2250738585072014e-308, 1e-320, 9)
+def test_grid_points_are_the_plain_formula_wherever_it_is_finite(start, stop, steps):
+    points = list(_grid(start, stop, steps))
+    assert len(points) == steps
+    for i, point in enumerate(points):
+        plain = start + (stop - start) * i / (steps - 1)
+        if math.isfinite(plain):
+            assert point.hex() == plain.hex()
+        else:
+            exact = Fraction(start) + (Fraction(stop) - Fraction(start)) * i / (steps - 1)
+            assert point == float(exact)
+            assert min(start, stop) <= point <= max(start, stop)
+
+
 def test_sweep_rejects_unknown_parameters_and_bad_steps(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--param", "b9", "--from", "0", "--to", "1", "--steps", "2"
@@ -866,21 +899,27 @@ _NO_EQUILIBRIUM = ["sprig.equilibrium", "fractions", "numpy"]
 _NO_FORMULAS = ["sprig.formulas", "sprig.proofs", *_ENGINE]
 
 
+# No command loads `dataclasses`, and none but verify-mc loads `inspect`,
+# which numpy imports.
+_NO_INTROSPECTION = ["dataclasses", "inspect"]
+
+
 @pytest.mark.parametrize(
     "code, unloaded",
     [
-        ("import sprig", _SUBMODULES),
+        ("import sprig", [*_SUBMODULES, *_NO_INTROSPECTION]),
         (_main_call("validate", str(PROOFS / "identity_chain.json")),
-         [*_ENGINE, *_NO_EQUILIBRIUM]),
+         [*_ENGINE, *_NO_EQUILIBRIUM, *_NO_INTROSPECTION]),
         (_main_call("run", *fixture_args("full_run_claim_root")),
-         ["sprig.simulator", "sprig.scenarios", *_NO_EQUILIBRIUM]),
-        (_main_call("simulate", "plagiarist_defense"), _NO_EQUILIBRIUM),
-        (_main_call("solve"), [*_NO_FORMULAS, "hashlib", "numpy"]),
+         ["sprig.simulator", "sprig.scenarios", *_NO_EQUILIBRIUM, *_NO_INTROSPECTION]),
+        (_main_call("simulate", "plagiarist_defense"), [*_NO_EQUILIBRIUM, *_NO_INTROSPECTION]),
+        (_main_call("solve"), [*_NO_FORMULAS, "hashlib", "numpy", *_NO_INTROSPECTION]),
         (_main_call("sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "7"),
-         [*_NO_FORMULAS, "hashlib", "numpy"]),
-        (_main_call("verify-mc", "--n", "10"), _NO_FORMULAS),
-        ("import sprig.cli", [m for m in _SUBMODULES if m != "sprig.cli"] + ["numpy"]),
-        ("import sprig.scenarios", ["fractions"]),
+         [*_NO_FORMULAS, "hashlib", "numpy", *_NO_INTROSPECTION]),
+        (_main_call("verify-mc", "--n", "10"), [*_NO_FORMULAS, "dataclasses"]),
+        ("import sprig.cli",
+         [m for m in _SUBMODULES if m != "sprig.cli"] + ["numpy", *_NO_INTROSPECTION]),
+        ("import sprig.scenarios", ["fractions", *_NO_INTROSPECTION]),
     ],
     ids=["import-sprig", "validate", "run", "simulate", "solve", "sweep", "verify-mc",
          "import-cli", "import-scenarios"],

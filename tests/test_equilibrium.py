@@ -5,7 +5,6 @@ the flat baseline budgets) have closed forms small enough to carry around as
 fractions; everything else is cross-checked numerically on random grids.
 """
 
-import dataclasses
 import itertools
 import math
 import random
@@ -341,7 +340,7 @@ def test_no_profitable_deviation_at_the_benchmarks(sigma2):
 def test_perturbed_strategies_admit_deviations():
     theta = baseline(30)
     sol = solve_pbe(theta)
-    bent = dataclasses.replace(sol, q1=min(1.0, sol.q1 + 0.1))
+    bent = EquilibriumSolution(**{**sol._asdict(), "q1": min(1.0, sol.q1 + 0.1)})
     deviations = best_response_check(theta, bent)
     assert deviations
     assert all(d.gain > 1e-9 for d in deviations)
@@ -357,7 +356,7 @@ def test_best_response_check_randomized_perturbations():
         field = rng.choice(["q1", "q2", "p", "pi_e"])
         base = getattr(sol, field)
         delta = 0.15 if base < 0.5 else -0.15
-        bent = dataclasses.replace(sol, **{field: base + delta})
+        bent = EquilibriumSolution(**{**sol._asdict(), field: base + delta})
         # a bent strategy may or may not open a gap for the *other* player,
         # but the check must never crash on it
         for d in best_response_check(theta, bent):
