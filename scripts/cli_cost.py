@@ -20,7 +20,9 @@ of the other modules it loads beyond `python -c pass`, which shows where
 start-up goes.
 Each section records whether PYTHONDONTWRITEBYTECODE was set: with it set,
 every child compiles every sprig module it loads, and that is part of its
-start-up time.
+start-up time. It also records the machine's CPU count and the CPUs this
+process may run on (its affinity mask), which verify-mc splits its games
+among.
 
     python3 scripts/cli_cost.py --label NAME
 
@@ -167,6 +169,7 @@ def main() -> int:
         doc[label] = {
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
             "repeats": REPEATS,
             "interleaved": len(sides) == 2,
             "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),

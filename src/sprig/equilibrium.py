@@ -23,18 +23,21 @@ Equilibria come in three shapes, found in this order:
 
 All money parameters are non-negative reals. Probability identities are
 checked against a Monte Carlo of the actual game tree, streamed in blocks
-so that its memory does not grow with the number of draws, and
-best_response_check re-audits any solution in exact rational arithmetic.
+so that its memory does not grow with the number of draws and split among
+the usable CPUs without changing a draw, and best_response_check re-audits
+any solution in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from . import Frozen
 
 if TYPE_CHECKING:
+    import threading
     from fractions import Fraction
 
 __all__ = [
@@ -318,7 +321,8 @@ class McEstimate(Frozen):
         self._set_field("draws", draws)
 
 
-# Draws per block of the Monte Carlo stream. Results do not depend on it.
+# Draws per block of the Monte Carlo stream, shared among the spans that run
+# at once. Results do not depend on it.
 MC_BLOCK = 1 << 16
 # Largest draw count monte_carlo_estimate accepts. Draws are streamed, so
 # memory no longer stops a huge n; this cap keeps a mistyped one from running
@@ -333,44 +337,145 @@ def monte_carlo_estimate(
 
     The five uniforms of game i (signal, provability, entry challenge, bluff,
     second challenge) are outputs j*n + i of one PCG64 stream seeded with
-    `seed`, for j = 0..4: each variable reads its own copy of the stream,
-    jumped ahead with `advance(j * n)`. The draws are exactly those of five
-    consecutive `default_rng(seed).random(n)` calls, so results depend only
-    on (seed, n), not on the solution values. They are consumed in blocks of
-    MC_BLOCK, drawn into buffers allocated once per call, and only five
-    integer counts are kept, so memory does not grow with n and the block
-    size does not change the result.
+    `seed`, for j = 0..4. The draws are exactly those of five consecutive
+    `default_rng(seed).random(n)` calls, so results depend only on (seed, n),
+    not on the solution values.
+
+    The games are split into one contiguous span per usable CPU (never more
+    spans than blocks of MC_BLOCK games, so a short run starts no thread),
+    and each span runs in its own thread, kept on its own CPU, reading its
+    own five copies of the stream, jumped ahead with `advance(j * n +
+    start)` to its first game. numpy releases the interpreter lock while
+    drawing and judging a block, so the spans run in parallel. Each span draws into buffers MC_BLOCK //
+    spans games wide, allocated once, and keeps only five integer counts,
+    which are summed at the end. Memory depends neither on n nor on the CPU
+    count, and the result depends neither on the CPU count nor on the block
+    size. An error in one span stops the others at their next block and is
+    raised here, as is an interrupt that arrives while the spans run.
     """
     if not 0 <= n <= MAX_MC_DRAWS:
         raise ValueError(f"n must be between 0 and {MAX_MC_DRAWS}, got {n}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    # Imported here, not at module level: no other command needs numpy, and
-    # importing it is a large share of the CLI's start-up time.
+    # Imported here, not at module level: no other command needs them, and
+    # importing numpy is a large share of the CLI's start-up time.
+    import threading
+
     import numpy as np
 
-    streams = []
-    for j in range(5):
-        bits = np.random.PCG64(seed)
-        bits.advance(j * n)
-        streams.append(np.random.Generator(bits))
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity masks
+        cpus = list(range(os.cpu_count() or 1))
+    workers = max(1, min(len(cpus), -(-n // MC_BLOCK)))
+    width = max(1, MC_BLOCK // workers)
+    bounds = [n * k // workers for k in range(workers + 1)]
+    spans = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        streams = []
+        for j in range(5):
+            bits = np.random.PCG64(seed)
+            bits.advance(j * n + lo)
+            streams.append(np.random.Generator(bits))
+        spans.append((streams, hi - lo))
+    stop = threading.Event()
+
+    if workers == 1:
+        totals = [_count_span(sol, *spans[0], width, stop)]
+    else:
+        totals = [()] * workers
+        errors: list[BaseException] = []
+
+        def work(k: int) -> None:
+            try:
+                _pin_this_thread(cpus[k])
+                totals[k] = _count_span(sol, *spans[k], width, stop)
+            except BaseException as error:  # raised again by the caller below
+                errors.append(error)
+                stop.set()
+
+        threads: list[threading.Thread] = []
+        try:
+            for k in range(workers):
+                thread = threading.Thread(target=work, args=(k,))
+                thread.start()
+                threads.append(thread)
+            for thread in threads:
+                thread.join()
+        finally:
+            # After an interrupt, the spans still running end at their next
+            # block; after a normal finish this changes nothing.
+            stop.set()
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
+    valid_n, posted_valid, unchallenged_valid, replied_valid, accepted_invalid = (
+        sum(column) for column in zip(*totals)
+    )
+
+    def est(hits: int, draws: int) -> McEstimate:
+        if draws == 0:
+            return McEstimate(None, None, 0, 0)
+        v = hits / draws
+        return McEstimate(v, math.sqrt(v * (1 - v) / draws), hits, draws)
+
+    accepted_n = posted_valid + accepted_invalid
+    return {
+        "accept_rate": est(accepted_n, n),
+        "valid_accept_rate": est(posted_valid, n),
+        "accept_given_valid": est(posted_valid, valid_n),
+        "accept_given_invalid": est(accepted_invalid, n - valid_n),
+        "valid_given_accept": est(posted_valid, accepted_n),
+        "valid_given_reject": est(valid_n - posted_valid, n - accepted_n),
+        "unchallenged_share": est(unchallenged_valid, posted_valid),
+        "replied_share": est(replied_valid, posted_valid),
+        "reliability": est(posted_valid, accepted_n),
+        "enter_given_valid": est(posted_valid, valid_n),
+    }
+
+
+def _pin_this_thread(cpu: int) -> None:
+    """Keep the calling thread on `cpu`, where the platform allows it.
+
+    Left to itself, the kernel may keep every span on the CPU that started
+    them: the threads take turns at the interpreter lock, and each wakes on
+    its waker's CPU. On Linux an affinity set for pid 0 applies to the
+    calling thread alone, so the caller's own mask is untouched.
+    """
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except (AttributeError, OSError):  # no affinity API, or the CPU is gone
+        pass
+
+
+def _count_span(
+    sol: EquilibriumSolution, streams: list, size: int, width: int, stop: threading.Event
+) -> tuple[int, int, int, int, int]:
+    """The five counts of `size` games read from `streams`, at most `width`
+    games per block, ending early once `stop` is set: provable games; posted
+    provable claims; those never challenged; those challenged whose reply
+    was not challenged again; and posted unprovable claims that were
+    accepted."""
+    import numpy as np
 
     # Every block is drawn into the same five float buffers and judged in
     # the same six masks, so a block allocates nothing.
-    width = min(MC_BLOCK, n)
-    uniforms = np.empty((5, width))
-    masks = np.empty((6, width), dtype=bool)
+    uniforms = np.empty((5, min(width, size)))
+    masks = np.empty((6, min(width, size)), dtype=bool)
     count = np.count_nonzero
     # A posted provable claim is accepted on every branch: unchallenged,
     # replied to and left standing, or carried to the machine. So five
     # counts give every row.
     valid_n = posted_valid = unchallenged_valid = replied_valid = accepted_invalid = 0
-    for start in range(0, n, MC_BLOCK):
-        size = min(MC_BLOCK, n - start)
-        signal, u_valid, u_entry, u_bluff, u_second = uniforms[:, :size]
+    for start in range(0, size, width):
+        if stop.is_set():
+            break
+        block = min(width, size - start)
+        signal, u_valid, u_entry, u_bluff, u_second = uniforms[:, :block]
         for stream, out in zip(streams, (signal, u_valid, u_entry, u_bluff, u_second)):
             stream.random(out=out)
-        posted, valid, challenged, bluffs, stands, hit = masks[:, :size]
+        posted, valid, challenged, bluffs, stands, hit = masks[:, :block]
         np.greater_equal(signal, sol.pi_star, out=posted)
         np.less(u_valid, signal, out=valid)
         np.less(u_entry, sol.q2, out=challenged)
@@ -396,26 +501,7 @@ def monte_carlo_estimate(
         np.logical_or(challenged, bluffs, out=challenged)
         np.logical_and(posted, challenged, out=posted)
         accepted_invalid += int(count(posted))
-
-    def est(hits: int, draws: int) -> McEstimate:
-        if draws == 0:
-            return McEstimate(None, None, 0, 0)
-        v = hits / draws
-        return McEstimate(v, math.sqrt(v * (1 - v) / draws), hits, draws)
-
-    accepted_n = posted_valid + accepted_invalid
-    return {
-        "accept_rate": est(accepted_n, n),
-        "valid_accept_rate": est(posted_valid, n),
-        "accept_given_valid": est(posted_valid, valid_n),
-        "accept_given_invalid": est(accepted_invalid, n - valid_n),
-        "valid_given_accept": est(posted_valid, accepted_n),
-        "valid_given_reject": est(valid_n - posted_valid, n - accepted_n),
-        "unchallenged_share": est(unchallenged_valid, posted_valid),
-        "replied_share": est(replied_valid, posted_valid),
-        "reliability": est(posted_valid, accepted_n),
-        "enter_given_valid": est(posted_valid, valid_n),
-    }
+    return valid_n, posted_valid, unchallenged_valid, replied_valid, accepted_invalid
 
 
 def closed_form_row(probs: OutcomeProbabilities, name: str, sol: EquilibriumSolution) -> float | None:

@@ -25,7 +25,6 @@ Formula JSON shapes (single-key objects, hence injective):
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import re
 import weakref
@@ -117,6 +116,10 @@ def content_hash(value: Any) -> str:
 def text_hash(text: str) -> str:
     """Hex sha256 of a document already in canonical JSON; for text that is
     `canonical_json(value)`, equal to `content_hash(value)`."""
+    # Imported here: loading OpenSSL costs milliseconds that commands which
+    # hash nothing, such as `sprig validate`, need not pay.
+    import hashlib
+
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

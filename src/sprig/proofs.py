@@ -179,7 +179,11 @@ class ProofChain(Frozen):
         return 1 + deepest
 
     def stripped(self) -> "ProofChain":
-        """Copy with all subproofs removed (the shape that gets posted)."""
+        """This chain with all subproofs removed (the shape that gets
+        posted): the chain itself when no step has one, as in every chain
+        decoded from a move log, else a copy."""
+        if all(s.subproof is None for s in self.steps):
+            return self
         return ProofChain(
             target=self.target,
             steps=tuple(

@@ -7,8 +7,10 @@ fractions; everything else is cross-checked numerically on random grids.
 
 import itertools
 import math
+import os
 import random
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -262,6 +264,178 @@ def test_monte_carlo_block_size_is_invisible(monkeypatch, block):
             )
 
 
+def _usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+@pytest.mark.parametrize("block", [1, 7, 1_000])
+def test_monte_carlo_split_among_cpus_is_invisible(monkeypatch, cpus, block):
+    _usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(equilibrium, "MC_BLOCK", block)
+    width = max(1, block // cpus)  # each span's block
+    edges = {0, 1, 2, width * 2 + 1, block * cpus * 3 + 7}
+    for edge in (width, block, 2 * block, cpus * block, cpus * width * 4):
+        edges.update((edge - 1, edge, edge + 1))
+    for sigma2 in sorted(MC_TYPES):
+        theta = baseline(sigma2)
+        sol = solve_pbe(theta)
+        for n in sorted(edges):
+            _same_estimates(
+                monte_carlo_estimate(theta, sol, n=n, seed=12345),
+                oracles.monte_carlo_reference(sol, n=n, seed=12345),
+            )
+
+
+def test_monte_carlo_starts_one_thread_per_usable_cpu_and_block(monkeypatch):
+    theta = baseline(30)
+    sol = solve_pbe(theta)
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    monkeypatch.setattr(equilibrium, "MC_BLOCK", 100)
+    for cpus, n, threads in [(1, 10_000, 0), (5, 100, 0), (5, 101, 2), (5, 350, 4),
+                             (3, 10_000, 3)]:
+        _usable_cpus(monkeypatch, cpus)
+        started.clear()
+        monte_carlo_estimate(theta, sol, n=n)
+        assert len(started) == threads, (cpus, n)
+    # Without CPU affinity masks, the CPU count decides; an unknown count is 1.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpu_count, threads in [(None, 0), (1, 0), (3, 3)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        started.clear()
+        monte_carlo_estimate(theta, sol, n=10_000)
+        assert len(started) == threads, cpu_count
+
+
+def _streams_drawing(monkeypatch, draw):
+    """Make every Monte Carlo stream's `random(out=)` call `draw(span,
+    real_random, out)`. The caller builds each span's five streams before
+    starting any, span by span, so the k-th stream built reads span k // 5."""
+    import numpy as np
+
+    real = np.random.Generator
+    built = itertools.count()
+
+    class Stream:
+        def __init__(self, bits):
+            self.span = next(built) // 5
+            self.real = real(bits)
+
+        def random(self, out):
+            return draw(self.span, self.real.random, out)
+
+    monkeypatch.setattr(np.random, "Generator", Stream)
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="needs CPU affinity masks and two usable CPUs",
+)
+def test_each_span_runs_on_its_own_cpu_and_the_caller_keeps_its_mask(monkeypatch):
+    theta = baseline(30)
+    sol = solve_pbe(theta)
+    affinity = os.sched_getaffinity
+    mask = affinity(0)
+    two = sorted(mask)[:2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(two))
+    seen = {}
+
+    def draw(span, real_random, out):
+        seen.setdefault(span, affinity(0))  # the calling thread's own mask
+        return real_random(out=out)
+
+    _streams_drawing(monkeypatch, draw)
+    monte_carlo_estimate(theta, sol, n=2 * MC_BLOCK)
+    assert seen == {0: {two[0]}, 1: {two[1]}}
+    assert affinity(0) == mask
+
+
+class _Boom(Exception):
+    pass
+
+
+def test_a_failing_span_stops_the_others_and_reaches_the_caller(monkeypatch, capfd):
+    theta = baseline(30)
+    sol = solve_pbe(theta)
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(equilibrium, "MC_BLOCK", 100)  # spans of 20 blocks of 50
+    hooked = []
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    boom = _Boom("the second span's stream failed")
+    failing = []
+    failed = threading.Event()
+    drawn = [0]
+    gate = []
+
+    def draw(span, real_random, out):
+        if span == 1:
+            failing.append(threading.current_thread())
+            failed.set()
+            raise boom
+        if drawn[0] == 0:
+            # Hold the first span in its first block until the second has
+            # failed and its thread has ended.
+            if failed.wait(10):
+                failing[0].join(10)
+                gate.append(not failing[0].is_alive())
+        drawn[0] += 1
+        return real_random(out=out)
+
+    _streams_drawing(monkeypatch, draw)
+    before = set(threading.enumerate())
+    with pytest.raises(_Boom) as raised:
+        monte_carlo_estimate(theta, sol, n=2_000)
+    assert raised.value is boom and str(raised.value) == "the second span's stream failed"
+    assert gate == [True]
+    assert drawn[0] == 5  # one block of five streams, of the span's 20
+    assert set(threading.enumerate()) == before
+    assert hooked == []
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_interrupt_while_waiting_stops_every_span(monkeypatch):
+    theta = baseline(30)
+    sol = solve_pbe(theta)
+    _usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(equilibrium, "MC_BLOCK", 100)
+    joins = []
+    rejoined = threading.Event()
+
+    class Interrupted(threading.Thread):
+        # The first wait is cut by Ctrl-C; the caller then waits for every
+        # span again.
+        def join(self, timeout=None):
+            joins.append(self)
+            if len(joins) == 1:
+                raise KeyboardInterrupt
+            rejoined.set()
+            super().join(timeout)
+
+    monkeypatch.setattr(threading, "Thread", Interrupted)
+    drawn = [0, 0]
+
+    def draw(span, real_random, out):
+        if drawn[span] == 0:
+            rejoined.wait(10)
+        drawn[span] += 1
+        return real_random(out=out)
+
+    _streams_drawing(monkeypatch, draw)
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        monte_carlo_estimate(theta, sol, n=2_000)
+    assert rejoined.is_set()
+    assert drawn == [5, 5]  # one block each
+    assert set(threading.enumerate()) == before
+
+
 # Any probability, with the end points, where branches vanish, drawn often.
 _PROBABILITY = st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
 
@@ -311,6 +485,24 @@ def test_monte_carlo_memory_does_not_grow_with_n():
     small, large = traced_peak(200_000), traced_peak(2_000_000)
     assert large < 16 * 2**20, large
     assert large - small < 2 * 2**20, (small, large)
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_cpu_count(monkeypatch):
+    theta = baseline(30)
+    sol = solve_pbe(theta)
+    monte_carlo_estimate(theta, sol, n=1)  # numpy's import is not the subject
+    peaks = {}
+    for cpus in (1, 2, 5):
+        _usable_cpus(monkeypatch, cpus)
+        tracemalloc.start()
+        try:
+            monte_carlo_estimate(theta, sol, n=2_000_000)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # The spans share one block's buffers (~2.9 MB); a full block per span
+    # would add that much again for every span past the first.
+    assert max(peaks.values()) - peaks[1] < 2**20, peaks
 
 
 def test_closed_form_rows_cover_every_estimator():

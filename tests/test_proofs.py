@@ -160,6 +160,25 @@ def test_stripped_removes_subproofs_but_keeps_structure():
     assert tree.steps[0].subproof is not None
 
 
+def test_stripping_a_chain_without_subproofs_returns_it_unchanged():
+    for chain in (identity_chain(Statement(conclusion=atom("p"))), inverse_function().stripped()):
+        assert chain.stripped() is chain
+
+
+def test_stripping_drops_a_subproof_on_any_step():
+    tree = inverse_function()
+    last = tree.steps[-1]
+    steps = [ChainStep(statement=s.statement, imports=s.imports) for s in tree.steps[:-1]]
+    partial = ProofChain(
+        target=tree.target,
+        steps=(*steps, ChainStep(last.statement, last.imports, infinite_primes())),
+        definitions=tree.definitions,
+    )
+    flat = partial.stripped()
+    assert flat is not partial and flat.height() == 1
+    assert flat == tree.stripped()
+
+
 # -- length --------------------------------------------------------------------
 
 
