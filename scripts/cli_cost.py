@@ -24,36 +24,26 @@ start-up time. It also records the machine's CPU count and the CPUs this
 process may run on (its affinity mask), which verify-mc splits its games
 among.
 
-    python3 scripts/cli_cost.py --label NAME
+    python3 scripts/cli_cost.py --label NAME | --checkout ../parent [--label NAME]
 
-times this checkout and writes its points under NAME.
-
-    python3 scripts/cli_cost.py --checkout ../parent
-
-times the checkout ../parent (section `before`) and this one (`after`),
-alternating one repeat of each side, the parent first in even repeats, so
-that every before/after pair is measured back to back on the same machine
-state. Both sides must print the same bytes. Each `after` point also counts
-the pairs in which this checkout was faster.
-
-Results go into the JSON file `--out` (by default BENCH_cli.json at the root
-of this script's checkout); sections already in the file are kept.
+times this checkout, or ../parent and this one alternately, and writes the
+points into BENCH_cli.json (`--out`) as scripts/checkouts.py says. Two sides
+must print the same bytes; each `after` point also counts the pairs in which
+this checkout was faster.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkouts import ROOT, interleave, parse_sides, write_sections
 
 REPEATS = 10
 COMMANDS = {
@@ -136,46 +126,29 @@ def summarize(label: str, argv: list[str], runs: list[tuple[float, float, int, s
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    which = parser.add_mutually_exclusive_group(required=True)
-    which.add_argument("--label", help="time this checkout only and write its points here")
-    which.add_argument("--checkout", type=Path,
-                       help="time this checkout (section before) alternately with this one (after)")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_cli.json")
-    args = parser.parse_args()
-
-    sides = {args.label: ROOT} if args.label else {"before": args.checkout.resolve(), "after": ROOT}
+    args, sides = parse_sides(__doc__.splitlines()[0], "BENCH_cli.json")
     points: dict[str, list[dict]] = {label: [] for label in sides}
     bare = set(import_times(ROOT, ["-c", "pass"]))
     for name, argv in COMMANDS.items():
-        runs: dict[str, list[tuple[float, float, int, str]]] = {label: [] for label in sides}
-        for repeat in range(REPEATS):
-            order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-            for label in order:
-                runs[label].append(run_once(sides[label], argv))
+        runs = interleave(sides, REPEATS, lambda checkout: run_once(checkout, argv))
         for label in sides:
             points[label].append(
                 {**summarize(name, argv, runs[label]), **import_summary(sides[label], argv, bare)}
             )
         if args.checkout:
-            before, after = points["before"][-1], points["after"][-1]
+            first, second = sides
+            before, after = points[first][-1], points[second][-1]
             if any(before[key] != after[key] for key in ("exit_code", "stdout_sha256")):
                 raise AssertionError(f"{name}: the two checkouts print different output")
-            after["pairs_won"] = sum(a[0] < b[0] for a, b in zip(runs["after"], runs["before"]))
+            after["pairs_won"] = sum(a[0] < b[0] for a, b in zip(runs[second], runs[first]))
         print(json.dumps({label: points[label][-1] for label in sides}), file=sys.stderr)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    for label in sides:
-        doc[label] = {
-            "python": platform.python_version(),
-            "cpus": os.cpu_count(),
-            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-            "repeats": REPEATS,
-            "interleaved": len(sides) == 2,
-            "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
-            "points": points[label],
-        }
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_sections(
+        args.out, points,
+        usable_cpus=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        repeats=REPEATS,
+        pythondontwritebytecode=bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+    )
     return 0
 
 

@@ -16,36 +16,25 @@ the median seconds and the median µs per move, cold and warm, the
 simulate and for replay + settle; the same in every repeat) and the sha256
 of the move log.
 
-    python3 scripts/scaling.py --label NAME
+    python3 scripts/scaling.py --label NAME | --checkout ../parent [--label NAME]
 
-times this checkout and writes its points under NAME.
-
-    python3 scripts/scaling.py --checkout ../parent
-
-times the checkout ../parent (section `before`) and this one (section
-`after`), alternating one repeat of each, the parent first in even repeats,
-so that every before/after pair is measured back to back on the same machine
-state instead of minutes apart, and neither side always runs first.
-Both sides must produce the same move log. Each `after` point also counts the
-pairs in which this checkout was faster.
-
-Results go into the JSON file `--out` (by default BENCH_movecost.json at
-the root of this script's checkout); sections already in the file are kept.
-Only the standard library is used; sprig is imported only in the children.
+times this checkout, or ../parent and this one alternately, and writes the
+points into BENCH_movecost.json (`--out`) as scripts/checkouts.py says. Two
+sides must produce the same move log; each `after` point also counts the
+pairs in which this checkout was faster. Only the standard library is used;
+sprig is imported only in the children.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from checkouts import interleave, parse_sides, write_sections
 
 KS = (8, 16, 24, 32, 48, 64)
 SEED = 0
@@ -133,45 +122,24 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    which = parser.add_mutually_exclusive_group(required=True)
-    which.add_argument("--label", help="time this checkout only and write its points here")
-    which.add_argument("--checkout", type=Path,
-                       help="time this checkout (section before) alternately with this one (after)")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_movecost.json")
-    args = parser.parse_args()
-
-    sides = {args.label: ROOT} if args.label else {"before": args.checkout.resolve(), "after": ROOT}
+    args, sides = parse_sides(__doc__.splitlines()[0], "BENCH_movecost.json")
     points: dict[str, list[dict[str, float | int | str]]] = {label: [] for label in sides}
     for k in KS:
-        runs: dict[str, list[dict[str, float | int | str]]] = {label: [] for label in sides}
-        for repeat in range(REPEATS):
-            order = list(sides) if repeat % 2 == 0 else list(reversed(sides))
-            for label in order:
-                runs[label].append(run_once(sides[label], k))
+        runs = interleave(sides, REPEATS, lambda checkout: run_once(checkout, k))
         for label in sides:
             points[label].append(summarize(k, runs[label]))
         if args.checkout:
-            before, after = points["before"][-1], points["after"][-1]
+            first, second = sides
+            before, after = points[first][-1], points[second][-1]
             if before["moves_sha256"] != after["moves_sha256"]:
                 raise AssertionError(f"k={k}: the two checkouts play different debates")
             for name in TIMED:
                 after[f"{name}_pairs_won"] = sum(
-                    a[f"{name}_s"] < b[f"{name}_s"] for a, b in zip(runs["after"], runs["before"])
+                    a[f"{name}_s"] < b[f"{name}_s"] for a, b in zip(runs[second], runs[first])
                 )
         print(json.dumps({label: points[label][-1] for label in sides}), file=sys.stderr)
 
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    for label in sides:
-        doc[label] = {
-            "python": platform.python_version(),
-            "cpus": os.cpu_count(),
-            "repeats": REPEATS,
-            "seed": SEED,
-            "interleaved": len(sides) == 2,
-            "points": points[label],
-        }
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_sections(args.out, points, repeats=REPEATS, seed=SEED)
     return 0
 
 

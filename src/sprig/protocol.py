@@ -4,21 +4,24 @@ A claim at level ``l >= 1`` posts a proof chain and locks an upward and a
 downward stake. Anyone may dispute one of its steps with a question, locking a
 bounty; a question is met by answer claims one level down (or directly at the
 machine level). Machine claims burn a fixed execution cost and are judged
-instantly by the verifier backend. Each node carries the deadline of its
-window, fixed when it is posted. Statuses propagate by one rule that claims
-and questions mirror (`_RULES`): a question is answered as soon as one of its
-claims validates, a claim dies as soon as one of its questions times out
-unanswered, and surviving nodes are confirmed when their windows close.
-Resolution is incremental and goes one instant at a time: a pending node can
-change only when it is posted, when its own window closes, or when one of its
-children determines, so each instant up to the clock re-evaluates just those
-nodes and their ancestors (children first) instead of the whole tree, and
-commits each status as soon as it is decided, with the child that decided it;
-an early stop ends at the instant where the root determines. Settlement then
-routes every escrowed token: stakes of dead claims pay the defeating question,
-bounties of answered questions pay the earliest validated answer (each the
-node's recorded decider), and anything still held by pending nodes (possible
-only when the game stops early at the root's determination) is refunded.
+instantly by the verifier backend. The contract is one transition: every move,
+posted by a method, opening a debate or read from a log by `replay_line`, is a
+`Move` that `ProtocolInstance.apply` checks and posts. Each node carries the
+deadline of its window, fixed when it is posted. Statuses propagate by one
+rule that claims and questions mirror (`_RULES`): a question is answered as
+soon as one of its claims validates, a claim dies as soon as one of its
+questions times out unanswered, and surviving nodes are confirmed when their
+windows close. Resolution is incremental and goes one instant at a time: a
+pending node can change only when it is posted, when its own window closes, or
+when one of its children determines, so each instant up to the clock
+re-evaluates just those nodes and their ancestors (children first) instead of
+the whole tree, and commits each status as soon as it is decided, with the
+child that decided it; an early stop ends at the instant where the root
+determines. Settlement then routes every escrowed token: stakes of dead claims
+pay the defeating question, bounties of answered questions pay the earliest
+validated answer (each the node's recorded decider), and anything still held
+by pending nodes (possible only when the game stops early at the root's
+determination) is refunded.
 
 Time is integer ticks; within a tick, moves are ordered by a per-instance
 sequence number, so the full order of play is the pair (time, seq). Windows
@@ -66,6 +69,7 @@ __all__ = [
     "ClaimNode",
     "QuestionNode",
     "Ledger",
+    "Move",
     "MoveRecord",
     "SettlementTransfer",
     "ProtocolInstance",
@@ -128,9 +132,11 @@ class Timestamp(Frozen):
         return [self.time, self.seq]
 
 
-def _check_time(t: Any) -> None:
-    if not is_int(t):
-        raise ProtocolError(f"time must be an integer, got {t!r}")
+def _integer(name: str, value: Any) -> int:
+    """`value` if it is an integer (booleans are not), else a ProtocolError."""
+    if not is_int(value):
+        raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _level_number(key: str) -> int:
@@ -406,6 +412,28 @@ class Ledger:
         }
 
 
+class Move(Frozen):
+    """One move, the input of `ProtocolInstance.apply`. Its `kind` is
+    `root_claim` (a chain `proof` of `statement`), `root_question` (a
+    bounty on `statement`), `question` (dispute `step`, 1-based, of the
+    claim `origin`) or `answer_claim` (a chain or machine `proof` answering
+    the question `origin`), posted by `actor` at `time`. `apply` ignores the
+    fields a kind does not read."""
+
+    def __init__(
+        self, kind: str, actor: str, time: int, origin: str | None = None,
+        step: int | None = None, statement: Statement | None = None,
+        proof: ProofChain | MachineProof | None = None,
+    ) -> None:
+        self._set_field("kind", kind)
+        self._set_field("actor", actor)
+        self._set_field("time", time)
+        self._set_field("origin", origin)
+        self._set_field("step", step)
+        self._set_field("statement", statement)
+        self._set_field("proof", proof)
+
+
 class MoveRecord(Frozen):
     """One committed move. `payload_json` is the payload's canonical JSON,
     composed once when the move was committed from the memoized text of what
@@ -457,8 +485,8 @@ class SettlementTransfer(Frozen):
 class ProtocolInstance:
     """One debate: a root node, the tree beneath it, a ledger and a clock.
 
-    Build instances through `create_root_claim` / `create_root_question`,
-    or `replay` a move log into a fresh one.
+    A fresh instance has no root: its first `apply` must be a root move,
+    as `create_root_claim`, `create_root_question` and `replay` make it.
     """
 
     def __init__(
@@ -547,7 +575,7 @@ class ProtocolInstance:
     # -- move plumbing ----------------------------------------------------
 
     def _begin_move(self, time: int) -> int:
-        _check_time(time)
+        _integer("time", time)
         if self.settled:
             raise ProtocolError("instance already settled")
         if time < self.clock:
@@ -596,158 +624,117 @@ class ProtocolInstance:
 
     # -- posting ----------------------------------------------------------
 
-    def _post_root_claim(self, owner: str, statement: Statement, chain: ProofChain, t: int) -> str:
-        time = self._begin_move(t)
-        top = self.cascade.root_level
-        params = self.cascade.levels[top]
-        if params.stake_up != 0:
-            raise ProtocolError("root claim requires a zero upward stake at the top level")
-        posted = chain.stripped()
-        self._check_chain_answer(statement, posted, top, ambient=frozenset())
-        node_id = f"c{self._next_seq}"
-        self.ledger.lock(owner, node_id, params.stake_down)
-        proof_json = posted.canonical()
-        stamp = self._commit_move(time, owner, "root_claim", f'{{"chain":{proof_json}}}')
-        node = ClaimNode(
-            id=node_id,
-            owner=owner,
-            level=top,
-            statement=statement,
-            proof=posted,
-            proof_hash=text_hash(proof_json),
-            posted_at=stamp,
-            deadline=time + params.verification_time,
-            escrow=params.stake_down,
-        )
+    def apply(self, move: Move) -> str:
+        """Post `move` and return the new node's id. Each rule of the kind is
+        checked in a fixed order, a question's `step` type before the clock
+        moves and every other after `_begin_move`; then the deposit is locked
+        (a machine answer gets its verdict first), the move committed, the
+        node linked and the tree resolved. A rejected move does at most what
+        `advance_clock` to its time does."""
+        kind, proof = move.kind, move.proof
+        root = self._check_kind(kind)
+        origin, step = (None, None) if root else (move.origin, move.step)
+        if kind == "question":
+            _integer("step", step)
+        time = self._begin_move(move.time)
+        cascade, level, statement = self.cascade, self.cascade.root_level, move.statement
+        asks = kind.endswith("question")
+        node_id = f"{'q' if asks else 'c'}{self._next_seq}"
+        verdict: Verdict | None = None
+        if kind == "question":
+            claim = self.claim(origin)
+            if claim.level < 1 or not isinstance(claim.proof, ProofChain):
+                raise ProtocolError("machine claims cannot be questioned")
+            steps = claim.proof.steps
+            if not 1 <= step <= len(steps):
+                raise ProtocolError(f"no such step {step} in claim {origin!r} (has {len(steps)})")
+            if time >= claim.deadline:
+                raise ProtocolError(
+                    f"window closed: claim {origin!r} accepted questions before {claim.deadline}"
+                )
+            level, statement = claim.level - 1, steps[step - 1].statement
+        elif kind == "answer_claim":
+            q = self.question(origin)
+            if time >= q.deadline:
+                raise ProtocolError(
+                    f"window closed: question {origin!r} accepted answers before {q.deadline}"
+                )
+            level, statement = q.level, q.statement
+        if asks:
+            deposit, deadline = cascade.bounty(level), time + cascade.response_time(level)
+        elif root or isinstance(proof, ProofChain):
+            if level < 1:
+                raise ProtocolError("level-0 questions take machine proofs only")
+            params = cascade.levels[level]
+            if root and params.stake_up != 0:
+                raise ProtocolError("root claim requires a zero upward stake at the top level")
+            proof = proof.stripped()
+            self._check_chain_answer(statement, proof, level, self._ambient(origin))
+            deposit = params.stake_up + params.stake_down
+            deadline = time + params.verification_time
+        else:
+            if proof.target != statement:
+                raise ProtocolError("structural violation: proof targets a different statement")
+            _check_length(proof, cascade.machine.max_length)
+            level, deadline = 0, time
+            deposit = cascade.machine.stake_up + cascade.machine.burn_cost
+            verdict = self.verifier.verdict(statement, proof, node_id)
+        self.ledger.lock(move.actor, node_id, deposit)
+        if asks:
+            payload = (f'{{"statement":{statement.canonical()}}}' if root
+                       else f'{{"origin":"{origin}","step":{step}}}')
+            stamp = self._commit_move(time, move.actor, kind, payload)
+            node = QuestionNode(
+                id=node_id, owner=move.actor, level=level, statement=statement, posted_at=stamp,
+                deadline=deadline, escrow=deposit, origin=origin, step_index=step,
+            )
+        else:
+            proof_json = proof.canonical()
+            payload = (f'{{"chain":{proof_json}}}' if root
+                       else f'{{"origin":"{origin}","proof":{proof_json}}}')
+            stamp = self._commit_move(time, move.actor, kind, payload)
+            node = ClaimNode(
+                id=node_id, owner=move.actor, level=level, statement=statement, proof=proof,
+                proof_hash=text_hash(proof_json), posted_at=stamp, deadline=deadline,
+                escrow=deposit, origin=origin, verdict=verdict,
+            )
+            if level == 0:
+                self.ledger.burn_from_escrow(node_id, cascade.machine.burn_cost)
         self._add_node(node)
-        self.root_id = node_id
+        if root:
+            self.root_id = node_id
         self.resolve()
         return node_id
 
-    def _post_root_question(self, owner: str, statement: Statement, t: int) -> str:
-        time = self._begin_move(t)
-        top = self.cascade.root_level
-        bounty = self.cascade.bounty(top)
-        node_id = f"q{self._next_seq}"
-        self.ledger.lock(owner, node_id, bounty)
-        stamp = self._commit_move(
-            time, owner, "root_question", f'{{"statement":{statement.canonical()}}}'
-        )
-        node = QuestionNode(
-            id=node_id,
-            owner=owner,
-            level=top,
-            statement=statement,
-            posted_at=stamp,
-            deadline=time + self.cascade.response_time(top),
-            escrow=bounty,
-        )
-        self._add_node(node)
-        self.root_id = node_id
-        self.resolve()
-        return node_id
+    def _check_kind(self, kind: Any) -> bool:
+        """Whether a move of `kind` is a root move, if the instance takes it
+        now: a root move while it has no root, a question or an answer after."""
+        root, rooted = kind in ("root_claim", "root_question"), self.root_id is not None
+        if root and rooted or not (root or kind in ("question", "answer_claim")):
+            raise ProtocolError(f"unknown move kind {kind!r}")
+        if not (root or rooted):
+            raise ProtocolError(f"log must start with a root move, got {kind!r}")
+        return root
 
     def post_question(self, owner: str, origin: str, step_index: int, t: int) -> str:
         """Dispute step `step_index` (1-based) of the claim `origin`."""
-        if not is_int(step_index):
-            raise ProtocolError(f"step must be an integer, got {step_index!r}")
-        time = self._begin_move(t)
-        claim = self.claim(origin)
-        if claim.level < 1 or not isinstance(claim.proof, ProofChain):
-            raise ProtocolError("machine claims cannot be questioned")
-        if not 1 <= step_index <= len(claim.proof.steps):
-            raise ProtocolError(
-                f"no such step {step_index} in claim {origin!r} "
-                f"(has {len(claim.proof.steps)})"
-            )
-        if time >= claim.deadline:
-            raise ProtocolError(
-                f"window closed: claim {origin!r} accepted questions before {claim.deadline}"
-            )
-        level = claim.level - 1
-        node_id = f"q{self._next_seq}"
-        self.ledger.lock(owner, node_id, self.cascade.bounty(level))
-        stamp = self._commit_move(
-            time, owner, "question", f'{{"origin":"{claim.id}","step":{step_index}}}'
-        )
-        node = QuestionNode(
-            id=node_id,
-            owner=owner,
-            level=level,
-            statement=claim.proof.steps[step_index - 1].statement,
-            posted_at=stamp,
-            deadline=time + self.cascade.response_time(level),
-            escrow=self.cascade.bounty(level),
-            origin=origin,
-            step_index=step_index,
-        )
-        self._add_node(node)
-        self.resolve()
-        return node_id
+        return self.apply(Move("question", owner, t, origin, step_index))
 
     def post_answer_claim(
         self, owner: str, origin: str, proof: ProofChain | MachineProof, t: int
     ) -> str:
         """Answer the question `origin` with a chain at its level or a machine proof."""
-        time = self._begin_move(t)
-        q = self.question(origin)
-        if time >= q.deadline:
-            raise ProtocolError(
-                f"window closed: question {origin!r} accepted answers before {q.deadline}"
-            )
-        node_id = f"c{self._next_seq}"
-        verdict: Verdict | None = None
-        if isinstance(proof, ProofChain):
-            if q.level < 1:
-                raise ProtocolError("level-0 questions take machine proofs only")
-            level = q.level
-            posted: ProofChain | MachineProof = proof.stripped()
-            self._check_chain_answer(q.statement, posted, level, ambient=self._ambient(q))
-            params = self.cascade.levels[level]
-            deposit = params.stake_up + params.stake_down
-            deadline = time + params.verification_time
-        else:
-            level = 0
-            deadline = time
-            posted = proof
-            if proof.target != q.statement:
-                raise ProtocolError("structural violation: proof targets a different statement")
-            _check_length(posted, self.cascade.machine.max_length)
-            deposit = self.cascade.machine.stake_up + self.cascade.machine.burn_cost
-            verdict = self.verifier.verdict(q.statement, posted, node_id)
-        self.ledger.lock(owner, node_id, deposit)
-        proof_json = posted.canonical()
-        stamp = self._commit_move(
-            time, owner, "answer_claim", f'{{"origin":"{q.id}","proof":{proof_json}}}'
-        )
-        node = ClaimNode(
-            id=node_id,
-            owner=owner,
-            level=level,
-            statement=q.statement,
-            proof=posted,
-            proof_hash=text_hash(proof_json),
-            posted_at=stamp,
-            deadline=deadline,
-            escrow=deposit,
-            origin=origin,
-            verdict=verdict,
-        )
-        if level == 0:
-            self.ledger.burn_from_escrow(node_id, self.cascade.machine.burn_cost)
-        self._add_node(node)
-        self.resolve()
-        return node_id
+        return self.apply(Move("answer_claim", owner, t, origin, proof=proof))
 
-    def _ambient(self, q: QuestionNode) -> frozenset[str]:
-        """Symbols already declared by the chains enclosing this question."""
+    def _ambient(self, origin: str | None) -> frozenset[str]:
+        """Symbols already declared by the chains above a node posted under
+        `origin`."""
         names: set[str] = set()
-        node: Node | None = q
-        while node is not None and node.origin is not None:
-            parent = self.nodes[node.origin]
-            if isinstance(parent, ClaimNode) and isinstance(parent.proof, ProofChain):
-                names |= parent.proof.definitions.names()
-            node = parent
+        while origin is not None:
+            node = self.nodes[origin]
+            if isinstance(node, ClaimNode) and isinstance(node.proof, ProofChain):
+                names |= node.proof.definitions.names()
+            origin = node.origin
         return frozenset(names)
 
     def _check_chain_answer(
@@ -763,7 +750,7 @@ class ProtocolInstance:
     # -- clock and resolution ---------------------------------------------
 
     def advance_clock(self, time: int) -> list[tuple[str, str, Timestamp]]:
-        _check_time(time)
+        _integer("time", time)
         if self.settled:
             raise ProtocolError("instance already settled")
         if time < self.clock:
@@ -895,8 +882,8 @@ class ProtocolInstance:
                     pay(node.id, self.question(node.origin).owner, held,
                         "stake forfeited to questioner")
                 else:
-                    # Only the root claim has no origin, and `_post_root_claim`
-                    # holds its upward stake at zero, so it forfeits none.
+                    # Only the root claim has no origin, and `apply` holds
+                    # its upward stake at zero, so it forfeits none.
                     stake_up = self.cascade.levels[node.level].stake_up
                     if stake_up:
                         pay(node.id, self.question(node.origin).owner, stake_up,
@@ -987,7 +974,7 @@ def create_root_claim(
     if balances is None:
         balances = {owner: cascade.levels[cascade.root_level].stake_down}
     instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
-    instance._post_root_claim(owner, statement, chain, t)
+    instance.apply(Move("root_claim", owner, t, statement=statement, proof=chain))
     return instance
 
 
@@ -1005,7 +992,7 @@ def create_root_question(
     if balances is None:
         balances = {owner: cascade.bounty(cascade.root_level)}
     instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
-    instance._post_root_question(owner, statement, t)
+    instance.apply(Move("root_question", owner, t, statement=statement))
     return instance
 
 
@@ -1031,13 +1018,6 @@ def resolve(instance: ProtocolInstance) -> list[tuple[str, str, Timestamp]]:
 
 def settle(instance: ProtocolInstance) -> list[SettlementTransfer]:
     return instance.settle()
-
-
-def _int_field(doc: Mapping[str, Any], name: str) -> int:
-    value = doc[name]
-    if not is_int(value):
-        raise ProtocolError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 def replay(
@@ -1067,14 +1047,15 @@ _MOVE_FIELDS = ("payload", "kind", "actor", "time", "seq", "payload_hash")
 
 def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     """Apply one stripped move-log line `raw`, decoded as `record`, to
-    `instance`: the root move while the instance has no root, a question or
-    an answer after it. Checks the payload hash and decodes strictly: the
-    record is an object with every move field (else a ParseError names the
-    first one missing), the payload is an object with every field its kind
-    of move reads (else a ParseError such as `question payload needs
-    origin`), `seq` is the next sequence number, `seq`, `time` and a
-    question's `step` are integers (booleans are not), and `actor` is a
-    string.
+    `instance`: decode it into a `Move` and `apply` it, the root move while
+    the instance has no root, a question or an answer after it. Checks the
+    payload hash and decodes strictly: the record is an object with every
+    move field (else a ParseError names the first one missing), `time` and
+    `seq` are integers (booleans are not), `actor` is a string, the first
+    move is a root move, `seq` is the next sequence number, and the payload
+    is an object with every field its kind of move reads (else a ParseError
+    such as `question payload needs origin`), in that order; `apply` checks
+    the rest, a question's `step` first.
 
     Each move's payload text is composed once, by the instance that posts
     it, from the memoized canonical text of the decoded proof or statement,
@@ -1087,42 +1068,37 @@ def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     the tampering broke."""
     record = read_object(record, "move", required=_MOVE_FIELDS)
     try:
-        kind, actor, time = record["kind"], record["actor"], _int_field(record, "time")
+        kind, actor, time = record["kind"], record["actor"], _integer("time", record["time"])
         if not isinstance(actor, str):
             raise ProtocolError(f"actor must be a string, got {actor!r}")
-        rootless = instance.root_id is None
-        if rootless and kind not in ("root_claim", "root_question"):
+        if instance.root_id is None and kind not in ("root_claim", "root_question"):
             raise ProtocolError(f"log must start with a root move, got {kind!r}")
-        seq = _int_field(record, "seq")
+        seq = _integer("seq", record["seq"])
         if seq != instance._next_seq:
             raise ProtocolError(f"seq {seq} out of order, expected {instance._next_seq}")
-        if rootless and kind == "root_claim":
-            payload = read_object(record["payload"], "root claim payload", required=("chain",))
-            chain = ProofChain.from_json(payload["chain"])
-            instance._post_root_claim(actor, chain.target, chain, time)
-        elif rootless:
-            payload = read_object(
-                record["payload"], "root question payload", required=("statement",)
-            )
-            instance._post_root_question(actor, Statement.from_json(payload["statement"]), time)
-        elif kind == "question":
-            payload = read_object(
-                record["payload"], "question payload", required=("origin", "step")
-            )
-            instance.post_question(actor, payload["origin"], payload["step"], time)
-        elif kind == "answer_claim":
-            payload = read_object(
-                record["payload"], "answer claim payload", required=("origin", "proof")
-            )
-            proof = proof_from_json(payload["proof"])
-            instance.post_answer_claim(actor, payload["origin"], proof, time)
-        else:
-            raise ProtocolError(f"unknown move kind {kind!r}")
+        instance._check_kind(kind)
+        instance.apply(_decode_move(kind, actor, time, record["payload"]))
     except Exception:
         _check_payload_hash(record)
         raise
     if raw != instance.moves[-1].line():
         _check_payload_hash(record)
+
+
+def _decode_move(kind: str, actor: str, time: int, payload: Any) -> Move:
+    """The move of a known `kind` that a log record's `payload` holds."""
+    if kind == "root_claim":
+        doc = read_object(payload, "root claim payload", required=("chain",))
+        chain = ProofChain.from_json(doc["chain"])
+        return Move(kind, actor, time, statement=chain.target, proof=chain)
+    if kind == "root_question":
+        doc = read_object(payload, "root question payload", required=("statement",))
+        return Move(kind, actor, time, statement=Statement.from_json(doc["statement"]))
+    if kind == "question":
+        doc = read_object(payload, "question payload", required=("origin", "step"))
+        return Move(kind, actor, time, doc["origin"], doc["step"])
+    doc = read_object(payload, "answer claim payload", required=("origin", "proof"))
+    return Move(kind, actor, time, doc["origin"], proof=proof_from_json(doc["proof"]))
 
 
 def _check_payload_hash(record: Mapping[str, Any]) -> None:

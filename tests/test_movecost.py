@@ -130,7 +130,7 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
     config = wide_config(k, 0)
     encodes = _count_json_dumps(monkeypatch)
     per_call: dict[str, set[int]] = {}
-    for name in ("_post_root_claim", "post_question", "post_answer_claim",
+    for name in ("apply", "post_question", "post_answer_claim",
                  "move_log_lines", "snapshot"):
         original = getattr(ProtocolInstance, name)
 
@@ -145,7 +145,7 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
     # No encode per move and one per snapshot: the same at every k. The one
     # snapshot is _wide_run's; run_scenario takes none.
     assert per_call == {
-        "_post_root_claim": {0},
+        "apply": {0},
         "post_question": {0},
         "post_answer_claim": {0},
         "move_log_lines": {0},

@@ -18,6 +18,7 @@ from sprig.protocol import (
     EARLY_STOP,
     LevelParameters,
     MachineParameters,
+    Move,
     ParameterCascade,
     PENDING,
     QUIESCENCE,
@@ -30,6 +31,7 @@ from sprig.protocol import (
     post_answer_claim,
     post_question,
     replay,
+    replay_line,
     resolve,
     settle,
 )
@@ -681,6 +683,202 @@ def test_replay_rejects_empty_and_rootless_logs():
     second_root = {**json.loads(lines[0]), "seq": 2}
     with pytest.raises(ProtocolError, match="^unknown move kind 'root_claim'$"):
         replay([lines[0], json.dumps(second_root)], fx.cascade, balances=fx.balances)
+
+
+# -- one transition ---------------------------------------------------------------
+# Every move goes through `ProtocolInstance.apply`, whether a method posts it or
+# `replay_line` reads it. Each rejection below is pinned through both entry
+# points: its exact text, whether the clock moved to the move's time, and that
+# nothing else changed, so the order of the checks is pinned too. An instance
+# whose clock moved must equal a twin that only advanced its clock there.
+
+_OTHER = Statement(conclusion=_Q, assumptions=frozenset({_Q}), context="demo")
+_WIDE = Statement(conclusion=conj(_P, _Q), assumptions=frozenset({conj(_P, _Q)}), context="demo")
+_PLAYERS = {"amy": 100, "quin": 100, "zed": 100}
+
+
+def _rootless(cascade=None):
+    return ProtocolInstance(cascade or tiny_cascade(), balances=_PLAYERS)
+
+
+def _questioned(root_level=2, **kwargs):
+    """amy's root claim c1 at 0 (window to 4), quin's question q2 on its step
+    1 at 1 (window to 4)."""
+    inst = fresh_claim_root(cascade=tiny_cascade(root_level), **kwargs)
+    inst.post_question("quin", inst.root_id, 1, 1)
+    return inst
+
+
+def _machine_answered():
+    """`_questioned` at level 1, then zed's machine answer c3 to q2 at 2."""
+    inst = _questioned(root_level=1)
+    inst.post_answer_claim("zed", "q2", machine_answer(IDENT), 2)
+    return inst
+
+
+def _clock_at(t):
+    def setup():
+        inst = fresh_claim_root()
+        advance_clock(inst, t)
+        return inst
+    return setup
+
+
+def _settled():
+    inst = fresh_claim_root()
+    advance_clock(inst, inst.max_deadline())
+    settle(inst)
+    return inst
+
+
+def _stopped():
+    """Early stop: q2 goes unanswered at 4, which kills the root at 4.0."""
+    inst = _questioned(mode=EARLY_STOP)
+    advance_clock(inst, 10)
+    return inst
+
+
+def _tight_budget():
+    cascade = tiny_cascade(1)
+    tight = ParameterCascade(
+        root_level=1, levels=cascade.levels,
+        machine=MachineParameters(max_length=1, stake_up=2, burn_cost=1, bounty=3, response_time=2),
+    )
+    inst = create_root_claim("amy", _WIDE, identity_chain(_WIDE), tight, 0, balances=_PLAYERS)
+    inst.post_question("quin", inst.root_id, 1, 1)
+    return inst
+
+
+def _poor_questioner():
+    return fresh_claim_root(balances={"amy": 100, "quin": 1})
+
+
+def _question(t, origin="c1", step=1):
+    return Move("question", "quin", t, origin, step)
+
+
+def _answer(t, proof, origin="q2"):
+    return Move("answer_claim", "zed", t, origin, proof=proof)
+
+
+def _root_claim(t):
+    return Move("root_claim", "amy", t, statement=IDENT, proof=identity_chain(IDENT))
+
+
+REJECTIONS = [
+    # (id, setup, move, message, whether the clock moves to the move's time)
+    ("unknown-kind", fresh_claim_root, Move("x", "quin", 1), "unknown move kind 'x'", False),
+    ("second-root-claim", fresh_claim_root, _root_claim(1), "unknown move kind 'root_claim'",
+     False),
+    ("second-root-question", fresh_claim_root, Move("root_question", "quin", 1, statement=IDENT),
+     "unknown move kind 'root_question'", False),
+    ("rootless-question", _rootless, _question(1),
+     "log must start with a root move, got 'question'", False),
+    ("rootless-answer", _rootless, _answer(1, identity_chain(IDENT)),
+     "log must start with a root move, got 'answer_claim'", False),
+    ("bad-step-type", fresh_claim_root, _question(1, step=True),
+     "step must be an integer, got True", False),
+    ("time-backwards", _clock_at(3), _question(2), "time moving backwards: move at 2, clock at 3",
+     False),
+    ("settled", _settled, _question(9), "instance already settled", False),
+    ("past-the-early-stop", _stopped, _answer(11, identity_chain(IDENT)),
+     "interaction ended at 4.0", True),
+    ("no-such-claim", fresh_claim_root, _question(1, origin="c9"), "no such claim 'c9'", True),
+    ("machine-claim-questioned", _machine_answered, _question(3, origin="c3"),
+     "machine claims cannot be questioned", True),
+    ("no-such-step", fresh_claim_root, _question(1, step=4), "no such step 4 in claim 'c1' (has 1)",
+     True),
+    ("closed-claim-window", fresh_claim_root, _question(4),
+     "window closed: claim 'c1' accepted questions before 4", True),
+    ("no-such-question", _questioned, _answer(2, identity_chain(IDENT), origin="q9"),
+     "no such question 'q9'", True),
+    ("closed-question-window", _questioned, _answer(4, identity_chain(IDENT)),
+     "window closed: question 'q2' accepted answers before 4", True),
+    ("level-0-chain", lambda: _questioned(root_level=1), _answer(2, identity_chain(IDENT)),
+     "level-0 questions take machine proofs only", True),
+    ("chain-wrong-target", _questioned, _answer(2, identity_chain(_OTHER)),
+     "structural violation: chain targets a different statement", True),
+    ("machine-wrong-target", _questioned, _answer(2, machine_answer(_OTHER)),
+     "structural violation: proof targets a different statement", True),
+    ("machine-over-budget", _tight_budget, _answer(2, machine_answer(_WIDE)),
+     "length over budget: 4 > 1", True),
+    ("insufficient-funds", _poor_questioner, _question(1),
+     "insufficient funds: 'quin' has 1, needs 5", True),
+    ("root-stake-up", lambda: _rootless(tiny_cascade(top_stake_up=3)), _root_claim(2),
+     "root claim requires a zero upward stake at the top level", True),
+]
+
+
+def _by_method(inst, move):
+    if move.kind == "question":
+        return inst.post_question(move.actor, move.origin, move.step, move.time)
+    if move.kind == "answer_claim":
+        return inst.post_answer_claim(move.actor, move.origin, move.proof, move.time)
+    return inst.apply(move)
+
+
+def _by_replay_line(inst, move):
+    """Post `move` as the next line of a move log, with its payload hashed."""
+    if move.kind == "root_claim":
+        payload = {"chain": json.loads(move.proof.canonical())}
+    elif move.kind == "root_question":
+        payload = {"statement": json.loads(move.statement.canonical())}
+    elif move.kind == "question":
+        payload = {"origin": move.origin, "step": move.step}
+    elif move.kind == "answer_claim":
+        payload = {"origin": move.origin, "proof": json.loads(move.proof.canonical())}
+    else:
+        payload = {}
+    record = {"actor": move.actor, "kind": move.kind, "payload": payload,
+              "payload_hash": content_hash(payload), "seq": len(inst.moves) + 1,
+              "time": move.time}
+    raw = json.dumps(record)
+    return replay_line(inst, raw, json.loads(raw))
+
+
+@pytest.mark.parametrize("post", [_by_method, _by_replay_line], ids=["method", "replay-line"])
+@pytest.mark.parametrize(
+    "setup, move, message, moved", [c[1:] for c in REJECTIONS], ids=[c[0] for c in REJECTIONS]
+)
+def test_every_posting_rejection_through_both_entry_points(setup, move, message, moved, post):
+    inst, twin = setup(), setup()
+    clock = inst.clock
+    if moved:
+        assert move.time > clock
+        advance_clock(twin, move.time)
+    with pytest.raises(ProtocolError) as caught:
+        post(inst, move)
+    assert str(caught.value) == message
+    assert inst.clock == (move.time if moved else clock)
+    assert inst.snapshot() == twin.snapshot()
+    assert inst.move_log_lines() == twin.move_log_lines()
+
+
+def test_apply_posts_what_the_methods_post_and_ignores_the_fields_a_kind_does_not_read():
+    by_apply, by_methods = _rootless(), fresh_claim_root()
+    proof = machine_answer(IDENT)
+    root = Move("root_claim", "amy", 0, "c9", 7, IDENT, identity_chain(IDENT))
+    assert by_apply.apply(root) == "c1"
+    question = Move("question", "quin", 1, "c1", 1, _OTHER, proof)
+    assert by_apply.apply(question) == by_methods.post_question("quin", "c1", 1, 1) == "q2"
+    answer = Move("answer_claim", "zed", 2, "q2", 7, _OTHER, proof)
+    assert by_apply.apply(answer) == by_methods.post_answer_claim("zed", "q2", proof, 2) == "c3"
+    asked = _rootless()
+    asked.apply(Move("root_question", "quin", 0, "c9", 7, IDENT, proof))
+    expected = create_root_question("quin", IDENT, tiny_cascade(), 0, balances=_PLAYERS)
+    assert asked.snapshot() == expected.snapshot()
+    assert asked.move_log_lines() == expected.move_log_lines()
+    assert by_apply.snapshot() == by_methods.snapshot()
+    assert by_apply.move_log_lines() == by_methods.move_log_lines()
+
+
+def test_apply_names_an_unknown_kind_before_asking_for_a_root():
+    # `replay_line` checks a log's first record for a root move first, so a
+    # log reports this move as `log must start with a root move, got 'x'`.
+    inst = _rootless()
+    with pytest.raises(ProtocolError, match="^unknown move kind 'x'$"):
+        inst.apply(Move("x", "quin", 1))
+    assert inst.clock == 0 and inst.moves == []
 
 
 # -- second names -----------------------------------------------------------------

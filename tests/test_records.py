@@ -53,6 +53,8 @@ SAMPLES = {
     pr.QuestionNode: dict(id="q2", owner="sam", level=0, statement=_STATEMENT, posted_at=_AT,
                           deadline=7, escrow=3, origin="c1", step_index=1, status=pr.ANSWERED,
                           determination=_AT, children=["c4"], decider="c4"),
+    pr.Move: dict(kind="answer_claim", actor="ann", time=3, origin="q2", step=None,
+                  statement=None, proof=_MACHINE),
     pr.MoveRecord: dict(seq=1, time=3, actor="ann", kind="question", payload_hash="ab",
                         payload_json='{"origin":"c0","step":1}'),
     pr.SettlementTransfer: dict(node_id="c1", account="ann", amount=6, reason="stake returned"),
