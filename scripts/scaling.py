@@ -12,9 +12,9 @@ replay in the same interpreter: the cold numbers include first-call costs,
 the warm ones (`*_warm_*`) are what a process that replays log after log
 pays. Every replay must land on the simulated snapshot. Each point keeps
 the median seconds and the median µs per move, cold and warm, the
-`json.dumps` calls per move (counted in the child during the cold run, for
-simulate and for replay + settle; the same in every repeat) and the sha256
-of the move log.
+`json.dumps` calls and kernel verdicts (`ToyVerifier.verdict`) per move
+(counted in the child during the cold run, for simulate and for replay +
+settle; the same in every repeat) and the sha256 of the move log.
 
     python3 scripts/scaling.py --label NAME | --checkout ../parent [--label NAME]
 
@@ -50,6 +50,7 @@ CHILD = """
 import gc, hashlib, json, sys, time
 from sprig.protocol import advance_clock, replay, settle
 from sprig.simulator import run_scenario
+from sprig.verifier import ToyVerifier
 from workloads import wide_config
 
 dumps, calls = json.dumps, [0]
@@ -57,22 +58,29 @@ def counted_dumps(*args, **kwargs):
     calls[0] += 1
     return dumps(*args, **kwargs)
 json.dumps = counted_dumps
+verdict, verdicts = ToyVerifier.verdict, [0]
+def counted_verdict(self, *args, **kwargs):
+    verdicts[0] += 1
+    return verdict(self, *args, **kwargs)
+ToyVerifier.verdict = counted_verdict
 
 k, seed = int(sys.argv[1]), int(sys.argv[2])
 config = wide_config(k, seed)
 out = {}
 for suffix in ("", "_warm"):  # the second run drops the first debate first
     gc.collect()
-    before = calls[0]
+    before, verdicts_before = calls[0], verdicts[0]
     t0 = time.perf_counter()
     trace = run_scenario(config)
     t1 = time.perf_counter()
     simulate_dumps = calls[0] - before
+    simulate_verdicts = verdicts[0] - verdicts_before
     twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
     advance_clock(twin, trace.final_clock)
     settle(twin)
     t2 = time.perf_counter()
     replay_dumps = calls[0] - before - simulate_dumps
+    replay_verdicts = verdicts[0] - verdicts_before - simulate_verdicts
     if twin.snapshot() != trace.final_snapshot:
         raise AssertionError(f"k={k}: replayed snapshot differs from the simulated one")
     out[f"simulate{suffix}_s"] = t1 - t0
@@ -84,9 +92,11 @@ for suffix in ("", "_warm"):  # the second run drops the first debate first
             "moves_sha256": hashlib.sha256("\\n".join(trace.move_lines).encode()).hexdigest(),
             "simulate_dumps": simulate_dumps,
             "replay_settle_dumps": replay_dumps,
+            "simulate_verdicts": simulate_verdicts,
+            "replay_settle_verdicts": replay_verdicts,
         })
     del trace, twin
-json.dumps = dumps
+json.dumps, ToyVerifier.verdict = dumps, verdict
 print(json.dumps(out))
 """
 
@@ -103,8 +113,9 @@ def run_once(checkout: Path, k: int) -> dict[str, float | int | str]:
 
 def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, float | int | str]:
     if len({(r["nodes"], r["moves"], r["moves_sha256"], r["simulate_dumps"],
-             r["replay_settle_dumps"]) for r in runs}) != 1:
-        raise AssertionError(f"k={k}: repeats disagree on the debate or its encodes")
+             r["replay_settle_dumps"], r["simulate_verdicts"], r["replay_settle_verdicts"])
+            for r in runs}) != 1:
+        raise AssertionError(f"k={k}: repeats disagree on the debate, its encodes or verdicts")
     moves = runs[0]["moves"]
     point: dict[str, float | int | str] = {
         "k": k,
@@ -118,6 +129,7 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
         point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
     for name in ("simulate", "replay_settle"):
         point[f"{name}_dumps_per_move"] = round(runs[0][f"{name}_dumps"] / moves, 3)
+        point[f"{name}_verdicts_per_move"] = round(runs[0][f"{name}_verdicts"] / moves, 3)
     return point
 
 

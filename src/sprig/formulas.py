@@ -51,6 +51,7 @@ __all__ = [
     "is_int",
     "read_int",
     "read_bool",
+    "read_str",
     "read_object",
     "lookup",
     "MAX_FORMULA_DEPTH",
@@ -140,6 +141,13 @@ def read_bool(value: Any, name: str) -> bool:
     """`value` if it decoded from `true` or `false`, else a ParseError naming it."""
     if not isinstance(value, bool):
         raise ParseError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
+def read_str(value: Any, name: str) -> str:
+    """`value` if it decoded from a JSON string, else a ParseError naming it."""
+    if not isinstance(value, str):
+        raise ParseError(f"{name} must be a string, got {value!r}")
     return value
 
 

@@ -48,6 +48,7 @@ from .formulas import (
     is_int,
     parse_json,
     read_object,
+    read_str,
     text_hash,
 )
 from .proofs import MachineProof, ProofChain, measure_length, proof_from_json, validate_chain
@@ -1054,8 +1055,10 @@ def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     `seq` are integers (booleans are not), `actor` is a string, the first
     move is a root move, `seq` is the next sequence number, and the payload
     is an object with every field its kind of move reads (else a ParseError
-    such as `question payload needs origin`), in that order; `apply` checks
-    the rest, a question's `step` first.
+    such as `question payload needs origin`) whose `origin`, if it has one,
+    is a string (else a ParseError such as `question payload origin must be
+    a string, got [1]`), in that order; `apply` checks the rest, a
+    question's `step` first.
 
     Each move's payload text is composed once, by the instance that posts
     it, from the memoized canonical text of the decoded proof or statement,
@@ -1096,9 +1099,11 @@ def _decode_move(kind: str, actor: str, time: int, payload: Any) -> Move:
         return Move(kind, actor, time, statement=Statement.from_json(doc["statement"]))
     if kind == "question":
         doc = read_object(payload, "question payload", required=("origin", "step"))
-        return Move(kind, actor, time, doc["origin"], doc["step"])
+        origin = read_str(doc["origin"], "question payload origin")
+        return Move(kind, actor, time, origin, doc["step"])
     doc = read_object(payload, "answer claim payload", required=("origin", "proof"))
-    return Move(kind, actor, time, doc["origin"], proof=proof_from_json(doc["proof"]))
+    origin = read_str(doc["origin"], "answer claim payload origin")
+    return Move(kind, actor, time, origin, proof=proof_from_json(doc["proof"]))
 
 
 def _check_payload_hash(record: Mapping[str, Any]) -> None:

@@ -2,15 +2,17 @@
 
 Agents hold private knowledge (a proof tree with machine proofs at the leaves
 they can actually defend, plus the ground-truth soundness of every statement
-in it) and act through small strategy objects polled once per tick in a
-seeded random order. Intents that break protocol rules are rejected and
-logged, never fatal. When the horizon is reached the clock jumps past every
-open window and the instance settles. The trace of a run is the settled
-instance plus what the instance does not hold: the seed, the horizon, the
-opening balances, the rejected intents and the settlement transfers. Every
-other reading (move log, status events, payoffs, snapshot, metrics) is taken
-from the instance when asked for. A trace can re-drive the protocol from its
-own move log and must land on a byte-identical snapshot.
+in it, which the kernel judges when the agent's strategy first reads it, so an
+agent that never reads it never pays for it) and act through small strategy
+objects polled once per tick in a seeded random order. Intents that break
+protocol rules are rejected and logged, never fatal. When the horizon is
+reached the clock jumps past every open window and the instance settles. The
+trace of a run is the settled instance plus what the instance does not hold:
+the seed, the horizon, the opening balances, the rejected intents and the
+settlement transfers. Every other reading (move log, status events, payoffs,
+snapshot, metrics) is taken from the instance when asked for. A trace can
+re-drive the protocol from its own move log and must land on a byte-identical
+snapshot.
 
 The bundled strategies cover honest play (claimer, third-party defender,
 ground-truth skeptic) and the classic abuse patterns: carpet bombing every
@@ -23,6 +25,7 @@ copy-the-question defense that beats the plagiarist.
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Any, Iterable
 
 from . import Frozen, Record
@@ -85,8 +88,12 @@ class Knowledge(Record):
 
     `answers` maps a statement hash to the chain that proves it one level
     down; `machine_proofs` to a bottom-level proof. `truth` records which
-    statements the agent believes sound.
-    """
+    statements the agent believes sound. A `truth` given here is used as is;
+    one left out is judged on its first read, from the tree `build_knowledge`
+    indexed, and kept."""
+
+    # The tree whose soundness a first read of `truth` judges, if any.
+    _unjudged: ProofChain | None = None
 
     def __init__(
         self,
@@ -96,7 +103,15 @@ class Knowledge(Record):
     ) -> None:
         self.answers = {} if answers is None else answers
         self.machine_proofs = {} if machine_proofs is None else machine_proofs
-        self.truth = {} if truth is None else truth
+        if truth is not None:
+            self.truth = truth
+
+    @cached_property
+    def truth(self) -> dict[str, bool]:
+        truth: dict[str, bool] = {}
+        if self._unjudged is not None:
+            _judge(self._unjudged, self._unjudged.target, truth, ToyVerifier())
+        return truth
 
     def can_answer(self, statement: Statement, level: int) -> bool:
         h = statement.hash()
@@ -105,34 +120,46 @@ class Knowledge(Record):
         return h in self.machine_proofs
 
 
+def _judge(
+    chain: ProofChain, target: Statement, truth: dict[str, bool], checker: ToyVerifier
+) -> bool:
+    """Record in `truth` whether each step of `chain`, and `target`, is sound,
+    bottom-up (a step with no subproof is unsound: its owner has nothing to
+    defend it with), and return the target's soundness."""
+    sound_all = True
+    for step in chain.steps:
+        if isinstance(step.subproof, ProofChain):
+            sound = _judge(step.subproof, step.statement, truth, checker)
+        elif isinstance(step.subproof, MachineProof):
+            sound = checker.verdict(step.statement, step.subproof).validated
+        else:
+            sound = False
+        truth[step.statement.hash()] = sound
+        sound_all = sound_all and sound
+    truth[target.hash()] = sound_all
+    return sound_all
+
+
 def build_knowledge(tree: ProofChain | None) -> Knowledge:
     """Index a proof tree: subchains become answers, machine subproofs become
-    bottom-level material, soundness is judged bottom-up (a step with no
-    subproof is unsound: its owner has nothing to defend it with)."""
+    bottom-level material. Soundness is judged on the first read of the
+    result's `truth`, not here: the kernel checks each machine leaf then, and
+    never for an agent whose strategy does not read it."""
     know = Knowledge()
     if tree is None:
         return know
-    checker = ToyVerifier()
 
-    def walk(chain: ProofChain, target: Statement) -> bool:
-        sound_all = True
+    def index(chain: ProofChain) -> None:
         for step in chain.steps:
-            h = step.statement.hash()
             if isinstance(step.subproof, ProofChain):
-                know.answers[h] = step.subproof
-                sound = walk(step.subproof, step.statement)
+                know.answers[step.statement.hash()] = step.subproof
+                index(step.subproof)
             elif isinstance(step.subproof, MachineProof):
-                know.machine_proofs[h] = step.subproof
-                sound = checker.verdict(step.statement, step.subproof).validated
-            else:
-                sound = False
-            know.truth[h] = sound
-            sound_all = sound_all and sound
-        know.truth[target.hash()] = sound_all
-        return sound_all
+                know.machine_proofs[step.statement.hash()] = step.subproof
 
     know.answers[tree.target.hash()] = tree
-    walk(tree, tree.target)
+    index(tree)
+    know._unjudged = tree
     return know
 
 
@@ -339,8 +366,12 @@ class CarpetBomber(AgentStrategy):
         for c in ctx.open_claims():
             if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
                 continue
+            steps = len(c.proof.steps)
+            # It asks at most once per step: as many questions as steps is all.
+            if ctx.instance.posted_by(c.id, ctx.me) == steps:
+                continue
             cost = ctx.question_cost(c.level - 1)
-            for j in range(1, len(c.proof.steps) + 1):
+            for j in range(1, steps + 1):
                 if ctx.questioned_by_me(c.id, j):
                     continue
                 if cost <= budget:
@@ -848,9 +879,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
             verifier=config.verifier,
         )
 
-    knowledge = {a.name: build_knowledge(a.tree) for a in config.agents}
-    strategies = {a.name: a.strategy for a in config.agents}
-    rngs = {a.name: random.Random(f"{config.seed}/{a.name}") for a in config.agents}
+    # Each agent's name, strategy and context, built once and sorted by name:
+    # every tick shuffles a fresh copy of this order.
+    agents = [
+        (a.name, a.strategy, AgentContext(
+            instance, a.name, build_knowledge(a.tree), random.Random(f"{config.seed}/{a.name}")
+        ))
+        for a in sorted(config.agents, key=lambda a: a.name)
+    ]
     poll_rng = random.Random(f"{config.seed}/poll")
 
     rejections: list[RejectedIntent] = []
@@ -858,11 +894,10 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         instance.advance_clock(now)
         if config.mode == EARLY_STOP and instance.stopped_at is not None:
             break
-        order = sorted(strategies)
+        order = agents.copy()
         poll_rng.shuffle(order)
-        for name in order:
-            ctx = AgentContext(instance, name, knowledge[name], rngs[name])
-            for intent in strategies[name].decide(ctx):
+        for name, strategy, ctx in order:
+            for intent in strategy.decide(ctx):
                 try:
                     if isinstance(intent, QuestionIntent):
                         qid = instance.post_question(name, intent.origin, intent.step, now)

@@ -22,6 +22,7 @@ from sprig.equilibrium import EquilibriumSolution, McEstimate
 from sprig.formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl, neg
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import ProtocolError, ProtocolInstance
+from sprig.verifier import ToyVerifier
 
 # -- raw-JSON tokenizer (length measure oracle) ------------------------------
 
@@ -360,6 +361,40 @@ def scan_open_questions(instance: ProtocolInstance, now: int) -> list:
         q for q in instance.questions()
         if q.status == "pending" and deadline(instance.cascade, q) > now
     ]
+
+
+# -- soundness by eager walk ---------------------------------------------------
+#
+# `build_knowledge` used to judge a tree's soundness as it indexed it; it now
+# leaves that to the first read of `truth`, and the tests compare the two.
+
+
+def eager_truth(tree: ProofChain) -> dict[str, bool]:
+    """Each statement hash in `tree` mapped to its soundness, entered as a
+    post-order walk finishes the statement: a machine leaf is sound when the
+    kernel validates it, a chain step when every step of its subchain is, a
+    step with no subproof never, and a chain's target when all its steps
+    are."""
+    truth: dict[str, bool] = {}
+    kernel = ToyVerifier()
+
+    def sound(step: ChainStep) -> bool:
+        if isinstance(step.subproof, MachineProof):
+            return kernel.verdict(step.statement, step.subproof).validated
+        if isinstance(step.subproof, ProofChain):
+            return chain_sound(step.subproof, step.statement)
+        return False
+
+    def chain_sound(chain: ProofChain, target: Statement) -> bool:
+        verdicts = []
+        for step in chain.steps:
+            verdicts.append(sound(step))
+            truth[step.statement.hash()] = verdicts[-1]
+        truth[target.hash()] = all(verdicts)
+        return truth[target.hash()]
+
+    chain_sound(tree, tree.target)
+    return truth
 
 
 # -- random debate generator (fuzzing) ---------------------------------------

@@ -194,6 +194,31 @@ def test_run_flags_unreadable_records(capsys, tmp_path, name, index, edit, messa
     assert (code, out, err) == (1, "", f"error: illegal move at line {index + 1}: {message}\n")
 
 
+@pytest.mark.parametrize("index, kind", [(1, "question"), (2, "answer claim")],
+                         ids=["question", "answer-claim"])
+@pytest.mark.parametrize("origin", [[1], {"c": 1}, 1, 1.5, True, None],
+                         ids=["array", "object", "integer", "number", "boolean", "null"])
+def test_run_reads_a_payload_origin_as_a_string(capsys, tmp_path, index, kind, origin):
+    def edit(record):
+        record["payload"]["origin"] = origin
+
+    log, cascade = _rehashed_log(tmp_path, "validated_root_claim", index, edit)
+    code, out, err = run_cli(capsys, "run", log, cascade)
+    assert (code, out) == (1, "")
+    assert err == (f"error: illegal move at line {index + 1}: "
+                   f"{kind} payload origin must be a string, got {origin!r}\n")
+
+    # the same edit under the logged hash is reported as tampering
+    records = [json.loads(raw) for raw in Path(fixture_args("validated_root_claim")[0])
+               .read_text().splitlines()]
+    edit(records[index])
+    Path(log).write_text("".join(json.dumps(r) + "\n" for r in records))
+    code, out, err = run_cli(capsys, "run", log, cascade)
+    assert (code, out) == (1, "")
+    assert err == (f"error: illegal move at line {index + 1}: "
+                   f"payload hash mismatch at seq {index + 1}\n")
+
+
 @pytest.mark.parametrize(
     "index, edit, message",
     [

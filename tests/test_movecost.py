@@ -7,8 +7,10 @@ views must agree with full-tree scans at every poll, the work per move
 (proof serializations, JSON encodes, tree scans) must not grow with k, and a
 replay of its log encodes each payload once, as playing it did. Payloads are
 composed from the canonical text of what they post, so neither playing nor
-replaying a move calls `json.dumps`. Replay evaluates each node a bounded
-number of times and counts the tokens of each distinct formula once.
+replaying a move calls `json.dumps`. The simulated agents run the kernel on
+the posted machine answers only, and the bomber looks each step up once.
+Replay evaluates each node a bounded number of times and counts the tokens
+of each distinct formula once.
 """
 
 import functools
@@ -25,7 +27,8 @@ from sprig.formulas import Formula
 from sprig.proofs import MachineProof, ProofChain
 from sprig.protocol import EARLY_STOP, QUIESCENCE, ProtocolInstance, replay
 from sprig.scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
-from sprig.simulator import run_scenario
+from sprig.simulator import AgentContext, run_scenario
+from sprig.verifier import ToyVerifier
 
 import oracles
 
@@ -188,6 +191,41 @@ def test_no_preset_strategy_scans_the_whole_tree(name, mode, monkeypatch):
     settled_at_call = _spy_on_tree_scans(monkeypatch)
     run_scenario(scenario_from_json(doc))
     assert settled_at_call == []
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_simulating_runs_the_kernel_once_per_machine_answer(k, monkeypatch):
+    # The defender holds the tree, but its strategy never reads the tree's
+    # soundness, so the only verdicts are the instance's on each machine
+    # answer posted.
+    verdicts = [0]
+    verdict = ToyVerifier.verdict
+
+    def counted(self, *args):
+        verdicts[0] += 1
+        return verdict(self, *args)
+
+    monkeypatch.setattr(ToyVerifier, "verdict", counted)
+    trace = _wide_run(k)
+    machine_answers = [c for c in trace.instance.claims() if c.level == 0]
+    assert verdicts[0] == len(machine_answers) == k * k
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_the_bomber_looks_up_each_step_once(k, monkeypatch):
+    # A claim whose every step the bomber has questioned is skipped on one
+    # count, so each step is looked up in the poll that questions it only.
+    lookups = [0]
+    questioned_by_me = AgentContext.questioned_by_me
+
+    def counted(self, claim_id, step=None):
+        lookups[0] += step is not None
+        return questioned_by_me(self, claim_id, step)
+
+    monkeypatch.setattr(AgentContext, "questioned_by_me", counted)
+    trace = _wide_run(k)
+    bombs = [q for q in trace.instance.questions() if q.owner == "bomber"]
+    assert lookups[0] == len(bombs) == k + k * k
 
 
 # -- replay -------------------------------------------------------------------

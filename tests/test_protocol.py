@@ -1025,6 +1025,8 @@ MUTATED_LOGS = [
      (ProtocolError, "payload hash mismatch at seq 2")),
     ("stale-hash-unknown-origin", _stale(lambda r: r[3]["payload"].update(origin="c99")),
      (ProtocolError, "payload hash mismatch at seq 4")),
+    ("stale-hash-array-origin", _stale(lambda r: r[3]["payload"].update(origin=[1])),
+     (ProtocolError, "payload hash mismatch at seq 4")),
     ("stale-hash-undecodable-proof",
      _stale(lambda r: r[2]["payload"]["proof"].update(junk=1)),
      (ProtocolError, "payload hash mismatch at seq 3")),
@@ -1071,6 +1073,34 @@ def test_mutated_move_logs_are_accepted_or_rejected_as_pinned(mutate, expected):
     with pytest.raises(error) as caught:
         replay(lines, cascade, balances=balances)
     assert type(caught.value) is error and str(caught.value) == message
+
+
+# Every JSON type but a string, as a payload `origin`.
+NON_STRING_ORIGINS = [[1], {"c": 1}, 1, 1.5, True, None]
+NON_STRING_ORIGIN_IDS = ["array", "object", "integer", "number", "boolean", "null"]
+
+
+@pytest.mark.parametrize("index, kind", [(1, "question"), (2, "answer claim")],
+                         ids=["question", "answer-claim"])
+@pytest.mark.parametrize("origin", NON_STRING_ORIGINS, ids=NON_STRING_ORIGIN_IDS)
+def test_replay_line_reads_a_payload_origin_as_a_string(index, kind, origin):
+    fx = PROTOCOL_FIXTURES["validated_root_claim"]()
+    lines = (FIXTURE_DIR / "movelogs" / "validated_root_claim.jsonl").read_text().splitlines()
+    inst = replay(lines[:index], fx.cascade, balances=fx.balances)
+    before = inst.snapshot()
+    record = json.loads(lines[index])
+    stale_hash = record["payload_hash"]
+    record["payload"]["origin"] = origin
+    record["payload_hash"] = content_hash(record["payload"])
+    with pytest.raises(ParseError) as caught:
+        replay_line(inst, json.dumps(record), record)
+    assert str(caught.value) == f"{kind} payload origin must be a string, got {origin!r}"
+    # tampered with, the same line reports the hash first
+    record["payload_hash"] = stale_hash
+    with pytest.raises(ProtocolError) as caught:
+        replay_line(inst, json.dumps(record), record)
+    assert str(caught.value) == f"payload hash mismatch at seq {index + 1}"
+    assert inst.snapshot() == before
 
 
 # -- randomized cross-checks ------------------------------------------------------

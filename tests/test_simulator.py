@@ -44,6 +44,8 @@ from sprig.simulator import (
 )
 from sprig.verifier import ScriptedVerifier, ToyVerifier
 
+import oracles
+
 
 def run_preset(name):
     return run_scenario(scenario_from_json(preset_scenario(name)))
@@ -200,6 +202,64 @@ def test_knowledge_marks_undefendable_branches_dubious():
     assert rotten.can_answer(weak_step, 1)
     assert not rotten.can_answer(weak_step, 0)
     assert rotten.can_answer(tree.target, 1)
+
+
+def _count_verdicts(monkeypatch):
+    """A one-element list that counts kernel verdicts from now on."""
+    calls = [0]
+    verdict = ToyVerifier.verdict
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return verdict(self, *args, **kwargs)
+
+    monkeypatch.setattr(ToyVerifier, "verdict", counted)
+    return calls
+
+
+def _trees():
+    """The solid and rotten trees and every tree a preset agent holds."""
+    trees = {"solid": solid_tree(), "rotten": rotten_tree()}
+    for name in PRESET_NAMES:
+        config = scenario_from_json(preset_scenario(name))
+        trees.update((f"{name}/{a.name}", a.tree) for a in config.agents if a.tree is not None)
+    return trees
+
+
+def _machine_leaves(chain):
+    return sum(
+        _machine_leaves(s.subproof) if isinstance(s.subproof, ProofChain)
+        else isinstance(s.subproof, MachineProof)
+        for s in chain.steps
+    )
+
+
+TREES = _trees()
+
+
+@pytest.mark.parametrize("tree", list(TREES.values()), ids=list(TREES))
+def test_soundness_is_judged_once_on_the_first_read_of_truth(tree, monkeypatch):
+    expected = list(oracles.eager_truth(tree).items())
+    verdicts = _count_verdicts(monkeypatch)
+    know = build_knowledge(tree)
+    assert know.can_answer(tree.target, 1)
+    assert verdicts[0] == 0
+
+    truth = know.truth
+    assert verdicts[0] == _machine_leaves(tree)
+    assert list(truth.items()) == expected
+    # a second read judges nothing
+    assert know.truth is truth
+    assert verdicts[0] == _machine_leaves(tree)
+
+
+def test_a_given_truth_is_used_as_is(monkeypatch):
+    verdicts = _count_verdicts(monkeypatch)
+    given = {"h": False}
+    assert Knowledge(truth=given).truth is given
+    know = build_knowledge(rotten_tree())
+    know.truth = given
+    assert know.truth is given and verdicts[0] == 0
 
 
 def test_build_knowledge_of_nothing_is_empty():
