@@ -7,14 +7,18 @@ carpet-bombed wide debate (`wide_config` in perfbench/workloads.py:
 `replay` of the produced move log plus `advance_clock` and `settle`. Each
 repeat runs in a fresh interpreter with the seed 0, so that no memoized
 value, warm cache or garbage-collector state carries over from one run to
-the next. The child then drops that debate and times a second simulate and
-replay in the same interpreter: the cold numbers include first-call costs,
-the warm ones (`*_warm_*`) are what a process that replays log after log
-pays. Every replay must land on the simulated snapshot. Each point keeps
-the median seconds and the median µs per move, cold and warm, the
-`json.dumps` calls and kernel verdicts (`ToyVerifier.verdict`) per move
-(counted in the child during the cold run, for simulate and for replay +
-settle; the same in every repeat) and the sha256 of the move log.
+the next. The child then drops that debate and times `WARM_RUNS` more
+simulates and replays in the same interpreter, dropping each debate before
+the next, and reports the fastest of those: the cold numbers include
+first-call costs, the warm ones (`*_warm_*`) are what a process that replays
+log after log pays. Interference from other work only adds time, so the
+fastest of a child's warm runs is the steadiest estimate of its warm cost,
+steadier than their median or a single run. Every replay must land on the
+simulated snapshot. Each point keeps the median seconds and the median µs
+per move, cold and warm, the `json.dumps` calls and kernel verdicts
+(`ToyVerifier.verdict`) per move (counted in the child during the cold run,
+for simulate and for replay + settle; the same in every repeat) and the
+sha256 of the move log.
 
     python3 scripts/scaling.py --label NAME | --checkout ../parent [--label NAME]
 
@@ -39,9 +43,11 @@ from checkouts import interleave, parse_sides, write_sections
 KS = (8, 16, 24, 32, 48, 64)
 SEED = 0
 REPEATS = 5
-# Cold: the first simulate and replay in a fresh interpreter. Warm: a second
-# one in the same interpreter, after the first debate is dropped, as a
-# long-running verifier (and the benchmark's wide leg) replays.
+# Cold: the first simulate and replay in a fresh interpreter. Warm: the
+# fastest of the next WARM_RUNS in the same interpreter, each after the
+# previous debate is dropped, as a long-running verifier (and the
+# benchmark's wide leg) replays.
+WARM_RUNS = 7
 TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm")
 
 # One repeat: run in a fresh interpreter with the checkout's src/ and
@@ -64,10 +70,10 @@ def counted_verdict(self, *args, **kwargs):
     return verdict(self, *args, **kwargs)
 ToyVerifier.verdict = counted_verdict
 
-k, seed = int(sys.argv[1]), int(sys.argv[2])
+k, seed, warm_runs = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 config = wide_config(k, seed)
-out = {}
-for suffix in ("", "_warm"):  # the second run drops the first debate first
+out, warm = {}, {"simulate_warm_s": [], "replay_settle_warm_s": []}
+for run in range(1 + warm_runs):  # each run after the first drops the last debate first
     gc.collect()
     before, verdicts_before = calls[0], verdicts[0]
     t0 = time.perf_counter()
@@ -83,10 +89,13 @@ for suffix in ("", "_warm"):  # the second run drops the first debate first
     replay_verdicts = verdicts[0] - verdicts_before - simulate_verdicts
     if twin.snapshot() != trace.final_snapshot:
         raise AssertionError(f"k={k}: replayed snapshot differs from the simulated one")
-    out[f"simulate{suffix}_s"] = t1 - t0
-    out[f"replay_settle{suffix}_s"] = t2 - t1
-    if not suffix:
+    if run:
+        warm["simulate_warm_s"].append(t1 - t0)
+        warm["replay_settle_warm_s"].append(t2 - t1)
+    else:
         out.update({
+            "simulate_s": t1 - t0,
+            "replay_settle_s": t2 - t1,
             "nodes": len(trace.instance.nodes),
             "moves": len(trace.move_lines),
             "moves_sha256": hashlib.sha256("\\n".join(trace.move_lines).encode()).hexdigest(),
@@ -97,6 +106,7 @@ for suffix in ("", "_warm"):  # the second run drops the first debate first
         })
     del trace, twin
 json.dumps, ToyVerifier.verdict = dumps, verdict
+out.update({name: min(times) for name, times in warm.items()})
 print(json.dumps(out))
 """
 
@@ -105,7 +115,7 @@ def run_once(checkout: Path, k: int) -> dict[str, float | int | str]:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(checkout / "src"), str(checkout / "perfbench")])}
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, str(k), str(SEED)],
+        [sys.executable, "-c", CHILD, str(k), str(SEED), str(WARM_RUNS)],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
@@ -151,7 +161,7 @@ def main() -> int:
                 )
         print(json.dumps({label: points[label][-1] for label in sides}), file=sys.stderr)
 
-    write_sections(args.out, points, repeats=REPEATS, seed=SEED)
+    write_sections(args.out, points, repeats=REPEATS, warm_runs=WARM_RUNS, seed=SEED)
     return 0
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 from json.encoder import encode_basestring
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from . import Frozen, Record
 from .formulas import (
@@ -67,8 +67,7 @@ __all__ = [
     "LevelParameters",
     "MachineParameters",
     "ParameterCascade",
-    "ClaimNode",
-    "QuestionNode",
+    "Node",
     "Ledger",
     "Move",
     "MoveRecord",
@@ -99,32 +98,11 @@ class ProtocolError(Exception):
     """An operation violated the protocol rules."""
 
 
-class Timestamp(Frozen):
+class Timestamp(NamedTuple):
     """A move's place in the order of play: by time, then by seq."""
 
-    def __init__(self, time: int, seq: int = 0) -> None:
-        self._set_field("time", time)
-        self._set_field("seq", seq)
-
-    def __lt__(self, other: Timestamp) -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __le__(self, other: Timestamp) -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        return (self.time, self.seq) <= (other.time, other.seq)
-
-    def __gt__(self, other: Timestamp) -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        return (self.time, self.seq) > (other.time, other.seq)
-
-    def __ge__(self, other: Timestamp) -> bool:
-        if other.__class__ is not Timestamp:
-            return NotImplemented
-        return (self.time, self.seq) >= (other.time, other.seq)
+    time: int
+    seq: int = 0
 
     def __str__(self) -> str:
         return f"{self.time}.{self.seq}"
@@ -256,93 +234,58 @@ class ParameterCascade(Frozen):
 _CASCADE_FIELDS = _every_field(ParameterCascade)
 
 
-class ClaimNode(Record):
-    """A posted claim. `proof_hash` is the hash of the proof's canonical
-    JSON, taken from the move's payload text. `deadline` is the time its
-    question window closes; a machine claim's is its posting time, since the
-    verifier judges it at once. `children` are the questions on it, in
-    posting order, and the `decider` of an invalidated claim is the question
-    that defeated it; equality and repr leave both out."""
+class Node(Record):
+    """A posted claim or question, as its `kind` says. `deadline` is the
+    time its window closes: a claim's for questions (a machine claim's is its
+    posting time, since the verifier judges it at once), a question's for
+    answers. `children` are the questions on a claim or the answers to a
+    question, in posting order, and the `decider` is the child that decided
+    it: the question that defeated an invalidated claim, the answer that won
+    an answered question; equality and repr leave both out. Only a claim has
+    a `proof`, its `proof_hash` (the hash of the proof's canonical JSON, taken
+    from the move's payload text) and, at the machine level, a `verdict`;
+    only a question on a claim has a `step_index`."""
 
-    kind = "claim"
     _uncompared = ("children", "decider")
 
     def __init__(
         self,
+        kind: str,
         id: str,
         owner: str,
         level: int,
         statement: Statement,
-        proof: ProofChain | MachineProof,
-        proof_hash: str,
         posted_at: Timestamp,
         deadline: int,
         escrow: int,
         origin: str | None = None,
         status: str = PENDING,
         determination: Timestamp | None = None,
+        children: list[Node] | None = None,
+        decider: Node | None = None,
+        proof: ProofChain | MachineProof | None = None,
+        proof_hash: str | None = None,
         verdict: Verdict | None = None,
-        children: list[QuestionNode] | None = None,
-        decider: QuestionNode | None = None,
+        step_index: int | None = None,
     ) -> None:
+        self.kind = kind
         self.id = id
         self.owner = owner
         self.level = level
         self.statement = statement
+        self.posted_at = posted_at
+        self.deadline = deadline
+        self.escrow = escrow
+        self.origin = origin
+        self.status = status
+        self.determination = determination
+        self.children = [] if children is None else children
+        self.decider = decider
         self.proof = proof
         self.proof_hash = proof_hash
-        self.posted_at = posted_at
-        self.deadline = deadline
-        self.escrow = escrow
-        self.origin = origin
-        self.status = status
-        self.determination = determination
         self.verdict = verdict
-        self.children = [] if children is None else children
-        self.decider = decider
-
-
-class QuestionNode(Record):
-    """A posted question. `deadline` is the time its answer window closes.
-    `children` are the answers to it, in posting order, and the `decider` of
-    an answered question is the answer that won it; equality and repr leave
-    both out."""
-
-    kind = "question"
-    _uncompared = ("children", "decider")
-
-    def __init__(
-        self,
-        id: str,
-        owner: str,
-        level: int,
-        statement: Statement,
-        posted_at: Timestamp,
-        deadline: int,
-        escrow: int,
-        origin: str | None = None,
-        step_index: int | None = None,
-        status: str = PENDING,
-        determination: Timestamp | None = None,
-        children: list[ClaimNode] | None = None,
-        decider: ClaimNode | None = None,
-    ) -> None:
-        self.id = id
-        self.owner = owner
-        self.level = level
-        self.statement = statement
-        self.posted_at = posted_at
-        self.deadline = deadline
-        self.escrow = escrow
-        self.origin = origin
         self.step_index = step_index
-        self.status = status
-        self.determination = determination
-        self.children = [] if children is None else children
-        self.decider = decider
 
-
-Node = Union[ClaimNode, QuestionNode]
 
 _determination = attrgetter("determination")
 
@@ -531,15 +474,15 @@ class ProtocolInstance:
 
     # -- reading ----------------------------------------------------------
 
-    def claim(self, node_id: str) -> ClaimNode:
+    def claim(self, node_id: str) -> Node:
         node = self.nodes.get(node_id)
-        if not isinstance(node, ClaimNode):
+        if node is None or node.kind != "claim":
             raise ProtocolError(f"no such claim {node_id!r}")
         return node
 
-    def question(self, node_id: str) -> QuestionNode:
+    def question(self, node_id: str) -> Node:
         node = self.nodes.get(node_id)
-        if not isinstance(node, QuestionNode):
+        if node is None or node.kind != "question":
             raise ProtocolError(f"no such question {node_id!r}")
         return node
 
@@ -548,12 +491,12 @@ class ProtocolInstance:
         question, or questions on a claim (with `step`, on that step only)."""
         return self._posted_by.get((origin, owner, step), 0)
 
-    def claims(self) -> list[ClaimNode]:
+    def claims(self) -> list[Node]:
         """Every claim, in posting order (as are `questions` and `nodes`)."""
-        return [n for n in self.nodes.values() if isinstance(n, ClaimNode)]
+        return [n for n in self.nodes.values() if n.kind == "claim"]
 
-    def questions(self) -> list[QuestionNode]:
-        return [n for n in self.nodes.values() if isinstance(n, QuestionNode)]
+    def questions(self) -> list[Node]:
+        return [n for n in self.nodes.values() if n.kind == "question"]
 
     def posted_since(self, count: int) -> list[Node]:
         """The nodes posted after the first `count`, in posting order: a
@@ -613,9 +556,9 @@ class ProtocolInstance:
         self.nodes[node.id] = node
         self._posted.append(node)
         if node.origin is not None:
-            self.nodes[node.origin].children.append(node)  # type: ignore[arg-type]
+            self.nodes[node.origin].children.append(node)
             keys = [(node.origin, node.owner, None)]
-            if isinstance(node, QuestionNode):
+            if node.kind == "question":
                 keys.append((node.origin, node.owner, node.step_index))
             for key in keys:
                 self._posted_by[key] = self._posted_by.get(key, 0) + 1
@@ -684,23 +627,19 @@ class ProtocolInstance:
         if asks:
             payload = (f'{{"statement":{statement.canonical()}}}' if root
                        else f'{{"origin":"{origin}","step":{step}}}')
-            stamp = self._commit_move(time, move.actor, kind, payload)
-            node = QuestionNode(
-                id=node_id, owner=move.actor, level=level, statement=statement, posted_at=stamp,
-                deadline=deadline, escrow=deposit, origin=origin, step_index=step,
-            )
+            kind_fields = {"step_index": step}
         else:
             proof_json = proof.canonical()
             payload = (f'{{"chain":{proof_json}}}' if root
                        else f'{{"origin":"{origin}","proof":{proof_json}}}')
-            stamp = self._commit_move(time, move.actor, kind, payload)
-            node = ClaimNode(
-                id=node_id, owner=move.actor, level=level, statement=statement, proof=proof,
-                proof_hash=text_hash(proof_json), posted_at=stamp, deadline=deadline,
-                escrow=deposit, origin=origin, verdict=verdict,
-            )
+            kind_fields = {"proof": proof, "proof_hash": text_hash(proof_json), "verdict": verdict}
             if level == 0:
                 self.ledger.burn_from_escrow(node_id, cascade.machine.burn_cost)
+        stamp = self._commit_move(time, move.actor, kind, payload)
+        node = Node(
+            "question" if asks else "claim", node_id, move.actor, level, statement, stamp,
+            deadline, deposit, origin, **kind_fields,
+        )
         self._add_node(node)
         if root:
             self.root_id = node_id
@@ -733,7 +672,7 @@ class ProtocolInstance:
         names: set[str] = set()
         while origin is not None:
             node = self.nodes[origin]
-            if isinstance(node, ClaimNode) and isinstance(node.proof, ProofChain):
+            if isinstance(node.proof, ProofChain):
                 names |= node.proof.definitions.names()
             origin = node.origin
         return frozenset(names)
@@ -830,7 +769,7 @@ class ProtocolInstance:
         decisive child under `_RULES`, else None), or None while it is
         undecided. First is by determination, then by posting order: `min`
         keeps the earliest posted of equal determinations."""
-        if isinstance(node, ClaimNode) and node.level == 0:  # queued only when posted
+        if node.kind == "claim" and node.level == 0:  # queued only when posted
             ok = node.verdict is not None and node.verdict.validated
             return (VALIDATED if ok else INVALIDATED, node.posted_at, None)
         decisive, decided_as, needed, closed_as = _RULES[node.kind]
@@ -875,7 +814,7 @@ class ProtocolInstance:
             held = self.ledger.escrowed.get(node.id, 0)
             if node.status == PENDING:
                 pay(node.id, node.owner, held, "escrow refunded")
-            elif isinstance(node, ClaimNode):
+            elif node.kind == "claim":
                 if node.status == VALIDATED:
                     pay(node.id, node.owner, held, "stake returned")
                 elif node.level == 0:
@@ -921,7 +860,7 @@ class ProtocolInstance:
                 "statement": node.statement.hash(),
                 "status": node.status,
             }
-            if isinstance(node, ClaimNode):
+            if node.kind == "claim":
                 doc["proof"] = node.proof_hash
                 if node.verdict is not None:
                     doc["verdict"] = {

@@ -20,7 +20,6 @@ identical runs.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 from typing import Any, Iterable
@@ -993,13 +992,16 @@ PRESET_NAMES = tuple(_PRESETS)
 
 def preset_scenario(name: str) -> dict[str, Any]:
     """The named scenario as a JSON-able config dict, fresh on every call."""
-    try:
-        doc = copy.deepcopy(_PRESETS[name])
-    except KeyError:
-        raise KeyError(f"unknown scenario preset {name!r}") from None
-    for tree_name in doc.get("trees", {}):
-        doc["trees"][tree_name] = json.loads(_tree_text(tree_name))
-    return doc
+    if name not in _PRESETS:
+        raise KeyError(f"unknown scenario preset {name!r}")
+    return json.loads(_preset_text(name))
+
+
+@functools.cache
+def _preset_text(name: str) -> str:
+    """The named scenario's JSON text with its trees built, once per process."""
+    doc = _PRESETS[name]
+    return json.dumps({**doc, "trees": {t: json.loads(_tree_text(t)) for t in doc["trees"]}})
 
 
 @functools.cache

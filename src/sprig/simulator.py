@@ -36,11 +36,10 @@ from .protocol import (
     PENDING,
     QUIESCENCE,
     VALIDATED,
-    ClaimNode,
+    Node,
     ParameterCascade,
     ProtocolError,
     ProtocolInstance,
-    QuestionNode,
     SettlementTransfer,
     create_root_claim,
     create_root_question,
@@ -209,20 +208,20 @@ class AgentContext(Record):
     # deadline after the clock is in the index; after an early stop the index
     # also keeps windows that closed since, which the deadline test drops.
 
-    def open_questions(self) -> list[QuestionNode]:
+    def open_questions(self) -> list[Node]:
         now = self.instance.clock
         return [
             q
             for q in self.instance.open_nodes()
-            if isinstance(q, QuestionNode) and q.status == PENDING and q.deadline > now
+            if q.kind == "question" and q.status == PENDING and q.deadline > now
         ]
 
-    def open_claims(self) -> list[ClaimNode]:
+    def open_claims(self) -> list[Node]:
         now = self.instance.clock
         return [
             c
             for c in self.instance.open_nodes()
-            if isinstance(c, ClaimNode) and c.level >= 1 and c.deadline > now
+            if c.kind == "claim" and c.level >= 1 and c.deadline > now
         ]
 
     def answered_by_me(self, question_id: str) -> bool:
@@ -234,7 +233,7 @@ class AgentContext(Record):
     def questioned_by_me(self, claim_id: str, step: int | None = None) -> bool:
         return self.instance.posted_by(claim_id, self.me, step) > 0
 
-    def on_my_claim(self, q: QuestionNode) -> bool:
+    def on_my_claim(self, q: Node) -> bool:
         if q.origin is None:
             return False
         return self.instance.claim(q.origin).owner == self.me
@@ -289,14 +288,14 @@ class HonestClaimer(AgentStrategy):
         self.machine_first = read_bool(machine_first, "machine_first")
         self.delay = read_int(delay, "delay")
 
-    def _mine_to_defend(self, ctx: AgentContext, q: QuestionNode) -> bool:
+    def _mine_to_defend(self, ctx: AgentContext, q: Node) -> bool:
         if self.defend_others:
             return True
         if q.origin is None:
             return ctx.knowledge.can_answer(q.statement, q.level)
         return ctx.on_my_claim(q)
 
-    def pick_proof(self, ctx: AgentContext, q: QuestionNode) -> ProofChain | MachineProof | None:
+    def pick_proof(self, ctx: AgentContext, q: Node) -> ProofChain | MachineProof | None:
         h = q.statement.hash()
         machine = ctx.knowledge.machine_proofs.get(h)
         chain = ctx.knowledge.answers.get(h) if q.level >= 1 else None
@@ -450,13 +449,11 @@ class EvasiveProver(HonestClaimer):
         super().__init__(**kwargs)
         self.pad = read_int(pad, "pad")
 
-    def pick_proof(self, ctx: AgentContext, q: QuestionNode) -> ProofChain | MachineProof | None:
+    def pick_proof(self, ctx: AgentContext, q: Node) -> ProofChain | MachineProof | None:
         proof = super().pick_proof(ctx, q)
         if isinstance(proof, ProofChain):
             padded, decoy_proofs = pad_chain(proof, self.pad)
             ctx.knowledge.machine_proofs.update(decoy_proofs)
-            for h in decoy_proofs:
-                ctx.knowledge.truth.setdefault(h, True)
             return padded
         return proof
 
@@ -571,13 +568,13 @@ class Plagiarist(AgentStrategy):
             self._reading = (ctx.instance, ctx.me)
             self._read = 0
             self._seen: dict[str, ProofChain | MachineProof] = {}
-            self._asked_of_me: list[QuestionNode] = []
+            self._asked_of_me: list[Node] = []
         new = ctx.instance.posted_since(self._read)
         self._read += len(new)
         for node in new:
             if node.owner == ctx.me:
                 continue
-            if isinstance(node, ClaimNode):
+            if node.kind == "claim":
                 self._seen.setdefault(node.statement.hash(), node.proof)
             elif node.origin is not None and ctx.instance.claim(node.origin).owner == ctx.me:
                 self._asked_of_me.append(node)

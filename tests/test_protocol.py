@@ -7,6 +7,7 @@ pinned to each other.
 """
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -126,9 +127,19 @@ def test_cascade_lookups_fall_through_to_machine_row():
 
 
 def test_timestamp_ordering_and_rendering():
-    assert Timestamp(3, 1) < Timestamp(3, 2) < Timestamp(4, 0)
+    assert Timestamp(3, 1) < Timestamp(3, 2) < Timestamp(4) == Timestamp(4, 0)
+    assert Timestamp(4, 0) <= Timestamp(4, 0) and Timestamp(5, 0) >= Timestamp(4, 9)
+    assert max([Timestamp(4, 2), Timestamp(5, 0), Timestamp(4, 9)]) == Timestamp(5, 0)
     assert str(Timestamp(7, 2)) == "7.2"
     assert Timestamp(7, 2).to_json() == [7, 2]
+    stamp = Timestamp(7, 2)
+    with pytest.raises(AttributeError):
+        stamp.seq = 3
+    with pytest.raises(AttributeError):
+        stamp.other = 1
+    restored = pickle.loads(pickle.dumps(stamp))
+    assert restored == stamp and restored.__class__ is Timestamp
+    assert hash(restored) == hash(stamp)
 
 
 def test_unknown_mode_is_rejected():
@@ -792,6 +803,10 @@ REJECTIONS = [
      "window closed: claim 'c1' accepted questions before 4", True),
     ("no-such-question", _questioned, _answer(2, identity_chain(IDENT), origin="q9"),
      "no such question 'q9'", True),
+    ("question-on-a-question", _questioned, _question(2, origin="q2"), "no such claim 'q2'",
+     True),
+    ("answer-to-a-claim", _questioned, _answer(2, identity_chain(IDENT), origin="c1"),
+     "no such question 'c1'", True),
     ("closed-question-window", _questioned, _answer(4, identity_chain(IDENT)),
      "window closed: question 'q2' accepted answers before 4", True),
     ("level-0-chain", lambda: _questioned(root_level=1), _answer(2, identity_chain(IDENT)),

@@ -41,18 +41,14 @@ SAMPLES = {
     pf.ValidationReport: dict(violations=[pf.Violation("c", "p", "d")]),
     vf.Verdict: dict(validated=False, diagnostic=2),
     vf.ScriptedVerifier: dict(script={"c1": True}),
-    pr.Timestamp: dict(time=3, seq=1),
     pr.LevelParameters: dict(max_length=100, stake_up=0, stake_down=6, verification_time=4,
                              bounty=5, response_time=4),
     pr.MachineParameters: dict(max_length=80, stake_up=2, burn_cost=1, bounty=3, response_time=4),
     pr.ParameterCascade: dict(root_level=1, levels={1: _LEVEL}, machine=_MACHINE_PARAMS),
-    pr.ClaimNode: dict(id="c1", owner="ann", level=1, statement=_STATEMENT, proof=_CHAIN,
-                       proof_hash="ab", posted_at=_AT, deadline=7, escrow=6, origin="q0",
-                       status=pr.VALIDATED, determination=_AT, verdict=vf.Verdict(True),
-                       children=["q2"], decider="q3"),
-    pr.QuestionNode: dict(id="q2", owner="sam", level=0, statement=_STATEMENT, posted_at=_AT,
-                          deadline=7, escrow=3, origin="c1", step_index=1, status=pr.ANSWERED,
-                          determination=_AT, children=["c4"], decider="c4"),
+    pr.Node: dict(kind="claim", id="c1", owner="ann", level=1, statement=_STATEMENT,
+                  posted_at=_AT, deadline=7, escrow=6, origin="q0", status=pr.VALIDATED,
+                  determination=_AT, children=["q2"], decider="q3", proof=_CHAIN,
+                  proof_hash="ab", verdict=vf.Verdict(True), step_index=None),
     pr.Move: dict(kind="answer_claim", actor="ann", time=3, origin="q2", step=None,
                   statement=None, proof=_MACHINE),
     pr.MoveRecord: dict(seq=1, time=3, actor="ann", kind="question", payload_hash="ab",

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import sprig.scenarios as scenarios
+import sprig.simulator as simulator
 from sprig.formulas import Statement, atom
 from sprig.proofs import InferenceStep, MachineProof, ProofChain
 from sprig.protocol import (
@@ -67,6 +69,19 @@ PRESET_OUTCOMES = {
 
 def test_preset_catalogue_is_exactly_the_frozen_table():
     assert sorted(PRESET_OUTCOMES) == sorted(PRESET_NAMES)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_is_its_table_entry_with_its_trees_built_and_fresh_each_call(name):
+    entry = scenarios._PRESETS[name]
+    trees = {t: json.loads(scenarios._TREES[t]().canonical()) for t in entry["trees"]}
+    expected = {**entry, "trees": trees}
+    doc = preset_scenario(name)
+    assert doc == expected
+    assert json.dumps(doc) == json.dumps(expected)  # same key order, at every depth
+    doc["agents"][0]["balance"] = -1
+    doc["trees"].clear()
+    assert preset_scenario(name) == expected
 
 
 @pytest.mark.parametrize("name", sorted(PRESET_OUTCOMES))
@@ -452,6 +467,22 @@ def test_evasive_prover_posts_padded_answers():
             if s.statement.conclusion in s.statement.assumptions and not s.imports
         ]
         assert len(decoys) >= 2
+
+
+def test_the_evasive_prover_judges_no_soundness(monkeypatch):
+    """No strategy in the evasive preset reads `truth`, so its run judges no
+    tree, and plays the pinned trace."""
+    judge, judged = simulator._judge, []
+
+    def counted(*args):
+        judged.append(args[1])
+        return judge(*args)
+
+    monkeypatch.setattr(simulator, "_judge", counted)
+    lines = run_preset("evasive_prover").to_json_lines()
+    assert judged == []
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == PRESET_TRACE_DIGESTS["evasive_prover"][False]
 
 
 def test_trace_exports():
