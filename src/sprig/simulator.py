@@ -4,15 +4,16 @@ Agents hold private knowledge (a proof tree with machine proofs at the leaves
 they can actually defend, plus the ground-truth soundness of every statement
 in it, which the kernel judges when the agent's strategy first reads it, so an
 agent that never reads it never pays for it) and act through small strategy
-objects polled once per tick in a seeded random order. Intents that break
-protocol rules are rejected and logged, never fatal. When the horizon is
-reached the clock jumps past every open window and the instance settles. The
-trace of a run is the settled instance plus what the instance does not hold:
-the seed, the horizon, the opening balances, the rejected intents and the
-settlement transfers. Every other reading (move log, status events, payoffs,
-snapshot, metrics) is taken from the instance when asked for. A trace can
-re-drive the protocol from its own move log and must land on a byte-identical
-snapshot.
+objects polled once per tick in a seeded random order. A strategy returns
+protocol `Move`s and the run posts each through `ProtocolInstance.apply`,
+as it posts the root move; a move that breaks protocol rules is rejected and
+logged, never fatal. When the horizon is reached the clock jumps past every
+open window and the instance settles. The trace of a run is the settled
+instance plus what the instance does not hold: the seed, the horizon, the
+opening balances, the rejected moves and the settlement transfers. Every
+other reading (move log, status events, payoffs, snapshot, metrics) is taken
+from the instance when asked for. A trace can re-drive the protocol from its
+own move log and must land on a byte-identical snapshot.
 
 The bundled strategies cover honest play (claimer, third-party defender,
 ground-truth skeptic) and the classic abuse patterns: carpet bombing every
@@ -36,13 +37,12 @@ from .protocol import (
     PENDING,
     QUIESCENCE,
     VALIDATED,
+    Move,
     Node,
     ParameterCascade,
     ProtocolError,
     ProtocolInstance,
     SettlementTransfer,
-    create_root_claim,
-    create_root_question,
     replay,
 )
 from .verifier import ToyVerifier, UnscriptedVerdictError, VerifierBackend
@@ -57,8 +57,6 @@ __all__ = [
     "MAX_RUN_TICKS",
     "Knowledge",
     "build_knowledge",
-    "QuestionIntent",
-    "AnswerIntent",
     "AgentContext",
     "AgentStrategy",
     "IdleStrategy",
@@ -162,28 +160,6 @@ def build_knowledge(tree: ProofChain | None) -> Knowledge:
     return know
 
 
-class QuestionIntent(Frozen):
-    kind = "question"
-
-    def __init__(
-        self, origin: str, step: int, then_answer: ProofChain | MachineProof | None = None
-    ) -> None:
-        self._set_field("origin", origin)
-        self._set_field("step", step)
-        self._set_field("then_answer", then_answer)
-
-
-class AnswerIntent(Frozen):
-    kind = "answer"
-
-    def __init__(self, origin: str, proof: ProofChain | MachineProof) -> None:
-        self._set_field("origin", origin)
-        self._set_field("proof", proof)
-
-
-Intent = QuestionIntent | AnswerIntent
-
-
 class AgentContext(Record):
     """Read-only view handed to a strategy when it is polled."""
 
@@ -254,7 +230,12 @@ class AgentStrategy:
 
     PARAMS: frozenset[str] = frozenset()
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        """The moves to post now, in order, each by `ctx.me` at `ctx.now`
+        (one stamped otherwise is rejected unposted). A `question` move with
+        a `proof` asks and answers in one breath: the question is posted,
+        then, if it posted, an `answer_claim` with that proof; either failing
+        gives one rejection record for the pair."""
         return []
 
 
@@ -263,13 +244,13 @@ class IdleStrategy(AgentStrategy):
 
 
 class ScriptedStrategy(AgentStrategy):
-    """Plays back (time, intent) pairs; useful for fixed test traces."""
+    """Plays back moves, each at its `time`; useful for fixed test traces."""
 
-    def __init__(self, plays: Iterable[tuple[int, Intent]]):
-        self.plays = list(plays)
+    def __init__(self, moves: Iterable[Move]):
+        self.moves = list(moves)
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        return [intent for when, intent in self.plays if when == ctx.now]
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        return [move for move in self.moves if move.time == ctx.now]
 
 
 class HonestClaimer(AgentStrategy):
@@ -305,8 +286,8 @@ class HonestClaimer(AgentStrategy):
             return machine
         return chain if chain is not None else machine
 
-    def answer_intents(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = []
+    def answer_moves(self, ctx: AgentContext) -> list[Move]:
+        moves: list[Move] = []
         budget = ctx.balance()
         for q in ctx.open_questions():
             if not self._mine_to_defend(ctx, q) or ctx.answered_by_me(q.id):
@@ -318,12 +299,12 @@ class HonestClaimer(AgentStrategy):
                 continue
             cost = ctx.answer_cost(proof, q.level)
             if cost <= budget:
-                intents.append(AnswerIntent(q.id, proof))
+                moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
                 budget -= cost
-        return intents
+        return moves
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        return self.answer_intents(ctx)
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        return self.answer_moves(ctx)
 
 
 class HonestDefender(HonestClaimer):
@@ -337,8 +318,8 @@ class HonestDefender(HonestClaimer):
 class HonestSkeptic(AgentStrategy):
     """Questions every step it knows to be unsound, wherever it appears."""
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = []
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        moves: list[Move] = []
         budget = ctx.balance()
         for c in ctx.open_claims():
             if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
@@ -351,16 +332,16 @@ class HonestSkeptic(AgentStrategy):
                     continue
                 cost = ctx.question_cost(c.level - 1)
                 if cost <= budget:
-                    intents.append(QuestionIntent(c.id, j))
+                    moves.append(Move("question", ctx.me, ctx.now, c.id, j))
                     budget -= cost
-        return intents
+        return moves
 
 
 class CarpetBomber(AgentStrategy):
     """Questions every step of every claim it can afford, immediately."""
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = []
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        moves: list[Move] = []
         budget = ctx.balance()
         for c in ctx.open_claims():
             if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
@@ -374,16 +355,16 @@ class CarpetBomber(AgentStrategy):
                 if ctx.questioned_by_me(c.id, j):
                     continue
                 if cost <= budget:
-                    intents.append(QuestionIntent(c.id, j))
+                    moves.append(Move("question", ctx.me, ctx.now, c.id, j))
                     budget -= cost
-        return intents
+        return moves
 
 
 class Nitpicker(AgentStrategy):
     """One question per claim, chasing every answer down to the machine."""
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = []
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        moves: list[Move] = []
         budget = ctx.balance()
         for c in ctx.open_claims():
             if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
@@ -393,9 +374,9 @@ class Nitpicker(AgentStrategy):
             cost = ctx.question_cost(c.level - 1)
             if cost <= budget:
                 j = ctx.rng.randrange(len(c.proof.steps)) + 1
-                intents.append(QuestionIntent(c.id, j))
+                moves.append(Move("question", ctx.me, ctx.now, c.id, j))
                 budget -= cost
-        return intents
+        return moves
 
 
 def pad_chain(
@@ -469,8 +450,8 @@ class Sandbagger(HonestClaimer):
         super().__init__(**kwargs)
         self.copies = read_int(copies, "copies")
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = []
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        moves: list[Move] = []
         budget = ctx.balance()
         for q in ctx.open_questions():
             proof = self.pick_proof(ctx, q)
@@ -481,9 +462,9 @@ class Sandbagger(HonestClaimer):
             cost = ctx.answer_cost(proof, q.level)
             for _ in range(max(0, want - have)):
                 if cost <= budget:
-                    intents.append(AnswerIntent(q.id, proof))
+                    moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
                     budget -= cost
-        return intents
+        return moves
 
 
 class Misleader(HonestClaimer):
@@ -500,8 +481,8 @@ class Misleader(HonestClaimer):
             raise ValueError(f"unknown misleader variant {variant!r}")
         self.variant = variant
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = []
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        moves: list[Move] = []
         budget = ctx.balance()
 
         for c in ctx.open_claims():
@@ -516,10 +497,10 @@ class Misleader(HonestClaimer):
                 if self.variant == "immediate" and answer is not None:
                     cost += ctx.answer_cost(answer, c.level - 1)
                     if cost <= budget:
-                        intents.append(QuestionIntent(c.id, j, then_answer=answer))
+                        moves.append(Move("question", ctx.me, ctx.now, c.id, j, proof=answer))
                         budget -= cost
                 elif cost <= budget:
-                    intents.append(QuestionIntent(c.id, j))
+                    moves.append(Move("question", ctx.me, ctx.now, c.id, j))
                     budget -= cost
 
         for q in ctx.open_questions():
@@ -533,20 +514,17 @@ class Misleader(HonestClaimer):
                 continue
             cost = ctx.answer_cost(proof, q.level)
             if cost <= budget:
-                intents.append(AnswerIntent(q.id, proof))
+                moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
                 budget -= cost
 
         # The honest-claimer base still fields other people's questions, but
         # must keep its hands off the self-posed ones timed above.
         base = [
-            i
-            for i in super().decide(ctx)
-            if not (
-                isinstance(i, AnswerIntent)
-                and ctx.instance.question(i.origin).owner == ctx.me
-            )
+            m
+            for m in super().decide(ctx)
+            if not (m.kind == "answer_claim" and ctx.instance.question(m.origin).owner == ctx.me)
         ]
-        return intents + base
+        return moves + base
 
 
 class Plagiarist(AgentStrategy):
@@ -579,8 +557,8 @@ class Plagiarist(AgentStrategy):
             elif node.origin is not None and ctx.instance.claim(node.origin).owner == ctx.me:
                 self._asked_of_me.append(node)
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = []
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        moves: list[Move] = []
         budget = ctx.balance()
         self._catch_up(ctx)
 
@@ -598,7 +576,7 @@ class Plagiarist(AgentStrategy):
                 continue
             cost = ctx.answer_cost(proof, q.level)
             if cost <= budget:
-                intents.append(AnswerIntent(q.id, proof))
+                moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
                 budget -= cost
 
         open_claims = ctx.open_claims()
@@ -611,9 +589,9 @@ class Plagiarist(AgentStrategy):
                         continue
                     cost = ctx.question_cost(c.level - 1)
                     if cost <= budget:
-                        intents.append(QuestionIntent(c.id, j))
+                        moves.append(Move("question", ctx.me, ctx.now, c.id, j))
                         budget -= cost
-        return intents
+        return moves
 
 
 class CopycatDefender(HonestClaimer):
@@ -626,12 +604,10 @@ class CopycatDefender(HonestClaimer):
         kwargs.setdefault("machine_first", True)
         super().__init__(**kwargs)
 
-    def decide(self, ctx: AgentContext) -> list[Intent]:
-        intents: list[Intent] = list(self.answer_intents(ctx))
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        moves = self.answer_moves(ctx)
         budget = ctx.balance() - sum(
-            ctx.answer_cost(i.proof, ctx.instance.question(i.origin).level)
-            for i in intents
-            if isinstance(i, AnswerIntent)
+            ctx.answer_cost(m.proof, ctx.instance.question(m.origin).level) for m in moves
         )
         # Rival answers to the questions I answered, by question and then
         # by answer in posting order. A rival is worth questioning only while
@@ -657,9 +633,9 @@ class CopycatDefender(HonestClaimer):
                 proof = ctx.knowledge.machine_proofs[h]
                 cost = ctx.question_cost(rival.level - 1) + ctx.answer_cost(proof, 0)
                 if cost <= budget:
-                    intents.append(QuestionIntent(rival.id, j, then_answer=proof))
+                    moves.append(Move("question", ctx.me, ctx.now, rival.id, j, proof=proof))
                     budget -= cost
-        return intents
+        return moves
 
 
 class AgentSpec(Record):
@@ -841,11 +817,14 @@ class SimulationTrace(Record):
             raise AssertionError("replayed snapshot differs from the recorded run")
 
 
-def _intent_detail(intent: Intent) -> str:
-    if isinstance(intent, QuestionIntent):
-        extra = "+answer" if intent.then_answer is not None else ""
-        return f"question {intent.origin} step {intent.step}{extra}"
-    return f"answer {intent.origin}"
+def _rejection(now: int, name: str, move: Move, reason: str) -> RejectedIntent:
+    """The record of `move`, from `name`'s poll at `now`, rejected for `reason`."""
+    if move.kind == "question":
+        extra = "+answer" if move.proof is not None else ""
+        detail = f"question {move.origin} step {move.step}{extra}"
+        return RejectedIntent(now, name, "question", detail, reason)
+    kind = "answer" if move.kind == "answer_claim" else move.kind
+    return RejectedIntent(now, name, kind, f"{kind} {move.origin}", reason)
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationTrace:
@@ -853,28 +832,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     seed: agent polling order, every strategy's randomness and therefore the
     whole move log depend only on the configuration."""
     balances = {a.name: a.balance for a in config.agents}
-    if config.root_tree is not None:
-        instance = create_root_claim(
-            config.root_owner,
-            config.root_tree.target,
-            config.root_tree,
-            config.cascade,
-            config.root_time,
-            balances=balances,
-            mode=config.mode,
-            verifier=config.verifier,
-        )
-    else:
-        assert config.root_statement is not None
-        instance = create_root_question(
-            config.root_owner,
-            config.root_statement,
-            config.cascade,
-            config.root_time,
-            balances=balances,
-            mode=config.mode,
-            verifier=config.verifier,
-        )
+    instance = ProtocolInstance(
+        config.cascade, balances=balances, mode=config.mode, verifier=config.verifier
+    )
+    tree = config.root_tree
+    instance.apply(Move(
+        "root_question" if tree is None else "root_claim", config.root_owner, config.root_time,
+        statement=config.root_statement if tree is None else tree.target, proof=tree,
+    ))
 
     # Each agent's name, strategy and context, built once and sorted by name:
     # every tick shuffles a fresh copy of this order.
@@ -894,18 +859,19 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
         order = agents.copy()
         poll_rng.shuffle(order)
         for name, strategy, ctx in order:
-            for intent in strategy.decide(ctx):
+            for move in strategy.decide(ctx):
                 try:
-                    if isinstance(intent, QuestionIntent):
-                        qid = instance.post_question(name, intent.origin, intent.step, now)
-                        if intent.then_answer is not None:
-                            instance.post_answer_claim(name, qid, intent.then_answer, now)
-                    else:
-                        instance.post_answer_claim(name, intent.origin, intent.proof, now)
+                    # Checked here, before `apply` could move the clock.
+                    if move.actor != name or move.time != now:
+                        raise ProtocolError(
+                            f"move by {move.actor!r} at {move.time} from the poll of "
+                            f"{name!r} at {now}"
+                        )
+                    posted = instance.apply(move)
+                    if move.kind == "question" and move.proof is not None:
+                        instance.apply(Move("answer_claim", name, now, posted, proof=move.proof))
                 except (ProtocolError, UnscriptedVerdictError) as exc:
-                    rejections.append(
-                        RejectedIntent(now, name, intent.kind, _intent_detail(intent), str(exc))
-                    )
+                    rejections.append(_rejection(now, name, move, str(exc)))
 
     instance.advance_clock(instance.max_deadline())
     return SimulationTrace(

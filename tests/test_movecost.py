@@ -133,8 +133,7 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
     config = wide_config(k, 0)
     encodes = _count_json_dumps(monkeypatch)
     per_call: dict[str, set[int]] = {}
-    for name in ("apply", "post_question", "post_answer_claim",
-                 "move_log_lines", "snapshot"):
+    for name in ("apply", "move_log_lines", "snapshot"):
         original = getattr(ProtocolInstance, name)
 
         def counted(self, *args, name=name, original=original):
@@ -149,8 +148,6 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
     # snapshot is _wide_run's; run_scenario takes none.
     assert per_call == {
         "apply": {0},
-        "post_question": {0},
-        "post_answer_claim": {0},
         "move_log_lines": {0},
         "snapshot": {1},
     }

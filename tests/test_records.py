@@ -56,8 +56,6 @@ SAMPLES = {
     pr.SettlementTransfer: dict(node_id="c1", account="ann", amount=6, reason="stake returned"),
     sim.Knowledge: dict(answers={"h": _CHAIN}, machine_proofs={"g": _MACHINE},
                         truth={"h": True}),
-    sim.QuestionIntent: dict(origin="c1", step=2, then_answer=_MACHINE),
-    sim.AnswerIntent: dict(origin="q2", proof=_CHAIN),
     sim.AgentContext: dict(instance="instance", me="ann", knowledge=sim.Knowledge(), rng=None),
     sim.AgentSpec: dict(name="ann", balance=10, strategy="idle", tree=_CHAIN),
     sim.ScenarioConfig: dict(cascade=_CASCADE, agents=[sim.AgentSpec("ann", 10, "idle")],

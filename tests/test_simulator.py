@@ -13,7 +13,9 @@ from sprig.proofs import InferenceStep, MachineProof, ProofChain
 from sprig.protocol import (
     LevelParameters,
     MachineParameters,
+    Move,
     ParameterCascade,
+    ProtocolInstance,
     create_root_claim,
 )
 from sprig.scenarios import (
@@ -30,12 +32,10 @@ from sprig.simulator import (
     MAX_RUN_TICKS,
     AgentContext,
     AgentSpec,
-    AnswerIntent,
     CarpetBomber,
     IdleStrategy,
     Misleader,
     Plagiarist,
-    QuestionIntent,
     Sandbagger,
     ScenarioConfig,
     ScriptedStrategy,
@@ -354,7 +354,7 @@ def test_scripted_strategy_fires_at_its_cue():
         cascade=_tiny_cascade(),
         agents=[
             AgentSpec("amy", 100, IdleStrategy(), tree=tree),
-            AgentSpec("quin", 100, ScriptedStrategy([(2, QuestionIntent("c1", 1))])),
+            AgentSpec("quin", 100, ScriptedStrategy([Move("question", "quin", 2, "c1", 1)])),
         ],
         root_owner="amy",
         horizon=12,
@@ -373,22 +373,97 @@ def test_scripted_strategy_fires_at_its_cue():
 
 def test_rejected_intents_are_logged_and_harmless():
     tree = flat_tree()
+    # Machine proofs of the root's two steps: the first answers a question
+    # on step 1, the second targets another statement there.
+    proof1, proof2 = tree.steps[0].subproof, tree.steps[1].subproof
     config = ScenarioConfig(
         cascade=_tiny_cascade(),
         agents=[
-            AgentSpec("amy", 100, IdleStrategy(), tree=tree),
-            AgentSpec("quin", 100, ScriptedStrategy([(1, QuestionIntent("c1", 99))])),
+            AgentSpec("amy", 100, ScriptedStrategy([
+                Move("answer_claim", "amy", 4, "q2", proof=proof2),
+                Move("answer_claim", "amy", 5, "q2", proof=proof1),
+            ]), tree=tree),
+            AgentSpec("quin", 100, ScriptedStrategy([
+                Move("question", "quin", 1, "c1", 99),
+                # The question posts as q2 and stays; its answer fails.
+                Move("question", "quin", 2, "c1", 1, proof=proof2),
+                Move("question", "quin", 3, "c1", 99, proof=proof1),
+            ])),
         ],
         root_owner="amy",
         horizon=10,
         root_tree=tree,
     )
     trace = run_scenario(config)
-    assert trace.summary()["metrics"]["rejections"] == 1
-    rejection = trace.rejections[0]
-    assert rejection.actor == "quin"
-    assert "no such step" in rejection.reason
+    assert trace.summary()["metrics"]["rejections"] == 4
+    no_such_step = "no such step 99 in claim 'c1' (has 2)"
+    wrong_target = "structural violation: proof targets a different statement"
+    expected = [
+        (1, "quin", "question", "question c1 step 99", no_such_step),
+        (2, "quin", "question", "question c1 step 1+answer", wrong_target),
+        (3, "quin", "question", "question c1 step 99+answer", no_such_step),
+        (4, "amy", "answer", "answer q2", wrong_target),
+    ]
+    lines = [line for line in trace.to_json_lines() if '"record":"rejection"' in line]
+    assert lines == [
+        json.dumps({"actor": actor, "detail": detail, "kind": kind, "reason": reason,
+                    "record": "rejection", "time": time}, separators=(",", ":"))
+        for time, actor, kind, detail, reason in expected
+    ]
+    assert [(m.kind, m.actor, m.time) for m in trace.instance.moves] == [
+        ("root_claim", "amy", 0), ("question", "quin", 2), ("answer_claim", "amy", 5),
+    ]
     assert trace.instance.nodes["c1"].status == "validated"
+    trace.verify_replay()
+
+
+class _AtTickOne(ScriptedStrategy):
+    """Plays every move at tick 1, whatever its `time`."""
+
+    def decide(self, ctx):
+        return self.moves if ctx.now == 1 else []
+
+
+@pytest.mark.parametrize("strategy", [
+    ScriptedStrategy([Move("question", "amy", 1, "c1", 1)]),
+    _AtTickOne([Move("question", "quin", 9, "c1", 1)]),
+], ids=["another-actor", "a-later-time"])
+def test_a_move_stamped_for_another_agent_or_tick_is_rejected_before_apply(
+    strategy, monkeypatch
+):
+    applied = []
+    apply = ProtocolInstance.apply
+
+    def spy(self, move):
+        applied.append(move)
+        return apply(self, move)
+
+    monkeypatch.setattr(ProtocolInstance, "apply", spy)
+    tree = flat_tree()
+    config = ScenarioConfig(
+        cascade=_tiny_cascade(),
+        agents=[
+            AgentSpec("amy", 100, IdleStrategy(), tree=tree),
+            AgentSpec("ned", 100, ScriptedStrategy([Move("question", "ned", 3, "c1", 2)])),
+            AgentSpec("quin", 100, strategy),
+        ],
+        root_owner="amy",
+        horizon=10,
+        root_tree=tree,
+    )
+    trace = run_scenario(config)
+    [stamped] = strategy.moves
+    # Applied, the move stamped 9 would have moved the clock to 9, and the
+    # run would have stopped at tick 2 with the clock moving backwards.
+    assert all(move is not stamped for move in applied)
+    assert [r._asdict() for r in trace.rejections] == [{
+        "time": 1, "actor": "quin", "kind": "question", "detail": "question c1 step 1",
+        "reason": f"move by {stamped.actor!r} at {stamped.time} from the poll of 'quin' at 1",
+    }]
+    assert [(m.kind, m.actor, m.time) for m in trace.instance.moves] == [
+        ("root_claim", "amy", 0), ("question", "ned", 3),
+    ]
+    trace.verify_replay()
 
 
 def test_scenario_config_validation():
