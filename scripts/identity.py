@@ -6,8 +6,10 @@
 runs each command below once per checkout, DIR first, each in a fresh
 interpreter with that checkout's `src` on PYTHONPATH, PYTHONDONTWRITEBYTECODE
 set and SPRIG_SEED unset, and compares the exit code, the stdout and every
-file the command writes. Both sides read the same inputs, this checkout's
-fixtures. The commands are:
+file the command writes. DIR runs under PYTHONHASHSEED 0 and this checkout
+under 1, so equal bytes also show that the output does not depend on the
+string-hash seed. Both sides read the same inputs, this checkout's fixtures.
+The commands are:
 
 - `sprig simulate` of every preset with `--trace` and `--csv`, at the
   preset's own seed and at seeds 0, 1 and 7: by name, in the preset's own
@@ -35,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 SEEDS = (None, 0, 1, 7)
+# PYTHONHASHSEED of the other checkout and of this one.
+HASH_SEEDS = ("0", "1")
 OUTPUTS = ("trace.jsonl", "payoffs.csv")
 
 
@@ -62,12 +66,13 @@ def commands(scenarios: Path) -> list[list[str]]:
     return out
 
 
-def run(checkout: Path, args: list[str], cwd: Path) -> dict[str, bytes]:
-    """What `sprig ARGS` of `checkout` gives, run in the empty directory
-    `cwd`: its exit code, its stdout and each file it writes, by name; the
-    files are removed again."""
+def run(checkout: Path, args: list[str], cwd: Path, hash_seed: str) -> dict[str, bytes]:
+    """What `sprig ARGS` of `checkout` gives under PYTHONHASHSEED
+    `hash_seed`, run in the empty directory `cwd`: its exit code, its
+    stdout and each file it writes, by name; the files are removed again."""
     env = {k: v for k, v in os.environ.items() if k != "SPRIG_SEED"}
-    env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTHONHASHSEED=hash_seed)
     done = subprocess.run([sys.executable, "-m", "sprig.cli", *args], cwd=cwd, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
     got = {"exit code": str(done.returncode).encode(), "stdout": done.stdout}
@@ -103,7 +108,8 @@ def main() -> int:
         todo = commands(scenarios)
         for args in todo:
             shown = " ".join(Path(a).name if "/" in a else a for a in args)
-            difference = first_difference(run(checkout, args, before), run(ROOT, args, after))
+            difference = first_difference(run(checkout, args, before, HASH_SEEDS[0]),
+                                          run(ROOT, args, after, HASH_SEEDS[1]))
             if difference is not None:
                 print(f"DIFFERS  sprig {shown}: {difference}")
                 return 1

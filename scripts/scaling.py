@@ -18,7 +18,12 @@ simulated snapshot. Each point keeps the median seconds and the median µs
 per move, cold and warm, the `json.dumps` calls and kernel verdicts
 (`ToyVerifier.verdict`) per move (counted in the child during the cold run,
 for simulate and for replay + settle; the same in every repeat) and the
-sha256 of the move log.
+sha256 of the move log. It also keeps the resolution work per move, which
+no timing noise blurs: the rule evaluations (calls of `_close`, or of
+`_decide` in a checkout that rescans a node's children at every visit) and
+the children read off `Node.children`, counted after the timed runs in one
+more simulate and replay + settle, so that the counting costs no timed
+run anything.
 
     python3 scripts/scaling.py --label NAME | --checkout ../parent [--label NAME]
 
@@ -43,6 +48,9 @@ from checkouts import interleave, parse_sides, write_sections
 KS = (8, 16, 24, 32, 48, 64)
 SEED = 0
 REPEATS = 5
+# What each half counts, kept per move: `json.dumps` calls, kernel verdicts,
+# rule evaluations and children read.
+COUNTS = ("dumps", "verdicts", "evals", "children")
 # Cold: the first simulate and replay in a fresh interpreter. Warm: the
 # fastest of the next WARM_RUNS in the same interpreter, each after the
 # previous debate is dropped, as a long-running verifier (and the
@@ -54,7 +62,7 @@ TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm")
 # perfbench/ on the path; prints one JSON line.
 CHILD = """
 import gc, hashlib, json, sys, time
-from sprig.protocol import advance_clock, replay, settle
+from sprig.protocol import Node, ProtocolInstance, advance_clock, replay, settle
 from sprig.simulator import run_scenario
 from sprig.verifier import ToyVerifier
 from workloads import wide_config
@@ -107,6 +115,29 @@ for run in range(1 + warm_runs):  # each run after the first drops the last deba
     del trace, twin
 json.dumps, ToyVerifier.verdict = dumps, verdict
 out.update({name: min(times) for name, times in warm.items()})
+
+rule_name = "_close" if hasattr(ProtocolInstance, "_close") else "_decide"
+rule, init, evals, reads = getattr(ProtocolInstance, rule_name), Node.__init__, [0], [0]
+def counted_rule(self, *args):
+    evals[0] += 1
+    return rule(self, *args)
+class Counted(list):
+    def __iter__(self):
+        for child in list.__iter__(self):
+            reads[0] += 1
+            yield child
+def counted_init(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    self.children = Counted(self.children)
+setattr(ProtocolInstance, rule_name, counted_rule)
+Node.__init__ = counted_init
+trace = run_scenario(config)
+out.update(simulate_evals=evals[0], simulate_children=reads[0])
+evals[0] = reads[0] = 0
+twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
+advance_clock(twin, trace.final_clock)
+settle(twin)
+out.update(replay_settle_evals=evals[0], replay_settle_children=reads[0])
 print(json.dumps(out))
 """
 
@@ -122,10 +153,11 @@ def run_once(checkout: Path, k: int) -> dict[str, float | int | str]:
 
 
 def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, float | int | str]:
-    if len({(r["nodes"], r["moves"], r["moves_sha256"], r["simulate_dumps"],
-             r["replay_settle_dumps"], r["simulate_verdicts"], r["replay_settle_verdicts"])
+    halves = ("simulate", "replay_settle")
+    if len({(r["nodes"], r["moves"], r["moves_sha256"],
+             *(r[f"{half}_{count}"] for half in halves for count in COUNTS))
             for r in runs}) != 1:
-        raise AssertionError(f"k={k}: repeats disagree on the debate, its encodes or verdicts")
+        raise AssertionError(f"k={k}: repeats disagree on the debate or its counts")
     moves = runs[0]["moves"]
     point: dict[str, float | int | str] = {
         "k": k,
@@ -137,9 +169,9 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
         median = statistics.median(r[f"{name}_s"] for r in runs)
         point[f"{name}_s"] = round(median, 4)
         point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
-    for name in ("simulate", "replay_settle"):
-        point[f"{name}_dumps_per_move"] = round(runs[0][f"{name}_dumps"] / moves, 3)
-        point[f"{name}_verdicts_per_move"] = round(runs[0][f"{name}_verdicts"] / moves, 3)
+    for half in halves:
+        for count in COUNTS:
+            point[f"{half}_{count}_per_move"] = round(runs[0][f"{half}_{count}"] / moves, 3)
     return point
 
 

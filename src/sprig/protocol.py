@@ -11,13 +11,15 @@ deadline of its window, fixed when it is posted. Statuses propagate by one
 rule that claims and questions mirror (`_RULES`): a question is answered as
 soon as one of its claims validates, a claim dies as soon as one of its
 questions times out unanswered, and surviving nodes are confirmed when their
-windows close. Resolution is incremental and goes one instant at a time: a
-pending node can change only when it is posted, when its own window closes, or
-when one of its children determines, so each instant up to the clock
-re-evaluates just those nodes and their ancestors (children first) instead of
-the whole tree, and commits each status as soon as it is decided, with the
-child that decided it; an early stop ends at the instant where the root
-determines. Settlement then routes every escrowed token: stakes of dead claims
+windows close. Resolution goes one instant at a time and pushes each
+determination up to its origin as it commits: a window that closes closes its
+node if every child already has the status the rule needs (a machine claim
+closes by its verdict, at once), and a child that commits decides a pending
+origin if it is decisive, or else closes an origin whose window has closed
+once every child is in. So a determination costs one step up the tree, not a
+rescan of the children, and each status is committed with the child that
+decided it; an early stop ends at the instant where the root determines.
+Settlement then routes every escrowed token: stakes of dead claims
 pay the defeating question, bounties of answered questions pay the earliest
 validated answer (each the node's recorded decider), and anything still held
 by pending nodes (possible only when the game stops early at the root's
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 from json.encoder import encode_basestring
-from operator import attrgetter
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from . import Frozen, Record
@@ -115,6 +116,13 @@ def _integer(name: str, value: Any) -> int:
     """`value` if it is an integer (booleans are not), else a ProtocolError."""
     if not is_int(value):
         raise ProtocolError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _typed(name: str, value: Any, cls: type | tuple[type, ...], what: str) -> Any:
+    """`value` if it is a `cls`, else a ProtocolError saying it must be `what`."""
+    if not isinstance(value, cls):
+        raise ProtocolError(f"{name} must be {what}, got {value!r}")
     return value
 
 
@@ -286,8 +294,6 @@ class Node(Record):
         self.verdict = verdict
         self.step_index = step_index
 
-
-_determination = attrgetter("determination")
 
 # The resolution rule of each kind of node, which the two kinds mirror:
 # (decisive child status, the node's status then, the status every child
@@ -463,27 +469,25 @@ class ProtocolInstance:
         # committed one instant at a time, so this is (determination,
         # posted_at) order across all resolves: the trace's event order.
         self.determined: list[str] = []
-        # Resolution work queues: nodes to evaluate at the next instant, and
-        # (deadline, seq, id) for every window still open at the last
-        # instant resolved (the clock, or the root's instant after an early
-        # stop). `_open` holds the nodes of exactly those entries, in posting
-        # order; see `open_nodes`.
-        self._dirty: set[str] = set()
+        # Every window still open at the last instant resolved (the clock, or
+        # the root's instant after an early stop): a heap of (deadline, seq,
+        # id), popped as each window closes, and in `_open` the nodes of
+        # exactly those entries, in posting order; see `open_nodes`.
         self._deadlines: list[tuple[int, int, str]] = []
         self._open: dict[str, Node] = {}
 
     # -- reading ----------------------------------------------------------
 
     def claim(self, node_id: str) -> Node:
-        node = self.nodes.get(node_id)
-        if node is None or node.kind != "claim":
-            raise ProtocolError(f"no such claim {node_id!r}")
-        return node
+        return self._node("claim", node_id)
 
     def question(self, node_id: str) -> Node:
-        node = self.nodes.get(node_id)
-        if node is None or node.kind != "question":
-            raise ProtocolError(f"no such question {node_id!r}")
+        return self._node("question", node_id)
+
+    def _node(self, kind: str, node_id: Any) -> Node:
+        node = self.nodes.get(node_id) if isinstance(node_id, str) else None
+        if node is None or node.kind != kind:
+            raise ProtocolError(f"no such {kind} {node_id!r}")
         return node
 
     def posted_by(self, origin: str, owner: str, step: int | None = None) -> int:
@@ -550,9 +554,9 @@ class ProtocolInstance:
         return stamp
 
     def _add_node(self, node: Node) -> None:
-        """Link a freshly posted node into the tree and queue it for the next
-        resolve. Its origin needs no visit: a pending child cannot decide it,
-        and a child that determines queues its origin itself."""
+        """Link a freshly posted node into the tree and open its window. It
+        has no children, so only its window closing can change it, and a
+        pending child changes no origin."""
         self.nodes[node.id] = node
         self._posted.append(node)
         if node.origin is not None:
@@ -562,7 +566,6 @@ class ProtocolInstance:
                 keys.append((node.origin, node.owner, node.step_index))
             for key in keys:
                 self._posted_by[key] = self._posted_by.get(key, 0) + 1
-        self._dirty.add(node.id)
         heapq.heappush(self._deadlines, (node.deadline, node.posted_at.seq, node.id))
         self._open[node.id] = node
 
@@ -570,18 +573,24 @@ class ProtocolInstance:
 
     def apply(self, move: Move) -> str:
         """Post `move` and return the new node's id. Each rule of the kind is
-        checked in a fixed order, a question's `step` type before the clock
-        moves and every other after `_begin_move`; then the deposit is locked
-        (a machine answer gets its verdict first), the move committed, the
-        node linked and the tree resolved. A rejected move does at most what
-        `advance_clock` to its time does."""
+        checked in a fixed order, the actor's and a question's `step` types
+        before the clock moves and every other after `_begin_move`; then the
+        deposit is locked (a machine answer gets its verdict first), the move
+        committed, the node linked and the tree resolved. A rejected move
+        does at most what `advance_clock` to its time does. A field the kind
+        reads is checked before it is used: the actor is a string, a root's
+        statement a `Statement`, an origin the id of a node of its kind, and
+        a proof a chain (or an answer's machine proof)."""
         kind, proof = move.kind, move.proof
         root = self._check_kind(kind)
         origin, step = (None, None) if root else (move.origin, move.step)
+        actor = _typed("actor", move.actor, str, "a string")
         if kind == "question":
             _integer("step", step)
         time = self._begin_move(move.time)
         cascade, level, statement = self.cascade, self.cascade.root_level, move.statement
+        if root:
+            _typed("statement", statement, Statement, "a Statement")
         asks = kind.endswith("question")
         node_id = f"{'q' if asks else 'c'}{self._next_seq}"
         verdict: Verdict | None = None
@@ -607,6 +616,7 @@ class ProtocolInstance:
         if asks:
             deposit, deadline = cascade.bounty(level), time + cascade.response_time(level)
         elif root or isinstance(proof, ProofChain):
+            _typed("proof", proof, ProofChain, "a chain")
             if level < 1:
                 raise ProtocolError("level-0 questions take machine proofs only")
             params = cascade.levels[level]
@@ -617,13 +627,14 @@ class ProtocolInstance:
             deposit = params.stake_up + params.stake_down
             deadline = time + params.verification_time
         else:
+            _typed("proof", proof, MachineProof, "a chain or a machine proof")
             if proof.target != statement:
                 raise ProtocolError("structural violation: proof targets a different statement")
             _check_length(proof, cascade.machine.max_length)
             level, deadline = 0, time
             deposit = cascade.machine.stake_up + cascade.machine.burn_cost
             verdict = self.verifier.verdict(statement, proof, node_id)
-        self.ledger.lock(move.actor, node_id, deposit)
+        self.ledger.lock(actor, node_id, deposit)
         if asks:
             payload = (f'{{"statement":{statement.canonical()}}}' if root
                        else f'{{"origin":"{origin}","step":{step}}}')
@@ -635,9 +646,9 @@ class ProtocolInstance:
             kind_fields = {"proof": proof, "proof_hash": text_hash(proof_json), "verdict": verdict}
             if level == 0:
                 self.ledger.burn_from_escrow(node_id, cascade.machine.burn_cost)
-        stamp = self._commit_move(time, move.actor, kind, payload)
+        stamp = self._commit_move(time, actor, kind, payload)
         node = Node(
-            "question" if asks else "claim", node_id, move.actor, level, statement, stamp,
+            "question" if asks else "claim", node_id, actor, level, statement, stamp,
             deadline, deposit, origin, **kind_fields,
         )
         self._add_node(node)
@@ -713,75 +724,64 @@ class ProtocolInstance:
             instant = self.clock
             if self._deadlines and self._deadlines[0][0] < instant:
                 instant = self._deadlines[0][0]
+            decided: list[Node] = []
             while self._deadlines and self._deadlines[0][0] == instant:
-                node_id = heapq.heappop(self._deadlines)[2]
-                del self._open[node_id]
-                self._dirty.add(node_id)
-            changed += self._fixpoint(instant)
+                self._close(self._open.pop(heapq.heappop(self._deadlines)[2]), decided)
+            decided.sort(key=lambda n: (n.determination, n.posted_at))
+            self.determined += [n.id for n in decided]
+            changed += [(n.id, n.status, n.determination) for n in decided]
             if self.mode == EARLY_STOP and self.root_id is not None:
                 self.stopped_at = self.nodes[self.root_id].determination
             if instant == self.clock:
                 break
         return changed
 
-    def _fixpoint(self, instant: int) -> list[tuple[str, str, Timestamp]]:
-        """Commit the determinations at `instant` among the queued nodes and
-        their ancestors; return them in (determination, posted_at) order. A
-        pending node can change only when it is posted, when its window
-        closes, or when a child determines, so only those nodes are queued.
-        A node left undecided needs no new queue entry: if its window is
-        still open, its deadline entry is still in `_deadlines`; if not, it
-        waits on a pending child, which queues it on determining.
-
-        Nodes are evaluated in descending posting order. A child is always
-        posted after its parent, so every child is final before its parent
-        reads it. Every earlier instant is already committed, so a node
-        decided here is determined exactly at `instant`, and each status is
-        committed as soon as it is decided: the "first" in "first unanswered
-        question defeats the claim" and "first validated answer wins" means
-        first in debate time. A node that determines queues its origin.
-        """
-        if not self._dirty:
-            return []
-        queued, self._dirty = self._dirty, set()
-        queue = [(-self.nodes[node_id].posted_at.seq, node_id) for node_id in queued]
-        heapq.heapify(queue)
-        decided: list[Node] = []
-        while queue:
-            node = self.nodes[heapq.heappop(queue)[1]]
-            if node.status != PENDING:
-                continue
-            outcome = self._decide(node, instant)
-            if outcome is None:
-                continue
-            node.status, node.determination, node.decider = outcome
-            decided.append(node)
-            origin = node.origin
-            if origin is not None and origin not in queued:
-                queued.add(origin)
-                heapq.heappush(queue, (-self.nodes[origin].posted_at.seq, origin))
-        decided.sort(key=lambda n: (n.determination, n.posted_at))
-        self.determined += [n.id for n in decided]
-        return [(n.id, n.status, n.determination) for n in decided]
-
-    def _decide(self, node: Node, instant: int) -> tuple[str, Timestamp, Node | None] | None:
-        """The node's status, determination and deciding child (its first
-        decisive child under `_RULES`, else None), or None while it is
-        undecided. First is by determination, then by posting order: `min`
-        keeps the earliest posted of equal determinations."""
-        if node.kind == "claim" and node.level == 0:  # queued only when posted
+    def _close(self, node: Node, decided: list[Node]) -> None:
+        """Close `node`'s window, at its deadline: a machine claim commits its
+        verdict, and any other pending node its closing status under `_RULES`
+        if every child already has the status the rule needs. A node with a
+        decisive child was decided when that child committed, and one with a
+        pending child is closed by the last of its children to commit."""
+        if node.kind == "claim" and node.level == 0:
             ok = node.verdict is not None and node.verdict.validated
-            return (VALIDATED if ok else INVALIDATED, node.posted_at, None)
-        decisive, decided_as, needed, closed_as = _RULES[node.kind]
-        children = node.children
-        won = [c for c in children if c.status == decisive]
-        if won:
-            first = min(won, key=_determination)
-            return (decided_as, first.determination, first)
-        if node.deadline <= instant and all(c.status == needed for c in children):
-            closed = [Timestamp(node.deadline, 0)] + [c.determination for c in children]
-            return (closed_as, max(closed), None)
-        return None
+            self._commit(node, VALIDATED if ok else INVALIDATED, node.posted_at, decided)
+        elif node.status == PENDING:
+            _, _, needed, closed_as = _RULES[node.kind]
+            if all(c.status == needed for c in node.children):
+                self._commit(node, closed_as, Timestamp(node.deadline, 0), decided)
+
+    def _commit(
+        self, node: Node, status: str, determination: Timestamp, decided: list[Node]
+    ) -> None:
+        """Commit `status` at `determination` to `node` and push it up, in a
+        loop, as a cascade may be hundreds of levels deep. A decisive child
+        decides a pending origin as its decider; any other child closes an
+        origin whose window has closed once every child has the status the
+        rule needs. The origin takes the child's determination, the current
+        instant's. The decider is the first decisive child by determination,
+        then by posting order: an earlier-posted sibling that commits later
+        in the same instant, through its own subtree, takes over (only a
+        decisive child finds its origin decided, as a closed one waited for
+        every child)."""
+        decider: Node | None = None
+        while True:
+            node.status, node.determination, node.decider = status, determination, decider
+            decided.append(node)
+            if node.origin is None:
+                return
+            child, node = node, self.nodes[node.origin]
+            decisive, decided_as, needed, closed_as = _RULES[node.kind]
+            if node.status != PENDING:
+                if (child.status == decisive and node.determination == determination
+                        and child.posted_at < node.decider.posted_at):
+                    node.decider = child
+                return
+            if child.status == decisive:
+                status, decider = decided_as, child
+            elif node.id not in self._open and all(c.status == needed for c in node.children):
+                status, decider = closed_as, None
+            else:
+                return
 
     # -- settlement ---------------------------------------------------------
 
@@ -1010,9 +1010,8 @@ def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     the tampering broke."""
     record = read_object(record, "move", required=_MOVE_FIELDS)
     try:
-        kind, actor, time = record["kind"], record["actor"], _integer("time", record["time"])
-        if not isinstance(actor, str):
-            raise ProtocolError(f"actor must be a string, got {actor!r}")
+        kind, time = record["kind"], _integer("time", record["time"])
+        actor = _typed("actor", record["actor"], str, "a string")
         if instance.root_id is None and kind not in ("root_claim", "root_question"):
             raise ProtocolError(f"log must start with a root move, got {kind!r}")
         seq = _integer("seq", record["seq"])

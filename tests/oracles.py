@@ -5,7 +5,7 @@ library code paths under test: `document_json` is the reference encoder of
 proof documents, read off the objects' fields and checked against their
 `canonical()` text, the tokenizer walks plain dicts, the status
 evaluator is a direct recursive reading of the resolution rules rather than
-an incremental fixpoint, the equilibrium oracle runs on `Fraction` so
+the engine's incremental push up, the equilibrium oracle runs on `Fraction` so
 the frozen spot values in the tests carry no float noise, and the Monte Carlo
 reference draws all of its uniforms at once instead of streaming them.
 """

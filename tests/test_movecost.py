@@ -9,8 +9,8 @@ replay of its log encodes each payload once, as playing it did. Payloads are
 composed from the canonical text of what they post, so neither playing nor
 replaying a move calls `json.dumps`. The simulated agents run the kernel on
 the posted machine answers only, and the bomber looks each step up once.
-Replay evaluates each node a bounded number of times and counts the tokens
-of each distinct formula once.
+Replay evaluates each node a bounded number of times, reads a bounded number
+of children per move, and counts the tokens of each distinct formula once.
 """
 
 import functools
@@ -25,7 +25,7 @@ import pytest
 from sprig import formulas
 from sprig.formulas import Formula
 from sprig.proofs import MachineProof, ProofChain
-from sprig.protocol import EARLY_STOP, QUIESCENCE, ProtocolInstance, replay
+from sprig.protocol import EARLY_STOP, QUIESCENCE, Node, ProtocolInstance, replay
 from sprig.scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
 from sprig.simulator import AgentContext, run_scenario
 from sprig.verifier import ToyVerifier
@@ -275,23 +275,45 @@ def test_replayed_formulas_leave_the_intern_table_with_their_instance():
     assert len(formulas._interned) <= before
 
 
-def _count_decides(monkeypatch):
-    """A one-element list that counts `_decide` evaluations from now on."""
+def _count_closes(monkeypatch):
+    """A one-element list that counts the windows `_close` evaluates from
+    now on."""
     calls = [0]
-    decide = ProtocolInstance._decide
+    close = ProtocolInstance._close
 
-    def counted(self, node, instant):
+    def counted(self, node, decided):
         calls[0] += 1
-        return decide(self, node, instant)
+        return close(self, node, decided)
 
-    monkeypatch.setattr(ProtocolInstance, "_decide", counted)
+    monkeypatch.setattr(ProtocolInstance, "_close", counted)
     return calls
+
+
+def _count_children_read(monkeypatch):
+    """A one-element list that counts, from now on, the children read off
+    the `children` of each node created from now on."""
+    reads = [0]
+
+    class Counted(list):
+        def __iter__(self):
+            for child in list.__iter__(self):
+                reads[0] += 1
+                yield child
+
+    init = Node.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.children = Counted(self.children)
+
+    monkeypatch.setattr(Node, "__init__", counted_init)
+    return reads
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_a_resolve_with_nothing_to_do_evaluates_no_node(k, monkeypatch):
     twin = _wide_replay(run_scenario(wide_config(k, 0)))
-    calls = _count_decides(monkeypatch)
+    calls = _count_closes(monkeypatch)
     assert twin.resolve() == []
     # up to the instant before the next window closes: still nothing expires
     next_deadline = min(entry[0] for entry in twin._deadlines)
@@ -302,12 +324,27 @@ def test_a_resolve_with_nothing_to_do_evaluates_no_node(k, monkeypatch):
 
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_node_evaluations_per_replayed_move_do_not_grow_with_the_tree(k, monkeypatch):
-    # A node is evaluated when it is posted and when its window closes, and
-    # a move's own resolve with nothing queued evaluates nothing.
+    # A node's rule is evaluated when its window closes; a commit pushes the
+    # determination up without evaluating the origin's window, and a move's
+    # own resolve with no window closing evaluates nothing.
     trace = run_scenario(wide_config(k, 0))
-    calls = _count_decides(monkeypatch)
+    calls = _count_closes(monkeypatch)
     _wide_replay(trace)
     assert 0 < calls[0] <= 2 * len(trace.move_lines)
+
+
+@pytest.mark.parametrize("k", [8, 16, 24])
+def test_children_read_per_replayed_move_do_not_grow_with_the_tree(k, monkeypatch):
+    # A closing window reads its node's children once, and a committed child
+    # reads its origin's only when the origin's window has already closed.
+    trace = run_scenario(wide_config(k, 0))
+    reads = _count_children_read(monkeypatch)
+    twin = _wide_replay(trace)
+    twin.advance_clock(trace.final_clock)
+    assert [n.status for n in twin.nodes.values()] == [
+        n.status for n in trace.instance.nodes.values()
+    ]
+    assert 0 < reads[0] <= 2 * len(trace.move_lines)
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])

@@ -452,13 +452,13 @@ def test_a_machine_leaf_in_a_wide_tree_evaluates_only_its_ancestors(monkeypatch)
     assert len(inst.nodes) == 2 * k * k + 2 * k  # all but the last leaf
 
     calls = []
-    decide = ProtocolInstance._decide
+    close = ProtocolInstance._close
 
-    def counted(self, node, instant):
+    def counted(self, node, decided):
         calls.append(node.id)
-        return decide(self, node, instant)
+        return close(self, node, decided)
 
-    monkeypatch.setattr(ProtocolInstance, "_decide", counted)
+    monkeypatch.setattr(ProtocolInstance, "_close", counted)
     now = 2
     expired = sum(inst.clock < n.deadline <= now for n in inst.nodes.values())
     leaf = post_answer_claim(inst, "amy", open_leaves[-1], machine_answer(IDENT), now)
@@ -468,6 +468,33 @@ def test_a_machine_leaf_in_a_wide_tree_evaluates_only_its_ancestors(monkeypatch)
     assert (depth, expired) == (4, 0)
     assert len(calls) <= depth + expired
     assert inst.nodes[open_leaves[-1]].status == "answered"
+
+
+def test_an_800_level_debate_resolves():
+    # A cascade file sets `root_level`, so the determinations of one instant
+    # can climb 1,601 nodes: the push up must not recurse.
+    levels = 800
+    row = LevelParameters(10**6, 0, 1, 10, 1, 10)
+    cascade = ParameterCascade(
+        root_level=levels, levels=dict.fromkeys(range(1, levels + 1), row),
+        machine=MachineParameters(10**6, 0, 0, 1, 10),
+    )
+    inst = create_root_claim(
+        "amy", IDENT, identity_chain(IDENT), cascade, 0, balances={"amy": 10**6, "quin": 10**6}
+    )
+    claim = inst.root_id
+    for level in range(levels, 0, -1):
+        question = inst.post_question("quin", claim, 1, 1)
+        claim = inst.post_answer_claim(
+            "amy", question, identity_chain(IDENT) if level > 1 else machine_answer(IDENT), 1
+        )
+    assert len(inst.nodes) == 2 * levels + 1
+    advance_clock(inst, inst.max_deadline())
+    assert {n.status for n in inst.claims()} == {"validated"}
+    assert {n.status for n in inst.questions()} == {"answered"}
+    assert inst.nodes[inst.root_id].determination == Timestamp(11, 0)
+    settle(inst)
+    assert inst.ledger.balances == {"amy": 10**6 + levels, "quin": 10**6 - levels}
 
 
 # -- the six scripted fixtures ----------------------------------------------------
@@ -789,6 +816,8 @@ REJECTIONS = [
      "log must start with a root move, got 'answer_claim'", False),
     ("bad-step-type", fresh_claim_root, _question(1, step=True),
      "step must be an integer, got True", False),
+    ("bad-actor-type", fresh_claim_root, Move("question", ["quin"], 1, "c1", 1),
+     "actor must be a string, got ['quin']", False),
     ("time-backwards", _clock_at(3), _question(2), "time moving backwards: move at 2, clock at 3",
      False),
     ("settled", _settled, _question(9), "instance already settled", False),
@@ -896,6 +925,48 @@ def test_apply_names_an_unknown_kind_before_asking_for_a_root():
     assert inst.clock == 0 and inst.moves == []
 
 
+# A field a kind reads, given a value of the wrong type, is a ProtocolError
+# that names the field (an origin as `no such ...`, as an unknown id is) and
+# leaves the instance as an `advance_clock` to the move's time leaves it (the
+# actor's before the clock moves, as a log's is).
+
+_BAD_VALUES = [None, 7, 2.5, ["c1"], {"c1": 1}, ("c1",), b"c1"]
+_READ_FIELDS = [
+    # (setup, move, the fields the move's kind reads, extra bad values)
+    (_rootless, _root_claim(1), ("actor", "statement", "proof"),
+     {"statement": ["x", identity_chain(IDENT)], "proof": ["x", IDENT, machine_answer(IDENT)]}),
+    (_rootless, Move("root_question", "quin", 1, statement=IDENT), ("actor", "statement"),
+     {"statement": ["x", IDENT.conclusion, identity_chain(IDENT)]}),
+    (fresh_claim_root, _question(1), ("actor", "origin"), {"origin": ["q2", 1]}),
+    (_questioned, _answer(2, identity_chain(IDENT)), ("actor", "origin", "proof"),
+     {"origin": ["c1", 2], "proof": ["x", IDENT]}),
+]
+
+
+def _short(value):
+    return repr(value) if len(repr(value)) < 12 else type(value).__name__
+
+
+_BAD_FIELDS = [
+    pytest.param(setup, move, field, bad, id=f"{move.kind}-{field}-{_short(bad)}")
+    for setup, move, fields, extra in _READ_FIELDS
+    for field in fields
+    for bad in _BAD_VALUES + extra.get(field, [])
+]
+
+
+@pytest.mark.parametrize("setup, move, field, bad", _BAD_FIELDS)
+def test_apply_rejects_a_field_of_the_wrong_type_before_any_effect(setup, move, field, bad):
+    inst, twin = setup(), setup()
+    if field != "actor":
+        advance_clock(twin, move.time)
+    with pytest.raises(ProtocolError) as caught:
+        inst.apply(Move(**{**move._asdict(), field: bad}))
+    assert str(caught.value).startswith("no such " if field == "origin" else f"{field} must be ")
+    assert inst.snapshot() == twin.snapshot()  # the ledger and every node
+    assert inst.move_log_lines() == twin.move_log_lines()
+
+
 # -- second names -----------------------------------------------------------------
 # Names are free, and settlement pays a dead claim's down-stake to its first
 # unanswered question. These pin what that pays today; they are measurements,
@@ -966,6 +1037,33 @@ def test_a_dead_root_claims_down_stake_goes_to_the_first_question(questioners, n
 )
 def test_a_dead_answers_down_stake_goes_to_the_first_question(questioners, nets):
     assert _dead_answer_nets(questioners) == nets
+
+
+def test_an_earlier_question_that_dies_later_in_the_instant_takes_the_down_stake():
+    # Both root questions go unanswered at 7.0. q4 pops first and kills the
+    # root; q2 dies later in the same instant, when its answer c3 falls to
+    # q5. The first question is first by determination, then by posting
+    # order, so q2 decides the root and qa takes its down-stake of 10.
+    fx = PROTOCOL_FIXTURES["validated_root_claim"]()
+    chain = fx.instance.nodes[fx.node("root")].proof
+    balances = dict.fromkeys(["ann", "qa", "bea", "qb", "qc"], 200)
+    inst = create_root_claim("ann", chain.target, chain, fx.cascade, 0, balances=balances)
+    q2 = inst.post_question("qa", inst.root_id, 1, 1)
+    c3 = inst.post_answer_claim("bea", q2, identity_chain(inst.nodes[q2].statement), 2)
+    q4 = inst.post_question("qb", inst.root_id, 2, 3)
+    q5 = inst.post_question("qc", c3, 1, 3)
+    advance_clock(inst, inst.max_deadline())
+    root = inst.nodes[inst.root_id]
+    assert [(inst.nodes[q].status, inst.nodes[q].determination) for q in (q2, q4, q5)] == [
+        ("unanswered", Timestamp(7, 0))
+    ] * 3
+    assert (root.status, root.determination, root.decider.id) == (
+        "invalidated", Timestamp(7, 0), q2
+    )
+    paid = [t for t in settle(inst) if t.node_id == root.id]
+    assert [(t.account, t.amount, t.reason) for t in paid] == [
+        ("qa", 10, "stake paid to defeating question")
+    ]
 
 
 # -- mutated move logs ------------------------------------------------------------
@@ -1171,6 +1269,18 @@ def test_random_debates_match_the_declarative_oracle_in_early_stop_mode(seed):
     assert advance_clock(twin, horizon + 1) == []
     expected = oracles.settlement_routes(twin)
     assert _routes(settle(twin)) == expected
+
+
+def test_2000_random_debates_match_the_declarative_oracle():
+    # One test over many small debates: seed 247 is one where an
+    # earlier-posted question dies later in the instant than its sibling.
+    for seed in range(2000):
+        inst, horizon = oracles.random_debate(seed)
+        advance_clock(inst, horizon)
+        observed = oracles.observed_statuses(inst)
+        assert observed == oracles.brute_force_statuses(inst, horizon), seed
+        expected = oracles.settlement_routes(inst)
+        assert _routes(settle(inst)) == expected, seed
 
 
 @pytest.mark.parametrize("seed", range(0, 100, 7))
