@@ -5,10 +5,10 @@
 
 runs each command below once per checkout, DIR first, each in a fresh
 interpreter with that checkout's `src` on PYTHONPATH, PYTHONDONTWRITEBYTECODE
-set and SPRIG_SEED unset, and compares the exit code, the stdout and every
-file the command writes. DIR runs under PYTHONHASHSEED 0 and this checkout
-under 1, so equal bytes also show that the output does not depend on the
-string-hash seed. Both sides read the same inputs, this checkout's fixtures.
+set and SPRIG_SEED unset, and compares the exit code, the stdout, the stderr
+and every file the command writes. DIR runs under PYTHONHASHSEED 0 and this
+checkout under 1, so equal bytes also show that the output does not depend
+on the string-hash seed. Both sides read the same inputs, this checkout's fixtures.
 The commands are:
 
 - `sprig simulate` of every preset with `--trace` and `--csv`, at the
@@ -16,17 +16,22 @@ The commands are:
   quiescence mode, and from its `fixtures/scenarios` file with the mode set
   to early-stop;
 - `sprig run` of every fixture move log with its cascade, in both modes;
+- `sprig run`, in quiescence mode, of 16 copies of
+  `full_run_claim_root.jsonl` with one fault each (`FAULTS`): a time, seq,
+  actor, kind or payload field of the wrong type or value, or a missing or
+  second root move, each reported as an error on stderr;
 - `sprig solve`, the 601-point `sweep` and `verify-mc` at 1e5 draws, on the
   arguments of `scripts/cli_cost.py`.
 
-It prints one line per command, stops at the first difference, which it
-names with the first line that differs, and exits 1 then; 0 when all agree.
-Only the standard library is used.
+It prints one line per command, naming each difference by its first line
+that differs, and exits 1 if any command differs, 0 when all agree. Only the
+standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -40,14 +45,54 @@ SEEDS = (None, 0, 1, 7)
 # PYTHONHASHSEED of the other checkout and of this one.
 HASH_SEEDS = ("0", "1")
 OUTPUTS = ("trace.jsonl", "payoffs.csv")
+FAULTY = "full_run_claim_root"
+# The faults put into copies of the move log FAULTY, by name: (the 0-based
+# line, the fields it gets), where None drops the line and "root" makes it a
+# copy of the root move at the line's seq. An edited line gets its payload
+# hash recomputed, so that the fault, not the hash, is what `run` reports.
+FAULTS = {
+    "time-float": (1, {"time": 1.5}),
+    "time-string": (1, {"time": "1"}),
+    "time-bool": (1, {"time": True}),
+    "step-bool": (1, {"payload": {"origin": "c1", "step": True}}),
+    "seq-bool": (1, {"seq": True}),
+    "seq-repeated": (1, {"seq": 1}),
+    "actor-int": (1, {"actor": 7}),
+    "actor-bool": (1, {"actor": True}),
+    "actor-list": (1, {"actor": ["sam"]}),
+    "missing-root": (0, None),
+    "kind-x-line-1": (0, {"kind": "x"}),
+    "kind-x-line-2": (1, {"kind": "x"}),
+    "second-root": (1, "root"),
+    "time-backwards": (2, {"time": 0}),
+    "origin-list": (1, {"payload": {"origin": ["c1"], "step": 1}}),
+    "missing-step": (1, {"payload": {"origin": "c1"}}),
+}
 
 
-def commands(scenarios: Path) -> list[list[str]]:
+def canonical(value: object) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def faulty_log(name: str, records: list[dict]) -> str:
+    """The log `records` with the fault `FAULTS[name]` put in."""
+    at, fields = FAULTS[name]
+    records = [dict(r) for r in records]
+    if fields is None:
+        del records[at]
+    else:
+        records[at].update({**records[0], "seq": at + 1} if fields == "root" else fields)
+        payload = canonical(records[at]["payload"]).encode()
+        records[at]["payload_hash"] = hashlib.sha256(payload).hexdigest()
+    return "".join(canonical(r) + "\n" for r in records)
+
+
+def commands(inputs: Path) -> list[list[str]]:
     """The argument lists to run, in order. The early-stop scenario files
-    they read are written into `scenarios`."""
+    and the faulty move logs they read are written into `inputs`."""
     out = []
     for path in sorted((FIXTURES / "scenarios").glob("*.json")):
-        early = scenarios / path.name
+        early = inputs / path.name
         early.write_text(json.dumps({**json.loads(path.read_text()), "mode": "early-stop"}))
         for scenario in (path.stem, str(early)):
             for seed in SEEDS:
@@ -58,6 +103,12 @@ def commands(scenarios: Path) -> list[list[str]]:
         cascade = FIXTURES / "cascades" / f"{log.stem}.json"
         for mode in ("quiescence", "early-stop"):
             out.append(["run", str(log), str(cascade), "--mode", mode])
+    log = FIXTURES / "movelogs" / f"{FAULTY}.jsonl"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    for name in FAULTS:
+        faulty = inputs / f"{name}.jsonl"
+        faulty.write_text(faulty_log(name, records))
+        out.append(["run", str(faulty), str(FIXTURES / "cascades" / f"{FAULTY}.json")])
     out += [
         ["solve", "--sigma2", "30"],
         ["sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "601"],
@@ -69,13 +120,15 @@ def commands(scenarios: Path) -> list[list[str]]:
 def run(checkout: Path, args: list[str], cwd: Path, hash_seed: str) -> dict[str, bytes]:
     """What `sprig ARGS` of `checkout` gives under PYTHONHASHSEED
     `hash_seed`, run in the empty directory `cwd`: its exit code, its
-    stdout and each file it writes, by name; the files are removed again."""
+    stdout, its stderr and each file it writes, by name; the files are
+    removed again."""
     env = {k: v for k, v in os.environ.items() if k != "SPRIG_SEED"}
     env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
                PYTHONHASHSEED=hash_seed)
     done = subprocess.run([sys.executable, "-m", "sprig.cli", *args], cwd=cwd, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
-    got = {"exit code": str(done.returncode).encode(), "stdout": done.stdout}
+                          capture_output=True, check=False)
+    got = {"exit code": str(done.returncode).encode(), "stdout": done.stdout,
+           "stderr": done.stderr}
     for path in sorted(cwd.iterdir()):
         got[path.name] = path.read_bytes()
         path.unlink()
@@ -102,18 +155,23 @@ def main() -> int:
     if not (checkout / "src" / "sprig").is_dir():
         parser.error(f"{checkout} holds no src/sprig")
     with tempfile.TemporaryDirectory() as tmp:
-        before, after, scenarios = (Path(tmp, name) for name in ("before", "after", "scenarios"))
-        for path in (before, after, scenarios):
+        before, after, inputs = (Path(tmp, name) for name in ("before", "after", "inputs"))
+        for path in (before, after, inputs):
             path.mkdir()
-        todo = commands(scenarios)
+        todo = commands(inputs)
+        differing = 0
         for args in todo:
             shown = " ".join(Path(a).name if "/" in a else a for a in args)
             difference = first_difference(run(checkout, args, before, HASH_SEEDS[0]),
                                           run(ROOT, args, after, HASH_SEEDS[1]))
             if difference is not None:
+                differing += 1
                 print(f"DIFFERS  sprig {shown}: {difference}")
-                return 1
-            print(f"same     sprig {shown}")
+            else:
+                print(f"same     sprig {shown}")
+    if differing:
+        print(f"{differing} of {len(todo)} commands differ between the checkouts")
+        return 1
     print(f"all {len(todo)} commands print the same bytes in both checkouts")
     return 0
 

@@ -68,13 +68,6 @@ def _env_seed() -> int | None:
         raise ValueError(f"SPRIG_SEED must be an integer, got {raw!r}") from None
 
 
-def _pick_seed(flag_value: int | None, fallback: int = 0) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = _env_seed()
-    return fallback if env is None else env
-
-
 # -- validate ----------------------------------------------------------------
 
 
@@ -121,10 +114,8 @@ def _generous_funding(actors: Iterable[Any], cascade: ParameterCascade) -> dict[
     never against the float.
     """
     per_move = max(
-        max(lv.stake_up + lv.stake_down for lv in cascade.levels.values()),
-        max(lv.bounty for lv in cascade.levels.values()),
-        cascade.machine.bounty,
-        cascade.machine.stake_up + cascade.machine.burn_cost,
+        max(cascade.deposit(level), cascade.bounty(level))
+        for level in range(cascade.root_level + 1)
     )
     funding: dict[str, int] = {}
     for actor in actors:
@@ -328,29 +319,18 @@ def cmd_verify_mc(args: argparse.Namespace) -> int:
     except DegenerateParametersError as exc:
         return _fail(f"degenerate parameters: {exc}", DOMAIN_ERROR)
     probs = outcome_probabilities(sol, theta)
-    seed = _pick_seed(args.seed)
+    seed = args.seed if args.seed is not None else (_env_seed() or 0)
     estimates = monte_carlo_estimate(theta, sol, n=args.n, seed=seed)
     rows: dict[str, Any] = {}
-    all_ok = True
     for name in sorted(estimates):
-        est = estimates[name]
-        closed = closed_form_row(probs, name, sol)
-        if closed is None and est.estimate is None:
-            rows[name] = {"closed": None, "estimate": None, "ok": True, "se": None}
-            continue
+        closed, est = closed_form_row(probs, name, sol), estimates[name]
         if closed is None or est.estimate is None:
-            rows[name] = {
-                "closed": closed,
-                "estimate": est.estimate,
-                "ok": False,
-                "se": est.se,
-            }
-            all_ok = False
-            continue
-        gap = abs(est.estimate - closed)
-        ok = gap <= 3 * est.se if est.se > 0 else gap == 0.0
+            ok = closed is None and est.estimate is None
+        else:
+            gap = abs(est.estimate - closed)
+            ok = gap <= 3 * est.se if est.se > 0 else gap == 0.0
         rows[name] = {"closed": closed, "estimate": est.estimate, "ok": ok, "se": est.se}
-        all_ok = all_ok and ok
+    all_ok = all(row["ok"] for row in rows.values())
     print(
         canonical_json(
             {

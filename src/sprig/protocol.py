@@ -76,10 +76,7 @@ __all__ = [
     "ProtocolInstance",
     "create_root_claim",
     "create_root_question",
-    "post_question",
-    "post_answer_claim",
     "advance_clock",
-    "resolve",
     "settle",
     "replay",
     "replay_line",
@@ -215,6 +212,13 @@ class ParameterCascade(Frozen):
 
     def verification_time(self, level: int) -> int:
         return self.levels[level].verification_time
+
+    def deposit(self, level: int) -> int:
+        """What a claim at `level` locks: both stakes, or at the machine
+        level the upward stake plus the execution cost it burns."""
+        if level >= 1:
+            return self.levels[level].stake_up + self.levels[level].stake_down
+        return self.machine.stake_up + self.machine.burn_cost
 
     def to_json(self) -> Any:
         """The cascade file's object: each level and `machine` are their
@@ -522,18 +526,6 @@ class ProtocolInstance:
 
     # -- move plumbing ----------------------------------------------------
 
-    def _begin_move(self, time: int) -> int:
-        _integer("time", time)
-        if self.settled:
-            raise ProtocolError("instance already settled")
-        if time < self.clock:
-            raise ProtocolError(f"time moving backwards: move at {time}, clock at {self.clock}")
-        self.clock = time
-        self.resolve()
-        if self.stopped_at is not None and Timestamp(time, self._next_seq) > self.stopped_at:
-            raise ProtocolError(f"interaction ended at {self.stopped_at}")
-        return time
-
     def _commit_move(self, time: int, actor: str, kind: str, payload_json: str) -> Timestamp:
         """Record a move. `payload_json` is the payload's canonical JSON,
         composed by the caller from the canonical text of what it posts: the
@@ -574,20 +566,26 @@ class ProtocolInstance:
     def apply(self, move: Move) -> str:
         """Post `move` and return the new node's id. Each rule of the kind is
         checked in a fixed order, the actor's and a question's `step` types
-        before the clock moves and every other after `_begin_move`; then the
-        deposit is locked (a machine answer gets its verdict first), the move
-        committed, the node linked and the tree resolved. A rejected move
-        does at most what `advance_clock` to its time does. A field the kind
-        reads is checked before it is used: the actor is a string, a root's
-        statement a `Statement`, an origin the id of a node of its kind, and
-        a proof a chain (or an answer's machine proof)."""
+        before the clock moves and every other after `advance_clock` to the
+        move's time and the early-stop check; then the deposit (a question's
+        bounty, a claim's `ParameterCascade.deposit`) is locked (a machine
+        answer gets its verdict first), the move committed, the node linked
+        and the tree resolved. A rejected move does at most what
+        `advance_clock` to its time does. A field the kind reads is checked
+        before it is used: the actor is a string, a root's statement a
+        `Statement`, an origin the id of a node of its kind, and a proof a
+        chain (or an answer's machine proof), so every claim at level 1 or
+        above holds a chain."""
         kind, proof = move.kind, move.proof
         root = self._check_kind(kind)
         origin, step = (None, None) if root else (move.origin, move.step)
         actor = _typed("actor", move.actor, str, "a string")
         if kind == "question":
             _integer("step", step)
-        time = self._begin_move(move.time)
+        time = move.time
+        self.advance_clock(time)
+        if self.stopped_at is not None and Timestamp(time, self._next_seq) > self.stopped_at:
+            raise ProtocolError(f"interaction ended at {self.stopped_at}")
         cascade, level, statement = self.cascade, self.cascade.root_level, move.statement
         if root:
             _typed("statement", statement, Statement, "a Statement")
@@ -596,7 +594,7 @@ class ProtocolInstance:
         verdict: Verdict | None = None
         if kind == "question":
             claim = self.claim(origin)
-            if claim.level < 1 or not isinstance(claim.proof, ProofChain):
+            if claim.level < 1:
                 raise ProtocolError("machine claims cannot be questioned")
             steps = claim.proof.steps
             if not 1 <= step <= len(steps):
@@ -614,26 +612,24 @@ class ProtocolInstance:
                 )
             level, statement = q.level, q.statement
         if asks:
-            deposit, deadline = cascade.bounty(level), time + cascade.response_time(level)
+            deadline = time + cascade.response_time(level)
         elif root or isinstance(proof, ProofChain):
             _typed("proof", proof, ProofChain, "a chain")
             if level < 1:
                 raise ProtocolError("level-0 questions take machine proofs only")
-            params = cascade.levels[level]
-            if root and params.stake_up != 0:
+            if root and cascade.levels[level].stake_up != 0:
                 raise ProtocolError("root claim requires a zero upward stake at the top level")
             proof = proof.stripped()
             self._check_chain_answer(statement, proof, level, self._ambient(origin))
-            deposit = params.stake_up + params.stake_down
-            deadline = time + params.verification_time
+            deadline = time + cascade.verification_time(level)
         else:
             _typed("proof", proof, MachineProof, "a chain or a machine proof")
             if proof.target != statement:
                 raise ProtocolError("structural violation: proof targets a different statement")
             _check_length(proof, cascade.machine.max_length)
             level, deadline = 0, time
-            deposit = cascade.machine.stake_up + cascade.machine.burn_cost
             verdict = self.verifier.verdict(statement, proof, node_id)
+        deposit = cascade.bounty(level) if asks else cascade.deposit(level)
         self.ledger.lock(actor, node_id, deposit)
         if asks:
             payload = (f'{{"statement":{statement.canonical()}}}' if root
@@ -701,11 +697,12 @@ class ProtocolInstance:
     # -- clock and resolution ---------------------------------------------
 
     def advance_clock(self, time: int) -> list[tuple[str, str, Timestamp]]:
+        """Move the clock to `time` and `resolve`; the clock never runs back."""
         _integer("time", time)
         if self.settled:
             raise ProtocolError("instance already settled")
         if time < self.clock:
-            raise ProtocolError(f"time moving backwards: clock at {self.clock}, asked for {time}")
+            raise ProtocolError(f"time moving backwards: move at {time}, clock at {self.clock}")
         self.clock = time
         return self.resolve()
 
@@ -912,7 +909,7 @@ def create_root_claim(
     """New debate rooted in a staked claim. With `balances=None` the owner
     starts with exactly the required deposit."""
     if balances is None:
-        balances = {owner: cascade.levels[cascade.root_level].stake_down}
+        balances = {owner: cascade.deposit(cascade.root_level)}
     instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
     instance.apply(Move("root_claim", owner, t, statement=statement, proof=chain))
     return instance
@@ -936,24 +933,8 @@ def create_root_question(
     return instance
 
 
-def post_question(
-    instance: ProtocolInstance, owner: str, origin: str, step_index: int, t: int
-) -> str:
-    return instance.post_question(owner, origin, step_index, t)
-
-
-def post_answer_claim(
-    instance: ProtocolInstance, owner: str, origin: str, proof: ProofChain | MachineProof, t: int
-) -> str:
-    return instance.post_answer_claim(owner, origin, proof, t)
-
-
 def advance_clock(instance: ProtocolInstance, to: int) -> list[tuple[str, str, Timestamp]]:
     return instance.advance_clock(to)
-
-
-def resolve(instance: ProtocolInstance) -> list[tuple[str, str, Timestamp]]:
-    return instance.resolve()
 
 
 def settle(instance: ProtocolInstance) -> list[SettlementTransfer]:
@@ -987,17 +968,17 @@ _MOVE_FIELDS = ("payload", "kind", "actor", "time", "seq", "payload_hash")
 
 def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     """Apply one stripped move-log line `raw`, decoded as `record`, to
-    `instance`: decode it into a `Move` and `apply` it, the root move while
-    the instance has no root, a question or an answer after it. Checks the
-    payload hash and decodes strictly: the record is an object with every
-    move field (else a ParseError names the first one missing), `time` and
-    `seq` are integers (booleans are not), `actor` is a string, the first
-    move is a root move, `seq` is the next sequence number, and the payload
-    is an object with every field its kind of move reads (else a ParseError
-    such as `question payload needs origin`) whose `origin`, if it has one,
-    is a string (else a ParseError such as `question payload origin must be
-    a string, got [1]`), in that order; `apply` checks the rest, a
-    question's `step` first.
+    `instance`: decode it into a `Move` and `apply` it. Checks the payload
+    hash and what a log adds to a move, in this order: the record is an
+    object with every move field (else a ParseError names the first one
+    missing), its `kind` is one the instance takes now (`_check_kind`, the
+    root move while the instance has no root, a question or an answer
+    after it), `seq` is an integer (booleans are not) and the next sequence
+    number, and the payload is an object with every field its kind of move
+    reads (else a ParseError such as `question payload needs origin`) whose
+    `origin`, if it has one, is a string (else a ParseError such as
+    `question payload origin must be a string, got [1]`). `apply` checks
+    the rest, in its own order: the actor, a question's `step`, the time.
 
     Each move's payload text is composed once, by the instance that posts
     it, from the memoized canonical text of the decoded proof or statement,
@@ -1010,15 +991,12 @@ def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     the tampering broke."""
     record = read_object(record, "move", required=_MOVE_FIELDS)
     try:
-        kind, time = record["kind"], _integer("time", record["time"])
-        actor = _typed("actor", record["actor"], str, "a string")
-        if instance.root_id is None and kind not in ("root_claim", "root_question"):
-            raise ProtocolError(f"log must start with a root move, got {kind!r}")
+        kind = record["kind"]
+        instance._check_kind(kind)
         seq = _integer("seq", record["seq"])
         if seq != instance._next_seq:
             raise ProtocolError(f"seq {seq} out of order, expected {instance._next_seq}")
-        instance._check_kind(kind)
-        instance.apply(_decode_move(kind, actor, time, record["payload"]))
+        instance.apply(_decode_move(kind, record["actor"], record["time"], record["payload"]))
     except Exception:
         _check_payload_hash(record)
         raise
@@ -1026,7 +1004,7 @@ def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
         _check_payload_hash(record)
 
 
-def _decode_move(kind: str, actor: str, time: int, payload: Any) -> Move:
+def _decode_move(kind: str, actor: Any, time: Any, payload: Any) -> Move:
     """The move of a known `kind` that a log record's `payload` holds."""
     if kind == "root_claim":
         doc = read_object(payload, "root claim payload", required=("chain",))

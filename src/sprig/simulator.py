@@ -193,6 +193,8 @@ class AgentContext(Record):
         ]
 
     def open_claims(self) -> list[Node]:
+        """The open claims at level 1 or above, each of which holds a
+        `ProofChain` (`apply` posts no other claim there)."""
         now = self.instance.clock
         return [
             c
@@ -218,10 +220,7 @@ class AgentContext(Record):
         return self.instance.cascade.bounty(level)
 
     def answer_cost(self, proof: ProofChain | MachineProof, level: int) -> int:
-        if isinstance(proof, MachineProof):
-            return self.instance.cascade.machine.stake_up + self.instance.cascade.machine.burn_cost
-        params = self.instance.cascade.levels[level]
-        return params.stake_up + params.stake_down
+        return self.instance.cascade.deposit(0 if isinstance(proof, MachineProof) else level)
 
 
 class AgentStrategy:
@@ -322,7 +321,7 @@ class HonestSkeptic(AgentStrategy):
         moves: list[Move] = []
         budget = ctx.balance()
         for c in ctx.open_claims():
-            if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
+            if c.owner == ctx.me:
                 continue
             for j, step in enumerate(c.proof.steps, start=1):
                 h = step.statement.hash()
@@ -344,7 +343,7 @@ class CarpetBomber(AgentStrategy):
         moves: list[Move] = []
         budget = ctx.balance()
         for c in ctx.open_claims():
-            if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
+            if c.owner == ctx.me:
                 continue
             steps = len(c.proof.steps)
             # It asks at most once per step: as many questions as steps is all.
@@ -367,7 +366,7 @@ class Nitpicker(AgentStrategy):
         moves: list[Move] = []
         budget = ctx.balance()
         for c in ctx.open_claims():
-            if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
+            if c.owner == ctx.me:
                 continue
             if ctx.questioned_by_me(c.id):
                 continue
@@ -486,7 +485,7 @@ class Misleader(HonestClaimer):
         budget = ctx.balance()
 
         for c in ctx.open_claims():
-            if c.owner != ctx.me or not isinstance(c.proof, ProofChain):
+            if c.owner != ctx.me:
                 continue
             for j, step in enumerate(c.proof.steps, start=1):
                 h = step.statement.hash()
@@ -582,7 +581,7 @@ class Plagiarist(AgentStrategy):
         open_claims = ctx.open_claims()
         for q in self._asked_of_me:
             for c in open_claims:
-                if c.owner == ctx.me or not isinstance(c.proof, ProofChain):
+                if c.owner == ctx.me:
                     continue
                 for j, step in enumerate(c.proof.steps, start=1):
                     if step.statement != q.statement or ctx.questioned_by_me(c.id, j):
@@ -618,7 +617,6 @@ class CopycatDefender(HonestClaimer):
                 for c in ctx.open_claims()
                 if c.origin is not None
                 and c.owner != ctx.me
-                and isinstance(c.proof, ProofChain)
                 and ctx.answered_by_me(c.origin)
             ),
             key=lambda c: (ctx.instance.question(c.origin).posted_at, c.posted_at),

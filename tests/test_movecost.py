@@ -44,7 +44,8 @@ def _ids(nodes):
 
 class RescanCheck:
     """Plays `inner`, first checking at every poll that the open views read
-    off the open-window index equal the full-tree scans in `oracles`."""
+    off the open-window index equal the full-tree scans in `oracles`, and
+    that every open claim holds a chain, as the strategies take it to."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -54,6 +55,7 @@ class RescanCheck:
         inst = ctx.instance
         assert _ids(inst.open_nodes()) == _ids(oracles.scan_open_nodes(inst))
         assert _ids(ctx.open_claims()) == _ids(oracles.scan_open_claims(inst, ctx.now))
+        assert all(isinstance(c.proof, ProofChain) for c in ctx.open_claims())
         assert _ids(ctx.open_questions()) == _ids(oracles.scan_open_questions(inst, ctx.now))
         self.polls += 1
         return self.inner.decide(ctx)

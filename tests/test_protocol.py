@@ -29,11 +29,8 @@ from sprig.protocol import (
     advance_clock,
     create_root_claim,
     create_root_question,
-    post_answer_claim,
-    post_question,
     replay,
     replay_line,
-    resolve,
     settle,
 )
 from sprig.scenarios import PROTOCOL_FIXTURES, identity_chain
@@ -122,6 +119,8 @@ def test_cascade_lookups_fall_through_to_machine_row():
     assert cascade.response_time(0) == cascade.machine.response_time
     assert cascade.max_length(0) == cascade.machine.max_length
     assert cascade.bounty(1) == cascade.levels[1].bounty
+    # A claim locks both stakes, a machine claim its upward stake and burn.
+    assert [cascade.deposit(level) for level in (0, 1, 2)] == [2 + 1, 4 + 6, 0 + 6]
     round_trip = ParameterCascade.from_json(json.loads(json.dumps(cascade.to_json())))
     assert round_trip == cascade
 
@@ -321,9 +320,9 @@ def test_rejected_moves_still_advance_the_clock():
 def test_time_cannot_move_backwards():
     inst = fresh_claim_root()
     advance_clock(inst, 3)
-    with pytest.raises(ProtocolError, match="backwards"):
+    with pytest.raises(ProtocolError, match="^time moving backwards: move at 2, clock at 3$"):
         advance_clock(inst, 2)
-    with pytest.raises(ProtocolError, match="backwards"):
+    with pytest.raises(ProtocolError, match="^time moving backwards: move at 1, clock at 3$"):
         inst.post_question("quin", inst.root_id, 1, 1)
 
 
@@ -346,17 +345,17 @@ def test_resolve_is_idempotent():
     inst = fresh_claim_root()
     fresh = advance_clock(inst, inst.max_deadline())
     assert [st for _, st, _ in fresh] == ["validated"]
-    assert resolve(inst) == []
+    assert inst.resolve() == []
     assert inst.claim(inst.root_id).status == "validated"
 
 
 def test_statuses_are_committed_only_at_the_clock():
     inst = fresh_claim_root()
     with pytest.raises(TypeError):
-        resolve(inst, 10)  # no look-ahead: the clock is the only time
+        inst.resolve(10)  # no look-ahead: the clock is the only time
     # Legal while the root's window is open; left unanswered when its own
     # window closes at 4, the question defeats the root.
-    post_question(inst, "quin", inst.root_id, 1, 1)
+    inst.post_question("quin", inst.root_id, 1, 1)
     advance_clock(inst, 10)
     root = inst.claim(inst.root_id)
     assert (root.status, str(root.determination)) == ("invalidated", "4.0")
@@ -411,9 +410,9 @@ def test_early_stop_commits_nothing_after_a_root_determined_before_the_clock():
         "amy", IDENT, ProofChain(target=IDENT, steps=(ChainStep(IDENT),) * 2),
         tiny_cascade(), 0, balances={"amy": 100, "quin": 100, "zed": 100}, mode=EARLY_STOP,
     )
-    q1 = post_question(inst, "quin", inst.root_id, 1, 1)
-    q2 = post_question(inst, "quin", inst.root_id, 2, 1)
-    c = post_answer_claim(inst, "zed", q2, identity_chain(IDENT), 2)
+    q1 = inst.post_question("quin", inst.root_id, 1, 1)
+    q2 = inst.post_question("quin", inst.root_id, 2, 1)
+    c = inst.post_answer_claim("zed", q2, identity_chain(IDENT), 2)
     # At 10, q1 has been unanswered since its deadline 4, which kills the
     # root at (4, 0); c's window closes at 6, after the stop.
     changed = advance_clock(inst, 10)
@@ -443,12 +442,12 @@ def test_a_machine_leaf_in_a_wide_tree_evaluates_only_its_ancestors(monkeypatch)
     )
     open_leaves = []
     for j in range(1, k + 1):
-        q = post_question(inst, "quin", inst.root_id, j, 1)
-        c = post_answer_claim(inst, "amy", q, wide, 1)
+        q = inst.post_question("quin", inst.root_id, j, 1)
+        c = inst.post_answer_claim("amy", q, wide, 1)
         for i in range(1, k + 1):
-            open_leaves.append(post_question(inst, "quin", c, i, 1))
+            open_leaves.append(inst.post_question("quin", c, i, 1))
     for q in open_leaves[:-1]:
-        post_answer_claim(inst, "amy", q, machine_answer(IDENT), 1)
+        inst.post_answer_claim("amy", q, machine_answer(IDENT), 1)
     assert len(inst.nodes) == 2 * k * k + 2 * k  # all but the last leaf
 
     calls = []
@@ -461,7 +460,7 @@ def test_a_machine_leaf_in_a_wide_tree_evaluates_only_its_ancestors(monkeypatch)
     monkeypatch.setattr(ProtocolInstance, "_close", counted)
     now = 2
     expired = sum(inst.clock < n.deadline <= now for n in inst.nodes.values())
-    leaf = post_answer_claim(inst, "amy", open_leaves[-1], machine_answer(IDENT), now)
+    leaf = inst.post_answer_claim("amy", open_leaves[-1], machine_answer(IDENT), now)
     depth, node = 0, inst.nodes[leaf]
     while node.origin is not None:
         depth, node = depth + 1, inst.nodes[node.origin]
@@ -810,6 +809,7 @@ REJECTIONS = [
      False),
     ("second-root-question", fresh_claim_root, Move("root_question", "quin", 1, statement=IDENT),
      "unknown move kind 'root_question'", False),
+    ("rootless-unknown-kind", _rootless, Move("x", "quin", 1), "unknown move kind 'x'", False),
     ("rootless-question", _rootless, _question(1),
      "log must start with a root move, got 'question'", False),
     ("rootless-answer", _rootless, _answer(1, identity_chain(IDENT)),
@@ -914,15 +914,6 @@ def test_apply_posts_what_the_methods_post_and_ignores_the_fields_a_kind_does_no
     assert asked.move_log_lines() == expected.move_log_lines()
     assert by_apply.snapshot() == by_methods.snapshot()
     assert by_apply.move_log_lines() == by_methods.move_log_lines()
-
-
-def test_apply_names_an_unknown_kind_before_asking_for_a_root():
-    # `replay_line` checks a log's first record for a root move first, so a
-    # log reports this move as `log must start with a root move, got 'x'`.
-    inst = _rootless()
-    with pytest.raises(ProtocolError, match="^unknown move kind 'x'$"):
-        inst.apply(Move("x", "quin", 1))
-    assert inst.clock == 0 and inst.moves == []
 
 
 # A field a kind reads, given a value of the wrong type, is a ProtocolError
@@ -1315,8 +1306,8 @@ def test_conservation_holds_at_every_tick(seed):
 
 def test_functional_wrappers_mirror_the_methods():
     inst = fresh_claim_root()
-    q = post_question(inst, "quin", inst.root_id, 1, 1)
-    c = post_answer_claim(inst, "zed", q, identity_chain(IDENT), 2)
+    q = inst.post_question("quin", inst.root_id, 1, 1)
+    c = inst.post_answer_claim("zed", q, identity_chain(IDENT), 2)
     assert inst.question(q).id == q
     assert inst.claim(c).id == c
     advance_clock(inst, inst.max_deadline())
