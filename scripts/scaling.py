@@ -23,7 +23,9 @@ no timing noise blurs: the rule evaluations (calls of `_close`, or of
 `_decide` in a checkout that rescans a node's children at every visit) and
 the children read off `Node.children`, counted after the timed runs in one
 more simulate and replay + settle, so that the counting costs no timed
-run anything.
+run anything. The same pass counts the `sprig.Frozen` records built (calls
+of the `__init__` of each subclass), the fixed per-move cost that a plain
+`typing.NamedTuple` record does not pay.
 
     python3 scripts/scaling.py --label NAME | --checkout ../parent [--label NAME]
 
@@ -47,10 +49,12 @@ from checkouts import interleave, parse_sides, write_sections
 
 KS = (8, 16, 24, 32, 48, 64)
 SEED = 0
-REPEATS = 5
+# Fresh interpreters per point and checkout: five left a ~10% change
+# unresolved at some k.
+REPEATS = 10
 # What each half counts, kept per move: `json.dumps` calls, kernel verdicts,
-# rule evaluations and children read.
-COUNTS = ("dumps", "verdicts", "evals", "children")
+# rule evaluations, children read and `Frozen` records built.
+COUNTS = ("dumps", "verdicts", "evals", "children", "frozen")
 # Cold: the first simulate and replay in a fresh interpreter. Warm: the
 # fastest of the next WARM_RUNS in the same interpreter, each after the
 # previous debate is dropped, as a long-running verifier (and the
@@ -62,6 +66,7 @@ TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm")
 # perfbench/ on the path; prints one JSON line.
 CHILD = """
 import gc, hashlib, json, sys, time
+from sprig import Frozen
 from sprig.protocol import Node, ProtocolInstance, advance_clock, replay, settle
 from sprig.simulator import run_scenario
 from sprig.verifier import ToyVerifier
@@ -131,13 +136,25 @@ def counted_init(self, *args, **kwargs):
     self.children = Counted(self.children)
 setattr(ProtocolInstance, rule_name, counted_rule)
 Node.__init__ = counted_init
+built = [0]
+def counted_build(init):
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+    return counted
+frozen = [Frozen]
+for cls in frozen:
+    frozen.extend(cls.__subclasses__())
+    if "__init__" in vars(cls):
+        cls.__init__ = counted_build(cls.__init__)
 trace = run_scenario(config)
-out.update(simulate_evals=evals[0], simulate_children=reads[0])
-evals[0] = reads[0] = 0
+out.update(simulate_evals=evals[0], simulate_children=reads[0], simulate_frozen=built[0])
+evals[0] = reads[0] = built[0] = 0
 twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
 advance_clock(twin, trace.final_clock)
 settle(twin)
-out.update(replay_settle_evals=evals[0], replay_settle_children=reads[0])
+out.update(replay_settle_evals=evals[0], replay_settle_children=reads[0],
+           replay_settle_frozen=built[0])
 print(json.dumps(out))
 """
 

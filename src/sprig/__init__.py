@@ -11,10 +11,18 @@ The package re-exports nothing; import from its modules (``sprig.protocol``,
 ``sprig.equilibrium``, ...), so that each subcommand loads only its own layer.
 It defines one function, `canonical_json`, the encoding every document and
 every command's output is written in: it lives here so that the equilibrium
-commands can print without loading ``sprig.formulas``. It also defines the
-base of every value class, `Record` and its immutable `Frozen`, which spares
-each command the import of `dataclasses` (and through it of `inspect`) and
-the methods it would generate per class.
+commands can print without loading ``sprig.formulas``. It also defines
+`Record` and its immutable `Frozen`, which spare each command the import of
+`dataclasses` (and through it of `inspect`) and the methods it would
+generate per class.
+
+A value class takes its base by one rule. A class whose constructor only
+stores its fields is a `typing.NamedTuple`: the cheapest record to build,
+it compares, hashes and orders as the tuple of its fields does, whatever
+its class. A class whose constructor checks or normalizes its fields is a
+`Frozen` record (a `Record`, if it is mutable), and so are the hash-consed
+`Formula` and `Statement`, which a table of weak references holds and which
+a tuple therefore cannot be.
 """
 
 import json

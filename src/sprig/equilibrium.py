@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from . import Frozen
 
@@ -90,24 +90,14 @@ class GameParameters(Frozen):
                 raise ValueError(f"{name} must be a non-negative finite number")
 
 
-class EquilibriumSolution(Frozen):
-    def __init__(
-        self,
-        eq_type: int,
-        pi_star: float,
-        pi_e: float,
-        pi1_star: float,
-        p: float,
-        q1: float,
-        q2: float,
-    ) -> None:
-        self._set_field("eq_type", eq_type)
-        self._set_field("pi_star", pi_star)
-        self._set_field("pi_e", pi_e)
-        self._set_field("pi1_star", pi1_star)
-        self._set_field("p", p)
-        self._set_field("q1", q1)
-        self._set_field("q2", q2)
+class EquilibriumSolution(NamedTuple):
+    eq_type: int
+    pi_star: float
+    pi_e: float
+    pi1_star: float
+    p: float
+    q1: float
+    q2: float
 
 
 def pi1_star(theta: GameParameters) -> float:
@@ -193,7 +183,7 @@ def solve_pbe(theta: GameParameters) -> EquilibriumSolution:
     summed, and the ratios of two overflows are NaN: a solution with any
     value that is not finite has nothing to report, so it is degenerate."""
     sol = _classify(theta)
-    not_finite = [name for name, value in vars(sol).items() if not math.isfinite(value)]
+    not_finite = [name for name, value in sol._asdict().items() if not math.isfinite(value)]
     if not_finite:
         raise DegenerateParametersError(f"solution not finite: {', '.join(not_finite)}")
     return sol
@@ -247,7 +237,7 @@ def _classify(theta: GameParameters) -> EquilibriumSolution:
     )
 
 
-class OutcomeProbabilities(Frozen):
+class OutcomeProbabilities(NamedTuple):
     """Long-run outcome rates implied by a solution.
 
     `accept_rate` is the chance a posted claim ends accepted;
@@ -259,27 +249,15 @@ class OutcomeProbabilities(Frozen):
     to accepted claims.
     """
 
-    def __init__(
-        self,
-        accept_rate: float,
-        valid_accept_rate: float,
-        accept_given_valid: float,
-        accept_given_invalid: float,
-        valid_given_accept: float,
-        valid_given_reject: float | None,
-        unchallenged_share: float,
-        replied_share: float,
-        reliability: float,
-    ) -> None:
-        self._set_field("accept_rate", accept_rate)
-        self._set_field("valid_accept_rate", valid_accept_rate)
-        self._set_field("accept_given_valid", accept_given_valid)
-        self._set_field("accept_given_invalid", accept_given_invalid)
-        self._set_field("valid_given_accept", valid_given_accept)
-        self._set_field("valid_given_reject", valid_given_reject)
-        self._set_field("unchallenged_share", unchallenged_share)
-        self._set_field("replied_share", replied_share)
-        self._set_field("reliability", reliability)
+    accept_rate: float
+    valid_accept_rate: float
+    accept_given_valid: float
+    accept_given_invalid: float
+    valid_given_accept: float
+    valid_given_reject: float | None
+    unchallenged_share: float
+    replied_share: float
+    reliability: float
 
 
 def outcome_probabilities(sol: EquilibriumSolution, theta: GameParameters) -> OutcomeProbabilities:
@@ -313,12 +291,11 @@ def outcome_probabilities(sol: EquilibriumSolution, theta: GameParameters) -> Ou
     )
 
 
-class McEstimate(Frozen):
-    def __init__(self, estimate: float | None, se: float | None, hits: int, draws: int) -> None:
-        self._set_field("estimate", estimate)
-        self._set_field("se", se)
-        self._set_field("hits", hits)
-        self._set_field("draws", draws)
+class McEstimate(NamedTuple):
+    estimate: float | None
+    se: float | None
+    hits: int
+    draws: int
 
 
 # Draws per block of the Monte Carlo stream, shared among the spans that run
@@ -510,12 +487,11 @@ def closed_form_row(probs: OutcomeProbabilities, name: str, sol: EquilibriumSolu
     return getattr(probs, name)
 
 
-class Deviation(Frozen):
-    def __init__(self, node: str, action: str, gain: float, detail: str) -> None:
-        self._set_field("node", node)
-        self._set_field("action", action)
-        self._set_field("gain", gain)
-        self._set_field("detail", detail)
+class Deviation(NamedTuple):
+    node: str
+    action: str
+    gain: float
+    detail: str
 
 
 def best_response_check(

@@ -55,6 +55,7 @@ __all__ = [
     "read_object",
     "lookup",
     "MAX_FORMULA_DEPTH",
+    "MAX_PROOF_DEPTH",
 ]
 
 _BINARY = ("and", "or", "imp")
@@ -66,6 +67,13 @@ _LEAF = ("atom", "sym")
 # overflows the default stack at ~250 levels) stay well inside the
 # interpreter's recursion limit below this.
 MAX_FORMULA_DEPTH = 100
+# Deepest proof document `proof_from_json` decodes, as `height()` counts it:
+# a chain without subproofs, or a machine proof, is 1, and each subproof
+# level adds 1. Decoding, validating and writing a proof recurse a few frames
+# per level: at this bound, with formulas at theirs, about half of the
+# default recursion limit. Without it, only the JSON parser's recursion
+# guard bounded nesting, somewhere between 300 and 400 levels.
+MAX_PROOF_DEPTH = 100
 
 _T = TypeVar("_T")
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 from . import Frozen, Record
 from .formulas import (
+    MAX_PROOF_DEPTH,
     DefinitionSet,
     Formula,
     ParseError,
@@ -87,10 +88,9 @@ class InferenceStep(Frozen):
         )
 
 
-class MachineProof(Frozen):
-    def __init__(self, target: Statement, steps: tuple[InferenceStep, ...] = ()) -> None:
-        self._set_field("target", target)
-        self._set_field("steps", steps)
+class MachineProof(NamedTuple):
+    target: Statement
+    steps: tuple[InferenceStep, ...] = ()
 
     kind = "machine_proof"
 
@@ -141,7 +141,9 @@ class ChainStep(Frozen):
         return text + "}"
 
     @staticmethod
-    def from_json(doc: Any) -> "ChainStep":
+    def from_json(doc: Any, levels: int = MAX_PROOF_DEPTH) -> "ChainStep":
+        """Decode a step of a chain allowed `levels` deep: its subproof may
+        nest one level less (see `proof_from_json`)."""
         doc = read_object(doc, "chain step", _CHAIN_STEP_FIELDS, ("statement",))
         imports = doc.get("imports", [])
         if not isinstance(imports, list):
@@ -149,7 +151,7 @@ class ChainStep(Frozen):
         return ChainStep(
             statement=Statement.from_json(doc["statement"]),
             imports=tuple(imports),
-            subproof=proof_from_json(doc["subproof"]) if "subproof" in doc else None,
+            subproof=proof_from_json(doc["subproof"], levels - 1) if "subproof" in doc else None,
         )
 
 
@@ -202,7 +204,8 @@ class ProofChain(Frozen):
         )
 
     @staticmethod
-    def from_json(doc: Any) -> "ProofChain":
+    def from_json(doc: Any, levels: int = MAX_PROOF_DEPTH) -> "ProofChain":
+        """Decode a chain whose `height()` may be at most `levels`."""
         doc = read_object(doc, "chain", _CHAIN_FIELDS, ("target",))
         steps = doc.get("steps", [])
         if not isinstance(steps, list):
@@ -212,18 +215,19 @@ class ProofChain(Frozen):
             definitions = DefinitionSet.from_json(doc["definitions"])
         return ProofChain(
             target=Statement.from_json(doc["target"]),
-            # `map`, not a generator: decoding then recurses no deeper per
-            # subproof level than parsing the JSON did, which bounds it.
-            steps=tuple(map(ChainStep.from_json, steps)),
+            steps=tuple(ChainStep.from_json(step, levels) for step in steps),
             definitions=definitions,
         )
 
 
-def proof_from_json(doc: Any) -> ProofChain | MachineProof:
-    """Decode a machine proof if `doc`'s kind says so, else a chain."""
+def proof_from_json(doc: Any, levels: int = MAX_PROOF_DEPTH) -> ProofChain | MachineProof:
+    """Decode a machine proof if `doc`'s kind says so, else a chain, nested
+    at most `levels` deep as `height()` counts it: deeper is a ParseError."""
+    if levels < 1:
+        raise ParseError("document nested too deeply")
     if isinstance(doc, dict) and doc.get("kind") == "machine_proof":
         return MachineProof.from_json(doc)
-    return ProofChain.from_json(doc)
+    return ProofChain.from_json(doc, levels)
 
 
 def measure_length(proof: ProofChain | MachineProof) -> int:
@@ -246,11 +250,10 @@ def measure_length(proof: ProofChain | MachineProof) -> int:
     )
 
 
-class Violation(Frozen):
-    def __init__(self, code: str, path: str, detail: str) -> None:
-        self._set_field("code", code)
-        self._set_field("path", path)
-        self._set_field("detail", detail)
+class Violation(NamedTuple):
+    code: str
+    path: str
+    detail: str
 
     def __str__(self) -> str:
         where = self.path or "chain"

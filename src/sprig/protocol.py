@@ -366,7 +366,7 @@ class Ledger:
         }
 
 
-class Move(Frozen):
+class Move(NamedTuple):
     """One move, the input of `ProtocolInstance.apply`. Its `kind` is
     `root_claim` (a chain `proof` of `statement`), `root_question` (a
     bounty on `statement`), `question` (dispute `step`, 1-based, of the
@@ -374,34 +374,26 @@ class Move(Frozen):
     the question `origin`), posted by `actor` at `time`. `apply` ignores the
     fields a kind does not read."""
 
-    def __init__(
-        self, kind: str, actor: str, time: int, origin: str | None = None,
-        step: int | None = None, statement: Statement | None = None,
-        proof: ProofChain | MachineProof | None = None,
-    ) -> None:
-        self._set_field("kind", kind)
-        self._set_field("actor", actor)
-        self._set_field("time", time)
-        self._set_field("origin", origin)
-        self._set_field("step", step)
-        self._set_field("statement", statement)
-        self._set_field("proof", proof)
+    kind: str
+    actor: str
+    time: int
+    origin: str | None = None
+    step: int | None = None
+    statement: Statement | None = None
+    proof: ProofChain | MachineProof | None = None
 
 
-class MoveRecord(Frozen):
+class MoveRecord(NamedTuple):
     """One committed move. `payload_json` is the payload's canonical JSON,
     composed once when the move was committed from the memoized text of what
     it posts; the payload itself is not kept as a value."""
 
-    def __init__(
-        self, seq: int, time: int, actor: str, kind: str, payload_hash: str, payload_json: str
-    ) -> None:
-        self._set_field("seq", seq)
-        self._set_field("time", time)
-        self._set_field("actor", actor)
-        self._set_field("kind", kind)
-        self._set_field("payload_hash", payload_hash)
-        self._set_field("payload_json", payload_json)
+    seq: int
+    time: int
+    actor: str
+    kind: str
+    payload_hash: str
+    payload_json: str
 
     def line(self, record: str | None = None) -> str:
         """The move's canonical JSON line: fields `actor`, `kind`, `payload`,
@@ -419,12 +411,11 @@ class MoveRecord(Frozen):
         )
 
 
-class SettlementTransfer(Frozen):
-    def __init__(self, node_id: str, account: str, amount: int, reason: str) -> None:
-        self._set_field("node_id", node_id)
-        self._set_field("account", account)
-        self._set_field("amount", amount)
-        self._set_field("reason", reason)
+class SettlementTransfer(NamedTuple):
+    node_id: str
+    account: str
+    amount: int
+    reason: str
 
     def to_json(self) -> dict[str, Any]:
         """The transfer as `sprig run` and a simulation trace write it."""
@@ -715,22 +706,22 @@ class ProtocolInstance:
         records it. Idempotent: a node determined once never changes, later
         calls only add. In early-stop mode the game ends at the instant where
         the root determines, and nothing later is committed.
+
+        Only closing a window commits a status, so a call with no deadline
+        at or before the clock, or after an early stop, returns at once.
         """
+        deadlines = self._deadlines
         changed: list[tuple[str, str, Timestamp]] = []
-        while self.stopped_at is None:
-            instant = self.clock
-            if self._deadlines and self._deadlines[0][0] < instant:
-                instant = self._deadlines[0][0]
+        while self.stopped_at is None and deadlines and deadlines[0][0] <= self.clock:
+            instant = deadlines[0][0]
             decided: list[Node] = []
-            while self._deadlines and self._deadlines[0][0] == instant:
-                self._close(self._open.pop(heapq.heappop(self._deadlines)[2]), decided)
+            while deadlines and deadlines[0][0] == instant:
+                self._close(self._open.pop(heapq.heappop(deadlines)[2]), decided)
             decided.sort(key=lambda n: (n.determination, n.posted_at))
             self.determined += [n.id for n in decided]
             changed += [(n.id, n.status, n.determination) for n in decided]
             if self.mode == EARLY_STOP and self.root_id is not None:
                 self.stopped_at = self.nodes[self.root_id].determination
-            if instant == self.clock:
-                break
         return changed
 
     def _close(self, node: Node, decided: list[Node]) -> None:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
-from . import Frozen, Record
+from . import Record
 from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl
 from .formulas import lookup, read_int, read_object
 from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain, serialize_proof_document
@@ -120,19 +120,13 @@ def quick_proof(statement: Statement) -> MachineProof | None:
     return None
 
 
-class StepPlan(Frozen):
+class StepPlan(NamedTuple):
     """One planned step: its conclusion, which earlier conclusions it
     imports, and what sits beneath it (nothing, "machine", or nested plans)."""
 
-    def __init__(
-        self,
-        conclusion: Formula,
-        imports: tuple[int, ...] = (),
-        sub: tuple[StepPlan, ...] | str | None = None,
-    ) -> None:
-        self._set_field("conclusion", conclusion)
-        self._set_field("imports", imports)
-        self._set_field("sub", sub)
+    conclusion: Formula
+    imports: tuple[int, ...] = ()
+    sub: tuple[StepPlan, ...] | str | None = None
 
 
 def plan_chain(target: Statement, plans: Iterable[StepPlan]) -> ProofChain:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
-from . import Frozen, Record
+from . import Record
 from .formulas import Statement, canonical_json, read_bool, read_int
 from .proofs import ChainStep, MachineProof, ProofChain
 from .protocol import (
@@ -691,13 +691,12 @@ class ScenarioConfig(Record):
         self.verifier = verifier
 
 
-class RejectedIntent(Frozen):
-    def __init__(self, time: int, actor: str, kind: str, detail: str, reason: str) -> None:
-        self._set_field("time", time)
-        self._set_field("actor", actor)
-        self._set_field("kind", kind)
-        self._set_field("detail", detail)
-        self._set_field("reason", reason)
+class RejectedIntent(NamedTuple):
+    time: int
+    actor: str
+    kind: str
+    detail: str
+    reason: str
 
 
 class SimulationTrace(Record):

@@ -20,9 +20,9 @@ order. Out-of-range or forward references make the step illegal.
 
 from __future__ import annotations
 
-from typing import Mapping, Protocol, Union
+from typing import Mapping, NamedTuple, Protocol, Union
 
-from . import Frozen, Record
+from . import Record
 from .formulas import Formula, Statement
 from .proofs import MachineProof
 
@@ -36,10 +36,9 @@ __all__ = [
 ]
 
 
-class Verdict(Frozen):
-    def __init__(self, validated: bool, diagnostic: int | None = None) -> None:
-        self._set_field("validated", validated)
-        self._set_field("diagnostic", diagnostic)
+class Verdict(NamedTuple):
+    validated: bool
+    diagnostic: int | None = None
 
 
 class UnscriptedVerdictError(KeyError):

@@ -15,7 +15,7 @@ from hypothesis import example, given, strategies as st
 
 from sprig.cli import MAX_SWEEP_STEPS, _grid, main
 from sprig.equilibrium import MAX_MC_DRAWS
-from sprig.formulas import MAX_FORMULA_DEPTH, content_hash
+from sprig.formulas import MAX_FORMULA_DEPTH, MAX_PROOF_DEPTH, content_hash
 from sprig.scenarios import (
     PRESET_NAMES,
     preset_scenario,
@@ -884,33 +884,41 @@ def test_cascades_and_scenarios_nested_5000_deep_exit_1_without_a_traceback(tmp_
         assert (result.returncode, result.stdout, result.stderr) == (1, b"", error)
 
 
-def _nested_chain(depth):
-    """A one-step chain whose step's subproof is such a chain, `depth` times over."""
+def _nested_chain(height):
+    """A one-step chain whose step's subproof is such a chain: `height`
+    chains in all, as `ProofChain.height` counts them."""
     statement = '{"assumptions":[],"conclusion":{"atom":"p"}}'
     chain = '{"kind":"chain","steps":[{"imports":[],"statement":%s%s}],"target":%s}'
     doc = chain % (statement, "", statement)
-    for _ in range(depth):
+    for _ in range(height - 1):
         doc = chain % (statement, ',"subproof":' + doc, statement)
     return doc
 
 
-@pytest.mark.parametrize("depth", [300, 400])
-def test_chains_with_deeply_nested_subproofs_exit_without_a_traceback(tmp_path, depth):
-    # 300 decodes (nothing but the JSON parser bounds subproof nesting, so
-    # decoding must not recurse deeper than parsing); 400 is too deep to parse.
-    payload = '{"chain":' + _nested_chain(depth) + "}"
+@pytest.mark.parametrize("height", [MAX_PROOF_DEPTH, MAX_PROOF_DEPTH + 1, 400])
+def test_chains_with_deeply_nested_subproofs_exit_without_a_traceback(tmp_path, height):
+    # A chain at the bound validates, replays and simulates; one a level
+    # past it is refused by the bound, and one 400 deep by the JSON parser.
+    document = tmp_path / "chain.json"
+    document.write_text(_nested_chain(height))
+    payload = '{"chain":' + _nested_chain(height) + "}"
     log = tmp_path / "deep.jsonl"
     log.write_text('{"actor":"ann","kind":"root_claim","payload":%s,"payload_hash":"%s",'
                    '"seq":1,"time":0}\n' % (payload, hashlib.sha256(payload.encode()).hexdigest()))
     scenario = preset_scenario("happy_path")
     scenario["root"]["tree"] = "TREE"
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario).replace('"TREE"', _nested_chain(depth)))
-    for argv in (["run", str(log), fixture_args("validated_root_claim")[1]], ["simulate", str(path)]):
+    path.write_text(json.dumps(scenario).replace('"TREE"', _nested_chain(height)))
+    for argv in (["validate", str(document)],
+                 ["run", str(log), fixture_args("validated_root_claim")[1]],
+                 ["simulate", str(path)]):
         result = _script(*argv)
-        assert result.returncode == (0 if depth == 300 else 1)
-        assert result.stderr == b"" or (result.stderr.startswith(b"error: ")
-                                        and result.stderr.count(b"\n") == 1), result.stderr
+        if height <= MAX_PROOF_DEPTH:
+            assert (result.returncode, result.stderr) == (0, b""), argv
+        else:
+            assert (result.returncode, result.stdout) == (1, b""), argv
+            assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
+            assert result.stderr.endswith(b": document nested too deeply\n"), result.stderr
 
 
 def _main_call(*argv):

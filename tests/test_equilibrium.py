@@ -586,7 +586,7 @@ def test_only_a_solution_that_overflows_is_degenerate_for_not_being_finite():
         except DegenerateParametersError as exc:
             assert "not finite" not in str(exc)
         else:
-            assert all(map(math.isfinite, vars(sol).values()))
+            assert all(map(math.isfinite, sol._asdict().values()))
 
 
 def test_scalar_helpers_validate_their_domains():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprig.formulas import (
+    MAX_PROOF_DEPTH,
     DefinitionSet,
     Formula,
     ParseError,
@@ -146,6 +147,29 @@ def test_height_counts_nested_chains():
     assert inverse_function().height() == 3
     _, machine = modus_ponens_example()
     assert machine.height() == 1
+
+
+def _nested(proof, height):
+    """`proof` under one-step chains of its own target, `height` deep in all."""
+    while proof.height() < height:
+        proof = ProofChain(target=proof.target,
+                           steps=(ChainStep(statement=proof.target, subproof=proof),))
+    return proof
+
+
+@pytest.mark.parametrize("bottom", ["chain", "machine"])
+def test_proofs_decode_at_most_max_proof_depth_deep(bottom):
+    target = Statement(conclusion=atom("p"), assumptions=frozenset({atom("p")}))
+    inner = (identity_chain(target) if bottom == "chain"
+             else MachineProof(target, (InferenceStep(atom("p"), "assumption", (-1,)),)))
+    deepest = _nested(inner, MAX_PROOF_DEPTH)
+    assert proof_from_json(json.loads(deepest.canonical())) == deepest
+    assert parse_proof_document(serialize_proof_document(deepest)) == deepest
+    too_deep = _nested(deepest, MAX_PROOF_DEPTH + 1)
+    with pytest.raises(ParseError, match="^document nested too deeply$"):
+        proof_from_json(json.loads(too_deep.canonical()))
+    with pytest.raises(ParseError, match="^document nested too deeply$"):
+        parse_proof_document(serialize_proof_document(too_deep))
 
 
 def test_stripped_removes_subproofs_but_keeps_structure():

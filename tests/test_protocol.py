@@ -1287,6 +1287,50 @@ def test_tick_by_tick_resolution_equals_jumping(seed):
     assert stepper.snapshot() == jumper.snapshot()
 
 
+def _debate_moves(case):
+    """(move-log lines, cascade, balances, horizon) of a fixture, by name,
+    or of a random debate, by seed."""
+    if isinstance(case, str):
+        fx = PROTOCOL_FIXTURES[case]()
+        horizon = max(fx.final_time, fx.instance.max_deadline())
+        return fx.instance.move_log_lines(), fx.cascade, fx.balances, horizon
+    inst, horizon = oracles.random_debate(case)
+    balances = {"ava": 150, "bo": 150, "cy": 150, "dot": 150}
+    return inst.move_log_lines(), inst.cascade, balances, horizon
+
+
+@pytest.mark.parametrize("mode", [QUIESCENCE, EARLY_STOP])
+@pytest.mark.parametrize("case", [*sorted(PROTOCOL_FIXTURES), *range(0, 100, 7)], ids=str)
+def test_resolve_with_no_window_due_or_after_a_stop_changes_nothing(case, mode):
+    # Replayed one tick at a time: after each tick's moves, either the game
+    # has stopped early or no window is due at the clock, and then
+    # `resolve()` returns [] and changes nothing; once the game has stopped,
+    # no later tick commits anything either.
+    lines, cascade, balances, horizon = _debate_moves(case)
+    inst = ProtocolInstance(cascade, balances=balances, mode=mode)
+    records = [json.loads(line) for line in lines]
+    for t in range(horizon + 1):
+        stopped = inst.stopped_at
+        determined = list(inst.determined)
+        while records and records[0]["time"] == t:
+            record = records.pop(0)
+            try:
+                replay_line(inst, json.dumps(record), record)
+            except ProtocolError as exc:
+                assert inst.stopped_at is not None and "interaction ended" in str(exc)
+                records.clear()
+        changed = inst.advance_clock(t)
+        if stopped is not None:
+            assert changed == [] and inst.determined == determined
+            assert inst.stopped_at == stopped
+        due = any(node.deadline <= inst.clock for node in inst.open_nodes())
+        assert inst.stopped_at is not None or not due
+        before = (inst.snapshot(), list(inst.determined), inst.stopped_at)
+        assert inst.resolve() == []
+        assert (inst.snapshot(), inst.determined, inst.stopped_at) == before
+    assert not records
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=10_000, max_value=1_000_000))
 def test_conservation_holds_at_every_tick(seed):

@@ -1,10 +1,15 @@
 """Value semantics of every record class: equality, hashing, immutability,
-repr and pickling, as the `Record` and `Frozen` bases give them."""
+repr and pickling, as the `Record` and `Frozen` bases and `typing.NamedTuple`
+give them."""
 
+import importlib
 import pickle
+import pkgutil
+from typing import NamedTuple
 
 import pytest
 
+import sprig
 import sprig.equilibrium as eq
 import sprig.proofs as pf
 import sprig.protocol as pr
@@ -45,6 +50,7 @@ SAMPLES = {
                              bounty=5, response_time=4),
     pr.MachineParameters: dict(max_length=80, stake_up=2, burn_cost=1, bounty=3, response_time=4),
     pr.ParameterCascade: dict(root_level=1, levels={1: _LEVEL}, machine=_MACHINE_PARAMS),
+    pr.Timestamp: dict(time=3, seq=1),
     pr.Node: dict(kind="claim", id="c1", owner="ann", level=1, statement=_STATEMENT,
                   posted_at=_AT, deadline=7, escrow=6, origin="q0", status=pr.VALIDATED,
                   determination=_AT, children=["q2"], decider="q3", proof=_CHAIN,
@@ -94,8 +100,19 @@ def _record_classes(base=Record):
     return found
 
 
+def _tuple_record_classes():
+    """Every `typing.NamedTuple` class that a module of the package defines."""
+    found = set()
+    for info in pkgutil.iter_modules(sprig.__path__, "sprig."):
+        module = importlib.import_module(info.name)
+        found |= {cls for cls in vars(module).values()
+                  if isinstance(cls, type) and cls.__module__ == module.__name__
+                  and NamedTuple in getattr(cls, "__orig_bases__", ())}
+    return found
+
+
 def test_every_record_class_has_a_sample():
-    assert _record_classes() == set(SAMPLES)
+    assert _record_classes() | _tuple_record_classes() == set(SAMPLES)
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
@@ -106,9 +123,13 @@ def test_record_value_semantics(cls):
     assert cls._fields == tuple(fields)
     assert one._asdict() == fields
 
-    # another class with the same values is another value
     twin = type("Twin", (cls,), {})(**fields)
-    assert one != twin and twin != one
+    if issubclass(cls, Record):
+        # another class with the same values is another value
+        assert one != twin and twin != one
+    else:
+        # a tuple record is the tuple of its fields
+        assert one == twin and one == tuple(fields.values())
 
     shown = ", ".join(f"{k}={v!r}" for k, v in fields.items() if k not in _UNCOMPARED)
     assert repr(one) == f"{cls.__qualname__}({shown})"
@@ -117,7 +138,7 @@ def test_record_value_semantics(cls):
     assert restored == one and restored.__class__ is cls
 
     name = next(iter(fields))
-    if issubclass(cls, Frozen):
+    if not issubclass(cls, Record) or issubclass(cls, Frozen):
         # a frozen record hashes as its fields do: a cascade's levels are a dict
         try:
             hash(tuple(fields.values()))
