@@ -151,7 +151,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .protocol import (
         EARLY_STOP, QUIESCENCE, ParameterCascade, ProtocolError, ProtocolInstance, replay_line
     )
-    from .verifier import UnscriptedVerdictError
 
     try:
         log_text = _read_text(args.movelog)
@@ -179,10 +178,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for number, raw, record in moves:
         try:
             replay_line(instance, raw, record)
-        except (ProtocolError, ParseError, UnscriptedVerdictError) as exc:
+        except (ProtocolError, ParseError) as exc:
             return _fail(f"illegal move at line {number}: {exc}", DOMAIN_ERROR)
-        except (KeyError, TypeError) as exc:
-            return _fail(f"unreadable move at line {number}: {exc}", DOMAIN_ERROR)
     if instance.root_id is None:
         return _fail("empty move log", DOMAIN_ERROR)
     instance.advance_clock(instance.max_deadline())

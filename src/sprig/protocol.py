@@ -619,7 +619,7 @@ class ProtocolInstance:
                 raise ProtocolError("structural violation: proof targets a different statement")
             _check_length(proof, cascade.machine.max_length)
             level, deadline = 0, time
-            verdict = self.verifier.verdict(statement, proof, node_id)
+            verdict = self.verifier.verdict(statement, proof)
         deposit = cascade.bounty(level) if asks else cascade.deposit(level)
         self.ledger.lock(actor, node_id, deposit)
         if asks:
@@ -731,8 +731,8 @@ class ProtocolInstance:
         decisive child was decided when that child committed, and one with a
         pending child is closed by the last of its children to commit."""
         if node.kind == "claim" and node.level == 0:
-            ok = node.verdict is not None and node.verdict.validated
-            self._commit(node, VALIDATED if ok else INVALIDATED, node.posted_at, decided)
+            status = VALIDATED if node.verdict.validated else INVALIDATED
+            self._commit(node, status, node.posted_at, decided)
         elif node.status == PENDING:
             _, _, needed, closed_as = _RULES[node.kind]
             if all(c.status == needed for c in node.children):

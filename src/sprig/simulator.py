@@ -4,10 +4,11 @@ Agents hold private knowledge (a proof tree with machine proofs at the leaves
 they can actually defend, plus the ground-truth soundness of every statement
 in it, which the kernel judges when the agent's strategy first reads it, so an
 agent that never reads it never pays for it) and act through small strategy
-objects polled once per tick in a seeded random order. A strategy returns
-protocol `Move`s and the run posts each through `ProtocolInstance.apply`,
-as it posts the root move; a move that breaks protocol rules is rejected and
-logged, never fatal. When the horizon is reached the clock jumps past every
+objects polled once per tick in a seeded random order. A strategy proposes
+protocol `Move`s with their costs, keeps those its balance covers, and the
+run posts each through `ProtocolInstance.apply`, as it posts the root move;
+a move that breaks protocol rules is rejected and logged, never fatal.
+When the horizon is reached the clock jumps past every
 open window and the instance settles. The trace of a run is the settled
 instance plus what the instance does not hold: the seed, the horizon, the
 opening balances, the rejected moves and the settlement transfers. Every
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from . import Record
 from .formulas import Statement, canonical_json, read_bool, read_int
@@ -223,19 +224,41 @@ class AgentContext(Record):
         return self.instance.cascade.deposit(0 if isinstance(proof, MachineProof) else level)
 
 
+def _affordable(budget: int, proposals: Iterable[tuple[Move, int]]) -> list[Move]:
+    """The proposed moves, in order, that each fit `budget` less the cost
+    of the moves kept before them; a move that does not fit is skipped."""
+    kept: list[Move] = []
+    for move, cost in proposals:
+        if cost <= budget:
+            kept.append(move)
+            budget -= cost
+    return kept
+
+
 class AgentStrategy:
-    """Base strategy: do nothing. Subclasses override decide(). `PARAMS`
-    names the constructor's keyword parameters that a scenario may set."""
+    """Base strategy: propose nothing. A strategy proposes and `decide`
+    affords: a subclass overrides `proposals`, which yields each candidate
+    move with its cost, and `decide` keeps those the agent can lock from its
+    balance, as the paper's agents post only what they can stake. One that
+    picks its moves otherwise, as `ScriptedStrategy` does, overrides
+    `decide`. `PARAMS` names the constructor's keyword parameters that a
+    scenario may set."""
 
     PARAMS: frozenset[str] = frozenset()
 
+    def proposals(self, ctx: AgentContext) -> Iterable[tuple[Move, int]]:
+        """Candidate moves, each by `ctx.me` at `ctx.now`, with the tokens
+        each locks, in posting order."""
+        return ()
+
     def decide(self, ctx: AgentContext) -> list[Move]:
-        """The moves to post now, in order, each by `ctx.me` at `ctx.now`
-        (one stamped otherwise is rejected unposted). A `question` move with
+        """The moves to post now, in order: each proposal whose cost fits the
+        balance left by the proposals kept before it. A move stamped with
+        another actor or time is rejected unposted. A `question` move with
         a `proof` asks and answers in one breath: the question is posted,
         then, if it posted, an `answer_claim` with that proof; either failing
         gives one rejection record for the pair."""
-        return []
+        return _affordable(ctx.balance(), self.proposals(ctx))
 
 
 class IdleStrategy(AgentStrategy):
@@ -285,25 +308,19 @@ class HonestClaimer(AgentStrategy):
             return machine
         return chain if chain is not None else machine
 
-    def answer_moves(self, ctx: AgentContext) -> list[Move]:
-        moves: list[Move] = []
-        budget = ctx.balance()
+    def answers(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
         for q in ctx.open_questions():
             if not self._mine_to_defend(ctx, q) or ctx.answered_by_me(q.id):
                 continue
             if ctx.now < q.posted_at.time + self.delay:
                 continue
             proof = self.pick_proof(ctx, q)
-            if proof is None:
-                continue
-            cost = ctx.answer_cost(proof, q.level)
-            if cost <= budget:
-                moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
-                budget -= cost
-        return moves
+            if proof is not None:
+                cost = ctx.answer_cost(proof, q.level)
+                yield Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof), cost
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        return self.answer_moves(ctx)
+    def proposals(self, ctx: AgentContext) -> Iterable[tuple[Move, int]]:
+        return self.answers(ctx)
 
 
 class HonestDefender(HonestClaimer):
@@ -317,9 +334,7 @@ class HonestDefender(HonestClaimer):
 class HonestSkeptic(AgentStrategy):
     """Questions every step it knows to be unsound, wherever it appears."""
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        moves: list[Move] = []
-        budget = ctx.balance()
+    def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
         for c in ctx.open_claims():
             if c.owner == ctx.me:
                 continue
@@ -327,21 +342,15 @@ class HonestSkeptic(AgentStrategy):
                 h = step.statement.hash()
                 if ctx.knowledge.truth.get(h, True):
                     continue
-                if ctx.questioned_by_me(c.id, j):
-                    continue
-                cost = ctx.question_cost(c.level - 1)
-                if cost <= budget:
-                    moves.append(Move("question", ctx.me, ctx.now, c.id, j))
-                    budget -= cost
-        return moves
+                if not ctx.questioned_by_me(c.id, j):
+                    cost = ctx.question_cost(c.level - 1)
+                    yield Move("question", ctx.me, ctx.now, c.id, j), cost
 
 
 class CarpetBomber(AgentStrategy):
     """Questions every step of every claim it can afford, immediately."""
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        moves: list[Move] = []
-        budget = ctx.balance()
+    def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
         for c in ctx.open_claims():
             if c.owner == ctx.me:
                 continue
@@ -351,31 +360,26 @@ class CarpetBomber(AgentStrategy):
                 continue
             cost = ctx.question_cost(c.level - 1)
             for j in range(1, steps + 1):
-                if ctx.questioned_by_me(c.id, j):
-                    continue
-                if cost <= budget:
-                    moves.append(Move("question", ctx.me, ctx.now, c.id, j))
-                    budget -= cost
-        return moves
+                if not ctx.questioned_by_me(c.id, j):
+                    yield Move("question", ctx.me, ctx.now, c.id, j), cost
 
 
 class Nitpicker(AgentStrategy):
     """One question per claim, chasing every answer down to the machine."""
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        moves: list[Move] = []
+    def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
+        # It draws a step from `ctx.rng` only for a question it can afford,
+        # so it counts its budget itself: a draw for every candidate would
+        # shift its seeded picks whenever the budget binds.
         budget = ctx.balance()
         for c in ctx.open_claims():
-            if c.owner == ctx.me:
-                continue
-            if ctx.questioned_by_me(c.id):
+            if c.owner == ctx.me or ctx.questioned_by_me(c.id):
                 continue
             cost = ctx.question_cost(c.level - 1)
             if cost <= budget:
-                j = ctx.rng.randrange(len(c.proof.steps)) + 1
-                moves.append(Move("question", ctx.me, ctx.now, c.id, j))
                 budget -= cost
-        return moves
+                j = ctx.rng.randrange(len(c.proof.steps)) + 1
+                yield Move("question", ctx.me, ctx.now, c.id, j), cost
 
 
 def pad_chain(
@@ -449,21 +453,15 @@ class Sandbagger(HonestClaimer):
         super().__init__(**kwargs)
         self.copies = read_int(copies, "copies")
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        moves: list[Move] = []
-        budget = ctx.balance()
+    def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
         for q in ctx.open_questions():
             proof = self.pick_proof(ctx, q)
             if proof is None:
                 continue
             want = 1 if ctx.on_my_claim(q) else self.copies
-            have = ctx.my_answers(q.id)
             cost = ctx.answer_cost(proof, q.level)
-            for _ in range(max(0, want - have)):
-                if cost <= budget:
-                    moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
-                    budget -= cost
-        return moves
+            for _ in range(want - ctx.my_answers(q.id)):
+                yield Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof), cost
 
 
 class Misleader(HonestClaimer):
@@ -480,10 +478,7 @@ class Misleader(HonestClaimer):
             raise ValueError(f"unknown misleader variant {variant!r}")
         self.variant = variant
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        moves: list[Move] = []
-        budget = ctx.balance()
-
+    def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
         for c in ctx.open_claims():
             if c.owner != ctx.me:
                 continue
@@ -495,35 +490,28 @@ class Misleader(HonestClaimer):
                 cost = ctx.question_cost(c.level - 1)
                 if self.variant == "immediate" and answer is not None:
                     cost += ctx.answer_cost(answer, c.level - 1)
-                    if cost <= budget:
-                        moves.append(Move("question", ctx.me, ctx.now, c.id, j, proof=answer))
-                        budget -= cost
-                elif cost <= budget:
-                    moves.append(Move("question", ctx.me, ctx.now, c.id, j))
-                    budget -= cost
+                    yield Move("question", ctx.me, ctx.now, c.id, j, proof=answer), cost
+                else:
+                    yield Move("question", ctx.me, ctx.now, c.id, j), cost
 
         for q in ctx.open_questions():
             if q.owner != ctx.me or not ctx.on_my_claim(q) or ctx.answered_by_me(q.id):
                 continue
-            if self.variant == "deadline":
-                if ctx.now != q.deadline - 1:
-                    continue
-            proof = self.pick_proof(ctx, q)
-            if proof is None:
+            if self.variant == "deadline" and ctx.now != q.deadline - 1:
                 continue
-            cost = ctx.answer_cost(proof, q.level)
-            if cost <= budget:
-                moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
-                budget -= cost
+            proof = self.pick_proof(ctx, q)
+            if proof is not None:
+                cost = ctx.answer_cost(proof, q.level)
+                yield Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof), cost
 
+    def decide(self, ctx: AgentContext) -> list[Move]:
+        own = super().decide(ctx)
         # The honest-claimer base still fields other people's questions, but
-        # must keep its hands off the self-posed ones timed above.
-        base = [
-            m
-            for m in super().decide(ctx)
-            if not (m.kind == "answer_claim" and ctx.instance.question(m.origin).owner == ctx.me)
-        ]
-        return moves + base
+        # must keep its hands off the self-posed ones that `proposals` times.
+        # It prices its answers against the whole balance, a second budget:
+        # neither what `own` spends nor the answers it drops are deducted.
+        fielded = _affordable(ctx.balance(), self.answers(ctx))
+        return own + [m for m in fielded if ctx.instance.question(m.origin).owner != ctx.me]
 
 
 class Plagiarist(AgentStrategy):
@@ -556,9 +544,7 @@ class Plagiarist(AgentStrategy):
             elif node.origin is not None and ctx.instance.claim(node.origin).owner == ctx.me:
                 self._asked_of_me.append(node)
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        moves: list[Move] = []
-        budget = ctx.balance()
+    def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
         self._catch_up(ctx)
 
         for q in ctx.open_questions():
@@ -574,9 +560,7 @@ class Plagiarist(AgentStrategy):
             if isinstance(proof, ProofChain) and q.level < 1:
                 continue
             cost = ctx.answer_cost(proof, q.level)
-            if cost <= budget:
-                moves.append(Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof))
-                budget -= cost
+            yield Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof), cost
 
         open_claims = ctx.open_claims()
         for q in self._asked_of_me:
@@ -587,10 +571,7 @@ class Plagiarist(AgentStrategy):
                     if step.statement != q.statement or ctx.questioned_by_me(c.id, j):
                         continue
                     cost = ctx.question_cost(c.level - 1)
-                    if cost <= budget:
-                        moves.append(Move("question", ctx.me, ctx.now, c.id, j))
-                        budget -= cost
-        return moves
+                    yield Move("question", ctx.me, ctx.now, c.id, j), cost
 
 
 class CopycatDefender(HonestClaimer):
@@ -603,11 +584,8 @@ class CopycatDefender(HonestClaimer):
         kwargs.setdefault("machine_first", True)
         super().__init__(**kwargs)
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        moves = self.answer_moves(ctx)
-        budget = ctx.balance() - sum(
-            ctx.answer_cost(m.proof, ctx.instance.question(m.origin).level) for m in moves
-        )
+    def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
+        yield from self.answers(ctx)
         # Rival answers to the questions I answered, by question and then
         # by answer in posting order. A rival is worth questioning only while
         # its window is open, so the open claims hold all of them.
@@ -630,10 +608,7 @@ class CopycatDefender(HonestClaimer):
                     continue
                 proof = ctx.knowledge.machine_proofs[h]
                 cost = ctx.question_cost(rival.level - 1) + ctx.answer_cost(proof, 0)
-                if cost <= budget:
-                    moves.append(Move("question", ctx.me, ctx.now, rival.id, j, proof=proof))
-                    budget -= cost
-        return moves
+                yield Move("question", ctx.me, ctx.now, rival.id, j, proof=proof), cost
 
 
 class AgentSpec(Record):

@@ -9,9 +9,12 @@ Two interchangeable backends:
   as the diagnostic; diagnostic 0 means the steps were fine individually but
   the proof is empty or ends on the wrong formula.
 
-* `ScriptedVerifier` replays predetermined verdicts keyed by claim node id or
-  by statement content hash. Simulations use it to model ground truth without
-  inventing real mathematics; asking it about anything unscripted is an error.
+* `ScriptedVerifier` replays predetermined verdicts keyed by statement
+  content hash. Simulations use it to model ground truth without inventing
+  real mathematics; asking it about anything unscripted is an error.
+
+A verdict depends on the statement and the proof alone, never on where in a
+debate the proof was posted: validity is decidable by a computer.
 
 Premise indices in rule applications: positive k is the k-th earlier step,
 negative k is the |k|-th assumption of the target statement in canonical
@@ -20,7 +23,7 @@ order. Out-of-range or forward references make the step illegal.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Protocol, Union
+from typing import Mapping, NamedTuple, Protocol
 
 from . import Record
 from .formulas import Formula, Statement
@@ -42,13 +45,11 @@ class Verdict(NamedTuple):
 
 
 class UnscriptedVerdictError(KeyError):
-    """The scripted backend has no entry for this claim or statement."""
+    """The scripted backend has no entry for this statement."""
 
 
 class VerifierBackend(Protocol):
-    def verdict(
-        self, statement: Statement, proof: MachineProof, node_id: str | None = None
-    ) -> Verdict: ...
+    def verdict(self, statement: Statement, proof: MachineProof) -> Verdict: ...
 
 
 def _is(f: Formula, op: str) -> bool:
@@ -111,9 +112,7 @@ TOY_RULES = {
 class ToyVerifier:
     """Checks every step against the propositional kernel."""
 
-    def verdict(
-        self, statement: Statement, proof: MachineProof, node_id: str | None = None
-    ) -> Verdict:
+    def verdict(self, statement: Statement, proof: MachineProof) -> Verdict:
         assumptions = statement.sorted_assumptions()
         derived: list[Formula] = []
         for index, step in enumerate(proof.steps, start=1):
@@ -142,20 +141,13 @@ class ToyVerifier:
 
 
 class ScriptedVerifier(Record):
-    """Verdicts looked up by node id first, then by statement hash."""
+    """Verdicts looked up by statement hash; the proof is not read."""
 
-    def __init__(self, script: Mapping[str, Union[bool, Verdict]] | None = None) -> None:
+    def __init__(self, script: Mapping[str, bool] | None = None) -> None:
         self.script = {} if script is None else script
 
-    def verdict(
-        self, statement: Statement, proof: MachineProof, node_id: str | None = None
-    ) -> Verdict:
-        for key in (node_id, statement.hash()):
-            if key is not None and key in self.script:
-                entry = self.script[key]
-                if isinstance(entry, Verdict):
-                    return entry
-                return Verdict(bool(entry))
-        raise UnscriptedVerdictError(
-            f"unscripted verdict for statement {statement.hash()[:12]} (node {node_id})"
-        )
+    def verdict(self, statement: Statement, proof: MachineProof) -> Verdict:
+        h = statement.hash()
+        if h not in self.script:
+            raise UnscriptedVerdictError(f"unscripted verdict for statement {h[:12]}")
+        return Verdict(bool(self.script[h]))

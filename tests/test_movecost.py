@@ -11,10 +11,13 @@ replaying a move calls `json.dumps`. The simulated agents run the kernel on
 the posted machine answers only, and the bomber looks each step up once.
 Replay evaluates each node a bounded number of times, reads a bounded number
 of children per move, and counts the tokens of each distinct formula once.
+Its move log is the benchmark's: each seed's log hashes to the digest that
+perfbench/recorded.json pins.
 """
 
 import functools
 import gc
+import hashlib
 import json
 import sys
 import weakref
@@ -32,10 +35,23 @@ from sprig.verifier import ToyVerifier
 
 import oracles
 
-sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.append(str(PERFBENCH))
 from workloads import wide_config  # noqa: E402
 
 MODES = [QUIESCENCE, EARLY_STOP]
+
+
+@pytest.mark.parametrize("k, seeds", [(8, range(32)), (16, range(8))])
+def test_the_wide_debate_plays_the_move_log_the_benchmark_pins(k, seeds):
+    pinned = json.loads((PERFBENCH / "recorded.json").read_text())["wide"][str(k)]
+    played = {
+        str(seed): hashlib.sha256(
+            "\n".join(run_scenario(wide_config(k, seed)).move_lines).encode()
+        ).hexdigest()
+        for seed in seeds
+    }
+    assert played == {str(seed): pinned[str(seed)] for seed in seeds}
 
 
 def _ids(nodes):

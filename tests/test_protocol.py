@@ -1207,6 +1207,71 @@ def test_replay_line_reads_a_payload_origin_as_a_string(index, kind, origin):
     assert inst.snapshot() == before
 
 
+# Any value a JSON document can hold, no lone surrogates (UTF-8 cannot hold
+# one, and `parse_json` rejects its escape) and no NaN or infinities, with
+# the move kinds and node ids among the strings so that a value can reach
+# the decoders.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+    | st.sampled_from(["root_claim", "root_question", "question", "answer_claim", "c1", "q2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "origin", "step", "proof", "chain", "x"]), inner,
+                      max_size=3),
+    max_leaves=8,
+)
+FIXTURE_LOGS = sorted(PROTOCOL_FIXTURES)
+
+
+def _fixture_records(name):
+    lines = (FIXTURE_DIR / "movelogs" / f"{name}.jsonl").read_text().splitlines()
+    return [json.loads(raw) for raw in lines]
+
+
+def _replayed_prefix(name, n, mode):
+    """The instance of fixture `name` after its first `n` logged moves."""
+    fx = PROTOCOL_FIXTURES[name]()
+    inst = ProtocolInstance(fx.cascade, balances=fx.balances, mode=mode)
+    for record in _fixture_records(name)[:n]:
+        replay_line(inst, json.dumps(record), record)
+    return inst
+
+
+def _replays_or_names_the_fault(inst, record):
+    try:
+        replay_line(inst, json.dumps(record), record)
+    except (ProtocolError, ParseError):
+        pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FIXTURE_LOGS), st.sampled_from([QUIESCENCE, EARLY_STOP]), st.data())
+def test_replay_line_raises_only_protocol_or_parse_errors_on_a_mutated_record(name, mode, data):
+    # A record of a fixture log, at its place in the log, with one field or
+    # one payload field replaced by any JSON value, its payload hash
+    # recomputed or not.
+    records = _fixture_records(name)
+    n = data.draw(st.integers(0, len(records) - 1))
+    inst, record = _replayed_prefix(name, n, mode), records[n]
+    fields = [("record", key) for key in record] + [("payload", key) for key in record["payload"]]
+    where, key = data.draw(st.sampled_from(fields))
+    (record if where == "record" else record["payload"])[key] = data.draw(JSON_VALUES)
+    if isinstance(record.get("payload"), dict) and data.draw(st.booleans()):
+        record["payload_hash"] = content_hash(record["payload"])
+    _replays_or_names_the_fault(inst, record)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(FIXTURE_LOGS), st.integers(0, 1), st.data())
+def test_replay_line_raises_only_protocol_or_parse_errors_on_any_json_record(name, n, data):
+    # Any JSON value, or an object with the move fields set to any values,
+    # to an instance with no root and to one after its root move.
+    inst = _replayed_prefix(name, n, QUIESCENCE)
+    fields = st.sampled_from(["payload", "kind", "actor", "time", "seq", "payload_hash"])
+    record = data.draw(JSON_VALUES | st.dictionaries(fields, JSON_VALUES))
+    _replays_or_names_the_fault(inst, record)
+
+
 # -- randomized cross-checks ------------------------------------------------------
 
 FUZZ_SEEDS = range(100)

@@ -32,9 +32,11 @@ from sprig.simulator import (
     MAX_RUN_TICKS,
     AgentContext,
     AgentSpec,
+    AgentStrategy,
     CarpetBomber,
     IdleStrategy,
     Misleader,
+    Nitpicker,
     Plagiarist,
     Sandbagger,
     ScenarioConfig,
@@ -369,6 +371,41 @@ def test_scripted_strategy_fires_at_its_cue():
     # nobody answers, the decoy question defeats the idle owner's root
     root = trace.instance.nodes["c1"]
     assert root.status == "invalidated"
+
+
+class _Proposer(AgentStrategy):
+    """Proposes the same priced moves at every poll."""
+
+    def __init__(self, priced):
+        self.priced = priced
+
+    def proposals(self, ctx):
+        return self.priced
+
+
+def _context_on_a_root_claim(name, balance):
+    """`name`'s context, holding `balance`, once amy has posted a root claim."""
+    tree = flat_tree()
+    inst = create_root_claim(
+        "amy", tree.target, tree, _tiny_cascade(), 0, balances={"amy": 100, name: balance}
+    )
+    return AgentContext(inst, name, Knowledge(), random.Random(0))
+
+
+def test_decide_keeps_each_proposal_that_fits_the_balance_the_kept_ones_leave():
+    ctx = _context_on_a_root_claim("quin", 7)
+    moves = [Move("question", "quin", 0, "c1", j) for j in (1, 2, 3)]
+    assert _Proposer(list(zip(moves, (5, 4, 2)))).decide(ctx) == [moves[0], moves[2]]
+
+
+def test_a_nitpicker_draws_a_step_only_for_a_question_it_can_afford():
+    # A question on the level-1 root costs the machine bounty, 3.
+    for balance, draws in ((2, False), (3, True)):
+        ctx = _context_on_a_root_claim("nick", balance)
+        before = ctx.rng.getstate()
+        moves = Nitpicker().decide(ctx)
+        assert len(moves) == draws
+        assert (ctx.rng.getstate() != before) == draws
 
 
 def test_rejected_intents_are_logged_and_harmless():

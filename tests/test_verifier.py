@@ -213,15 +213,11 @@ def test_modus_ponens_is_found_exactly_once():
 # -- scripted backend ----------------------------------------------------------
 
 
-def test_scripted_verdicts_by_hash_and_node_id():
+def test_scripted_verdicts_by_statement_hash():
     s = Statement(conclusion=P, assumptions=frozenset({P}))
     dummy = MachineProof(target=s)
-    by_hash = ScriptedVerifier({s.hash(): True})
-    assert by_hash.verdict(s, dummy).validated
-    assert by_hash.verdict(s, dummy, node_id="c9").validated  # falls through to hash
-
-    overriding = ScriptedVerifier({s.hash(): True, "c9": Verdict(False, 3)})
-    assert overriding.verdict(s, dummy, node_id="c9") == Verdict(False, 3)
+    assert ScriptedVerifier({s.hash(): True}).verdict(s, dummy) == Verdict(True)
+    assert ScriptedVerifier({s.hash(): False}).verdict(s, dummy) == Verdict(False)
 
 
 def test_scripted_raises_on_unscripted_statements():
