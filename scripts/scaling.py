@@ -25,7 +25,17 @@ the children read off `Node.children`, counted after the timed runs in one
 more simulate and replay + settle, so that the counting costs no timed
 run anything. The same pass counts the `sprig.Frozen` records built (calls
 of the `__init__` of each subclass), the fixed per-move cost that a plain
-`typing.NamedTuple` record does not pay.
+`typing.NamedTuple` record does not pay, and the `Formula` and `Statement`
+objects created: each call of their constructor in a checkout that builds
+one object per call, each object not alive before the call in one that
+returns the live instance of a value.
+
+Two more timings show what that reuse is worth. `replay_settle_alone_warm`
+replays and settles the log once the debate and its built tree are dropped,
+with nothing decoded alive, as `sprig run` replays a log (its counts are
+the third half, `replay_settle_alone`); `build_drop_warm` builds a fresh
+wide tree (`wide_config`) and drops it, with no other tree alive. Both are
+the fastest of WARM_RUNS in the child.
 
     python3 scripts/scaling.py --label NAME | --checkout ../parent [--label NAME]
 
@@ -53,20 +63,24 @@ SEED = 0
 # unresolved at some k.
 REPEATS = 10
 # What each half counts, kept per move: `json.dumps` calls, kernel verdicts,
-# rule evaluations, children read and `Frozen` records built.
-COUNTS = ("dumps", "verdicts", "evals", "children", "frozen")
+# rule evaluations, children read, `Frozen` records built other than formulas
+# and statements, and formulas and statements created.
+COUNTS = ("dumps", "verdicts", "evals", "children", "frozen", "formulas")
+HALVES = ("simulate", "replay_settle", "replay_settle_alone")
 # Cold: the first simulate and replay in a fresh interpreter. Warm: the
 # fastest of the next WARM_RUNS in the same interpreter, each after the
 # previous debate is dropped, as a long-running verifier (and the
 # benchmark's wide leg) replays.
 WARM_RUNS = 7
-TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm")
+TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm",
+         "replay_settle_alone_warm", "build_drop_warm")
 
 # One repeat: run in a fresh interpreter with the checkout's src/ and
 # perfbench/ on the path; prints one JSON line.
 CHILD = """
-import gc, hashlib, json, sys, time
-from sprig import Frozen
+import gc, hashlib, json, sys, time, weakref
+from sprig import Frozen, formulas
+from sprig.formulas import Formula, Statement
 from sprig.protocol import Node, ProtocolInstance, advance_clock, replay, settle
 from sprig.simulator import run_scenario
 from sprig.verifier import ToyVerifier
@@ -84,8 +98,16 @@ def counted_verdict(self, *args, **kwargs):
 ToyVerifier.verdict = counted_verdict
 
 k, seed, warm_runs = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+warm = {"simulate_warm_s": [], "replay_settle_warm_s": [], "replay_settle_alone_warm_s": [],
+        "build_drop_warm_s": []}
+for run in range(warm_runs):
+    gc.collect()
+    t0 = time.perf_counter()
+    config = wide_config(k, seed)
+    del config
+    warm["build_drop_warm_s"].append(time.perf_counter() - t0)
 config = wide_config(k, seed)
-out, warm = {}, {"simulate_warm_s": [], "replay_settle_warm_s": []}
+out = {}
 for run in range(1 + warm_runs):  # each run after the first drops the last debate first
     gc.collect()
     before, verdicts_before = calls[0], verdicts[0]
@@ -117,8 +139,27 @@ for run in range(1 + warm_runs):  # each run after the first drops the last deba
             "simulate_verdicts": simulate_verdicts,
             "replay_settle_verdicts": replay_verdicts,
         })
+    lines, balances, final_clock, snapshot = (
+        trace.move_lines, trace.initial_balances, trace.final_clock, trace.final_snapshot)
     del trace, twin
 json.dumps, ToyVerifier.verdict = dumps, verdict
+cascade, mode = config.cascade, config.mode
+def replay_alone():
+    twin = replay(lines, cascade, balances=balances, mode=mode)
+    advance_clock(twin, final_clock)
+    settle(twin)
+    return twin
+def check(twin):
+    if twin.snapshot() != snapshot:
+        raise AssertionError(f"k={k}: replayed snapshot differs from the simulated one")
+del config
+for run in range(warm_runs):
+    gc.collect()
+    t0 = time.perf_counter()
+    twin = replay_alone()
+    warm["replay_settle_alone_warm_s"].append(time.perf_counter() - t0)
+    check(twin)
+    del twin
 out.update({name: min(times) for name, times in warm.items()})
 
 rule_name = "_close" if hasattr(ProtocolInstance, "_close") else "_decide"
@@ -136,7 +177,7 @@ def counted_init(self, *args, **kwargs):
     self.children = Counted(self.children)
 setattr(ProtocolInstance, rule_name, counted_rule)
 Node.__init__ = counted_init
-built = [0]
+built, made = [0], [0]
 def counted_build(init):
     def counted(self, *args, **kwargs):
         built[0] += 1
@@ -145,16 +186,48 @@ def counted_build(init):
 frozen = [Frozen]
 for cls in frozen:
     frozen.extend(cls.__subclasses__())
-    if "__init__" in vars(cls):
+    if "__init__" in vars(cls) and cls not in (Formula, Statement):
         cls.__init__ = counted_build(cls.__init__)
+alive = weakref.WeakSet()
+def counted_new(new):
+    def counted(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        if value not in alive:
+            made[0] += 1
+            alive.add(value)
+        return value
+    return counted
+def counted_made(init):
+    def counted(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+    return counted
+for cls in (Formula, Statement):
+    if "__new__" in vars(cls):
+        alive.update(v for v in formulas._interned.values() if type(v) is cls)
+        cls.__new__ = staticmethod(counted_new(cls.__new__))
+    else:
+        cls.__init__ = counted_made(cls.__init__)
+def counts(half):
+    out.update({f"{half}_evals": evals[0], f"{half}_children": reads[0],
+                f"{half}_frozen": built[0], f"{half}_formulas": made[0]})
+    evals[0] = reads[0] = built[0] = made[0] = 0
+config = wide_config(k, seed)
+evals[0] = reads[0] = built[0] = made[0] = 0
 trace = run_scenario(config)
-out.update(simulate_evals=evals[0], simulate_children=reads[0], simulate_frozen=built[0])
-evals[0] = reads[0] = built[0] = 0
+counts("simulate")
 twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
 advance_clock(twin, trace.final_clock)
 settle(twin)
-out.update(replay_settle_evals=evals[0], replay_settle_children=reads[0],
-           replay_settle_frozen=built[0])
+counts("replay_settle")
+del config, trace, twin
+gc.collect()
+json.dumps, ToyVerifier.verdict = counted_dumps, counted_verdict
+calls[0] = verdicts[0] = 0
+twin = replay_alone()
+out.update(replay_settle_alone_dumps=calls[0], replay_settle_alone_verdicts=verdicts[0])
+counts("replay_settle_alone")
+check(twin)
 print(json.dumps(out))
 """
 
@@ -170,9 +243,8 @@ def run_once(checkout: Path, k: int) -> dict[str, float | int | str]:
 
 
 def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, float | int | str]:
-    halves = ("simulate", "replay_settle")
     if len({(r["nodes"], r["moves"], r["moves_sha256"],
-             *(r[f"{half}_{count}"] for half in halves for count in COUNTS))
+             *(r[f"{half}_{count}"] for half in HALVES for count in COUNTS))
             for r in runs}) != 1:
         raise AssertionError(f"k={k}: repeats disagree on the debate or its counts")
     moves = runs[0]["moves"]
@@ -186,7 +258,7 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
         median = statistics.median(r[f"{name}_s"] for r in runs)
         point[f"{name}_s"] = round(median, 4)
         point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
-    for half in halves:
+    for half in HALVES:
         for count in COUNTS:
             point[f"{half}_{count}_per_move"] = round(runs[0][f"{half}_{count}"] / moves, 3)
     return point

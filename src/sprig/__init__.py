@@ -20,9 +20,10 @@ A value class takes its base by one rule. A class whose constructor only
 stores its fields is a `typing.NamedTuple`: the cheapest record to build,
 it compares, hashes and orders as the tuple of its fields does, whatever
 its class. A class whose constructor checks or normalizes its fields is a
-`Frozen` record (a `Record`, if it is mutable), and so are the hash-consed
-`Formula` and `Statement`, which a table of weak references holds and which
-a tuple therefore cannot be.
+`Frozen` record (a `Record`, if it is mutable). So are `Formula` and
+`Statement`, which are hash-consed: their `__new__` returns the one live
+instance of a value from a table of weak references (a tuple cannot be
+weakly referenced), so their equality and hashing are identity.
 """
 
 import json
@@ -39,8 +40,9 @@ def canonical_json(value: Any) -> str:
 
 
 class Record:
-    """A class of values whose fields are the parameters of its `__init__`,
-    which stores each under its own name.
+    """A class of values whose fields are the parameters of its `__init__`
+    (or of its `__new__`, in a class without one), which stores each under
+    its own name.
 
     `Cls._fields` lists the field names in signature order and `_asdict()`
     maps them to the values. Two records are equal when they are of one
@@ -54,8 +56,9 @@ class Record:
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
-        if "__init__" in vars(cls):
-            code = cls.__init__.__code__
+        constructor = "__init__" if "__init__" in vars(cls) else "__new__"
+        if constructor in vars(cls):
+            code = getattr(cls, constructor).__code__
             cls._fields = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
             cls._compared = tuple(n for n in cls._fields if n not in cls._uncompared)
             cls._key = attrgetter(*cls._compared)

@@ -183,6 +183,31 @@ def lookup(table: dict[str, _T], key: Any, what: str) -> _T:
     return table[key]
 
 
+# Every Formula and Statement, built or decoded, one instance per value:
+# each class's `__new__` looks its value up here, and enters it on a miss,
+# keyed by the class and the fields. Equal values are therefore one object,
+# so equality and hashing are identity, and a key made of a formula's
+# children or a statement's formulas hashes in O(1), where hashing by value
+# would walk the tree. Entries are weak, so the table holds exactly the
+# values still in use somewhere; an entry goes with its value, and with it
+# the key's references to the parts. The hot paths read and write the weak
+# references directly, as `WeakValueDictionary` does, with its callback.
+_interned: weakref.WeakValueDictionary[tuple[Any, ...], Any] = weakref.WeakValueDictionary()
+_interned_refs = _interned.data
+_drop = _interned._remove
+_new = object.__new__
+_set_field = Frozen._set_field
+
+
+class _Entry(weakref.ref):
+    """A table entry: a weak reference to the value that carries its key,
+    as the table's callback reads it. `weakref.KeyedRef` is the same, but
+    its constructor runs two Python frames, which every new value would
+    pay for."""
+
+    __slots__ = ("key",)
+
+
 def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
     """Compute a zero-argument method of a `Frozen` record once per
     instance, on the first call, and keep the result as an instance
@@ -203,7 +228,18 @@ def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
 
 
 class Formula(Frozen):
-    def __init__(self, op: str, name: str | None = None, args: tuple[Formula, ...] = ()) -> None:
+    """A formula of the shapes the module docstring lists, one instance per
+    value (see `_interned`): equal formulas are one object, so equality and
+    hashing are identity, and a formula's memoized text and size are
+    computed once per value."""
+
+    def __new__(cls, op: str, name: str | None = None, args: tuple[Formula, ...] = ()) -> Formula:
+        key = (cls, op, name, args)
+        ref = _interned_refs.get(key)
+        if ref is not None:
+            formula = ref()
+            if formula is not None:
+                return formula
         if op in _LEAF:
             if not isinstance(name, str) or not name or args:
                 raise ParseError(f"{op} formula needs a name and no arguments")
@@ -215,9 +251,20 @@ class Formula(Frozen):
                 raise ParseError(f"{op} takes exactly two arguments")
         else:
             raise ParseError(f"unknown connective {op!r}")
-        self._set_field("op", op)
-        self._set_field("name", name)
-        self._set_field("args", args)
+        formula = _new(cls)
+        _set_field(formula, "op", op)
+        _set_field(formula, "name", name)
+        _set_field(formula, "args", args)
+        _interned_refs[key] = entry = _Entry(formula, _drop)
+        entry.key = key
+        return formula
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Unpickling calls the constructor, so it returns the live instance.
+        return self.__class__, (self.op, self.name, self.args)
 
     @staticmethod
     def from_json(doc: Any) -> "Formula":
@@ -260,24 +307,14 @@ class Formula(Frozen):
         return f"({self.args[0]} {glyph} {self.args[1]})"
 
 
-# Decoded formulas and statements, one shared instance per key; see
-# `_formula_from_json` and `Statement.from_json`. Entries are weak, so the
-# table holds exactly the decoded values still in use somewhere: a live entry
-# keeps the formulas it is made of alive, hence the ids in its key stay theirs.
-_interned: weakref.WeakValueDictionary[tuple[Any, ...], Any] = weakref.WeakValueDictionary()
-_interned_refs = _interned.data
-
-
 def _formula_from_json(doc: Any, levels: int) -> Formula:
     """`Formula.from_json` with `levels` the nesting depth still allowed.
 
-    Children are decoded first, so equal subtrees are already one object,
-    and a formula is looked up by its connective and its name or the
-    identities of its children: an O(1) key, where hashing the formula
-    would walk the subtree. Equal formulas decoded while one of them is
-    alive are therefore one object (hash-consing), which keeps its memoized
-    canonical text and size and makes comparing them an identity check. On
-    this hot path of replay the table is read through its weak-ref dict."""
+    Children are decoded first, so they are already the one instance of
+    their value, and the formula is read from `_interned` by the key
+    `Formula.__new__` enters it under; only a formula no live object holds
+    calls the constructor. On this hot path of replay the table is read
+    through its weak-ref dict, which spares each node the class call."""
     if levels < 1:
         raise ParseError("document nested too deeply")
     if not isinstance(doc, dict) or len(doc) != 1:
@@ -287,23 +324,20 @@ def _formula_from_json(doc: Any, levels: int) -> Formula:
         if not isinstance(body, str):
             raise ParseError(f"{op} name must be a string")
         name, args = body, ()
-        key: tuple[Any, ...] = (op, body)
     elif op == "and" or op == "or" or op == "imp":
         if not isinstance(body, list) or len(body) != 2:
             raise ParseError(f"{op} takes a two-element array")
         left = _formula_from_json(body[0], levels - 1)
         right = _formula_from_json(body[1], levels - 1)
-        name, args, key = None, (left, right), (op, id(left), id(right))
+        name, args = None, (left, right)
     elif op == "not":
         inner = _formula_from_json(body, levels - 1)
-        name, args, key = None, (inner,), (op, id(inner))
+        name, args = None, (inner,)
     else:
         raise ParseError(f"unknown connective {op!r}")
-    ref = _interned_refs.get(key)
+    ref = _interned_refs.get((Formula, op, name, args))
     formula = ref() if ref is not None else None
-    if formula is None:
-        formula = _interned[key] = Formula(op, name, args)
-    return formula
+    return formula if formula is not None else Formula(op, name, args)
 
 
 def atom(name: str) -> Formula:
@@ -339,15 +373,32 @@ class Statement(Frozen):
 
     The context is an opaque label (a theory or library name); it scopes which
     defined symbols are in play but carries no logical content of its own.
-    Assumptions are a set, serialized in canonical formula order.
+    Assumptions are a set, serialized in canonical formula order. Like a
+    formula, a statement is one instance per value (see `_interned`).
     """
 
-    def __init__(
-        self, conclusion: Formula, assumptions: frozenset[Formula] = frozenset(), context: str = ""
-    ) -> None:
-        self._set_field("conclusion", conclusion)
-        self._set_field("assumptions", assumptions)
-        self._set_field("context", context)
+    def __new__(
+        cls, conclusion: Formula, assumptions: frozenset[Formula] = frozenset(), context: str = ""
+    ) -> Statement:
+        key = (cls, conclusion, assumptions, context)
+        ref = _interned_refs.get(key)
+        if ref is not None:
+            statement = ref()
+            if statement is not None:
+                return statement
+        statement = _new(cls)
+        _set_field(statement, "conclusion", conclusion)
+        _set_field(statement, "assumptions", assumptions)
+        _set_field(statement, "context", context)
+        _interned_refs[key] = entry = _Entry(statement, _drop)
+        entry.key = key
+        return statement
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return self.__class__, (self.conclusion, self.assumptions, self.context)
 
     @_memoized
     def sorted_assumptions(self) -> tuple[Formula, ...]:
@@ -365,10 +416,9 @@ class Statement(Frozen):
 
     @staticmethod
     def from_json(doc: Any) -> "Statement":
-        """Decode a statement, hash-consed as formulas are (see
-        `_formula_from_json`), by the identities of its shared formulas and
-        its context: a question's statement and the target of every answer
-        to it are one object, with one memoized text, hash and size."""
+        """Decode a statement. Its formulas are decoded first, so a
+        question's statement and the target of every answer to it are one
+        object, with one memoized text, hash and size."""
         doc = read_object(doc, "statement", _STATEMENT_FIELDS, ("conclusion",))
         raw = doc.get("assumptions", [])
         if not isinstance(raw, list):
@@ -377,13 +427,8 @@ class Statement(Frozen):
         if not isinstance(context, str):
             raise ParseError("context must be a string")
         conclusion = _formula_from_json(doc["conclusion"], MAX_FORMULA_DEPTH)
-        assumptions = [_formula_from_json(f, MAX_FORMULA_DEPTH) for f in raw]
-        key = (id(conclusion), frozenset(map(id, assumptions)), context)
-        ref = _interned_refs.get(key)
-        statement = ref() if ref is not None else None
-        if statement is None:
-            statement = _interned[key] = Statement(conclusion, frozenset(assumptions), context)
-        return statement
+        assumptions = frozenset([_formula_from_json(f, MAX_FORMULA_DEPTH) for f in raw])
+        return Statement(conclusion, assumptions, context)
 
     @_memoized
     def canonical(self) -> str:

@@ -33,6 +33,7 @@ from .formulas import (
     lookup,
     parse_json,
     read_object,
+    read_str,
 )
 
 __all__ = [
@@ -83,7 +84,7 @@ class InferenceStep(Frozen):
             raise ParseError("premises must be an array")
         return InferenceStep(
             formula=Formula.from_json(doc["formula"]),
-            rule=doc["rule"] if isinstance(doc["rule"], str) else "",
+            rule=read_str(doc["rule"], "inference step rule"),
             premises=tuple(premises),
         )
 

@@ -504,14 +504,11 @@ class Misleader(HonestClaimer):
                 cost = ctx.answer_cost(proof, q.level)
                 yield Move("answer_claim", ctx.me, ctx.now, q.id, proof=proof), cost
 
-    def decide(self, ctx: AgentContext) -> list[Move]:
-        own = super().decide(ctx)
-        # The honest-claimer base still fields other people's questions, but
-        # must keep its hands off the self-posed ones that `proposals` times.
-        # It prices its answers against the whole balance, a second budget:
-        # neither what `own` spends nor the answers it drops are deducted.
-        fielded = _affordable(ctx.balance(), self.answers(ctx))
-        return own + [m for m in fielded if ctx.instance.question(m.origin).owner != ctx.me]
+        # Then, as an honest claimer, it fields other people's questions on
+        # its claims, keeping its hands off the self-posed ones timed above.
+        for move, cost in self.answers(ctx):
+            if ctx.instance.question(move.origin).owner != ctx.me:
+                yield move, cost
 
 
 class Plagiarist(AgentStrategy):

@@ -309,6 +309,18 @@ def test_validate_rejects_booleans_as_indices(capsys, tmp_path, name, edit):
     assert err.startswith("error: unparsable document: ")
 
 
+@pytest.mark.parametrize("rule, shown", [(5, "5"), (None, "None")])
+def test_validate_rejects_an_inference_rule_that_is_not_a_string(capsys, tmp_path, rule, shown):
+    doc = json.loads((PROOFS / "modus_ponens_proof.json").read_text())
+    doc["steps"][0]["rule"] = rule
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (
+        1, "", f"error: unparsable document: inference step rule must be a string, got {shown}\n"
+    )
+
+
 # Edits of a valid cascade file, each of which `sprig run` must reject. An
 # edit changes the document in place or returns a replacement for it.
 # tests/test_schemas.py checks schemas/cascade.json against the same edits.

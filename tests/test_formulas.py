@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,11 +27,10 @@ from sprig.formulas import (
 import oracles
 
 
-def formulas(max_leaves: int = 6) -> st.SearchStrategy[Formula]:
-    leaves = st.one_of(
-        st.sampled_from("pqrst").map(atom),
-        st.sampled_from(["zeta", "shorthand"]).map(sym),
-    )
+def formulas(
+    max_leaves: int = 6, atoms: str = "pqrst", syms: tuple[str, ...] = ("zeta", "shorthand")
+) -> st.SearchStrategy[Formula]:
+    leaves = st.one_of(st.sampled_from(atoms).map(atom), st.sampled_from(syms).map(sym))
     return st.recursive(
         leaves,
         lambda sub: st.one_of(
@@ -141,11 +141,10 @@ def test_formula_size_is_the_length_of_the_oracle_token_stream(f):
 
 @given(formulas())
 def test_equal_formulas_hash_equal_whether_decoded_or_built(f):
+    # one instance per value: decoding or rebuilding a live formula returns it
     decoded, rebuilt = Formula.from_json(oracles.document_json(f)), _rebuilt(f)
-    assert rebuilt is not f and rebuilt is not decoded
-    assert decoded == f == rebuilt
-    assert hash(decoded) == hash(f) == hash(rebuilt)
-    assert Formula.from_json(oracles.document_json(rebuilt)) is decoded
+    assert decoded is f and rebuilt is f
+    assert decoded == f == rebuilt and hash(decoded) == hash(f) == hash(rebuilt)
 
 
 def test_str_rendering_spot_checks():
@@ -255,22 +254,28 @@ def test_canonical_json_is_valid_json_with_unicode_preserved():
 # -- memoized encodings --------------------------------------------------------
 
 
-@given(
-    st.sets(formulas(max_leaves=3), max_size=3),
-    formulas(max_leaves=3),
-    st.sampled_from(["", "demo"]),
-)
+# Leaf names no other test or module builds with, so that no object outside
+# the test holds a statement the test builds, and dropping it frees it.
+_UNSHARED = formulas(max_leaves=3, atoms=("memo_a", "memo_b", "memo_c"), syms=("memo_s",))
+
+
+@given(st.sets(_UNSHARED, max_size=3), _UNSHARED, st.sampled_from(["", "demo"]))
 def test_memoized_encodings_equal_a_fresh_computation(assumptions, conclusion, context):
     s = Statement(conclusion=conclusion, assumptions=frozenset(assumptions), context=context)
     memo = (s.hash(), s.sorted_assumptions(), [f.canonical() for f in s.sorted_assumptions()])
-    twin = Statement.from_json(oracles.document_json(s))
-    assert twin == s and twin is not s
+    doc, gone = oracles.document_json(s), weakref.ref(s)
+    del s
+    assert gone() is None
+    # decoded once the first statement is gone: a new object, whose memos
+    # are computed afresh
+    twin = Statement.from_json(doc)
+    assert "_hash_memo" not in vars(twin) and "_sorted_assumptions_memo" not in vars(twin)
     fresh = (twin.hash(), twin.sorted_assumptions(), [f.canonical() for f in twin.sorted_assumptions()])
     assert memo == fresh
     # and the uncached definitions, spelled out
-    order = sorted(s.assumptions, key=lambda f: canonical_json(oracles.document_json(f)))
+    order = sorted(twin.assumptions, key=lambda f: canonical_json(oracles.document_json(f)))
     assert memo == (
-        content_hash(oracles.document_json(s)),
+        content_hash(oracles.document_json(twin)),
         tuple(order),
         [canonical_json(oracles.document_json(f)) for f in order],
     )
@@ -285,23 +290,25 @@ def _sample_statement():
 
 
 def test_a_filled_memo_is_invisible_to_equality_hashing_repr_fields_and_pickle():
-    empty, filled = _sample_statement(), _sample_statement()
-    filled.hash()
-    for f in filled.sorted_assumptions():
+    s = _sample_statement()
+    shown = (repr(s), hash(s), s._asdict())
+    s.hash()
+    for f in s.sorted_assumptions():
         f.canonical()
-    assert filled == empty and hash(filled) == hash(empty)
-    assert repr(filled) == repr(empty)
-    assert filled._fields == ("conclusion", "assumptions", "context")
-    assert filled._asdict() == empty._asdict()
-    restored = pickle.loads(pickle.dumps(filled))
-    assert restored == empty and hash(restored) == hash(empty)
-    # a rebuilt frozenset may iterate in another order, so compare like with like
-    assert repr(restored) == repr(pickle.loads(pickle.dumps(empty)))
-    assert restored.hash() == empty.hash()
-    assert restored.sorted_assumptions() == empty.sorted_assumptions()
+    assert s == _sample_statement() and (repr(s), hash(s), s._asdict()) == shown
+    assert s._fields == ("conclusion", "assumptions", "context")
+    # a pickle carries the fields only: unpickled while the statement lives,
+    # it is that statement; once it is gone, a new one with empty memos
+    data = pickle.dumps(s)
+    assert pickle.loads(data) is s
+    digest, gone = s.hash(), weakref.ref(s)
+    del s
+    assert gone() is None
+    restored = pickle.loads(data)
+    assert "_hash_memo" not in vars(restored) and restored.hash() == digest
     # a copy with other fields is built afresh, not from the old memo
-    other = Statement(**{**filled._asdict(), "context": "other"})
-    assert other.hash() == content_hash(oracles.document_json(other)) != filled.hash()
+    other = Statement(**{**restored._asdict(), "context": "other"})
+    assert other.hash() == content_hash(oracles.document_json(other)) != digest
 
 
 def test_memoized_methods_return_the_identical_object():
@@ -332,14 +339,19 @@ def test_canonical_text_is_the_canonical_json_of_any_formula(f):
 
 
 def test_decoding_shares_one_instance_per_formula():
-    doc = {"imp": [{"and": [{"atom": "p"}, {"sym": "zeta"}]}, {"atom": "p"}]}
+    doc = {"imp": [{"and": [{"atom": "shared_p"}, {"sym": "shared_z"}]}, {"atom": "shared_p"}]}
     f, g = Formula.from_json(doc), Formula.from_json(json.loads(json.dumps(doc)))
     assert f is g
     assert f.args[0].args[0] is f.args[1]
-    assert Formula.from_json({"atom": "p"}) is f.args[1]
-    # built, not decoded: equal but its own object
-    built = impl(conj(atom("p"), sym("zeta")), atom("p"))
-    assert built == f and built is not f
+    assert Formula.from_json({"atom": "shared_p"}) is f.args[1]
+    # built or decoded, one instance per value
+    assert impl(conj(atom("shared_p"), sym("shared_z")), atom("shared_p")) is f
+    # once no object holds the value, it is built afresh
+    text, gone = f.canonical(), weakref.ref(f)
+    del f, g
+    assert gone() is None
+    fresh = Formula.from_json(json.loads(text))
+    assert "_canonical_memo" not in vars(fresh) and fresh.canonical() == text
 
 
 def test_decoding_shares_one_instance_per_statement():
@@ -351,9 +363,9 @@ def test_decoding_shares_one_instance_per_statement():
     assert s.conclusion in s.assumptions and len(s.assumptions) == 2
     assert Statement.from_json({**doc, "context": "demo"}) is not s
     assert Statement.from_json({**doc, "conclusion": {"atom": "q"}}) is not s
-    # built, not decoded: equal, hashing equal, but its own object
+    # built or decoded, one instance per value
     built = Statement(conclusion=atom("p"), assumptions=frozenset({atom("p"), atom("q")}))
-    assert built == s and hash(built) == hash(s) and built is not s
+    assert built is s
 
 
 def test_a_pickled_decoded_formula_still_equals_the_shared_one():
@@ -367,6 +379,18 @@ def test_a_pickled_decoded_formula_still_equals_the_shared_one():
     assert Formula.from_json(doc) is shared
     statement = Statement.from_json({"assumptions": [doc], "conclusion": doc})
     assert pickle.loads(pickle.dumps(statement)) == statement
+
+
+def test_unpickling_returns_the_live_instance():
+    built = disj(neg(atom("pickled_p")), sym("pickled_z"))
+    decoded = Formula.from_json({"imp": [{"atom": "pickled_p"}, {"atom": "pickled_q"}]})
+    statements = (
+        Statement(conclusion=built, assumptions=frozenset({atom("pickled_p"), decoded})),
+        Statement.from_json({"assumptions": [{"atom": "pickled_q"}],
+                             "conclusion": {"atom": "pickled_p"}, "context": "demo"}),
+    )
+    for value in (built, decoded, *statements):
+        assert pickle.loads(pickle.dumps(value)) is value
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,10 @@ replay of its log encodes each payload once, as playing it did. Payloads are
 composed from the canonical text of what they post, so neither playing nor
 replaying a move calls `json.dumps`. The simulated agents run the kernel on
 the posted machine answers only, and the bomber looks each step up once.
-Replay evaluates each node a bounded number of times, reads a bounded number
-of children per move, and counts the tokens of each distinct formula once.
+Replay evaluates each node a bounded number of times and reads a bounded
+number of children per move. Next to the live trace it decodes the trace's
+own formulas and counts no tokens; from the log alone it counts the tokens
+of each distinct formula once.
 Its move log is the benchmark's: each seed's log hashes to the digest that
 perfbench/recorded.json pins.
 """
@@ -279,11 +281,37 @@ def test_replay_shares_the_formulas_of_earlier_moves(k):
         assert claim.proof.target is twin.question(claim.origin).statement
 
 
+def _log_only(trace):
+    """What a replay of the trace's log reads, holding no formula."""
+    inst = trace.instance
+    return trace.move_lines, inst.cascade, trace.initial_balances, inst.mode
+
+
 def test_replayed_formulas_leave_the_intern_table_with_their_instance():
-    trace = run_scenario(wide_config(4, 0))
     gc.collect()
     before = len(formulas._interned)
+    trace = run_scenario(wide_config(4, 0))
+    simulated = len(formulas._interned)
+    assert simulated > before
+    # Next to the live trace, the replay's formulas and statements are the
+    # trace's own objects: it adds nothing to the table.
     twin = _wide_replay(trace)
+    target = twin.nodes[twin.root_id].proof.target
+    assert target is trace.instance.nodes[trace.instance.root_id].proof.target
+    assert len(formulas._interned) == simulated
+    built = [weakref.ref(target), weakref.ref(target.conclusion)]
+    lines, cascade, balances, mode = _log_only(trace)
+    del twin, target
+    gc.collect()
+    assert len(formulas._interned) == simulated
+    # The table drops back only once the built tree goes with the trace.
+    del trace
+    gc.collect()
+    assert [ref() for ref in built] == [None, None]
+    assert len(formulas._interned) <= before
+    # From the log alone, the replay decodes its own objects, which leave
+    # the table with it.
+    twin = replay(lines, cascade, balances=balances, mode=mode)
     assert len(formulas._interned) > before
     target = twin.nodes[twin.root_id].proof.target
     decoded = [weakref.ref(target), weakref.ref(target.conclusion)]
@@ -377,8 +405,19 @@ def test_replay_counts_the_tokens_of_each_distinct_formula_once(k, monkeypatch):
         return size(self)
 
     monkeypatch.setattr(Formula, "size", formulas._memoized(counted))
+    # Next to the live trace, each formula the replay decodes is the
+    # trace's, sized when it was posted.
     twin = _wide_replay(trace)
+    assert computed == []
+    assert twin.move_log_lines() == trace.move_lines
+    # From the log alone, each distinct formula is sized once.
+    lines, cascade, balances, mode = _log_only(trace)
+    gone = weakref.ref(trace.instance.nodes[trace.instance.root_id].proof.target)
+    del trace, twin
+    gc.collect()
+    assert gone() is None
+    twin = replay(lines, cascade, balances=balances, mode=mode)
     assert computed
     assert len({id(f) for f in computed}) == len(computed)
     assert len({f.canonical() for f in computed}) == len(computed)
-    assert twin.move_log_lines() == trace.move_lines
+    assert twin.move_log_lines() == lines

@@ -138,6 +138,13 @@ def test_unknown_fields_are_parse_errors_everywhere():
         InferenceStep.from_json({"formula": {"atom": "p"}, "rule": "assumption", "x": 1})
 
 
+@pytest.mark.parametrize("rule", [5, None])
+def test_an_inference_rule_that_is_not_a_string_is_a_parse_error(rule):
+    with pytest.raises(ParseError) as caught:
+        InferenceStep.from_json({"formula": {"atom": "p"}, "rule": rule})
+    assert str(caught.value) == f"inference step rule must be a string, got {rule!r}"
+
+
 # -- height and stripping ------------------------------------------------------
 
 

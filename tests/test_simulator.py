@@ -198,6 +198,23 @@ def test_misleader_variants_differ_only_in_timing():
     assert immediate.summary()["payoffs"] == deadline.summary()["payoffs"] == {"mia": 0}
 
 
+@pytest.mark.parametrize(
+    "name, balance, payoffs",
+    [("misleader_immediate", 25, {"bob": 16, "mia": -16}),
+     ("misleader_deadline", 20, {"bob": 10, "mia": -10})],
+)
+def test_a_misleader_short_of_funds_proposes_only_what_it_holds(name, balance, payoffs):
+    # A bomber's questions leave the misleader answers to field besides its
+    # own questions: one walk prices both against one balance, so the
+    # protocol rejects none of its moves.
+    doc = preset_scenario(name)
+    doc["agents"][0]["balance"] = balance
+    doc["agents"].append({"name": "bob", "balance": 1000, "strategy": {"kind": "carpet_bomber"}})
+    trace = run_scenario(scenario_from_json(doc))
+    assert trace.rejections == []
+    assert trace.summary()["payoffs"] == payoffs
+
+
 # -- knowledge and padding -------------------------------------------------------
 
 
