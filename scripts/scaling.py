@@ -25,10 +25,12 @@ the children read off `Node.children`, counted after the timed runs in one
 more simulate and replay + settle, so that the counting costs no timed
 run anything. The same pass counts the `sprig.Frozen` records built (calls
 of the `__init__` of each subclass), the fixed per-move cost that a plain
-`typing.NamedTuple` record does not pay, and the `Formula` and `Statement`
-objects created: each call of their constructor in a checkout that builds
+`typing.NamedTuple` record does not pay, and, apart from them, the `Formula`
+and `Statement` objects created and the proof records created
+(`DefinitionSet`, `InferenceStep`, `MachineProof`, `ChainStep` and
+`ProofChain`): each call of a class's constructor in a checkout that builds
 one object per call, each object not alive before the call in one that
-returns the live instance of a value.
+returns the live instance of a value (a class whose equality is identity).
 
 Two more timings show what that reuse is worth. `replay_settle_alone_warm`
 replays and settles the log once the debate and its built tree are dropped,
@@ -63,9 +65,11 @@ SEED = 0
 # unresolved at some k.
 REPEATS = 10
 # What each half counts, kept per move: `json.dumps` calls, kernel verdicts,
-# rule evaluations, children read, `Frozen` records built other than formulas
-# and statements, and formulas and statements created.
-COUNTS = ("dumps", "verdicts", "evals", "children", "frozen", "formulas")
+# rule evaluations, children read, `Frozen` records built other than formulas,
+# statements and proof records, formulas and statements created, and proof
+# records (definition sets, inference steps, machine proofs, chain steps and
+# chains) created.
+COUNTS = ("dumps", "verdicts", "evals", "children", "frozen", "formulas", "proofs")
 HALVES = ("simulate", "replay_settle", "replay_settle_alone")
 # Cold: the first simulate and replay in a fresh interpreter. Warm: the
 # fastest of the next WARM_RUNS in the same interpreter, each after the
@@ -80,7 +84,8 @@ TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm",
 CHILD = """
 import gc, hashlib, json, sys, time, weakref
 from sprig import Frozen, formulas
-from sprig.formulas import Formula, Statement
+from sprig.formulas import DefinitionSet, Formula, Statement
+from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import Node, ProtocolInstance, advance_clock, replay, settle
 from sprig.simulator import run_scenario
 from sprig.verifier import ToyVerifier
@@ -177,7 +182,9 @@ def counted_init(self, *args, **kwargs):
     self.children = Counted(self.children)
 setattr(ProtocolInstance, rule_name, counted_rule)
 Node.__init__ = counted_init
-built, made = [0], [0]
+built, made, proofs = [0], [0], [0]
+VALUES = {Formula: made, Statement: made, DefinitionSet: proofs, InferenceStep: proofs,
+          MachineProof: proofs, ChainStep: proofs, ProofChain: proofs}
 def counted_build(init):
     def counted(self, *args, **kwargs):
         built[0] += 1
@@ -186,34 +193,38 @@ def counted_build(init):
 frozen = [Frozen]
 for cls in frozen:
     frozen.extend(cls.__subclasses__())
-    if "__init__" in vars(cls) and cls not in (Formula, Statement):
+    if "__init__" in vars(cls) and cls not in VALUES:
         cls.__init__ = counted_build(cls.__init__)
 alive = weakref.WeakSet()
-def counted_new(new):
+def counted_new(new, counter):
     def counted(cls, *args, **kwargs):
         value = new(cls, *args, **kwargs)
         if value not in alive:
-            made[0] += 1
+            counter[0] += 1
             alive.add(value)
         return value
     return counted
-def counted_made(init):
-    def counted(self, *args, **kwargs):
-        made[0] += 1
-        init(self, *args, **kwargs)
+def counted_call(new, counter):
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return new(*args, **kwargs)
     return counted
-for cls in (Formula, Statement):
-    if "__new__" in vars(cls):
-        alive.update(v for v in formulas._interned.values() if type(v) is cls)
-        cls.__new__ = staticmethod(counted_new(cls.__new__))
+live = [v() if isinstance(v, weakref.ref) else v for v in list(formulas._interned.values())]
+for cls, counter in VALUES.items():
+    if cls.__eq__ is object.__eq__:
+        alive.update(v for v in live if type(v) is cls)
+        cls.__new__ = staticmethod(counted_new(cls.__new__, counter))
+    elif "__init__" in vars(cls):
+        cls.__init__ = counted_call(cls.__init__, counter)
     else:
-        cls.__init__ = counted_made(cls.__init__)
+        cls.__new__ = staticmethod(counted_call(cls.__new__, counter))
 def counts(half):
     out.update({f"{half}_evals": evals[0], f"{half}_children": reads[0],
-                f"{half}_frozen": built[0], f"{half}_formulas": made[0]})
-    evals[0] = reads[0] = built[0] = made[0] = 0
+                f"{half}_frozen": built[0], f"{half}_formulas": made[0],
+                f"{half}_proofs": proofs[0]})
+    evals[0] = reads[0] = built[0] = made[0] = proofs[0] = 0
 config = wide_config(k, seed)
-evals[0] = reads[0] = built[0] = made[0] = 0
+evals[0] = reads[0] = built[0] = made[0] = proofs[0] = 0
 trace = run_scenario(config)
 counts("simulate")
 twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)

@@ -28,10 +28,11 @@ import functools
 import json
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator, TypeVar
 
-from . import Frozen, canonical_json
+from . import Frozen, Interned, canonical_json
 
 __all__ = [
     "ParseError",
@@ -183,43 +184,51 @@ def lookup(table: dict[str, _T], key: Any, what: str) -> _T:
     return table[key]
 
 
-# Every Formula and Statement, built or decoded, one instance per value:
-# each class's `__new__` looks its value up here, and enters it on a miss,
-# keyed by the class and the fields. Equal values are therefore one object,
-# so equality and hashing are identity, and a key made of a formula's
-# children or a statement's formulas hashes in O(1), where hashing by value
-# would walk the tree. Entries are weak, so the table holds exactly the
-# values still in use somewhere; an entry goes with its value, and with it
-# the key's references to the parts. The hot paths read and write the weak
-# references directly, as `WeakValueDictionary` does, with its callback.
-_interned: weakref.WeakValueDictionary[tuple[Any, ...], Any] = weakref.WeakValueDictionary()
-_interned_refs = _interned.data
-_drop = _interned._remove
+# Every formula, statement and proof record, built or decoded, one instance
+# per value: each class's `__new__` looks its value up here, and enters it
+# on a miss, keyed by the class and the fields. Equal values are therefore
+# one object, so equality and hashing are identity, and a key made of a
+# formula's children, a statement's formulas or a proof's parts hashes in
+# O(1), where hashing by value would walk the tree. Entries are weak
+# references (`_Entry`), so the table holds exactly the values still in use
+# somewhere: when a value dies, `_drop` removes its entry, and with it the
+# key's references to the parts, in C. Nothing guards an iteration of the
+# table against that removal, so a reader iterates a snapshot
+# (`list(_interned.values())`) and calls each entry for its value.
+_interned: dict[tuple[Any, ...], _Entry] = {}
 _new = object.__new__
 _set_field = Frozen._set_field
 
 
+def _drop(entry: _Entry) -> None:
+    """Remove a dead value's entry from `_interned`, unless a live value
+    has taken its key since."""
+    _remove_dead_weakref(_interned, entry.key)
+
+
 class _Entry(weakref.ref):
     """A table entry: a weak reference to the value that carries its key,
-    as the table's callback reads it. `weakref.KeyedRef` is the same, but
-    its constructor runs two Python frames, which every new value would
-    pay for."""
+    as `_drop` reads it. `weakref.KeyedRef` is the same, but its
+    constructor runs two Python frames, which every new value would pay
+    for."""
 
     __slots__ = ("key",)
 
 
 def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
     """Compute a zero-argument method of a `Frozen` record once per
-    instance, on the first call, and keep the result as an instance
-    attribute. The result depends only on the fields, which never change;
-    the attribute is not a field, so equality, hashing, repr and `_asdict`
-    ignore it."""
+    instance, on the first call, and keep the result (None too) as an
+    instance attribute. The result depends only on the fields, which never
+    change; the attribute is not a field, so equality, hashing, repr and
+    `_asdict` ignore it. A result must not refer back to its instance, or
+    the instance would outlive its last outside reference."""
     key = f"_{method.__name__}_memo"
+    unset = object()
 
     @functools.wraps(method)
     def memoized(self: Any) -> _T:
-        value = getattr(self, key, None)
-        if value is None:
+        value = getattr(self, key, unset)
+        if value is unset:
             value = method(self)
             object.__setattr__(self, key, value)
         return value
@@ -227,7 +236,7 @@ def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
     return memoized
 
 
-class Formula(Frozen):
+class Formula(Interned):
     """A formula of the shapes the module docstring lists, one instance per
     value (see `_interned`): equal formulas are one object, so equality and
     hashing are identity, and a formula's memoized text and size are
@@ -235,7 +244,7 @@ class Formula(Frozen):
 
     def __new__(cls, op: str, name: str | None = None, args: tuple[Formula, ...] = ()) -> Formula:
         key = (cls, op, name, args)
-        ref = _interned_refs.get(key)
+        ref = _interned.get(key)
         if ref is not None:
             formula = ref()
             if formula is not None:
@@ -255,16 +264,9 @@ class Formula(Frozen):
         _set_field(formula, "op", op)
         _set_field(formula, "name", name)
         _set_field(formula, "args", args)
-        _interned_refs[key] = entry = _Entry(formula, _drop)
+        _interned[key] = entry = _Entry(formula, _drop)
         entry.key = key
         return formula
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # Unpickling calls the constructor, so it returns the live instance.
-        return self.__class__, (self.op, self.name, self.args)
 
     @staticmethod
     def from_json(doc: Any) -> "Formula":
@@ -314,7 +316,7 @@ def _formula_from_json(doc: Any, levels: int) -> Formula:
     their value, and the formula is read from `_interned` by the key
     `Formula.__new__` enters it under; only a formula no live object holds
     calls the constructor. On this hot path of replay the table is read
-    through its weak-ref dict, which spares each node the class call."""
+    directly, which spares each node the class call."""
     if levels < 1:
         raise ParseError("document nested too deeply")
     if not isinstance(doc, dict) or len(doc) != 1:
@@ -335,7 +337,7 @@ def _formula_from_json(doc: Any, levels: int) -> Formula:
         name, args = None, (inner,)
     else:
         raise ParseError(f"unknown connective {op!r}")
-    ref = _interned_refs.get((Formula, op, name, args))
+    ref = _interned.get((Formula, op, name, args))
     formula = ref() if ref is not None else None
     return formula if formula is not None else Formula(op, name, args)
 
@@ -368,7 +370,7 @@ _STATEMENT_FIELDS = frozenset({"assumptions", "conclusion", "context"})
 _DEFINITION_FIELDS = frozenset({"imports", "symbols"})
 
 
-class Statement(Frozen):
+class Statement(Interned):
     """What a claim asserts: under `context`, `assumptions` entail `conclusion`.
 
     The context is an opaque label (a theory or library name); it scopes which
@@ -381,7 +383,7 @@ class Statement(Frozen):
         cls, conclusion: Formula, assumptions: frozenset[Formula] = frozenset(), context: str = ""
     ) -> Statement:
         key = (cls, conclusion, assumptions, context)
-        ref = _interned_refs.get(key)
+        ref = _interned.get(key)
         if ref is not None:
             statement = ref()
             if statement is not None:
@@ -390,15 +392,9 @@ class Statement(Frozen):
         _set_field(statement, "conclusion", conclusion)
         _set_field(statement, "assumptions", assumptions)
         _set_field(statement, "context", context)
-        _interned_refs[key] = entry = _Entry(statement, _drop)
+        _interned[key] = entry = _Entry(statement, _drop)
         entry.key = key
         return statement
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return self.__class__, (self.conclusion, self.assumptions, self.context)
 
     @_memoized
     def sorted_assumptions(self) -> tuple[Formula, ...]:
@@ -448,24 +444,35 @@ class Statement(Frozen):
         return text_hash(self.canonical())
 
 
-class DefinitionSet(Frozen):
+class DefinitionSet(Interned):
     """Named symbols introduced by a proof, plus imported context labels.
 
     `symbols` maps each introduced name to its defining formula (order
     preserved for serialization; names must be unique). `imports` lists
-    context labels whose symbols are assumed in scope.
+    context labels whose symbols are assumed in scope. Like a formula, a
+    definition set is one instance per value (see `_interned`).
     """
 
-    def __init__(
-        self, symbols: tuple[tuple[str, Formula], ...] = (), imports: tuple[str, ...] = ()
-    ) -> None:
+    def __new__(
+        cls, symbols: tuple[tuple[str, Formula], ...] = (), imports: tuple[str, ...] = ()
+    ) -> DefinitionSet:
+        key = (cls, symbols, imports)
+        ref = _interned.get(key)
+        if ref is not None:
+            definitions = ref()
+            if definitions is not None:
+                return definitions
         seen: set[str] = set()
         for name, _ in symbols:
             if name in seen:
                 raise ParseError(f"duplicate symbol {name!r}")
             seen.add(name)
-        self._set_field("symbols", symbols)
-        self._set_field("imports", imports)
+        definitions = _new(cls)
+        _set_field(definitions, "symbols", symbols)
+        _set_field(definitions, "imports", imports)
+        _interned[key] = entry = _Entry(definitions, _drop)
+        entry.key = key
+        return definitions
 
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.symbols)

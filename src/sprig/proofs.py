@@ -22,13 +22,19 @@ import json
 from json.encoder import encode_basestring
 from typing import Any, NamedTuple, Union
 
-from . import Frozen, Record
+from . import Interned, Record
 from .formulas import (
     MAX_PROOF_DEPTH,
     DefinitionSet,
     Formula,
     ParseError,
     Statement,
+    _drop,
+    _Entry,
+    _interned,
+    _memoized,
+    _new,
+    _set_field,
     is_int,
     lookup,
     parse_json,
@@ -57,15 +63,31 @@ _CHAIN_STEP_FIELDS = frozenset({"imports", "statement", "subproof"})
 _CHAIN_FIELDS = frozenset({"definitions", "kind", "steps", "target"})
 
 
-class InferenceStep(Frozen):
-    def __init__(self, formula: Formula, rule: str, premises: tuple[int, ...] = ()) -> None:
+class InferenceStep(Interned):
+    """A line of a machine proof: `formula`, by `rule`, from the lines
+    `premises` points to (see the module docstring). Like a formula, an
+    inference step is one instance per value (see `formulas._interned`)."""
+
+    def __new__(cls, formula: Formula, rule: str, premises: tuple[int, ...] = ()) -> InferenceStep:
         if not rule:
             raise ParseError("inference step needs a rule name")
-        if any(not is_int(p) or p == 0 for p in premises):
-            raise ParseError("premise indices must be nonzero integers")
-        self._set_field("formula", formula)
-        self._set_field("rule", rule)
-        self._set_field("premises", premises)
+        # Checked before the lookup: `(True,)` and `(1.0,)` equal `(1,)`.
+        for p in premises:
+            if not (p.__class__ is int or is_int(p)) or p == 0:
+                raise ParseError("premise indices must be nonzero integers")
+        key = (cls, formula, rule, premises)
+        ref = _interned.get(key)
+        if ref is not None:
+            step = ref()
+            if step is not None:
+                return step
+        step = _new(cls)
+        _set_field(step, "formula", formula)
+        _set_field(step, "rule", rule)
+        _set_field(step, "premises", premises)
+        _interned[key] = entry = _Entry(step, _drop)
+        entry.key = key
+        return step
 
     def canonical(self) -> str:
         """Canonical JSON of `{"formula": ..., "premises": [...], "rule": ...}`;
@@ -83,26 +105,48 @@ class InferenceStep(Frozen):
         if not isinstance(premises, list):
             raise ParseError("premises must be an array")
         return InferenceStep(
-            formula=Formula.from_json(doc["formula"]),
-            rule=read_str(doc["rule"], "inference step rule"),
-            premises=tuple(premises),
+            Formula.from_json(doc["formula"]),
+            read_str(doc["rule"], "inference step rule"),
+            tuple(premises),
         )
 
 
-class MachineProof(NamedTuple):
-    target: Statement
-    steps: tuple[InferenceStep, ...] = ()
+class MachineProof(Interned):
+    """A proof for the bottom level: `steps` derive the conclusion of
+    `target` (see the module docstring). Like a formula, a machine proof is
+    one instance per value (see `formulas._interned`), so its text and
+    length are computed once per value, however often it is posted."""
+
+    def __new__(cls, target: Statement, steps: tuple[InferenceStep, ...] = ()) -> MachineProof:
+        key = (cls, target, steps)
+        ref = _interned.get(key)
+        if ref is not None:
+            proof = ref()
+            if proof is not None:
+                return proof
+        proof = _new(cls)
+        _set_field(proof, "target", target)
+        _set_field(proof, "steps", steps)
+        _interned[key] = entry = _Entry(proof, _drop)
+        entry.key = key
+        return proof
 
     kind = "machine_proof"
 
     def height(self) -> int:
         return 1
 
+    @_memoized
     def canonical(self) -> str:
         """Canonical JSON of `{"kind": "machine_proof", "steps": [...],
         "target": ...}`, built from the parts' canonical text."""
-        steps = ",".join(s.canonical() for s in self.steps)
+        steps = ",".join([s.canonical() for s in self.steps])
         return f'{{"kind":"{self.kind}","steps":[{steps}],"target":{self.target.canonical()}}}'
+
+    @_memoized
+    def length(self) -> int:
+        """`measure_length`: each step's formula, rule tag and premise indices."""
+        return sum([s.formula.size() + 1 + len(s.premises) for s in self.steps])
 
     @staticmethod
     def from_json(doc: Any) -> "MachineProof":
@@ -111,25 +155,45 @@ class MachineProof(NamedTuple):
         if not isinstance(steps, list):
             raise ParseError("steps must be an array")
         return MachineProof(
-            target=Statement.from_json(doc["target"]),
-            steps=tuple(InferenceStep.from_json(s) for s in steps),
+            Statement.from_json(doc["target"]),
+            tuple([InferenceStep.from_json(s) for s in steps]),
         )
 
 
-class ChainStep(Frozen):
-    def __init__(
-        self,
+class ChainStep(Interned):
+    """A step of a chain: `statement`, whose assumptions take in the
+    conclusions of the earlier steps `imports` lists (1-based, kept sorted),
+    with an optional `subproof` showing how the step would be defended.
+    Like a formula, a chain step is one instance per value (see
+    `formulas._interned`)."""
+
+    def __new__(
+        cls,
         statement: Statement,
         imports: tuple[int, ...] = (),
         subproof: Union[ProofChain, MachineProof, None] = None,
-    ) -> None:
-        if any(not is_int(i) for i in imports):
-            raise ParseError("import indices must be integers")
-        if len(set(imports)) != len(imports):
+    ) -> ChainStep:
+        # Checked before the lookup: `(True,)` and `(1.0,)` equal `(1,)`.
+        for i in imports:
+            if not (i.__class__ is int or is_int(i)):
+                raise ParseError("import indices must be integers")
+        if len(imports) > 1:
+            imports = tuple(sorted(imports))
+        key = (cls, statement, imports, subproof)
+        ref = _interned.get(key)
+        if ref is not None:
+            step = ref()
+            if step is not None:
+                return step
+        if len(imports) > 1 and len(set(imports)) != len(imports):
             raise ParseError("duplicate import index")
-        self._set_field("statement", statement)
-        self._set_field("imports", tuple(sorted(imports)))
-        self._set_field("subproof", subproof)
+        step = _new(cls)
+        _set_field(step, "statement", statement)
+        _set_field(step, "imports", imports)
+        _set_field(step, "subproof", subproof)
+        _interned[key] = entry = _Entry(step, _drop)
+        entry.key = key
+        return step
 
     def canonical(self) -> str:
         """Canonical JSON of `{"imports": [...], "statement": ...,
@@ -150,26 +214,42 @@ class ChainStep(Frozen):
         if not isinstance(imports, list):
             raise ParseError("imports must be an array")
         return ChainStep(
-            statement=Statement.from_json(doc["statement"]),
-            imports=tuple(imports),
-            subproof=proof_from_json(doc["subproof"], levels - 1) if "subproof" in doc else None,
+            Statement.from_json(doc["statement"]),
+            tuple(imports),
+            proof_from_json(doc["subproof"], levels - 1) if "subproof" in doc else None,
         )
 
 
-class ProofChain(Frozen):
-    def __init__(
-        self,
+class ProofChain(Interned):
+    """A proof of `target` in numbered `steps` (see the module docstring),
+    declaring the symbols of `definitions`. Like a formula, a chain is one
+    instance per value (see `formulas._interned`), so its text, length and
+    posted shape are computed once per value, however often it is
+    posted."""
+
+    def __new__(
+        cls,
         target: Statement,
         steps: tuple[ChainStep, ...],
         definitions: DefinitionSet | None = None,
-    ) -> None:
-        if not steps:
-            raise ParseError("chain needs at least one step")
+    ) -> ProofChain:
         if definitions is None:
             definitions = DefinitionSet()
-        self._set_field("target", target)
-        self._set_field("steps", steps)
-        self._set_field("definitions", definitions)
+        key = (cls, target, steps, definitions)
+        ref = _interned.get(key)
+        if ref is not None:
+            chain = ref()
+            if chain is not None:
+                return chain
+        if not steps:
+            raise ParseError("chain needs at least one step")
+        chain = _new(cls)
+        _set_field(chain, "target", target)
+        _set_field(chain, "steps", steps)
+        _set_field(chain, "definitions", definitions)
+        _interned[key] = entry = _Entry(chain, _drop)
+        entry.key = key
+        return chain
 
     kind = "chain"
 
@@ -181,27 +261,44 @@ class ProofChain(Frozen):
                 deepest = max(deepest, step.subproof.height())
         return 1 + deepest
 
-    def stripped(self) -> "ProofChain":
+    def stripped(self) -> ProofChain:
         """This chain with all subproofs removed (the shape that gets
         posted): the chain itself when no step has one, as in every chain
-        decoded from a move log, else a copy."""
-        if all(s.subproof is None for s in self.steps):
-            return self
+        decoded from a move log, else the chain of its steps without them."""
+        bare = self._bare()
+        return self if bare is None else bare
+
+    @_memoized
+    def _bare(self) -> ProofChain | None:
+        """`stripped()` of a chain with a subproof, else None: a memo of the
+        chain itself would keep it alive."""
+        if all([s.subproof is None for s in self.steps]):
+            return None
         return ProofChain(
-            target=self.target,
-            steps=tuple(
-                ChainStep(statement=s.statement, imports=s.imports) for s in self.steps
-            ),
-            definitions=self.definitions,
+            self.target,
+            tuple([ChainStep(s.statement, s.imports) for s in self.steps]),
+            self.definitions,
         )
 
+    @_memoized
     def canonical(self) -> str:
         """Canonical JSON of `{"definitions": ..., "kind": "chain", "steps":
         [...], "target": ...}`, built from the parts' canonical text."""
-        steps = ",".join(s.canonical() for s in self.steps)
+        steps = ",".join([s.canonical() for s in self.steps])
         return (
             f'{{"definitions":{self.definitions.canonical()},"kind":"{self.kind}",'
             f'"steps":[{steps}],"target":{self.target.canonical()}}}'
+        )
+
+    @_memoized
+    def length(self) -> int:
+        """`measure_length`: the definitions, and each step's statement and
+        import indices."""
+        definitions = self.definitions
+        return (
+            len(definitions.imports)
+            + sum([1 + f.size() for _, f in definitions.symbols])
+            + sum([s.statement.size() + len(s.imports) for s in self.steps])
         )
 
     @staticmethod
@@ -211,13 +308,13 @@ class ProofChain(Frozen):
         steps = doc.get("steps", [])
         if not isinstance(steps, list):
             raise ParseError("steps must be an array")
-        definitions = DefinitionSet()
+        definitions = None
         if "definitions" in doc:
             definitions = DefinitionSet.from_json(doc["definitions"])
         return ProofChain(
-            target=Statement.from_json(doc["target"]),
-            steps=tuple(ChainStep.from_json(step, levels) for step in steps),
-            definitions=definitions,
+            Statement.from_json(doc["target"]),
+            tuple([ChainStep.from_json(step, levels) for step in steps]),
+            definitions,
         )
 
 
@@ -232,7 +329,8 @@ def proof_from_json(doc: Any, levels: int = MAX_PROOF_DEPTH) -> ProofChain | Mac
 
 
 def measure_length(proof: ProofChain | MachineProof) -> int:
-    """Length of a proof: the number of tokens it posts.
+    """Length of a proof: the number of tokens it posts, computed once per
+    proof value (`length()`).
 
     Counts the posted content only: definitions, step statements and import
     indices for a chain (embedded subproofs excluded, as is the target, which
@@ -241,14 +339,7 @@ def measure_length(proof: ProofChain | MachineProof) -> int:
     statement keeps its own count (`size()`), so a statement shared by
     several moves is counted once.
     """
-    if isinstance(proof, MachineProof):
-        return sum([s.formula.size() + 1 + len(s.premises) for s in proof.steps])
-    definitions = proof.definitions
-    return (
-        len(definitions.imports)
-        + sum([1 + f.size() for _, f in definitions.symbols])
-        + sum([s.statement.size() + len(s.imports) for s in proof.steps])
-    )
+    return proof.length()
 
 
 class Violation(NamedTuple):

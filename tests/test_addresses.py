@@ -60,7 +60,7 @@ def _produce():
     assumption set of two or more."""
     outputs, held = zip(_mismatch_text(), _preset("happy_path"), _preset("misleader_immediate"),
                         _wide_replay())
-    live = list(formulas._interned.values())
+    live = [entry() for entry in list(formulas._interned.values())]
     texts = [f.canonical() for f in live if type(f) is Formula]
     orders = {s.canonical(): [f.canonical() for f in s.assumptions]
               for s in live if type(s) is Statement and len(s.assumptions) > 1}

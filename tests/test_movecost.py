@@ -11,8 +11,9 @@ replaying a move calls `json.dumps`. The simulated agents run the kernel on
 the posted machine answers only, and the bomber looks each step up once.
 Replay evaluates each node a bounded number of times and reads a bounded
 number of children per move. Next to the live trace it decodes the trace's
-own formulas and counts no tokens; from the log alone it counts the tokens
-of each distinct formula once.
+own formulas and proofs and counts no tokens; from the log alone it counts
+the tokens of each distinct formula once. A second simulation of one
+config composes no proof text and measures no proof length.
 Its move log is the benchmark's: each seed's log hashes to the digest that
 perfbench/recorded.json pins.
 """
@@ -279,6 +280,47 @@ def test_replay_shares_the_formulas_of_earlier_moves(k):
         # The question's statement was decoded from the step of an earlier
         # move's chain; the answer's target from this move's payload.
         assert claim.proof.target is twin.question(claim.origin).statement
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_replay_next_to_its_trace_decodes_the_posted_proofs(k):
+    trace = run_scenario(wide_config(k, 0))
+    twin = _wide_replay(trace)
+    claims = twin.claims()
+    assert len(claims) == k * k + k + 1
+    for claim in claims:
+        assert claim.proof is trace.instance.claim(claim.id).proof
+
+
+def _count_proof_memos(monkeypatch):
+    """A list of the proofs whose canonical text or length is computed
+    from now on, each with the name of what was computed."""
+    computed = []
+    for cls in (ProofChain, MachineProof):
+        for name in ("canonical", "length"):
+            method = getattr(cls, name).__wrapped__
+
+            @functools.wraps(method)
+            def counted(self, method=method, name=name):
+                computed.append((name, self))
+                return method(self)
+
+            monkeypatch.setattr(cls, name, formulas._memoized(counted))
+    return computed
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_a_second_simulation_of_one_config_composes_no_proof_text(k, monkeypatch):
+    # The config's trees hold every proof the debate posts, stripped or
+    # not, so the second run finds each text and length computed.
+    config = wide_config(k, 0)
+    computed = _count_proof_memos(monkeypatch)
+    first = run_scenario(config).move_lines
+    assert {name for name, _ in computed} == {"canonical", "length"}
+    computed.clear()
+    gc.collect()
+    assert run_scenario(config).move_lines == first
+    assert computed == []
 
 
 def _log_only(trace):

@@ -1,6 +1,7 @@
 """Chains, machine proofs, their length and the structural validator."""
 
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,52 @@ def test_inference_step_validation():
         InferenceStep(atom("p"), "assumption", (True,))
     # negative indices address the target's assumptions and are fine
     InferenceStep(atom("p"), "assumption", (-1,))
+
+
+@pytest.mark.parametrize("bad", [(True,), (1.0,)], ids=["true", "float"])
+def test_an_index_equal_to_a_live_integer_index_is_still_checked(bad):
+    # `(True,)` and `(1.0,)` equal `(1,)` and hash as it does, so a lookup
+    # ahead of the check would return the live step.
+    p = atom("p")
+    live = InferenceStep(p, "assumption", (1,)), ChainStep(Statement(p), imports=(1,))
+    with pytest.raises(ParseError, match="premise indices must be nonzero integers"):
+        InferenceStep(p, "assumption", bad)
+    with pytest.raises(ParseError, match="import indices must be integers"):
+        ChainStep(Statement(p), imports=bad)
+    assert InferenceStep(p, "assumption", (1,)) is live[0]
+    assert ChainStep(Statement(p), imports=(1,)) is live[1]
+
+
+def test_equal_proofs_are_one_object_built_or_decoded():
+    for name, doc in PROOF_DOCUMENTS().items():
+        data = json.dumps(doc)
+        proof = parse_proof_document(data)
+        assert parse_proof_document(data) is proof, name
+        if not isinstance(proof, Statement):
+            assert proof_from_json(json.loads(proof.canonical())) is proof, name
+    chain = infinite_primes()
+    assert infinite_primes() is chain
+    assert chain.stripped() is chain.stripped()
+    assert ChainStep(Statement(atom("p")), imports=(3, 1)) is ChainStep(
+        Statement(atom("p")), imports=(1, 3))
+    assert ProofChain(chain.target, chain.steps) is ProofChain(
+        chain.target, chain.steps, DefinitionSet())
+
+
+@pytest.mark.parametrize("cls", [InferenceStep, MachineProof, ChainStep, ProofChain, DefinitionSet],
+                         ids=lambda cls: cls.__name__)
+def test_unpickling_a_proof_record_returns_the_live_instance(cls):
+    chain = inverse_function()
+    machine = modus_ponens_example()[1]
+    live = {
+        InferenceStep: machine.steps[0],
+        MachineProof: machine,
+        ChainStep: next(s for s in chain.steps if s.subproof is not None),
+        ProofChain: chain,
+        DefinitionSet: chain.definitions,
+    }[cls]
+    assert type(live) is cls
+    assert pickle.loads(pickle.dumps(live)) is live
 
 
 def test_parse_dispatches_on_kind():

@@ -1207,6 +1207,25 @@ def test_replay_line_reads_a_payload_origin_as_a_string(index, kind, origin):
     assert inst.snapshot() == before
 
 
+@pytest.mark.parametrize("index", [True, 1.0], ids=["true", "float"])
+def test_replay_line_rejects_a_premise_index_equal_to_a_live_twins(index):
+    # The answer at line 8 concludes by `and_intro` from premises [1, 2].
+    # With that proof alive, `[true, 2]` and `[1.0, 2]` must not decode to
+    # it: they equal `(1, 2)` and hash as it does.
+    fx = PROTOCOL_FIXTURES["invalidated_root_claim"]()
+    lines = (FIXTURE_DIR / "movelogs" / "invalidated_root_claim.jsonl").read_text().splitlines()
+    twin = replay(lines, fx.cascade, balances=fx.balances)
+    live = twin.claim("c8").proof
+    assert live.steps[2].premises == (1, 2)
+    inst = replay(lines[:7], fx.cascade, balances=fx.balances)
+    record = json.loads(lines[7])
+    record["payload"]["proof"]["steps"][2]["premises"][0] = index
+    record["payload_hash"] = content_hash(record["payload"])
+    with pytest.raises(ParseError, match="premise indices must be nonzero integers"):
+        replay_line(inst, json.dumps(record), record)
+    assert twin.claim("c8").proof is live
+
+
 # Any value a JSON document can hold, no lone surrogates (UTF-8 cannot hold
 # one, and `parse_json` rejects its escape) and no NaN or infinities, with
 # the move kinds and node ids among the strings so that a value can reach
