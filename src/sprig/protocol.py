@@ -4,26 +4,25 @@ A claim at level ``l >= 1`` posts a proof chain and locks an upward and a
 downward stake. Anyone may dispute one of its steps with a question, locking a
 bounty; a question is met by answer claims one level down (or directly at the
 machine level). Machine claims burn a fixed execution cost and are judged
-instantly by the verifier backend. The contract is one transition: every move,
-posted by a method, opening a debate or read from a log by `replay_line`, is a
-`Move` that `ProtocolInstance.apply` checks and posts. Each node carries the
-deadline of its window, fixed when it is posted. Statuses propagate by one
-rule that claims and questions mirror (`_RULES`): a question is answered as
-soon as one of its claims validates, a claim dies as soon as one of its
-questions times out unanswered, and surviving nodes are confirmed when their
-windows close. Resolution goes one instant at a time and pushes each
+instantly by the one machine checker, `ToyVerifier`. The contract is one
+transition: every move, posted by a method, opening a debate or read from a log
+by `replay_line`, is a `Move` that `ProtocolInstance.apply` checks and posts.
+Each node carries the deadline of its window, fixed when it is posted. Statuses
+propagate by one rule that claims and questions mirror (`_RULES`): a question
+is answered as soon as one of its claims validates, a claim dies as soon as one
+of its questions times out unanswered, and surviving nodes are confirmed when
+their windows close. Resolution goes one instant at a time and pushes each
 determination up to its origin as it commits: a window that closes closes its
 node if every child already has the status the rule needs (a machine claim
 closes by its verdict, at once), and a child that commits decides a pending
-origin if it is decisive, or else closes an origin whose window has closed
-once every child is in. So a determination costs one step up the tree, not a
-rescan of the children, and each status is committed with the child that
-decided it; an early stop ends at the instant where the root determines.
-Settlement then routes every escrowed token: stakes of dead claims
-pay the defeating question, bounties of answered questions pay the earliest
-validated answer (each the node's recorded decider), and anything still held
-by pending nodes (possible only when the game stops early at the root's
-determination) is refunded.
+origin if it is decisive, or else closes an origin whose window has closed once
+every child is in. So a determination costs one step up the tree, not a rescan
+of the children, and each status is committed with the child that decided it;
+an early stop ends at the instant where the root determines. Settlement then
+routes every escrowed token: stakes of dead claims pay the defeating question,
+bounties of answered questions pay the earliest validated answer (each the
+node's recorded decider), and anything still held by pending nodes (possible
+only when the game stops early at the root's determination) is refunded.
 
 Time is integer ticks; within a tick, moves are ordered by a per-instance
 sequence number, so the full order of play is the pair (time, seq). Windows
@@ -53,7 +52,7 @@ from .formulas import (
     text_hash,
 )
 from .proofs import MachineProof, ProofChain, measure_length, proof_from_json, validate_chain
-from .verifier import ToyVerifier, Verdict, VerifierBackend
+from .verifier import ToyVerifier, Verdict
 
 __all__ = [
     "PENDING",
@@ -440,13 +439,11 @@ class ProtocolInstance:
         *,
         balances: Mapping[str, int] | None = None,
         mode: str = QUIESCENCE,
-        verifier: VerifierBackend | None = None,
     ) -> None:
         if mode not in (QUIESCENCE, EARLY_STOP):
             raise ValueError(f"unknown mode {mode!r}")
         self.cascade = cascade
         self.mode = mode
-        self.verifier: VerifierBackend = verifier if verifier is not None else ToyVerifier()
         self.ledger = Ledger(balances)
         self.nodes: dict[str, Node] = {}
         # The nodes again, in a list for `posted_since`.
@@ -619,7 +616,7 @@ class ProtocolInstance:
                 raise ProtocolError("structural violation: proof targets a different statement")
             _check_length(proof, cascade.machine.max_length)
             level, deadline = 0, time
-            verdict = self.verifier.verdict(statement, proof)
+            verdict = _KERNEL.verdict(statement, proof)
         deposit = cascade.bounty(level) if asks else cascade.deposit(level)
         self.ledger.lock(actor, node_id, deposit)
         if asks:
@@ -873,8 +870,10 @@ class ProtocolInstance:
     def move_log_lines(self) -> list[str]:
         return [m.line() for m in self.moves]
 
-    def conservation_total(self) -> int:
-        return self.ledger.total()
+
+# The one machine checker. `apply` looks its method up at each call, so a
+# wrapper put on `ToyVerifier.verdict` sees every verdict.
+_KERNEL = ToyVerifier()
 
 
 def _check_length(proof: ProofChain | MachineProof, budget: int) -> None:
@@ -895,13 +894,12 @@ def create_root_claim(
     *,
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
-    verifier: VerifierBackend | None = None,
 ) -> ProtocolInstance:
     """New debate rooted in a staked claim. With `balances=None` the owner
     starts with exactly the required deposit."""
     if balances is None:
         balances = {owner: cascade.deposit(cascade.root_level)}
-    instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
+    instance = ProtocolInstance(cascade, balances=balances, mode=mode)
     instance.apply(Move("root_claim", owner, t, statement=statement, proof=chain))
     return instance
 
@@ -914,12 +912,11 @@ def create_root_question(
     *,
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
-    verifier: VerifierBackend | None = None,
 ) -> ProtocolInstance:
     """New debate rooted in a bounty-carrying question."""
     if balances is None:
         balances = {owner: cascade.bounty(cascade.root_level)}
-    instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
+    instance = ProtocolInstance(cascade, balances=balances, mode=mode)
     instance.apply(Move("root_question", owner, t, statement=statement))
     return instance
 
@@ -938,12 +935,11 @@ def replay(
     *,
     balances: Mapping[str, int] | None = None,
     mode: str = QUIESCENCE,
-    verifier: VerifierBackend | None = None,
 ) -> ProtocolInstance:
     """Rebuild an instance from its move log, one `replay_line` per
     non-blank line, into a fresh instance whose ledger opens with
     `balances` (empty when None)."""
-    instance = ProtocolInstance(cascade, balances=balances, mode=mode, verifier=verifier)
+    instance = ProtocolInstance(cascade, balances=balances, mode=mode)
     for raw in lines:
         raw = raw.strip()
         if raw:

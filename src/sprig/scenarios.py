@@ -41,7 +41,6 @@ from .protocol import (
 from .simulator import (
     AgentSpec,
     ScenarioConfig,
-    build_knowledge,
     CarpetBomber,
     CopycatDefender,
     EvasiveProver,
@@ -54,7 +53,6 @@ from .simulator import (
     Plagiarist,
     Sandbagger,
 )
-from .verifier import ScriptedVerifier
 
 __all__ = [
     "quick_proof",
@@ -70,7 +68,6 @@ __all__ = [
     "solid_tree",
     "rotten_tree",
     "flat_tree",
-    "enumerate_statements",
     "ProtocolFixture",
     "validated_root_claim",
     "invalidated_root_claim",
@@ -393,22 +390,6 @@ def flat_tree() -> ProofChain:
         target,
         (StepPlan(_P, sub="machine"), StepPlan(conj(_P, _Q), imports=(1,), sub="machine")),
     )
-
-
-def enumerate_statements(tree: ProofChain) -> dict[str, Statement]:
-    """Map tree paths to statements: "" is the target, "2" step two,
-    "2.1" the first step of step two's subchain, and so on."""
-    out: dict[str, Statement] = {"": tree.target}
-
-    def walk(chain: ProofChain, prefix: str) -> None:
-        for j, step in enumerate(chain.steps, start=1):
-            path = f"{prefix}{j}"
-            out[path] = step.statement
-            if isinstance(step.subproof, ProofChain):
-                walk(step.subproof, path + ".")
-
-    walk(tree, "")
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -1005,14 +986,13 @@ def _tree_text(name: str) -> str:
 
 
 # Fields of the objects in a scenario file; a root's depend on its kind.
-_SCENARIO_FIELDS = frozenset({"agents", "cascade", "horizon", "mode", "root", "seed", "trees", "verifier"})
+_SCENARIO_FIELDS = frozenset({"agents", "cascade", "horizon", "mode", "root", "seed", "trees"})
 _ROOT_FIELDS = {
     "claim": (frozenset({"kind", "owner", "time", "tree"}), ("owner", "tree")),
     "question": (frozenset({"kind", "owner", "statement", "time", "tree_target"}), ("owner",)),
 }
 _AGENT_FIELDS = frozenset({"balance", "knows", "name", "strategy"})
 _STRATEGY_FIELDS = frozenset({"kind", "params"})
-_VERIFIER_FIELDS = frozenset({"kind", "overrides", "tree"})
 
 
 def _build_strategy(spec: Any, agent: str):
@@ -1026,11 +1006,10 @@ def _build_strategy(spec: Any, agent: str):
 def scenario_from_json(doc: Any) -> ScenarioConfig:
     """Build a runnable scenario from its JSON form. Trees are shared by
     name; an agent's `knows` entry grants it the full tree as knowledge.
-    An optional scripted verifier derives its verdict table from a named
-    tree's ground truth, with per-path overrides. Decoding is strict: every
-    object must have only its own fields and every required one, every
-    count must be an integer (booleans are not), every agent name a string
-    and every name a known one, or this raises a ValueError."""
+    Decoding is strict: every object must have only its own fields and
+    every required one, every count must be an integer (booleans are not),
+    every agent name a string and every name a known one, or this raises a
+    ValueError."""
     doc = read_object(doc, "scenario", _SCENARIO_FIELDS, ("cascade", "root", "agents", "horizon"))
     cascade = ParameterCascade.from_json(doc["cascade"])
     trees = {
@@ -1067,20 +1046,6 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
             )
         )
 
-    verifier = None
-    if "verifier" in doc:
-        vspec = read_object(doc["verifier"], "verifier", _VERIFIER_FIELDS, ("kind", "tree"))
-        if vspec["kind"] != "scripted":
-            raise ValueError(f"unknown verifier kind {vspec['kind']!r}")
-        base = lookup(trees, vspec["tree"], "tree")
-        script: dict[str, bool] = dict(build_knowledge(base).truth)
-        statements = enumerate_statements(base)
-        for path, verdict in read_object(vspec.get("overrides", {}), "overrides").items():
-            if not isinstance(verdict, bool):
-                raise ValueError(f"override verdicts must be true or false, got {verdict!r}")
-            script[lookup(statements, path, "override path").hash()] = verdict
-        verifier = ScriptedVerifier(script)
-
     return ScenarioConfig(
         cascade=cascade,
         agents=agents,
@@ -1091,5 +1056,4 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
         root_tree=root_tree,
         root_statement=root_statement,
         root_time=read_int(root.get("time", 0), "root.time"),
-        verifier=verifier,
     )

@@ -46,7 +46,7 @@ from .protocol import (
     SettlementTransfer,
     replay,
 )
-from .verifier import ToyVerifier, UnscriptedVerdictError, VerifierBackend
+from .verifier import ToyVerifier
 
 # Most ticks from the root move to the horizon that a scenario may span.
 # `run_scenario` polls every agent at every tick (~2 µs a tick for the
@@ -108,7 +108,7 @@ class Knowledge(Record):
     def truth(self) -> dict[str, bool]:
         truth: dict[str, bool] = {}
         if self._unjudged is not None:
-            _judge(self._unjudged, self._unjudged.target, truth, ToyVerifier())
+            _judge(self._unjudged, self._unjudged.target, truth)
         return truth
 
     def can_answer(self, statement: Statement, level: int) -> bool:
@@ -118,18 +118,16 @@ class Knowledge(Record):
         return h in self.machine_proofs
 
 
-def _judge(
-    chain: ProofChain, target: Statement, truth: dict[str, bool], checker: ToyVerifier
-) -> bool:
+def _judge(chain: ProofChain, target: Statement, truth: dict[str, bool]) -> bool:
     """Record in `truth` whether each step of `chain`, and `target`, is sound,
     bottom-up (a step with no subproof is unsound: its owner has nothing to
     defend it with), and return the target's soundness."""
     sound_all = True
     for step in chain.steps:
         if isinstance(step.subproof, ProofChain):
-            sound = _judge(step.subproof, step.statement, truth, checker)
+            sound = _judge(step.subproof, step.statement, truth)
         elif isinstance(step.subproof, MachineProof):
-            sound = checker.verdict(step.statement, step.subproof).validated
+            sound = ToyVerifier().verdict(step.statement, step.subproof).validated
         else:
             sound = False
         truth[step.statement.hash()] = sound
@@ -630,7 +628,6 @@ class ScenarioConfig(Record):
         root_tree: ProofChain | None = None,
         root_statement: Statement | None = None,
         root_time: int = 0,
-        verifier: VerifierBackend | None = None,
     ) -> None:
         names = [a.name for a in agents]
         if len(set(names)) != len(names):
@@ -660,7 +657,6 @@ class ScenarioConfig(Record):
         self.root_tree = root_tree
         self.root_statement = root_statement
         self.root_time = root_time
-        self.verifier = verifier
 
 
 class RejectedIntent(NamedTuple):
@@ -774,11 +770,7 @@ class SimulationTrace(Record):
         """Drive a fresh instance from the move log; snapshots must match."""
         inst = self.instance
         twin = replay(
-            self.move_lines,
-            inst.cascade,
-            balances=self.initial_balances,
-            mode=inst.mode,
-            verifier=inst.verifier,
+            self.move_lines, inst.cascade, balances=self.initial_balances, mode=inst.mode
         )
         twin.advance_clock(inst.clock)
         twin.settle()
@@ -801,9 +793,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
     seed: agent polling order, every strategy's randomness and therefore the
     whole move log depend only on the configuration."""
     balances = {a.name: a.balance for a in config.agents}
-    instance = ProtocolInstance(
-        config.cascade, balances=balances, mode=config.mode, verifier=config.verifier
-    )
+    instance = ProtocolInstance(config.cascade, balances=balances, mode=config.mode)
     tree = config.root_tree
     instance.apply(Move(
         "root_question" if tree is None else "root_claim", config.root_owner, config.root_time,
@@ -839,7 +829,7 @@ def run_scenario(config: ScenarioConfig) -> SimulationTrace:
                     posted = instance.apply(move)
                     if move.kind == "question" and move.proof is not None:
                         instance.apply(Move("answer_claim", name, now, posted, proof=move.proof))
-                except (ProtocolError, UnscriptedVerdictError) as exc:
+                except ProtocolError as exc:
                     rejections.append(_rejection(now, name, move, str(exc)))
 
     instance.advance_clock(instance.max_deadline())

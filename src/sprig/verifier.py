@@ -1,17 +1,11 @@
 """Machine-level proof checking.
 
-Two interchangeable backends:
-
-* `ToyVerifier` actually checks machine proofs with a small propositional
-  kernel (nine inference rules, no discharge). A proof validates iff every
-  step is a legal rule application and the last step derives exactly the
-  target's conclusion. The first offending step index (1-based) is reported
-  as the diagnostic; diagnostic 0 means the steps were fine individually but
-  the proof is empty or ends on the wrong formula.
-
-* `ScriptedVerifier` replays predetermined verdicts keyed by statement
-  content hash. Simulations use it to model ground truth without inventing
-  real mathematics; asking it about anything unscripted is an error.
+`ToyVerifier` is the contract's one machine checker: a small propositional
+kernel (nine inference rules, no discharge). A proof validates iff every
+step is a legal rule application and the last step derives exactly the
+target's conclusion. The first offending step index (1-based) is reported
+as the diagnostic; diagnostic 0 means the steps were fine individually but
+the proof is empty or ends on the wrong formula.
 
 A verdict depends on the statement and the proof alone, never on where in a
 debate the proof was posted: validity is decidable by a computer.
@@ -23,7 +17,7 @@ order. Out-of-range or forward references make the step illegal.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Protocol
+from typing import Mapping, NamedTuple
 
 from . import Record
 from .formulas import Formula, Statement
@@ -32,7 +26,6 @@ from .proofs import MachineProof
 __all__ = [
     "Verdict",
     "UnscriptedVerdictError",
-    "VerifierBackend",
     "ToyVerifier",
     "ScriptedVerifier",
     "TOY_RULES",
@@ -46,10 +39,6 @@ class Verdict(NamedTuple):
 
 class UnscriptedVerdictError(KeyError):
     """The scripted backend has no entry for this statement."""
-
-
-class VerifierBackend(Protocol):
-    def verdict(self, statement: Statement, proof: MachineProof) -> Verdict: ...
 
 
 def _is(f: Formula, op: str) -> bool:
@@ -140,6 +129,7 @@ class ToyVerifier:
         return Verdict(True, None)
 
 
+# No run uses this or `UnscriptedVerdictError`; the benchmark tracer binds its `verdict`.
 class ScriptedVerifier(Record):
     """Verdicts looked up by statement hash; the proof is not read."""
 

@@ -228,7 +228,7 @@ def test_criterion_6_fixture_replays_and_conservation():
             else:
                 assert node.determination.time == det_time, (name, label)
         settle(inst)
-        assert inst.conservation_total() == total, name
+        assert inst.ledger.total() == total, name
         assert not inst.ledger.escrowed, name
         nets = {a: inst.ledger.balance(a) - s for a, s in fx.balances.items()}
         assert sum(nets.values()) == -inst.ledger.burned, name
@@ -247,7 +247,7 @@ def test_criterion_7_randomized_debates_against_the_oracle():
         assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(
             inst, horizon
         ), seed
-        assert inst.conservation_total() == total, seed
+        assert inst.ledger.total() == total, seed
         stepper = replay(lines, inst.cascade, balances=balances)
         for t in range(stepper.clock, horizon + 1):
             advance_clock(stepper, t)
@@ -255,7 +255,7 @@ def test_criterion_7_randomized_debates_against_the_oracle():
         advance_clock(jumper, horizon)
         assert stepper.snapshot() == jumper.snapshot(), seed
         settle(inst)
-        assert inst.conservation_total() == total, seed
+        assert inst.ledger.total() == total, seed
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"fuzz run took {elapsed:.2f}s"
 

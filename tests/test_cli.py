@@ -500,9 +500,6 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc.update(root=[]),
         lambda doc: doc["agents"][0].update(strategy="idle"),
         lambda doc: doc["agents"][0].update(strategy={"kind": "idle", "params": []}),
-        lambda doc: doc.update(verifier=[1]),
-        lambda doc: doc.update(verifier={"kind": "scripted", "tree": "solid",
-                                         "overrides": {"1": 0}}),
         lambda doc: doc.update(mode="bogus"),
         lambda doc: doc["agents"][0].update(balance=-1),
         lambda doc: doc["root"].update(time=-1),
@@ -531,18 +528,13 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc["agents"][0].pop("balance"),
         lambda doc: doc.pop("horizon"),
         lambda doc: doc.update(agents=5),
-        lambda doc: doc.update(verifier={}),
-        lambda doc: doc.update(verifier={"kind": "scriptd", "tree": "solid"}),
-        lambda doc: doc.update(verifier={"kind": "scripted", "tree": "solid",
-                                         "overrides": {"9.9": True}}),
     ],
-    ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override",
-         "mode", "negative-balance", "negative-root-time", "integer-name", "unknown-param",
-         "string-pad", "float-copies", "boolean-copies", "string-delay", "array-kind",
-         "tree-array", "root-tree-array", "unknown-tree", "question-without-statement", "missing-root-kind", "array-knows",
+    ids=["agents", "trees", "root", "strategy", "strategy-params", "mode", "negative-balance",
+         "negative-root-time", "integer-name", "unknown-param", "string-pad", "float-copies",
+         "boolean-copies", "string-delay", "array-kind", "tree-array", "root-tree-array",
+         "unknown-tree", "question-without-statement", "missing-root-kind", "array-knows",
          "unaffordable-root", "unknown-field", "unknown-root-field", "unknown-agent-field",
-         "missing-balance", "missing-horizon", "agents-integer", "empty-verifier",
-         "unknown-verifier-kind", "unknown-override-path"],
+         "missing-balance", "missing-horizon", "agents-integer"],
 )
 def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
                                                                  edit):
@@ -554,6 +546,18 @@ def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypa
     code, out, err = run_cli(capsys, "simulate", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: bad scenario: ") and err.count("\n") == 1
+
+
+def test_simulate_rejects_a_scenario_verifier(capsys, monkeypatch, tmp_path):
+    # Every machine-level verdict comes from the one kernel: a scenario
+    # cannot swap in another checker.
+    monkeypatch.delenv("SPRIG_SEED", raising=False)
+    doc = preset_scenario("happy_path")
+    doc["verifier"] = {"kind": "scripted", "tree": "solid"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out, err) == (1, "", "error: bad scenario: unknown scenario fields ['verifier']\n")
 
 
 def test_simulate_rejects_a_scenario_that_is_not_an_object(capsys, tmp_path):

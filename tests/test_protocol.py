@@ -519,11 +519,11 @@ def test_fixture_statuses_and_determinations(fx):
 
 def test_fixture_payoffs_and_conservation(fx):
     inst = fx.instance
-    total_before = inst.conservation_total()
+    total_before = inst.ledger.total()
     assert total_before == sum(fx.balances.values())
     advance_clock(inst, fx.final_time)
     settle(inst)
-    assert inst.conservation_total() == total_before
+    assert inst.ledger.total() == total_before
     assert not inst.ledger.escrowed
     nets = {
         name: inst.ledger.balance(name) - start for name, start in fx.balances.items()
@@ -1303,10 +1303,10 @@ def test_random_debates_match_the_declarative_oracle(seed):
     advance_clock(inst, horizon)
     assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, horizon)
     assert oracles.stored_deadlines(inst) == oracles.deadlines(inst)
-    assert inst.conservation_total() == total
+    assert inst.ledger.total() == total
     expected = oracles.settlement_routes(inst)
     assert _routes(settle(inst)) == expected
-    assert inst.conservation_total() == total
+    assert inst.ledger.total() == total
     assert not inst.ledger.escrowed
 
 
@@ -1426,7 +1426,7 @@ def test_conservation_holds_at_every_tick(seed):
     )
     for t in range(twin.clock, horizon + 1):
         advance_clock(twin, t)
-        assert twin.conservation_total() == total
+        assert twin.ledger.total() == total
 
 
 # -- module-level wrappers ---------------------------------------------------------

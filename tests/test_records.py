@@ -66,8 +66,7 @@ SAMPLES = {
     sim.AgentSpec: dict(name="ann", balance=10, strategy="idle", tree=_CHAIN),
     sim.ScenarioConfig: dict(cascade=_CASCADE, agents=[sim.AgentSpec("ann", 10, "idle")],
                              root_owner="ann", horizon=9, seed=4, mode=pr.EARLY_STOP,
-                             root_tree=_CHAIN, root_statement=None, root_time=1,
-                             verifier=vf.ScriptedVerifier()),
+                             root_tree=_CHAIN, root_statement=None, root_time=1),
     sim.RejectedIntent: dict(time=3, actor="ann", kind="question", detail="question c1 step 9",
                              reason="no such step"),
     sim.SimulationTrace: dict(seed=1, horizon=9, initial_balances={"ann": 10},

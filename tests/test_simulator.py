@@ -46,7 +46,7 @@ from sprig.simulator import (
     pad_chain,
     run_scenario,
 )
-from sprig.verifier import ScriptedVerifier, ToyVerifier
+from sprig.verifier import ToyVerifier
 
 import oracles
 
@@ -566,20 +566,6 @@ def test_a_scenario_spans_at_most_max_run_ticks():
     doc["horizon"] = 10**12
     with pytest.raises(ValueError, match="is more than"):
         scenario_from_json(doc)
-
-
-def test_scenario_json_builds_a_scripted_verifier():
-    doc = preset_scenario("happy_path")
-    doc["verifier"] = {"kind": "scripted", "tree": "solid", "overrides": {"1": False}}
-    config = scenario_from_json(doc)
-    assert isinstance(config.verifier, ScriptedVerifier)
-    tree = solid_tree()
-    honest = build_knowledge(tree)
-    flagged = tree.steps[0].statement
-    dummy = MachineProof(target=flagged)
-    assert honest.truth[flagged.hash()]  # ground truth says sound
-    assert not config.verifier.verdict(flagged, dummy).validated  # override wins
-    assert config.verifier.verdict(tree.target, dummy).validated
 
 
 def test_evasive_prover_posts_padded_answers():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import sprig.protocol as pr
 from sprig.formulas import Statement, atom
+from sprig.proofs import InferenceStep, MachineProof
 from sprig.scenarios import identity_chain
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -50,11 +51,14 @@ def test_install_wraps_every_target_and_uninstall_restores_every_original():
         inst = pr.create_root_claim(
             "amy", _IDENT, identity_chain(_IDENT), _CASCADE, 0, balances={"amy": 9, "quin": 9}
         )
-        inst.post_question("quin", inst.root_id, 1, 1)
+        question = inst.post_question("quin", inst.root_id, 1, 1)
+        # A machine-level answer: its verdict must reach the patched class attribute.
+        proof = MachineProof(target=_IDENT, steps=(InferenceStep(atom("p"), "assumption"),))
+        inst.apply(pr.Move("answer_claim", "amy", 1, question, proof=proof))
     finally:
         tracer.uninstall()
     named = {tracer.names[span[0]] for span in tracer.spans}
-    assert {"create_root_claim", "ProtocolInstance.post_question"} <= named
+    assert {"create_root_claim", "ProtocolInstance.post_question", "ToyVerifier.verdict"} <= named
     after = _bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
