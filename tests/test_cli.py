@@ -500,6 +500,10 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc.update(root=[]),
         lambda doc: doc["agents"][0].update(strategy="idle"),
         lambda doc: doc["agents"][0].update(strategy={"kind": "idle", "params": []}),
+        # The scenario format has no verifier field: every old shape of one is refused.
+        lambda doc: doc.update(verifier=[1]),
+        lambda doc: doc.update(verifier={"kind": "scripted", "tree": "solid",
+                                         "overrides": {"1": 0}}),
         lambda doc: doc.update(mode="bogus"),
         lambda doc: doc["agents"][0].update(balance=-1),
         lambda doc: doc["root"].update(time=-1),
@@ -528,13 +532,18 @@ def test_simulate_rejects_scenario_integers_of_the_wrong_type(capsys, monkeypatc
         lambda doc: doc["agents"][0].pop("balance"),
         lambda doc: doc.pop("horizon"),
         lambda doc: doc.update(agents=5),
+        lambda doc: doc.update(verifier={}),
+        lambda doc: doc.update(verifier={"kind": "scriptd", "tree": "solid"}),
+        lambda doc: doc.update(verifier={"kind": "scripted", "tree": "solid",
+                                         "overrides": {"9.9": True}}),
     ],
-    ids=["agents", "trees", "root", "strategy", "strategy-params", "mode", "negative-balance",
-         "negative-root-time", "integer-name", "unknown-param", "string-pad", "float-copies",
-         "boolean-copies", "string-delay", "array-kind", "tree-array", "root-tree-array",
-         "unknown-tree", "question-without-statement", "missing-root-kind", "array-knows",
-         "unaffordable-root", "unknown-field", "unknown-root-field", "unknown-agent-field",
-         "missing-balance", "missing-horizon", "agents-integer"],
+    ids=["agents", "trees", "root", "strategy", "strategy-params", "verifier", "override",
+         "mode", "negative-balance", "negative-root-time", "integer-name", "unknown-param",
+         "string-pad", "float-copies", "boolean-copies", "string-delay", "array-kind",
+         "tree-array", "root-tree-array", "unknown-tree", "question-without-statement",
+         "missing-root-kind", "array-knows", "unaffordable-root", "unknown-field",
+         "unknown-root-field", "unknown-agent-field", "missing-balance", "missing-horizon",
+         "agents-integer", "empty-verifier", "unknown-verifier-kind", "unknown-override-path"],
 )
 def test_simulate_rejects_scenario_containers_of_the_wrong_type(capsys, monkeypatch, tmp_path,
                                                                  edit):
