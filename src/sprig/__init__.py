@@ -12,9 +12,9 @@ The package re-exports nothing; import from its modules (``sprig.protocol``,
 It defines one function, `canonical_json`, the encoding every document and
 every command's output is written in: it lives here so that the equilibrium
 commands can print without loading ``sprig.formulas``. It also defines
-`Record`, its immutable `Frozen` and the hash-consed `Interned`, which spare
-each command the import of `dataclasses` (and through it of `inspect`) and
-the methods it would generate per class.
+`Record` and its immutable `Frozen`, which spare each command the import of
+`dataclasses` (and through it of `inspect`) and the methods it would
+generate per class.
 
 A value class takes its base by one rule. A class whose constructor only
 stores its fields is a `typing.NamedTuple`: the cheapest record to build,
@@ -23,8 +23,9 @@ its class. A class whose constructor checks or normalizes its fields is a
 `Frozen` record (a `Record`, if it is mutable). A class of a document's
 parts, a formula, a statement or a proof record around them
 (`DefinitionSet`, `InferenceStep`, `MachineProof`, `ChainStep`,
-`ProofChain`), is an `Interned` record, even where its constructor only
-stores: its `__new__` returns the one live instance of a value from a table
+`ProofChain`), is a `sprig.formulas.Interned` record, even where its
+constructor only stores: its `__new__` checks its fields and returns
+`sprig.formulas._intern`'s one live instance of the value, kept in a table
 of weak references (a tuple cannot be weakly referenced), so its equality
 and hashing are identity and what it memoizes is computed once per value.
 """
@@ -97,16 +98,3 @@ class Frozen(Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Interned(Frozen):
-    """A `Frozen` record that is one instance per value: its `__new__`
-    returns the live instance of an equal value if there is one (see
-    `sprig.formulas._interned`). So equality and hashing are identity, and
-    unpickling, which calls the constructor, returns the live instance."""
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return self.__class__, tuple([getattr(self, name) for name in self._fields])

@@ -32,7 +32,7 @@ from _weakref import _remove_dead_weakref
 from json.encoder import encode_basestring
 from typing import Any, Callable, Iterator, TypeVar
 
-from . import Frozen, Interned, canonical_json
+from . import Frozen, canonical_json
 
 __all__ = [
     "ParseError",
@@ -185,19 +185,42 @@ def lookup(table: dict[str, _T], key: Any, what: str) -> _T:
 
 
 # Every formula, statement and proof record, built or decoded, one instance
-# per value: each class's `__new__` looks its value up here, and enters it
-# on a miss, keyed by the class and the fields. Equal values are therefore
-# one object, so equality and hashing are identity, and a key made of a
-# formula's children, a statement's formulas or a proof's parts hashes in
-# O(1), where hashing by value would walk the tree. Entries are weak
-# references (`_Entry`), so the table holds exactly the values still in use
-# somewhere: when a value dies, `_drop` removes its entry, and with it the
-# key's references to the parts, in C. Nothing guards an iteration of the
-# table against that removal, so a reader iterates a snapshot
-# (`list(_interned.values())`) and calls each entry for its value.
+# per value: each class's `__new__` ends in `_intern`, which looks the value
+# up here, keyed by the class and the fields, and enters it on a miss. Equal
+# values are therefore one object, so equality and hashing are identity, and
+# a key made of a formula's children, a statement's formulas or a proof's
+# parts hashes in O(1), where hashing by value would walk the tree. Entries
+# are weak references (`_Entry`), so the table holds exactly the values
+# still in use somewhere: when a value dies, `_drop` removes its entry, and
+# with it the key's references to the parts, in C. Nothing guards an
+# iteration of the table against that removal, so a reader iterates a
+# snapshot (`list(_interned.values())`) and calls each entry for its value.
 _interned: dict[tuple[Any, ...], _Entry] = {}
 _new = object.__new__
 _set_field = Frozen._set_field
+
+
+def _intern(key: tuple[Any, ...]) -> Any:
+    """The one live instance of the value `key` names, `(cls, *fields)` in
+    `cls._fields` order: the table's if it is alive, else a new instance
+    entered under `key`. Callers check the fields first, so no value that
+    fails a check is entered. Every interned class has two or three fields;
+    storing them in a loop over `zip` made each new value ~0.3 µs dearer."""
+    ref = _interned.get(key)
+    if ref is not None:
+        value = ref()
+        if value is not None:
+            return value
+    cls = key[0]
+    value = _new(cls)
+    names = cls._fields
+    _set_field(value, names[0], key[1])
+    _set_field(value, names[1], key[2])
+    if len(key) > 3:
+        _set_field(value, names[2], key[3])
+    _interned[key] = entry = _Entry(value, _drop)
+    entry.key = key
+    return value
 
 
 def _drop(entry: _Entry) -> None:
@@ -213,6 +236,19 @@ class _Entry(weakref.ref):
     for."""
 
     __slots__ = ("key",)
+
+
+class Interned(Frozen):
+    """A `Frozen` record that is one instance per value: its `__new__`
+    checks its fields and returns `_intern`'s instance of the value. So
+    equality and hashing are identity, and unpickling, which calls the
+    constructor, returns the live instance."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return self.__class__, tuple([getattr(self, name) for name in self._fields])
 
 
 def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
@@ -238,17 +274,11 @@ def _memoized(method: Callable[[Any], _T]) -> Callable[[Any], _T]:
 
 class Formula(Interned):
     """A formula of the shapes the module docstring lists, one instance per
-    value (see `_interned`): equal formulas are one object, so equality and
+    value (see `_intern`): equal formulas are one object, so equality and
     hashing are identity, and a formula's memoized text and size are
     computed once per value."""
 
     def __new__(cls, op: str, name: str | None = None, args: tuple[Formula, ...] = ()) -> Formula:
-        key = (cls, op, name, args)
-        ref = _interned.get(key)
-        if ref is not None:
-            formula = ref()
-            if formula is not None:
-                return formula
         if op in _LEAF:
             if not isinstance(name, str) or not name or args:
                 raise ParseError(f"{op} formula needs a name and no arguments")
@@ -260,13 +290,7 @@ class Formula(Interned):
                 raise ParseError(f"{op} takes exactly two arguments")
         else:
             raise ParseError(f"unknown connective {op!r}")
-        formula = _new(cls)
-        _set_field(formula, "op", op)
-        _set_field(formula, "name", name)
-        _set_field(formula, "args", args)
-        _interned[key] = entry = _Entry(formula, _drop)
-        entry.key = key
-        return formula
+        return _intern((cls, op, name, args))
 
     @staticmethod
     def from_json(doc: Any) -> "Formula":
@@ -314,9 +338,10 @@ def _formula_from_json(doc: Any, levels: int) -> Formula:
 
     Children are decoded first, so they are already the one instance of
     their value, and the formula is read from `_interned` by the key
-    `Formula.__new__` enters it under; only a formula no live object holds
-    calls the constructor. On this hot path of replay the table is read
-    directly, which spares each node the class call."""
+    `_intern` enters it under; only a formula no live object holds calls
+    the constructor, which checks it. On this hot path of replay the table
+    is read directly, which spares each node the class call and `_intern`'s
+    frame."""
     if levels < 1:
         raise ParseError("document nested too deeply")
     if not isinstance(doc, dict) or len(doc) != 1:
@@ -376,25 +401,13 @@ class Statement(Interned):
     The context is an opaque label (a theory or library name); it scopes which
     defined symbols are in play but carries no logical content of its own.
     Assumptions are a set, serialized in canonical formula order. Like a
-    formula, a statement is one instance per value (see `_interned`).
+    formula, a statement is one instance per value (see `_intern`).
     """
 
     def __new__(
         cls, conclusion: Formula, assumptions: frozenset[Formula] = frozenset(), context: str = ""
     ) -> Statement:
-        key = (cls, conclusion, assumptions, context)
-        ref = _interned.get(key)
-        if ref is not None:
-            statement = ref()
-            if statement is not None:
-                return statement
-        statement = _new(cls)
-        _set_field(statement, "conclusion", conclusion)
-        _set_field(statement, "assumptions", assumptions)
-        _set_field(statement, "context", context)
-        _interned[key] = entry = _Entry(statement, _drop)
-        entry.key = key
-        return statement
+        return _intern((cls, conclusion, assumptions, context))
 
     @_memoized
     def sorted_assumptions(self) -> tuple[Formula, ...]:
@@ -450,29 +463,18 @@ class DefinitionSet(Interned):
     `symbols` maps each introduced name to its defining formula (order
     preserved for serialization; names must be unique). `imports` lists
     context labels whose symbols are assumed in scope. Like a formula, a
-    definition set is one instance per value (see `_interned`).
+    definition set is one instance per value (see `_intern`).
     """
 
     def __new__(
         cls, symbols: tuple[tuple[str, Formula], ...] = (), imports: tuple[str, ...] = ()
     ) -> DefinitionSet:
-        key = (cls, symbols, imports)
-        ref = _interned.get(key)
-        if ref is not None:
-            definitions = ref()
-            if definitions is not None:
-                return definitions
         seen: set[str] = set()
         for name, _ in symbols:
             if name in seen:
                 raise ParseError(f"duplicate symbol {name!r}")
             seen.add(name)
-        definitions = _new(cls)
-        _set_field(definitions, "symbols", symbols)
-        _set_field(definitions, "imports", imports)
-        _interned[key] = entry = _Entry(definitions, _drop)
-        entry.key = key
-        return definitions
+        return _intern((cls, symbols, imports))
 
     def names(self) -> frozenset[str]:
         return frozenset(name for name, _ in self.symbols)

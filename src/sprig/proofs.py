@@ -22,19 +22,16 @@ import json
 from json.encoder import encode_basestring
 from typing import Any, NamedTuple, Union
 
-from . import Interned, Record
+from . import Record
 from .formulas import (
     MAX_PROOF_DEPTH,
     DefinitionSet,
     Formula,
+    Interned,
     ParseError,
     Statement,
-    _drop,
-    _Entry,
-    _interned,
+    _intern,
     _memoized,
-    _new,
-    _set_field,
     is_int,
     lookup,
     parse_json,
@@ -66,7 +63,7 @@ _CHAIN_FIELDS = frozenset({"definitions", "kind", "steps", "target"})
 class InferenceStep(Interned):
     """A line of a machine proof: `formula`, by `rule`, from the lines
     `premises` points to (see the module docstring). Like a formula, an
-    inference step is one instance per value (see `formulas._interned`)."""
+    inference step is one instance per value (see `formulas._intern`)."""
 
     def __new__(cls, formula: Formula, rule: str, premises: tuple[int, ...] = ()) -> InferenceStep:
         if not rule:
@@ -75,19 +72,7 @@ class InferenceStep(Interned):
         for p in premises:
             if not (p.__class__ is int or is_int(p)) or p == 0:
                 raise ParseError("premise indices must be nonzero integers")
-        key = (cls, formula, rule, premises)
-        ref = _interned.get(key)
-        if ref is not None:
-            step = ref()
-            if step is not None:
-                return step
-        step = _new(cls)
-        _set_field(step, "formula", formula)
-        _set_field(step, "rule", rule)
-        _set_field(step, "premises", premises)
-        _interned[key] = entry = _Entry(step, _drop)
-        entry.key = key
-        return step
+        return _intern((cls, formula, rule, premises))
 
     def canonical(self) -> str:
         """Canonical JSON of `{"formula": ..., "premises": [...], "rule": ...}`;
@@ -114,22 +99,11 @@ class InferenceStep(Interned):
 class MachineProof(Interned):
     """A proof for the bottom level: `steps` derive the conclusion of
     `target` (see the module docstring). Like a formula, a machine proof is
-    one instance per value (see `formulas._interned`), so its text and
+    one instance per value (see `formulas._intern`), so its text and
     length are computed once per value, however often it is posted."""
 
     def __new__(cls, target: Statement, steps: tuple[InferenceStep, ...] = ()) -> MachineProof:
-        key = (cls, target, steps)
-        ref = _interned.get(key)
-        if ref is not None:
-            proof = ref()
-            if proof is not None:
-                return proof
-        proof = _new(cls)
-        _set_field(proof, "target", target)
-        _set_field(proof, "steps", steps)
-        _interned[key] = entry = _Entry(proof, _drop)
-        entry.key = key
-        return proof
+        return _intern((cls, target, steps))
 
     kind = "machine_proof"
 
@@ -165,7 +139,7 @@ class ChainStep(Interned):
     conclusions of the earlier steps `imports` lists (1-based, kept sorted),
     with an optional `subproof` showing how the step would be defended.
     Like a formula, a chain step is one instance per value (see
-    `formulas._interned`)."""
+    `formulas._intern`)."""
 
     def __new__(
         cls,
@@ -179,21 +153,9 @@ class ChainStep(Interned):
                 raise ParseError("import indices must be integers")
         if len(imports) > 1:
             imports = tuple(sorted(imports))
-        key = (cls, statement, imports, subproof)
-        ref = _interned.get(key)
-        if ref is not None:
-            step = ref()
-            if step is not None:
-                return step
-        if len(imports) > 1 and len(set(imports)) != len(imports):
-            raise ParseError("duplicate import index")
-        step = _new(cls)
-        _set_field(step, "statement", statement)
-        _set_field(step, "imports", imports)
-        _set_field(step, "subproof", subproof)
-        _interned[key] = entry = _Entry(step, _drop)
-        entry.key = key
-        return step
+            if len(set(imports)) != len(imports):
+                raise ParseError("duplicate import index")
+        return _intern((cls, statement, imports, subproof))
 
     def canonical(self) -> str:
         """Canonical JSON of `{"imports": [...], "statement": ...,
@@ -223,7 +185,7 @@ class ChainStep(Interned):
 class ProofChain(Interned):
     """A proof of `target` in numbered `steps` (see the module docstring),
     declaring the symbols of `definitions`. Like a formula, a chain is one
-    instance per value (see `formulas._interned`), so its text, length and
+    instance per value (see `formulas._intern`), so its text, length and
     posted shape are computed once per value, however often it is
     posted."""
 
@@ -233,23 +195,11 @@ class ProofChain(Interned):
         steps: tuple[ChainStep, ...],
         definitions: DefinitionSet | None = None,
     ) -> ProofChain:
-        if definitions is None:
-            definitions = DefinitionSet()
-        key = (cls, target, steps, definitions)
-        ref = _interned.get(key)
-        if ref is not None:
-            chain = ref()
-            if chain is not None:
-                return chain
         if not steps:
             raise ParseError("chain needs at least one step")
-        chain = _new(cls)
-        _set_field(chain, "target", target)
-        _set_field(chain, "steps", steps)
-        _set_field(chain, "definitions", definitions)
-        _interned[key] = entry = _Entry(chain, _drop)
-        entry.key = key
-        return chain
+        if definitions is None:
+            definitions = DefinitionSet()
+        return _intern((cls, target, steps, definitions))
 
     kind = "chain"
 

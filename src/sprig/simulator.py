@@ -32,7 +32,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from . import Record
 from .formulas import Statement, canonical_json, read_bool, read_int
-from .proofs import ChainStep, MachineProof, ProofChain
+from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from .protocol import (
     EARLY_STOP,
     PENDING,
@@ -389,8 +389,6 @@ def pad_chain(
     a skeptic who bites wastes a bounty. Returns the padded chain and the
     machine proofs for the decoys. Targets without assumptions stay unpadded.
     """
-    from .proofs import InferenceStep
-
     assumptions = chain.target.sorted_assumptions()
     if not assumptions or pad <= 0:
         return chain, {}

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sprig import formulas
 from sprig.formulas import (
     MAX_PROOF_DEPTH,
     DefinitionSet,
@@ -96,6 +97,33 @@ def test_an_index_equal_to_a_live_integer_index_is_still_checked(bad):
         ChainStep(Statement(p), imports=bad)
     assert InferenceStep(p, "assumption", (1,)) is live[0]
     assert ChainStep(Statement(p), imports=(1,)) is live[1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda p, s: Formula("bogus"),
+    lambda p, s: Formula("atom", ""),
+    lambda p, s: Formula("not", args=()),
+    lambda p, s: DefinitionSet(symbols=(("z", p), ("z", p))),
+    lambda p, s: InferenceStep(p, ""),
+    lambda p, s: InferenceStep(p, "assumption", (0,)),
+    lambda p, s: InferenceStep(p, "assumption", (True,)),
+    lambda p, s: ChainStep(s, (1, 1)),
+    lambda p, s: ChainStep(s, ("1",)),
+    lambda p, s: ProofChain(s, ()),
+], ids=["connective", "leaf-name", "arity", "duplicate-symbol", "rule", "zero-premise",
+        "bool-premise", "duplicate-import", "string-import", "no-steps"])
+def test_a_rejected_construction_enters_nothing_in_the_table(build):
+    # Every check runs before `_intern`, so a value that fails one is never
+    # entered. The table is counted while the traceback still holds the
+    # constructor's locals, so a value entered and then rejected would
+    # still be alive and counted. The parts, and the empty definition set a
+    # chain defaults to, are held here so that they add no entry either.
+    p = atom("p")
+    s, definitions = Statement(p), DefinitionSet()
+    before = len(formulas._interned)
+    with pytest.raises(ParseError) as raised:
+        build(p, s)
+    assert len(formulas._interned) == before, raised.traceback[-1]
 
 
 def test_equal_proofs_are_one_object_built_or_decoded():

@@ -17,7 +17,7 @@ import sprig.scenarios as sc
 import sprig.simulator as sim
 import sprig.verifier as vf
 from sprig import Frozen, Record
-from sprig.formulas import DefinitionSet, Formula, Statement, atom, conj
+from sprig.formulas import DefinitionSet, Formula, Interned, Statement, atom, conj
 
 _P, _Q = atom("p"), atom("q")
 _STATEMENT = Statement(conclusion=conj(_P, _Q), assumptions=frozenset({_P, _Q}), context="demo")
@@ -93,7 +93,7 @@ _UNCOMPARED = {"children", "decider"}
 def _record_classes(base=Record):
     found = set()
     for cls in base.__subclasses__():
-        if cls is not Frozen and cls.__module__.startswith("sprig."):
+        if cls not in (Frozen, Interned) and cls.__module__.startswith("sprig."):
             found.add(cls)
         found |= _record_classes(cls)
     return found
