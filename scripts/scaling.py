@@ -32,12 +32,19 @@ and `Statement` objects created and the proof records created
 one object per call, each object not alive before the call in one that
 returns the live instance of a value (a class whose equality is identity).
 
-Two more timings show what that reuse is worth. `replay_settle_alone_warm`
+Three more timings show what that reuse is worth. `replay_settle_alone_warm`
 replays and settles the log once the debate and its built tree are dropped,
 with nothing decoded alive, as `sprig run` replays a log (its counts are
 the third half, `replay_settle_alone`); `build_drop_warm` builds a fresh
-wide tree (`wide_config`) and drops it, with no other tree alive. Both are
-the fastest of WARM_RUNS in the child.
+wide tree (`wide_config`) and drops it, with no other tree alive; and
+`build_simulate_warm` builds a fresh wide tree and simulates it in one
+timing, so that it pays for making every formula and proof value, as a
+replay of the log alone pays for decoding them. All three are the fastest
+of WARM_RUNS in the child. Each point keeps the ratios of the replay
+halves to the simulate halves: replay + settle to simulate
+(`replay_settle_per_simulate`), and replay + settle, next to the trace and
+alone, to build + simulate (`replay_settle_per_build_simulate`,
+`replay_settle_alone_per_build_simulate`).
 
     python3 scripts/scaling.py --label NAME | --checkout ../parent [--label NAME]
 
@@ -77,7 +84,13 @@ HALVES = ("simulate", "replay_settle", "replay_settle_alone")
 # benchmark's wide leg) replays.
 WARM_RUNS = 7
 TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm",
-         "replay_settle_alone_warm", "build_drop_warm")
+         "replay_settle_alone_warm", "build_drop_warm", "build_simulate_warm")
+# Each ratio's name, numerator and denominator, of the timings' medians.
+RATIOS = (
+    ("replay_settle_per_simulate", "replay_settle_warm", "simulate_warm"),
+    ("replay_settle_per_build_simulate", "replay_settle_warm", "build_simulate_warm"),
+    ("replay_settle_alone_per_build_simulate", "replay_settle_alone_warm", "build_simulate_warm"),
+)
 
 # One repeat: run in a fresh interpreter with the checkout's src/ and
 # perfbench/ on the path; prints one JSON line.
@@ -104,7 +117,7 @@ ToyVerifier.verdict = counted_verdict
 
 k, seed, warm_runs = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 warm = {"simulate_warm_s": [], "replay_settle_warm_s": [], "replay_settle_alone_warm_s": [],
-        "build_drop_warm_s": []}
+        "build_drop_warm_s": [], "build_simulate_warm_s": []}
 for run in range(warm_runs):
     gc.collect()
     t0 = time.perf_counter()
@@ -165,6 +178,15 @@ for run in range(warm_runs):
     warm["replay_settle_alone_warm_s"].append(time.perf_counter() - t0)
     check(twin)
     del twin
+for run in range(warm_runs):
+    gc.collect()
+    t0 = time.perf_counter()
+    fresh = wide_config(k, seed)
+    trace = run_scenario(fresh)
+    warm["build_simulate_warm_s"].append(time.perf_counter() - t0)
+    if trace.final_snapshot != snapshot:
+        raise AssertionError(f"k={k}: a fresh tree plays another debate")
+    del fresh, trace
 out.update({name: min(times) for name, times in warm.items()})
 
 rule_name = "_close" if hasattr(ProtocolInstance, "_close") else "_decide"
@@ -265,10 +287,12 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
         "moves": moves,
         "moves_sha256": runs[0]["moves_sha256"],
     }
-    for name in TIMED:
-        median = statistics.median(r[f"{name}_s"] for r in runs)
+    medians = {name: statistics.median(r[f"{name}_s"] for r in runs) for name in TIMED}
+    for name, median in medians.items():
         point[f"{name}_s"] = round(median, 4)
         point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
+    for name, numerator, denominator in RATIOS:
+        point[name] = round(medians[numerator] / medians[denominator], 2)
     for half in HALVES:
         for count in COUNTS:
             point[f"{half}_{count}_per_move"] = round(runs[0][f"{half}_{count}"] / moves, 3)

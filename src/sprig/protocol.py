@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from json.encoder import encode_basestring
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from . import Frozen, Record
 from .formulas import (
@@ -563,7 +563,9 @@ class ProtocolInstance:
         before it is used: the actor is a string, a root's statement a
         `Statement`, an origin the id of a node of its kind, and a proof a
         chain (or an answer's machine proof), so every claim at level 1 or
-        above holds a chain."""
+        above holds a chain. A machine proof's verdict, a chain's structural
+        check (per level and ambient names) and a proof's hash are computed
+        once per proof value (`_judged`); a later post repeats every check."""
         kind, proof = move.kind, move.proof
         root = self._check_kind(kind)
         origin, step = (None, None) if root else (move.origin, move.step)
@@ -616,7 +618,7 @@ class ProtocolInstance:
                 raise ProtocolError("structural violation: proof targets a different statement")
             _check_length(proof, cascade.machine.max_length)
             level, deadline = 0, time
-            verdict = _KERNEL.verdict(statement, proof)
+            verdict = _judged(proof, "verdict", _KERNEL.verdict, statement, proof)
         deposit = cascade.bounty(level) if asks else cascade.deposit(level)
         self.ledger.lock(actor, node_id, deposit)
         if asks:
@@ -627,7 +629,8 @@ class ProtocolInstance:
             proof_json = proof.canonical()
             payload = (f'{{"chain":{proof_json}}}' if root
                        else f'{{"origin":"{origin}","proof":{proof_json}}}')
-            kind_fields = {"proof": proof, "proof_hash": text_hash(proof_json), "verdict": verdict}
+            proof_hash = _judged(proof, "hash", text_hash, proof_json)
+            kind_fields = {"proof": proof, "proof_hash": proof_hash, "verdict": verdict}
             if level == 0:
                 self.ledger.burn_from_escrow(node_id, cascade.machine.burn_cost)
         stamp = self._commit_move(time, actor, kind, payload)
@@ -677,9 +680,9 @@ class ProtocolInstance:
     ) -> None:
         if chain.target != statement:
             raise ProtocolError("structural violation: chain targets a different statement")
-        report = validate_chain(statement, chain, level_limit=level, ambient=ambient)
-        if not report.ok:
-            raise ProtocolError(f"structural violation: {report}")
+        violation = _judged(chain, (level, ambient), _violation, statement, chain, level, ambient)
+        if violation is not None:
+            raise ProtocolError(f"structural violation: {violation}")
         _check_length(chain, self.cascade.max_length(level))
 
     # -- clock and resolution ---------------------------------------------
@@ -872,8 +875,28 @@ class ProtocolInstance:
 
 
 # The one machine checker. `apply` looks its method up at each call, so a
-# wrapper put on `ToyVerifier.verdict` sees every verdict.
+# wrapper put on `ToyVerifier.verdict` sees each proof value's first verdict.
 _KERNEL = ToyVerifier()
+
+
+def _judged(proof: ProofChain | MachineProof, key: Any, judge: Callable, *args: Any) -> Any:
+    """`judge(*args)` for the interned `proof`, computed on the first call per
+    `key`: the value and `key` name all that `judge` reads. The results live
+    in a table on the value that is not a field, as `formulas._memoized` keeps
+    a text, and die with it."""
+    judgements = getattr(proof, "_judgements", None)
+    if judgements is None:
+        judgements = {}
+        Frozen._set_field(proof, "_judgements", judgements)
+    if key not in judgements:
+        judgements[key] = judge(*args)
+    return judgements[key]
+
+
+def _violation(target: Statement, chain: ProofChain, level: int, ambient: frozenset) -> str | None:
+    """The text of `validate_chain`'s report on `chain`, or None if it is ok."""
+    report = validate_chain(target, chain, level_limit=level, ambient=ambient)
+    return None if report.ok else str(report)
 
 
 def _check_length(proof: ProofChain | MachineProof, budget: int) -> None:

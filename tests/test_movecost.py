@@ -7,13 +7,15 @@ views must agree with full-tree scans at every poll, the work per move
 (proof serializations, JSON encodes, tree scans) must not grow with k, and a
 replay of its log encodes each payload once, as playing it did. Payloads are
 composed from the canonical text of what they post, so neither playing nor
-replaying a move calls `json.dumps`. The simulated agents run the kernel on
-the posted machine answers only, and the bomber looks each step up once.
-Replay evaluates each node a bounded number of times and reads a bounded
-number of children per move. Next to the live trace it decodes the trace's
-own formulas and proofs and counts no tokens; from the log alone it counts
-the tokens of each distinct formula once. A second simulation of one
-config composes no proof text and measures no proof length.
+replaying a move calls `json.dumps`. The kernel runs on the posted machine
+answers only, once per distinct proof value, and the bomber looks each step
+up once. Replay evaluates each node a bounded number of times and reads a
+bounded number of children per move. Next to the live trace it decodes the
+trace's own formulas and proofs and counts no tokens; from the log alone it
+counts the tokens of each distinct formula once. A second simulation of one
+config composes no proof text and measures no proof length, and neither it
+nor a replay next to its trace judges a proof again: no kernel verdict, no
+chain check and no proof hash.
 Its move log is the benchmark's: each seed's log hashes to the digest that
 perfbench/recorded.json pins.
 """
@@ -28,9 +30,9 @@ from pathlib import Path
 
 import pytest
 
-from sprig import formulas
-from sprig.formulas import Formula
-from sprig.proofs import MachineProof, ProofChain
+from sprig import formulas, protocol
+from sprig.formulas import Formula, text_hash
+from sprig.proofs import MachineProof, ProofChain, validate_chain
 from sprig.protocol import EARLY_STOP, QUIESCENCE, Node, ProtocolInstance, replay
 from sprig.scenarios import PRESET_NAMES, preset_scenario, scenario_from_json
 from sprig.simulator import AgentContext, run_scenario
@@ -211,11 +213,8 @@ def test_no_preset_strategy_scans_the_whole_tree(name, mode, monkeypatch):
     assert settled_at_call == []
 
 
-@pytest.mark.parametrize("k", [4, 8, 12])
-def test_simulating_runs_the_kernel_once_per_machine_answer(k, monkeypatch):
-    # The defender holds the tree, but its strategy never reads the tree's
-    # soundness, so the only verdicts are the instance's on each machine
-    # answer posted.
+def _count_verdicts(monkeypatch):
+    """A one-element list that counts the kernel's verdicts from now on."""
     verdicts = [0]
     verdict = ToyVerifier.verdict
 
@@ -224,9 +223,21 @@ def test_simulating_runs_the_kernel_once_per_machine_answer(k, monkeypatch):
         return verdict(self, *args)
 
     monkeypatch.setattr(ToyVerifier, "verdict", counted)
+    return verdicts
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_simulating_runs_the_kernel_once_per_distinct_machine_proof(k, monkeypatch):
+    # The defender holds the tree, but its strategy never reads the tree's
+    # soundness, so the only verdicts are the instance's, one per machine
+    # proof value posted: at k = 12 seed 0 posts one leaf proof twice. The
+    # collection first drops whatever value an earlier test judged.
+    gc.collect()
+    verdicts = _count_verdicts(monkeypatch)
     trace = _wide_run(k)
     machine_answers = [c for c in trace.instance.claims() if c.level == 0]
-    assert verdicts[0] == len(machine_answers) == k * k
+    assert len(machine_answers) == k * k
+    assert verdicts[0] == len({c.proof for c in machine_answers})
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
@@ -309,18 +320,49 @@ def _count_proof_memos(monkeypatch):
     return computed
 
 
+def _count_judgements(monkeypatch, proof_texts):
+    """Counts, from now on, of the kernel's verdicts, of `validate_chain`
+    calls and of `text_hash` calls on a text in `proof_texts`, made by the
+    protocol."""
+    counts = {"verdicts": _count_verdicts(monkeypatch), "validations": [0], "proof_hashes": [0]}
+
+    def counted_validate(*args, **kwargs):
+        counts["validations"][0] += 1
+        return validate_chain(*args, **kwargs)
+
+    def counted_hash(text):
+        counts["proof_hashes"][0] += text in proof_texts
+        return text_hash(text)
+
+    monkeypatch.setattr(protocol, "validate_chain", counted_validate)
+    monkeypatch.setattr(protocol, "text_hash", counted_hash)
+    return counts
+
+
 @pytest.mark.parametrize("k", [4, 8])
 def test_a_second_simulation_of_one_config_composes_no_proof_text(k, monkeypatch):
     # The config's trees hold every proof the debate posts, stripped or
-    # not, so the second run finds each text and length computed.
+    # not, so the second run finds each text and length computed, and each
+    # proof value judged: its verdict, its chain check and its hash. So does
+    # a replay next to that run's trace, which decodes the trace's proofs.
     config = wide_config(k, 0)
     computed = _count_proof_memos(monkeypatch)
-    first = run_scenario(config).move_lines
+    first = run_scenario(config)
     assert {name for name, _ in computed} == {"canonical", "length"}
+    proof_texts = {claim.proof.canonical() for claim in first.instance.claims()}
+    lines = first.move_lines
     computed.clear()
+    del first
     gc.collect()
-    assert run_scenario(config).move_lines == first
+    counts = _count_judgements(monkeypatch, proof_texts)
+    second = run_scenario(config)
+    assert second.move_lines == lines
+    twin = _wide_replay(second)
+    assert twin.move_log_lines() == lines
     assert computed == []
+    assert {name: count[0] for name, count in counts.items()} == {
+        "verdicts": 0, "validations": 0, "proof_hashes": 0
+    }
 
 
 def _log_only(trace):

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sprig.formulas import ParseError, Statement, atom, conj, content_hash
+from sprig import protocol
+from sprig.formulas import DefinitionSet, ParseError, Statement, atom, conj, content_hash
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import (
     EARLY_STOP,
@@ -34,6 +35,7 @@ from sprig.protocol import (
     settle,
 )
 from sprig.scenarios import PROTOCOL_FIXTURES, identity_chain
+from sprig.verifier import ToyVerifier, Verdict
 
 import oracles
 
@@ -265,6 +267,128 @@ def test_invalid_chain_answers_are_rejected_structurally():
     )
     with pytest.raises(ProtocolError, match="structural violation"):
         inst.post_answer_claim("zed", q, chain, 2)
+
+
+# -- each proof value judged once ----------------------------------------------
+# `apply` keeps a proof's verdict, chain check and hash on the interned value,
+# so these post one value more than once in one process: each later post must
+# get what a first post of it would.
+
+
+def _questioned_under(definitions, target=IDENT, root_level=2):
+    """A debate whose root chain restates `target` declaring `definitions`,
+    with its step questioned at t = 1."""
+    root = ProofChain(target=target, steps=(ChainStep(statement=target),), definitions=definitions)
+    inst = create_root_claim(
+        "amy", target, root, tiny_cascade(root_level), 0,
+        balances={"amy": 100, "quin": 100, "zed": 100},
+    )
+    return inst, inst.post_question("quin", inst.root_id, 1, 1)
+
+
+@pytest.mark.parametrize("shadowed_first", [True, False])
+def test_a_chain_check_is_kept_per_ambient(shadowed_first):
+    # One answer chain at one level, under a root that declares its symbol
+    # and under one that does not, in either order.
+    answer = ProofChain(
+        target=IDENT, steps=(ChainStep(statement=IDENT),),
+        definitions=DefinitionSet(symbols=(("outer", _P),)),
+    )
+    roots = [DefinitionSet(symbols=(("outer", _Q),)), DefinitionSet()]
+    for definitions in roots if shadowed_first else roots[::-1]:
+        inst, q = _questioned_under(definitions)
+        if definitions.names():
+            with pytest.raises(ProtocolError, match="shadowed symbol"):
+                inst.post_answer_claim("zed", q, answer, 2)
+        else:
+            assert inst.claim(inst.post_answer_claim("zed", q, answer, 2)).level == 1
+
+
+def test_a_bad_chain_posted_twice_is_rejected_twice_alike():
+    inst, q = _questioned_under(DefinitionSet())
+    bad = ProofChain(target=IDENT, steps=(ChainStep(statement=Statement(_P, context="demo")),))
+    messages = []
+    for t in (2, 3):
+        with pytest.raises(ProtocolError, match="structural violation: step 1: assumption") as exc:
+            inst.post_answer_claim("zed", q, bad, t)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_an_unsound_machine_proof_posted_twice_gets_one_verdict():
+    inst, q = _questioned_under(DefinitionSet(), root_level=1)
+    unsound = MachineProof(target=IDENT, steps=(InferenceStep(_Q, "assumption"),))
+    answers = [inst.post_answer_claim(name, q, unsound, 2) for name in ("zed", "quin")]
+    assert [inst.claim(c).verdict for c in answers] == [Verdict(False, 1)] * 2
+    assert inst.question(q).status == PENDING
+
+
+@pytest.mark.parametrize("root_level", [1, 2])
+def test_a_judged_proof_against_another_statement_is_still_a_structural_violation(root_level):
+    # Judged first where it belongs, then posted at the same level, under
+    # the same ambient, against a question on another statement.
+    proof = machine_answer(IDENT) if root_level == 1 else identity_chain(IDENT)
+    inst, q = _questioned_under(DefinitionSet(), root_level=root_level)
+    inst.post_answer_claim("zed", q, proof, 2)
+    other = Statement(conclusion=_Q, assumptions=frozenset({_Q}), context="demo")
+    inst, q = _questioned_under(DefinitionSet(), target=other, root_level=root_level)
+    with pytest.raises(ProtocolError, match="structural violation: .* a different statement"):
+        inst.post_answer_claim("zed", q, proof, 2)
+    assert len(inst.nodes) == 2
+
+
+def _replayed_to(lines, cascade, balances, mode, horizon):
+    """The instance replaying `lines` (up to the early stop, if there is
+    one), its clock at `horizon`, and its snapshot, move log and
+    settlement, each after the oracle's statuses are checked."""
+    inst = ProtocolInstance(cascade, balances=balances, mode=mode)
+    for line in lines:
+        try:
+            replay_line(inst, line, json.loads(line))
+        except ProtocolError as exc:
+            assert mode == EARLY_STOP and "interaction ended" in str(exc)
+            break
+    advance_clock(inst, horizon)
+    now = inst.stopped_at.time if inst.stopped_at else inst.clock
+    assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, now)
+    return inst, (inst.snapshot(), inst.move_log_lines(), settle(inst), inst.snapshot())
+
+
+@pytest.mark.parametrize("mode", [QUIESCENCE, EARLY_STOP])
+def test_a_second_replay_in_one_process_gives_the_same_bytes(mode, monkeypatch):
+    # The six fixture logs from disk and 200 random debates, each replayed
+    # twice with the first replay alive, so the second finds every proof
+    # judged: it runs no kernel verdict and no chain check.
+    judged = [0]
+    verdict, validate = ToyVerifier.verdict, protocol.validate_chain
+
+    def counted(judge):
+        def judging(*args, **kwargs):
+            judged[0] += 1
+            return judge(*args, **kwargs)
+        return judging
+
+    monkeypatch.setattr(ToyVerifier, "verdict", counted(verdict))
+    monkeypatch.setattr(protocol, "validate_chain", counted(validate))
+    cases = []
+    for name in FIXTURE_LOGS:
+        _, _, balances, horizon = _debate_moves(name)
+        lines = (FIXTURE_DIR / "movelogs" / f"{name}.jsonl").read_text().splitlines()
+        cascade = ParameterCascade.from_json(
+            json.loads((FIXTURE_DIR / "cascades" / f"{name}.json").read_text())
+        )
+        cases.append((name, lines, cascade, balances, horizon))
+    for seed in range(200):
+        lines, cascade, balances, horizon = _debate_moves(seed)
+        cases.append((seed, lines, cascade, balances, horizon))
+    first_judged = 0
+    for case, lines, cascade, balances, horizon in cases:
+        judged[0] = 0
+        first, played = _replayed_to(lines, cascade, balances, mode, horizon)
+        first_judged, judged[0] = first_judged + judged[0], 0
+        assert _replayed_to(lines, cascade, balances, mode, horizon)[1] == played, case
+        assert judged[0] == 0, case
+    assert first_judged > 0
 
 
 def test_duplicate_questions_are_legal():
