@@ -41,7 +41,7 @@ def main() -> int:
         fixture = build()
         instance = fixture.instance
         _write(ROOT / "movelogs" / f"{name}.jsonl", "\n".join(instance.move_log_lines()))
-        _write(ROOT / "cascades" / f"{name}.json", canonical_json(fixture.cascade.to_json()))
+        _write(ROOT / "cascades" / f"{name}.json", canonical_json(instance.cascade.to_json()))
 
     for name in PRESET_NAMES:
         _write(ROOT / "scenarios" / f"{name}.json", canonical_json(preset_scenario(name)))

@@ -494,14 +494,18 @@ class Deviation(NamedTuple):
     detail: str
 
 
-def best_response_check(
-    theta: GameParameters, sol: EquilibriumSolution, eps: float = 1e-9
-) -> list[Deviation]:
+# How much a deviation must gain before `best_response_check` reports it:
+# far above the rounding of a solution computed in floats.
+DEVIATION_TOLERANCE = 1e-9
+
+
+def best_response_check(theta: GameParameters, sol: EquilibriumSolution) -> list[Deviation]:
     """Audit a solution in exact rational arithmetic.
 
     Walks every decision node of the game tree under the solution's beliefs
     and mixes and reports any action whose payoff beats the prescribed
-    behaviour by more than `eps`. An empty list certifies the equilibrium.
+    behaviour by more than `DEVIATION_TOLERANCE`. An empty list certifies
+    the equilibrium.
     """
     # Imported here: no command audits a solution, and `fractions` loads
     # `decimal`.
@@ -512,7 +516,7 @@ def best_response_check(
     a0, a1 = Fraction(theta.beta0), Fraction(theta.beta1)
     star, pi_e = Fraction(sol.pi_star), Fraction(sol.pi_e)
     p, w1, w2 = Fraction(sol.p), Fraction(sol.q1), Fraction(sol.q2)
-    tol = Fraction(eps)
+    tol = Fraction(DEVIATION_TOLERANCE)
     out: list[Deviation] = []
 
     def report(node: str, action: str, gain: Fraction, detail: str) -> None:

@@ -446,8 +446,6 @@ class ProtocolInstance:
         self.mode = mode
         self.ledger = Ledger(balances)
         self.nodes: dict[str, Node] = {}
-        # The nodes again, in a list for `posted_since`.
-        self._posted: list[Node] = []
         self.root_id: str | None = None
         self.clock: int = 0
         self.moves: list[MoveRecord] = []
@@ -456,11 +454,6 @@ class ProtocolInstance:
         # Children counted per (origin, owner, None) and, for questions, per
         # (origin, owner, step); see `posted_by`.
         self._posted_by: dict[tuple[str, str, int | None], int] = {}
-        self._next_seq = 1
-        # Ids of determined nodes, in commit order; append-only. Statuses are
-        # committed one instant at a time, so this is (determination,
-        # posted_at) order across all resolves: the trace's event order.
-        self.determined: list[str] = []
         # Every window still open at the last instant resolved (the clock, or
         # the root's instant after an early stop): a heap of (deadline, seq,
         # id), popped as each window closes, and in `_open` the nodes of
@@ -494,11 +487,6 @@ class ProtocolInstance:
     def questions(self) -> list[Node]:
         return [n for n in self.nodes.values() if n.kind == "question"]
 
-    def posted_since(self, count: int) -> list[Node]:
-        """The nodes posted after the first `count`, in posting order: a
-        reader that keeps how many it has read gets only the new ones."""
-        return self._posted[count:]
-
     def open_nodes(self) -> Iterable[Node]:
         """The nodes whose window was still open at the last instant
         resolved, in posting order. With the clock resolved, this holds every
@@ -514,31 +502,11 @@ class ProtocolInstance:
 
     # -- move plumbing ----------------------------------------------------
 
-    def _commit_move(self, time: int, actor: str, kind: str, payload_json: str) -> Timestamp:
-        """Record a move. `payload_json` is the payload's canonical JSON,
-        composed by the caller from the canonical text of what it posts: the
-        one encoding of the payload, which the payload hash and the move-log
-        line are both taken from."""
-        stamp = Timestamp(time, self._next_seq)
-        self._next_seq += 1
-        self.moves.append(
-            MoveRecord(
-                seq=stamp.seq,
-                time=time,
-                actor=actor,
-                kind=kind,
-                payload_hash=text_hash(payload_json),
-                payload_json=payload_json,
-            )
-        )
-        return stamp
-
     def _add_node(self, node: Node) -> None:
         """Link a freshly posted node into the tree and open its window. It
         has no children, so only its window closing can change it, and a
         pending child changes no origin."""
         self.nodes[node.id] = node
-        self._posted.append(node)
         if node.origin is not None:
             self.nodes[node.origin].children.append(node)
             keys = [(node.origin, node.owner, None)]
@@ -574,13 +542,14 @@ class ProtocolInstance:
             _integer("step", step)
         time = move.time
         self.advance_clock(time)
-        if self.stopped_at is not None and Timestamp(time, self._next_seq) > self.stopped_at:
+        stamp = Timestamp(time, len(self.moves) + 1)
+        if self.stopped_at is not None and stamp > self.stopped_at:
             raise ProtocolError(f"interaction ended at {self.stopped_at}")
         cascade, level, statement = self.cascade, self.cascade.root_level, move.statement
         if root:
             _typed("statement", statement, Statement, "a Statement")
         asks = kind.endswith("question")
-        node_id = f"{'q' if asks else 'c'}{self._next_seq}"
+        node_id = f"{'q' if asks else 'c'}{stamp.seq}"
         verdict: Verdict | None = None
         if kind == "question":
             claim = self.claim(origin)
@@ -633,7 +602,7 @@ class ProtocolInstance:
             kind_fields = {"proof": proof, "proof_hash": proof_hash, "verdict": verdict}
             if level == 0:
                 self.ledger.burn_from_escrow(node_id, cascade.machine.burn_cost)
-        stamp = self._commit_move(time, actor, kind, payload)
+        self.moves.append(MoveRecord(stamp.seq, time, actor, kind, text_hash(payload), payload))
         node = Node(
             "question" if asks else "claim", node_id, actor, level, statement, stamp,
             deadline, deposit, origin, **kind_fields,
@@ -701,11 +670,13 @@ class ProtocolInstance:
         """Commit the statuses visible at the clock and return the new
         determinations in (determination, posted_at) order. Expired windows
         are taken one instant at a time, earliest first, up to the clock, so
-        no later legal move can contradict a committed status; commit order
-        across calls is therefore the trace's event order, and `determined`
-        records it. Idempotent: a node determined once never changes, later
-        calls only add. In early-stop mode the game ends at the instant where
-        the root determines, and nothing later is committed.
+        no later legal move can contradict a committed status, and the
+        returns of all calls, concatenated, are every determined node sorted
+        by (determination, posted_at): the trace's event order, which is
+        read from the nodes rather than kept. Idempotent: a node determined
+        once never changes, later calls only add. In early-stop mode the
+        game ends at the instant where the root determines, and nothing
+        later is committed.
 
         Only closing a window commits a status, so a call with no deadline
         at or before the clock, or after an early stop, returns at once.
@@ -718,7 +689,6 @@ class ProtocolInstance:
             while deadlines and deadlines[0][0] == instant:
                 self._close(self._open.pop(heapq.heappop(deadlines)[2]), decided)
             decided.sort(key=lambda n: (n.determination, n.posted_at))
-            self.determined += [n.id for n in decided]
             changed += [(n.id, n.status, n.determination) for n in decided]
             if self.mode == EARLY_STOP and self.root_id is not None:
                 self.stopped_at = self.nodes[self.root_id].determination
@@ -1003,9 +973,9 @@ def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     try:
         kind = record["kind"]
         instance._check_kind(kind)
-        seq = _integer("seq", record["seq"])
-        if seq != instance._next_seq:
-            raise ProtocolError(f"seq {seq} out of order, expected {instance._next_seq}")
+        seq, expected = _integer("seq", record["seq"]), len(instance.moves) + 1
+        if seq != expected:
+            raise ProtocolError(f"seq {seq} out of order, expected {expected}")
         instance.apply(_decode_move(kind, record["actor"], record["time"], record["payload"]))
     except Exception:
         _check_payload_hash(record)

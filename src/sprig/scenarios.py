@@ -447,9 +447,7 @@ class ProtocolFixture(Record):
         self,
         name: str,
         instance: ProtocolInstance,
-        cascade: ParameterCascade,
         balances: dict[str, int],
-        mode: str,
         final_time: int,
         labels: dict[str, str],
         expected: dict[str, tuple[str, int]],
@@ -458,14 +456,17 @@ class ProtocolFixture(Record):
     ) -> None:
         self.name = name
         self.instance = instance
-        self.cascade = cascade
         self.balances = balances
-        self.mode = mode
         self.final_time = final_time
         self.labels = labels
         self.expected = expected
         self.expected_payoffs = expected_payoffs
         self.notes = notes
+
+    @property
+    def mode(self) -> str:
+        """The mode the run was played in, its instance's."""
+        return self.instance.mode
 
     def node(self, label: str) -> str:
         return self.labels[label]
@@ -505,9 +506,7 @@ def validated_root_claim() -> ProtocolFixture:
     return ProtocolFixture(
         name="validated_root_claim",
         instance=inst,
-        cascade=cascade,
         balances=balances,
-        mode=QUIESCENCE,
         final_time=8,
         labels=labels,
         expected={
@@ -553,9 +552,7 @@ def invalidated_root_claim() -> ProtocolFixture:
     return ProtocolFixture(
         name="invalidated_root_claim",
         instance=inst,
-        cascade=cascade,
         balances=balances,
-        mode=QUIESCENCE,
         final_time=11,
         labels=labels,
         expected={
@@ -596,9 +593,7 @@ def answered_root_question() -> ProtocolFixture:
     return ProtocolFixture(
         name="answered_root_question",
         instance=inst,
-        cascade=cascade,
         balances=balances,
-        mode=QUIESCENCE,
         final_time=9,
         labels=labels,
         expected={
@@ -633,9 +628,7 @@ def unanswered_root_question() -> ProtocolFixture:
     return ProtocolFixture(
         name="unanswered_root_question",
         instance=inst,
-        cascade=cascade,
         balances=balances,
-        mode=QUIESCENCE,
         final_time=10,
         labels=labels,
         expected={
@@ -705,9 +698,7 @@ def full_run_claim_root() -> ProtocolFixture:
     return ProtocolFixture(
         name="full_run_claim_root",
         instance=inst,
-        cascade=cascade,
         balances=balances,
-        mode=QUIESCENCE,
         final_time=42,
         labels=L,
         expected={
@@ -765,9 +756,7 @@ def early_stop_question_root() -> ProtocolFixture:
     return ProtocolFixture(
         name="early_stop_question_root",
         instance=inst,
-        cascade=cascade,
         balances=balances,
-        mode=EARLY_STOP,
         final_time=11,
         labels=labels,
         expected={

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import islice
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from . import Record
@@ -84,9 +85,10 @@ __all__ = [
 class Knowledge(Record):
     """An agent's private material: defendable proofs and soundness beliefs.
 
-    `answers` maps a statement hash to the chain that proves it one level
-    down; `machine_proofs` to a bottom-level proof. `truth` records which
-    statements the agent believes sound. A `truth` given here is used as is;
+    `answers` maps a statement, the one interned object of its value, to the
+    chain that proves it one level down; `machine_proofs` maps it to a
+    bottom-level proof. `truth` records which statements the agent believes
+    sound. A `truth` given here is used as is;
     one left out is judged on its first read, from the tree `build_knowledge`
     indexed, and kept."""
 
@@ -95,9 +97,9 @@ class Knowledge(Record):
 
     def __init__(
         self,
-        answers: dict[str, ProofChain] | None = None,
-        machine_proofs: dict[str, MachineProof] | None = None,
-        truth: dict[str, bool] | None = None,
+        answers: dict[Statement, ProofChain] | None = None,
+        machine_proofs: dict[Statement, MachineProof] | None = None,
+        truth: dict[Statement, bool] | None = None,
     ) -> None:
         self.answers = {} if answers is None else answers
         self.machine_proofs = {} if machine_proofs is None else machine_proofs
@@ -105,20 +107,19 @@ class Knowledge(Record):
             self.truth = truth
 
     @cached_property
-    def truth(self) -> dict[str, bool]:
-        truth: dict[str, bool] = {}
+    def truth(self) -> dict[Statement, bool]:
+        truth: dict[Statement, bool] = {}
         if self._unjudged is not None:
             _judge(self._unjudged, self._unjudged.target, truth)
         return truth
 
     def can_answer(self, statement: Statement, level: int) -> bool:
-        h = statement.hash()
-        if level >= 1 and h in self.answers:
+        if level >= 1 and statement in self.answers:
             return True
-        return h in self.machine_proofs
+        return statement in self.machine_proofs
 
 
-def _judge(chain: ProofChain, target: Statement, truth: dict[str, bool]) -> bool:
+def _judge(chain: ProofChain, target: Statement, truth: dict[Statement, bool]) -> bool:
     """Record in `truth` whether each step of `chain`, and `target`, is sound,
     bottom-up (a step with no subproof is unsound: its owner has nothing to
     defend it with), and return the target's soundness."""
@@ -130,9 +131,9 @@ def _judge(chain: ProofChain, target: Statement, truth: dict[str, bool]) -> bool
             sound = ToyVerifier().verdict(step.statement, step.subproof).validated
         else:
             sound = False
-        truth[step.statement.hash()] = sound
+        truth[step.statement] = sound
         sound_all = sound_all and sound
-    truth[target.hash()] = sound_all
+    truth[target] = sound_all
     return sound_all
 
 
@@ -148,12 +149,12 @@ def build_knowledge(tree: ProofChain | None) -> Knowledge:
     def index(chain: ProofChain) -> None:
         for step in chain.steps:
             if isinstance(step.subproof, ProofChain):
-                know.answers[step.statement.hash()] = step.subproof
+                know.answers[step.statement] = step.subproof
                 index(step.subproof)
             elif isinstance(step.subproof, MachineProof):
-                know.machine_proofs[step.statement.hash()] = step.subproof
+                know.machine_proofs[step.statement] = step.subproof
 
-    know.answers[tree.target.hash()] = tree
+    know.answers[tree.target] = tree
     index(tree)
     know._unjudged = tree
     return know
@@ -297,9 +298,8 @@ class HonestClaimer(AgentStrategy):
         return ctx.on_my_claim(q)
 
     def pick_proof(self, ctx: AgentContext, q: Node) -> ProofChain | MachineProof | None:
-        h = q.statement.hash()
-        machine = ctx.knowledge.machine_proofs.get(h)
-        chain = ctx.knowledge.answers.get(h) if q.level >= 1 else None
+        machine = ctx.knowledge.machine_proofs.get(q.statement)
+        chain = ctx.knowledge.answers.get(q.statement) if q.level >= 1 else None
         if q.level < 1:
             return machine
         if self.machine_first and machine is not None:
@@ -337,8 +337,7 @@ class HonestSkeptic(AgentStrategy):
             if c.owner == ctx.me:
                 continue
             for j, step in enumerate(c.proof.steps, start=1):
-                h = step.statement.hash()
-                if ctx.knowledge.truth.get(h, True):
+                if ctx.knowledge.truth.get(step.statement, True):
                     continue
                 if not ctx.questioned_by_me(c.id, j):
                     cost = ctx.question_cost(c.level - 1)
@@ -382,7 +381,7 @@ class Nitpicker(AgentStrategy):
 
 def pad_chain(
     chain: ProofChain, pad: int
-) -> tuple[ProofChain, dict[str, MachineProof]]:
+) -> tuple[ProofChain, dict[Statement, MachineProof]]:
     """Prepend `pad` decoy steps restating the target's assumptions.
 
     Decoys are individually machine-provable (one assumption application), so
@@ -393,7 +392,7 @@ def pad_chain(
     if not assumptions or pad <= 0:
         return chain, {}
     decoys = []
-    proofs: dict[str, MachineProof] = {}
+    proofs: dict[Statement, MachineProof] = {}
     for i in range(pad):
         formula = assumptions[i % len(assumptions)]
         stmt = Statement(
@@ -402,7 +401,7 @@ def pad_chain(
             context=chain.target.context,
         )
         decoys.append(ChainStep(statement=stmt))
-        proofs[stmt.hash()] = MachineProof(
+        proofs[stmt] = MachineProof(
             target=stmt, steps=(InferenceStep(formula, "assumption"),)
         )
     shifted = [
@@ -479,10 +478,10 @@ class Misleader(HonestClaimer):
             if c.owner != ctx.me:
                 continue
             for j, step in enumerate(c.proof.steps, start=1):
-                h = step.statement.hash()
-                if ctx.knowledge.truth.get(h, True) or ctx.questioned_by_me(c.id, j):
+                statement = step.statement
+                if ctx.knowledge.truth.get(statement, True) or ctx.questioned_by_me(c.id, j):
                     continue
-                answer = ctx.knowledge.answers.get(h) if c.level - 1 >= 1 else None
+                answer = ctx.knowledge.answers.get(statement) if c.level - 1 >= 1 else None
                 cost = ctx.question_cost(c.level - 1)
                 if self.variant == "immediate" and answer is not None:
                     cost += ctx.answer_cost(answer, c.level - 1)
@@ -519,23 +518,24 @@ class Plagiarist(AgentStrategy):
     def _catch_up(self, ctx: AgentContext) -> None:
         """Read the nodes posted since the last poll into `_seen` (the first
         proof of each statement claimed by others) and `_asked_of_me` (the
-        questions others posed on my claims), both in posting order, so that
-        a poll costs the new nodes rather than the tree. A poll of another
+        questions others posed on my claims), both in posting order. `_read`
+        counts the nodes read, and the instance's `nodes` are in posting
+        order, so skipping that many leaves the new ones. A poll of another
         instance or for another agent starts over."""
         if self._reading != (ctx.instance, ctx.me):
             self._reading = (ctx.instance, ctx.me)
             self._read = 0
-            self._seen: dict[str, ProofChain | MachineProof] = {}
+            self._seen: dict[Statement, ProofChain | MachineProof] = {}
             self._asked_of_me: list[Node] = []
-        new = ctx.instance.posted_since(self._read)
-        self._read += len(new)
-        for node in new:
+        nodes = ctx.instance.nodes
+        for node in islice(nodes.values(), self._read, None):
             if node.owner == ctx.me:
                 continue
             if node.kind == "claim":
-                self._seen.setdefault(node.statement.hash(), node.proof)
+                self._seen.setdefault(node.statement, node.proof)
             elif node.origin is not None and ctx.instance.claim(node.origin).owner == ctx.me:
                 self._asked_of_me.append(node)
+        self._read = len(nodes)
 
     def proposals(self, ctx: AgentContext) -> Iterator[tuple[Move, int]]:
         self._catch_up(ctx)
@@ -543,7 +543,7 @@ class Plagiarist(AgentStrategy):
         for q in ctx.open_questions():
             if ctx.answered_by_me(q.id):
                 continue
-            proof = self._seen.get(q.statement.hash())
+            proof = self._seen.get(q.statement)
             if proof is None and q.level >= 1:
                 proof = ProofChain(
                     target=q.statement, steps=(ChainStep(statement=q.statement),)
@@ -594,12 +594,9 @@ class CopycatDefender(HonestClaimer):
         )
         for rival in rivals:
             for j, step in enumerate(rival.proof.steps, start=1):
-                h = step.statement.hash()
-                if h not in ctx.knowledge.machine_proofs:
+                proof = ctx.knowledge.machine_proofs.get(step.statement)
+                if proof is None or ctx.questioned_by_me(rival.id, j):
                     continue
-                if ctx.questioned_by_me(rival.id, j):
-                    continue
-                proof = ctx.knowledge.machine_proofs[h]
                 cost = ctx.question_cost(rival.level - 1) + ctx.answer_cost(proof, 0)
                 yield Move("question", ctx.me, ctx.now, rival.id, j, proof=proof), cost
 
@@ -698,6 +695,10 @@ class SimulationTrace(Record):
         return self.instance.snapshot()
 
     def to_json_lines(self) -> list[str]:
+        """The trace as JSON lines: the run, the moves, the rejections, an
+        `event` per determined node in commit order (the nodes sorted by
+        determination, then posted_at; see `ProtocolInstance.resolve`), the
+        transfers and the summary."""
         inst = self.instance
         lines = [
             canonical_json(
@@ -714,8 +715,9 @@ class SimulationTrace(Record):
             lines.append(m.line(record="move"))
         for r in self.rejections:
             lines.append(canonical_json({"record": "rejection", **r._asdict()}))
-        for node_id in inst.determined:
-            node = inst.nodes[node_id]
+        determined = [n for n in inst.nodes.values() if n.determination is not None]
+        determined.sort(key=lambda n: (n.determination, n.posted_at))
+        for node in determined:
             lines.append(
                 canonical_json(
                     {

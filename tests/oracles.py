@@ -369,13 +369,13 @@ def scan_open_questions(instance: ProtocolInstance, now: int) -> list:
 # leaves that to the first read of `truth`, and the tests compare the two.
 
 
-def eager_truth(tree: ProofChain) -> dict[str, bool]:
-    """Each statement hash in `tree` mapped to its soundness, entered as a
+def eager_truth(tree: ProofChain) -> dict[Statement, bool]:
+    """Each statement in `tree` mapped to its soundness, entered as a
     post-order walk finishes the statement: a machine leaf is sound when the
     kernel validates it, a chain step when every step of its subchain is, a
     step with no subproof never, and a chain's target when all its steps
     are."""
-    truth: dict[str, bool] = {}
+    truth: dict[Statement, bool] = {}
     kernel = ToyVerifier()
 
     def sound(step: ChainStep) -> bool:
@@ -389,9 +389,9 @@ def eager_truth(tree: ProofChain) -> dict[str, bool]:
         verdicts = []
         for step in chain.steps:
             verdicts.append(sound(step))
-            truth[step.statement.hash()] = verdicts[-1]
-        truth[target.hash()] = all(verdicts)
-        return truth[target.hash()]
+            truth[step.statement] = verdicts[-1]
+        truth[target] = all(verdicts)
+        return truth[target]
 
     chain_sound(tree, tree.target)
     return truth

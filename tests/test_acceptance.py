@@ -204,7 +204,7 @@ def test_criterion_5_no_profitable_deviation_anywhere():
     ]
     dirty = []
     for theta, sol in solutions:
-        deviations = best_response_check(theta, sol, eps=1e-9)
+        deviations = best_response_check(theta, sol)
         if deviations:
             dirty.append((theta, [(d.node, d.gain) for d in deviations]))
     assert not dirty, dirty[:3]

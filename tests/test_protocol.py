@@ -8,6 +8,7 @@ pinned to each other.
 
 import json
 import pickle
+import weakref
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,14 @@ from sprig.protocol import (
     replay_line,
     settle,
 )
-from sprig.scenarios import PROTOCOL_FIXTURES, identity_chain
+from sprig.scenarios import (
+    PRESET_NAMES,
+    PROTOCOL_FIXTURES,
+    identity_chain,
+    preset_scenario,
+    scenario_from_json,
+)
+from sprig.simulator import run_scenario
 from sprig.verifier import ToyVerifier, Verdict
 
 import oracles
@@ -664,9 +672,9 @@ def test_settlement_reasons_route_every_token():
     by_node = {}
     for t in transfers:
         by_node.setdefault(t.node_id, []).append((t.account, t.amount, t.reason))
-    lvl1 = fx.cascade.levels[1]
+    lvl1 = fx.instance.cascade.levels[1]
     assert by_node[fx.node("root")] == [
-        ("ann", fx.cascade.levels[2].stake_down, "stake returned")
+        ("ann", fx.instance.cascade.levels[2].stake_down, "stake returned")
     ]
     assert by_node[fx.node("c_b")] == [
         ("bea", lvl1.stake_up + lvl1.stake_down, "stake returned")
@@ -676,7 +684,7 @@ def test_settlement_reasons_route_every_token():
         ("sam", lvl1.stake_down, "stake paid to defeating question"),
     ]
     assert by_node[fx.node("q1")] == [("bea", lvl1.bounty, "bounty paid to answer")]
-    machine_bounty = fx.cascade.machine.bounty
+    machine_bounty = fx.instance.cascade.machine.bounty
     assert by_node[fx.node("q2")] == [("sam", machine_bounty, "bounty reimbursed")]
     assert by_node[fx.node("q3")] == [("sam", machine_bounty, "bounty reimbursed")]
 
@@ -712,7 +720,7 @@ def _routes(transfers):
 @pytest.mark.parametrize("mode", [QUIESCENCE, EARLY_STOP])
 def test_fixture_settlement_routes_every_escrow_as_the_oracle_does(fx, mode):
     lines = fx.instance.move_log_lines()
-    twin = _replayed_until_refused(lines, fx.cascade, fx.balances, mode)
+    twin = _replayed_until_refused(lines, fx.instance.cascade, fx.balances, mode)
     advance_clock(twin, max(fx.final_time, twin.max_deadline()))
     expected = oracles.settlement_routes(twin)
     assert expected
@@ -723,7 +731,7 @@ def test_fixture_movelogs_on_disk_match_the_builders(fx):
     recorded = (FIXTURE_DIR / "movelogs" / f"{fx.name}.jsonl").read_text().splitlines()
     assert recorded == fx.instance.move_log_lines()
     cascade_doc = json.loads((FIXTURE_DIR / "cascades" / f"{fx.name}.json").read_text())
-    assert cascade_doc == fx.cascade.to_json()
+    assert cascade_doc == fx.instance.cascade.to_json()
 
 
 def test_fixture_replay_reaches_the_same_state(fx):
@@ -791,7 +799,7 @@ def test_replay_rejects_tampered_payloads():
     record["payload"]["step"] = 2
     lines[1] = json.dumps(record)
     with pytest.raises(ProtocolError, match="payload hash mismatch at seq 2"):
-        replay(lines, fx.cascade, balances=fx.balances)
+        replay(lines, fx.instance.cascade, balances=fx.balances)
 
 
 def _tampered(edit):
@@ -837,13 +845,13 @@ def test_replay_decodes_move_records_strictly(edit, message):
 def test_replay_rejects_empty_and_rootless_logs():
     fx = PROTOCOL_FIXTURES["validated_root_claim"]()
     with pytest.raises(ProtocolError, match="empty move log"):
-        replay([], fx.cascade)
+        replay([], fx.instance.cascade)
     lines = fx.instance.move_log_lines()
     with pytest.raises(ProtocolError, match="must start with a root move"):
-        replay(lines[1:], fx.cascade, balances=fx.balances)
+        replay(lines[1:], fx.instance.cascade, balances=fx.balances)
     second_root = {**json.loads(lines[0]), "seq": 2}
     with pytest.raises(ProtocolError, match="^unknown move kind 'root_claim'$"):
-        replay([lines[0], json.dumps(second_root)], fx.cascade, balances=fx.balances)
+        replay([lines[0], json.dumps(second_root)], fx.instance.cascade, balances=fx.balances)
 
 
 # -- one transition ---------------------------------------------------------------
@@ -1094,7 +1102,7 @@ def _root_claim_nets(names, play):
     fx = PROTOCOL_FIXTURES["validated_root_claim"]()
     chain = fx.instance.nodes[fx.node("root")].proof
     balances = dict.fromkeys(names, 200)
-    inst = create_root_claim("ann", chain.target, chain, fx.cascade, 0, balances=balances)
+    inst = create_root_claim("ann", chain.target, chain, fx.instance.cascade, 0, balances=balances)
     play(inst)
     advance_clock(inst, inst.max_deadline())
     settle(inst)
@@ -1162,7 +1170,7 @@ def test_an_earlier_question_that_dies_later_in_the_instant_takes_the_down_stake
     fx = PROTOCOL_FIXTURES["validated_root_claim"]()
     chain = fx.instance.nodes[fx.node("root")].proof
     balances = dict.fromkeys(["ann", "qa", "bea", "qb", "qc"], 200)
-    inst = create_root_claim("ann", chain.target, chain, fx.cascade, 0, balances=balances)
+    inst = create_root_claim("ann", chain.target, chain, fx.instance.cascade, 0, balances=balances)
     q2 = inst.post_question("qa", inst.root_id, 1, 1)
     c3 = inst.post_answer_claim("bea", q2, identity_chain(inst.nodes[q2].statement), 2)
     q4 = inst.post_question("qb", inst.root_id, 2, 3)
@@ -1314,7 +1322,7 @@ NON_STRING_ORIGIN_IDS = ["array", "object", "integer", "number", "boolean", "nul
 def test_replay_line_reads_a_payload_origin_as_a_string(index, kind, origin):
     fx = PROTOCOL_FIXTURES["validated_root_claim"]()
     lines = (FIXTURE_DIR / "movelogs" / "validated_root_claim.jsonl").read_text().splitlines()
-    inst = replay(lines[:index], fx.cascade, balances=fx.balances)
+    inst = replay(lines[:index], fx.instance.cascade, balances=fx.balances)
     before = inst.snapshot()
     record = json.loads(lines[index])
     stale_hash = record["payload_hash"]
@@ -1338,10 +1346,10 @@ def test_replay_line_rejects_a_premise_index_equal_to_a_live_twins(index):
     # it: they equal `(1, 2)` and hash as it does.
     fx = PROTOCOL_FIXTURES["invalidated_root_claim"]()
     lines = (FIXTURE_DIR / "movelogs" / "invalidated_root_claim.jsonl").read_text().splitlines()
-    twin = replay(lines, fx.cascade, balances=fx.balances)
+    twin = replay(lines, fx.instance.cascade, balances=fx.balances)
     live = twin.claim("c8").proof
     assert live.steps[2].premises == (1, 2)
-    inst = replay(lines[:7], fx.cascade, balances=fx.balances)
+    inst = replay(lines[:7], fx.instance.cascade, balances=fx.balances)
     record = json.loads(lines[7])
     record["payload"]["proof"]["steps"][2]["premises"][0] = index
     record["payload_hash"] = content_hash(record["payload"])
@@ -1374,7 +1382,7 @@ def _fixture_records(name):
 def _replayed_prefix(name, n, mode):
     """The instance of fixture `name` after its first `n` logged moves."""
     fx = PROTOCOL_FIXTURES[name]()
-    inst = ProtocolInstance(fx.cascade, balances=fx.balances, mode=mode)
+    inst = ProtocolInstance(fx.instance.cascade, balances=fx.balances, mode=mode)
     for record in _fixture_records(name)[:n]:
         replay_line(inst, json.dumps(record), record)
     return inst
@@ -1501,7 +1509,7 @@ def _debate_moves(case):
     if isinstance(case, str):
         fx = PROTOCOL_FIXTURES[case]()
         horizon = max(fx.final_time, fx.instance.max_deadline())
-        return fx.instance.move_log_lines(), fx.cascade, fx.balances, horizon
+        return fx.instance.move_log_lines(), fx.instance.cascade, fx.balances, horizon
     inst, horizon = oracles.random_debate(case)
     balances = {"ava": 150, "bo": 150, "cy": 150, "dot": 150}
     return inst.move_log_lines(), inst.cascade, balances, horizon
@@ -1514,12 +1522,52 @@ def test_resolve_with_no_window_due_or_after_a_stop_changes_nothing(case, mode):
     # has stopped early or no window is due at the clock, and then
     # `resolve()` returns [] and changes nothing; once the game has stopped,
     # no later tick commits anything either.
-    lines, cascade, balances, horizon = _debate_moves(case)
+    stopped, determined = None, []
+    for inst, changed in _replay_by_tick(*_debate_moves(case), mode):
+        if stopped is not None:
+            assert changed == [] and _commit_order(inst) == determined
+            assert inst.stopped_at == stopped
+        due = any(node.deadline <= inst.clock for node in inst.open_nodes())
+        assert inst.stopped_at is not None or not due
+        before = (inst.snapshot(), _commit_order(inst), inst.stopped_at)
+        assert inst.resolve() == []
+        assert (inst.snapshot(), _commit_order(inst), inst.stopped_at) == before
+        stopped, determined = inst.stopped_at, _commit_order(inst)
+
+
+def _commit_order(inst):
+    """Each determined node as `resolve` returns it, (id, status,
+    determination), sorted by (determination, posted_at)."""
+    determined = [n for n in inst.nodes.values() if n.determination is not None]
+    determined.sort(key=lambda n: (n.determination, n.posted_at))
+    return [(n.id, n.status, n.determination) for n in determined]
+
+
+@pytest.fixture
+def commits(monkeypatch):
+    """Every return value of `ProtocolInstance.resolve`, `apply`'s own
+    calls included, concatenated per instance; after each call the
+    concatenation must equal the instance's `_commit_order`."""
+    returned = weakref.WeakKeyDictionary()
+    resolve = ProtocolInstance.resolve
+
+    def recorded(self):
+        changed = resolve(self)
+        returned.setdefault(self, []).extend(changed)
+        assert returned[self] == _commit_order(self)
+        return changed
+
+    monkeypatch.setattr(ProtocolInstance, "resolve", recorded)
+    return returned
+
+
+def _replay_by_tick(lines, cascade, balances, horizon, mode):
+    """Replay `lines` one tick at a time up to `horizon`: each tick's moves,
+    then `advance_clock` to it, yielding the instance and what that returned.
+    After an early stop the refused rest of the log is dropped."""
     inst = ProtocolInstance(cascade, balances=balances, mode=mode)
     records = [json.loads(line) for line in lines]
     for t in range(horizon + 1):
-        stopped = inst.stopped_at
-        determined = list(inst.determined)
         while records and records[0]["time"] == t:
             record = records.pop(0)
             try:
@@ -1527,16 +1575,50 @@ def test_resolve_with_no_window_due_or_after_a_stop_changes_nothing(case, mode):
             except ProtocolError as exc:
                 assert inst.stopped_at is not None and "interaction ended" in str(exc)
                 records.clear()
-        changed = inst.advance_clock(t)
-        if stopped is not None:
-            assert changed == [] and inst.determined == determined
-            assert inst.stopped_at == stopped
-        due = any(node.deadline <= inst.clock for node in inst.open_nodes())
-        assert inst.stopped_at is not None or not due
-        before = (inst.snapshot(), list(inst.determined), inst.stopped_at)
-        assert inst.resolve() == []
-        assert (inst.snapshot(), inst.determined, inst.stopped_at) == before
+        yield inst, inst.advance_clock(t)
     assert not records
+
+
+def test_resolve_commits_in_determination_then_posting_order_on_random_debates(commits):
+    for seed in range(2000):
+        lines, cascade, balances, horizon = _debate_moves(seed)
+        for mode in (QUIESCENCE, EARLY_STOP):
+            *_, (inst, _) = _replay_by_tick(lines, cascade, balances, horizon, mode)
+            assert commits[inst] and commits[inst] == _commit_order(inst), (seed, mode)
+
+
+@pytest.mark.parametrize("mode", [QUIESCENCE, EARLY_STOP])
+@pytest.mark.parametrize("name", sorted(PROTOCOL_FIXTURES))
+def test_resolve_commits_in_determination_then_posting_order_on_the_fixtures(
+    commits, name, mode
+):
+    lines = (FIXTURE_DIR / "movelogs" / f"{name}.jsonl").read_text().splitlines()
+    cascade = ParameterCascade.from_json(
+        json.loads((FIXTURE_DIR / "cascades" / f"{name}.json").read_text())
+    )
+    fx = PROTOCOL_FIXTURES[name]()
+    horizon = max(fx.final_time, fx.instance.max_deadline())
+    *_, (inst, _) = _replay_by_tick(lines, cascade, fx.balances, horizon, mode)
+    settle(inst)
+    assert commits[inst] and commits[inst] == _commit_order(inst)
+
+
+@pytest.mark.parametrize("mode", [QUIESCENCE, EARLY_STOP])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_resolve_commits_in_determination_then_posting_order_on_the_presets(
+    commits, name, seed, mode
+):
+    config = scenario_from_json(preset_scenario(name))
+    config.seed, config.mode = seed, mode
+    trace = run_scenario(config)
+    inst = trace.instance
+    assert commits[inst] and commits[inst] == _commit_order(inst)
+    events = [json.loads(line) for line in trace.to_json_lines()]
+    assert [
+        (e["node"], e["status"], Timestamp(*e["determination"]))
+        for e in events if e["record"] == "event"
+    ] == commits[inst]
 
 
 @settings(max_examples=30, deadline=None)

@@ -60,8 +60,9 @@ SAMPLES = {
     pr.MoveRecord: dict(seq=1, time=3, actor="ann", kind="question", payload_hash="ab",
                         payload_json='{"origin":"c0","step":1}'),
     pr.SettlementTransfer: dict(node_id="c1", account="ann", amount=6, reason="stake returned"),
-    sim.Knowledge: dict(answers={"h": _CHAIN}, machine_proofs={"g": _MACHINE},
-                        truth={"h": True}),
+    sim.Knowledge: dict(answers={_CHAIN.target: _CHAIN},
+                        machine_proofs={_MACHINE.target: _MACHINE},
+                        truth={_CHAIN.target: True}),
     sim.AgentContext: dict(instance="instance", me="ann", knowledge=sim.Knowledge(), rng=None),
     sim.AgentSpec: dict(name="ann", balance=10, strategy="idle", tree=_CHAIN),
     sim.ScenarioConfig: dict(cascade=_CASCADE, agents=[sim.AgentSpec("ann", 10, "idle")],
@@ -72,9 +73,9 @@ SAMPLES = {
     sim.SimulationTrace: dict(seed=1, horizon=9, initial_balances={"ann": 10},
                               rejections=[], transfers=[], instance="instance"),
     sc.StepPlan: dict(conclusion=_P, imports=(1,), sub="machine"),
-    sc.ProtocolFixture: dict(name="fixture", instance="instance", cascade=_CASCADE,
-                             balances={"ann": 10}, mode=pr.QUIESCENCE, final_time=8,
-                             labels={"root": "c0"}, expected={"root": ("validated", 4)},
+    sc.ProtocolFixture: dict(name="fixture", instance="instance", balances={"ann": 10},
+                             final_time=8, labels={"root": "c0"},
+                             expected={"root": ("validated", 4)},
                              expected_payoffs={"ann": 0}, notes="notes"),
     eq.GameParameters: dict(b0=40.0, b1=40.0, b2=50.0, sigma1=20.0, sigma2=30.0, beta0=10.0,
                             beta1=10.0),

@@ -20,9 +20,11 @@ from sprig.protocol import (
 )
 from sprig.scenarios import (
     PRESET_NAMES,
+    StepPlan,
     flat_tree,
     identity_chain,
     infinite_primes,
+    plan_chain,
     preset_scenario,
     rotten_tree,
     scenario_from_json,
@@ -152,17 +154,22 @@ def test_plagiarist_is_beaten_to_the_bounty():
     assert [(t.account, t.reason) for t in bounty] == [("alice", "bounty paid to answer")]
 
 
-def test_plagiarist_copies_the_first_proof_posted_for_a_statement():
-    p = atom("p")
-    ident = Statement(conclusion=p, assumptions=frozenset({p}), context="demo")
+def _plagiarist_cascade():
     levels = {
         level: LevelParameters(max_length=120, stake_up=4 * (level == 1), stake_down=6,
                                verification_time=4, bounty=5, response_time=3)
         for level in (1, 2)
     }
-    cascade = ParameterCascade(root_level=2, levels=levels, machine=MachineParameters(
+    return ParameterCascade(root_level=2, levels=levels, machine=MachineParameters(
         max_length=80, stake_up=2, burn_cost=1, bounty=3, response_time=2))
-    inst = create_root_claim("amy", ident, identity_chain(ident), cascade, 0,
+
+
+def test_plagiarist_copies_the_first_proof_posted_for_a_statement():
+    p, q = atom("p"), atom("q")
+    target = Statement(conclusion=p, assumptions=frozenset({p, q}), context="demo")
+    root_chain = plan_chain(target, (StepPlan(q), StepPlan(p, imports=(1,))))
+    step = root_chain.steps[0].statement
+    inst = create_root_claim("amy", target, root_chain, _plagiarist_cascade(), 0,
                              balances={name: 100 for name in ("amy", "quin", "ann", "ben", "pla")})
     asked = [inst.post_question("quin", inst.root_id, 1, 1) for _ in range(2)]
     plagiarist = Plagiarist()
@@ -171,12 +178,34 @@ def test_plagiarist_copies_the_first_proof_posted_for_a_statement():
         ctx = AgentContext(inst, "pla", Knowledge(), random.Random(0))
         return {i.origin: i.proof for i in plagiarist.decide(ctx)}
 
-    chain = inst.claim(inst.post_answer_claim("ann", asked[0], identity_chain(ident), 1)).proof
+    # having seen no proof of the step, it restates it
+    assert copies() == dict.fromkeys(asked, identity_chain(step))
+    answer = plan_chain(step, (StepPlan(p), StepPlan(q, imports=(1,))))
+    chain = inst.claim(inst.post_answer_claim("ann", asked[0], answer, 1)).proof
     assert copies() == dict.fromkeys(asked, chain)
     # a later proof of the same statement does not displace the first one seen
-    machine = MachineProof(target=ident, steps=(InferenceStep(p, "assumption"),))
+    machine = MachineProof(target=step, steps=(InferenceStep(q, "assumption"),))
     inst.post_answer_claim("ben", asked[0], machine, 2)  # and answers the first question
     assert copies() == {asked[1]: chain}
+
+
+def test_a_plagiarist_reads_each_node_once():
+    # A question on the plagiarist's answer is mirrored onto each other open
+    # claim with the same step, once however often the plagiarist is polled.
+    p = atom("p")
+    ident = Statement(conclusion=p, assumptions=frozenset({p}), context="demo")
+    cascade = _plagiarist_cascade()
+    inst = create_root_claim("amy", ident, identity_chain(ident), cascade, 0,
+                             balances={name: 100 for name in ("amy", "quin", "ann", "pla")})
+    asked = inst.post_question("quin", inst.root_id, 1, 1)
+    copied = inst.post_answer_claim("pla", asked, identity_chain(ident), 1)
+    rival = inst.post_answer_claim("ann", asked, identity_chain(ident), 1)
+    inst.post_question("quin", copied, 1, 2)
+    plagiarist = Plagiarist()
+    ctx = AgentContext(inst, "pla", Knowledge(), random.Random(0))
+    mirrored = [(m.kind, m.origin, m.step) for m in plagiarist.decide(ctx)]
+    assert mirrored == [("question", inst.root_id, 1), ("question", rival, 1)]
+    assert [(m.kind, m.origin, m.step) for m in plagiarist.decide(ctx)] == mirrored
 
 
 def test_a_plagiarist_reused_for_a_second_run_starts_reading_afresh():
@@ -226,11 +255,11 @@ def test_knowledge_marks_undefendable_branches_dubious():
     rotten = build_knowledge(tree)
     weak_step = tree.steps[1].statement
     inner_gap = tree.steps[1].subproof.steps[1].statement
-    assert rotten.truth[inner_gap.hash()] is False
-    assert rotten.truth[weak_step.hash()] is False
-    assert rotten.truth[tree.target.hash()] is False
+    assert rotten.truth[inner_gap] is False
+    assert rotten.truth[weak_step] is False
+    assert rotten.truth[tree.target] is False
     sound_step = tree.steps[0].statement
-    assert rotten.truth[sound_step.hash()]
+    assert rotten.truth[sound_step]
     # the weak statement still has a chain to post (it restates itself one
     # level down), but no bottom-level proof: it can stall, not win
     assert rotten.can_answer(weak_step, 1)
@@ -308,7 +337,7 @@ def test_pad_chain_prepends_defendable_decoys():
     assert len(padded.steps) == len(tree.steps) + 2
     for decoy in padded.steps[:2]:
         assert decoy.statement.conclusion in decoy.statement.assumptions
-        verdict = ToyVerifier().verdict(decoy.statement, proofs[decoy.statement.hash()])
+        verdict = ToyVerifier().verdict(decoy.statement, proofs[decoy.statement])
         assert verdict.validated
     # imports into the original steps shift past the decoys
     originals = padded.steps[2:]
