@@ -43,6 +43,10 @@ DOMAIN_ERROR = 1
 # Most grid points `sweep` solves. Rows are printed as they are solved, so
 # memory stays flat in the steps; the bound keeps one call to ~5 s.
 MAX_SWEEP_STEPS = 10**5
+# Most moves `run` replays, the move-log counterpart of the simulator's
+# MAX_RUN_TICKS (kept here so that `run` loads no simulator): a replayed
+# move costs tens of µs, so the bound keeps one call to about a minute.
+MAX_RUN_MOVES = 10**6
 
 
 def _fail(message: str, code: int) -> int:
@@ -50,12 +54,14 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _read_text(path: str) -> str:
-    """Read a UTF-8 input file; a missing path is a usage error."""
+def _read_bytes(path: str) -> bytes:
+    """Read an input file; a missing path is a usage error. Each command
+    decodes the bytes as UTF-8 and reports bytes that are not UTF-8 as a bad
+    document of its kind, a domain error."""
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(path)
-    return p.read_text(encoding="utf-8")
+    return p.read_bytes()
 
 
 def _env_seed() -> int | None:
@@ -76,11 +82,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from .proofs import MachineProof, ProofChain, parse_proof_document, validate_chain
 
     try:
-        text = _read_text(args.path)
+        data = _read_bytes(args.path)
     except FileNotFoundError:
         return _fail(f"no such file: {args.path}", USAGE_ERROR)
     try:
-        doc = parse_proof_document(text)
+        doc = parse_proof_document(data)
     except ParseError as exc:
         return _fail(f"unparsable document: {exc}", DOMAIN_ERROR)
     if isinstance(doc, ProofChain):
@@ -153,14 +159,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
 
     try:
-        log_text = _read_text(args.movelog)
-        cascade_text = _read_text(args.cascade)
+        log_data = _read_bytes(args.movelog)
+        cascade_data = _read_bytes(args.cascade)
     except FileNotFoundError as exc:
         return _fail(f"no such file: {exc.args[0]}", USAGE_ERROR)
     try:
-        cascade = ParameterCascade.from_json(parse_json(cascade_text))
+        cascade = ParameterCascade.from_json(parse_json(cascade_data.decode("utf-8")))
     except ValueError as exc:
         return _fail(f"bad cascade file: {exc}", DOMAIN_ERROR)
+    try:
+        log_text = log_data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The line of the first byte that is not UTF-8, as `splitlines` counts.
+        number = len((log_data[: exc.start].decode("utf-8") + "x").splitlines())
+        return _fail(f"bad move log at line {number}: {exc}", DOMAIN_ERROR)
     mode = EARLY_STOP if args.mode == "early-stop" else QUIESCENCE
     # Each line is decoded once, up front: funding needs every actor first.
     moves = []
@@ -168,6 +180,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         raw = raw.strip()
         if not raw:
             continue
+        if len(moves) == MAX_RUN_MOVES:
+            return _fail(f"move log has more than {MAX_RUN_MOVES} moves", DOMAIN_ERROR)
         try:
             record = read_object(parse_json(raw), "move", required=("actor",))
         except (json.JSONDecodeError, ParseError) as exc:
@@ -200,15 +214,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         doc = preset_scenario(args.scenario)
     else:
         try:
-            text = _read_text(args.scenario)
+            data = _read_bytes(args.scenario)
         except FileNotFoundError:
             known = ", ".join(PRESET_NAMES)
             return _fail(
                 f"{args.scenario!r} is neither a preset ({known}) nor a file", USAGE_ERROR
             )
         try:
-            doc = parse_json(text)
-        except (json.JSONDecodeError, ParseError) as exc:
+            doc = parse_json(data.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, ParseError) as exc:
             return _fail(f"scenario is not JSON: {exc}", DOMAIN_ERROR)
     seed = args.seed if args.seed is not None else _env_seed()
     try:

@@ -481,11 +481,8 @@ class ProtocolInstance:
         return self._posted_by.get((origin, owner, step), 0)
 
     def claims(self) -> list[Node]:
-        """Every claim, in posting order (as are `questions` and `nodes`)."""
+        """Every claim, in posting order (as are `nodes`)."""
         return [n for n in self.nodes.values() if n.kind == "claim"]
-
-    def questions(self) -> list[Node]:
-        return [n for n in self.nodes.values() if n.kind == "question"]
 
     def open_nodes(self) -> Iterable[Node]:
         """The nodes whose window was still open at the last instant

@@ -343,6 +343,11 @@ def settlement_routes(instance: ProtocolInstance) -> list[tuple[str, str, int, s
 # from `deadline`, not from the nodes.
 
 
+def questions(instance: ProtocolInstance) -> list:
+    """Every question of `instance`, in posting order."""
+    return [n for n in instance.nodes.values() if n.kind == "question"]
+
+
 def scan_open_nodes(instance: ProtocolInstance) -> list:
     """Every node whose window closes after the clock, in posting order."""
     return [
@@ -358,7 +363,7 @@ def scan_open_claims(instance: ProtocolInstance, now: int) -> list:
 
 def scan_open_questions(instance: ProtocolInstance, now: int) -> list:
     return [
-        q for q in instance.questions()
+        q for q in questions(instance)
         if q.status == "pending" and deadline(instance.cascade, q) > now
     ]
 
@@ -524,10 +529,10 @@ def random_debate(
                 step = rng.randint(1, max(1, len(c.proof.steps)))
                 instance.post_question(actor, c.id, step, t)
             else:
-                questions = instance.questions()
-                if not questions:
+                asked = questions(instance)
+                if not asked:
                     continue
-                q = rng.choice(questions)
+                q = rng.choice(asked)
                 if q.level >= 1 and rng.random() < 0.6:
                     proof: ProofChain | MachineProof = (
                         _identity_chain(q.statement)

@@ -271,7 +271,7 @@ def test_criterion_8_attacks_lose_and_defense_outraces_theft():
 
     defense = run_scenario(scenario_from_json(preset_scenario("plagiarist_defense")))
     inst = defense.instance
-    question = next(q for q in inst.questions() if q.owner == "bob")
+    question = next(q for q in oracles.questions(inst) if q.owner == "bob")
     answers = question.children
     assert len(answers) == 2, "defense scenario must produce both answers"
     stolen = next(c for c in answers if c.owner == "charlie")

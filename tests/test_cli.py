@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from sprig import cli
 from sprig.cli import MAX_SWEEP_STEPS, _grid, main
 from sprig.equilibrium import MAX_MC_DRAWS
 from sprig.formulas import MAX_FORMULA_DEPTH, MAX_PROOF_DEPTH, content_hash
@@ -154,6 +155,59 @@ def test_run_reports_a_log_without_its_root_move(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(rootless), cascade)
     assert (code, out) == (1, "")
     assert err == "error: illegal move at line 1: log must start with a root move, got 'question'\n"
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "{bad}"], f"unparsable document: document is not UTF-8: {_NOT_UTF8}"),
+        (["run", "{bad}", fixture_args("full_run_claim_root")[1]],
+         f"bad move log at line 1: {_NOT_UTF8}"),
+        (["run", fixture_args("full_run_claim_root")[0], "{bad}"],
+         f"bad cascade file: {_NOT_UTF8}"),
+        (["simulate", "{bad}"], f"scenario is not JSON: {_NOT_UTF8}"),
+    ],
+    ids=["validate", "run-log", "run-cascade", "simulate"],
+)
+def test_an_input_that_is_not_utf8_is_a_bad_document(capsys, tmp_path, argv, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    code, out, err = run_cli(capsys, *[arg.format(bad=bad) for arg in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_run_names_the_line_of_the_first_byte_that_is_not_utf8(capsys, tmp_path):
+    log, cascade = fixture_args("full_run_claim_root")
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(Path(log).read_bytes().replace(b'"sam"', b'"s\xe1m"', 1))
+    code, out, err = run_cli(capsys, "run", str(bad), cascade)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad move log at line 2: 'utf-8' codec can't decode byte 0xe1")
+
+
+def test_a_missing_file_stays_a_usage_error_next_to_one_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff")
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, "run", str(bad), missing)
+    assert (code, out, err) == (2, "", f"error: no such file: {missing}\n")
+
+
+def test_run_refuses_a_log_of_more_moves_than_the_bound(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RUN_MOVES", 3)
+    log, cascade = fixture_args("validated_root_claim")
+    lines = Path(log).read_text().splitlines()
+    assert len(lines) > 3
+    code, out, err = run_cli(capsys, "run", log, cascade)
+    assert (code, out, err) == (1, "", "error: move log has more than 3 moves\n")
+    # Blank lines are no moves: three moves among them replay.
+    short = tmp_path / "short.jsonl"
+    short.write_text("\n\n".join(lines[:3]) + "\n\n")
+    code, out, err = run_cli(capsys, "run", str(short), cascade)
+    assert (code, err) == (0, "")
 
 
 def _renumber(records):

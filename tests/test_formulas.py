@@ -368,6 +368,15 @@ def test_decoding_shares_one_instance_per_statement():
     assert built is s
 
 
+def test_a_statement_takes_its_assumptions_as_a_set():
+    # As a tuple they would intern as another value, whose canonical text
+    # repeats an assumption that decoding the text merges.
+    p, q = atom("p"), atom("q")
+    s = Statement(conclusion=p, assumptions=frozenset({p, q}))
+    assert Statement(conclusion=p, assumptions=(q, p, p)) is s
+    assert Statement.from_json(json.loads(s.canonical())) is s
+
+
 def test_a_pickled_decoded_formula_still_equals_the_shared_one():
     doc = {"or": [{"not": {"atom": "p"}}, {"sym": "zeta"}]}
     shared = Formula.from_json(doc)
@@ -420,3 +429,45 @@ def test_the_reader_rejects_a_lone_surrogate_and_names_where_it_sits(text, where
 )
 def test_the_reader_keeps_surrogate_pairs_and_text_that_only_looks_like_one(text, value):
     assert parse_json(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"atom":"p"}',
+        ' {"atom":"p"}',
+        '{"atom":"p"}\n',
+        '\ufeff{"atom":"p"}',
+        '{"atom":"p"} {"atom":"q"}',
+        '{"atom":"p"}x',
+        "",
+        "   ",
+        '{"atom":',
+        '{"atom" "p"}',
+        "[1,2,]",
+        "nul",
+        "7",
+        '"text"',
+        "NaN",
+        "[1e400]",
+        '{"a":1,"a":2}',
+    ],
+    ids=[
+        "canonical", "leading-space", "trailing-newline", "byte-order-mark", "two-values",
+        "trailing-junk", "empty", "blank", "cut-short", "missing-colon", "trailing-comma",
+        "bad-literal", "number", "string", "nan", "overflow", "duplicate-key",
+    ],
+)
+def test_the_reader_reads_as_json_loads_does(text):
+    # `parse_json` scans a text that starts with a value directly and hands
+    # any other to `json.loads`; either way the value or the error is the one
+    # `json.loads` gives.
+    try:
+        expected = ("value", json.loads(text))
+    except json.JSONDecodeError as exc:
+        expected = ("error", str(exc), exc.pos)
+    try:
+        got = ("value", parse_json(text))
+    except json.JSONDecodeError as exc:
+        got = ("error", str(exc), exc.pos)
+    assert repr(got) == repr(expected)

@@ -6,6 +6,7 @@ here replay them from disk too, so the movelog files and the builders are
 pinned to each other.
 """
 
+import gc
 import json
 import pickle
 import weakref
@@ -622,7 +623,7 @@ def test_an_800_level_debate_resolves():
     assert len(inst.nodes) == 2 * levels + 1
     advance_clock(inst, inst.max_deadline())
     assert {n.status for n in inst.claims()} == {"validated"}
-    assert {n.status for n in inst.questions()} == {"answered"}
+    assert {n.status for n in oracles.questions(inst)} == {"answered"}
     assert inst.nodes[inst.root_id].determination == Timestamp(11, 0)
     settle(inst)
     assert inst.ledger.balances == {"amy": 10**6 + levels, "quin": 10**6 - levels}
@@ -1253,6 +1254,69 @@ def _set(index, **fields):
     return mutate
 
 
+def _full_run_setup():
+    cascade = ParameterCascade.from_json(
+        json.loads((FIXTURE_DIR / "cascades" / "full_run_claim_root.json").read_text())
+    )
+    return cascade, {name: 10**6 for name in ("ann", "sam", "bea", "cat", "kim")}
+
+
+def _replay_outcome(lines, cascade, balances):
+    """The error that replaying `lines` raises, as its type and text, or the
+    settled snapshot and the move log."""
+    try:
+        inst = replay(lines, cascade, balances=balances)
+    except (ProtocolError, ParseError) as exc:
+        return type(exc).__name__, str(exc)
+    advance_clock(inst, inst.max_deadline())
+    settle(inst)
+    return inst.snapshot(), inst.move_log_lines()
+
+
+def _at_answer(edit):
+    """Edit the canonical text of line 3, bea's chain answering q2, given
+    that text and its record."""
+    def mutate(records):
+        lines = _canonical_lines(records)
+        lines[2] = edit(lines[2], records[2])
+        return lines
+    return mutate
+
+
+def _junk_payload(record):
+    """An answer payload with a machine proof of no steps for the target of
+    `record`'s proof."""
+    proof = record["payload"]["proof"]
+    junk = {"kind": "machine_proof", "steps": [], "target": proof["target"]}
+    return {"origin": record["payload"]["origin"], "proof": junk}
+
+
+def _duplicate_proof_key(raw, record):
+    # The later key wins, so the line posts the junk proof, hashed as such.
+    junk = _junk_payload(record)
+    raw = raw.replace(record["payload_hash"], content_hash(junk))
+    head, tail = raw.split(',"payload_hash":')
+    return f'{head[:-1]},"proof":{oracles._canon(junk["proof"])}}},"payload_hash":{tail}'
+
+
+def _second_payload(raw, record):
+    # The canonical line holds the proof, a later payload the junk proof.
+    junk = _junk_payload(record)
+    raw = raw.replace(record["payload_hash"], content_hash(junk))
+    return f'{raw[:-1]},"payload":{oracles._canon(junk)}}}'
+
+
+def _actor_last(raw, record):
+    record["actor"] = record.pop("actor")
+    return json.dumps(record, separators=(",", ":"), ensure_ascii=False)
+
+
+def _machine_proof_as_root_chain(records):
+    records[0]["payload"] = {"chain": records[14]["payload"]["proof"]}
+    records[0]["payload_hash"] = content_hash(records[0]["payload"])
+    return _canonical_lines(records)
+
+
 MUTATED_LOGS = [
     ("untouched", _canonical_lines, None),
     ("stale-hash", _stale(lambda r: r[1]["payload"].update(step=2)),
@@ -1282,6 +1346,22 @@ MUTATED_LOGS = [
      (ParseError, "move needs payload_hash")),
     ("integer-payload-hash", _set(2, payload_hash=5),
      (ProtocolError, "payload hash mismatch at seq 3")),
+    ("duplicate-proof-key", _at_answer(_duplicate_proof_key),
+     (ProtocolError, "machine claims cannot be questioned")),
+    ("second-payload", _at_answer(_second_payload),
+     (ProtocolError, "machine claims cannot be questioned")),
+    ("respaced-proof", _at_answer(lambda raw, r: raw.replace(
+        oracles._canon(r["payload"]["proof"]), json.dumps(r["payload"]["proof"]))), None),
+    ("actor-last", _at_answer(_actor_last), None),
+    ("wrong-payload-hash", _at_answer(lambda raw, r: raw.replace(r["payload_hash"], "0" * 64)),
+     (ProtocolError, "payload hash mismatch at seq 3")),
+    ("boolean-time", _at_answer(lambda raw, r: raw.replace('"time":2}', '"time":true}')),
+     (ProtocolError, "time must be an integer, got True")),
+    ("escaped-actor", _at_answer(lambda raw, r: raw.replace('"bea"', '"\\u0062ea"')), None),
+    ("record-tag", _at_answer(lambda raw, r: raw.replace(',"seq":', ',"record":"move","seq":')),
+     None),
+    ("machine-proof-as-root-chain", _machine_proof_as_root_chain,
+     (ParseError, "unknown chain step fields ['formula', 'premises', 'rule']")),
 ]
 
 
@@ -1289,26 +1369,25 @@ MUTATED_LOGS = [
     "mutate, expected", [case[1:] for case in MUTATED_LOGS], ids=[case[0] for case in MUTATED_LOGS]
 )
 def test_mutated_move_logs_are_accepted_or_rejected_as_pinned(mutate, expected):
-    cascade = ParameterCascade.from_json(
-        json.loads((FIXTURE_DIR / "cascades" / "full_run_claim_root.json").read_text())
-    )
-    balances = {name: 10**6 for name in ("ann", "sam", "bea", "cat", "kim")}
+    # Each log is replayed next to a live instance that posted the original
+    # log's values, where decoding finds each formula and proof record in
+    # the intern table, and again once they are dropped, where it builds
+    # them. Both give the pinned outcome.
+    cascade, balances = _full_run_setup()
     original = _FULL_RUN.read_text().splitlines()
     lines = mutate([json.loads(line) for line in original])
+    live = replay(original, cascade, balances=balances)
+    near = _replay_outcome(lines, cascade, balances)
+    del live
+    gc.collect()
+    assert _replay_outcome(lines, cascade, balances) == near
     if expected is None:
-        twin = replay(lines, cascade, balances=balances)
         # the instance records each move as posted, in canonical form
-        assert twin.move_log_lines() == original
-        reference = replay(original, cascade, balances=balances)
-        for inst in (twin, reference):
-            advance_clock(inst, inst.max_deadline())
-            settle(inst)
-        assert twin.snapshot() == reference.snapshot()
-        return
-    error, message = expected
-    with pytest.raises(error) as caught:
-        replay(lines, cascade, balances=balances)
-    assert type(caught.value) is error and str(caught.value) == message
+        assert near[1] == original
+        assert near == _replay_outcome(original, cascade, balances)
+    else:
+        error, message = expected
+        assert near == (error.__name__, message)
 
 
 # Every JSON type but a string, as a payload `origin`.

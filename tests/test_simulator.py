@@ -117,7 +117,7 @@ def test_agent_context_queries_agree_with_a_rescan_of_the_tree(name):
     owners = sorted({n.owner for n in inst.nodes.values()} | {"nobody"})
     for me in owners:
         ctx = AgentContext(inst, me, Knowledge(), random.Random(0))
-        for q in inst.questions() + [None]:
+        for q in oracles.questions(inst) + [None]:
             qid = q.id if q else "q999"
             mine = [c for c in q.children if c.owner == me] if q else []
             assert (ctx.answered_by_me(qid), ctx.my_answers(qid)) == (bool(mine), len(mine))
@@ -144,7 +144,7 @@ def test_attacks_lose_money_and_defenders_profit():
 def test_plagiarist_is_beaten_to_the_bounty():
     trace = run_preset("plagiarist_defense")
     inst = trace.instance
-    question = next(q for q in inst.questions() if q.owner == "bob")
+    question = next(q for q in oracles.questions(inst) if q.owner == "bob")
     copied, original = question.children
     assert copied.owner == "charlie" and original.owner == "alice"
     assert copied.status == original.status == "validated"
