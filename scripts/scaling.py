@@ -3,8 +3,9 @@
 
 For each k in 8, 16, 24, 32, 48 and 64 this builds the benchmark's
 carpet-bombed wide debate (`wide_config` in perfbench/workloads.py:
-1 + 2k + 2k^2 nodes, one move per node), times `run_scenario`, then times
-`replay` of the produced move log plus `advance_clock` and `settle`. Each
+1 + 2k + 2k^2 nodes, one move per node), times `run_scenario`, reads its
+move log, then times `replay` of that log plus `advance_clock` and
+`settle`. Each
 repeat runs in a fresh interpreter with the seed 0, so that no memoized
 value, warm cache or garbage-collector state carries over from one run to
 the next. The child then drops that debate and times `WARM_RUNS` more
@@ -31,6 +32,14 @@ and `Statement` objects created and the proof records created
 `ProofChain`): each call of a class's constructor in a checkout that builds
 one object per call, each object not alive before the call in one that
 returns the live instance of a value (a class whose equality is identity).
+
+`simulate_log_warm` times `run_scenario` together with reading its move
+log (`move_log_lines`, which composes and hashes each line from its node),
+so that work moved from playing a move to reading the log does not show as
+a cheaper simulate. `live_bytes_per_node` is what a replay + settle of the
+log alone leaves live, per node: the bytes tracemalloc counts after a
+`gc.collect()`, traced from before the replay, with nothing else decoded
+alive (the median over the repeats).
 
 Three more timings show what that reuse is worth. `replay_settle_alone_warm`
 replays and settles the log once the debate and its built tree are dropped,
@@ -83,7 +92,7 @@ HALVES = ("simulate", "replay_settle", "replay_settle_alone")
 # previous debate is dropped, as a long-running verifier (and the
 # benchmark's wide leg) replays.
 WARM_RUNS = 7
-TIMED = ("simulate", "replay_settle", "simulate_warm", "replay_settle_warm",
+TIMED = ("simulate", "replay_settle", "simulate_warm", "simulate_log_warm", "replay_settle_warm",
          "replay_settle_alone_warm", "build_drop_warm", "build_simulate_warm")
 # Each ratio's name, numerator and denominator, of the timings' medians.
 RATIOS = (
@@ -95,7 +104,7 @@ RATIOS = (
 # One repeat: run in a fresh interpreter with the checkout's src/ and
 # perfbench/ on the path; prints one JSON line.
 CHILD = """
-import gc, hashlib, json, sys, time, weakref
+import gc, hashlib, json, sys, time, tracemalloc, weakref
 from sprig import Frozen, formulas
 from sprig.formulas import DefinitionSet, Formula, Statement
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
@@ -116,8 +125,8 @@ def counted_verdict(self, *args, **kwargs):
 ToyVerifier.verdict = counted_verdict
 
 k, seed, warm_runs = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
-warm = {"simulate_warm_s": [], "replay_settle_warm_s": [], "replay_settle_alone_warm_s": [],
-        "build_drop_warm_s": [], "build_simulate_warm_s": []}
+warm = {"simulate_warm_s": [], "simulate_log_warm_s": [], "replay_settle_warm_s": [],
+        "replay_settle_alone_warm_s": [], "build_drop_warm_s": [], "build_simulate_warm_s": []}
 for run in range(warm_runs):
     gc.collect()
     t0 = time.perf_counter()
@@ -134,7 +143,9 @@ for run in range(1 + warm_runs):  # each run after the first drops the last deba
     t1 = time.perf_counter()
     simulate_dumps = calls[0] - before
     simulate_verdicts = verdicts[0] - verdicts_before
-    twin = replay(trace.move_lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
+    lines = trace.move_lines
+    t_log = time.perf_counter()
+    twin = replay(lines, config.cascade, balances=trace.initial_balances, mode=config.mode)
     advance_clock(twin, trace.final_clock)
     settle(twin)
     t2 = time.perf_counter()
@@ -144,21 +155,21 @@ for run in range(1 + warm_runs):  # each run after the first drops the last deba
         raise AssertionError(f"k={k}: replayed snapshot differs from the simulated one")
     if run:
         warm["simulate_warm_s"].append(t1 - t0)
-        warm["replay_settle_warm_s"].append(t2 - t1)
+        warm["simulate_log_warm_s"].append(t_log - t0)
+        warm["replay_settle_warm_s"].append(t2 - t_log)
     else:
         out.update({
             "simulate_s": t1 - t0,
-            "replay_settle_s": t2 - t1,
+            "replay_settle_s": t2 - t_log,
             "nodes": len(trace.instance.nodes),
-            "moves": len(trace.move_lines),
-            "moves_sha256": hashlib.sha256("\\n".join(trace.move_lines).encode()).hexdigest(),
+            "moves": len(lines),
+            "moves_sha256": hashlib.sha256("\\n".join(lines).encode()).hexdigest(),
             "simulate_dumps": simulate_dumps,
             "replay_settle_dumps": replay_dumps,
             "simulate_verdicts": simulate_verdicts,
             "replay_settle_verdicts": replay_verdicts,
         })
-    lines, balances, final_clock, snapshot = (
-        trace.move_lines, trace.initial_balances, trace.final_clock, trace.final_snapshot)
+    balances, final_clock, snapshot = trace.initial_balances, trace.final_clock, trace.final_snapshot
     del trace, twin
 json.dumps, ToyVerifier.verdict = dumps, verdict
 cascade, mode = config.cascade, config.mode
@@ -188,6 +199,14 @@ for run in range(warm_runs):
         raise AssertionError(f"k={k}: a fresh tree plays another debate")
     del fresh, trace
 out.update({name: min(times) for name, times in warm.items()})
+gc.collect()
+tracemalloc.start()
+twin = replay_alone()
+gc.collect()
+out["live_bytes"] = tracemalloc.get_traced_memory()[0]
+tracemalloc.stop()
+check(twin)
+del twin
 
 rule_name = "_close" if hasattr(ProtocolInstance, "_close") else "_decide"
 rule, init, evals, reads = getattr(ProtocolInstance, rule_name), Node.__init__, [0], [0]
@@ -293,6 +312,8 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
         point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
     for name, numerator, denominator in RATIOS:
         point[name] = round(medians[numerator] / medians[denominator], 2)
+    point["live_bytes_per_node"] = round(
+        statistics.median(r["live_bytes"] for r in runs) / runs[0]["nodes"])
     for half in HALVES:
         for count in COUNTS:
             point[f"{half}_{count}_per_move"] = round(runs[0][f"{half}_{count}"] / moves, 3)

@@ -30,7 +30,7 @@ import re
 import weakref
 from _weakref import _remove_dead_weakref
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from . import Frozen, canonical_json
 
@@ -57,6 +57,7 @@ __all__ = [
     "lookup",
     "MAX_FORMULA_DEPTH",
     "MAX_PROOF_DEPTH",
+    "nested_too_deeply",
 ]
 
 _BINARY = ("and", "or", "imp")
@@ -381,6 +382,20 @@ def _formula_from_json(doc: Any, levels: int) -> Formula:
     ref = _interned.get((Formula, op, name, args))
     formula = ref() if ref is not None else None
     return formula if formula is not None else Formula(op, name, args)
+
+
+def nested_too_deeply(formulas: Iterable[Formula]) -> bool:
+    """Whether one of `formulas` nests deeper than MAX_FORMULA_DEPTH, so that
+    its text would not decode. Walks one level at a time, without recursion,
+    so a built formula of any depth is safe, and a level holds each distinct
+    subformula once, however many paths reach it; nothing is memoized on
+    the formulas."""
+    level = set(formulas)
+    for _ in range(MAX_FORMULA_DEPTH):
+        level = {arg for formula in level for arg in formula.args}
+        if not level:
+            return False
+    return True
 
 
 def atom(name: str) -> Formula:

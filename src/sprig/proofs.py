@@ -37,6 +37,7 @@ from .formulas import (
     parse_json,
     read_object,
     read_str,
+    text_hash,
 )
 
 __all__ = [
@@ -116,6 +117,10 @@ class MachineProof(Interned):
         "target": ...}`, built from the parts' canonical text."""
         steps = ",".join([s.canonical() for s in self.steps])
         return f'{{"kind":"{self.kind}","steps":[{steps}],"target":{self.target.canonical()}}}'
+
+    @_memoized
+    def hash(self) -> str:
+        return text_hash(self.canonical())
 
     @_memoized
     def length(self) -> int:
@@ -239,6 +244,10 @@ class ProofChain(Interned):
             f'{{"definitions":{self.definitions.canonical()},"kind":"{self.kind}",'
             f'"steps":[{steps}],"target":{self.target.canonical()}}}'
         )
+
+    @_memoized
+    def hash(self) -> str:
+        return text_hash(self.canonical())
 
     @_memoized
     def length(self) -> int:

@@ -42,10 +42,12 @@ from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from . import Frozen, Record
 from .formulas import (
+    MAX_FORMULA_DEPTH,
     Statement,
     canonical_json,
     content_hash,
     is_int,
+    nested_too_deeply,
     parse_json,
     read_object,
     read_str,
@@ -70,7 +72,6 @@ __all__ = [
     "Node",
     "Ledger",
     "Move",
-    "MoveRecord",
     "SettlementTransfer",
     "ProtocolInstance",
     "create_root_claim",
@@ -253,9 +254,13 @@ class Node(Record):
     question, in posting order, and the `decider` is the child that decided
     it: the question that defeated an invalidated claim, the answer that won
     an answered question; equality and repr leave both out. Only a claim has
-    a `proof`, its `proof_hash` (the hash of the proof's canonical JSON, taken
-    from the move's payload text) and, at the machine level, a `verdict`;
-    only a question on a claim has a `step_index`."""
+    a `proof` (as posted, without subproofs) and, at the machine level, a
+    `verdict`; only a question on a claim has a `step_index`.
+
+    A node is also the record of the move that posted it, the one place that
+    move is kept: `owner` is its actor, `posted_at` its time and sequence
+    number, `origin` (None for a root) and `kind` its kind, and the proof,
+    the statement or the step its payload (see `_move_line`)."""
 
     _uncompared = ("children", "decider")
 
@@ -275,7 +280,6 @@ class Node(Record):
         children: list[Node] | None = None,
         decider: Node | None = None,
         proof: ProofChain | MachineProof | None = None,
-        proof_hash: str | None = None,
         verdict: Verdict | None = None,
         step_index: int | None = None,
     ) -> None:
@@ -293,7 +297,6 @@ class Node(Record):
         self.children = [] if children is None else children
         self.decider = decider
         self.proof = proof
-        self.proof_hash = proof_hash
         self.verdict = verdict
         self.step_index = step_index
 
@@ -382,34 +385,6 @@ class Move(NamedTuple):
     proof: ProofChain | MachineProof | None = None
 
 
-class MoveRecord(NamedTuple):
-    """One committed move. `payload_json` is the payload's canonical JSON,
-    composed once when the move was committed from the memoized text of what
-    it posts; the payload itself is not kept as a value."""
-
-    seq: int
-    time: int
-    actor: str
-    kind: str
-    payload_hash: str
-    payload_json: str
-
-    def line(self, record: str | None = None) -> str:
-        """The move's canonical JSON line: fields `actor`, `kind`, `payload`,
-        `payload_hash`, `seq` and `time`, in that sorted order, plus a
-        `record` tag between `payload_hash` and `seq` when one is given (a
-        simulation trace tags its lines). Built around the stored payload
-        text: `kind` and `record` are plain identifiers, `seq` and `time`
-        integers, and the actor a string, which `encode_basestring` writes
-        as `canonical_json` does, so the line costs no `json.dumps`."""
-        tag = "" if record is None else f'"record":"{record}",'
-        return (
-            f'{{"actor":{encode_basestring(self.actor)},"kind":"{self.kind}",'
-            f'"payload":{self.payload_json},"payload_hash":"{self.payload_hash}",'
-            f'{tag}"seq":{self.seq},"time":{self.time}}}'
-        )
-
-
 class SettlementTransfer(NamedTuple):
     node_id: str
     account: str
@@ -448,7 +423,6 @@ class ProtocolInstance:
         self.nodes: dict[str, Node] = {}
         self.root_id: str | None = None
         self.clock: int = 0
-        self.moves: list[MoveRecord] = []
         self.settled = False
         self.stopped_at: Timestamp | None = None
         # Children counted per (origin, owner, None) and, for questions, per
@@ -479,10 +453,6 @@ class ProtocolInstance:
         """How many children of `origin` `owner` has posted: answers to a
         question, or questions on a claim (with `step`, on that step only)."""
         return self._posted_by.get((origin, owner, step), 0)
-
-    def claims(self) -> list[Node]:
-        """Every claim, in posting order (as are `nodes`)."""
-        return [n for n in self.nodes.values() if n.kind == "claim"]
 
     def open_nodes(self) -> Iterable[Node]:
         """The nodes whose window was still open at the last instant
@@ -522,15 +492,19 @@ class ProtocolInstance:
         before the clock moves and every other after `advance_clock` to the
         move's time and the early-stop check; then the deposit (a question's
         bounty, a claim's `ParameterCascade.deposit`) is locked (a machine
-        answer gets its verdict first), the move committed, the node linked
-        and the tree resolved. A rejected move does at most what
-        `advance_clock` to its time does. A field the kind reads is checked
-        before it is used: the actor is a string, a root's statement a
-        `Statement`, an origin the id of a node of its kind, and a proof a
-        chain (or an answer's machine proof), so every claim at level 1 or
-        above holds a chain. A machine proof's verdict, a chain's structural
-        check (per level and ambient names) and a proof's hash are computed
-        once per proof value (`_judged`); a later post repeats every check."""
+        answer gets its verdict first), the node linked and the tree
+        resolved. The node is the move's only record: its log line is
+        composed from it when the log is read (`move_log_lines`). A rejected
+        move does at most what `advance_clock` to its time does. A field the
+        kind reads is checked before it is used: the actor is a string, a
+        root's statement a `Statement`, an origin the id of a node of its
+        kind, and a proof a chain (or an answer's machine proof), so every
+        claim at level 1 or above holds a chain. A root statement and a
+        proof hold no formula nested deeper than MAX_FORMULA_DEPTH, so that
+        every posted move's line can be replayed. That depth, a machine
+        proof's verdict and a chain's structural check (per level and
+        ambient names) are judged once per value (`_judged`); a later post
+        repeats every check."""
         kind, proof = move.kind, move.proof
         root = self._check_kind(kind)
         origin, step = (None, None) if root else (move.origin, move.step)
@@ -539,12 +513,12 @@ class ProtocolInstance:
             _integer("step", step)
         time = move.time
         self.advance_clock(time)
-        stamp = Timestamp(time, len(self.moves) + 1)
+        stamp = Timestamp(time, len(self.nodes) + 1)
         if self.stopped_at is not None and stamp > self.stopped_at:
             raise ProtocolError(f"interaction ended at {self.stopped_at}")
         cascade, level, statement = self.cascade, self.cascade.root_level, move.statement
         if root:
-            _typed("statement", statement, Statement, "a Statement")
+            _check_depth(_typed("statement", statement, Statement, "a Statement"))
         asks = kind.endswith("question")
         node_id = f"{'q' if asks else 'c'}{stamp.seq}"
         verdict: Verdict | None = None
@@ -576,10 +550,11 @@ class ProtocolInstance:
             if root and cascade.levels[level].stake_up != 0:
                 raise ProtocolError("root claim requires a zero upward stake at the top level")
             proof = proof.stripped()
+            _check_depth(proof)
             self._check_chain_answer(statement, proof, level, self._ambient(origin))
             deadline = time + cascade.verification_time(level)
         else:
-            _typed("proof", proof, MachineProof, "a chain or a machine proof")
+            _check_depth(_typed("proof", proof, MachineProof, "a chain or a machine proof"))
             if proof.target != statement:
                 raise ProtocolError("structural violation: proof targets a different statement")
             _check_length(proof, cascade.machine.max_length)
@@ -588,18 +563,11 @@ class ProtocolInstance:
         deposit = cascade.bounty(level) if asks else cascade.deposit(level)
         self.ledger.lock(actor, node_id, deposit)
         if asks:
-            payload = (f'{{"statement":{statement.canonical()}}}' if root
-                       else f'{{"origin":"{origin}","step":{step}}}')
             kind_fields = {"step_index": step}
         else:
-            proof_json = proof.canonical()
-            payload = (f'{{"chain":{proof_json}}}' if root
-                       else f'{{"origin":"{origin}","proof":{proof_json}}}')
-            proof_hash = _judged(proof, "hash", text_hash, proof_json)
-            kind_fields = {"proof": proof, "proof_hash": proof_hash, "verdict": verdict}
+            kind_fields = {"proof": proof, "verdict": verdict}
             if level == 0:
                 self.ledger.burn_from_escrow(node_id, cascade.machine.burn_cost)
-        self.moves.append(MoveRecord(stamp.seq, time, actor, kind, text_hash(payload), payload))
         node = Node(
             "question" if asks else "claim", node_id, actor, level, statement, stamp,
             deadline, deposit, origin, **kind_fields,
@@ -816,7 +784,7 @@ class ProtocolInstance:
                 "status": node.status,
             }
             if node.kind == "claim":
-                doc["proof"] = node.proof_hash
+                doc["proof"] = node.proof.hash()
                 if node.verdict is not None:
                     doc["verdict"] = {
                         "diagnostic": node.verdict.diagnostic,
@@ -837,8 +805,36 @@ class ProtocolInstance:
             }
         )
 
-    def move_log_lines(self) -> list[str]:
-        return [m.line() for m in self.moves]
+    def move_log_lines(self, record: str | None = None) -> list[str]:
+        """The move log, one line per node in posting order, composed from
+        the nodes as it is read (see `_move_line`); a simulation trace tags
+        each line with `record`."""
+        return [_move_line(node, record) for node in self.nodes.values()]
+
+
+def _move_line(node: Node, record: str | None = None) -> str:
+    """The canonical JSON line of the move that posted `node` (a root has no
+    `origin`), with a `record` tag when one is given, built around the
+    memoized canonical text of the proof or the statement: ids and kinds are
+    plain identifiers, `seq`, `time` and the step integers, and the actor a
+    string, which `encode_basestring` writes as `canonical_json` does, so a
+    line costs no `json.dumps`, only the hash of its payload."""
+    if node.kind == "question":
+        if node.origin is None:
+            kind, payload = "root_question", f'{{"statement":{node.statement.canonical()}}}'
+        else:
+            kind, payload = "question", f'{{"origin":"{node.origin}","step":{node.step_index}}}'
+    elif node.origin is None:
+        kind, payload = "root_claim", f'{{"chain":{node.proof.canonical()}}}'
+    else:
+        kind = "answer_claim"
+        payload = f'{{"origin":"{node.origin}","proof":{node.proof.canonical()}}}'
+    tag = "" if record is None else f'"record":"{record}",'
+    return (
+        f'{{"actor":{encode_basestring(node.owner)},"kind":"{kind}",'
+        f'"payload":{payload},"payload_hash":"{text_hash(payload)}",'
+        f'{tag}"seq":{node.posted_at.seq},"time":{node.posted_at.time}}}'
+    )
 
 
 # The one machine checker. `apply` looks its method up at each call, so a
@@ -846,18 +842,41 @@ class ProtocolInstance:
 _KERNEL = ToyVerifier()
 
 
-def _judged(proof: ProofChain | MachineProof, key: Any, judge: Callable, *args: Any) -> Any:
-    """`judge(*args)` for the interned `proof`, computed on the first call per
-    `key`: the value and `key` name all that `judge` reads. The results live
-    in a table on the value that is not a field, as `formulas._memoized` keeps
-    a text, and die with it."""
-    judgements = getattr(proof, "_judgements", None)
+def _judged(value: Frozen, key: Any, judge: Callable, *args: Any) -> Any:
+    """`judge(*args)` for the interned `value`, a proof or a root statement,
+    computed on the first call per `key`: the value and `key` name all that
+    `judge` reads. The results live in a table on the value that is not a
+    field, as `formulas._memoized` keeps a text, and die with it."""
+    judgements = getattr(value, "_judgements", None)
     if judgements is None:
         judgements = {}
-        Frozen._set_field(proof, "_judgements", judgements)
+        Frozen._set_field(value, "_judgements", judgements)
     if key not in judgements:
         judgements[key] = judge(*args)
     return judgements[key]
+
+
+def _check_depth(value: Statement | ProofChain | MachineProof) -> None:
+    """A ProtocolError if a formula that posting `value` writes into the move
+    log nests deeper than MAX_FORMULA_DEPTH, which no replay decodes."""
+    if _judged(value, "depth", _too_deep, value):
+        raise ProtocolError(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+
+
+def _too_deep(value: Statement | ProofChain | MachineProof) -> bool:
+    """`nested_too_deeply` of the formulas of a root statement or a posted
+    proof: a chain's definitions, target and step statements, a machine
+    proof's target and steps."""
+    if isinstance(value, Statement):
+        statements, formulas = [value], []
+    elif isinstance(value, ProofChain):
+        statements = [value.target, *[step.statement for step in value.steps]]
+        formulas = [f for _, f in value.definitions.symbols]
+    else:
+        statements, formulas = [value.target], [step.formula for step in value.steps]
+    for statement in statements:
+        formulas += [statement.conclusion, *statement.assumptions]
+    return nested_too_deeply(formulas)
 
 
 def _violation(target: Statement, chain: ProofChain, level: int, ambient: frozenset) -> str | None:
@@ -957,27 +976,29 @@ def replay_line(instance: ProtocolInstance, raw: str, record: Any) -> None:
     `question payload origin must be a string, got [1]`). `apply` checks
     the rest, in its own order: the actor, a question's `step`, the time.
 
-    Each move's payload text is composed once, by the instance that posts
-    it, from the memoized canonical text of the decoded proof or statement,
-    with no `json.dumps`. A line that is exactly the line the instance
-    records for the move carries that text and its hash, so its hash holds;
-    any other line (other spacing or key order, or a payload the posted move
-    differs from, such as a chain with subproofs) has its payload encoded
-    and its hash checked as read. A line whose move fails has its hash
-    checked first, so a tampered line reports the mismatch rather than what
-    the tampering broke."""
+    The applied move is then written back: its line is composed from the
+    node `apply` posted (`_move_line`), from the memoized canonical text of
+    the decoded proof or statement, with no `json.dumps`. A line that is
+    exactly that line carries the same payload text and its hash, so its
+    hash holds; any other line (other spacing or key order, or a payload the
+    posted move differs from, such as a chain with subproofs) has its
+    payload encoded and its hash checked as read. A line whose move fails
+    has its hash checked first, so a tampered line reports the mismatch
+    rather than what the tampering broke."""
     record = read_object(record, "move", required=_MOVE_FIELDS)
     try:
         kind = record["kind"]
         instance._check_kind(kind)
-        seq, expected = _integer("seq", record["seq"]), len(instance.moves) + 1
+        seq, expected = _integer("seq", record["seq"]), len(instance.nodes) + 1
         if seq != expected:
             raise ProtocolError(f"seq {seq} out of order, expected {expected}")
-        instance.apply(_decode_move(kind, record["actor"], record["time"], record["payload"]))
+        node_id = instance.apply(
+            _decode_move(kind, record["actor"], record["time"], record["payload"])
+        )
     except Exception:
         _check_payload_hash(record)
         raise
-    if raw != instance.moves[-1].line():
+    if raw != _move_line(instance.nodes[node_id]):
         _check_payload_hash(record)
 
 

@@ -711,8 +711,7 @@ class SimulationTrace(Record):
                 }
             )
         ]
-        for m in inst.moves:
-            lines.append(m.line(record="move"))
+        lines += inst.move_log_lines(record="move")
         for r in self.rejections:
             lines.append(canonical_json({"record": "rejection", **r._asdict()}))
         determined = [n for n in inst.nodes.values() if n.determination is not None]
@@ -735,7 +734,7 @@ class SimulationTrace(Record):
 
     def summary(self) -> dict[str, Any]:
         inst = self.instance
-        claims = inst.claims()
+        claims = [n for n in inst.nodes.values() if n.kind == "claim"]
         depth: dict[str, int] = {}
         for node in inst.nodes.values():  # posting order: origins first
             depth[node.id] = 0 if node.origin is None else depth[node.origin] + 1
@@ -747,7 +746,7 @@ class SimulationTrace(Record):
                 "questions": len(inst.nodes) - len(claims),
                 "machine_claims": sum(1 for c in claims if c.level == 0),
                 "max_depth": max(depth.values(), default=0),
-                "moves": len(inst.moves),
+                "moves": len(inst.nodes),
                 "rejections": len(self.rejections),
                 "validated_claims": sum(1 for c in claims if c.status == VALIDATED),
             },

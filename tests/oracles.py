@@ -343,6 +343,11 @@ def settlement_routes(instance: ProtocolInstance) -> list[tuple[str, str, int, s
 # from `deadline`, not from the nodes.
 
 
+def claims(instance: ProtocolInstance) -> list:
+    """Every claim of `instance`, in posting order."""
+    return [n for n in instance.nodes.values() if n.kind == "claim"]
+
+
 def questions(instance: ProtocolInstance) -> list:
     """Every question of `instance`, in posting order."""
     return [n for n in instance.nodes.values() if n.kind == "question"]
@@ -357,7 +362,7 @@ def scan_open_nodes(instance: ProtocolInstance) -> list:
 
 def scan_open_claims(instance: ProtocolInstance, now: int) -> list:
     return [
-        c for c in instance.claims() if c.level >= 1 and deadline(instance.cascade, c) > now
+        c for c in claims(instance) if c.level >= 1 and deadline(instance.cascade, c) > now
     ]
 
 
@@ -522,10 +527,10 @@ def random_debate(
         actor = rng.choice(actors)
         try:
             if rng.random() < 0.5:
-                claims = [c for c in instance.claims() if c.proof.kind == "chain"]
-                if not claims:
+                chains = [c for c in claims(instance) if c.proof.kind == "chain"]
+                if not chains:
                     continue
-                c = rng.choice(claims)
+                c = rng.choice(chains)
                 step = rng.randint(1, max(1, len(c.proof.steps)))
                 instance.post_question(actor, c.id, step, t)
             else:

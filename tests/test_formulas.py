@@ -20,6 +20,7 @@ from sprig.formulas import (
     disj,
     impl,
     neg,
+    nested_too_deeply,
     parse_json,
     sym,
 )
@@ -94,6 +95,37 @@ def test_from_json_bounds_the_nesting_depth():
     for doc in (_nested_not(MAX_FORMULA_DEPTH + 1), {"and": [{"atom": "q"}, deepest]}):
         with pytest.raises(ParseError, match="nested too deeply"):
             Formula.from_json(doc)
+
+
+def _wrapped(formula, levels):
+    for _ in range(levels):
+        formula = neg(formula)
+    return formula
+
+
+def test_nested_too_deeply_is_what_from_json_refuses():
+    shared = _wrapped(atom("p"), 4)
+    deepest = _wrapped(shared, MAX_FORMULA_DEPTH - 5)
+    # `shared` is first reached one level down, then again at the bottom of
+    # `deepest`, where one level more is too deep: in either order of the
+    # arguments, the deeper path counts.
+    for f, too_deep in [
+        (deepest, False), (conj(deepest, shared), True), (conj(shared, deepest), True),
+        (neg(deepest), True), (conj(atom("q"), atom("r")), False),
+    ]:
+        assert nested_too_deeply([atom("q"), f]) is too_deep
+        if too_deep:
+            with pytest.raises(ParseError, match="nested too deeply"):
+                Formula.from_json(oracles.document_json(f))
+        else:
+            assert Formula.from_json(oracles.document_json(f)) is f
+    # Each subformula is entered once per depth it is reached at, so a tree
+    # of 2^99 paths is judged at once.
+    doubled = atom("p")
+    for _ in range(MAX_FORMULA_DEPTH - 1):
+        doubled = conj(doubled, doubled)
+    assert not nested_too_deeply([doubled])
+    assert nested_too_deeply([conj(doubled, doubled)])
 
 
 @given(formulas())

@@ -5,9 +5,10 @@ The wide debate is the benchmark's carpet-bombed tree (`wide_config` in
 perfbench/workloads.py): one move per node, 1 + 2k + 2k^2 nodes. Its open
 views must agree with full-tree scans at every poll, the work per move
 (proof serializations, JSON encodes, tree scans) must not grow with k, and a
-replay of its log encodes each payload once, as playing it did. Payloads are
-composed from the canonical text of what they post, so neither playing nor
-replaying a move calls `json.dumps`. The kernel runs on the posted machine
+replay of its log encodes each payload once. A move is kept as its node
+alone: playing it hashes nothing, and each reading of the log composes each
+line's payload from the canonical text of what the node posted and hashes it
+once, so neither playing nor replaying a move calls `json.dumps`. The kernel runs on the posted machine
 answers only, once per distinct proof value, and the bomber looks each step
 up once. Replay evaluates each node a bounded number of times and reads a
 bounded number of children per move. Next to the live trace it decodes the
@@ -30,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from sprig import formulas, protocol
+from sprig import formulas, proofs, protocol
 from sprig.formulas import Formula, text_hash
 from sprig.proofs import MachineProof, ProofChain, validate_chain
 from sprig.protocol import EARLY_STOP, QUIESCENCE, Node, ProtocolInstance, replay
@@ -133,19 +134,43 @@ def _count_json_dumps(monkeypatch):
 
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_each_posted_proof_is_serialized_exactly_once(k, monkeypatch):
-    built = []
-    for cls in (ProofChain, MachineProof):
-        original = cls.canonical
-
-        def counted(self, original=original):
-            built.append(self)
-            return original(self)
-
-        monkeypatch.setattr(cls, "canonical", counted)
+    # Counted as memo misses: the move log, read twice, and the snapshot
+    # find each posted proof's text composed once, and no other proof (the
+    # trees' chains with subproofs) is serialized. At k = 12 seed 0 posts
+    # one leaf proof twice.
+    gc.collect()
+    computed = _count_proof_memos(monkeypatch)
     trace = _wide_run(k)
-    posted = [claim.proof for claim in trace.instance.claims()]
-    assert len(built) == len(posted) == k * k + k + 1
-    assert sorted(map(id, built)) == sorted(map(id, posted))
+    assert trace.move_lines == trace.instance.move_log_lines()
+    built = [proof for name, proof in computed if name == "canonical"]
+    posted = [claim.proof for claim in oracles.claims(trace.instance)]
+    assert len(posted) == k * k + k + 1
+    assert sorted(map(id, built)) == sorted({id(proof) for proof in posted})
+
+
+def _count_sha256(monkeypatch):
+    """A one-element list that counts the sha256 digests taken from now on."""
+    digests = [0]
+    sha256 = hashlib.sha256
+
+    def counted(*args, **kwargs):
+        digests[0] += 1
+        return sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    return digests
+
+
+def test_simulating_hashes_nothing_and_the_log_hashes_each_move_once(monkeypatch):
+    # A move is kept as its node alone, so the simulation hashes no payload
+    # and no proof; each reading of the log hashes each line's payload.
+    config = wide_config(16, 0)
+    digests = _count_sha256(monkeypatch)
+    trace = run_scenario(config)
+    assert trace.summary()["metrics"]["moves"] == len(trace.instance.nodes) == 545
+    assert digests[0] == 0
+    lines = trace.instance.move_log_lines()
+    assert digests[0] == len(lines) == 545
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
@@ -178,25 +203,47 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
 
 
 def _spy_on_tree_scans(monkeypatch):
-    """Record, for each call of `claims()`, the one whole-tree scan that an
-    instance offers, whether the instance was settled."""
-    settled_at_call = []
-    original = ProtocolInstance.claims
+    """Record the name of the function behind each whole-tree read of the
+    `nodes` of an instance created from now on (`values`, `items`, `keys`
+    or iteration) made before the instance settled."""
+    unsettled_readers = []
 
-    def spy(self):
-        settled_at_call.append(self.settled)
-        return original(self)
+    class Watched(dict):
+        def _read(self, method):
+            if not self.instance.settled:
+                unsettled_readers.append(sys._getframe(2).f_code.co_name)
+            return method(self)
 
-    monkeypatch.setattr(ProtocolInstance, "claims", spy)
-    return settled_at_call
+        def values(self):
+            return self._read(dict.values)
+
+        def items(self):
+            return self._read(dict.items)
+
+        def keys(self):
+            return self._read(dict.keys)
+
+        def __iter__(self):
+            return self._read(dict.__iter__)
+
+    init = ProtocolInstance.__init__
+
+    def watched_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.nodes = Watched(self.nodes)
+        self.nodes.instance = self
+
+    monkeypatch.setattr(ProtocolInstance, "__init__", watched_init)
+    return unsettled_readers
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_the_poll_loop_scans_no_whole_tree(k, monkeypatch):
-    settled_at_call = _spy_on_tree_scans(monkeypatch)
+    unsettled_readers = _spy_on_tree_scans(monkeypatch)
     _wide_run(k)
-    # The metrics are computed when the summary is asked for, not in the run.
-    assert settled_at_call == []
+    # Settlement routes every node's escrow; the move log, the snapshot and
+    # the metrics are read when they are asked for, after the run.
+    assert set(unsettled_readers) == {"settle"}
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -207,9 +254,9 @@ def test_no_preset_strategy_scans_the_whole_tree(name, mode, monkeypatch):
     # finds its rivals among the open claims.
     doc = preset_scenario(name)
     doc["mode"] = mode
-    settled_at_call = _spy_on_tree_scans(monkeypatch)
+    unsettled_readers = _spy_on_tree_scans(monkeypatch)
     run_scenario(scenario_from_json(doc))
-    assert settled_at_call == []
+    assert set(unsettled_readers) <= {"settle", "_catch_up"}
 
 
 def _count_verdicts(monkeypatch):
@@ -234,7 +281,7 @@ def test_simulating_runs_the_kernel_once_per_distinct_machine_proof(k, monkeypat
     gc.collect()
     verdicts = _count_verdicts(monkeypatch)
     trace = _wide_run(k)
-    machine_answers = [c for c in trace.instance.claims() if c.level == 0]
+    machine_answers = [c for c in oracles.claims(trace.instance) if c.level == 0]
     assert len(machine_answers) == k * k
     assert verdicts[0] == len({c.proof for c in machine_answers})
 
@@ -284,7 +331,7 @@ def test_replay_encodes_each_payload_exactly_once(k, monkeypatch):
 @pytest.mark.parametrize("k", [4, 8])
 def test_replay_shares_the_formulas_of_earlier_moves(k):
     twin = _wide_replay(run_scenario(wide_config(k, 0)))
-    answers = [c for c in twin.claims() if c.origin is not None]
+    answers = [c for c in oracles.claims(twin) if c.origin is not None]
     assert answers
     for claim in answers:
         # The question's statement was decoded from the step of an earlier
@@ -296,7 +343,7 @@ def test_replay_shares_the_formulas_of_earlier_moves(k):
 def test_replay_next_to_its_trace_decodes_the_posted_proofs(k):
     trace = run_scenario(wide_config(k, 0))
     twin = _wide_replay(trace)
-    claims = twin.claims()
+    claims = oracles.claims(twin)
     assert len(claims) == k * k + k + 1
     for claim in claims:
         assert claim.proof is trace.instance.claim(claim.id).proof
@@ -320,9 +367,9 @@ def _count_proof_memos(monkeypatch):
 
 
 def _count_judgements(monkeypatch, proof_texts):
-    """Counts, from now on, of the kernel's verdicts, of `validate_chain`
-    calls and of `text_hash` calls on a text in `proof_texts`, made by the
-    protocol."""
+    """Counts, from now on, of the kernel's verdicts and `validate_chain`
+    calls made by the protocol, and of proof hashes: `text_hash` calls on a
+    text in `proof_texts` made by a proof's `hash()`."""
     counts = {"verdicts": _count_verdicts(monkeypatch), "validations": [0], "proof_hashes": [0]}
 
     def counted_validate(*args, **kwargs):
@@ -334,30 +381,35 @@ def _count_judgements(monkeypatch, proof_texts):
         return text_hash(text)
 
     monkeypatch.setattr(protocol, "validate_chain", counted_validate)
-    monkeypatch.setattr(protocol, "text_hash", counted_hash)
+    monkeypatch.setattr(proofs, "text_hash", counted_hash)
     return counts
 
 
 @pytest.mark.parametrize("k", [4, 8])
 def test_a_second_simulation_of_one_config_composes_no_proof_text(k, monkeypatch):
     # The config's trees hold every proof the debate posts, stripped or
-    # not, so the second run finds each text and length computed, and each
-    # proof value judged: its verdict, its chain check and its hash. So does
-    # a replay next to that run's trace, which decodes the trace's proofs.
+    # not, so the second run finds each length computed and each proof value
+    # judged: its verdict and its chain check; its log and snapshot find each
+    # text and hash. So does a replay next to that run's trace, which
+    # decodes the trace's proofs. Playing composes no text: the log does.
     config = wide_config(k, 0)
     computed = _count_proof_memos(monkeypatch)
     first = run_scenario(config)
+    assert {name for name, _ in computed} == {"length"}
+    lines, snapshot = first.move_lines, first.final_snapshot
     assert {name for name, _ in computed} == {"canonical", "length"}
-    proof_texts = {claim.proof.canonical() for claim in first.instance.claims()}
-    lines = first.move_lines
+    proof_texts = {claim.proof.canonical() for claim in oracles.claims(first.instance)}
     computed.clear()
     del first
     gc.collect()
     counts = _count_judgements(monkeypatch, proof_texts)
     second = run_scenario(config)
-    assert second.move_lines == lines
+    assert (second.move_lines, second.final_snapshot) == (lines, snapshot)
     twin = _wide_replay(second)
     assert twin.move_log_lines() == lines
+    twin.advance_clock(second.final_clock)
+    twin.settle()
+    assert twin.snapshot() == snapshot
     assert computed == []
     assert {name: count[0] for name, count in counts.items()} == {
         "verdicts": 0, "validations": 0, "proof_hashes": 0

@@ -16,7 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sprig import protocol
-from sprig.formulas import DefinitionSet, ParseError, Statement, atom, conj, content_hash
+from sprig.formulas import (
+    MAX_FORMULA_DEPTH,
+    DefinitionSet,
+    ParseError,
+    Statement,
+    atom,
+    conj,
+    content_hash,
+    neg,
+)
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import (
     EARLY_STOP,
@@ -190,7 +199,7 @@ def test_question_step_must_exist():
     for step in (True, 1.0):
         with pytest.raises(ProtocolError, match="^step must be an integer, got "):
             inst.post_question("quin", inst.root_id, step, 1)
-    assert len(inst.moves) == 1
+    assert len(inst.nodes) == 1
 
 
 def test_question_window_closes_at_the_deadline():
@@ -471,7 +480,7 @@ def test_times_must_be_integers(move, t):
     inst = fresh_claim_root()
     with pytest.raises(ProtocolError, match="^time must be an integer, got "):
         move(inst, t)
-    assert inst.clock == 0 and len(inst.moves) == 1
+    assert inst.clock == 0 and len(inst.nodes) == 1
 
 
 def test_resolve_is_idempotent():
@@ -622,7 +631,7 @@ def test_an_800_level_debate_resolves():
         )
     assert len(inst.nodes) == 2 * levels + 1
     advance_clock(inst, inst.max_deadline())
-    assert {n.status for n in inst.claims()} == {"validated"}
+    assert {n.status for n in oracles.claims(inst)} == {"validated"}
     assert {n.status for n in oracles.questions(inst)} == {"answered"}
     assert inst.nodes[inst.root_id].determination == Timestamp(11, 0)
     settle(inst)
@@ -759,37 +768,42 @@ def _odd_actor_debate():
     return inst
 
 
-def _reference_payload(inst, move):
-    """The payload of `move`, rebuilt through `oracles.document_json` from
-    the node it posted: the reference the composed payload text must encode."""
-    [node] = [n for n in inst.nodes.values() if n.posted_at.seq == move.seq]
-    if move.kind == "root_claim":
-        return {"chain": oracles.document_json(node.proof)}
-    if move.kind == "root_question":
-        return {"statement": oracles.document_json(node.statement)}
-    if move.kind == "question":
-        return {"origin": node.origin, "step": node.step_index}
-    return {"origin": node.origin, "proof": oracles.document_json(node.proof)}
+def _reference_move(node):
+    """The kind and payload of the move that posted `node`, rebuilt through
+    `oracles.document_json`: the reference its log line must encode."""
+    if node.kind == "question":
+        if node.origin is None:
+            return "root_question", {"statement": oracles.document_json(node.statement)}
+        return "question", {"origin": node.origin, "step": node.step_index}
+    if node.origin is None:
+        return "root_claim", {"chain": oracles.document_json(node.proof)}
+    return "answer_claim", {"origin": node.origin, "proof": oracles.document_json(node.proof)}
 
 
-@pytest.mark.parametrize("seed", [None, *range(0, 100, 9)])
-def test_moves_keep_the_one_encoding_of_their_payload(seed):
-    inst = _odd_actor_debate() if seed is None else oracles.random_debate(seed)[0]
+@pytest.mark.parametrize("case", [None, *range(0, 100, 9), *PRESET_NAMES], ids=str)
+def test_moves_keep_the_one_encoding_of_their_payload(case):
+    # The move log and a simulation trace's `move` records are both read off
+    # the nodes; each must be the canonical JSON of the reference record.
+    if isinstance(case, str):
+        trace = run_scenario(scenario_from_json(preset_scenario(case)))
+        inst = trace.instance
+        tagged = [line for line in trace.to_json_lines() if json.loads(line)["record"] == "move"]
+    else:
+        inst = _odd_actor_debate() if case is None else oracles.random_debate(case)[0]
+        tagged = inst.move_log_lines(record="move")
     records = []
-    for move in inst.moves:
-        payload = _reference_payload(inst, move)
-        assert move.payload_json == oracles._canon(payload)
-        assert move.payload_hash == content_hash(payload)
+    for node in inst.nodes.values():
+        kind, payload = _reference_move(node)
         records.append(
-            {"actor": move.actor, "kind": move.kind, "payload": payload,
-             "payload_hash": move.payload_hash, "seq": move.seq, "time": move.time}
+            {"actor": node.owner, "kind": kind, "payload": payload,
+             "payload_hash": content_hash(payload), "seq": node.posted_at.seq,
+             "time": node.posted_at.time}
         )
+    assert [r["seq"] for r in records] == list(range(1, len(records) + 1))
     assert inst.move_log_lines() == [oracles._canon(r) for r in records]
-    assert [m.line(record="move") for m in inst.moves] == [
-        oracles._canon({"record": "move", **r}) for r in records
-    ]
+    assert tagged == [oracles._canon({"record": "move", **r}) for r in records]
     snapshot = json.loads(inst.snapshot())
-    for node in inst.claims():
+    for node in oracles.claims(inst):
         assert snapshot["nodes"][node.id]["proof"] == content_hash(oracles.document_json(node.proof))
 
 
@@ -1007,7 +1021,7 @@ def _by_replay_line(inst, move):
     else:
         payload = {}
     record = {"actor": move.actor, "kind": move.kind, "payload": payload,
-              "payload_hash": content_hash(payload), "seq": len(inst.moves) + 1,
+              "payload_hash": content_hash(payload), "seq": len(inst.nodes) + 1,
               "time": move.time}
     raw = json.dumps(record)
     return replay_line(inst, raw, json.loads(raw))
@@ -1029,6 +1043,92 @@ def test_every_posting_rejection_through_both_entry_points(setup, move, message,
     assert inst.clock == (move.time if moved else clock)
     assert inst.snapshot() == twin.snapshot()
     assert inst.move_log_lines() == twin.move_log_lines()
+
+
+def _nested(depth):
+    """A formula `depth` levels deep, the atom p counting as 1: negations
+    of p."""
+    formula = _P
+    for _ in range(depth - 1):
+        formula = neg(formula)
+    return formula
+
+
+def _restating(formula):
+    return Statement(conclusion=formula, assumptions=frozenset({formula}), context="demo")
+
+
+# Moves whose text would hold a formula nested one level deeper than a
+# replay decodes, anywhere in what they post: (id, setup, move).
+_TOO_DEEP = [
+    ("root-claim-target", _rootless,
+     lambda deep: Move("root_claim", "amy", 1, statement=_restating(deep),
+                       proof=identity_chain(_restating(deep)))),
+    ("root-question-assumption", _rootless,
+     lambda deep: Move("root_question", "amy", 1, statement=Statement(
+         conclusion=_P, assumptions=frozenset({_P, deep}), context="demo"))),
+    ("chain-answer-step", _questioned,
+     lambda deep: _answer(2, ProofChain(IDENT, (ChainStep(_restating(deep)),)))),
+    ("chain-answer-definition", _questioned,
+     lambda deep: _answer(2, ProofChain(
+         IDENT, identity_chain(IDENT).steps, DefinitionSet((("d", deep),))))),
+    ("machine-answer-step", _questioned,
+     lambda deep: _answer(2, MachineProof(IDENT, (InferenceStep(deep, "assumption"),)))),
+]
+
+
+@pytest.mark.parametrize("setup, move", [c[1:] for c in _TOO_DEEP], ids=[c[0] for c in _TOO_DEEP])
+def test_a_move_too_deep_to_replay_is_rejected_before_it_posts(setup, move):
+    # Only decoding bounds a formula's depth, so a move that posted one of
+    # these would write a log line that no replay reads back.
+    move = move(_nested(MAX_FORMULA_DEPTH + 1))
+    inst, twin = setup(), setup()
+    advance_clock(twin, move.time)
+    with pytest.raises(ProtocolError) as caught:
+        inst.apply(move)
+    assert str(caught.value) == f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+    assert inst.clock == move.time
+    assert inst.snapshot() == twin.snapshot()
+    assert inst.move_log_lines() == twin.move_log_lines()
+
+
+def test_a_debate_at_the_deepest_formula_replays():
+    deepest = _restating(_nested(MAX_FORMULA_DEPTH))
+    roomy = ParameterCascade(
+        root_level=2,
+        levels={level: LevelParameters(**{**params._asdict(), "max_length": 500})
+                for level, params in tiny_cascade().levels.items()},
+        machine=MachineParameters(500, stake_up=2, burn_cost=1, bounty=3, response_time=2),
+    )
+    inst = create_root_claim("amy", deepest, identity_chain(deepest), roomy, 0, balances=_PLAYERS)
+    inst.post_question("quin", inst.root_id, 1, 1)
+    inst.post_answer_claim("zed", "q2", machine_answer(deepest), 2)
+    asked = create_root_question("amy", deepest, roomy, 0, balances=_PLAYERS)
+    for debate in (inst, asked):
+        twin = replay(debate.move_log_lines(), debate.cascade, balances=_PLAYERS)
+        assert twin.move_log_lines() == debate.move_log_lines()
+        for instance in (debate, twin):
+            advance_clock(instance, debate.max_deadline())
+            settle(instance)
+        assert twin.snapshot() == debate.snapshot()
+
+
+def test_a_proof_s_depth_is_judged_once_per_value(monkeypatch):
+    gc.collect()
+    judged = []
+    nested_too_deeply = protocol.nested_too_deeply
+
+    def counted(formulas):
+        judged.append(True)
+        return nested_too_deeply(formulas)
+
+    monkeypatch.setattr(protocol, "nested_too_deeply", counted)
+    too_deep = MachineProof(IDENT, (InferenceStep(_nested(MAX_FORMULA_DEPTH + 1), "assumption"),))
+    inst = _questioned()
+    for t in (2, 3):
+        with pytest.raises(ProtocolError, match="^formula nested deeper than"):
+            inst.post_answer_claim("zed", "q2", too_deep, t)
+    assert judged == [True]
 
 
 def test_apply_posts_what_the_methods_post_and_ignores_the_fields_a_kind_does_not_read():
@@ -1510,8 +1610,14 @@ FUZZ_SEEDS = range(100)
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
 def test_random_debates_match_the_declarative_oracle(seed):
     inst, horizon = oracles.random_debate(seed)
-    total = sum({"ava": 150, "bo": 150, "cy": 150, "dot": 150}.values())
+    balances = {"ava": 150, "bo": 150, "cy": 150, "dot": 150}
+    total = sum(balances.values())
+    # The debate's own move log replays to the same state.
+    twin = replay(inst.move_log_lines(), inst.cascade, balances=balances)
+    assert twin.move_log_lines() == inst.move_log_lines()
     advance_clock(inst, horizon)
+    advance_clock(twin, horizon)
+    assert twin.snapshot() == inst.snapshot()
     assert oracles.observed_statuses(inst) == oracles.brute_force_statuses(inst, horizon)
     assert oracles.stored_deadlines(inst) == oracles.deadlines(inst)
     assert inst.ledger.total() == total
@@ -1519,6 +1625,8 @@ def test_random_debates_match_the_declarative_oracle(seed):
     assert _routes(settle(inst)) == expected
     assert inst.ledger.total() == total
     assert not inst.ledger.escrowed
+    assert _routes(settle(twin)) == expected
+    assert twin.snapshot() == inst.snapshot()
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)

@@ -54,11 +54,9 @@ SAMPLES = {
     pr.Node: dict(kind="claim", id="c1", owner="ann", level=1, statement=_STATEMENT,
                   posted_at=_AT, deadline=7, escrow=6, origin="q0", status=pr.VALIDATED,
                   determination=_AT, children=["q2"], decider="q3", proof=_CHAIN,
-                  proof_hash="ab", verdict=vf.Verdict(True), step_index=None),
+                  verdict=vf.Verdict(True), step_index=None),
     pr.Move: dict(kind="answer_claim", actor="ann", time=3, origin="q2", step=None,
                   statement=None, proof=_MACHINE),
-    pr.MoveRecord: dict(seq=1, time=3, actor="ann", kind="question", payload_hash="ab",
-                        payload_json='{"origin":"c0","step":1}'),
     pr.SettlementTransfer: dict(node_id="c1", account="ann", amount=6, reason="stake returned"),
     sim.Knowledge: dict(answers={_CHAIN.target: _CHAIN},
                         machine_proofs={_MACHINE.target: _MACHINE},

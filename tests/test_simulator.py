@@ -121,7 +121,7 @@ def test_agent_context_queries_agree_with_a_rescan_of_the_tree(name):
             qid = q.id if q else "q999"
             mine = [c for c in q.children if c.owner == me] if q else []
             assert (ctx.answered_by_me(qid), ctx.my_answers(qid)) == (bool(mine), len(mine))
-        for c in inst.claims() + [None]:
+        for c in oracles.claims(inst) + [None]:
             cid = c.id if c else "c999"
             mine = [q for q in c.children if q.owner == me] if c else []
             assert ctx.questioned_by_me(cid) == bool(mine)
@@ -493,11 +493,16 @@ def test_rejected_intents_are_logged_and_harmless():
                     "record": "rejection", "time": time}, separators=(",", ":"))
         for time, actor, kind, detail, reason in expected
     ]
-    assert [(m.kind, m.actor, m.time) for m in trace.instance.moves] == [
+    assert _played(trace) == [
         ("root_claim", "amy", 0), ("question", "quin", 2), ("answer_claim", "amy", 5),
     ]
     assert trace.instance.nodes["c1"].status == "validated"
     trace.verify_replay()
+
+
+def _played(trace):
+    """(kind, actor, time) of each move in the trace's move log."""
+    return [(m["kind"], m["actor"], m["time"]) for m in map(json.loads, trace.move_lines)]
 
 
 class _AtTickOne(ScriptedStrategy):
@@ -543,7 +548,7 @@ def test_a_move_stamped_for_another_agent_or_tick_is_rejected_before_apply(
         "time": 1, "actor": "quin", "kind": "question", "detail": "question c1 step 1",
         "reason": f"move by {stamped.actor!r} at {stamped.time} from the poll of 'quin' at 1",
     }]
-    assert [(m.kind, m.actor, m.time) for m in trace.instance.moves] == [
+    assert _played(trace) == [
         ("root_claim", "amy", 0), ("question", "ned", 3),
     ]
     trace.verify_replay()
@@ -601,7 +606,7 @@ def test_evasive_prover_posts_padded_answers():
     trace = run_preset("evasive_prover")
     inst = trace.instance
     answers = [
-        c for c in inst.claims()
+        c for c in oracles.claims(inst)
         if c.owner == "alice" and c.id != inst.root_id and isinstance(c.proof, ProofChain)
     ]
     assert answers, "the evasive preset should force a defended answer"
