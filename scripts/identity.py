@@ -21,11 +21,18 @@ The commands are:
   actor, kind or payload field of the wrong type or value, or a missing or
   second root move, each reported as an error on stderr;
 - `sprig solve`, the 601-point `sweep` and `verify-mc` at 1e5 draws, on the
-  arguments of `scripts/cli_cost.py`.
+  arguments of `scripts/cli_cost.py`;
+- `snapshot log` of every fixture move log with its cascade, in both modes:
+  the `ProtocolInstance.snapshot()` of the log replayed (up to an early
+  stop) with each actor funded, then of that instance advanced past every
+  window and settled (no `sprig` command prints a snapshot, so these run
+  the program `SNAPSHOT` against the checkout's package);
+- `snapshot preset` of every preset in both modes: the settled snapshot of
+  `run_scenario` at seeds 0, 1 and 7, one line each.
 
 It prints one line per command, naming each difference by its first line
 that differs, and exits 1 if any command differs, 0 when all agree. Only the
-standard library is used.
+standard library is used; sprig is imported only in the children.
 """
 
 from __future__ import annotations
@@ -70,6 +77,42 @@ FAULTS = {
 }
 
 
+# The program of the snapshot commands, run as `python -c SNAPSHOT ARGS` with
+# the checkout's src on the path; it prints one snapshot per line.
+SNAPSHOT = """
+import json, sys
+from sprig.protocol import ParameterCascade, ProtocolError, ProtocolInstance, replay_line
+from sprig.scenarios import preset_scenario, scenario_from_json
+from sprig.simulator import run_scenario
+
+what, *args = sys.argv[1:]
+if what == "log":
+    log, cascade, mode = args
+    with open(log, encoding="utf-8") as f:
+        records = [(line, json.loads(line)) for line in f.read().splitlines()]
+    with open(cascade, encoding="utf-8") as f:
+        cascade = ParameterCascade.from_json(json.load(f))
+    balances = {record["actor"]: 10**6 for _, record in records}
+    instance = ProtocolInstance(cascade, balances=balances, mode=mode)
+    for line, record in records:
+        try:
+            replay_line(instance, line, record)
+        except ProtocolError:
+            break
+    print(instance.snapshot())
+    instance.advance_clock(instance.max_deadline())
+    instance.settle()
+    print(instance.snapshot())
+else:
+    name, mode, *seeds = args
+    for seed in seeds:
+        config = scenario_from_json(preset_scenario(name))
+        config.seed, config.mode = int(seed), mode
+        print(run_scenario(config).final_snapshot)
+"""
+MODES = ("quiescence", "early-stop")
+
+
 def canonical(value: object) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
@@ -99,10 +142,12 @@ def commands(inputs: Path) -> list[list[str]]:
                 given = [] if seed is None else ["--seed", str(seed)]
                 out.append(["simulate", scenario, *given, "--trace", OUTPUTS[0],
                             "--csv", OUTPUTS[1]])
+        out += [["snapshot", "preset", path.stem, mode, *map(str, SEEDS[1:])] for mode in MODES]
     for log in sorted((FIXTURES / "movelogs").glob("*.jsonl")):
         cascade = FIXTURES / "cascades" / f"{log.stem}.json"
-        for mode in ("quiescence", "early-stop"):
+        for mode in MODES:
             out.append(["run", str(log), str(cascade), "--mode", mode])
+            out.append(["snapshot", "log", str(log), str(cascade), mode])
     log = FIXTURES / "movelogs" / f"{FAULTY}.jsonl"
     records = [json.loads(line) for line in log.read_text().splitlines()]
     for name in FAULTS:
@@ -125,7 +170,8 @@ def run(checkout: Path, args: list[str], cwd: Path, hash_seed: str) -> dict[str,
     env = {k: v for k, v in os.environ.items() if k != "SPRIG_SEED"}
     env.update(PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1",
                PYTHONHASHSEED=hash_seed)
-    done = subprocess.run([sys.executable, "-m", "sprig.cli", *args], cwd=cwd, env=env,
+    program = ["-c", SNAPSHOT, *args[1:]] if args[0] == "snapshot" else ["-m", "sprig.cli", *args]
+    done = subprocess.run([sys.executable, *program], cwd=cwd, env=env,
                           capture_output=True, check=False)
     got = {"exit code": str(done.returncode).encode(), "stdout": done.stdout,
            "stderr": done.stderr}
@@ -162,13 +208,14 @@ def main() -> int:
         differing = 0
         for args in todo:
             shown = " ".join(Path(a).name if "/" in a else a for a in args)
+            shown = shown if args[0] == "snapshot" else f"sprig {shown}"
             difference = first_difference(run(checkout, args, before, HASH_SEEDS[0]),
                                           run(ROOT, args, after, HASH_SEEDS[1]))
             if difference is not None:
                 differing += 1
-                print(f"DIFFERS  sprig {shown}: {difference}")
+                print(f"DIFFERS  {shown}: {difference}")
             else:
-                print(f"same     sprig {shown}")
+                print(f"same     {shown}")
     if differing:
         print(f"{differing} of {len(todo)} commands differ between the checkouts")
         return 1

@@ -41,16 +41,20 @@ log alone leaves live, per node: the bytes tracemalloc counts after a
 `gc.collect()`, traced from before the replay, with nothing else decoded
 alive (the median over the repeats).
 
-Three more timings show what that reuse is worth. `replay_settle_alone_warm`
-replays and settles the log once the debate and its built tree are dropped,
-with nothing decoded alive, as `sprig run` replays a log (its counts are
-the third half, `replay_settle_alone`); `build_drop_warm` builds a fresh
-wide tree (`wide_config`) and drops it, with no other tree alive; and
-`build_simulate_warm` builds a fresh wide tree and simulates it in one
-timing, so that it pays for making every formula and proof value, as a
-replay of the log alone pays for decoding them. All three are the fastest
-of WARM_RUNS in the child. Each point keeps the ratios of the replay
-halves to the simulate halves: replay + settle to simulate
+Four more timings show what that reuse is worth and what a snapshot costs.
+`replay_settle_alone_warm` replays and settles the log once the debate and
+its built tree are dropped, with nothing decoded alive, as `sprig run`
+replays a log (its counts are the third half, `replay_settle_alone`);
+`build_drop_warm` builds a fresh wide tree (`wide_config`) and drops it,
+with no other tree alive; and `build_simulate_warm` builds a fresh wide
+tree and simulates it in one timing, so that it pays for making every
+formula and proof value, as a replay of the log alone pays for decoding
+them. `snapshot_warm` times one `snapshot()` of each settled replay of the
+log alone, taken after the snapshot that checks it, so that every statement
+and proof hash is memoized and only composing the state is timed; each
+point keeps it per node as `snapshot_us_per_node`. All four are the fastest
+of WARM_RUNS in the child. Each point keeps the ratios of the replay halves
+to the simulate halves: replay + settle to simulate
 (`replay_settle_per_simulate`), and replay + settle, next to the trace and
 alone, to build + simulate (`replay_settle_per_build_simulate`,
 `replay_settle_alone_per_build_simulate`).
@@ -93,7 +97,7 @@ HALVES = ("simulate", "replay_settle", "replay_settle_alone")
 # benchmark's wide leg) replays.
 WARM_RUNS = 7
 TIMED = ("simulate", "replay_settle", "simulate_warm", "simulate_log_warm", "replay_settle_warm",
-         "replay_settle_alone_warm", "build_drop_warm", "build_simulate_warm")
+         "replay_settle_alone_warm", "build_drop_warm", "build_simulate_warm", "snapshot_warm")
 # Each ratio's name, numerator and denominator, of the timings' medians.
 RATIOS = (
     ("replay_settle_per_simulate", "replay_settle_warm", "simulate_warm"),
@@ -126,7 +130,8 @@ ToyVerifier.verdict = counted_verdict
 
 k, seed, warm_runs = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 warm = {"simulate_warm_s": [], "simulate_log_warm_s": [], "replay_settle_warm_s": [],
-        "replay_settle_alone_warm_s": [], "build_drop_warm_s": [], "build_simulate_warm_s": []}
+        "replay_settle_alone_warm_s": [], "build_drop_warm_s": [], "build_simulate_warm_s": [],
+        "snapshot_warm_s": []}
 for run in range(warm_runs):
     gc.collect()
     t0 = time.perf_counter()
@@ -188,6 +193,9 @@ for run in range(warm_runs):
     twin = replay_alone()
     warm["replay_settle_alone_warm_s"].append(time.perf_counter() - t0)
     check(twin)
+    t0 = time.perf_counter()
+    twin.snapshot()
+    warm["snapshot_warm_s"].append(time.perf_counter() - t0)
     del twin
 for run in range(warm_runs):
     gc.collect()
@@ -309,7 +317,9 @@ def summarize(k: int, runs: list[dict[str, float | int | str]]) -> dict[str, flo
     medians = {name: statistics.median(r[f"{name}_s"] for r in runs) for name in TIMED}
     for name, median in medians.items():
         point[f"{name}_s"] = round(median, 4)
-        point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
+        if name != "snapshot_warm":
+            point[f"{name}_us_per_move"] = round(median / moves * 1e6, 1)
+    point["snapshot_us_per_node"] = round(medians["snapshot_warm"] / runs[0]["nodes"] * 1e6, 2)
     for name, numerator, denominator in RATIOS:
         point[name] = round(medians[numerator] / medians[denominator], 2)
     point["live_bytes_per_node"] = round(

@@ -44,7 +44,6 @@ from . import Frozen, Record
 from .formulas import (
     MAX_FORMULA_DEPTH,
     Statement,
-    canonical_json,
     content_hash,
     is_int,
     nested_too_deeply,
@@ -314,11 +313,16 @@ _RULES = {
 
 
 class Ledger:
-    """Integer token accounts plus per-node escrow and a burn counter."""
+    """Integer token accounts plus per-node escrow and a burn counter. The
+    opening balances map account strings to non-negative integers."""
 
     def __init__(self, balances: Mapping[str, int] | None = None) -> None:
         self.balances: dict[str, int] = dict(balances or {})
         for account, amount in self.balances.items():
+            if not isinstance(account, str):
+                raise ValueError(f"account names must be strings, got {account!r}")
+            if not is_int(amount):
+                raise ValueError(f"opening balance for {account!r} must be an integer")
             if amount < 0:
                 raise ValueError(f"negative opening balance for {account!r}")
         self.escrowed: dict[str, int] = {}
@@ -359,13 +363,6 @@ class Ledger:
 
     def total(self) -> int:
         return sum(self.balances.values()) + sum(self.escrowed.values()) + self.burned
-
-    def to_json(self) -> Any:
-        return {
-            "balances": dict(sorted(self.balances.items())),
-            "burned": self.burned,
-            "escrowed": dict(sorted(self.escrowed.items())),
-        }
 
 
 class Move(NamedTuple):
@@ -769,40 +766,39 @@ class ProtocolInstance:
     # -- serialization ------------------------------------------------------
 
     def snapshot(self) -> str:
-        """Canonical JSON of the full observable state (proofs by hash)."""
-        nodes = {}
-        for node in self.nodes.values():
-            doc: dict[str, Any] = {
-                "determination": node.determination.to_json() if node.determination else None,
-                "escrow": node.escrow,
-                "kind": node.kind,
-                "level": node.level,
-                "origin": node.origin,
-                "owner": node.owner,
-                "posted_at": node.posted_at.to_json(),
-                "statement": node.statement.hash(),
-                "status": node.status,
-            }
-            if node.kind == "claim":
-                doc["proof"] = node.proof.hash()
-                if node.verdict is not None:
-                    doc["verdict"] = {
-                        "diagnostic": node.verdict.diagnostic,
-                        "validated": node.verdict.validated,
-                    }
-            else:
-                doc["step"] = node.step_index
-            nodes[node.id] = doc
-        return canonical_json(
-            {
-                "clock": self.clock,
-                "ledger": self.ledger.to_json(),
-                "mode": self.mode,
-                "nodes": nodes,
-                "root": self.root_id,
-                "settled": self.settled,
-                "stopped_at": self.stopped_at.to_json() if self.stopped_at else None,
-            }
+        """Canonical JSON of the full observable state, proofs and
+        statements by hash, composed as text as `_move_line` composes a log
+        line: keys in sorted order as literals, node ids, kinds and statuses
+        as plain identifiers, and owners, accounts and the mode through
+        `encode_basestring`, so a snapshot calls no `json.dumps`.
+
+        The object holds `clock` (integer); `ledger`, an object of
+        `balances` (account string to integer), `burned` (integer) and
+        `escrowed` (node id to integer); `mode` (string); `nodes` (node id
+        to node, in string order, so "c10" comes before "c2"); `root` (node
+        id or null); `settled` (boolean); and `stopped_at` (timestamp or
+        null), where a timestamp is the array [time, seq]. A node holds
+        `determination` (timestamp or null), `escrow` and `level`
+        (integers), `kind`, `owner` and `status` (strings), `origin` (node
+        id or null), `posted_at` (timestamp) and `statement` (the hex sha256
+        of its canonical text, its memoized `hash()`). A claim adds `proof`
+        (hex sha256, the proof's memoized `hash()`) and, at the machine
+        level, `verdict`, an object of `diagnostic` (integer or null) and
+        `validated` (boolean); a question adds `step` (integer, or null for
+        a root question)."""
+        ledger = self.ledger
+        balances = ",".join(
+            [f"{encode_basestring(a)}:{amount}" for a, amount in sorted(ledger.balances.items())]
+        )
+        escrowed = ",".join([f'"{n}":{amount}' for n, amount in sorted(ledger.escrowed.items())])
+        nodes = ",".join([f'"{n}":{_node_json(self.nodes[n])}' for n in sorted(self.nodes)])
+        root = "null" if self.root_id is None else f'"{self.root_id}"'
+        return (
+            f'{{"clock":{self.clock},"ledger":{{"balances":{{{balances}}},'
+            f'"burned":{ledger.burned},"escrowed":{{{escrowed}}}}},'
+            f'"mode":{encode_basestring(self.mode)},"nodes":{{{nodes}}},"root":{root},'
+            f'"settled":{"true" if self.settled else "false"},'
+            f'"stopped_at":{_stamp_json(self.stopped_at)}}}'
         )
 
     def move_log_lines(self, record: str | None = None) -> list[str]:
@@ -810,6 +806,35 @@ class ProtocolInstance:
         the nodes as it is read (see `_move_line`); a simulation trace tags
         each line with `record`."""
         return [_move_line(node, record) for node in self.nodes.values()]
+
+
+def _stamp_json(stamp: Timestamp | None) -> str:
+    """A timestamp as the array [time, seq], or null."""
+    return "null" if stamp is None else f"[{stamp.time},{stamp.seq}]"
+
+
+def _node_json(node: Node) -> str:
+    """The canonical JSON object of `node` in `ProtocolInstance.snapshot`,
+    its keys in sorted order: a claim's `proof` and `verdict` go around
+    `statement` and `status` where a question's `step` follows them."""
+    origin = "null" if node.origin is None else f'"{node.origin}"'
+    text = (
+        f'{{"determination":{_stamp_json(node.determination)},"escrow":{node.escrow},'
+        f'"kind":"{node.kind}","level":{node.level},"origin":{origin},'
+        f'"owner":{encode_basestring(node.owner)},"posted_at":{_stamp_json(node.posted_at)},'
+    )
+    tail = f'"statement":"{node.statement.hash()}","status":"{node.status}"'
+    if node.kind == "question":
+        step = "null" if node.step_index is None else node.step_index
+        return f'{text}{tail},"step":{step}}}'
+    verdict = node.verdict
+    if verdict is None:
+        return f'{text}"proof":"{node.proof.hash()}",{tail}}}'
+    diagnostic = "null" if verdict.diagnostic is None else verdict.diagnostic
+    return (
+        f'{text}"proof":"{node.proof.hash()}",{tail},"verdict":{{"diagnostic":{diagnostic},'
+        f'"validated":{"true" if verdict.validated else "false"}}}}}'
+    )
 
 
 def _move_line(node: Node, record: str | None = None) -> str:

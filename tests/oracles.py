@@ -3,15 +3,18 @@
 Everything here works from raw JSON or first principles and avoids the
 library code paths under test: `document_json` is the reference encoder of
 proof documents, read off the objects' fields and checked against their
-`canonical()` text, the tokenizer walks plain dicts, the status
-evaluator is a direct recursive reading of the resolution rules rather than
-the engine's incremental push up, the equilibrium oracle runs on `Fraction` so
-the frozen spot values in the tests carry no float noise, and the Monte Carlo
-reference draws all of its uniforms at once instead of streaming them.
+`canonical()` text, `snapshot_json` is the reference value of an instance's
+snapshot, built the same way from its fields, the tokenizer walks plain
+dicts, the status evaluator is a direct recursive reading of the resolution
+rules rather than the engine's incremental push up, the equilibrium oracle
+runs on `Fraction` so the frozen spot values in the tests carry no float
+noise, and the Monte Carlo reference draws all of its uniforms at once
+instead of streaming them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -334,6 +337,62 @@ def settlement_routes(instance: ProtocolInstance) -> list[tuple[str, str, int, s
         else:
             pay(node, node.owner, held, "bounty reimbursed")
     return routes
+
+
+# -- the state snapshot, built as a value ----------------------------------------
+
+
+def _digest(doc: Any) -> str:
+    return hashlib.sha256(_canon(doc).encode("utf-8")).hexdigest()
+
+
+def _stamp(stamp) -> list[int] | None:
+    return None if stamp is None else [stamp.time, stamp.seq]
+
+
+def snapshot_json(instance: ProtocolInstance) -> dict[str, Any]:
+    """The JSON value that `instance.snapshot()` must encode, built from the
+    instance's fields as one dict per node, the way the snapshot was built
+    before it was composed as text. Statement and proof hashes are the
+    sha256 of the `_canon` text of their `document_json`, so the value
+    shares no code with the snapshot."""
+    nodes = {}
+    for node in instance.nodes.values():
+        doc: dict[str, Any] = {
+            "determination": _stamp(node.determination),
+            "escrow": node.escrow,
+            "kind": node.kind,
+            "level": node.level,
+            "origin": node.origin,
+            "owner": node.owner,
+            "posted_at": _stamp(node.posted_at),
+            "statement": _digest(document_json(node.statement)),
+            "status": node.status,
+        }
+        if node.kind == "claim":
+            doc["proof"] = _digest(document_json(node.proof))
+            if node.verdict is not None:
+                doc["verdict"] = {
+                    "diagnostic": node.verdict.diagnostic,
+                    "validated": node.verdict.validated,
+                }
+        else:
+            doc["step"] = node.step_index
+        nodes[node.id] = doc
+    ledger = instance.ledger
+    return {
+        "clock": instance.clock,
+        "ledger": {
+            "balances": dict(ledger.balances),
+            "burned": ledger.burned,
+            "escrowed": dict(ledger.escrowed),
+        },
+        "mode": instance.mode,
+        "nodes": nodes,
+        "root": instance.root_id,
+        "settled": instance.settled,
+        "stopped_at": _stamp(instance.stopped_at),
+    }
 
 
 # -- open windows by full-tree scan --------------------------------------------

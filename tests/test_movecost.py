@@ -8,9 +8,10 @@ views must agree with full-tree scans at every poll, the work per move
 replay of its log encodes each payload once. A move is kept as its node
 alone: playing it hashes nothing, and each reading of the log composes each
 line's payload from the canonical text of what the node posted and hashes it
-once, so neither playing nor replaying a move calls `json.dumps`. The kernel runs on the posted machine
-answers only, once per distinct proof value, and the bomber looks each step
-up once. Replay evaluates each node a bounded number of times and reads a
+once, so neither playing nor replaying a move calls `json.dumps`, and
+neither does the snapshot. The kernel runs on the posted machine answers
+only, once per distinct proof value, and the bomber looks each step up
+once. Replay evaluates each node a bounded number of times and reads a
 bounded number of children per move. Next to the live trace it decodes the
 trace's own formulas and proofs and counts no tokens; from the log alone it
 counts the tokens of each distinct formula once. A second simulation of one
@@ -176,8 +177,8 @@ def test_simulating_hashes_nothing_and_the_log_hashes_each_move_once(monkeypatch
 @pytest.mark.parametrize("k", [4, 8, 12])
 def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
     # Counted from a fresh config, with no memo filled by an earlier run:
-    # statement hashes and payloads are composed from canonical text, so the
-    # one `json.dumps` left is the snapshot's.
+    # statement hashes, payloads and the snapshot are composed from
+    # canonical text, so no `json.dumps` is left.
     config = wide_config(k, 0)
     encodes = _count_json_dumps(monkeypatch)
     per_call: dict[str, set[int]] = {}
@@ -192,14 +193,14 @@ def test_json_encodes_per_move_do_not_grow_with_the_tree(k, monkeypatch):
 
         monkeypatch.setattr(ProtocolInstance, name, counted)
     _wide_run(k, config)
-    # No encode per move and one per snapshot: the same at every k. The one
+    # No encode per move and none per snapshot: the same at every k. The one
     # snapshot is _wide_run's; run_scenario takes none.
     assert per_call == {
         "apply": {0},
         "move_log_lines": {0},
-        "snapshot": {1},
+        "snapshot": {0},
     }
-    assert encodes[0] == 1
+    assert encodes[0] == 0
 
 
 def _spy_on_tree_scans(monkeypatch):

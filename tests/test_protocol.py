@@ -122,6 +122,19 @@ def test_machine_parameters_reject_nonsense():
         MachineParameters(10, 1, -1, 1, 1)
 
 
+@pytest.mark.parametrize("balances, message", [
+    ({"amy": -1}, "negative opening balance for 'amy'"),
+    ({"amy": True}, "opening balance for 'amy' must be an integer"),
+    ({"amy": 1.0}, "opening balance for 'amy' must be an integer"),
+    ({"amy": float("nan")}, "opening balance for 'amy' must be an integer"),
+    ({7: 1}, "account names must be strings, got 7"),
+])
+def test_opening_balances_map_account_names_to_non_negative_integers(balances, message):
+    # The snapshot writes each balance as a JSON integer under its name.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ProtocolInstance(tiny_cascade(), balances=balances)
+
+
 def test_cascade_levels_must_cover_one_through_root():
     good = tiny_cascade(2)
     assert sorted(good.levels) == [1, 2]
