@@ -20,6 +20,10 @@ The commands are:
   `full_run_claim_root.jsonl` with one fault each (`FAULTS`): a time, seq,
   actor, kind or payload field of the wrong type or value, or a missing or
   second root move, each reported as an error on stderr;
+- `sprig validate` of every proof fixture, and of `SYMBOLS_DOC` (a chain
+  whose definitions, target, steps and subproofs refer to symbols declared
+  later, shadowed or never declared, with repeats), at the document's own
+  height and at `--level-limit 1`;
 - `sprig solve`, the 601-point `sweep` and `verify-mc` at 1e5 draws, on the
   arguments of `scripts/cli_cost.py`;
 - `snapshot log` of every fixture move log with its cascade, in both modes:
@@ -76,6 +80,36 @@ FAULTS = {
     "missing-step": (1, {"payload": {"origin": "c1"}}),
 }
 
+
+
+def _statement(conclusion: dict, *assumptions: dict) -> dict:
+    return {"assumptions": list(assumptions), "conclusion": conclusion, "context": "sym"}
+
+
+_SYM = {name: {"sym": name} for name in "abcvwxyz"}
+_TARGET = _statement(_SYM["a"], _SYM["y"], {"and": [_SYM["x"], _SYM["w"]]})
+_STEP_1 = _statement({"or": [_SYM["v"], _SYM["v"]]}, *_TARGET["assumptions"])
+SYMBOLS_DOC = {
+    "kind": "chain",
+    "definitions": {"symbols": [
+        ["a", {"and": [_SYM["b"], _SYM["b"]]}],
+        ["b", {"or": [_SYM["z"], {"not": _SYM["a"]}]}],
+        ["c", {"imp": [_SYM["y"], _SYM["z"]]}],
+    ]},
+    "target": _TARGET,
+    "steps": [
+        {"statement": _STEP_1, "subproof": {
+            "kind": "chain",
+            "definitions": {"symbols": [["y", {"atom": "p"}], ["a", {"atom": "q"}]]},
+            "target": _STEP_1,
+            "steps": [{"statement": _STEP_1}],
+        }},
+        {"imports": [1], "statement": _statement(_SYM["a"], *_STEP_1["assumptions"],
+                                                 _STEP_1["conclusion"]),
+         "subproof": {"kind": "machine_proof", "target": _STEP_1,
+                      "steps": [{"formula": _SYM["y"], "rule": "assumption", "premises": [-1]}]}},
+    ],
+}
 
 # The program of the snapshot commands, run as `python -c SNAPSHOT ARGS` with
 # the checkout's src on the path; it prints one snapshot per line.
@@ -154,6 +188,10 @@ def commands(inputs: Path) -> list[list[str]]:
         faulty = inputs / f"{name}.jsonl"
         faulty.write_text(faulty_log(name, records))
         out.append(["run", str(faulty), str(FIXTURES / "cascades" / f"{FAULTY}.json")])
+    symbols = inputs / "symbols.json"
+    symbols.write_text(json.dumps(SYMBOLS_DOC))
+    for doc in [*sorted((FIXTURES / "proofs").glob("*.json")), symbols]:
+        out += [["validate", str(doc)], ["validate", str(doc), "--level-limit", "1"]]
     out += [
         ["solve", "--sigma2", "30"],
         ["sweep", "--param", "sigma2", "--from", "0", "--to", "60", "--steps", "601"],

@@ -30,7 +30,7 @@ import re
 import weakref
 from _weakref import _remove_dead_weakref
 from json.encoder import encode_basestring
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 from . import Frozen, canonical_json
 
@@ -319,15 +319,22 @@ class Formula(Interned):
         """Token count: one per connective or leaf name (see `measure_length`)."""
         return 1 + sum([a.size() for a in self.args])
 
-    def symbols(self) -> Iterator[str]:
-        """Names of every `sym` leaf (declaration-requiring references)."""
+    @_memoized
+    def symbols(self) -> tuple[str, ...]:
+        """Names of every `sym` leaf (declaration-requiring references),
+        repeats included, in the order of a depth-first walk that visits
+        the last argument first. The walk keeps its own stack, so a built
+        formula of any depth is safe, and only the formula asked is
+        memoized, not each of its subformulas."""
+        names = []
         stack = [self]
         while stack:
             f = stack.pop()
             if f.op == "sym":
-                yield f.name  # type: ignore[misc]
+                names.append(f.name)
             else:
                 stack.extend(f.args)
+        return tuple(names)
 
     @_memoized
     def canonical(self) -> str:
@@ -453,26 +460,20 @@ class Statement(Interned):
         """Token count of the assumptions and the conclusion."""
         return sum([f.size() for f in self.assumptions]) + self.conclusion.size()
 
-    def symbols(self) -> Iterator[str]:
-        for f in self.sorted_assumptions():
-            yield from f.symbols()
-        yield from self.conclusion.symbols()
+    @_memoized
+    def symbols(self) -> frozenset[str]:
+        """Names of every `sym` leaf of the assumptions and the conclusion,
+        as a set: a caller that reports them sorts them."""
+        names = [name for f in self.assumptions for name in f.symbols()]
+        names += self.conclusion.symbols()
+        return frozenset(names) if names else _NO_SYMBOLS
 
     @staticmethod
     def from_json(doc: Any) -> "Statement":
         """Decode a statement. Its formulas are decoded first, so a
         question's statement and the target of every answer to it are one
         object, with one memoized text, hash and size."""
-        doc = read_object(doc, "statement", _STATEMENT_FIELDS, ("conclusion",))
-        raw = doc.get("assumptions", [])
-        if not isinstance(raw, list):
-            raise ParseError("assumptions must be an array")
-        context = doc.get("context", "")
-        if not isinstance(context, str):
-            raise ParseError("context must be a string")
-        conclusion = _formula_from_json(doc["conclusion"], MAX_FORMULA_DEPTH)
-        assumptions = frozenset([_formula_from_json(f, MAX_FORMULA_DEPTH) for f in raw])
-        return Statement(conclusion, assumptions, context)
+        return _statement_from_json(doc, None, None)
 
     @_memoized
     def canonical(self) -> str:
@@ -490,6 +491,30 @@ class Statement(Interned):
     @_memoized
     def hash(self) -> str:
         return text_hash(self.canonical())
+
+
+_NO_SYMBOLS: frozenset[str] = frozenset()
+
+
+def _statement_from_json(doc: Any, known_doc: Any, known: frozenset[Formula] | None) -> Statement:
+    """`Statement.from_json`, taking `known`, the assumption set decoded
+    from the raw array `known_doc` (both None if none was), as its own when its
+    raw array equals `known_doc`: a chain step restates its target's
+    assumptions. An array that decoded holds only objects, arrays and
+    strings, and a string only equals a string, so an equal array holds the
+    same formulas, which decode to the same set; skipping that decode
+    changes no value and, as it cannot fail, no error."""
+    doc = read_object(doc, "statement", _STATEMENT_FIELDS, ("conclusion",))
+    raw = doc.get("assumptions", [])
+    if not isinstance(raw, list):
+        raise ParseError("assumptions must be an array")
+    context = doc.get("context", "")
+    if not isinstance(context, str):
+        raise ParseError("context must be a string")
+    conclusion = _formula_from_json(doc["conclusion"], MAX_FORMULA_DEPTH)
+    if raw != known_doc:
+        known = frozenset([_formula_from_json(f, MAX_FORMULA_DEPTH) for f in raw])
+    return Statement(conclusion, known, context)
 
 
 class DefinitionSet(Interned):

@@ -13,7 +13,10 @@ premise indices are positive for earlier steps (1-based) and negative for the
 target's assumptions (-k is the k-th assumption in canonical order).
 
 Documents serialize to canonical JSON with a discriminating "kind" field:
-"statement", "chain" or "machine_proof". See schemas/ for the JSON Schemas.
+"statement", "chain" or "machine_proof". A top-level document without one is
+a statement; a proof read as part of another record (a subproof, a move
+log's root chain or answer, a scenario's tree) must name its kind. See
+schemas/ for the JSON Schemas.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .formulas import (
     Statement,
     _intern,
     _memoized,
+    _statement_from_json,
     is_int,
     lookup,
     parse_json,
@@ -50,6 +54,7 @@ __all__ = [
     "validate_chain",
     "measure_length",
     "proof_from_json",
+    "chain_from_json",
     "parse_proof_document",
     "serialize_proof_document",
 ]
@@ -129,14 +134,7 @@ class MachineProof(Interned):
 
     @staticmethod
     def from_json(doc: Any) -> "MachineProof":
-        doc = read_object(doc, "machine proof", _MACHINE_FIELDS, ("target",))
-        steps = doc.get("steps", [])
-        if not isinstance(steps, list):
-            raise ParseError("steps must be an array")
-        return MachineProof(
-            Statement.from_json(doc["target"]),
-            tuple([InferenceStep.from_json(s) for s in steps]),
-        )
+        return _machine_from_json(doc, None, None)
 
 
 class ChainStep(Interned):
@@ -176,15 +174,7 @@ class ChainStep(Interned):
     def from_json(doc: Any, levels: int = MAX_PROOF_DEPTH) -> "ChainStep":
         """Decode a step of a chain allowed `levels` deep: its subproof may
         nest one level less (see `proof_from_json`)."""
-        doc = read_object(doc, "chain step", _CHAIN_STEP_FIELDS, ("statement",))
-        imports = doc.get("imports", [])
-        if not isinstance(imports, list):
-            raise ParseError("imports must be an array")
-        return ChainStep(
-            Statement.from_json(doc["statement"]),
-            tuple(imports),
-            proof_from_json(doc["subproof"], levels - 1) if "subproof" in doc else None,
-        )
+        return _step_from_json(doc, levels, None, None)
 
 
 class ProofChain(Interned):
@@ -263,28 +253,122 @@ class ProofChain(Interned):
     @staticmethod
     def from_json(doc: Any, levels: int = MAX_PROOF_DEPTH) -> "ProofChain":
         """Decode a chain whose `height()` may be at most `levels`."""
-        doc = read_object(doc, "chain", _CHAIN_FIELDS, ("target",))
-        steps = doc.get("steps", [])
-        if not isinstance(steps, list):
-            raise ParseError("steps must be an array")
-        definitions = None
-        if "definitions" in doc:
-            definitions = DefinitionSet.from_json(doc["definitions"])
-        return ProofChain(
-            Statement.from_json(doc["target"]),
-            tuple([ChainStep.from_json(step, levels) for step in steps]),
-            definitions,
-        )
+        return _chain_from_json(doc, levels, None, None)
+
+
+# Decoding a proof, each statement it restates is decoded against the one
+# it restates: a step's assumptions against its chain target's, a
+# subproof's target against its step's statement. Where the raw JSON
+# values are equal, the restating part takes the decoded value (see
+# `formulas._statement_from_json`); elsewhere it decodes in full, so values
+# and errors, and their order, are those of decoding each part alone.
+
+
+def _restated(doc: Any, statement_doc: Any, statement: Statement | None) -> Statement:
+    """The statement `doc` decodes to: `statement`, decoded from the raw
+    `statement_doc`, if `doc` equals that, else `doc` decoded."""
+    if statement is not None and doc == statement_doc:
+        return statement
+    return Statement.from_json(doc)
+
+
+def _machine_from_json(doc: Any, statement_doc: Any, statement: Statement | None) -> MachineProof:
+    """`MachineProof.from_json` of a proof that restates `statement` (see
+    `_restated`), or of one on its own if that is None."""
+    doc = read_object(doc, "machine proof", _MACHINE_FIELDS, ("target",))
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list):
+        raise ParseError("steps must be an array")
+    return MachineProof(
+        _restated(doc["target"], statement_doc, statement),
+        tuple([InferenceStep.from_json(s) for s in steps]),
+    )
+
+
+def _chain_from_json(
+    doc: Any, levels: int, statement_doc: Any, statement: Statement | None
+) -> ProofChain:
+    """`ProofChain.from_json` of a chain that restates `statement` (see
+    `_restated`), or of one on its own if that is None. Each step is
+    decoded against the target's raw assumptions."""
+    doc = read_object(doc, "chain", _CHAIN_FIELDS, ("target",))
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list):
+        raise ParseError("steps must be an array")
+    definitions = None
+    if "definitions" in doc:
+        definitions = DefinitionSet.from_json(doc["definitions"])
+    target_doc = doc["target"]
+    target = _restated(target_doc, statement_doc, statement)
+    assumptions_doc, assumptions = target_doc.get("assumptions", []), target.assumptions
+    return ProofChain(
+        target,
+        tuple([_step_from_json(step, levels, assumptions_doc, assumptions) for step in steps]),
+        definitions,
+    )
+
+
+def _step_from_json(
+    doc: Any, levels: int, assumptions_doc: Any, assumptions: frozenset[Formula] | None
+) -> ChainStep:
+    """`ChainStep.from_json` of a step of a chain whose target's
+    assumption set `assumptions` decoded from the raw `assumptions_doc`
+    (None if there is none): the step's statement takes that set if its
+    raw assumptions are equal, and its subproof is decoded against the
+    step's statement."""
+    doc = read_object(doc, "chain step", _CHAIN_STEP_FIELDS, ("statement",))
+    imports = doc.get("imports", [])
+    if not isinstance(imports, list):
+        raise ParseError("imports must be an array")
+    statement_doc = doc["statement"]
+    statement = _statement_from_json(statement_doc, assumptions_doc, assumptions)
+    subproof = None
+    if "subproof" in doc:
+        sub = doc["subproof"]
+        if _nested_kind(sub, levels - 1, _PROOF_KINDS) == "machine_proof":
+            subproof = _machine_from_json(sub, statement_doc, statement)
+        else:
+            subproof = _chain_from_json(sub, levels - 1, statement_doc, statement)
+    return ChainStep(statement, tuple(imports), subproof)
+
+
+# The kinds a proof read as part of another record may name: a subproof
+# and a move log's answer are either, a move log's root claim and a
+# scenario's tree are chains.
+_PROOF_KINDS = ("chain", "machine_proof")
+_CHAIN_KINDS = ("chain",)
+
+
+def _nested_kind(doc: Any, levels: int, kinds: tuple[str, ...]) -> Any:
+    """The kind of `doc`, a proof read as part of another record and
+    allowed `levels` deep: a ParseError if that is less than 1, or if `doc`
+    is an object whose `kind` is missing or not one of `kinds`. What is not
+    an object is left for the chain decoder to report."""
+    if levels < 1:
+        raise ParseError("document nested too deeply")
+    if not isinstance(doc, dict):
+        return None
+    kind = doc.get("kind")
+    if kind not in kinds:
+        raise ParseError(f"nested proof kind must be {' or '.join(kinds)}, got {kind!r}")
+    return kind
 
 
 def proof_from_json(doc: Any, levels: int = MAX_PROOF_DEPTH) -> ProofChain | MachineProof:
-    """Decode a machine proof if `doc`'s kind says so, else a chain, nested
-    at most `levels` deep as `height()` counts it: deeper is a ParseError."""
-    if levels < 1:
-        raise ParseError("document nested too deeply")
-    if isinstance(doc, dict) and doc.get("kind") == "machine_proof":
+    """Decode a proof read as part of another record, such as a move log's
+    answer: a chain or a machine proof, as its kind says (any other kind,
+    or none, is a ParseError), nested at most `levels` deep as `height()`
+    counts it: deeper is a ParseError."""
+    if _nested_kind(doc, levels, _PROOF_KINDS) == "machine_proof":
         return MachineProof.from_json(doc)
     return ProofChain.from_json(doc, levels)
+
+
+def chain_from_json(doc: Any) -> ProofChain:
+    """Decode a chain read as part of another record, such as a move log's
+    root claim or a scenario's tree: its kind must be "chain"."""
+    _nested_kind(doc, MAX_PROOF_DEPTH, _CHAIN_KINDS)
+    return ProofChain.from_json(doc)
 
 
 def measure_length(proof: ProofChain | MachineProof) -> int:
@@ -352,7 +436,7 @@ def _check_chain(
                 report.add("undeclared symbol", path, f"definition of {name!r} references {ref!r}")
         seen.add(name)
 
-    for ref in sorted(set(target.symbols()) - scope):
+    for ref in sorted(target.symbols() - scope):
         report.add("undeclared symbol", path, f"target references {ref!r}")
 
     k = len(chain.steps)
@@ -363,13 +447,15 @@ def _check_chain(
         if bad:
             report.add("import out of range", where, f"indices {bad} not in 1..{j - 1}")
 
-        expected = set(target.assumptions)
-        for i in step.imports:
-            if 1 <= i <= j - 1:
-                expected.add(chain.steps[i - 1].statement.conclusion)
-        if set(step.statement.assumptions) != expected:
-            missing = expected - set(step.statement.assumptions)
-            extra = set(step.statement.assumptions) - expected
+        expected = target.assumptions
+        if step.imports:
+            expected = expected.union(
+                [chain.steps[i - 1].statement.conclusion for i in step.imports if 1 <= i <= j - 1]
+            )
+        assumptions = step.statement.assumptions
+        if assumptions != expected:
+            missing = expected - assumptions
+            extra = assumptions - expected
             parts = []
             if missing:
                 parts.append(f"missing {sorted(str(f) for f in missing)}")
@@ -390,7 +476,7 @@ def _check_chain(
                 f"context {target.context!r}",
             )
 
-        for ref in sorted(set(step.statement.symbols()) - scope):
+        for ref in sorted(step.statement.symbols() - scope):
             report.add("undeclared symbol", where, f"step references {ref!r}")
 
         if step.subproof is not None:

@@ -52,7 +52,14 @@ from .formulas import (
     read_str,
     text_hash,
 )
-from .proofs import MachineProof, ProofChain, measure_length, proof_from_json, validate_chain
+from .proofs import (
+    MachineProof,
+    ProofChain,
+    chain_from_json,
+    measure_length,
+    proof_from_json,
+    validate_chain,
+)
 from .verifier import ToyVerifier, Verdict
 
 __all__ = [
@@ -1031,7 +1038,7 @@ def _decode_move(kind: str, actor: Any, time: Any, payload: Any) -> Move:
     """The move of a known `kind` that a log record's `payload` holds."""
     if kind == "root_claim":
         doc = read_object(payload, "root claim payload", required=("chain",))
-        chain = ProofChain.from_json(doc["chain"])
+        chain = chain_from_json(doc["chain"])
         return Move(kind, actor, time, statement=chain.target, proof=chain)
     if kind == "root_question":
         doc = read_object(payload, "root question payload", required=("statement",))

@@ -27,7 +27,8 @@ from typing import Any, Iterable, NamedTuple
 from . import Record
 from .formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl
 from .formulas import lookup, read_int, read_object
-from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain, serialize_proof_document
+from .proofs import ChainStep, InferenceStep, MachineProof, ProofChain, chain_from_json
+from .proofs import serialize_proof_document
 from .protocol import (
     EARLY_STOP,
     QUIESCENCE,
@@ -1002,7 +1003,7 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     doc = read_object(doc, "scenario", _SCENARIO_FIELDS, ("cascade", "root", "agents", "horizon"))
     cascade = ParameterCascade.from_json(doc["cascade"])
     trees = {
-        name: ProofChain.from_json(tree_doc)
+        name: chain_from_json(tree_doc)
         for name, tree_doc in read_object(doc.get("trees", {}), "trees").items()
     }
     root = read_object(doc["root"], "root")
@@ -1010,7 +1011,7 @@ def scenario_from_json(doc: Any) -> ScenarioConfig:
     root_tree = root_statement = None
     if root["kind"] == "claim":
         tree = root["tree"]
-        root_tree = lookup(trees, tree, "tree") if isinstance(tree, str) else ProofChain.from_json(tree)
+        root_tree = lookup(trees, tree, "tree") if isinstance(tree, str) else chain_from_json(tree)
     elif "tree_target" in root:
         root_statement = lookup(trees, root["tree_target"], "tree").target
     elif "statement" in root:

@@ -3,7 +3,10 @@
 Everything here works from raw JSON or first principles and avoids the
 library code paths under test: `document_json` is the reference encoder of
 proof documents, read off the objects' fields and checked against their
-`canonical()` text, `snapshot_json` is the reference value of an instance's
+`canonical()` text, `decode_alone` the reference decoder, which decodes
+every statement of a proof on its own, `validate_walking` the structural
+validator as it walks every formula for its symbols at each use,
+`snapshot_json` is the reference value of an instance's
 snapshot, built the same way from its fields, the tokenizer walks plain
 dicts, the status evaluator is a direct recursive reading of the resolution
 rules rather than the engine's incremental push up, the equilibrium oracle
@@ -22,7 +25,20 @@ from fractions import Fraction
 from typing import Any, Iterator, Mapping
 
 from sprig.equilibrium import EquilibriumSolution, McEstimate
-from sprig.formulas import DefinitionSet, Formula, Statement, atom, conj, disj, impl, neg
+from sprig.formulas import (
+    MAX_PROOF_DEPTH,
+    DefinitionSet,
+    Formula,
+    ParseError,
+    Statement,
+    atom,
+    conj,
+    disj,
+    impl,
+    neg,
+    read_object,
+    sym,
+)
 from sprig.proofs import ChainStep, InferenceStep, MachineProof, ProofChain
 from sprig.protocol import ProtocolError, ProtocolInstance
 from sprig.verifier import ToyVerifier
@@ -689,6 +705,214 @@ def mutate_chain(doc: Mapping[str, Any], rng: random.Random) -> tuple[str, dict[
     name, apply = rng.choice(menu)
     apply()
     return name, out
+
+
+# -- decoding each part on its own (decode-sharing oracle) --------------------
+
+
+def decode_alone(doc: Any, levels: int = MAX_PROOF_DEPTH) -> ProofChain | MachineProof:
+    """A chain, or a machine proof if its kind says so, decoded with every
+    statement in it decoded on its own by `Statement.from_json`, so that no
+    part takes the value of another part it restates. The checks, their
+    order and their texts are those of `proof_from_json` for a document
+    whose nested proofs name their kind, so a failing document raises the
+    same error."""
+    if levels < 1:
+        raise ParseError("document nested too deeply")
+    if isinstance(doc, dict) and doc.get("kind") == "machine_proof":
+        doc = read_object(doc, "machine proof", frozenset({"kind", "steps", "target"}), ("target",))
+        steps = doc.get("steps", [])
+        if not isinstance(steps, list):
+            raise ParseError("steps must be an array")
+        target = Statement.from_json(doc["target"])
+        return MachineProof(target, tuple([InferenceStep.from_json(s) for s in steps]))
+    doc = read_object(doc, "chain", frozenset({"definitions", "kind", "steps", "target"}),
+                      ("target",))
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list):
+        raise ParseError("steps must be an array")
+    definitions = DefinitionSet.from_json(doc["definitions"]) if "definitions" in doc else None
+    target = Statement.from_json(doc["target"])
+    return ProofChain(target, tuple([_step_alone(s, levels) for s in steps]), definitions)
+
+
+def _step_alone(doc: Any, levels: int) -> ChainStep:
+    doc = read_object(doc, "chain step", frozenset({"imports", "statement", "subproof"}),
+                      ("statement",))
+    imports = doc.get("imports", [])
+    if not isinstance(imports, list):
+        raise ParseError("imports must be an array")
+    statement = Statement.from_json(doc["statement"])
+    subproof = decode_alone(doc["subproof"], levels - 1) if "subproof" in doc else None
+    return ChainStep(statement, tuple(imports), subproof)
+
+
+# -- the structural validator, walking symbols each time ------------------------
+
+
+def walk_symbols(formula: Formula) -> Iterator[str]:
+    """The names of a formula's `sym` leaves, repeats included, by a
+    depth-first walk that visits the last argument first."""
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if f.op == "sym":
+            yield f.name  # type: ignore[misc]
+        else:
+            stack.extend(f.args)
+
+
+def walk_statement_symbols(statement: Statement) -> Iterator[str]:
+    for f in statement.sorted_assumptions():
+        yield from walk_symbols(f)
+    yield from walk_symbols(statement.conclusion)
+
+
+def validate_walking(
+    target: Statement, chain: ProofChain, level_limit: int = 1,
+    ambient: frozenset[str] = frozenset(),
+) -> list[tuple[str, str, str]]:
+    """`validate_chain`'s violations as (code, path, detail), found by
+    walking every formula for its symbols at every use and building each
+    assumption set it compares: no memoized symbol set is read."""
+    out: list[tuple[str, str, str]] = []
+    _check_walking(target, chain, level_limit, ambient, "", out)
+    return out
+
+
+def _check_walking(
+    target: Statement, chain: ProofChain, level_limit: int, ambient: frozenset[str], path: str,
+    out: list[tuple[str, str, str]],
+) -> None:
+    if chain.target != target:
+        out.append(("target mismatch", path, "chain target differs from the disputed statement"))
+    declared = frozenset(name for name, _ in chain.definitions.symbols)
+    for name in sorted(declared & ambient):
+        out.append(("shadowed symbol", path,
+                    f"{name!r} is already defined in an enclosing scope"))
+    scope = ambient | declared
+    seen: set[str] = set()
+    for name, f in chain.definitions.symbols:
+        for ref in walk_symbols(f):
+            if ref not in ambient and ref not in seen:
+                out.append(("undeclared symbol", path,
+                            f"definition of {name!r} references {ref!r}"))
+        seen.add(name)
+    for ref in sorted(set(walk_statement_symbols(target)) - scope):
+        out.append(("undeclared symbol", path, f"target references {ref!r}"))
+    k = len(chain.steps)
+    for j, step in enumerate(chain.steps, start=1):
+        where = f"{path}step {j}" if not path else f"{path} > step {j}"
+        bad = [i for i in step.imports if not 1 <= i <= j - 1]
+        if bad:
+            out.append(("import out of range", where, f"indices {bad} not in 1..{j - 1}"))
+        expected = set(target.assumptions)
+        for i in step.imports:
+            if 1 <= i <= j - 1:
+                expected.add(chain.steps[i - 1].statement.conclusion)
+        if set(step.statement.assumptions) != expected:
+            missing = expected - set(step.statement.assumptions)
+            extra = set(step.statement.assumptions) - expected
+            parts = []
+            if missing:
+                parts.append(f"missing {sorted(str(f) for f in missing)}")
+            if extra:
+                parts.append(f"extra {sorted(str(f) for f in extra)}")
+            out.append(("assumption mismatch", where,
+                        "step assumptions must be the target's plus imported conclusions: "
+                        + "; ".join(parts)))
+        if step.statement.context != target.context:
+            out.append(("context mismatch", where,
+                        f"step context {step.statement.context!r} differs from target "
+                        f"context {target.context!r}"))
+        for ref in sorted(set(walk_statement_symbols(step.statement)) - scope):
+            out.append(("undeclared symbol", where, f"step references {ref!r}"))
+        if step.subproof is None:
+            continue
+        sub_path = f"{where} subproof"
+        if isinstance(step.subproof, ProofChain):
+            if level_limit <= 1:
+                out.append(("subproof too deep", sub_path,
+                            "only machine proofs may appear below this level"))
+            else:
+                _check_walking(step.statement, step.subproof, level_limit - 1, scope, sub_path,
+                               out)
+        elif step.subproof.target != step.statement:
+            out.append(("target mismatch", sub_path,
+                        "machine subproof targets a different statement"))
+    if chain.steps[k - 1].statement.conclusion != target.conclusion:
+        out.append(("conclusion mismatch", f"{path}step {k}" if not path else f"{path} > step {k}",
+                    "final step must conclude exactly the target's conclusion"))
+
+
+_SYMBOL_NAMES = ("s0", "s1", "s2", "s3", "s4")
+
+
+def _symbol_formula(rng: random.Random, depth: int = 3) -> Formula:
+    """A formula over two atoms and `_SYMBOL_NAMES`, often repeating a
+    symbol under one connective."""
+    if depth == 0 or rng.random() < 0.3:
+        return atom(rng.choice("ab")) if rng.random() < 0.3 else sym(rng.choice(_SYMBOL_NAMES))
+    left = _symbol_formula(rng, depth - 1)
+    shape = rng.randrange(4)
+    if shape == 0:
+        return neg(left)
+    right = left if rng.random() < 0.2 else _symbol_formula(rng, depth - 1)
+    return (conj, disj, impl)[shape - 1](left, right)
+
+
+def _symbol_statement(rng: random.Random, assumptions: frozenset[Formula] | None = None,
+                      context: str = "sym") -> Statement:
+    if assumptions is None:
+        assumptions = frozenset(_symbol_formula(rng) for _ in range(rng.randint(0, 3)))
+    return Statement(_symbol_formula(rng), assumptions, context)
+
+
+def _symbol_definitions(rng: random.Random) -> DefinitionSet:
+    names = rng.sample(_SYMBOL_NAMES, rng.randint(0, 3))
+    return DefinitionSet(tuple((name, _symbol_formula(rng)) for name in names))
+
+
+def symbol_chain(rng: random.Random, target: Statement | None = None,
+                 levels: int = 3) -> ProofChain:
+    """A chain of 1-4 steps whose definitions, target and steps refer to
+    symbols declared, declared later, declared in an enclosing chain or
+    never declared, with repeats, and whose steps now and then import out
+    of range, change their assumptions or context, or carry a chain
+    subproof (up to `levels` deep, with definitions of its own that may
+    shadow) or a machine subproof, for the statement or another one."""
+    if target is None:
+        target = _symbol_statement(rng)
+    steps: list[ChainStep] = []
+    for j in range(rng.randint(1, 4)):
+        imports: tuple[int, ...] = ()
+        assumptions = set(target.assumptions)
+        if rng.random() < 0.4:
+            i = rng.randint(1, j + 1)
+            imports = (i,)
+            if i <= j:
+                assumptions.add(steps[i - 1].statement.conclusion)
+        if rng.random() < 0.2:
+            assumptions.add(_symbol_formula(rng))
+        context = target.context if rng.random() < 0.9 else "other"
+        statement = _symbol_statement(rng, frozenset(assumptions), context)
+        if j == 0 and rng.random() < 0.3:
+            statement = target
+        subproof: ProofChain | MachineProof | None = None
+        roll = rng.random()
+        if roll < 0.3 and levels > 1:
+            subproof = symbol_chain(
+                rng, statement if rng.random() < 0.8 else _symbol_statement(rng), levels - 1)
+        elif roll < 0.5:
+            proved = statement if rng.random() < 0.8 else _symbol_statement(rng)
+            subproof = MachineProof(proved, (InferenceStep(proved.conclusion, "assumption", (-1,)),))
+        steps.append(ChainStep(statement, imports, subproof))
+    if rng.random() < 0.7:
+        last = steps[-1]
+        closing = Statement(target.conclusion, last.statement.assumptions, last.statement.context)
+        steps[-1] = ChainStep(closing, last.imports)
+    return ProofChain(target if rng.random() < 0.9 else _symbol_statement(rng), tuple(steps),
+                      _symbol_definitions(rng))
 
 
 # -- exact-rational equilibrium oracle ---------------------------------------

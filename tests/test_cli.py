@@ -294,6 +294,49 @@ def test_run_rejects_proofs_of_the_wrong_shape(capsys, tmp_path, index, edit, me
     assert (code, out, err) == (1, "", f"error: illegal move at line {index + 1}: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "index, field, kind, message",
+    [
+        (0, "chain", "banana", "nested proof kind must be chain, got 'banana'"),
+        (0, "chain", None, "nested proof kind must be chain, got None"),
+        (2, "proof", "banana", "nested proof kind must be chain or machine_proof, got 'banana'"),
+        (2, "proof", None, "nested proof kind must be chain or machine_proof, got None"),
+    ],
+    ids=["root-banana", "root-missing", "answer-banana", "answer-missing"],
+)
+def test_run_rejects_a_posted_proof_of_no_proof_kind(capsys, tmp_path, index, field, kind,
+                                                      message):
+    def edit(record):
+        proof = record["payload"][field]
+        del proof["kind"]
+        if kind is not None:
+            proof["kind"] = kind
+
+    log, cascade = _rehashed_log(tmp_path, "full_run_claim_root", index, edit)
+    code, out, err = run_cli(capsys, "run", log, cascade)
+    assert (code, out, err) == (1, "", f"error: illegal move at line {index + 1}: {message}\n")
+
+
+def test_validate_and_simulate_reject_a_nested_proof_of_no_proof_kind(capsys, monkeypatch,
+                                                                      tmp_path):
+    doc = json.loads((PROOFS / "infinite_primes.json").read_text())
+    next(step for step in doc["steps"] if "subproof" in step)["subproof"]["kind"] = "banana"
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out, err) == (1, "", "error: unparsable document: nested proof kind must be "
+                                       "chain or machine_proof, got 'banana'\n")
+
+    monkeypatch.delenv("SPRIG_SEED", raising=False)
+    scenario = preset_scenario("happy_path")
+    scenario["trees"]["solid"]["kind"] = "banana"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert (code, out, err) == (1, "", "error: bad scenario: nested proof kind must be chain, "
+                                       "got 'banana'\n")
+
+
 def test_run_reports_every_structural_violation_on_one_line(capsys, tmp_path):
     def two_violations(record):
         step = record["payload"]["proof"]["steps"][0]

@@ -1,7 +1,12 @@
 """Chains, machine proofs, their length and the structural validator."""
 
+import copy
+import gc
 import json
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +33,7 @@ from sprig.proofs import (
     InferenceStep,
     MachineProof,
     ProofChain,
+    chain_from_json,
     measure_length,
     parse_proof_document,
     proof_from_json,
@@ -45,6 +51,8 @@ from sprig.scenarios import (
 )
 
 import oracles
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "proofs"
 
@@ -577,3 +585,254 @@ def test_serialize_inverts_parse_on_the_fixture_files(path):
     # Each fixture file is a canonical document plus a final newline.
     raw = path.read_bytes()
     assert serialize_proof_document(parse_proof_document(raw)) + b"\n" == raw
+
+
+# -- decoding each restated statement once ----------------------------------------
+
+# Raw formulas: a variation replaces one with another, or a name with
+# `true` or `1`, which `True == 1` makes equal to each other.
+_RAW_FORMULAS = st.recursive(
+    st.sampled_from([{"atom": "p"}, {"atom": "q"}, {"sym": "s"}]),
+    lambda sub: st.one_of(
+        st.builds(lambda f: {"not": f}, sub),
+        st.builds(lambda op, a, b: {op: [a, b]}, st.sampled_from(["and", "or", "imp"]), sub, sub),
+    ),
+    max_leaves=3,
+)
+_RAW_STATEMENTS = st.fixed_dictionaries(
+    {"conclusion": _RAW_FORMULAS},
+    optional={"assumptions": st.lists(_RAW_FORMULAS, max_size=3), "context": st.just("c")},
+)
+_VARIATIONS = ("equal", "equal", "equal", "key-order", "formula", "assumption-order",
+               "duplicate", "true", "one", "extra-field")
+
+
+def _with_name(doc, name):
+    """A copy of the raw formula `doc` whose first leaf name is `name`."""
+    [(op, body)] = doc.items()
+    if isinstance(body, dict):
+        return {op: _with_name(body, name)}
+    if isinstance(body, list):
+        return {op: [_with_name(body[0], name), body[1]]}
+    return {op: name}
+
+
+@st.composite
+def _restatement(draw, statement, conclusion=None):
+    """A copy of the raw `statement` (with `conclusion`, if given), equal or
+    varied by one of `_VARIATIONS`."""
+    out = copy.deepcopy(statement)
+    if conclusion is not None:
+        out["conclusion"] = conclusion
+    how = draw(st.sampled_from(_VARIATIONS))
+    assumptions = out.get("assumptions")
+    if how == "key-order":
+        out = dict(reversed(list(out.items())))
+    elif how == "formula":
+        if assumptions:
+            assumptions[draw(st.integers(0, len(assumptions) - 1))] = draw(_RAW_FORMULAS)
+        else:
+            out["assumptions"] = [draw(_RAW_FORMULAS)]
+    elif how == "assumption-order" and assumptions:
+        assumptions.reverse()
+    elif how == "duplicate" and assumptions:
+        assumptions.append(copy.deepcopy(assumptions[0]))
+    elif how in ("true", "one"):
+        name = True if how == "true" else 1
+        if assumptions:
+            assumptions[0] = _with_name(assumptions[0], name)
+        else:
+            out["conclusion"] = _with_name(out["conclusion"], name)
+    elif how == "extra-field":
+        out["note"] = 1
+    return out
+
+
+@st.composite
+def _restating_chains(draw, target=None, depth=2):
+    """A raw chain whose steps restate its target's assumptions and whose
+    subproofs restate their steps' statements, each equal or varied."""
+    if target is None:
+        target = draw(_RAW_STATEMENTS)
+    steps = []
+    for _ in range(draw(st.integers(1, 3))):
+        statement = draw(_restatement(target, draw(st.none() | _RAW_FORMULAS)))
+        step = {"statement": statement}
+        imports = draw(st.sampled_from([None, [], [1], [True]]))
+        if imports is not None:
+            step["imports"] = imports
+        roll = draw(st.integers(0, 2 if depth > 1 else 1))
+        if roll == 1:
+            step["subproof"] = {
+                "kind": "machine_proof",
+                "target": draw(_restatement(statement)),
+                "steps": [{"formula": draw(_RAW_FORMULAS), "rule": "assumption", "premises": [-1]}],
+            }
+        elif roll == 2:
+            step["subproof"] = draw(_restating_chains(draw(_restatement(statement)), depth - 1))
+        steps.append(step)
+    return {"kind": "chain", "target": target, "steps": steps}
+
+
+def _assert_each_part_decodes_alone(proof, doc):
+    """Each statement of `proof` is the statement its raw part decodes to on
+    its own."""
+    assert proof.target is Statement.from_json(doc["target"])
+    if isinstance(proof, MachineProof):
+        return
+    for step, step_doc in zip(proof.steps, doc["steps"], strict=True):
+        assert step.statement is Statement.from_json(step_doc["statement"])
+        if step.subproof is not None:
+            _assert_each_part_decodes_alone(step.subproof, step_doc["subproof"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_restating_chains())
+def test_decoding_restated_statements_once_changes_no_value_and_no_error(doc):
+    try:
+        reference = oracles.decode_alone(copy.deepcopy(doc))
+    except (ParseError, RecursionError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            proof_from_json(doc)
+        assert str(raised.value) == str(exc)
+        return
+    proof = proof_from_json(doc)
+    assert proof is reference
+    _assert_each_part_decodes_alone(proof, doc)
+    assert parse_proof_document(json.dumps(doc)) is reference
+
+
+def _count_decodes(monkeypatch):
+    """Counters of the statements decoded (each `read_object` of one) and
+    of the formulas decoded at the top of a formula, from now on."""
+    counts = {"statements": 0, "formulas": 0}
+    read_object, formula_from_json = formulas.read_object, formulas._formula_from_json
+
+    def counted_read_object(value, name, *args):
+        counts["statements"] += name == "statement"
+        return read_object(value, name, *args)
+
+    def counted_formula(doc, levels):
+        counts["formulas"] += levels == formulas.MAX_FORMULA_DEPTH
+        return formula_from_json(doc, levels)
+
+    monkeypatch.setattr(formulas, "read_object", counted_read_object)
+    monkeypatch.setattr(formulas, "_formula_from_json", counted_formula)
+    return counts
+
+
+def test_a_cold_parse_of_the_wide_document_decodes_each_restated_statement_once(monkeypatch):
+    # The k = 16 wide tree: a root chain of 16 steps, each carried by a
+    # 16-step subchain whose steps carry machine proofs. All 272 subproofs
+    # restate their step's statement, and every step without imports (the
+    # first root step and all 256 substeps) restates its target's
+    # assumptions: neither is decoded again.
+    from workloads import wide_tree
+
+    data = serialize_proof_document(wide_tree(16, 0))
+    gc.collect()
+    counts = _count_decodes(monkeypatch)
+    chain = parse_proof_document(data)
+    steps = [step for root_step in chain.steps for step in (root_step, *root_step.subproof.steps)]
+    assert len(steps) == 272 and all(step.subproof is not None for step in steps)
+    with_imports = [step for step in steps if step.imports]
+    assert len(with_imports) == 15
+    inferences = sum(len(step.subproof.steps) for step in steps
+                     if isinstance(step.subproof, MachineProof))
+    # one statement for the root target and one per step; no subproof target
+    assert counts["statements"] == 1 + 272 == 545 - 272
+    # every conclusion, the root target's assumptions, the assumptions of
+    # each step with imports, and every inference formula
+    assumptions = len(chain.target.assumptions) + sum(
+        len(step.statement.assumptions) for step in with_imports)
+    assert assumptions == 2 + 15 * 3
+    assert counts["formulas"] == 273 + assumptions + inferences
+    for root_step in chain.steps:
+        sub = root_step.subproof
+        assert sub.target is root_step.statement
+        for step in sub.steps:
+            assert step.subproof.target is step.statement
+            assert step.statement.assumptions is sub.target.assumptions
+
+
+# -- validation with memoized symbols -------------------------------------------
+
+
+def _validation_case(rng):
+    chain = oracles.symbol_chain(rng)
+    level_limit = rng.randint(1, 3)
+    ambient = frozenset(rng.sample(oracles._SYMBOL_NAMES, rng.randint(0, 2)))
+    return chain, level_limit, ambient
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_validation_with_memoized_symbols_reports_what_walking_them_reports(rng):
+    chain, level_limit, ambient = _validation_case(rng)
+    report = validate_chain(chain.target, chain, level_limit, ambient)
+    assert [tuple(v) for v in report.violations] == oracles.validate_walking(
+        chain.target, chain, level_limit, ambient)
+
+
+_HASH_SEED_CHILD = """
+import random, sys
+sys.path[:0] = sys.argv[1:]
+import oracles
+from sprig.proofs import validate_chain
+from test_proofs import _validation_case
+for seed in range(300):
+    chain, level_limit, ambient = _validation_case(random.Random(seed))
+    report = validate_chain(chain.target, chain, level_limit, ambient)
+    walked = oracles.validate_walking(chain.target, chain, level_limit, ambient)
+    assert [tuple(v) for v in report.violations] == walked, seed
+    print(report)
+"""
+
+
+def test_validation_output_does_not_depend_on_the_hash_seed():
+    # Symbol sets are frozensets, whose order follows string hashes; the
+    # report must not.
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here)]
+    outputs = [
+        subprocess.run([sys.executable, "-c", _HASH_SEED_CHILD, *paths], check=True,
+                       capture_output=True, text=True,
+                       env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("undeclared symbol") > 300
+
+
+# -- nested proofs name their kind ----------------------------------------------
+
+
+def _with_kind(doc, kind):
+    out = {key: value for key, value in doc.items() if key != "kind"}
+    return out if kind is None else {**out, "kind": kind}
+
+
+@pytest.mark.parametrize("kind", ["banana", None, 1, "statement"],
+                         ids=["banana", "missing", "integer", "statement"])
+def test_a_nested_proof_of_no_proof_kind_is_a_parse_error(kind):
+    message = f"^nested proof kind must be chain or machine_proof, got {kind!r}$"
+    doc = json.loads(serialize_proof_document(infinite_primes()))
+    # the answer to a move log's question is a nested proof
+    with pytest.raises(ParseError, match=message):
+        proof_from_json(_with_kind(doc, kind))
+    # and so is a subproof
+    j = next(j for j, step in enumerate(doc["steps"]) if "subproof" in step)
+    doc["steps"][j]["subproof"] = _with_kind(doc["steps"][j]["subproof"], kind)
+    with pytest.raises(ParseError, match=message):
+        parse_proof_document(json.dumps(doc))
+    with pytest.raises(ParseError, match=message):
+        proof_from_json(doc)
+
+
+@pytest.mark.parametrize("kind", ["machine_proof", "banana", None],
+                         ids=["machine-proof", "banana", "missing"])
+def test_a_chain_read_from_another_record_must_name_the_chain_kind(kind):
+    doc = json.loads(serialize_proof_document(infinite_primes()))
+    assert chain_from_json(doc) is infinite_primes()
+    with pytest.raises(ParseError, match=f"^nested proof kind must be chain, got {kind!r}$"):
+        chain_from_json(_with_kind(doc, kind))

@@ -1474,7 +1474,7 @@ MUTATED_LOGS = [
     ("record-tag", _at_answer(lambda raw, r: raw.replace(',"seq":', ',"record":"move","seq":')),
      None),
     ("machine-proof-as-root-chain", _machine_proof_as_root_chain,
-     (ParseError, "unknown chain step fields ['formula', 'premises', 'rule']")),
+     (ParseError, "nested proof kind must be chain, got 'machine_proof'")),
 ]
 
 

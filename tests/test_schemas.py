@@ -7,9 +7,9 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from sprig.formulas import ParseError
+from sprig.formulas import ParseError, content_hash
 from sprig.proofs import parse_proof_document
-from sprig.protocol import EARLY_STOP, QUIESCENCE, ParameterCascade
+from sprig.protocol import EARLY_STOP, QUIESCENCE, ParameterCascade, replay
 from sprig.scenarios import (
     PRESET_NAMES,
     PROOF_DOCUMENTS,
@@ -113,6 +113,25 @@ def test_schema_rejects_malformed_documents(doc):
     assert schema_errors(doc) != []
 
 
+_P = {"assumptions": [{"atom": "p"}], "conclusion": {"atom": "p"}}
+_IDENTITY = {"kind": "chain", "target": _P, "steps": [{"statement": _P}]}
+_MACHINE = {
+    "kind": "machine_proof",
+    "target": _P,
+    "steps": [{"formula": {"atom": "p"}, "premises": [-1], "rule": "assumption"}],
+}
+
+
+def _with_subproof(subproof):
+    return {"kind": "chain", "target": _P, "steps": [{"statement": _P, "subproof": subproof}]}
+
+
+def _kind(doc, kind):
+    """A copy of `doc` with its kind `kind`, or with none if that is None."""
+    out = {key: value for key, value in doc.items() if key != "kind"}
+    return out if kind is None else {**out, "kind": kind}
+
+
 def test_parser_and_schema_verdicts_line_up_on_malformed_input():
     """No document should pass one gate and fail the other for shape reasons.
 
@@ -128,7 +147,21 @@ def test_parser_and_schema_verdicts_line_up_on_malformed_input():
             "target": {"conclusion": {"atom": "p"}},
             "steps": [{"formula": {"atom": "p"}, "rule": ""}],
         },
+        # a nested proof names its kind: a chain or a machine proof
+        *(
+            _with_subproof(subproof)
+            for subproof in (
+                _kind(_IDENTITY, "banana"),
+                _kind(_IDENTITY, None),
+                _kind(_MACHINE, None),
+                _kind(_MACHINE, "statement"),
+                _kind(_MACHINE, "chain"),
+            )
+        ),
     ]
+    for subproof in (_IDENTITY, _MACHINE):
+        assert schema_errors(_with_subproof(subproof)) == []
+        parse_proof_document(json.dumps(_with_subproof(subproof)))
     for doc in samples:
         assert schema_errors(doc) != []
         with pytest.raises(ParseError):
@@ -245,3 +278,42 @@ def _edited_line(edit):
 def test_movelog_schema_rejects_malformed_lines(edit):
     assert movelog_errors(_edited_line(lambda r: None)) == []
     assert movelog_errors(_edited_line(edit)) != []
+
+
+def _with_proof_kind(index, kind):
+    """The full-run fixture log with the proof of record `index` (the
+    root claim's chain at 0, an answer's chain at 2) of kind `kind`, or of
+    none if that is None, and its payload rehashed."""
+    records = [json.loads(line) for line in (MOVELOGS / "full_run_claim_root.jsonl")
+               .read_text().splitlines()]
+    payload = records[index]["payload"]
+    field = "chain" if index == 0 else "proof"
+    assert payload[field]["kind"] == "chain"
+    payload[field] = _kind(payload[field], kind)
+    records[index]["payload_hash"] = content_hash(payload)
+    return [json.dumps(record) for record in records]
+
+
+@pytest.mark.parametrize(
+    "index, kind, message",
+    [
+        (0, "banana", "nested proof kind must be chain, got 'banana'"),
+        (0, None, "nested proof kind must be chain, got None"),
+        (0, "machine_proof", "nested proof kind must be chain, got 'machine_proof'"),
+        (2, "banana", "nested proof kind must be chain or machine_proof, got 'banana'"),
+        (2, None, "nested proof kind must be chain or machine_proof, got None"),
+        # a proof kind, read as what it names
+        (2, "machine_proof", "unknown machine proof fields ['definitions']"),
+    ],
+    ids=["root-banana", "root-missing", "root-machine-proof", "answer-banana", "answer-missing",
+         "answer-machine-proof"],
+)
+def test_movelog_schema_and_replay_agree_on_the_kind_of_a_posted_proof(index, kind, message):
+    lines = _with_proof_kind(index, kind)
+    assert movelog_errors(lines[index]) != []
+    cascade = ParameterCascade.from_json(
+        json.loads((CASCADES / "full_run_claim_root.json").read_text(encoding="utf-8")))
+    balances = {name: 10**6 for name in ("ann", "sam", "bea", "cat", "kim")}
+    with pytest.raises(ParseError) as raised:
+        replay(lines, cascade, balances=balances)
+    assert str(raised.value) == message
